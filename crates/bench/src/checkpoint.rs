@@ -245,7 +245,7 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
     }
     // Optional again: only `percore`-throttled runs carry QoS accounting.
     // Absent field -> None keeps every earlier checkpoint generation
-    // parseable, and `off|static|feedback` lines byte-identical.
+    // parseable, and `off` and `feedback` lines byte-identical.
     if let Some(q) = &r.qos {
         s.push_str(",\"qos\":{\"cores\":[");
         for (i, c) in q.cores.iter().enumerate() {
@@ -938,7 +938,7 @@ mod tests {
         assert_eq!(key, "42/1000/500/mix/throttle=percore");
         assert_eq!(parsed.qos, r.qos);
         // Pre-qos lines (no field) parse to None, and a qos-free result
-        // serializes without the field at all — off/static/feedback lines
+        // serializes without the field at all — off and feedback lines
         // stay byte-identical to what older builds wrote.
         let plain = serialize_entry("k", &sample_result(11));
         assert!(!plain.contains("\"qos\""));

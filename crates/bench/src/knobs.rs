@@ -248,6 +248,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "BINGO_THROTTLE must be one of off/feedback/percore, got \"static\"")]
+    fn throttle_rejects_the_retired_static_mode() {
+        // Mirrors `runner::throttle_from_env`: `static` and its numeric
+        // alias `1` name no mode, so a script asking for them aborts
+        // instead of silently running another policy.
+        assert_eq!(bingo_sim::ThrottleMode::parse("1"), None);
+        let _ = parse(
+            crate::THROTTLE_ENV,
+            "static",
+            "one of off/feedback/percore",
+            bingo_sim::ThrottleMode::parse,
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "BINGO_CHAOS_SEED must be an unsigned 64-bit integer, got \"-1\"")]
     fn chaos_seed_rejects_negative() {
         let _: u64 = parse(CHAOS_SEED_ENV, "-1", "an unsigned 64-bit integer", |v| {

@@ -332,9 +332,10 @@ pub fn telemetry_from_env() -> TelemetryLevel {
 
 /// Environment variable selecting the prefetch-throttle mode for CLI
 /// sweeps: `off` (default, bit-for-bit identical to a build without the
-/// throttle subsystem), `static` (pinned conservative degree),
-/// `feedback` (closed-loop accuracy/bandwidth control), or `percore`
-/// (one feedback controller per core plus the starvation watchdog).
+/// throttle subsystem), `feedback` (closed-loop accuracy/bandwidth control
+/// over one chip-wide domain), or `percore` (one domain per core plus the
+/// starvation watchdog). Any other value, including the retired `static`,
+/// aborts the run.
 pub const THROTTLE_ENV: &str = "BINGO_THROTTLE";
 
 /// Reads [`THROTTLE_ENV`], aborting loudly on garbage — a typo'd mode
@@ -346,7 +347,7 @@ pub const THROTTLE_ENV: &str = "BINGO_THROTTLE";
 pub fn throttle_from_env() -> ThrottleMode {
     knobs::from_env(
         THROTTLE_ENV,
-        "one of off/static/feedback/percore",
+        "one of off/feedback/percore",
         ThrottleMode::parse,
     )
     .unwrap_or(ThrottleMode::Off)
@@ -529,20 +530,43 @@ pub fn cell_key_with_telemetry(
     kind: PrefetcherKind,
     telemetry: TelemetryLevel,
 ) -> String {
-    let base = cell_key(scale, workload, kind);
+    with_option_suffixes(
+        cell_key(scale, workload, kind),
+        telemetry,
+        ThrottleMode::Off,
+    )
+}
+
+/// Appends the telemetry and throttle namespaces every key function
+/// shares, in that fixed order. The defaults ([`TelemetryLevel::Off`],
+/// [`ThrottleMode::Off`]) contribute nothing, so keys written before an
+/// option existed stay byte-for-byte valid, while runs whose results
+/// genuinely differ live in their own namespace and can never be replayed
+/// into (or poisoned by) a default sweep.
+fn with_option_suffixes(
+    mut key: String,
+    telemetry: TelemetryLevel,
+    throttle: ThrottleMode,
+) -> String {
     match telemetry {
-        TelemetryLevel::Off => base,
-        TelemetryLevel::Counts => format!("{base}/telemetry=counts"),
-        TelemetryLevel::Trace => format!("{base}/telemetry=trace"),
+        TelemetryLevel::Off => {}
+        TelemetryLevel::Counts => key.push_str("/telemetry=counts"),
+        TelemetryLevel::Trace => key.push_str("/telemetry=trace"),
     }
+    match throttle {
+        ThrottleMode::Off => {}
+        ThrottleMode::Feedback | ThrottleMode::Percore => {
+            key.push_str("/throttle=");
+            key.push_str(&throttle.to_string());
+        }
+    }
+    key
 }
 
 /// [`cell_key_with_telemetry`] further extended with the throttle mode,
-/// following the same namespacing rule: the default ([`ThrottleMode::Off`])
-/// keeps the historical key byte-for-byte, so every checkpoint written
-/// before the throttle subsystem existed stays valid, while throttled runs
-/// — whose results genuinely differ — live in their own namespace and can
-/// never be replayed into (or poisoned by) an unthrottled sweep.
+/// following the same namespacing rule: [`ThrottleMode::Off`] adds
+/// nothing, so keys written before the throttle existed stay valid, and
+/// each throttled mode gets its own `/throttle=<mode>` namespace.
 pub fn cell_key_with_options(
     scale: RunScale,
     workload: Workload,
@@ -550,13 +574,7 @@ pub fn cell_key_with_options(
     telemetry: TelemetryLevel,
     throttle: ThrottleMode,
 ) -> String {
-    let base = cell_key_with_telemetry(scale, workload, kind, telemetry);
-    match throttle {
-        ThrottleMode::Off => base,
-        ThrottleMode::Static | ThrottleMode::Feedback | ThrottleMode::Percore => {
-            format!("{base}/throttle={throttle}")
-        }
-    }
+    with_option_suffixes(cell_key(scale, workload, kind), telemetry, throttle)
 }
 
 /// Runs one (captured trace, prefetcher) simulation on the paper's 4-core
@@ -647,17 +665,7 @@ pub fn trace_cell_key(
         "trace:{}/{}/{}/{:?}",
         trace_key, scale.instructions_per_core, scale.warmup_per_core, kind
     );
-    let base = match telemetry {
-        TelemetryLevel::Off => base,
-        TelemetryLevel::Counts => format!("{base}/telemetry=counts"),
-        TelemetryLevel::Trace => format!("{base}/telemetry=trace"),
-    };
-    match throttle {
-        ThrottleMode::Off => base,
-        ThrottleMode::Static | ThrottleMode::Feedback | ThrottleMode::Percore => {
-            format!("{base}/throttle={throttle}")
-        }
-    }
+    with_option_suffixes(base, telemetry, throttle)
 }
 
 /// Worker count for parallel sweeps: the `BINGO_JOBS` environment override
@@ -1977,28 +1985,19 @@ pub fn run_mix_solo_configured(
 }
 
 /// Applies the mix-key namespacing suffixes shared by [`mix_cell_key`]
-/// and [`mix_solo_key`]: [`Pressure::NONE`], [`TelemetryLevel::Off`],
-/// and [`ThrottleMode::Off`] each contribute nothing, so default-mode
-/// keys stay byte-for-byte stable across option additions — the same
-/// rule [`cell_key_with_options`] follows.
+/// and [`mix_solo_key`]: the pressure suffix ([`Pressure::NONE`]
+/// contributes nothing), then the option suffixes every key shares.
 fn decorate_mix_key(
     base: String,
     pressure: &Pressure,
     telemetry: TelemetryLevel,
     throttle: ThrottleMode,
 ) -> String {
-    let base = format!("{base}{}", pressure.key_suffix());
-    let base = match telemetry {
-        TelemetryLevel::Off => base,
-        TelemetryLevel::Counts => format!("{base}/telemetry=counts"),
-        TelemetryLevel::Trace => format!("{base}/telemetry=trace"),
-    };
-    match throttle {
-        ThrottleMode::Off => base,
-        ThrottleMode::Static | ThrottleMode::Feedback | ThrottleMode::Percore => {
-            format!("{base}/throttle={throttle}")
-        }
-    }
+    with_option_suffixes(
+        format!("{base}{}", pressure.key_suffix()),
+        telemetry,
+        throttle,
+    )
 }
 
 /// Checkpoint/stats key of one mix cell. The key embeds both the mix's
@@ -3142,10 +3141,10 @@ mod tests {
             );
         }
         let fb = cell_key_with_options(scale, w, k, TelemetryLevel::Off, ThrottleMode::Feedback);
-        let st = cell_key_with_options(scale, w, k, TelemetryLevel::Off, ThrottleMode::Static);
+        let pc = cell_key_with_options(scale, w, k, TelemetryLevel::Off, ThrottleMode::Percore);
         assert!(fb.ends_with("/throttle=feedback"));
-        assert!(st.ends_with("/throttle=static"));
-        assert_ne!(fb, st);
+        assert!(pc.ends_with("/throttle=percore"));
+        assert_ne!(fb, pc);
         // Both dimensions compose in a fixed order.
         let both =
             cell_key_with_options(scale, w, k, TelemetryLevel::Counts, ThrottleMode::Feedback);
@@ -3166,7 +3165,7 @@ mod tests {
             .evaluate_grid(&cells);
         let throttled = ParallelHarness::with_jobs(scale, 1)
             .quiet()
-            .with_throttle(ThrottleMode::Static)
+            .with_throttle(ThrottleMode::Feedback)
             .evaluate_grid(&cells);
         assert_eq!(
             plain[0].baseline, throttled[0].baseline,
@@ -3174,7 +3173,7 @@ mod tests {
         );
         assert!(
             throttled[0].result.llc.pf_issued <= plain[0].result.llc.pf_issued,
-            "static throttle issued more prefetches ({}) than unthrottled ({})",
+            "feedback throttle issued more prefetches ({}) than unthrottled ({})",
             throttled[0].result.llc.pf_issued,
             plain[0].result.llc.pf_issued
         );

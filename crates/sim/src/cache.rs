@@ -12,9 +12,12 @@
 //! [`Cache::complete_fill`] when the fill's ready cycle arrives. Prefetch
 //! usefulness is attributed per line: a prefetched line demanded before
 //! eviction is *useful*; one demanded while still in flight is *late*; one
-//! evicted untouched is *useless* (an overprediction).
+//! evicted untouched is *useless* (an overprediction). Each prefetched line
+//! also remembers the core whose prefetcher issued it, and hands that owner
+//! back at exactly those three events, so per-core attribution needs no
+//! side table.
 
-use crate::addr::BlockAddr;
+use crate::addr::{BlockAddr, CoreId};
 use crate::config::CacheConfig;
 use crate::openmap::OpenMap;
 use crate::stats::CacheStats;
@@ -38,12 +41,18 @@ pub enum Lookup {
     Hit {
         /// Cycle at which the data is available to the requester.
         ready_at: u64,
+        /// The issuing core when this demand is the first touch of a
+        /// prefetched line (the event counted as `pf_useful`).
+        prefetch_owner: Option<CoreId>,
     },
     /// The block's fill is in flight (MSHR merge); data available when the
     /// fill lands.
     PendingHit {
         /// Cycle at which the in-flight fill completes.
         ready_at: u64,
+        /// The issuing core when this demand is the first to merge with an
+        /// in-flight prefetch (the event counted as `pf_late`).
+        prefetch_owner: Option<CoreId>,
     },
     /// The block is neither resident nor in flight.
     Miss,
@@ -56,9 +65,14 @@ pub struct Evicted {
     pub block: BlockAddr,
     /// Whether the line was dirty and must be written back.
     pub dirty: bool,
-    /// Whether the line was brought in by a prefetch and never demanded.
-    pub unused_prefetch: bool,
+    /// The issuing core when the line was brought in by a prefetch and
+    /// never demanded (the event counted as `pf_useless`).
+    pub unused_prefetch: Option<CoreId>,
 }
+
+/// Largest core count the per-line prefetch-owner field can name; checked
+/// by [`SystemConfig::validate`](crate::SystemConfig::validate).
+pub const MAX_PREFETCH_OWNERS: usize = u8::MAX as usize + 1;
 
 /// Per-line status flags, packed so the tag array stays dense.
 mod flag {
@@ -76,6 +90,8 @@ mod flag {
 struct PendingFill {
     ready: u64,
     prefetch: bool,
+    /// Issuing core of a prefetch fill (0 for demand fills).
+    owner: u8,
     /// A demand merged with this fill while in flight.
     demanded: bool,
     /// A store targeted this block while in flight; the filled line must
@@ -95,6 +111,9 @@ pub struct Cache {
     cfg: CacheConfig,
     tags: Vec<u64>,
     flags: Vec<u8>,
+    /// Issuing core of each line filled by a prefetch; meaningful only
+    /// while the line's `PREFETCHED` flag is set.
+    owners: Vec<u8>,
     last_touch: Vec<u64>,
     inserted: Vec<u64>,
     set_mask: u64,
@@ -139,6 +158,7 @@ impl Cache {
             // Invalid lines count as measured so stale slots never leak
             // into pre-measurement accounting.
             flags: vec![flag::MEASURED; lines],
+            owners: vec![0; lines],
             last_touch: vec![0; lines],
             inserted: vec![0; lines],
             set_mask: sets as u64 - 1,
@@ -192,24 +212,32 @@ impl Cache {
         if let Some(i) = self.find_resident(block) {
             self.last_touch[i] = stamp;
             let f = self.flags[i];
+            let mut prefetch_owner = None;
             if f & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED {
                 self.stats.pf_useful += 1;
+                prefetch_owner = Some(CoreId(self.owners[i].into()));
             }
             self.flags[i] = f | flag::DEMANDED | if is_write { flag::DIRTY } else { 0 };
             self.stats.demand_hits += 1;
             return Lookup::Hit {
                 ready_at: start + self.cfg.latency,
+                prefetch_owner,
             };
         }
         if let Some(entry) = self.pending.get_mut(block.index()) {
+            let mut prefetch_owner = None;
             if entry.prefetch && !entry.demanded {
                 self.stats.pf_late += 1;
+                prefetch_owner = Some(CoreId(entry.owner.into()));
             }
             entry.demanded = true;
             entry.dirty |= is_write;
             self.stats.demand_hits_pending += 1;
             let ready_at = entry.ready.max(start + self.cfg.latency);
-            return Lookup::PendingHit { ready_at };
+            return Lookup::PendingHit {
+                ready_at,
+                prefetch_owner,
+            };
         }
         Lookup::Miss
     }
@@ -297,14 +325,18 @@ impl Cache {
         self.pending.len() + reserved < self.cfg.mshrs
     }
 
-    /// Records an outstanding fill that will complete at cycle `ready`.
+    /// Records an outstanding fill that will complete at cycle `ready`;
+    /// `prefetcher` is the issuing core of a prefetch fill, `None` for a
+    /// demand fill.
     ///
     /// The caller must have verified MSHR availability and non-residency.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the block is already pending or resident.
-    pub fn allocate_fill(&mut self, block: BlockAddr, ready: u64, prefetch: bool) {
+    /// Panics in debug builds if the block is already pending or resident,
+    /// and in every build if the issuing core is not below
+    /// [`MAX_PREFETCH_OWNERS`].
+    pub fn allocate_fill(&mut self, block: BlockAddr, ready: u64, prefetcher: Option<CoreId>) {
         debug_assert!(
             !self.probe(block),
             "allocate_fill for resident/pending {block:?}"
@@ -315,11 +347,16 @@ impl Cache {
             self.pending.len(),
             self.cfg.mshrs
         );
+        let prefetch = prefetcher.is_some();
+        let owner = prefetcher.map_or(0, |c| {
+            u8::try_from(c.0).expect("prefetching core id exceeds MAX_PREFETCH_OWNERS")
+        });
         self.pending.insert(
             block.index(),
             PendingFill {
                 ready,
                 prefetch,
+                owner,
                 demanded: !prefetch,
                 dirty: false,
             },
@@ -369,8 +406,9 @@ impl Cache {
             if victim_dirty {
                 self.stats.writebacks += 1;
             }
-            let unused_prefetch = vf & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED;
-            if unused_prefetch {
+            let unused_prefetch = (vf & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED)
+                .then(|| CoreId(self.owners[victim_idx].into()));
+            if unused_prefetch.is_some() {
                 self.stats.pf_useless += 1;
             }
             Some(Evicted {
@@ -387,6 +425,7 @@ impl Cache {
             | if dirty || entry.dirty { flag::DIRTY } else { 0 }
             | if entry.prefetch { flag::PREFETCHED } else { 0 }
             | if entry.demanded { flag::DEMANDED } else { 0 };
+        self.owners[victim_idx] = entry.owner;
         self.last_touch[victim_idx] = stamp;
         self.inserted[victim_idx] = stamp;
         crate::audit_assert!(
@@ -447,6 +486,15 @@ impl Cache {
         Some(dirty)
     }
 
+    /// The issuing core of `block` when it is resident, was filled by a
+    /// prefetch, and has not been demanded since. Does not disturb state or
+    /// statistics.
+    pub fn unused_prefetch_owner(&self, block: BlockAddr) -> Option<CoreId> {
+        let i = self.find_resident(block)?;
+        (self.flags[i] & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED)
+            .then(|| CoreId(self.owners[i].into()))
+    }
+
     /// Number of resident prefetched lines never demanded, restricted to
     /// lines filled during the measurement window. Folded into
     /// `pf_useless` at end of simulation so overprediction accounting does
@@ -491,7 +539,7 @@ mod tests {
     }
 
     fn fill_now(c: &mut Cache, block: u64) {
-        c.allocate_fill(BlockAddr::new(block), 0, false);
+        c.allocate_fill(BlockAddr::new(block), 0, None);
         c.complete_fill(BlockAddr::new(block), false);
     }
 
@@ -500,15 +548,15 @@ mod tests {
         let mut c = small_cache();
         let b = BlockAddr::new(42);
         assert_eq!(c.demand_access(b, 0, false), Lookup::Miss);
-        c.allocate_fill(b, 100, false);
+        c.allocate_fill(b, 100, None);
         assert!(c.probe(b));
         match c.demand_access(b, 50, false) {
-            Lookup::PendingHit { ready_at } => assert_eq!(ready_at, 100),
+            Lookup::PendingHit { ready_at, .. } => assert_eq!(ready_at, 100),
             other => panic!("expected pending hit, got {other:?}"),
         }
         c.complete_fill(b, false);
         match c.demand_access(b, 200, false) {
-            Lookup::Hit { ready_at } => assert_eq!(ready_at, 210),
+            Lookup::Hit { ready_at, .. } => assert_eq!(ready_at, 210),
             other => panic!("expected hit, got {other:?}"),
         }
         assert_eq!(c.stats.demand_hits, 1);
@@ -519,10 +567,10 @@ mod tests {
     fn pending_hit_after_ready_uses_lookup_latency() {
         let mut c = small_cache();
         let b = BlockAddr::new(7);
-        c.allocate_fill(b, 100, false);
+        c.allocate_fill(b, 100, None);
         // Accessing at cycle 200, fill long since ready: latency-bound.
         match c.demand_access(b, 200, false) {
-            Lookup::PendingHit { ready_at } => assert_eq!(ready_at, 210),
+            Lookup::PendingHit { ready_at, .. } => assert_eq!(ready_at, 210),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -535,7 +583,7 @@ mod tests {
         fill_now(&mut c, 4);
         // Touch block 0 so block 4 is LRU.
         c.demand_access(BlockAddr::new(0), 10, false);
-        c.allocate_fill(BlockAddr::new(8), 20, false);
+        c.allocate_fill(BlockAddr::new(8), 20, None);
         let ev = c.complete_fill(BlockAddr::new(8), false).expect("eviction");
         assert_eq!(ev.block, BlockAddr::new(4));
         assert!(c.probe(BlockAddr::new(0)));
@@ -549,7 +597,7 @@ mod tests {
         fill_now(&mut c, 0);
         c.demand_access(BlockAddr::new(0), 0, true); // store -> dirty
         fill_now(&mut c, 4);
-        c.allocate_fill(BlockAddr::new(8), 0, false);
+        c.allocate_fill(BlockAddr::new(8), 0, None);
         // LRU is block 0 only if untouched since; touch block 4.
         c.demand_access(BlockAddr::new(4), 5, false);
         let ev = c.complete_fill(BlockAddr::new(8), false).expect("eviction");
@@ -562,7 +610,7 @@ mod tests {
     fn prefetch_useful_counted_once() {
         let mut c = small_cache();
         let b = BlockAddr::new(12);
-        c.allocate_fill(b, 0, true);
+        c.allocate_fill(b, 0, Some(CoreId(0)));
         c.complete_fill(b, false);
         c.demand_access(b, 10, false);
         c.demand_access(b, 20, false);
@@ -574,7 +622,7 @@ mod tests {
     fn late_prefetch_counted_and_not_double_counted_as_useful() {
         let mut c = small_cache();
         let b = BlockAddr::new(12);
-        c.allocate_fill(b, 100, true);
+        c.allocate_fill(b, 100, Some(CoreId(0)));
         c.demand_access(b, 50, false); // merges with in-flight prefetch
         assert_eq!(c.stats.pf_late, 1);
         c.complete_fill(b, false);
@@ -587,13 +635,13 @@ mod tests {
     #[test]
     fn unused_prefetch_eviction_is_useless() {
         let mut c = small_cache();
-        c.allocate_fill(BlockAddr::new(0), 0, true);
+        c.allocate_fill(BlockAddr::new(0), 0, Some(CoreId(0)));
         c.complete_fill(BlockAddr::new(0), false);
         fill_now(&mut c, 4);
-        c.allocate_fill(BlockAddr::new(8), 0, false);
+        c.allocate_fill(BlockAddr::new(8), 0, None);
         let ev = c.complete_fill(BlockAddr::new(8), false).expect("eviction");
         assert_eq!(ev.block, BlockAddr::new(0));
-        assert!(ev.unused_prefetch);
+        assert_eq!(ev.unused_prefetch, Some(CoreId(0)));
         assert_eq!(c.stats.pf_useless, 1);
     }
 
@@ -602,14 +650,14 @@ mod tests {
         let mut c = small_cache();
         for i in 0..4 {
             assert!(c.mshr_available_for_demand());
-            c.allocate_fill(BlockAddr::new(i * 4 + 1), 100, false);
+            c.allocate_fill(BlockAddr::new(i * 4 + 1), 100, None);
         }
         assert!(!c.mshr_available_for_demand());
         assert_eq!(c.mshr_occupancy(), 4);
         // With 2 reserved slots, prefetches lose eligibility at occupancy 2.
         let mut c2 = small_cache();
-        c2.allocate_fill(BlockAddr::new(1), 100, false);
-        c2.allocate_fill(BlockAddr::new(2), 100, false);
+        c2.allocate_fill(BlockAddr::new(1), 100, None);
+        c2.allocate_fill(BlockAddr::new(2), 100, None);
         assert!(!c2.mshr_available_for_prefetch(2));
         assert!(c2.mshr_available_for_prefetch(1));
     }
@@ -618,9 +666,9 @@ mod tests {
     fn prefetches_in_flight_tracks_allocations_and_fills() {
         let mut c = small_cache();
         assert_eq!(c.prefetches_in_flight(), 0);
-        c.allocate_fill(BlockAddr::new(1), 100, true);
-        c.allocate_fill(BlockAddr::new(2), 100, false);
-        c.allocate_fill(BlockAddr::new(3), 100, true);
+        c.allocate_fill(BlockAddr::new(1), 100, Some(CoreId(0)));
+        c.allocate_fill(BlockAddr::new(2), 100, None);
+        c.allocate_fill(BlockAddr::new(3), 100, Some(CoreId(0)));
         assert_eq!(c.prefetches_in_flight(), 2, "demand fills do not count");
         // A demand merging with an in-flight prefetch keeps the slot held.
         c.demand_access(BlockAddr::new(1), 50, false);
@@ -645,11 +693,11 @@ mod tests {
         fill_now(&mut c, 0);
         fill_now(&mut c, 1);
         let t1 = match c.demand_access(a, 100, false) {
-            Lookup::Hit { ready_at } => ready_at,
+            Lookup::Hit { ready_at, .. } => ready_at,
             _ => panic!(),
         };
         let t2 = match c.demand_access(b, 100, false) {
-            Lookup::Hit { ready_at } => ready_at,
+            Lookup::Hit { ready_at, .. } => ready_at,
             _ => panic!(),
         };
         assert_eq!(t1, 110);
@@ -669,7 +717,7 @@ mod tests {
     #[test]
     fn fill_into_invalid_way_reports_no_eviction() {
         let mut c = small_cache();
-        c.allocate_fill(BlockAddr::new(0), 0, false);
+        c.allocate_fill(BlockAddr::new(0), 0, None);
         assert!(c.complete_fill(BlockAddr::new(0), false).is_none());
     }
 
@@ -704,7 +752,7 @@ mod tests {
         fill_now(&mut c, 4);
         // Touch block 0: with LRU, 4 would be the victim; FIFO still evicts 0.
         c.demand_access(BlockAddr::new(0), 10, false);
-        c.allocate_fill(BlockAddr::new(8), 20, false);
+        c.allocate_fill(BlockAddr::new(8), 20, None);
         let ev = c.complete_fill(BlockAddr::new(8), false).expect("eviction");
         assert_eq!(ev.block, BlockAddr::new(0));
     }

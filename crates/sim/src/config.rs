@@ -7,6 +7,47 @@
 //! latency and 37.5 GB/s of peak bandwidth. Blocks are 64 bytes everywhere.
 
 use crate::addr::{RegionGeometry, BLOCK_BYTES};
+use crate::cache::MAX_PREFETCH_OWNERS;
+
+/// Why [`SystemConfig::validate`] rejected a configuration.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// More cores than the LLC's per-line prefetch-owner field can name.
+    TooManyCores {
+        /// The configured core count.
+        cores: usize,
+        /// The largest supported core count.
+        max: usize,
+    },
+    /// Any other inconsistency, described in words.
+    Invalid(String),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::TooManyCores { cores, max } => write!(
+                f,
+                "{cores} cores exceed the {max} the LLC's prefetch-owner field can name"
+            ),
+            ConfigError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<&str> for ConfigError {
+    fn from(msg: &str) -> Self {
+        ConfigError::Invalid(msg.into())
+    }
+}
+
+impl From<String> for ConfigError {
+    fn from(msg: String) -> Self {
+        ConfigError::Invalid(msg)
+    }
+}
 
 /// Parameters of one cache level.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -237,12 +278,19 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if any parameter is zero where that is meaningless, if
-    /// cache geometry does not divide evenly, or if the demand MSHR
-    /// reservation exceeds the LLC MSHR count.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns [`ConfigError::TooManyCores`] past [`MAX_PREFETCH_OWNERS`]
+    /// cores, and [`ConfigError::Invalid`] if any parameter is zero where
+    /// that is meaningless, if cache geometry does not divide evenly, or if
+    /// the demand MSHR reservation exceeds the LLC MSHR count.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err("system must have at least one core".into());
+        }
+        if self.cores > MAX_PREFETCH_OWNERS {
+            return Err(ConfigError::TooManyCores {
+                cores: self.cores,
+                max: MAX_PREFETCH_OWNERS,
+            });
         }
         if self.core.width == 0 || self.core.retire_width == 0 {
             return Err("core width must be nonzero".into());
@@ -252,11 +300,11 @@ impl SystemConfig {
         }
         for (name, c) in [("l1d", &self.l1d), ("llc", &self.llc)] {
             if c.ways == 0 || c.banks == 0 || c.mshrs == 0 {
-                return Err(format!("{name}: ways/banks/mshrs must be nonzero"));
+                return Err(format!("{name}: ways/banks/mshrs must be nonzero").into());
             }
             let sets = c.size_bytes / (c.ways as u64 * BLOCK_BYTES);
             if sets == 0 || !sets.is_power_of_two() {
-                return Err(format!("{name}: set count {sets} is not a power of two"));
+                return Err(format!("{name}: set count {sets} is not a power of two").into());
             }
         }
         if self.dram.channels == 0 || self.dram.banks_per_channel == 0 {
@@ -278,7 +326,7 @@ impl SystemConfig {
         }
         if let Some(slo) = self.qos_slo {
             if !(slo.is_finite() && slo > 0.0 && slo <= 1.0) {
-                return Err(format!("qos_slo must be a ratio in (0, 1], got {slo}"));
+                return Err(format!("qos_slo must be a ratio in (0, 1], got {slo}").into());
             }
         }
         Ok(())
@@ -339,6 +387,17 @@ mod tests {
         let mut cfg = SystemConfig::paper();
         cfg.cores = 0;
         assert!(cfg.validate().is_err());
+        // The per-line prefetch owner is one byte wide.
+        cfg.cores = MAX_PREFETCH_OWNERS;
+        assert!(cfg.validate().is_ok());
+        cfg.cores = MAX_PREFETCH_OWNERS + 1;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::TooManyCores {
+                cores: 257,
+                max: 256
+            })
+        );
 
         let mut cfg = SystemConfig::paper();
         cfg.l1d.ways = 0;

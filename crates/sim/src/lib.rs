@@ -63,12 +63,11 @@ pub mod stats;
 pub mod system;
 pub mod telemetry;
 pub mod throttle;
-pub mod trace;
 
 pub use addr::{Addr, BlockAddr, CoreId, Pc, RegionGeometry, RegionId, BLOCK_BYTES, BLOCK_SHIFT};
 pub use cache::{Cache, Evicted, Lookup, ReplacementPolicy};
 pub use chaos::{AppliedPerturbation, ChaosInjector, ChaosKind, ChaosPlan, PhaseFlipSource};
-pub use config::{CacheConfig, CoreConfig, DramConfig, SystemConfig};
+pub use config::{CacheConfig, ConfigError, CoreConfig, DramConfig, SystemConfig};
 pub use core_model::{Instr, InstrSource, OooCore};
 pub use dram::{Dram, DramStats};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
@@ -85,10 +84,9 @@ pub use telemetry::{
     TelemetryLevel, TelemetryReport,
 };
 pub use throttle::{
-    CoreSignals, PercoreThrottle, ThrottleController, ThrottleLevel, ThrottleMode, ThrottleStats,
-    WatchdogStats, DEFAULT_QOS_SLO,
+    CoreSignals, Throttle, ThrottleLevel, ThrottleMode, ThrottleStats, WatchdogStats,
+    DEFAULT_QOS_SLO,
 };
-pub use trace::{record, Trace, TraceError, TraceSource};
 
 /// Asserts an internal invariant, compiled in only under the `audit`
 /// feature.

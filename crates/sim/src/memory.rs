@@ -12,7 +12,10 @@
 //!
 //! Prefetchers observe every successful LLC demand access and may emit
 //! candidate blocks, which are deduplicated against resident/in-flight
-//! blocks, rate-limited by prefetch-eligible MSHRs, and sent to DRAM.
+//! blocks, rate-limited by prefetch-eligible MSHRs, and sent to DRAM. The
+//! LLC line records the issuing core, and the prefetch's later use or
+//! unused eviction is credited to that core — in the optional [`Throttle`]
+//! and in the telemetry ledger alike.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,10 +29,7 @@ use crate::stats::{CacheStats, QosReport};
 use crate::telemetry::{
     DropReason, PrefetchLedger, PrefetchSource, TelemetryLevel, TelemetryReport,
 };
-use crate::throttle::{
-    PercoreThrottle, ThrottleController, ThrottleLevel, ThrottleMode, ThrottleStats,
-    DEFAULT_QOS_SLO,
-};
+use crate::throttle::{Throttle, ThrottleLevel, ThrottleMode, DEFAULT_QOS_SLO};
 
 /// Result of issuing a memory operation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -68,11 +68,7 @@ pub struct MemorySystem {
     ledger: PrefetchLedger,
     /// `None` when `BINGO_THROTTLE=off`: the hot path then pays a single
     /// branch per access, and behavior is bit-for-bit the unthrottled one.
-    throttle: Option<ThrottleController>,
-    /// Per-core throttle + starvation watchdog (`BINGO_THROTTLE=percore`).
-    /// Mutually exclusive with the chip-wide controller above; `None` in
-    /// every other mode, so the percore machinery cannot perturb them.
-    percore: Option<PercoreThrottle>,
+    throttle: Option<Throttle>,
     /// Per-core level of the most recent demand stall. Fresh whenever a
     /// core is currently mem-stalled (it re-stalled this very cycle).
     stall_level: Vec<StallLevel>,
@@ -104,7 +100,6 @@ impl MemorySystem {
             pf_buf: Vec::with_capacity(64),
             ledger: PrefetchLedger::new(TelemetryLevel::Off),
             throttle: None,
-            percore: None,
             stall_level: vec![StallLevel::L1; cfg.cores],
             cfg,
         }
@@ -117,62 +112,33 @@ impl MemorySystem {
     }
 
     /// Sets the prefetch-throttling mode. Call before running; switching
-    /// modes mid-run restarts the controller from scratch. With
-    /// [`ThrottleMode::Off`] no controller exists at all, so disabled
+    /// modes mid-run restarts the throttle from scratch. With
+    /// [`ThrottleMode::Off`] no throttle exists at all, so disabled
     /// throttling cannot perturb a run.
     pub fn set_throttle(&mut self, mode: ThrottleMode) {
-        self.throttle = None;
-        self.percore = None;
-        if mode == ThrottleMode::Percore {
-            let slo = self.cfg.qos_slo.unwrap_or(DEFAULT_QOS_SLO);
-            self.percore = Some(
-                PercoreThrottle::new(self.cfg.cores, slo)
-                    .with_dram_service_cycles(self.cfg.dram.transfer_cycles),
-            );
-        } else if mode.enabled() {
-            self.throttle = Some(
-                ThrottleController::new(mode)
-                    .with_dram_service_cycles(self.cfg.dram.transfer_cycles),
-            );
-        }
-        if let Some(pt) = self.percore.as_ref() {
-            for (i, pf) in self.prefetchers.iter_mut().enumerate() {
-                pf.set_throttle_level(pt.level(i));
-            }
-        } else {
+        self.throttle = Throttle::new(
+            mode,
+            self.cfg.cores,
+            self.cfg.qos_slo.unwrap_or(DEFAULT_QOS_SLO),
+            self.cfg.dram.transfer_cycles,
+        );
+        self.push_throttle_levels();
+    }
+
+    fn push_throttle_levels(&mut self) {
+        for (i, pf) in self.prefetchers.iter_mut().enumerate() {
             let level = self
                 .throttle
                 .as_ref()
-                .map_or(ThrottleLevel::Full, ThrottleController::level);
-            for pf in &mut self.prefetchers {
-                pf.set_throttle_level(level);
-            }
+                .map_or(ThrottleLevel::Full, |t| t.level(i));
+            pf.set_throttle_level(level);
         }
-    }
-
-    /// The throttle controller's activity counters; `None` when throttling
-    /// is off.
-    pub fn throttle_stats(&self) -> Option<&ThrottleStats> {
-        self.throttle.as_ref().map(|t| &t.stats)
-    }
-
-    /// The current effective throttle level ([`ThrottleLevel::Full`] when
-    /// throttling is off).
-    pub fn throttle_level(&self) -> ThrottleLevel {
-        self.throttle
-            .as_ref()
-            .map_or(ThrottleLevel::Full, ThrottleController::level)
-    }
-
-    /// The per-core throttle, when `BINGO_THROTTLE=percore` is active.
-    pub fn percore_throttle(&self) -> Option<&PercoreThrottle> {
-        self.percore.as_ref()
     }
 
     /// The per-core QoS attribution report; `None` unless the percore
     /// throttle mode is active.
     pub fn qos_report(&self) -> Option<QosReport> {
-        self.percore.as_ref().map(PercoreThrottle::report)
+        self.throttle.as_ref().and_then(Throttle::report)
     }
 
     /// The prefetch-lifecycle ledger (off by default).
@@ -276,13 +242,9 @@ impl MemorySystem {
         self.llc.reset_stats();
         self.dram.reset_stats();
         self.ledger.on_stats_reset();
-        if let Some(ctrl) = self.throttle.as_mut() {
-            ctrl.on_stats_reset();
+        if let Some(throttle) = self.throttle.as_mut() {
+            throttle.on_stats_reset();
         }
-        // The percore throttle needs no reset hook: its signals are
-        // monotone cumulative counters private to it, and each controller
-        // judges deltas against its own snapshot, so the warmup stats reset
-        // cannot desynchronize it.
     }
 
     /// Processes all fills that are due at or before `now`. Must be called
@@ -311,11 +273,9 @@ impl MemorySystem {
                         if evicted.dirty {
                             self.dram.write(evicted.block, now);
                         }
-                        if evicted.unused_prefetch {
-                            self.ledger.evicted_unused(evicted.block.index(), now);
-                            if let Some(pt) = self.percore.as_mut() {
-                                pt.note_pf_evicted_unused(evicted.block.index());
-                            }
+                        if let Some(owner) = evicted.unused_prefetch {
+                            self.ledger
+                                .evicted_unused(owner.0, evicted.block.index(), now);
                         }
                         for pf in &mut self.prefetchers {
                             pf.on_eviction(evicted.block);
@@ -406,7 +366,7 @@ impl MemorySystem {
         let block = addr.block();
         let l1 = &mut self.l1s[core.0];
         match l1.demand_access(block, now, is_write) {
-            Lookup::Hit { ready_at } | Lookup::PendingHit { ready_at } => {
+            Lookup::Hit { ready_at, .. } | Lookup::PendingHit { ready_at, .. } => {
                 self.tick_throttle(core.0);
                 return IssueResult::Done(ready_at);
             }
@@ -422,57 +382,50 @@ impl MemorySystem {
         let t_llc = now + self.cfg.l1d.latency;
         // The LLC lookup below is the single point where a prefetch is
         // judged useful (`pf_useful`, resident hit) or late (`pf_late`,
-        // in-flight merge); the ledger classifies by observing those
-        // increments, so its counts agree with `CacheStats` by
-        // construction.
-        let pf_useful_before = self.llc.stats.pf_useful;
-        let pf_late_before = self.llc.stats.pf_late;
-        let llc_hit;
-        let data_ready = match self.llc.demand_access(block, t_llc, is_write) {
-            Lookup::Hit { ready_at } => {
-                llc_hit = true;
-                ready_at
-            }
-            Lookup::PendingHit { ready_at } => {
-                llc_hit = false;
-                ready_at
-            }
-            Lookup::Miss => {
-                llc_hit = false;
-                if !self.llc.mshr_available_for_demand() {
-                    self.llc.stats.demand_mshr_stalls += 1;
-                    self.stall_level[core.0] = StallLevel::Llc;
-                    return IssueResult::Stall;
+        // in-flight merge), and it names the core that issued it; the
+        // throttle and the ledger are credited from that one event, so
+        // their counts agree with `CacheStats` by construction.
+        let (data_ready, llc_hit, used_prefetch) =
+            match self.llc.demand_access(block, t_llc, is_write) {
+                Lookup::Hit {
+                    ready_at,
+                    prefetch_owner,
+                } => (ready_at, true, prefetch_owner),
+                Lookup::PendingHit {
+                    ready_at,
+                    prefetch_owner,
+                } => (ready_at, false, prefetch_owner),
+                Lookup::Miss => {
+                    if !self.llc.mshr_available_for_demand() {
+                        self.llc.stats.demand_mshr_stalls += 1;
+                        self.stall_level[core.0] = StallLevel::Llc;
+                        return IssueResult::Stall;
+                    }
+                    self.llc.stats.demand_misses += 1;
+                    let ready = self.dram.read(block, t_llc + self.cfg.llc.latency);
+                    if let Some(throttle) = self.throttle.as_mut() {
+                        throttle.note_demand_read(core.0, self.dram.last_read_wait());
+                    }
+                    self.llc.allocate_fill(block, ready, None);
+                    self.schedule_fill(FillLevel::Llc, block, ready);
+                    (ready, false, None)
                 }
-                self.llc.stats.demand_misses += 1;
-                let ready = self.dram.read(block, t_llc + self.cfg.llc.latency);
-                if let Some(pt) = self.percore.as_mut() {
-                    pt.note_demand_read(core.0, self.dram.last_read_wait());
-                }
-                self.llc.allocate_fill(block, ready, false);
-                self.schedule_fill(FillLevel::Llc, block, ready);
-                ready
+            };
+        if let Some(owner) = used_prefetch {
+            if let Some(throttle) = self.throttle.as_mut() {
+                throttle.note_pf_used(owner.0);
             }
-        };
-        if self.llc.stats.pf_useful > pf_useful_before || self.llc.stats.pf_late > pf_late_before {
-            // Credit the core that *issued* the prefetch (owner map), not
-            // the core that happened to demand the block.
-            if let Some(pt) = self.percore.as_mut() {
-                pt.note_pf_used(block.index());
-            }
-        }
-        if self.ledger.enabled() {
-            if self.llc.stats.pf_useful > pf_useful_before {
-                self.ledger.used_timely(block.index(), t_llc);
-            } else if self.llc.stats.pf_late > pf_late_before {
-                self.ledger.used_late(block.index(), t_llc);
+            if llc_hit {
+                self.ledger.used_timely(owner.0, block.index(), t_llc);
+            } else {
+                self.ledger.used_late(owner.0, block.index(), t_llc);
             }
         }
 
         // Commit the L1 miss. A store miss installs its line dirty
         // (write-allocate, write-back).
         self.l1s[core.0].stats.demand_misses += 1;
-        self.l1s[core.0].allocate_fill(block, data_ready, false);
+        self.l1s[core.0].allocate_fill(block, data_ready, None);
         if is_write {
             self.l1s[core.0].mark_pending_dirty(block);
         }
@@ -490,21 +443,11 @@ impl MemorySystem {
     /// committed miss), never on a `Stall` return: a stalled access is
     /// retried every cycle, and counting retries would tie the epoch length
     /// to contention — the very thing the controller modulates — instead of
-    /// program progress. The chip-wide controller ignores the core; the
-    /// percore throttle uses it for both the core's own epoch clock and the
-    /// watchdog's progress accounting.
+    /// program progress.
     fn tick_throttle(&mut self, core: usize) {
-        if let Some(ctrl) = self.throttle.as_mut() {
-            if let Some(level) = ctrl.on_access(&self.llc.stats, &self.dram.stats) {
-                for pf in &mut self.prefetchers {
-                    pf.set_throttle_level(level);
-                }
-            }
-        } else if let Some(pt) = self.percore.as_mut() {
-            if pt.on_access(core) {
-                for (i, pf) in self.prefetchers.iter_mut().enumerate() {
-                    pf.set_throttle_level(pt.level(i));
-                }
+        if let Some(throttle) = self.throttle.as_mut() {
+            if throttle.on_access(core) {
+                self.push_throttle_levels();
             }
         }
     }
@@ -611,10 +554,10 @@ impl MemorySystem {
         let ready = self
             .dram
             .read_tagged(block, now + self.cfg.llc.latency, true);
-        if let Some(pt) = self.percore.as_mut() {
-            pt.note_pf_issued(core.0, block.index(), self.dram.last_read_wait());
+        if let Some(throttle) = self.throttle.as_mut() {
+            throttle.note_pf_issued(core.0, self.dram.last_read_wait());
         }
-        self.llc.allocate_fill(block, ready, true);
+        self.llc.allocate_fill(block, ready, Some(core));
         self.schedule_fill(FillLevel::Llc, block, ready);
         self.llc.stats.pf_issued += 1;
         self.ledger.issued(core.0, block.index(), pc, source, now);
@@ -643,9 +586,13 @@ impl MemorySystem {
         }
         self.llc.stats.pf_useless += self.llc.count_unused_prefetched();
         // The matching ledger settlement: filled-but-never-demanded records
-        // become unused; finalize consumes them, so a second drain cannot
-        // double-count.
-        self.ledger.finalize();
+        // become unused, credited to the owner their LLC line records;
+        // finalize consumes them, so a second drain cannot double-count.
+        let llc = &self.llc;
+        self.ledger.finalize(|block| {
+            llc.unused_prefetch_owner(BlockAddr::new(block))
+                .map(|c| c.0)
+        });
         last
     }
 }
@@ -923,20 +870,75 @@ mod tests {
         };
         let throttled = run(ThrottleMode::Feedback);
         let unthrottled = run(ThrottleMode::Off);
-        assert_eq!(unthrottled.throttle_stats(), None);
-        assert_eq!(unthrottled.throttle_level(), ThrottleLevel::Full);
-        let stats = throttled.throttle_stats().expect("controller attached");
-        assert!(stats.degrades >= 1, "zero accuracy must degrade: {stats:?}");
-        assert!(
-            throttled.throttle_level() > ThrottleLevel::Full,
-            "still at full after {stats:?}"
-        );
+        assert!(unthrottled.throttle.is_none());
+        let level = throttled
+            .throttle
+            .as_ref()
+            .expect("throttle attached")
+            .level(0);
+        assert!(level > ThrottleLevel::Full, "zero accuracy must degrade");
         assert!(
             throttled.llc_stats().pf_issued < unthrottled.llc_stats().pf_issued / 2,
             "throttling must shed most useless prefetches ({} vs {})",
             throttled.llc_stats().pf_issued,
             unthrottled.llc_stats().pf_issued
         );
+    }
+
+    /// Two cores on one LLC: core 1's next-line prefetcher fetches the
+    /// block after each of its loads, and core 0 then demands those
+    /// blocks.
+    fn cross_core_prefetch_run(mode: ThrottleMode) -> MemorySystem {
+        let mut cfg = SystemConfig::tiny();
+        cfg.cores = 2;
+        let mut mem = MemorySystem::new(
+            cfg,
+            vec![Box::new(NoPrefetcher), Box::new(NextLinePrefetcher::new(1))],
+        );
+        mem.set_throttle(mode);
+        mem.set_telemetry(TelemetryLevel::Counts);
+        let mut now = 0;
+        for i in 0..64u64 {
+            let _ = mem.load(CoreId(1), PC, Addr::new(i * 2 * 64), now);
+            run_to(&mut mem, now + 400);
+            now += 401;
+            let _ = mem.load(CORE, PC, Addr::new((i * 2 + 1) * 64), now);
+            now += 1;
+        }
+        mem.drain();
+        mem
+    }
+
+    #[test]
+    fn used_prefetches_credit_the_issuing_core() {
+        let mem = cross_core_prefetch_run(ThrottleMode::Percore);
+        let llc = mem.llc_stats();
+        assert_eq!(llc.pf_issued, 64);
+        assert_eq!(llc.pf_useful + llc.pf_late, 64);
+        // Core 0 demanded every line; core 1 issued them and gets the
+        // credit, in the throttle's signals and the ledger alike.
+        let qos = mem.qos_report().expect("percore reports");
+        assert_eq!((qos.cores[1].pf_issued, qos.cores[1].pf_used), (64, 64));
+        assert_eq!((qos.cores[0].pf_issued, qos.cores[0].pf_used), (0, 0));
+        let by_core = mem.telemetry().by_core();
+        assert_eq!(by_core[1].issued, 64);
+        assert_eq!(by_core[1].timely + by_core[1].late, 64);
+        assert_eq!(by_core[0].timely + by_core[0].late, 0);
+    }
+
+    #[test]
+    fn feedback_domain_signals_equal_the_chip_wide_counters() {
+        let mem = cross_core_prefetch_run(ThrottleMode::Feedback);
+        let throttle = mem.throttle.as_ref().expect("throttle attached");
+        let sig = throttle.signals(0);
+        let (llc, dram) = (mem.llc_stats(), mem.dram_stats());
+        assert!(sig.pf_issued > 0 && sig.reads > sig.prefetch_reads);
+        assert_eq!(sig.pf_issued, llc.pf_issued);
+        assert_eq!(sig.pf_used, llc.pf_useful + llc.pf_late);
+        assert_eq!(sig.prefetch_reads, dram.prefetch_reads);
+        assert_eq!(sig.reads, dram.reads);
+        assert_eq!(sig.queue_wait_cycles, dram.queue_wait_cycles);
+        assert!(mem.qos_report().is_none());
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub trait Prefetcher {
     }
 
     /// Applies a throttle level pushed by the memory system's
-    /// [`ThrottleController`](crate::throttle::ThrottleController).
+    /// [`Throttle`](crate::throttle::Throttle).
     ///
     /// Implementations must be *strictly subtractive*: at any level the
     /// emitted burst must be a subset (in fact a prefix, or a vote-raised

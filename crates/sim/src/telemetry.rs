@@ -217,9 +217,6 @@ pub const HOT_PC_LIMIT: usize = 16;
 struct OpenRecord {
     source: PrefetchSource,
     pc: u64,
-    /// Core whose prefetcher issued this prefetch; per-core lifecycle
-    /// credit goes to the issuer even when another core demands the block.
-    core: usize,
     issued_at: u64,
     filled_at: Option<u64>,
     /// Whether the record's fill belongs to the measurement window. Records
@@ -258,7 +255,9 @@ pub struct PrefetchLedger {
     by_source: [SourceCounters; SOURCE_SLOTS],
     by_pc: HashMap<u64, SourceCounters>,
     /// Per-issuing-core lifecycle counters on the shared LLC/DRAM path,
-    /// indexed by core id and grown on demand. Deliberately *not* part of
+    /// indexed by core id and grown on demand. Settlements are credited to
+    /// the owner the LLC line reports, so a block demanded by another core
+    /// still credits its issuer. Deliberately *not* part of
     /// [`TelemetryReport`]: adding fields there would invalidate the
     /// committed differential-corpus golden results.
     by_core: Vec<SourceCounters>,
@@ -336,7 +335,6 @@ impl PrefetchLedger {
             OpenRecord {
                 source,
                 pc,
-                core,
                 issued_at: cycle,
                 filled_at: None,
                 measured: true,
@@ -403,9 +401,9 @@ impl PrefetchLedger {
         rec
     }
 
-    /// Records the first demand touch of a filled prefetched line
-    /// (the event that increments `pf_useful`).
-    pub fn used_timely(&mut self, block: u64, cycle: u64) {
+    /// Records the first demand touch of a filled prefetched line that
+    /// `core` issued (the event that increments `pf_useful`).
+    pub fn used_timely(&mut self, core: usize, block: u64, cycle: u64) {
         if !self.enabled() {
             return;
         }
@@ -413,14 +411,14 @@ impl PrefetchLedger {
             self.counts.timely += 1;
             self.by_source[rec.source.slot()].timely += 1;
             self.by_pc.entry(rec.pc).or_default().timely += 1;
-            self.core_mut(rec.core).timely += 1;
+            self.core_mut(core).timely += 1;
         }
         self.trace(cycle, block, LifecycleEventKind::UsedTimely);
     }
 
-    /// Records a demand merging with a still-in-flight prefetch
-    /// (the event that increments `pf_late`).
-    pub fn used_late(&mut self, block: u64, cycle: u64) {
+    /// Records a demand merging with a still-in-flight prefetch that
+    /// `core` issued (the event that increments `pf_late`).
+    pub fn used_late(&mut self, core: usize, block: u64, cycle: u64) {
         if !self.enabled() {
             return;
         }
@@ -428,14 +426,14 @@ impl PrefetchLedger {
             self.counts.late += 1;
             self.by_source[rec.source.slot()].late += 1;
             self.by_pc.entry(rec.pc).or_default().late += 1;
-            self.core_mut(rec.core).late += 1;
+            self.core_mut(core).late += 1;
         }
         self.trace(cycle, block, LifecycleEventKind::UsedLate);
     }
 
-    /// Records the eviction of a never-demanded prefetched line
-    /// (the event that increments `pf_useless`).
-    pub fn evicted_unused(&mut self, block: u64, cycle: u64) {
+    /// Records the eviction of a never-demanded prefetched line that
+    /// `core` issued (the event that increments `pf_useless`).
+    pub fn evicted_unused(&mut self, core: usize, block: u64, cycle: u64) {
         if !self.enabled() {
             return;
         }
@@ -443,7 +441,7 @@ impl PrefetchLedger {
             self.counts.unused += 1;
             self.by_source[rec.source.slot()].unused += 1;
             self.by_pc.entry(rec.pc).or_default().unused += 1;
-            self.core_mut(rec.core).unused += 1;
+            self.core_mut(core).unused += 1;
         }
         self.trace(cycle, block, LifecycleEventKind::EvictedUnused);
     }
@@ -475,20 +473,24 @@ impl PrefetchLedger {
     /// unused prefetched lines into `pf_useless`: every still-open record
     /// that was filled inside the measurement window counts as unused; the
     /// rest (still in flight, or filled pre-measurement) are dropped.
+    /// `owner` maps a block to the core that issued its still-resident
+    /// prefetch (the LLC line's owner), which the per-core counters credit.
     /// Consumes the open set, so draining twice cannot double-count.
-    pub fn finalize(&mut self) {
+    pub fn finalize(&mut self, owner: impl Fn(u64) -> Option<usize>) {
         if !self.enabled() {
             return;
         }
         let open = std::mem::take(&mut self.open);
-        for (_, rec) in open {
+        for (block, rec) in open {
             if rec.filled_at.is_none() {
                 self.in_flight_at_end += 1;
             } else if rec.measured {
                 self.counts.unused += 1;
                 self.by_source[rec.source.slot()].unused += 1;
                 self.by_pc.entry(rec.pc).or_default().unused += 1;
-                self.core_mut(rec.core).unused += 1;
+                if let Some(core) = owner(block) {
+                    self.core_mut(core).unused += 1;
+                }
             }
         }
     }
@@ -644,8 +646,8 @@ mod tests {
         let mut led = PrefetchLedger::new(TelemetryLevel::Off);
         led.issued(0, 1, 0x400, PrefetchSource::LongEvent, 10);
         led.filled(1, 50);
-        led.used_timely(1, 60);
-        led.finalize();
+        led.used_timely(0, 1, 60);
+        led.finalize(|_| Some(0));
         assert!(led.report().is_none());
         assert!(led.events().is_empty());
     }
@@ -655,8 +657,8 @@ mod tests {
         let mut led = counting_ledger();
         led.issued(0, 7, 0x400, PrefetchSource::LongEvent, 10);
         led.filled(7, 100);
-        led.used_timely(7, 150);
-        led.finalize();
+        led.used_timely(0, 7, 150);
+        led.finalize(|_| Some(0));
         let r = led.report().expect("counts level reports");
         assert_eq!((r.issued, r.timely, r.late, r.unused), (1, 1, 0, 0));
         assert_eq!(r.fills, 1);
@@ -673,10 +675,10 @@ mod tests {
     fn late_use_settles_before_fill() {
         let mut led = counting_ledger();
         led.issued(0, 7, 0x400, PrefetchSource::ShortVote, 10);
-        led.used_late(7, 20);
+        led.used_late(0, 7, 20);
         // The fill still lands later, but the record is already settled.
         led.filled(7, 100);
-        led.finalize();
+        led.finalize(|_| Some(0));
         let r = led.report().unwrap();
         assert_eq!((r.timely, r.late, r.unused), (0, 1, 0));
         assert_eq!(r.fills, 0, "late prefetches settle before their fill");
@@ -689,13 +691,13 @@ mod tests {
         let mut led = counting_ledger();
         led.issued(0, 1, 0xa, PrefetchSource::Unattributed, 0);
         led.filled(1, 10);
-        led.evicted_unused(1, 99);
+        led.evicted_unused(0, 1, 99);
         // Second prefetch: filled, never used, still resident at drain.
         led.issued(0, 2, 0xa, PrefetchSource::Unattributed, 0);
         led.filled(2, 10);
         // Third prefetch: still in flight at drain.
         led.issued(0, 3, 0xa, PrefetchSource::Unattributed, 0);
-        led.finalize();
+        led.finalize(|_| Some(0));
         let r = led.report().unwrap();
         assert_eq!(r.unused, 2, "evicted + resident-unused both settle unused");
         assert_eq!(r.in_flight_at_end, 1);
@@ -707,8 +709,8 @@ mod tests {
         let mut led = counting_ledger();
         led.issued(0, 1, 0xa, PrefetchSource::Unattributed, 0);
         led.filled(1, 10);
-        led.finalize();
-        led.finalize();
+        led.finalize(|_| Some(0));
+        led.finalize(|_| Some(0));
         assert_eq!(led.report().unwrap().unused, 1, "no double count");
     }
 
@@ -749,8 +751,8 @@ mod tests {
     #[test]
     fn orphan_transitions_never_panic_or_count_classes() {
         let mut led = counting_ledger();
-        led.used_timely(42, 5); // never issued
-        led.evicted_unused(43, 6); // never issued
+        led.used_timely(0, 42, 5); // never issued
+        led.evicted_unused(0, 43, 6); // never issued
         led.filled(44, 7); // no record: ignored entirely
                            // Re-issue over an open record.
         led.issued(0, 45, 0x4, PrefetchSource::ShortVote, 0);
@@ -773,8 +775,8 @@ mod tests {
         assert_eq!(led.report().unwrap().issued, 0, "counters wiped");
         led.filled(2, 20);
         // Pre-reset-filled record still closes correctly if used.
-        led.used_timely(1, 30);
-        led.finalize();
+        led.used_timely(0, 1, 30);
+        led.finalize(|_| Some(0));
         let r = led.report().unwrap();
         assert_eq!(r.timely, 1, "pre-warmup prefetch used post-warmup counts");
         assert_eq!(r.unused, 1, "post-reset fill settles unused at drain");
@@ -836,14 +838,15 @@ mod tests {
     fn per_core_credit_follows_the_issuing_core() {
         let mut led = counting_ledger();
         // Core 1 issues; the demand that uses it could come from anyone —
-        // lifecycle credit stays with the issuer.
+        // the memory system passes the LLC line's owner, so lifecycle
+        // credit stays with the issuer.
         led.issued(1, 7, 0x400, PrefetchSource::LongEvent, 0);
         led.filled(7, 50);
-        led.used_timely(7, 60);
+        led.used_timely(1, 7, 60);
         // Core 0 issues one that settles unused, and drops a candidate.
         led.issued(0, 8, 0x404, PrefetchSource::ShortVote, 0);
         led.filled(8, 50);
-        led.evicted_unused(8, 99);
+        led.evicted_unused(0, 8, 99);
         led.dropped(
             0,
             9,
@@ -852,7 +855,7 @@ mod tests {
             1,
             DropReason::Duplicate,
         );
-        led.finalize();
+        led.finalize(|_| Some(0));
         let by_core = led.by_core();
         assert_eq!(by_core.len(), 2);
         assert_eq!(
@@ -870,7 +873,7 @@ mod tests {
         let mut led = counting_ledger();
         led.issued(2, 7, 0x400, PrefetchSource::LongEvent, 0);
         led.filled(7, 50);
-        led.finalize();
+        led.finalize(|block| (block == 7).then_some(2));
         assert_eq!(led.by_core()[2].unused, 1, "resident-unused credits issuer");
         led.on_stats_reset();
         assert!(

@@ -3,71 +3,62 @@
 //! Aggressive spatial prefetching is only profitable while its predictions
 //! are accurate and memory bandwidth is plentiful; under pressure the same
 //! 31-block bursts evict useful lines and queue demand fills behind
-//! prefetch traffic. The [`ThrottleController`] watches per-epoch deltas
-//! of the prefetch counters in [`CacheStats`] — judging accuracy as
-//! used-vs-issued, which is timely, rather than waiting for evictions to
-//! settle `pf_useless` — together with the DRAM bandwidth split
-//! ([`DramStats::prefetch_reads`], [`DramStats::demand_wait_cycles`]) and
-//! degrades the effective prefetch degree one [`ThrottleLevel`] at a time —
-//! full burst → raised-vote burst → trigger-block-only → off — with
-//! hysteresis in both directions, in the spirit of DSPatch's
-//! bandwidth-aware aggressiveness control and Triangel's accuracy gating.
+//! prefetch traffic. The [`Throttle`] watches per-epoch deltas of one
+//! signal vector, [`CoreSignals`] — prefetches issued and used (judging
+//! accuracy as used-vs-issued, which is timely, rather than waiting for
+//! evictions to settle `pf_useless`), the prefetch share of DRAM reads, and
+//! the DRAM queue wait — and degrades the effective prefetch degree one
+//! [`ThrottleLevel`] at a time — full burst → raised-vote burst →
+//! trigger-block-only → off — with hysteresis in both directions, in the
+//! spirit of DSPatch's bandwidth-aware aggressiveness control and
+//! Triangel's accuracy gating.
 //!
 //! Throttling is *strictly subtractive*: at every level the prefetcher's
 //! prediction set is a subset of what it would have emitted unthrottled,
 //! and training/table state evolves identically. The differential harness
 //! checks this against the executable specification.
 //!
-//! On a multi-core chip the single chip-wide controller has a measured
-//! fairness bug: one core's useless prefetch storm trips the shared
-//! verdict and clamps every core's prefetcher, starving the polite
-//! neighbors. [`ThrottleMode::Percore`] replaces it with one controller
-//! per core, each judging only that core's attributed share of the shared
-//! LLC/DRAM ([`CoreSignals`]), coordinated by a chip-level starvation
-//! watchdog ([`PercoreThrottle`]) that clamps *only* cores hogging
-//! prefetch bandwidth when the min/max per-core progress ratio crosses
-//! the QoS SLO.
+//! The throttle holds one ladder per *domain*, and each domain judges the
+//! signals its cores feed it. [`ThrottleMode::Feedback`] is a single
+//! chip-wide domain that every core feeds, so it judges exactly the LLC and
+//! DRAM totals. That has a measured fairness bug on a multi-core chip: one
+//! core's useless prefetch storm trips the shared verdict and clamps every
+//! core's prefetcher, starving the polite neighbors.
+//! [`ThrottleMode::Percore`] therefore runs one domain per core, each
+//! judging only that core's attributed share of the shared LLC/DRAM, plus a
+//! chip-level starvation watchdog that clamps *only* cores hogging prefetch
+//! bandwidth when the min/max per-core progress ratio crosses the QoS SLO.
+//! A used prefetch is credited to the core that issued it, which the LLC
+//! line records (see [`Lookup`](crate::cache::Lookup)).
 
-use std::collections::HashMap;
-
-use crate::dram::DramStats;
-use crate::stats::{CacheStats, CoreQos, QosReport};
+use crate::stats::{CoreQos, QosReport};
 
 /// How prefetch throttling is driven, selected by the `BINGO_THROTTLE`
 /// knob.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum ThrottleMode {
-    /// No throttling. The memory system carries no controller at all, so
+    /// No throttling. The memory system carries no throttle at all, so
     /// disabled throttling is bit-for-bit invisible.
     #[default]
     Off,
-    /// A fixed conservative degree ([`ThrottleLevel::RaisedVote`]) with no
-    /// feedback — the classic "static degree" operating point.
-    Static,
-    /// Closed-loop control: per-epoch accuracy, lateness, and bandwidth
-    /// share move the level up and down the ladder with hysteresis.
+    /// Closed-loop control over one chip-wide domain: per-epoch accuracy,
+    /// bandwidth share, and congestion move the level of every core's
+    /// prefetcher up and down the ladder with hysteresis.
     Feedback,
-    /// One [`Feedback`](ThrottleMode::Feedback)-style controller *per
-    /// core*, each judging its own attributed share of the shared
-    /// LLC/DRAM, plus the chip-level starvation watchdog
-    /// ([`PercoreThrottle`]). A storm core throttles alone; polite
-    /// neighbors keep their full aggressiveness.
+    /// One ladder domain *per core*, each judging its own attributed share
+    /// of the shared LLC/DRAM, plus the chip-level starvation watchdog. A
+    /// storm core throttles alone; polite neighbors keep their full
+    /// aggressiveness.
     Percore,
 }
 
 impl ThrottleMode {
-    /// Whether a controller is active at all.
-    pub fn enabled(self) -> bool {
-        self != ThrottleMode::Off
-    }
-
     /// Parses the spelling used by the `BINGO_THROTTLE` knob
-    /// (case-insensitive `off` / `static` / `feedback` / `percore`);
+    /// (case-insensitive `off` / `feedback` / `percore`);
     /// `None` on anything else so callers can abort loudly.
     pub fn parse(value: &str) -> Option<Self> {
         match value.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "none" => Some(ThrottleMode::Off),
-            "static" | "1" => Some(ThrottleMode::Static),
             "feedback" | "on" | "2" => Some(ThrottleMode::Feedback),
             "percore" | "3" => Some(ThrottleMode::Percore),
             _ => None,
@@ -79,7 +70,6 @@ impl std::fmt::Display for ThrottleMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ThrottleMode::Off => write!(f, "off"),
-            ThrottleMode::Static => write!(f, "static"),
             ThrottleMode::Feedback => write!(f, "feedback"),
             ThrottleMode::Percore => write!(f, "percore"),
         }
@@ -156,7 +146,9 @@ impl std::fmt::Display for ThrottleLevel {
 /// only blocks most matching footprints agree on).
 pub const RAISED_VOTE_THRESHOLD: f64 = 0.75;
 
-/// Demand accesses per evaluation epoch.
+/// Demand accesses per evaluation epoch of a single domain (and of the
+/// starvation watchdog); [`Throttle::new`] divides it among per-core
+/// domains.
 pub const EPOCH_ACCESSES: u64 = 2048;
 
 /// An epoch whose used-to-issued prefetch ratio falls below this is bad.
@@ -234,7 +226,7 @@ pub const DEFAULT_QOS_SLO: f64 = 0.25;
 /// [`DEGRADE_AFTER`].
 pub const WATCHDOG_STARVED_AFTER: u32 = 2;
 
-/// Cumulative controller activity, for diagnostics.
+/// Cumulative activity of one ladder domain, for diagnostics.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ThrottleStats {
     /// Completed evaluation epochs.
@@ -249,74 +241,31 @@ pub struct ThrottleStats {
     pub upgrades: u64,
 }
 
-/// Counter snapshot at the previous epoch boundary, so each epoch is
-/// judged on its own deltas.
-#[derive(Copy, Clone, Debug, Default)]
-struct Snapshot {
-    pf_issued: u64,
-    pf_useful: u64,
-    pf_late: u64,
-    prefetch_reads: u64,
-    reads: u64,
-    queue_wait_cycles: u64,
-}
-
-impl Snapshot {
-    fn of(llc: &CacheStats, dram: &DramStats) -> Self {
-        Snapshot {
-            pf_issued: llc.pf_issued,
-            pf_useful: llc.pf_useful,
-            pf_late: llc.pf_late,
-            prefetch_reads: dram.prefetch_reads,
-            reads: dram.reads,
-            queue_wait_cycles: dram.queue_wait_cycles,
-        }
-    }
-
-    /// The per-core view: one core's attributed counters in the same
-    /// shape the chip-wide judge reads, so both paths share the judging
-    /// math verbatim. Used prefetches are not split timely/late per core;
-    /// the judge only ever sums the two.
-    fn of_signals(sig: &CoreSignals) -> Self {
-        Snapshot {
-            pf_issued: sig.pf_issued,
-            pf_useful: sig.pf_used,
-            pf_late: 0,
-            prefetch_reads: sig.prefetch_reads,
-            reads: sig.reads,
-            queue_wait_cycles: sig.queue_wait_cycles,
-        }
-    }
-}
-
-/// Cumulative per-core attribution counters on the shared LLC/DRAM — the
-/// per-core analogue of the `(CacheStats, DramStats)` pair the chip-wide
-/// controller judges from. Maintained by the memory system only in
-/// [`ThrottleMode::Percore`]; the counters are monotone (they survive the
-/// warmup stats reset untouched), so epoch deltas are always well
-/// defined.
+/// Cumulative attribution counters of one throttle domain on the shared
+/// LLC/DRAM — what every ladder judges. A per-core domain holds one core's
+/// share; the chip-wide domain holds their sums, which equal the LLC and
+/// DRAM totals. The counters are monotone (they survive the warmup stats
+/// reset untouched), so epoch deltas are always well defined.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoreSignals {
-    /// Resolved demand accesses issued by this core — the per-core epoch
-    /// clock and the watchdog's progress proxy.
+    /// Resolved demand accesses — the epoch clock and the watchdog's
+    /// progress proxy.
     pub demand_accesses: u64,
-    /// Prefetches this core's prefetcher issued toward DRAM.
+    /// Prefetches issued toward DRAM.
     pub pf_issued: u64,
-    /// Issued prefetches later demanded (timely or late), credited to
-    /// the *issuing* core regardless of which core demanded the line.
+    /// Issued prefetches later demanded (timely or late), credited to the
+    /// *issuing* core regardless of which core demanded the line.
     pub pf_used: u64,
-    /// DRAM reads carrying this core's prefetches.
+    /// DRAM reads carrying prefetches.
     pub prefetch_reads: u64,
-    /// All DRAM reads attributed to this core: its demand misses plus
-    /// its prefetches.
+    /// All DRAM reads: demand misses plus prefetches.
     pub reads: u64,
-    /// DRAM queue-wait cycles attributed to this core's reads.
+    /// DRAM queue-wait cycles of those reads.
     pub queue_wait_cycles: u64,
 }
 
 impl CoreSignals {
-    /// Counter deltas since `prev` (saturating, like the chip-wide
-    /// judge's snapshot arithmetic).
+    /// Counter deltas since `prev` (saturating).
     fn delta_since(&self, prev: &CoreSignals) -> CoreSignals {
         CoreSignals {
             demand_accesses: self.demand_accesses.saturating_sub(prev.demand_accesses),
@@ -339,18 +288,15 @@ enum Verdict {
     Bad,
 }
 
-/// Closed-loop prefetch-aggressiveness controller.
-///
-/// Owned by the memory system when `BINGO_THROTTLE` is not `off`; fed one
-/// [`on_access`](ThrottleController::on_access) call per demand access.
-/// Every [`EPOCH_ACCESSES`] accesses it judges the elapsed epoch from the
-/// LLC and DRAM counter deltas and walks the [`ThrottleLevel`] ladder.
+/// One domain's closed-loop ladder: every `epoch_accesses` demand
+/// accesses it judges the elapsed epoch from its [`CoreSignals`] deltas and
+/// walks the [`ThrottleLevel`] ladder.
 #[derive(Debug)]
-pub struct ThrottleController {
-    mode: ThrottleMode,
+struct Ladder {
     level: ThrottleLevel,
     accesses: u64,
-    snap: Snapshot,
+    /// Signals at the previous epoch boundary.
+    snap: CoreSignals,
     bad_streak: u32,
     good_streak: u32,
     /// Good epochs currently required for an upgrade; starts at
@@ -361,124 +307,50 @@ pub struct ThrottleController {
     /// elapsed since. `None` when no probe is outstanding.
     probe: Option<(ThrottleLevel, u32)>,
     /// DRAM per-transfer service time, used to normalize queue-wait cycles
-    /// into a congestion signal. `None` disables congestion gating (the
-    /// memory system always supplies it; see
-    /// [`with_dram_service_cycles`](ThrottleController::with_dram_service_cycles)).
-    dram_service_cycles: Option<u64>,
-    /// Accesses per evaluation epoch; [`EPOCH_ACCESSES`] for the chip-wide
-    /// controller, scaled down by the core count for per-core controllers
-    /// (see [`with_epoch_accesses`](ThrottleController::with_epoch_accesses)).
+    /// into a congestion signal.
+    dram_service_cycles: u64,
     epoch_accesses: u64,
-    /// Cumulative controller activity.
-    pub stats: ThrottleStats,
+    stats: ThrottleStats,
 }
 
-impl ThrottleController {
-    /// Creates a controller for an enabled mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`ThrottleMode::Off`]: disabled throttling must carry no
-    /// controller at all (that is what keeps it bit-for-bit invisible).
-    pub fn new(mode: ThrottleMode) -> Self {
-        assert!(mode.enabled(), "ThrottleMode::Off needs no controller");
-        ThrottleController {
-            mode,
-            level: match mode {
-                ThrottleMode::Static => ThrottleLevel::RaisedVote,
-                _ => ThrottleLevel::Full,
-            },
+impl Ladder {
+    fn new(epoch_accesses: u64, dram_service_cycles: u64) -> Self {
+        Ladder {
+            level: ThrottleLevel::Full,
             accesses: 0,
-            snap: Snapshot::default(),
+            snap: CoreSignals::default(),
             bad_streak: 0,
             good_streak: 0,
             upgrade_patience: UPGRADE_AFTER,
             probe: None,
-            dram_service_cycles: None,
-            epoch_accesses: EPOCH_ACCESSES,
+            dram_service_cycles,
+            epoch_accesses,
             stats: ThrottleStats::default(),
         }
     }
 
-    /// Overrides the accesses-per-epoch clock. A per-core controller sees
-    /// only its own core's demand accesses — roughly a `1/n` slice of the
-    /// chip's — so [`PercoreThrottle`] sets `EPOCH_ACCESSES / n` to keep
-    /// the reaction *cadence* (and the per-core evidence behind each
-    /// verdict) equal to the chip-wide controller's. Without the scaling a
-    /// per-core ladder walks `n`× slower than the chip-wide one and loses
-    /// the graceful-degradation bound on short adversarial runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero epoch length.
-    pub fn with_epoch_accesses(mut self, accesses: u64) -> Self {
-        assert!(accesses > 0, "epoch length must be nonzero");
-        self.epoch_accesses = accesses;
-        self
-    }
-
-    /// Supplies the DRAM per-transfer service time so the controller can
-    /// tell a congested channel (average queue wait of several service
-    /// slots per read) from a lightly loaded one, and demand
-    /// [`CONGESTED_ACCURACY_FLOOR`]/[`CONGESTED_ACCURACY_TARGET`] accuracy
-    /// while congested. Without it congestion gating is disabled.
-    pub fn with_dram_service_cycles(mut self, transfer_cycles: u64) -> Self {
-        self.dram_service_cycles = Some(transfer_cycles);
-        self
-    }
-
-    /// The mode the controller was built for.
-    pub fn mode(&self) -> ThrottleMode {
-        self.mode
-    }
-
-    /// The current effective level.
-    pub fn level(&self) -> ThrottleLevel {
-        self.level
-    }
-
     /// Counts one demand access; at epoch boundaries judges the elapsed
-    /// epoch and returns `Some(new_level)` if the level changed (the
-    /// caller pushes it to the prefetchers).
+    /// epoch against `now` and returns `Some(new_level)` if the level
+    /// changed.
     #[inline]
-    pub fn on_access(&mut self, llc: &CacheStats, dram: &DramStats) -> Option<ThrottleLevel> {
+    fn on_access(&mut self, now: &CoreSignals) -> Option<ThrottleLevel> {
         self.accesses += 1;
         if self.accesses < self.epoch_accesses {
             return None;
         }
-        self.epoch_boundary(Snapshot::of(llc, dram))
+        self.epoch_boundary(*now)
     }
 
-    /// The per-core twin of [`on_access`](ThrottleController::on_access):
-    /// counts one of the owning core's demand accesses and judges epochs
-    /// from that core's attributed [`CoreSignals`] instead of the
-    /// chip-wide counters. Same verdict math, same hysteresis; the epoch
-    /// clock is scaled to the core count by [`PercoreThrottle`] (see
-    /// [`with_epoch_accesses`](ThrottleController::with_epoch_accesses)).
-    #[inline]
-    pub fn on_core_access(&mut self, sig: &CoreSignals) -> Option<ThrottleLevel> {
-        self.accesses += 1;
-        if self.accesses < self.epoch_accesses {
-            return None;
-        }
-        self.epoch_boundary(Snapshot::of_signals(sig))
-    }
-
-    /// The 1-in-[`EPOCH_ACCESSES`] slow path of
-    /// [`on_access`](ThrottleController::on_access), kept out of line so
-    /// the per-access counter bump inlines into the memory system's demand
+    /// The 1-in-`epoch_accesses` slow path of
+    /// [`on_access`](Ladder::on_access), kept out of line so the
+    /// per-access counter bump inlines into the memory system's demand
     /// path without dragging the epoch-judging code with it.
     #[inline(never)]
-    fn epoch_boundary(&mut self, now: Snapshot) -> Option<ThrottleLevel> {
+    fn epoch_boundary(&mut self, now: CoreSignals) -> Option<ThrottleLevel> {
         self.accesses = 0;
         self.stats.epochs += 1;
-        let verdict = self.judge(&now);
+        let verdict = self.judge(&now.delta_since(&self.snap));
         self.snap = now;
-        if self.mode == ThrottleMode::Static {
-            // Static mode keeps its fixed conservative level; epochs are
-            // still counted so diagnostics stay comparable.
-            return None;
-        }
         let before = self.level;
         // Age the outstanding probe; one that outlives its window at the
         // probed (or better) level succeeded — pressure genuinely lifted.
@@ -536,7 +408,7 @@ impl ThrottleController {
     /// straight back out of the clamp nor probes into it at the old
     /// cadence — repeated interventions get geometrically rarer probes,
     /// exactly like organically failed ones.
-    pub fn force_degrade(&mut self) -> Option<ThrottleLevel> {
+    fn force_degrade(&mut self) -> Option<ThrottleLevel> {
         let before = self.level;
         self.level = self.level.degraded();
         self.bad_streak = 0;
@@ -550,26 +422,9 @@ impl ThrottleController {
         Some(self.level)
     }
 
-    /// Re-bases the counter snapshot after external statistics resets (the
-    /// end-of-warmup reset), keeping the learned level and streaks — like
-    /// predictor tables, controller state survives warmup.
-    pub fn on_stats_reset(&mut self) {
-        self.snap = Snapshot::default();
-        self.accesses = 0;
-    }
-
-    fn judge(&self, now: &Snapshot) -> Verdict {
-        // saturating_sub: an external reset between boundaries (warmup)
-        // re-bases via on_stats_reset, but stay safe against torn views.
-        let useful = now.pf_useful.saturating_sub(self.snap.pf_useful);
-        let late = now.pf_late.saturating_sub(self.snap.pf_late);
-        let issued = now.pf_issued.saturating_sub(self.snap.pf_issued);
-        let pf_reads = now.prefetch_reads.saturating_sub(self.snap.prefetch_reads);
-        let reads = now.reads.saturating_sub(self.snap.reads);
-        let queue_wait = now
-            .queue_wait_cycles
-            .saturating_sub(self.snap.queue_wait_cycles);
-        let used = useful + late;
+    fn judge(&self, epoch: &CoreSignals) -> Verdict {
+        let issued = epoch.pf_issued;
+        let reads = epoch.reads;
         if issued == 0 {
             // Nothing issued: the prefetcher is quiet (Stopped, or nothing
             // triggered) and any settlements are free wins from earlier
@@ -584,18 +439,18 @@ impl ThrottleController {
         // prefetcher asked for this epoch did demand actually want? Can
         // exceed 1.0 when prior epochs' prefetches settle late — that only
         // strengthens a good verdict.
-        let accuracy = used as f64 / issued as f64;
+        let accuracy = epoch.pf_used as f64 / issued as f64;
         let bw_share = if reads == 0 {
             0.0
         } else {
-            pf_reads as f64 / reads as f64
+            epoch.prefetch_reads as f64 / reads as f64
         };
         // Congestion raises the accuracy bar: when reads queue several
         // service slots deep on average, the channel is the bottleneck and
         // wasted transfers directly delay demand fills.
-        let congested = self.dram_service_cycles.is_some_and(|svc| {
-            reads > 0 && queue_wait as f64 / reads as f64 > CONGESTION_WAIT_FACTOR * svc as f64
-        });
+        let congested = reads > 0
+            && epoch.queue_wait_cycles as f64 / reads as f64
+                > CONGESTION_WAIT_FACTOR * self.dram_service_cycles as f64;
         let (floor, target) = if congested {
             (CONGESTED_ACCURACY_FLOOR, CONGESTED_ACCURACY_TARGET)
         } else {
@@ -625,8 +480,7 @@ pub struct WatchdogStats {
     pub exempted: u64,
 }
 
-/// The chip-level starvation watchdog coordinating the per-core
-/// controllers.
+/// The chip-level starvation watchdog coordinating the per-core domains.
 ///
 /// Every [`EPOCH_ACCESSES`] resolved demand accesses *chip-wide* it
 /// compares per-core progress (resolved demand accesses in the window, the
@@ -656,6 +510,51 @@ struct WatchdogVerdict {
 }
 
 impl Watchdog {
+    fn new(slo: f64, cores: usize) -> Self {
+        Watchdog {
+            slo,
+            accesses: 0,
+            prev: vec![CoreSignals::default(); cores],
+            starved_streak: 0,
+            stats: WatchdogStats::default(),
+        }
+    }
+
+    /// Ticks the chip-wide watchdog clock by one demand access; returns
+    /// whether an epoch's clamps changed any core's level.
+    #[inline]
+    fn on_access(&mut self, ladders: &mut [Ladder], signals: &[CoreSignals]) -> bool {
+        self.accesses += 1;
+        if self.accesses < EPOCH_ACCESSES {
+            return false;
+        }
+        self.accesses = 0;
+        self.epoch(ladders, signals)
+    }
+
+    /// Chip-level watchdog epoch: snapshot the window deltas, decide,
+    /// clamp. Out of line for the same reason as
+    /// [`Ladder::epoch_boundary`].
+    #[inline(never)]
+    fn epoch(&mut self, ladders: &mut [Ladder], signals: &[CoreSignals]) -> bool {
+        let delta: Vec<CoreSignals> = signals
+            .iter()
+            .zip(&self.prev)
+            .map(|(now, prev)| now.delta_since(prev))
+            .collect();
+        self.prev.copy_from_slice(signals);
+        let levels: Vec<ThrottleLevel> = ladders.iter().map(|l| l.level).collect();
+        let verdict = self.decide(&levels, &delta);
+        let mut changed = false;
+        for &i in &verdict.clamp {
+            if ladders[i].force_degrade().is_some() {
+                self.stats.clamps += 1;
+                changed = true;
+            }
+        }
+        changed
+    }
+
     /// Pure clamp decision for one epoch window. `levels` are the cores'
     /// current throttle levels, `delta` their window counter deltas.
     /// Separated from the counter plumbing so the edge cases (exact-SLO
@@ -755,197 +654,179 @@ impl Watchdog {
     }
 }
 
-/// Per-core prefetch throttling for [`ThrottleMode::Percore`]: one
-/// [`ThrottleController`] per core, fed that core's attributed
-/// [`CoreSignals`], plus the chip-level starvation [`Watchdog`].
+/// The prefetch throttle: one ladder per domain, each fed the
+/// [`CoreSignals`] of the cores mapped to it, plus the starvation watchdog
+/// under [`ThrottleMode::Percore`].
 ///
-/// Owned by the memory system only when the mode is `Percore` — every
-/// other mode leaves this struct unconstructed, which is what keeps the
-/// new path bit-for-bit invisible to `off`/`static`/`feedback` runs.
+/// [`ThrottleMode::Feedback`] is one chip-wide domain fed by every core;
+/// [`ThrottleMode::Percore`] is one domain per core. The memory system
+/// reports every resolved demand access, DRAM read, and prefetch use to
+/// the issuing core's domain, so the chip-wide domain's signals are
+/// exactly the LLC and DRAM totals.
 #[derive(Debug)]
-pub struct PercoreThrottle {
-    cores: Vec<ThrottleController>,
+pub struct Throttle {
+    ladders: Vec<Ladder>,
     signals: Vec<CoreSignals>,
-    /// In-flight-or-resident prefetched blocks mapped to their issuing
-    /// core, so demand uses credit the issuer. Entries close on use or
-    /// on unused eviction; bounded by resident + in-flight prefetches.
-    owner: HashMap<u64, usize>,
-    watchdog: Watchdog,
+    /// `Some` exactly under [`ThrottleMode::Percore`].
+    watchdog: Option<Watchdog>,
 }
 
-impl PercoreThrottle {
-    /// Creates one feedback controller per core and the watchdog.
+impl Throttle {
+    /// Builds the throttle for `mode` on a `cores`-core chip; `None` for
+    /// [`ThrottleMode::Off`], which carries no throttle at all (that is
+    /// what keeps it bit-for-bit invisible). `slo` is the watchdog's
+    /// starvation SLO (per-core mode only); `dram_service_cycles` is the
+    /// DRAM per-transfer service time, against which an average queue wait
+    /// of more than [`CONGESTION_WAIT_FACTOR`] slots per read counts as
+    /// congestion and raises the accuracy bar to
+    /// [`CONGESTED_ACCURACY_FLOOR`]/[`CONGESTED_ACCURACY_TARGET`].
     ///
     /// # Panics
     ///
-    /// Panics when `cores` is zero or `slo` is not a ratio in `(0, 1]`.
-    pub fn new(cores: usize, slo: f64) -> Self {
-        assert!(cores > 0, "per-core throttling needs at least one core");
-        assert!(
-            slo.is_finite() && slo > 0.0 && slo <= 1.0,
-            "QoS SLO must be a ratio in (0, 1], got {slo}"
-        );
-        // A per-core controller only sees its core's ~1/n slice of the
-        // chip's demand accesses, so its epoch clock is scaled to keep
-        // the reaction cadence — and the per-core evidence behind each
-        // verdict — equal to the chip-wide feedback controller's. The
-        // floor keeps a many-core epoch from shrinking into sampling
-        // noise territory.
-        let epoch = (EPOCH_ACCESSES / cores as u64).max(4 * MIN_EVIDENCE);
-        PercoreThrottle {
-            // Each per-core controller runs the feedback policy over its
-            // core's attributed signals; Percore is the chip-level mode.
-            cores: (0..cores)
-                .map(|_| ThrottleController::new(ThrottleMode::Feedback).with_epoch_accesses(epoch))
+    /// Panics when `cores` is zero, or in per-core mode when `slo` is not
+    /// a ratio in `(0, 1]`.
+    pub fn new(
+        mode: ThrottleMode,
+        cores: usize,
+        slo: f64,
+        dram_service_cycles: u64,
+    ) -> Option<Self> {
+        assert!(cores > 0, "throttling needs at least one core");
+        let domains = match mode {
+            ThrottleMode::Off => return None,
+            ThrottleMode::Feedback => 1,
+            ThrottleMode::Percore => {
+                assert!(
+                    slo.is_finite() && slo > 0.0 && slo <= 1.0,
+                    "QoS SLO must be a ratio in (0, 1], got {slo}"
+                );
+                cores
+            }
+        };
+        // A per-core domain only sees its core's ~1/n slice of the chip's
+        // demand accesses, so its epoch clock is scaled to keep the
+        // reaction cadence — and the evidence behind each verdict — equal
+        // to the chip-wide domain's. Without the scaling a per-core ladder
+        // walks n× slower and loses the graceful-degradation bound on short
+        // adversarial runs; the floor keeps a many-core epoch out of
+        // sampling-noise territory.
+        let epoch = (EPOCH_ACCESSES / domains as u64).max(4 * MIN_EVIDENCE);
+        Some(Throttle {
+            ladders: (0..domains)
+                .map(|_| Ladder::new(epoch, dram_service_cycles))
                 .collect(),
-            signals: vec![CoreSignals::default(); cores],
-            owner: HashMap::new(),
-            watchdog: Watchdog {
-                slo,
-                accesses: 0,
-                prev: vec![CoreSignals::default(); cores],
-                starved_streak: 0,
-                stats: WatchdogStats::default(),
-            },
-        }
+            signals: vec![CoreSignals::default(); domains],
+            watchdog: (mode == ThrottleMode::Percore).then(|| Watchdog::new(slo, cores)),
+        })
     }
 
-    /// Supplies the DRAM per-transfer service time to every per-core
-    /// controller (see
-    /// [`ThrottleController::with_dram_service_cycles`]).
-    pub fn with_dram_service_cycles(mut self, transfer_cycles: u64) -> Self {
-        for c in &mut self.cores {
-            *c = std::mem::replace(c, ThrottleController::new(ThrottleMode::Feedback))
-                .with_dram_service_cycles(transfer_cycles);
+    #[inline]
+    fn domain(&self, core: usize) -> usize {
+        if self.signals.len() == 1 {
+            0
+        } else {
+            core
         }
-        self
-    }
-
-    /// Number of cores under control.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
     }
 
     /// The current effective level of one core's prefetcher.
     pub fn level(&self, core: usize) -> ThrottleLevel {
-        self.cores[core].level()
+        self.ladders[self.domain(core)].level
     }
 
-    /// One core's controller activity counters.
-    pub fn controller_stats(&self, core: usize) -> &ThrottleStats {
-        &self.cores[core].stats
+    /// The cumulative signals of `core`'s domain (under
+    /// [`ThrottleMode::Feedback`], the chip-wide sums).
+    pub fn signals(&self, core: usize) -> &CoreSignals {
+        &self.signals[self.domain(core)]
     }
 
-    /// The watchdog's activity counters.
-    pub fn watchdog_stats(&self) -> &WatchdogStats {
-        &self.watchdog.stats
-    }
-
-    /// Counts one resolved demand access by `core`: ticks that core's
-    /// epoch clock and controller, and the chip-wide watchdog clock.
-    /// Returns whether *any* core's level changed — the caller then
-    /// re-pushes every core's level to its prefetcher (cheap: epoch
-    /// boundaries only).
+    /// Counts one resolved demand access by `core`: ticks its domain's
+    /// epoch clock and ladder, and the watchdog clock. Returns whether
+    /// *any* core's level changed — the caller then re-pushes every core's
+    /// level to its prefetcher (cheap: epoch boundaries only).
     #[inline]
     pub fn on_access(&mut self, core: usize) -> bool {
-        self.signals[core].demand_accesses += 1;
-        let mut changed = self.cores[core]
-            .on_core_access(&self.signals[core])
-            .is_some();
-        self.watchdog.accesses += 1;
-        if self.watchdog.accesses >= EPOCH_ACCESSES {
-            self.watchdog.accesses = 0;
-            changed |= self.watchdog_epoch();
+        let d = self.domain(core);
+        let signals = &mut self.signals[d];
+        signals.demand_accesses += 1;
+        let mut changed = self.ladders[d].on_access(signals).is_some();
+        if let Some(watchdog) = self.watchdog.as_mut() {
+            changed |= watchdog.on_access(&mut self.ladders, &self.signals);
         }
         changed
     }
 
-    /// Chip-level watchdog epoch: snapshot the window deltas, decide,
-    /// clamp. Out of line for the same reason as
-    /// [`ThrottleController::epoch_boundary`].
-    #[inline(never)]
-    fn watchdog_epoch(&mut self) -> bool {
-        let delta: Vec<CoreSignals> = self
-            .signals
-            .iter()
-            .zip(&self.watchdog.prev)
-            .map(|(now, prev)| now.delta_since(prev))
-            .collect();
-        self.watchdog.prev.copy_from_slice(&self.signals);
-        let levels: Vec<ThrottleLevel> = self.cores.iter().map(ThrottleController::level).collect();
-        let verdict = self.watchdog.decide(&levels, &delta);
-        let mut changed = false;
-        for &i in &verdict.clamp {
-            if self.cores[i].force_degrade().is_some() {
-                self.watchdog.stats.clamps += 1;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// Attributes an issued prefetch (and its tagged DRAM read) to the
-    /// issuing core.
-    pub fn note_pf_issued(&mut self, core: usize, block: u64, queue_wait: u64) {
-        let s = &mut self.signals[core];
+    /// Attributes a prefetch issued by `core` (and its tagged DRAM read).
+    #[inline]
+    pub fn note_pf_issued(&mut self, core: usize, queue_wait: u64) {
+        let d = self.domain(core);
+        let s = &mut self.signals[d];
         s.pf_issued += 1;
         s.prefetch_reads += 1;
         s.reads += 1;
         s.queue_wait_cycles += queue_wait;
-        self.owner.insert(block, core);
     }
 
-    /// Credits a demanded prefetched line (timely or late) to the core
-    /// that issued it.
-    pub fn note_pf_used(&mut self, block: u64) {
-        if let Some(core) = self.owner.remove(&block) {
-            self.signals[core].pf_used += 1;
-        }
+    /// Credits a demanded prefetched line (timely or late) to `core`, the
+    /// core that issued it.
+    #[inline]
+    pub fn note_pf_used(&mut self, core: usize) {
+        let d = self.domain(core);
+        self.signals[d].pf_used += 1;
     }
 
-    /// Closes the attribution entry of a prefetched line evicted unused.
-    pub fn note_pf_evicted_unused(&mut self, block: u64) {
-        self.owner.remove(&block);
-    }
-
-    /// Attributes a demand DRAM read (and its queue wait) to the core
-    /// that missed.
+    /// Attributes a demand DRAM read (and its queue wait) to the core that
+    /// missed.
+    #[inline]
     pub fn note_demand_read(&mut self, core: usize, queue_wait: u64) {
-        let s = &mut self.signals[core];
+        let d = self.domain(core);
+        let s = &mut self.signals[d];
         s.reads += 1;
         s.queue_wait_cycles += queue_wait;
     }
 
-    /// One core's cumulative attributed signals.
-    pub fn signals(&self, core: usize) -> &CoreSignals {
-        &self.signals[core]
+    /// The end-of-warmup hook. Signals are monotone and survive the stats
+    /// reset, and levels, streaks, and the watchdog are learned state that
+    /// survives warmup like predictor tables.
+    pub fn on_stats_reset(&mut self) {
+        // The one asymmetry between the modes; removing it would change
+        // results. The chip-wide domain rebases its snapshot to the current
+        // signal sums and restarts its epoch clock, so it judges exactly
+        // the deltas of the LLC and DRAM counters the reset zeroes.
+        // Per-core domains keep their snapshot and clock.
+        if self.watchdog.is_none() {
+            let ladder = &mut self.ladders[0];
+            ladder.snap = self.signals[0];
+            ladder.accesses = 0;
+        }
     }
 
-    /// Builds the end-of-run [`QosReport`] from the per-core signals,
-    /// controller stats, and watchdog stats.
-    pub fn report(&self) -> QosReport {
-        QosReport {
+    /// The end-of-run per-core attribution report; `None` unless the mode
+    /// is [`ThrottleMode::Percore`].
+    pub fn report(&self) -> Option<QosReport> {
+        let watchdog = self.watchdog.as_ref()?;
+        Some(QosReport {
             cores: self
-                .cores
+                .ladders
                 .iter()
                 .zip(&self.signals)
-                .map(|(ctrl, sig)| CoreQos {
+                .map(|(ladder, sig)| CoreQos {
                     demand_accesses: sig.demand_accesses,
                     pf_issued: sig.pf_issued,
                     pf_used: sig.pf_used,
                     prefetch_reads: sig.prefetch_reads,
                     reads: sig.reads,
-                    epochs: ctrl.stats.epochs,
-                    degrades: ctrl.stats.degrades,
-                    upgrades: ctrl.stats.upgrades,
-                    final_level: ctrl.level().index(),
+                    epochs: ladder.stats.epochs,
+                    degrades: ladder.stats.degrades,
+                    upgrades: ladder.stats.upgrades,
+                    final_level: ladder.level.index(),
                 })
                 .collect(),
-            watchdog_epochs: self.watchdog.stats.epochs,
-            watchdog_starved_epochs: self.watchdog.stats.starved_epochs,
-            watchdog_clamps: self.watchdog.stats.clamps,
-            watchdog_exempted: self.watchdog.stats.exempted,
-        }
+            watchdog_epochs: watchdog.stats.epochs,
+            watchdog_starved_epochs: watchdog.stats.starved_epochs,
+            watchdog_clamps: watchdog.stats.clamps,
+            watchdog_exempted: watchdog.stats.exempted,
+        })
     }
 }
 
@@ -953,34 +834,37 @@ impl PercoreThrottle {
 mod tests {
     use super::*;
 
-    fn tick_epoch(
-        c: &mut ThrottleController,
-        llc: &CacheStats,
-        dram: &DramStats,
-    ) -> Option<ThrottleLevel> {
+    /// DRAM service time used by every test throttle; an idle channel
+    /// (zero queue wait) is never congested against it.
+    const SERVICE: u64 = 14;
+
+    fn ladder() -> Ladder {
+        Ladder::new(EPOCH_ACCESSES, SERVICE)
+    }
+
+    fn tick_epoch(l: &mut Ladder, sig: &CoreSignals) -> Option<ThrottleLevel> {
         let mut change = None;
         for _ in 0..EPOCH_ACCESSES {
-            if let Some(l) = c.on_access(llc, dram) {
-                change = Some(l);
+            if let Some(level) = l.on_access(sig) {
+                change = Some(level);
             }
         }
         change
     }
 
-    fn stats_with(useful: u64, useless: u64) -> (CacheStats, DramStats) {
-        let llc = CacheStats {
-            pf_issued: useful + useless,
-            pf_useful: useful,
-            pf_useless: useless,
-            ..CacheStats::default()
-        };
-        (llc, DramStats::default())
+    /// Cumulative signals of `epochs` epochs issuing 100 prefetches each,
+    /// `used` of them demanded.
+    fn issuing(epochs: u64, used: u64) -> CoreSignals {
+        CoreSignals {
+            pf_issued: epochs * 100,
+            pf_used: epochs * used,
+            ..CoreSignals::default()
+        }
     }
 
     #[test]
     fn parse_accepts_knob_spellings() {
         assert_eq!(ThrottleMode::parse("off"), Some(ThrottleMode::Off));
-        assert_eq!(ThrottleMode::parse(" STATIC "), Some(ThrottleMode::Static));
         assert_eq!(
             ThrottleMode::parse("feedback"),
             Some(ThrottleMode::Feedback)
@@ -998,8 +882,11 @@ mod tests {
         assert_eq!(ThrottleMode::parse("3"), Some(ThrottleMode::Percore));
         assert_eq!(ThrottleMode::parse("aggressive"), None);
         assert_eq!(ThrottleMode::parse(""), None);
+        // The retired fixed-degree mode fails loudly rather than silently
+        // running some other policy.
+        assert_eq!(ThrottleMode::parse("static"), None);
+        assert_eq!(ThrottleMode::parse("1"), None);
         assert_eq!(ThrottleMode::Percore.to_string(), "percore");
-        assert!(ThrottleMode::Percore.enabled());
     }
 
     #[test]
@@ -1025,33 +912,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs no controller")]
-    fn off_mode_refuses_a_controller() {
-        let _ = ThrottleController::new(ThrottleMode::Off);
+    fn off_mode_builds_no_throttle() {
+        assert!(Throttle::new(ThrottleMode::Off, 4, DEFAULT_QOS_SLO, SERVICE).is_none());
     }
 
     #[test]
-    fn static_mode_pins_raised_vote() {
-        let mut c = ThrottleController::new(ThrottleMode::Static);
-        assert_eq!(c.level(), ThrottleLevel::RaisedVote);
-        let (llc, dram) = stats_with(0, 1000); // terrible accuracy
-        for _ in 0..10 {
-            assert_eq!(tick_epoch(&mut c, &llc, &dram), None);
-        }
-        assert_eq!(c.level(), ThrottleLevel::RaisedVote);
-        assert_eq!(c.stats.epochs, 10);
+    fn feedback_is_one_chip_wide_domain() {
+        let mut t = Throttle::new(ThrottleMode::Feedback, 4, DEFAULT_QOS_SLO, SERVICE)
+            .expect("feedback throttles");
+        assert_eq!(t.ladders.len(), 1);
+        assert_eq!(t.ladders[0].epoch_accesses, EPOCH_ACCESSES);
+        t.note_pf_issued(1, 3);
+        t.note_pf_used(2);
+        t.note_demand_read(3, 4);
+        t.on_access(0);
+        assert_eq!(
+            t.signals[0],
+            CoreSignals {
+                demand_accesses: 1,
+                pf_issued: 1,
+                pf_used: 1,
+                prefetch_reads: 1,
+                reads: 2,
+                queue_wait_cycles: 7,
+            },
+            "every core feeds the one domain"
+        );
+        assert!(t.report().is_none(), "feedback attaches no QoS report");
     }
 
     #[test]
     fn sustained_inaccuracy_degrades_to_stopped() {
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let (mut llc, dram) = stats_with(0, 0);
+        // Issuing epoch after epoch with demand never touching a prefetched
+        // block is exactly what a useless storm looks like — the in-flight
+        // lag excuse only lasts a fraction of one epoch.
+        let mut c = ladder();
         let mut changes = Vec::new();
         for epoch in 1..=8u64 {
-            // Fresh useless prefetches settle every epoch.
-            llc.pf_issued = epoch * 100;
-            llc.pf_useless = epoch * 100;
-            if let Some(l) = tick_epoch(&mut c, &llc, &dram) {
+            if let Some(l) = tick_epoch(&mut c, &issuing(epoch, 0)) {
                 changes.push(l);
             }
         }
@@ -1069,82 +967,60 @@ mod tests {
 
     #[test]
     fn quiet_epochs_let_a_stopped_prefetcher_recover() {
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let (mut llc, dram) = stats_with(0, 0);
+        let mut c = ladder();
         for epoch in 1..=6u64 {
-            llc.pf_issued = epoch * 100;
-            llc.pf_useless = epoch * 100;
-            tick_epoch(&mut c, &llc, &dram);
+            tick_epoch(&mut c, &issuing(epoch, 0));
         }
-        assert_eq!(c.level(), ThrottleLevel::Stopped);
+        assert_eq!(c.level, ThrottleLevel::Stopped);
         // Stopped: no new prefetch activity at all -> quiet epochs are
         // good, and every UPGRADE_AFTER of them climb one level.
-        let frozen = llc.clone();
+        let frozen = issuing(6, 0);
         for _ in 0..u64::from(UPGRADE_AFTER) * 3 {
-            tick_epoch(&mut c, &frozen, &dram);
+            tick_epoch(&mut c, &frozen);
         }
-        assert_eq!(c.level(), ThrottleLevel::Full, "full recovery");
+        assert_eq!(c.level, ThrottleLevel::Full, "full recovery");
         assert_eq!(c.stats.upgrades, 3);
     }
 
     #[test]
     fn accurate_epochs_hold_full_aggressiveness() {
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let (mut llc, dram) = stats_with(0, 0);
+        let mut c = ladder();
         for epoch in 1..=10u64 {
-            llc.pf_issued = epoch * 100;
-            llc.pf_useful = epoch * 100;
-            tick_epoch(&mut c, &llc, &dram);
+            tick_epoch(&mut c, &issuing(epoch, 100));
         }
-        assert_eq!(c.level(), ThrottleLevel::Full);
+        assert_eq!(c.level, ThrottleLevel::Full);
         assert_eq!(c.stats.degrades, 0);
         assert_eq!(c.stats.good_epochs, 10);
     }
 
     #[test]
     fn bandwidth_hogging_is_bad_even_when_accurate() {
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let mut llc = CacheStats::default();
-        let mut dram = DramStats::default();
+        let mut c = ladder();
         for epoch in 1..=4u64 {
-            llc.pf_issued = epoch * 100;
-            llc.pf_useful = epoch * 100; // perfectly accurate
-            dram.prefetch_reads = epoch * 90; // ...but 90% of all reads
-            dram.reads = epoch * 100;
-            tick_epoch(&mut c, &llc, &dram);
+            let sig = CoreSignals {
+                prefetch_reads: epoch * 90, // ...but 90% of all reads
+                reads: epoch * 100,
+                ..issuing(epoch, 100) // perfectly accurate
+            };
+            tick_epoch(&mut c, &sig);
         }
-        assert!(c.level() > ThrottleLevel::Full, "bandwidth ceiling fired");
+        assert!(c.level > ThrottleLevel::Full, "bandwidth ceiling fired");
         assert!(c.stats.bad_epochs >= 2);
     }
 
     #[test]
-    fn sustained_issue_without_use_is_bad() {
-        // Issuing epoch after epoch with demand never touching a prefetched
-        // block is exactly what a useless storm looks like — the in-flight
-        // lag excuse only lasts a fraction of one epoch.
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let mut llc = CacheStats::default();
-        let dram = DramStats::default();
-        for epoch in 1..=6u64 {
-            llc.pf_issued = epoch * 100;
-            tick_epoch(&mut c, &llc, &dram);
-        }
-        assert!(c.level() > ThrottleLevel::Full);
-        assert!(c.stats.bad_epochs >= 4);
-    }
-
-    #[test]
     fn tiny_samples_are_neutral_evidence() {
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let mut llc = CacheStats::default();
-        let dram = DramStats::default();
+        let mut c = ladder();
         for epoch in 1..=6u64 {
             // A trickle below MIN_EVIDENCE, all of it useless: too little
             // to walk the ladder either way.
-            llc.pf_issued = epoch * (MIN_EVIDENCE - 1);
-            tick_epoch(&mut c, &llc, &dram);
+            let sig = CoreSignals {
+                pf_issued: epoch * (MIN_EVIDENCE - 1),
+                ..CoreSignals::default()
+            };
+            tick_epoch(&mut c, &sig);
         }
-        assert_eq!(c.level(), ThrottleLevel::Full);
+        assert_eq!(c.level, ThrottleLevel::Full);
         assert_eq!(c.stats.bad_epochs, 0);
         assert_eq!(c.stats.good_epochs, 0);
     }
@@ -1154,24 +1030,22 @@ mod tests {
         // 80% accuracy: comfortably good on an idle channel, bad on one
         // where reads queue several service slots deep.
         let run = |queue_wait_per_read: u64| {
-            let mut c =
-                ThrottleController::new(ThrottleMode::Feedback).with_dram_service_cycles(14);
-            let mut llc = CacheStats::default();
-            let mut dram = DramStats::default();
+            let mut c = ladder();
+            let mut sig = CoreSignals::default();
             for _ in 0..6 {
-                llc.pf_issued += 100;
-                llc.pf_useful += 80;
-                dram.reads += 100;
-                dram.queue_wait_cycles += 100 * queue_wait_per_read;
-                tick_epoch(&mut c, &llc, &dram);
+                sig.pf_issued += 100;
+                sig.pf_used += 80;
+                sig.reads += 100;
+                sig.queue_wait_cycles += 100 * queue_wait_per_read;
+                tick_epoch(&mut c, &sig);
             }
             c
         };
         let idle = run(0);
-        assert_eq!(idle.level(), ThrottleLevel::Full);
+        assert_eq!(idle.level, ThrottleLevel::Full);
         assert!(idle.stats.bad_epochs == 0 && idle.stats.good_epochs >= 4);
-        let congested = run(100); // far past CONGESTION_WAIT_FACTOR * 14
-        assert!(congested.level() > ThrottleLevel::Full);
+        let congested = run(100); // far past CONGESTION_WAIT_FACTOR * SERVICE
+        assert!(congested.level > ThrottleLevel::Full);
         assert!(congested.stats.bad_epochs >= 4);
     }
 
@@ -1179,22 +1053,20 @@ mod tests {
     fn failed_probes_back_off_exponentially() {
         // Steadily hostile traffic: every epoch spent at Full issues
         // useless prefetches (Bad), every throttled epoch is accurate
-        // (Good). Without backoff the controller limit-cycles, spending a
+        // (Good). Without backoff the ladder limit-cycles, spending a
         // third of all epochs at full blast; with it the probes must get
         // geometrically rarer.
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let mut llc = CacheStats::default();
-        let dram = DramStats::default();
+        let mut c = ladder();
+        let mut sig = CoreSignals::default();
         let mut full_epochs = 0u32;
         for _ in 0..120 {
-            if c.level() == ThrottleLevel::Full {
-                full_epochs += 1;
-                llc.pf_issued += 100; // nothing used: Bad
+            sig.pf_issued += 100;
+            if c.level == ThrottleLevel::Full {
+                full_epochs += 1; // nothing used: Bad
             } else {
-                llc.pf_issued += 100;
-                llc.pf_useful += 100; // accurate when throttled: Good
+                sig.pf_used += 100; // accurate when throttled: Good
             }
-            tick_epoch(&mut c, &llc, &dram);
+            tick_epoch(&mut c, &sig);
         }
         // Limit-cycling would put ~40 of 120 epochs at Full; backoff caps
         // the early oscillation plus ever-rarer probes well below that.
@@ -1207,26 +1079,25 @@ mod tests {
 
     #[test]
     fn surviving_a_probe_restores_upgrade_patience() {
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let mut llc = CacheStats::default();
-        let dram = DramStats::default();
+        let mut c = ladder();
         // Drive to Stopped with a couple of failed probes to inflate the
         // patience.
+        let mut sig = CoreSignals::default();
         for _ in 0..40 {
-            llc.pf_issued += 100;
-            tick_epoch(&mut c, &llc, &dram);
+            sig.pf_issued += 100;
+            tick_epoch(&mut c, &sig);
         }
-        assert_eq!(c.level(), ThrottleLevel::Stopped);
+        assert_eq!(c.level, ThrottleLevel::Stopped);
         // Pressure lifts: quiet epochs from here on. Recovery to Full must
         // complete despite the earlier failures — each survived probe
         // resets the patience, so the climb accelerates back to the
         // UPGRADE_AFTER cadence instead of paying the inflated patience at
         // every rung.
         let mut recovery = 0u32;
-        while c.level() != ThrottleLevel::Full {
-            tick_epoch(&mut c, &llc, &dram);
+        while c.level != ThrottleLevel::Full {
+            tick_epoch(&mut c, &sig);
             recovery += 1;
-            assert!(recovery < 300, "recovery stalled at {}", c.level());
+            assert!(recovery < 300, "recovery stalled at {}", c.level);
         }
         assert!(
             recovery <= MAX_UPGRADE_PATIENCE + 3 * (UPGRADE_AFTER + PROBE_WINDOW) + 8,
@@ -1236,21 +1107,47 @@ mod tests {
 
     #[test]
     fn stats_reset_rebases_the_snapshot() {
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let (llc, dram) = stats_with(1000, 0);
-        tick_epoch(&mut c, &llc, &dram);
-        // Warmup reset: counters go back to zero without controller resets
-        // looking like negative deltas.
-        c.on_stats_reset();
-        let (llc2, dram2) = stats_with(10, 0);
-        tick_epoch(&mut c, &llc2, &dram2);
-        assert_eq!(c.stats.epochs, 2);
-        assert_eq!(c.stats.good_epochs, 2);
+        // Half an epoch of pure waste, the warmup reset, then accurate
+        // prefetching until the next boundary.
+        let run = |mode: ThrottleMode| {
+            let mut t = Throttle::new(mode, 2, DEFAULT_QOS_SLO, SERVICE).expect("enabled");
+            let epoch = t.ladders[0].epoch_accesses;
+            for _ in 0..100 {
+                t.note_pf_issued(0, 0);
+            }
+            for _ in 0..epoch / 2 {
+                t.on_access(0);
+            }
+            t.on_stats_reset();
+            for _ in 0..10 {
+                t.note_pf_issued(0, 0);
+                t.note_pf_used(0);
+                t.note_demand_read(0, 0);
+            }
+            for _ in 0..epoch / 2 {
+                t.on_access(0);
+            }
+            t
+        };
+        // The chip-wide domain forgets the pre-reset waste and restarts its
+        // clock: no boundary yet, and the first epoch after it is good.
+        let mut fb = run(ThrottleMode::Feedback);
+        assert_eq!(fb.ladders[0].stats.epochs, 0, "clock restarted");
+        for _ in 0..EPOCH_ACCESSES / 2 {
+            fb.on_access(1);
+        }
+        assert_eq!(fb.ladders[0].stats.epochs, 1);
+        assert_eq!(fb.ladders[0].stats.good_epochs, 1);
+        // A per-core domain keeps both across the reset: its boundary lands
+        // on schedule and judges the waste too.
+        let pc = run(ThrottleMode::Percore);
+        assert_eq!(pc.ladders[0].stats.epochs, 1);
+        assert_eq!(pc.ladders[0].stats.bad_epochs, 1);
     }
 
     #[test]
     fn force_degrade_steps_cancels_probe_and_backs_off() {
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
+        let mut c = ladder();
         assert_eq!(c.force_degrade(), Some(ThrottleLevel::RaisedVote));
         assert_eq!(c.upgrade_patience, UPGRADE_AFTER * 2);
         assert_eq!(c.stats.degrades, 1);
@@ -1263,19 +1160,18 @@ mod tests {
         assert!(c.probe.is_none());
     }
 
-    /// Satellite: backed-off patience must saturate, never wrap, over
-    /// runs long enough for thousands of failed probes.
+    /// Backed-off patience must saturate, never wrap, over runs long
+    /// enough for thousands of failed probes.
     #[test]
     fn probe_backoff_saturates_without_overflow_on_long_runs() {
-        let mut c = ThrottleController::new(ThrottleMode::Feedback);
-        let mut llc = CacheStats::default();
-        let dram = DramStats::default();
+        let mut c = ladder();
+        let mut sig = CoreSignals::default();
         for _ in 0..20_000 {
-            llc.pf_issued += 100;
-            if c.level() != ThrottleLevel::Full {
-                llc.pf_useful += 100; // accurate only while throttled
+            sig.pf_issued += 100;
+            if c.level != ThrottleLevel::Full {
+                sig.pf_used += 100; // accurate only while throttled
             }
-            tick_epoch(&mut c, &llc, &dram);
+            tick_epoch(&mut c, &sig);
             assert!(c.upgrade_patience <= MAX_UPGRADE_PATIENCE);
         }
         // Probes became geometrically rare but never stopped entirely.
@@ -1288,12 +1184,16 @@ mod tests {
         }
     }
 
-    // ---- per-core bank + starvation watchdog ------------------------
+    // ---- per-core domains + starvation watchdog ----------------------
 
-    /// Ticks `pt` for one full chip epoch with per-core access shares
+    fn percore(cores: usize, slo: f64) -> Throttle {
+        Throttle::new(ThrottleMode::Percore, cores, slo, SERVICE).expect("percore throttles")
+    }
+
+    /// Ticks `t` for one full chip epoch with per-core access shares
     /// given in `share` (must sum to EPOCH_ACCESSES), interleaved
     /// round-robin so per-core and chip clocks advance together.
-    fn tick_chip_epoch(pt: &mut PercoreThrottle, share: &[u64]) {
+    fn tick_chip_epoch(t: &mut Throttle, share: &[u64]) {
         assert_eq!(share.iter().sum::<u64>(), EPOCH_ACCESSES);
         let mut left: Vec<u64> = share.to_vec();
         let mut remaining: u64 = left.iter().sum();
@@ -1302,7 +1202,7 @@ mod tests {
                 if *l > 0 {
                     *l -= 1;
                     remaining -= 1;
-                    pt.on_access(core);
+                    t.on_access(core);
                 }
             }
         }
@@ -1311,44 +1211,54 @@ mod tests {
     #[test]
     #[should_panic(expected = "ratio in (0, 1]")]
     fn percore_rejects_slo_above_one() {
-        let _ = PercoreThrottle::new(2, 1.5);
+        let _ = percore(2, 1.5);
+    }
+
+    #[test]
+    fn percore_epochs_scale_with_the_core_count() {
+        assert_eq!(percore(2, DEFAULT_QOS_SLO).ladders[1].epoch_accesses, 1024);
+        assert_eq!(
+            percore(256, DEFAULT_QOS_SLO).ladders[0].epoch_accesses,
+            4 * MIN_EVIDENCE,
+            "floored against sampling noise"
+        );
     }
 
     #[test]
     fn storm_core_throttles_alone() {
-        let mut pt = PercoreThrottle::new(2, DEFAULT_QOS_SLO);
+        let mut t = percore(2, DEFAULT_QOS_SLO);
         // Each chip epoch is split between the two cores, so a per-core
-        // controller epoch takes two outer iterations; 16 iterations give
-        // each controller 8 epochs — enough for the full ladder descent.
+        // epoch takes two outer iterations; 16 iterations give each ladder
+        // 8 epochs — enough for the full descent.
         for _ in 0..16 {
             // Core 0: accurate prefetching. Core 1: pure waste. Both also
             // carry demand reads so the bandwidth share stays moderate.
             for _ in 0..(EPOCH_ACCESSES / 2) {
-                pt.note_pf_issued(0, u64::MAX, 0);
-                pt.note_pf_used(u64::MAX);
-                pt.note_pf_issued(1, 0, 0);
+                t.note_pf_issued(0, 0);
+                t.note_pf_used(0);
+                t.note_pf_issued(1, 0);
                 for core in 0..2 {
-                    pt.note_demand_read(core, 0);
-                    pt.note_demand_read(core, 0);
+                    t.note_demand_read(core, 0);
+                    t.note_demand_read(core, 0);
                 }
             }
-            tick_chip_epoch(&mut pt, &[EPOCH_ACCESSES / 2, EPOCH_ACCESSES / 2]);
+            tick_chip_epoch(&mut t, &[EPOCH_ACCESSES / 2, EPOCH_ACCESSES / 2]);
         }
-        assert_eq!(pt.level(0), ThrottleLevel::Full, "polite core untouched");
-        assert_eq!(pt.level(1), ThrottleLevel::Stopped, "storm core clamped");
-        assert!(pt.controller_stats(1).degrades >= 3);
-        assert_eq!(pt.controller_stats(0).degrades, 0);
+        assert_eq!(t.level(0), ThrottleLevel::Full, "polite core untouched");
+        assert_eq!(t.level(1), ThrottleLevel::Stopped, "storm core clamped");
+        assert!(t.ladders[1].stats.degrades >= 3);
+        assert_eq!(t.ladders[0].stats.degrades, 0);
     }
 
     #[test]
     fn percore_report_carries_attribution_and_levels() {
-        let mut pt = PercoreThrottle::new(2, DEFAULT_QOS_SLO);
-        pt.note_pf_issued(0, 7, 5);
-        pt.note_pf_used(7);
-        pt.note_demand_read(1, 9);
-        pt.on_access(0);
-        pt.on_access(1);
-        let r = pt.report();
+        let mut t = percore(2, DEFAULT_QOS_SLO);
+        t.note_pf_issued(0, 5);
+        t.note_pf_used(0);
+        t.note_demand_read(1, 9);
+        t.on_access(0);
+        t.on_access(1);
+        let r = t.report().expect("percore reports");
         assert_eq!(r.cores.len(), 2);
         assert_eq!(r.cores[0].pf_issued, 1);
         assert_eq!(r.cores[0].pf_used, 1);
@@ -1357,36 +1267,6 @@ mod tests {
         assert_eq!(r.cores[1].reads, 1);
         assert_eq!(r.cores[1].pf_issued, 0);
         assert_eq!(r.cores[0].final_level, 0);
-    }
-
-    #[test]
-    fn used_prefetches_credit_the_issuing_core() {
-        let mut pt = PercoreThrottle::new(2, DEFAULT_QOS_SLO);
-        pt.note_pf_issued(1, 42, 0);
-        // Core 0 demands the line core 1 prefetched: the credit is the
-        // issuer's.
-        pt.note_pf_used(42);
-        assert_eq!(pt.signals(1).pf_used, 1);
-        assert_eq!(pt.signals(0).pf_used, 0);
-        // Closed entries do not double-credit.
-        pt.note_pf_used(42);
-        assert_eq!(pt.signals(1).pf_used, 1);
-        // Unused evictions close silently.
-        pt.note_pf_issued(0, 43, 0);
-        pt.note_pf_evicted_unused(43);
-        pt.note_pf_used(43);
-        assert_eq!(pt.signals(0).pf_used, 0);
-    }
-
-    /// Helper for direct watchdog-decision tests.
-    fn watchdog(slo: f64, cores: usize) -> Watchdog {
-        Watchdog {
-            slo,
-            accesses: 0,
-            prev: vec![CoreSignals::default(); cores],
-            starved_streak: 0,
-            stats: WatchdogStats::default(),
-        }
     }
 
     fn delta(progress: u64, pf_reads: u64) -> CoreSignals {
@@ -1400,13 +1280,12 @@ mod tests {
         }
     }
 
-    /// Satellite: an epoch whose progress ratio lands *exactly* on the
-    /// SLO threshold is compliant — only strictly-below counts as
-    /// starved.
+    /// An epoch whose progress ratio lands *exactly* on the SLO threshold
+    /// is compliant — only strictly-below counts as starved.
     #[test]
     fn progress_ratio_exactly_at_the_slo_is_compliant() {
         let levels = [ThrottleLevel::Full, ThrottleLevel::Full];
-        let mut wd = watchdog(0.5, 2);
+        let mut wd = Watchdog::new(0.5, 2);
         for _ in 0..4 {
             let v = wd.decide(&levels, &[delta(1000, 500), delta(2000, 0)]);
             assert!(!v.starved, "ratio == SLO must not count as starved");
@@ -1426,7 +1305,7 @@ mod tests {
     #[test]
     fn watchdog_clamps_only_bandwidth_hogs_never_the_starved_core() {
         let levels = [ThrottleLevel::Full; 3];
-        let mut wd = watchdog(0.5, 3);
+        let mut wd = Watchdog::new(0.5, 3);
         // Core 0 starves; cores 1 and 2 split prefetch traffic, but only
         // core 2 exceeds the fair 1/3 share.
         let window = [delta(100, 0), delta(2000, 100), delta(2000, 500)];
@@ -1438,7 +1317,7 @@ mod tests {
     #[test]
     fn compliant_epochs_reset_the_starved_streak() {
         let levels = [ThrottleLevel::Full, ThrottleLevel::Full];
-        let mut wd = watchdog(0.5, 2);
+        let mut wd = Watchdog::new(0.5, 2);
         let starving = [delta(100, 0), delta(2000, 800)];
         let fine = [delta(2000, 0), delta(2000, 800)];
         wd.decide(&levels, &starving);
@@ -1453,7 +1332,7 @@ mod tests {
     #[test]
     fn idle_cores_are_not_starved_cores() {
         let levels = [ThrottleLevel::Full, ThrottleLevel::Full];
-        let mut wd = watchdog(0.5, 2);
+        let mut wd = Watchdog::new(0.5, 2);
         // Core 0 finished its instruction target: zero progress, but that
         // is idleness, not starvation.
         for _ in 0..4 {
@@ -1463,39 +1342,39 @@ mod tests {
         }
     }
 
-    /// Satellite: simultaneous degrade pressure on every core must never
-    /// clamp the whole chip to Stopped — the best-accuracy offender is
-    /// spared.
+    /// Simultaneous degrade pressure on every core must never clamp the
+    /// whole chip to Stopped — the best-accuracy offender is spared.
     #[test]
     fn watchdog_never_clamps_every_core_to_stopped() {
-        let mut pt = PercoreThrottle::new(3, 0.9);
-        // Drive every core's controller to TriggerOnly, one forced step
-        // at a time, so any further clamp would mean Stopped.
-        for core in 0..3 {
-            pt.cores[core].force_degrade();
-            pt.cores[core].force_degrade();
+        let mut t = percore(3, 0.9);
+        // Drive every core's ladder to TriggerOnly, one forced step at a
+        // time, so any further clamp would mean Stopped.
+        for ladder in &mut t.ladders {
+            ladder.force_degrade();
+            ladder.force_degrade();
         }
         // Core 0 starves; cores 1 and 2 both hog prefetch bandwidth, but
         // core 2 is the (relatively) accurate one.
         let mut window = [delta(100, 0), delta(2000, 900), delta(2000, 900)];
         window[2].pf_used = 500;
         // Starved core 0 is already headed to Stopped too via its own
-        // controller in the worst case; force it there outright.
-        pt.cores[0].force_degrade();
-        let levels_now: Vec<ThrottleLevel> = (0..3).map(|i| pt.level(i)).collect();
+        // ladder in the worst case; force it there outright.
+        t.ladders[0].force_degrade();
+        let levels_now: Vec<ThrottleLevel> = (0..3).map(|i| t.level(i)).collect();
         assert_eq!(levels_now[0], ThrottleLevel::Stopped);
-        pt.watchdog.decide(&levels_now, &window); // arm hysteresis
-        let v = pt.watchdog.decide(&levels_now, &window);
+        let wd = t.watchdog.as_mut().expect("percore has a watchdog");
+        wd.decide(&levels_now, &window); // arm hysteresis
+        let v = wd.decide(&levels_now, &window);
         assert_eq!(v.clamp, vec![1], "the accurate offender is spared");
         assert!(v.exempted);
+        assert_eq!(wd.stats.exempted, 1);
         for &i in &v.clamp {
-            pt.cores[i].force_degrade();
+            t.ladders[i].force_degrade();
         }
         assert!(
-            (0..3).any(|i| pt.level(i) != ThrottleLevel::Stopped),
+            (0..3).any(|i| t.level(i) != ThrottleLevel::Stopped),
             "some core must stay un-stopped"
         );
-        assert_eq!(pt.watchdog_stats().exempted, 1);
     }
 
     /// The recovery-time bound the chaos property suite leans on: once
@@ -1505,27 +1384,24 @@ mod tests {
     /// patience.
     #[test]
     fn clamped_core_recovers_within_the_bounded_epoch_count() {
-        let mut pt = PercoreThrottle::new(2, DEFAULT_QOS_SLO);
+        let mut t = percore(2, DEFAULT_QOS_SLO);
         for _ in 0..6 {
-            pt.cores[1].force_degrade(); // Stopped, patience saturated
+            t.ladders[1].force_degrade(); // Stopped, patience saturated
         }
-        assert_eq!(pt.level(1), ThrottleLevel::Stopped);
+        assert_eq!(t.level(1), ThrottleLevel::Stopped);
         let bound = MAX_UPGRADE_PATIENCE + 3 * (UPGRADE_AFTER + PROBE_WINDOW) + 8;
         let mut epochs = 0u32;
-        while pt.level(1) != ThrottleLevel::Full {
+        while t.level(1) != ThrottleLevel::Full {
             // Clean epoch: no prefetch activity on core 1 at all (the
             // prefetcher is stopped), both cores progressing equally.
-            tick_chip_epoch(&mut pt, &[EPOCH_ACCESSES / 2, EPOCH_ACCESSES / 2]);
-            // Two controller epochs per chip epoch do not fire here: each
-            // core only saw half an epoch of accesses, so count chip
-            // epochs until the per-core epoch lands.
+            tick_chip_epoch(&mut t, &[EPOCH_ACCESSES / 2, EPOCH_ACCESSES / 2]);
             epochs += 1;
             assert!(
                 epochs <= 2 * bound,
                 "recovery exceeded the bound at {}",
-                pt.level(1)
+                t.level(1)
             );
         }
-        assert!(pt.controller_stats(1).upgrades >= 3);
+        assert!(t.ladders[1].stats.upgrades >= 3);
     }
 }

@@ -5,7 +5,9 @@
 
 use bingo_rng::{Rng, SeedableRng, SmallRng};
 
-use bingo_sim::{Addr, BlockAddr, Cache, CacheConfig, Dram, DramConfig, Lookup, RegionGeometry};
+use bingo_sim::{
+    Addr, BlockAddr, Cache, CacheConfig, CoreId, Dram, DramConfig, Lookup, RegionGeometry,
+};
 
 fn small_cache_config() -> CacheConfig {
     CacheConfig {
@@ -67,7 +69,7 @@ fn cache_capacity_invariant() {
                 }
                 1 => {
                     if !cache.probe(b) && cache.mshr_available_for_demand() {
-                        cache.allocate_fill(b, now + 100, false);
+                        cache.allocate_fill(b, now + 100, None);
                     }
                 }
                 2 => {
@@ -93,10 +95,10 @@ fn resident_blocks_hit() {
         let now = rng.gen_range(0..10_000u64);
         let mut cache = Cache::new(small_cache_config());
         let b = BlockAddr::new(block);
-        cache.allocate_fill(b, 0, false);
+        cache.allocate_fill(b, 0, None);
         cache.complete_fill(b, false);
         match cache.demand_access(b, now, false) {
-            Lookup::Hit { ready_at } => assert!(ready_at > now),
+            Lookup::Hit { ready_at, .. } => assert!(ready_at > now),
             other => panic!("expected hit, got {other:?}"),
         }
     }
@@ -148,7 +150,7 @@ fn prefetch_attribution_conserves() {
                 }
                 1 => {
                     if !cache.probe(b) && cache.mshr_available_for_prefetch(2) {
-                        cache.allocate_fill(b, now + 10, true);
+                        cache.allocate_fill(b, now + 10, Some(CoreId(0)));
                     }
                 }
                 _ => {

@@ -1,9 +1,9 @@
 //! The framed binary trace format (`.btrc`), version 1.
 //!
-//! The in-memory v1 format of `bingo_sim::trace` (`BGTR`) holds the whole
-//! instruction stream in one unframed blob: fine for small traces, but a
-//! multi-gigabyte capture would have to be resident in full, and a single
-//! flipped byte poisons everything after it. The framed format fixes both:
+//! An unframed record stream holds the whole instruction stream in one
+//! blob: a multi-gigabyte capture would have to be resident in full to be
+//! checked, and a single flipped byte poisons everything after it. The
+//! framed format fixes both:
 //!
 //! ```text
 //! file header (24 bytes):
@@ -36,8 +36,8 @@
 
 use bingo_sim::{Addr, Instr, Pc};
 
-/// File magic. Distinct from the flat format's `BGTR` so a misfed file is
-/// a typed error, never a silent misparse.
+/// File magic. A file that does not start with it — a raw record stream,
+/// or any other format — is a typed error, never a silent misparse.
 pub const FILE_MAGIC: [u8; 8] = *b"BGTRACE2";
 
 /// Format version this crate reads and writes.

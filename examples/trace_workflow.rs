@@ -1,49 +1,61 @@
-//! Trace-driven workflow: record a workload's instruction stream once,
-//! save it, profile its spatial structure offline, and replay it against
-//! two prefetchers — the ChampSim-style methodology this library supports
-//! end-to-end.
+//! Trace-driven workflow: capture a workload's instruction stream once to
+//! a framed `.btrc` file, profile its spatial structure offline by
+//! streaming the file back, and replay it against two prefetchers — the
+//! ChampSim-style methodology this library supports end-to-end.
 //!
 //! ```sh
 //! cargo run --release --example trace_workflow
 //! ```
 
+use std::fs::File;
+use std::io::BufReader;
+
 use bingo_repro::prefetcher::{Bingo, BingoConfig, EventKind, SpatialProfiler};
-use bingo_repro::sim::{
-    record, Instr, NoPrefetcher, Prefetcher, System, SystemConfig, Trace, TraceSource,
+use bingo_repro::sim::{Instr, NoPrefetcher, Prefetcher, System, SystemConfig};
+use bingo_repro::trace::{
+    capture_source, Policy, ReplaySource, TraceReader, DEFAULT_CHUNK_RECORDS,
 };
 use bingo_repro::workloads::Workload;
 
 fn main() {
-    // 1. Record 400K instructions of the Data Serving workload.
+    // 1. Capture 400K instructions of the Data Serving workload to a file.
+    let path =
+        std::env::temp_dir().join(format!("bingo-trace-workflow-{}.btrc", std::process::id()));
     let mut sources = Workload::DataServing.sources(1, 42);
-    let trace = record(sources[0].as_mut(), 400_000);
+    let file = File::create(&path).expect("create trace file");
+    let records = capture_source(sources[0].as_mut(), 400_000, DEFAULT_CHUNK_RECORDS, file)
+        .expect("capture trace");
+    let bytes = std::fs::metadata(&path).expect("stat trace file").len();
     println!(
-        "recorded {} instructions ({} memory accesses)",
-        trace.len(),
-        trace.memory_accesses()
+        "captured {records} instructions to {} ({} KB)",
+        path.display(),
+        bytes / 1024
     );
 
-    // 2. Round-trip through the binary format (to a buffer here; a file in
-    //    a real workflow).
-    let mut bytes = Vec::new();
-    trace.write_to(&mut bytes).expect("serialize trace");
-    println!("serialized: {} KB", bytes.len() / 1024);
-    let trace = Trace::read_from(bytes.as_slice()).expect("deserialize trace");
-
-    // 3. Profile the spatial structure offline: how predictable is this
-    //    stream, per trigger event, before any prefetcher runs?
+    // 2. Profile the spatial structure offline by streaming the file back
+    //    (one chunk resident at a time): how predictable is this stream,
+    //    per trigger event, before any prefetcher runs?
+    let file = File::open(&path).expect("open trace file");
+    let mut reader = TraceReader::new(BufReader::new(file), Policy::Strict).expect("read header");
     let mut profiler = SpatialProfiler::new(32, 64);
-    for instr in trace.instrs() {
+    let mut accesses = 0u64;
+    while let Some(instr) = reader.next_instr().expect("decode trace") {
         match instr {
             Instr::Load { pc, addr, .. } | Instr::Store { pc, addr } => {
+                accesses += 1;
                 profiler.observe_parts(pc.raw(), addr.block().index());
             }
             Instr::Op => {}
         }
     }
+    assert!(
+        reader.report().is_clean(),
+        "a fresh capture decodes cleanly"
+    );
     let report = profiler.finish();
     println!(
-        "\nspatial profile: {} residencies, mean footprint density {:.1}%",
+        "\nspatial profile of {accesses} memory accesses: {} residencies, \
+         mean footprint density {:.1}%",
         report.residencies,
         report.mean_density() * 100.0
     );
@@ -57,24 +69,18 @@ fn main() {
         );
     }
 
-    // 4. Replay the identical stream against a baseline and Bingo.
+    // 3. Replay the identical stream against a baseline and Bingo.
     let mut cfg = SystemConfig::tiny();
     cfg.cores = 1;
-    let run = |make: Box<dyn Fn() -> Box<dyn Prefetcher>>, t: Trace| {
-        System::new(
-            cfg,
-            vec![Box::new(TraceSource::new(t))],
-            vec![make()],
-            150_000,
-        )
-        .with_warmup(100_000)
-        .run()
+    let run = |prefetcher: Box<dyn Prefetcher>| {
+        let replay = ReplaySource::open(&path, Policy::Strict).expect("open trace for replay");
+        System::new(cfg, vec![Box::new(replay)], vec![prefetcher], 150_000)
+            .with_warmup(100_000)
+            .run()
     };
-    let base = run(Box::new(|| Box::new(NoPrefetcher)), trace.clone());
-    let bingo = run(
-        Box::new(|| Box::new(Bingo::new(BingoConfig::paper()))),
-        trace,
-    );
+    let base = run(Box::new(NoPrefetcher));
+    let bingo = run(Box::new(Bingo::new(BingoConfig::paper())));
+    std::fs::remove_file(&path).expect("remove trace file");
     println!("\n--- baseline ---\n{base}");
     println!("\n--- bingo ---\n{bingo}");
     println!(

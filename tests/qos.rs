@@ -143,11 +143,7 @@ fn qos_report_attaches_only_to_percore_runs() {
         )
         .expect("cell completes")
     };
-    for mode in [
-        ThrottleMode::Off,
-        ThrottleMode::Static,
-        ThrottleMode::Feedback,
-    ] {
+    for mode in [ThrottleMode::Off, ThrottleMode::Feedback] {
         assert!(
             run(mode).qos.is_none(),
             "{mode} run must not attach a QoS report"
