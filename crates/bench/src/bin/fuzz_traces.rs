@@ -18,7 +18,12 @@
 //!   bytes, lenient must deliver the identical record stream with nothing
 //!   quarantined;
 //! * **lenient always terminates** with an ingest report, never an error
-//!   (I/O aside), no matter how mangled the bytes are.
+//!   (I/O aside), no matter how mangled the bytes are;
+//! * **the op fast path is invisible** — a drain that takes op runs with
+//!   `TraceReader::take_ops` delivers the same records, the same report
+//!   and the same error (variant and offset) as the lazy drain, under
+//!   both policies, on the corrupted image and on a forgery of it whose
+//!   CRC-valid chunks declare fewer records than their payload holds.
 //!
 //! A subsample of corrupted images additionally runs a tiny lenient
 //! simulation end to end, asserting the sweep completes (or fails as a
@@ -31,6 +36,7 @@
 //! nonzero — CI uploads the directory as an artifact.
 
 use std::io::Cursor;
+use std::mem::discriminant;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -39,8 +45,10 @@ use bingo_bench::{
     run_trace_cell, trace_cell_key, CellOutcome, PrefetcherKind, RunScale, StatsExport,
 };
 use bingo_oracle::shrink_items;
-use bingo_sim::{Instr, TelemetryLevel, ThrottleMode};
-use bingo_trace::{apply, capture_source, plan_for_seed, CorruptionOp, Policy, TraceReader};
+use bingo_sim::{IngestReport, Instr, TelemetryLevel, ThrottleMode};
+use bingo_trace::{
+    apply, capture_source, plan_for_seed, CorruptionOp, Policy, ReadError, TraceReader,
+};
 use bingo_workloads::{TraceWorkload, Workload};
 
 struct Args {
@@ -89,48 +97,99 @@ fn base_images() -> Vec<(Workload, Vec<u8>)> {
         .collect()
 }
 
-/// Drains a reader to completion. `Ok` carries the decoded stream; `Err`
-/// the first (typed) decode error.
-fn drain(bytes: &[u8], policy: Policy) -> Result<Vec<Instr>, bingo_trace::ReadError> {
-    let mut reader = TraceReader::new(Cursor::new(bytes), policy)?;
+/// Everything one drain observed: the records delivered, the final
+/// ingest report, and the first (typed) decode error, if any.
+type Drained = (Vec<Instr>, IngestReport, Option<ReadError>);
+
+/// Drains a reader to completion, through `next_instr` alone or, when
+/// `batched`, with the op fast path (`leading_ops`, then `take_ops(k)`
+/// with k cycling 1..=9) before every `next_instr` call.
+fn drain(bytes: &[u8], policy: Policy, batched: bool) -> Drained {
+    let mut reader = match TraceReader::new(Cursor::new(bytes), policy) {
+        Ok(reader) => reader,
+        Err(e) => return (Vec::new(), IngestReport::default(), Some(e)),
+    };
     let mut out = Vec::new();
-    while let Some(instr) = reader.next_instr()? {
-        out.push(instr);
+    let mut k = 0;
+    loop {
+        if batched {
+            k = k % 9 + 1;
+            let peeked = reader.leading_ops();
+            let taken = reader.take_ops(k);
+            assert_eq!(taken, peeked.min(k), "take_ops disagrees with leading_ops");
+            out.resize(out.len() + taken, Instr::Op);
+        }
+        match reader.next_instr() {
+            Ok(Some(instr)) => out.push(instr),
+            Ok(None) => return (out, reader.report(), None),
+            Err(e) => return (out, reader.report(), Some(e)),
+        }
     }
-    Ok(out)
 }
 
 /// How one corrupted image fared against the loader contract. `None`
 /// means every clause held.
 fn violation(image: &[u8], ops: &[CorruptionOp]) -> Option<String> {
     let corrupted = apply(image, ops);
-    let strict = match catch_unwind(AssertUnwindSafe(|| drain(&corrupted, Policy::Strict))) {
-        Ok(r) => r,
-        Err(_) => return Some("strict decoder PANICKED".to_string()),
+    let run = |bytes: &[u8], policy: Policy, batched: bool| {
+        catch_unwind(AssertUnwindSafe(|| drain(bytes, policy, batched)))
     };
-    let lenient = match catch_unwind(AssertUnwindSafe(|| drain(&corrupted, Policy::Lenient))) {
-        Ok(r) => r,
-        Err(_) => return Some("lenient decoder PANICKED".to_string()),
+    let Ok(strict) = run(&corrupted, Policy::Strict, false) else {
+        return Some("strict decoder PANICKED".to_string());
     };
-    match (&strict, &lenient) {
-        (Ok(s), Ok(l)) => {
-            if s != l {
+    let Ok(lenient) = run(&corrupted, Policy::Lenient, false) else {
+        return Some("lenient decoder PANICKED".to_string());
+    };
+    match (&strict.2, &lenient.2) {
+        (None, None) => {
+            if strict.0 != lenient.0 {
                 return Some(format!(
                     "strict accepted {} records but lenient delivered {}",
-                    s.len(),
-                    l.len()
+                    strict.0.len(),
+                    lenient.0.len()
                 ));
             }
         }
-        (Err(e), _) => {
+        (Some(e), _) => {
             if !e.to_string().contains("byte") {
                 return Some(format!("strict error lost its byte offset: {e}"));
             }
         }
-        (_, Err(e)) => {
+        (_, Some(e)) => {
             return Some(format!(
                 "lenient policy must never error on corruption: {e}"
             ));
+        }
+    }
+    // The op fast path must be invisible: same records, same report, same
+    // error variant at the same offset as the lazy drain. Checked on the
+    // corrupted image and on a forgery of it whose CRC-valid chunks each
+    // declare one record fewer than their payload holds.
+    let forged = apply(&corrupted, &[CorruptionOp::ShortenChunks { fewer: 1 }]);
+    let key = |e: &Option<ReadError>| e.as_ref().map(|e| (discriminant(e), e.offset()));
+    for (which, bytes) in [("corrupted", &corrupted), ("forged", &forged)] {
+        for policy in [Policy::Strict, Policy::Lenient] {
+            let (Ok(lazy), Ok(batched)) = (run(bytes, policy, false), run(bytes, policy, true))
+            else {
+                return Some(format!("{policy:?} decoder PANICKED on the {which} image"));
+            };
+            let why = if batched.0 != lazy.0 {
+                format!(
+                    "batched drain delivered {} records, lazy {}",
+                    batched.0.len(),
+                    lazy.0.len()
+                )
+            } else if batched.1 != lazy.1 {
+                format!("batched report {} differs from lazy {}", batched.1, lazy.1)
+            } else if key(&batched.2) != key(&lazy.2) {
+                format!(
+                    "batched error {:?} differs from lazy {:?}",
+                    batched.2, lazy.2
+                )
+            } else {
+                continue;
+            };
+            return Some(format!("{policy:?} on the {which} image: {why}"));
         }
     }
     None
@@ -278,9 +337,9 @@ fn main() -> ExitCode {
             return report_violation(&args.out, seed, *workload, image, &ops, &why);
         }
         let corrupted = apply(image, &ops);
-        match drain(&corrupted, Policy::Strict) {
-            Ok(_) => strict_clean += 1,
-            Err(_) => strict_rejected += 1,
+        match drain(&corrupted, Policy::Strict, false).2 {
+            None => strict_clean += 1,
+            Some(_) => strict_rejected += 1,
         }
         // Every 25th seed: full lenient simulation over the mangled bytes.
         if seed % 25 == 0 {

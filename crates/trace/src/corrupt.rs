@@ -2,12 +2,12 @@
 //!
 //! A [`CorruptionPlan`] is a seeded, reproducible list of byte-level
 //! mutations — truncations, bit flips, chunk swaps, garbage prefixes,
-//! mid-record amputations — applied to a well-formed trace image. The
-//! fuzz driver asserts that every corrupted image either decodes, yields
-//! a typed error (strict), or is quarantined (lenient); a plan that
-//! provokes a panic is shrunk to a minimal reproducer with
-//! `bingo_oracle`'s delta-debugging loop, which is why the plan is a
-//! plain `Vec` of small self-describing ops.
+//! mid-record amputations, shortened record counts — applied to a
+//! well-formed trace image. The fuzz driver asserts that every corrupted
+//! image either decodes, yields a typed error (strict), or is quarantined
+//! (lenient); a plan that provokes a panic is shrunk to a minimal
+//! reproducer with `bingo_oracle`'s delta-debugging loop, which is why
+//! the plan is a plain `Vec` of small self-describing ops.
 
 use bingo_rng::{Rng, SeedableRng, SmallRng};
 
@@ -46,6 +46,16 @@ pub enum CorruptionOp {
         /// Pattern seed.
         seed: u64,
     },
+    /// Lower every chunk's declared record count by `fewer` (never below
+    /// 1). The count sits outside the CRC-covered payload, so each chunk
+    /// stays CRC-valid while its payload now outlasts its records — a
+    /// forgery that probes the reader's per-chunk record bound (a chunk
+    /// whose payload exceeds the lower count's worst-case size fails the
+    /// payload-length check instead). [`plan_for_seed`] never draws it.
+    ShortenChunks {
+        /// Records to drop from each chunk's declared count.
+        fewer: u32,
+    },
 }
 
 /// Applies `ops` in order to a copy of `image`.
@@ -83,6 +93,15 @@ pub fn apply(image: &[u8], ops: &[CorruptionOp]) -> Vec<u8> {
                 let end = (len as usize).min(bytes.len());
                 for byte in &mut bytes[..end] {
                     *byte = rng.gen_range(0..=255u8);
+                }
+            }
+            CorruptionOp::ShortenChunks { fewer } => {
+                for (start, _) in chunk_spans(&bytes) {
+                    let field = start + 4..start + 8;
+                    let records =
+                        u32::from_le_bytes(bytes[field.clone()].try_into().expect("4 bytes"));
+                    let shortened = records.saturating_sub(fewer).max(1);
+                    bytes[field].copy_from_slice(&shortened.to_le_bytes());
                 }
             }
         }
@@ -211,6 +230,45 @@ mod tests {
         assert_eq!(flipped[3], img[3] ^ 4);
         assert_eq!(&flipped[..3], &img[..3]);
         assert_eq!(&flipped[4..], &img[4..]);
+    }
+
+    #[test]
+    fn shortened_chunks_stay_crc_valid_but_carry_stray_payload() {
+        // Op-heavy chunks, so three records' worst-case size still covers
+        // the four-record payload and the length check passes.
+        let mut file = Cursor::new(Vec::new());
+        let mut w = TraceWriter::new(&mut file, 4).expect("header");
+        for _ in 0..16 {
+            w.push(Instr::Op).expect("push");
+        }
+        w.finish().expect("finish");
+        let img = file.into_inner();
+
+        let forged = apply(&img, &[CorruptionOp::ShortenChunks { fewer: 1 }]);
+        assert_eq!(forged.len(), img.len());
+        let spans = chunk_spans(&forged);
+        assert_eq!(spans.len(), 4, "framing still walks");
+        for (start, _) in spans {
+            let records = u32::from_le_bytes(forged[start + 4..start + 8].try_into().unwrap());
+            assert_eq!(records, 3, "chunk at {start}");
+        }
+        let mut r =
+            crate::reader::TraceReader::new(Cursor::new(&forged), crate::reader::Policy::Strict)
+                .expect("header untouched");
+        let err = loop {
+            match r.next_instr() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("forgery decoded cleanly"),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            matches!(
+                err,
+                crate::error::ReadError::TrailingPayload { bytes: 1, .. }
+            ),
+            "CRC passed, so the stray payload is what trips: {err}"
+        );
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //!   Every skipped byte, abandoned chunk, and undelivered record is
 //!   counted in the [`IngestReport`]; the reader never panics and only
 //!   fails on genuine I/O errors.
+//!
+//! Op runs have a fast path: [`TraceReader::leading_ops`] and
+//! [`TraceReader::take_ops`] count and consume leading op records a word
+//! at a time. The fast path never crosses a chunk: it works only inside
+//! the current CRC-validated chunk and returns 0 at its end, so every
+//! chunk load, check and recovery decision stays on
+//! [`TraceReader::next_instr`].
 
 use std::io::Read;
 
@@ -26,7 +33,7 @@ use crate::crc32::crc32;
 use crate::error::ReadError;
 use crate::format::{
     decode_record, RecordDecode, TraceHeader, CHUNK_HEADER_BYTES, CHUNK_MAGIC, FILE_HEADER_BYTES,
-    FILE_MAGIC, MAX_CHUNK_RECORDS, MAX_RECORD_BYTES, VERSION,
+    FILE_MAGIC, KIND_OP, MAX_CHUNK_RECORDS, MAX_RECORD_BYTES, VERSION,
 };
 
 /// What the reader does when it meets bytes it cannot trust.
@@ -190,7 +197,58 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
+    /// Number of consecutive op records at the head of the current chunk,
+    /// without consuming them. Never loads a chunk: 0 at a chunk boundary
+    /// and once the reader has ended or failed.
+    pub fn leading_ops(&self) -> usize {
+        self.chunk_op_run(usize::MAX)
+    }
+
+    /// Consumes up to `max` leading op records of the current chunk and
+    /// returns how many were taken — exactly what that many
+    /// [`Self::next_instr`] calls returning [`Instr::Op`] would do. Like
+    /// [`Self::leading_ops`] it stops at the chunk's end, so loading,
+    /// validating and error reporting stay on the `next_instr` path.
+    pub fn take_ops(&mut self, max: usize) -> usize {
+        let n = self.chunk_op_run(max);
+        if n > 0 {
+            self.consume(n);
+            self.chunk_payload_left -= n;
+            self.chunk_records_left -= n as u32;
+            self.report.delivered_records += n as u64;
+        }
+        n
+    }
+
     // ---- internals ------------------------------------------------------
+
+    /// Leading [`KIND_OP`] bytes from the record boundary, at most `max`
+    /// and never past the current chunk's remaining records or payload.
+    /// Scans a little-endian `u64` at a time: the first nonzero word's
+    /// trailing zero bits locate the first non-op byte.
+    fn chunk_op_run(&self, max: usize) -> usize {
+        if self.done || self.failed {
+            return 0;
+        }
+        let limit = max
+            .min(self.chunk_records_left as usize)
+            .min(self.chunk_payload_left);
+        let bytes = &self.buf[self.start..self.start + limit];
+        let mut words = bytes.chunks_exact(8);
+        let mut run = 0;
+        for w in &mut words {
+            let word = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+            if word != 0 {
+                return run + (word.trailing_zeros() / 8) as usize;
+            }
+            run += 8;
+        }
+        run + words
+            .remainder()
+            .iter()
+            .take_while(|&&b| b == KIND_OP)
+            .count()
+    }
 
     fn avail(&self) -> usize {
         self.buf.len() - self.start
@@ -795,6 +853,35 @@ mod tests {
         let report = drain_lenient(&bytes2);
         assert_eq!(report.delivered_records, 1);
         assert_eq!(report.quarantined_bytes, 1);
+        // The op fast path stops at the declared record count, not at the
+        // last zero byte, and leaves the stray byte to `next_instr`.
+        let mut r = TraceReader::new(Cursor::new(&bytes2), Policy::Strict).expect("open");
+        assert_eq!(r.leading_ops(), 0, "no chunk loaded yet");
+        assert_eq!(r.next_instr().expect("op"), Some(Instr::Op));
+        assert_eq!(r.take_ops(9), 0, "chunk's one record already taken");
+        assert!(matches!(
+            r.next_instr(),
+            Err(ReadError::TrailingPayload { bytes: 1, .. })
+        ));
+        assert_eq!(r.take_ops(9), 0, "failed reader takes nothing");
+    }
+
+    #[test]
+    fn take_ops_stops_at_non_ops_and_chunk_ends() {
+        // Records cycle op, load, store; with 4-record chunks the first
+        // chunk is [op, load, store, op] and the second [load, store, op,
+        // load].
+        let bytes = image(8, 4);
+        let mut r = TraceReader::new(Cursor::new(&bytes), Policy::Strict).expect("open");
+        assert_eq!(r.take_ops(9), 0, "fast path never loads a chunk");
+        assert_eq!(r.next_instr().expect("op"), Some(Instr::Op));
+        assert_eq!(r.leading_ops(), 0, "a load heads the stream");
+        r.next_instr().expect("load");
+        r.next_instr().expect("store");
+        assert_eq!(r.leading_ops(), 1);
+        assert_eq!(r.take_ops(9), 1, "capped by the chunk's last record");
+        assert_eq!(r.leading_ops(), 0, "chunk boundary");
+        assert_eq!(r.report().delivered_records, 4);
     }
 
     #[test]

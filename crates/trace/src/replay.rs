@@ -9,6 +9,13 @@
 //! caught and becomes a `CellOutcome::Panicked` with the byte offset in
 //! its message. Under [`Policy::Lenient`] corruption is quarantined and
 //! the replay continues on whatever records survive.
+//!
+//! `ReplaySource` forwards the simulator's op-run fast path
+//! ([`InstrSource::take_ops`] / [`InstrSource::peek_ops`]) to
+//! [`TraceReader::take_ops`] / [`TraceReader::leading_ops`]. That path
+//! never crosses a chunk: at a chunk boundary or end of pass it reports
+//! 0, and the core falls back to `next_instr`, which loads the next chunk
+//! or wraps around exactly as before.
 
 use std::fs::File;
 use std::io::{self, BufReader, Seek, Write};
@@ -112,11 +119,20 @@ impl InstrSource for ReplaySource {
         total.absorb(&self.reader.report());
         Some(total)
     }
+
+    fn take_ops(&mut self, max: usize) -> usize {
+        self.reader.take_ops(max)
+    }
+
+    fn peek_ops(&mut self) -> usize {
+        self.reader.leading_ops()
+    }
 }
 
 /// Captures `records` instructions from `source` into `sink` as a framed
-/// trace with `chunk_records` records per chunk. Returns the total
-/// written (always `records`).
+/// trace with `chunk_records` records per chunk. Op runs the source hands
+/// out through [`InstrSource::take_ops`] are written in bulk. Returns the
+/// total written (always `records`).
 pub fn capture_source<W: Write + Seek>(
     source: &mut dyn InstrSource,
     records: u64,
@@ -124,8 +140,16 @@ pub fn capture_source<W: Write + Seek>(
     sink: W,
 ) -> io::Result<u64> {
     let mut writer = TraceWriter::new(sink, chunk_records)?;
-    for _ in 0..records {
-        writer.push(source.next_instr())?;
+    let mut left = records;
+    while left > 0 {
+        let ops = source.take_ops(usize::try_from(left).unwrap_or(usize::MAX)) as u64;
+        if ops > 0 {
+            writer.push_ops(ops)?;
+            left -= ops;
+        } else {
+            writer.push(source.next_instr())?;
+            left -= 1;
+        }
     }
     writer.finish()
 }

@@ -11,7 +11,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use bingo_sim::Instr;
 
 use crate::crc32::crc32;
-use crate::format::{encode_record, CHUNK_MAGIC, FILE_MAGIC, MAX_CHUNK_RECORDS, VERSION};
+use crate::format::{encode_record, CHUNK_MAGIC, FILE_MAGIC, KIND_OP, MAX_CHUNK_RECORDS, VERSION};
 
 /// Byte offset of `total_records` in the file header.
 const TOTAL_FIELD_OFFSET: u64 = 16;
@@ -61,6 +61,24 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.total += 1;
         if self.in_chunk == self.chunk_records {
             self.flush_chunk()?;
+        }
+        Ok(())
+    }
+
+    /// Appends `n` [`Instr::Op`] records, flushing each chunk as it fills:
+    /// the bytes written are exactly those of `n` [`Self::push`] calls.
+    pub fn push_ops(&mut self, mut n: u64) -> io::Result<()> {
+        debug_assert!(!self.finished, "push after finish");
+        while n > 0 {
+            let take = n.min((self.chunk_records - self.in_chunk) as u64) as u32;
+            self.payload
+                .resize(self.payload.len() + take as usize, KIND_OP);
+            self.in_chunk += take;
+            self.total += take as u64;
+            n -= take as u64;
+            if self.in_chunk == self.chunk_records {
+                self.flush_chunk()?;
+            }
         }
         Ok(())
     }
@@ -148,6 +166,40 @@ mod tests {
         let report = r.report();
         assert_eq!(report.delivered_records, 23);
         assert!(report.is_clean());
+    }
+
+    /// Writes `prefix` records one by one, then `n` ops, then a load,
+    /// with the ops either pushed singly or in one `push_ops` call.
+    fn image_with_op_run(prefix: u64, n: u64, chunk: u32, bulk: bool) -> Vec<u8> {
+        let mut file = Cursor::new(Vec::new());
+        let mut w = TraceWriter::new(&mut file, chunk).expect("header");
+        for k in 0..prefix {
+            w.push(sample(k + 1)).expect("push");
+        }
+        if bulk {
+            w.push_ops(n).expect("push_ops");
+        } else {
+            for _ in 0..n {
+                w.push(Instr::Op).expect("push");
+            }
+        }
+        w.push(sample(1)).expect("push");
+        w.finish().expect("finish");
+        file.into_inner()
+    }
+
+    #[test]
+    fn push_ops_is_byte_identical_to_single_pushes_across_chunks() {
+        let chunk = 7u32;
+        for prefix in [0, 1, 6] {
+            for n in [0, 1, 6, 7, 8, 13, 14, 3 * chunk as u64 + 1] {
+                assert_eq!(
+                    image_with_op_run(prefix, n, chunk, true),
+                    image_with_op_run(prefix, n, chunk, false),
+                    "prefix {prefix}, {n} ops"
+                );
+            }
+        }
     }
 
     #[test]

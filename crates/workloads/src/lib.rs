@@ -36,4 +36,4 @@ pub use apps::{SpecProgram, Workload};
 pub use kernels::{Kernel, ObjectSpec, PatternKey, REGION_BLOCKS};
 pub use queue::InstrQueue;
 pub use source::{WeightedKernel, WorkloadSource};
-pub use trace_workload::{capture_to_file, capture_workload, TraceWorkload};
+pub use trace_workload::{capture_workload, TraceWorkload};

@@ -10,11 +10,11 @@
 //! bounded-memory reader, so total residency is `cores × one chunk`.
 
 use std::fs;
-use std::io::{self, Seek, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use bingo_sim::InstrSource;
-use bingo_trace::{capture_source, Policy, ReadError, ReplaySource, TraceWriter};
+use bingo_trace::{capture_source, Policy, ReadError, ReplaySource};
 
 use crate::Workload;
 
@@ -150,42 +150,6 @@ pub fn capture_workload(
     }
     Ok(())
 }
-
-/// Captures an arbitrary single source into one `.btrc` file — the
-/// generic building block `capture_workload` wraps per core.
-pub fn capture_to_file(
-    source: &mut dyn InstrSource,
-    records: u64,
-    chunk_records: u32,
-    path: &Path,
-) -> io::Result<u64> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!("create trace dir {}: {e}", parent.display()),
-            )
-        })?;
-    }
-    let file = fs::File::create(path)
-        .map_err(|e| io::Error::new(e.kind(), format!("create trace {}: {e}", path.display())))?;
-    let mut writer = TraceWriter::new(io::BufWriter::new(file), chunk_records)
-        .map_err(|e| io::Error::new(e.kind(), format!("write trace {}: {e}", path.display())))?;
-    for _ in 0..records {
-        writer.push(source.next_instr()).map_err(|e| {
-            io::Error::new(e.kind(), format!("write trace {}: {e}", path.display()))
-        })?;
-    }
-    writer
-        .finish()
-        .map_err(|e| io::Error::new(e.kind(), format!("finish trace {}: {e}", path.display())))
-}
-
-// `Seek + Write` bound sanity for BufWriter<File> used above.
-const _: fn() = || {
-    fn assert_rw<W: Write + Seek>() {}
-    assert_rw::<io::BufWriter<fs::File>>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,8 @@
 use bingo_repro::baselines::{Bop, BopConfig, Sms, Vldp, VldpConfig};
 use bingo_repro::prefetcher::{Bingo, BingoConfig};
 use bingo_repro::sim::{CoverageReport, NoPrefetcher, Prefetcher, SimResult, System, SystemConfig};
-use bingo_repro::workloads::Workload;
+use bingo_repro::trace::capture_source;
+use bingo_repro::workloads::{TraceWorkload, Workload};
 
 const INSTRUCTIONS: u64 = 120_000;
 const WARMUP: u64 = 150_000;
@@ -180,4 +181,45 @@ fn fast_forward_is_bit_for_bit_on_real_workloads() {
         let slow = build(false).run();
         assert_eq!(fast, slow, "fast-forward diverged on {w}");
     }
+}
+
+/// The same equivalence on replayed `.btrc` traces, whose op runs reach
+/// the crank through `ReplaySource::peek_ops` and stop at every chunk
+/// boundary. The capture is shorter than the run, so both cores also
+/// wrap around mid-simulation.
+#[test]
+fn fast_forward_is_bit_for_bit_on_replayed_traces() {
+    let dir = std::env::temp_dir()
+        .join("bingo-end-to-end-tests")
+        .join(format!("ff-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (core, w) in [Workload::Streaming, Workload::Em3d]
+        .into_iter()
+        .enumerate()
+    {
+        let file = std::fs::File::create(dir.join(format!("core{core}.btrc"))).expect("create");
+        let mut source = w.source_for_core(core, 42);
+        capture_source(source.as_mut(), 50_000, 1024, std::io::BufWriter::new(file))
+            .expect("capture");
+    }
+    let trace = TraceWorkload::open(&dir).expect("open capture");
+    let cfg = SystemConfig::paper().with_cores(2);
+    let build = |ff: bool| {
+        System::with_prefetchers(
+            cfg,
+            trace.sources(cfg.cores).expect("replay sources"),
+            |_| Box::new(Bingo::new(BingoConfig::paper())) as Box<dyn Prefetcher>,
+            40_000,
+        )
+        .with_warmup(30_000)
+        .with_fast_forward(ff)
+    };
+    let fast = build(true).run();
+    let slow = build(false).run();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        fast.ingest.is_some_and(|r| r.delivered_records > 100_000),
+        "the run must outlast the 50k-record captures"
+    );
+    assert_eq!(fast, slow, "fast-forward diverged on replayed traces");
 }

@@ -11,13 +11,16 @@
 //! the lenient one.
 
 use std::io::Cursor;
+use std::mem::{discriminant, Discriminant};
 use std::path::{Path, PathBuf};
 
 use bingo_repro::bench::{
     run_trace_cell, run_trace_one_configured, CellOutcome, PrefetcherKind, RunScale,
 };
-use bingo_repro::sim::{Instr, TelemetryLevel, ThrottleMode};
-use bingo_repro::trace::{Policy, TraceReader};
+use bingo_repro::sim::{Addr, IngestReport, Instr, InstrSource, Pc, TelemetryLevel, ThrottleMode};
+use bingo_repro::trace::{
+    apply, CorruptionOp, Policy, ReadError, ReplaySource, TraceReader, TraceWriter,
+};
 use bingo_repro::workloads::TraceWorkload;
 
 fn corpus_dir() -> PathBuf {
@@ -134,6 +137,127 @@ fn corpus_trace_drives_a_simulation_end_to_end() {
         "the replay must exercise the LLC"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Everything a drain observes: the stream, the final report, and the
+/// error (variant and byte offset) that ended it, if any.
+type Drained = (
+    Vec<Instr>,
+    IngestReport,
+    Option<(Discriminant<ReadError>, u64)>,
+);
+
+/// Drains `bytes` through `next_instr` alone or, when `batched`, through
+/// `leading_ops`/`take_ops(k)` (k cycling 1..=9) interleaved with it.
+fn drain_observed(bytes: &[u8], policy: Policy, batched: bool) -> Drained {
+    let error = |e: ReadError| Some((discriminant(&e), e.offset()));
+    let mut reader = match TraceReader::new(Cursor::new(bytes), policy) {
+        Ok(reader) => reader,
+        Err(e) => return (Vec::new(), IngestReport::default(), error(e)),
+    };
+    let mut out = Vec::new();
+    let mut k = 0;
+    loop {
+        if batched {
+            k = k % 9 + 1;
+            let peeked = reader.leading_ops();
+            let taken = reader.take_ops(k);
+            assert_eq!(taken, peeked.min(k), "take_ops disagrees with leading_ops");
+            out.resize(out.len() + taken, Instr::Op);
+        }
+        match reader.next_instr() {
+            Ok(Some(instr)) => out.push(instr),
+            Ok(None) => return (out, reader.report(), None),
+            Err(e) => return (out, reader.report(), error(e)),
+        }
+    }
+}
+
+#[test]
+fn batched_op_drain_matches_the_lazy_drain_on_every_corpus_file() {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
+        .expect("list corpus")
+        .map(|entry| entry.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "btrc"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), PRISTINE.len() + 1, "{files:?}");
+    for path in &files {
+        let bytes = std::fs::read(path).expect("read corpus file");
+        // Also a forgery whose CRC-valid chunks each declare one record
+        // fewer than their payload holds: the fast path must stop at the
+        // declared count even when zero bytes run on past it.
+        let forged = apply(&bytes, &[CorruptionOp::ShortenChunks { fewer: 1 }]);
+        for (image, which) in [(&bytes, "as committed"), (&forged, "forged")] {
+            for policy in [Policy::Strict, Policy::Lenient] {
+                let lazy = drain_observed(image, policy, false);
+                let batched = drain_observed(image, policy, true);
+                let name = format!("{} ({which}) {policy:?}", path.display());
+                assert_eq!(lazy.0, batched.0, "{name}: streams differ");
+                assert_eq!(lazy.1, batched.1, "{name}: reports differ");
+                assert_eq!(lazy.2, batched.2, "{name}: errors differ");
+            }
+        }
+    }
+    let corrupt = std::fs::read(corpus_dir().join(CORRUPT)).expect("read corpus file");
+    let (_, _, err) = drain_observed(&corrupt, Policy::Strict, true);
+    assert!(
+        err.is_some(),
+        "the strict error comparison must be exercised"
+    );
+}
+
+#[test]
+fn batched_replay_matches_lazy_replay_across_chunk_ends_and_wraps() {
+    // Op runs of assorted lengths between loads, ending in a run at EOF;
+    // 7-record chunks split them at chunk boundaries and mid-word.
+    let mut records = Vec::new();
+    for (i, run) in [5usize, 9, 2, 16, 3, 0, 7].into_iter().enumerate() {
+        records.resize(records.len() + run, Instr::Op);
+        records.push(Instr::Load {
+            pc: Pc::new(0x400 + i as u64),
+            addr: Addr::new(i as u64 * 64),
+            dep: None,
+        });
+    }
+    records.resize(records.len() + 6, Instr::Op);
+
+    let dir = std::env::temp_dir().join("bingo-corpus-tests");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join(format!("op-runs-{}.btrc", std::process::id()));
+    let file = std::fs::File::create(&path).expect("create trace");
+    let mut writer = TraceWriter::new(file, 7).expect("header");
+    for &instr in &records {
+        writer.push(instr).expect("push");
+    }
+    writer.finish().expect("finish");
+
+    // Three passes: the replay wraps around twice.
+    let total = 3 * records.len();
+    let expected: Vec<Instr> = records.iter().copied().cycle().take(total).collect();
+    let mut lazy = ReplaySource::open(&path, Policy::Strict).expect("open");
+    let lazy_stream: Vec<Instr> = (0..total).map(|_| lazy.next_instr()).collect();
+    assert_eq!(lazy_stream, expected);
+
+    let mut batched = ReplaySource::open(&path, Policy::Strict).expect("open");
+    let mut stream = Vec::new();
+    let mut k = 0;
+    while stream.len() < total {
+        k = k % 9 + 1;
+        let want = k.min(total - stream.len());
+        let peeked = batched.peek_ops();
+        let taken = batched.take_ops(want);
+        assert_eq!(taken, peeked.min(want), "take_ops disagrees with peek_ops");
+        stream.resize(stream.len() + taken, Instr::Op);
+        if stream.len() < total {
+            stream.push(batched.next_instr());
+        }
+    }
+    assert_eq!(stream, expected);
+    assert_eq!(lazy.passes(), 2);
+    assert_eq!(batched.passes(), 2);
+    assert_eq!(lazy.ingest_report(), batched.ingest_report());
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
