@@ -242,24 +242,16 @@ impl Cache {
         Lookup::Miss
     }
 
-    /// Replays `k` consecutive missed-and-stalled retry lookups of `block`
-    /// in closed form, the first at cycle `first`. While the system is
-    /// quiescent a stalled core's retry deterministically misses, so its
-    /// only effects are the access counter, the recency stamp, and the bank
+    /// Replays `k` consecutive missed-and-MSHR-stalled retry lookups of
+    /// `block` in closed form, the first at cycle `first`. While the core
+    /// sleeps its retry deterministically misses, so its only effects are
+    /// the access and stall counters, the recency stamp, and the bank
     /// reservation — and the bank recurrence `free = max(t, free) + 1` over
     /// access times that start at `first` and grow by at most one per cycle
     /// collapses to `free = max(first, free) + k`.
-    pub(crate) fn apply_missed_retries(
-        &mut self,
-        block: BlockAddr,
-        first: u64,
-        k: u64,
-        mshr_stalled: bool,
-    ) {
+    pub(crate) fn apply_missed_retries(&mut self, block: BlockAddr, first: u64, k: u64) {
         self.stats.demand_accesses += k;
-        if mshr_stalled {
-            self.stats.demand_mshr_stalls += k;
-        }
+        self.stats.demand_mshr_stalls += k;
         self.stamp += k;
         let bank = match self.bank_mask {
             Some(mask) => (block.index() & mask) as usize,
@@ -299,6 +291,11 @@ impl Cache {
         self.pending
             .get(block.index())
             .is_some_and(|e| e.prefetch && !e.demanded)
+    }
+
+    /// Ready cycle of the earliest in-flight fill, if any.
+    pub(crate) fn next_fill_ready(&self) -> Option<u64> {
+        self.pending.min_of(|e| e.ready)
     }
 
     /// Number of in-flight fills (MSHR occupancy).

@@ -21,8 +21,8 @@
 //! Everything is deterministic in the plan's seed: the same
 //! (plan, workload, machine) triple replays bit-for-bit, which is what
 //! lets the chaos property tests assert exact bounds. Chaos runs disable
-//! the quiescent fast-forward (see [`System::with_chaos`]) so a
-//! perturbation window can never be leapt over.
+//! the fast-forward (see [`System::with_chaos`]), stepping every core
+//! every cycle, so a perturbation window can never be leapt over.
 //!
 //! [`System::with_chaos`]: crate::System::with_chaos
 

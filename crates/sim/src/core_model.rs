@@ -298,8 +298,8 @@ impl OooCore {
     /// If the core is provably idle after cycle `now` — finished, blocked
     /// on a full ROB, or re-stalling on the same structural hazard every
     /// cycle — describes how long and what each idle cycle does, so the
-    /// system can fast-forward. `None` means the core may do new work next
-    /// cycle and every cycle must be stepped.
+    /// run loop can let it sleep. `None` means the core may do new work
+    /// next cycle.
     pub(crate) fn quiescent_plan(&self, now: u64) -> Option<CorePlan> {
         if self.done {
             return Some(CorePlan {
@@ -385,7 +385,9 @@ impl OooCore {
     /// Replays the retirements a stalled core performs over the skipped
     /// window `[next, wake)`, with the same pacing as [`retire_horizon`].
     /// The caller capped `wake` at the horizon, so no warmup/target
-    /// boundary is crossed here.
+    /// boundary is crossed here. Replaying `[a, b)` then `[b, c)` equals
+    /// replaying `[a, c)`: each call restarts the pacing at its first
+    /// cycle, exactly as [`step`](Self::step) does every cycle.
     ///
     /// [`retire_horizon`]: Self::retire_horizon
     pub(crate) fn apply_retirements(&mut self, next: u64, wake: u64) {

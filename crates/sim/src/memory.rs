@@ -47,8 +47,9 @@ enum FillLevel {
 }
 
 /// Which MSHR file a core's most recent [`IssueResult::Stall`] came from;
-/// consulted by the quiescent fast-forward to replay retry effects at the
-/// right cache level.
+/// consulted by the run loop to decide whether a stalled core may sleep:
+/// an L1-stalled retry touches only the core's private L1, an LLC-stalled
+/// one reserves shared LLC banks.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum StallLevel {
     L1,
@@ -309,18 +310,22 @@ impl MemorySystem {
         self.fills.peek().map(|&Reverse((ready, _, _, _))| ready)
     }
 
+    /// Ready cycle of `core`'s earliest in-flight L1 fill, if any — the
+    /// only event that can clear that core's L1 MSHR stall.
+    pub(crate) fn next_l1_fill(&self, core: usize) -> Option<u64> {
+        self.l1s[core].next_fill_ready()
+    }
+
     /// Level of `core`'s most recent demand stall (see [`StallLevel`]).
     pub(crate) fn stall_level(&self, core: usize) -> StallLevel {
         self.stall_level[core]
     }
 
-    /// Replays `k` skipped cycles of `core` retrying its stalled access to
-    /// `block` against a quiescent hierarchy, the first retry issuing at
-    /// cycle `first`. An L1-stalled retry dies at the L1 MSHR check; an
-    /// LLC-stalled retry misses the (available-MSHR) L1 and dies at the LLC
-    /// MSHR check after the L1 lookup latency — exactly the effects of
-    /// [`MemorySystem::load`]/[`MemorySystem::store`] up to their stall
-    /// return.
+    /// Replays `k` skipped cycles of `core` retrying its L1-stalled access
+    /// to `block`, the first retry issuing at cycle `first`. Each retry
+    /// misses the core's private L1 and dies at its MSHR check — exactly
+    /// the effects of [`MemorySystem::load`]/[`MemorySystem::store`] up to
+    /// their stall return, none of which reach shared state.
     pub(crate) fn apply_stalled_retries(
         &mut self,
         core: usize,
@@ -328,14 +333,8 @@ impl MemorySystem {
         first: u64,
         k: u64,
     ) {
-        match self.stall_level[core] {
-            StallLevel::L1 => self.l1s[core].apply_missed_retries(block, first, k, true),
-            StallLevel::Llc => {
-                self.l1s[core].apply_missed_retries(block, first, k, false);
-                self.llc
-                    .apply_missed_retries(block, first + self.cfg.l1d.latency, k, true);
-            }
-        }
+        debug_assert_eq!(self.stall_level[core], StallLevel::L1);
+        self.l1s[core].apply_missed_retries(block, first, k);
     }
 
     fn schedule_fill(&mut self, level: FillLevel, block: BlockAddr, ready: u64) {

@@ -13,7 +13,8 @@
 //!
 //! The map is deliberately *not* iterable: nothing in the simulator may
 //! depend on hash-table ordering, and removing iteration makes that a
-//! compile-time guarantee.
+//! compile-time guarantee. The one query over all entries, `min_of`, is a
+//! minimum, whose result no slot order can change.
 
 /// An open-addressed `u64 -> V` map with linear probing.
 #[derive(Debug, Clone)]
@@ -79,6 +80,19 @@ impl<V> OpenMap<V> {
         let i = self.find(key)?;
         let (_, v) = self.slots[i].as_mut().expect("found slot is occupied");
         Some(v)
+    }
+
+    /// The smallest `key_of(value)` over all entries, or `None` when the
+    /// map is empty. Empty slots read as `u64::MAX`, so the scan over the
+    /// slot array has no data-dependent branch.
+    pub(crate) fn min_of(&self, key_of: impl Fn(&V) -> u64) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        self.slots
+            .iter()
+            .map(|slot| slot.as_ref().map_or(u64::MAX, |(_, v)| key_of(v)))
+            .min()
     }
 
     /// Inserts `val` under `key`, returning the previous value if the key
@@ -218,5 +232,23 @@ mod tests {
         for k in 0..64 {
             assert_eq!(m.get(k), reference.get(&k), "final state key {k}");
         }
+    }
+
+    #[test]
+    fn min_of_tracks_inserts_and_removals() {
+        let mut m = OpenMap::with_capacity(8);
+        assert_eq!(m.min_of(|&v: &u64| v), None);
+        for (k, v) in [(3u64, 70u64), (11, 20), (19, 45), (27, 20)] {
+            m.insert(k, v);
+        }
+        assert_eq!(m.min_of(|&v| v), Some(20));
+        m.remove(11);
+        assert_eq!(m.min_of(|&v| v), Some(20), "a tied entry remains");
+        m.remove(27);
+        assert_eq!(m.min_of(|&v| v), Some(45));
+        assert_eq!(m.min_of(|&v| 100 - v), Some(30), "any key function");
+        m.remove(3);
+        m.remove(19);
+        assert_eq!(m.min_of(|&v| v), None);
     }
 }

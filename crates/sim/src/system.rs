@@ -1,15 +1,42 @@
 //! Top-level simulated system: cores + memory hierarchy + run loop.
 //!
 //! [`System`] owns the cores, their instruction sources, and the shared
-//! [`MemorySystem`]; [`System::run`] steps everything cycle by cycle until
-//! every core retires its instruction budget, then returns a [`SimResult`].
+//! [`MemorySystem`]; [`System::run`] steps the machine until every core
+//! retires its instruction budget, then returns a [`SimResult`].
+//!
+//! The reference run loop is lockstep: every cycle, land the fills due,
+//! then step every unfinished core in index order. The default loop gets
+//! bit-for-bit the same results with per-core sleeping. Each core carries
+//! its own wake cycle, and after stepping core *i* at cycle *t* the loop
+//! sets it to the next cycle at which stepping *i* can matter:
+//!
+//! * stalled on its own full L1 MSHR file: its earliest in-flight L1
+//!   fill, the only event that can free one of those MSHRs;
+//! * stalled on a full LSQ: the cycle its oldest store completes;
+//! * blocked on a full ROB: the cycle the head completes;
+//! * at the head of a run of ops: the run is op-cranked at once, and the
+//!   core wakes `k` cycles later;
+//! * stalled on LLC MSHRs, or anything else: `t + 1`.
+//!
+//! Every wake is capped at the cycle its retirements would cross the
+//! core's warm-up or target boundary. The loop then jumps to the earlier
+//! of the next fill and the earliest wake, and steps only the cores due.
+//!
+//! A sleeping core touches nothing shared: its skipped cycles would retry
+//! an access that dies at its private L1 or LSQ, or do nothing at all, so
+//! no LLC bank, DRAM channel, prefetcher, throttle or ledger sees them.
+//! Their private effects — retirements, stall counters, L1 access counts,
+//! recency stamps and bank reservations — are deferred and replayed in
+//! closed form when the core wakes. The one reader of those private
+//! counters before then is the end-of-warm-up statistics reset, so every
+//! sleeper catches up through the current cycle just before it.
 
 use std::time::{Duration, Instant};
 
 use crate::addr::CoreId;
 use crate::chaos::ChaosInjector;
 use crate::config::SystemConfig;
-use crate::core_model::{InstrSource, OooCore};
+use crate::core_model::{InstrSource, OooCore, RetrySpec};
 use crate::memory::{MemorySystem, StallLevel};
 use crate::prefetch::Prefetcher;
 use crate::stats::SimResult;
@@ -24,9 +51,10 @@ use crate::throttle::ThrottleMode;
 pub enum SimAbort {
     /// The wall-clock budget set by [`System::with_time_limit`] ran out.
     ///
-    /// The deadline is *soft*: it is polled once per cycle batch (every
-    /// 8192 cycles), so a run may overshoot the limit by one batch of
-    /// simulation work before aborting.
+    /// The deadline is *soft*: it is polled once per batch of 8192 run
+    /// loop iterations (each iteration may cover many cycles), so a run
+    /// may overshoot the limit by one batch of simulation work before
+    /// aborting.
     DeadlineExceeded {
         /// The configured wall-clock limit.
         limit: Duration,
@@ -65,6 +93,29 @@ pub struct System {
     deadline: Option<Duration>,
     fast_forward: bool,
     chaos: Option<ChaosInjector>,
+    /// Per-core sleep state; stays all-default (always due) in lockstep.
+    sleep: Vec<Sleep>,
+}
+
+/// One core's place in the per-core wake schedule.
+#[derive(Copy, Clone, Debug, Default)]
+struct Sleep {
+    /// The next cycle the core must be stepped.
+    wake: u64,
+    /// The first skipped cycle whose retry has not been replayed yet.
+    from: u64,
+    /// The stalled access each skipped cycle retries, when skipped cycles
+    /// have effects to replay (`None` for a full ROB or an op crank).
+    retry: Option<RetrySpec>,
+}
+
+impl Sleep {
+    /// A finished core is never due again.
+    const FINISHED: Sleep = Sleep {
+        wake: u64::MAX,
+        from: u64::MAX,
+        retry: None,
+    };
 }
 
 impl System {
@@ -128,16 +179,21 @@ impl System {
             deadline: None,
             fast_forward: true,
             chaos: None,
+            sleep: vec![Sleep::default(); cfg.cores],
         }
     }
 
-    /// Enables or disables the quiescent fast-forward (on by default).
+    /// Enables or disables the fast-forward (on by default).
     ///
-    /// Fast-forwarding is a pure run-loop optimization: cycles on which
-    /// every core is provably idle are jumped over with their effects
-    /// replayed in closed form, so results are bit-for-bit identical either
-    /// way (asserted by the `fast_forward_is_bit_for_bit` tests). The
-    /// toggle exists for those equivalence tests and for debugging.
+    /// Fast-forwarding is a pure run-loop optimization: each core sleeps
+    /// through the cycles on which stepping it provably changes nothing
+    /// shared, the loop jumps over cycles on which no core is due and no
+    /// fill lands, and the sleepers' private effects are replayed in
+    /// closed form (see the module docs). Results are bit-for-bit
+    /// identical either way (asserted by the `fast_forward_is_bit_for_bit`
+    /// tests); disabled, the loop is the lockstep reference that steps
+    /// every unfinished core every cycle. The toggle exists for those
+    /// equivalence tests and for debugging.
     pub fn with_fast_forward(mut self, enabled: bool) -> Self {
         self.fast_forward = enabled;
         self
@@ -146,10 +202,9 @@ impl System {
     /// Sets a soft wall-clock deadline for [`System::try_run`].
     ///
     /// The clock starts when `try_run` is entered. The deadline is polled
-    /// at batch granularity (every 8192 cycles) to keep `Instant::now`
-    /// calls off the per-cycle hot path, so the run can overshoot `limit`
-    /// by one batch of work before aborting with
-    /// [`SimAbort::DeadlineExceeded`].
+    /// once per batch of 8192 run loop iterations, to keep `Instant::now`
+    /// calls off the hot path, so the run can overshoot `limit` by one
+    /// batch of work before aborting with [`SimAbort::DeadlineExceeded`].
     pub fn with_time_limit(mut self, limit: Duration) -> Self {
         self.deadline = Some(limit);
         self
@@ -194,7 +249,7 @@ impl System {
     /// Attaches a seeded [`ChaosInjector`] that perturbs the run live (see
     /// the [`chaos`](crate::chaos) module for the taxonomy).
     ///
-    /// Chaos runs step every cycle — the quiescent fast-forward is
+    /// Chaos runs step every core every cycle — the fast-forward is
     /// disabled, because a jumped-over window would make the perturbation
     /// schedule depend on the optimizer instead of the plan. Deliberately
     /// *not* bit-for-bit comparable to a chaos-free run; determinism in
@@ -288,20 +343,32 @@ impl System {
             };
             let mut all_done = true;
             for i in 0..self.cores.len() {
-                if !self.cores[i].is_done() {
-                    if bubbled == Some(i) {
-                        // Stall-bubble chaos: the core is frozen this cycle
-                        // but still counts as unfinished, so the run waits
-                        // out the (bounded) window.
-                        all_done = false;
-                        continue;
-                    }
-                    let done =
-                        self.cores[i].step(self.now, &mut self.mem, self.sources[i].as_mut());
-                    all_done &= done;
+                if self.cores[i].is_done() {
+                    continue;
+                }
+                // A sleeping core, or one frozen by a chaos stall bubble,
+                // still counts as unfinished, so the run waits for it.
+                if self.sleep[i].wake > self.now || bubbled == Some(i) {
+                    all_done = false;
+                    continue;
+                }
+                self.catch_up(i, self.now);
+                let done = self.cores[i].step(self.now, &mut self.mem, self.sources[i].as_mut());
+                all_done &= done;
+                if self.fast_forward {
+                    self.sleep[i] = if done {
+                        Sleep::FINISHED
+                    } else {
+                        self.schedule(i)
+                    };
                 }
             }
             if !self.mem_stats_reset && self.cores.iter().all(|c| c.is_warmed()) {
+                // The reset wipes the L1 counters that sleepers' deferred
+                // retries feed: replay those through this cycle first.
+                for i in 0..self.cores.len() {
+                    self.catch_up(i, self.now + 1);
+                }
                 self.mem.reset_stats();
                 self.mem_stats_reset = true;
                 self.measure_start = self.now;
@@ -310,7 +377,7 @@ impl System {
                 break;
             }
             self.now = if self.fast_forward {
-                self.advance_quiescent()
+                self.next_event()
             } else {
                 self.now + 1
             };
@@ -345,84 +412,79 @@ impl System {
 }
 
 impl System {
-    /// Computes the next cycle to simulate after `self.now`, jumping over
-    /// cycles on which the machine is provably quiescent.
-    ///
-    /// The machine is quiescent when every core is finished, blocked on a
-    /// full ROB, or re-stalling on the same structural hazard — then
-    /// nothing can change before the earliest of: the next fill landing,
-    /// the next in-order retirement, or the next LSQ slot freeing. The
-    /// skipped cycles are not free, though: a stalled core retries its
-    /// access every cycle, with observable side effects (access counters,
-    /// recency stamps, bank-port reservations, dependency-wait
-    /// accounting). Those retries deterministically fail inside the
-    /// window, so their effects are replayed in closed form — keeping
-    /// results bit-for-bit identical to stepping every cycle.
-    fn advance_quiescent(&mut self) -> u64 {
+    /// Decides when core `i`, just stepped at `self.now` and unfinished,
+    /// must next be stepped (see the module docs for the rules).
+    fn schedule(&mut self, i: usize) -> Sleep {
         let next = self.now + 1;
-        let mut wake = self.mem.next_fill_ready().unwrap_or(u64::MAX);
-        let mut llc_stalls = 0usize;
-        for i in 0..self.cores.len() {
-            match self.usable_plan(i, next) {
-                Some(plan) => {
-                    wake = wake.min(plan.wake);
-                    if let Some(retry) = &plan.retry {
-                        if retry.mem && self.mem.stall_level(i) == StallLevel::Llc {
-                            llc_stalls += 1;
-                        }
-                    }
-                }
-                None => {
-                    // An active core can still be skipped over — "op
-                    // cranked" — while its stream head is a run of ops:
-                    // those cycles touch nothing but its own ROB.
-                    let ops = self.sources[i].peek_ops();
-                    let k = self.cores[i].op_crank_cycles(ops);
-                    if k == 0 {
-                        return next; // real work next cycle: step it
-                    }
-                    wake = wake.min(next + k);
-                }
+        let mut sleep = Sleep {
+            wake: next,
+            from: next,
+            retry: None,
+        };
+        // A ROB-full core whose head retires next cycle, with no retry to
+        // replay, is active — the throughput-bound regime the op crank
+        // handles.
+        match self.cores[i]
+            .quiescent_plan(self.now)
+            .filter(|p| p.retry.is_some() || p.wake > next)
+        {
+            Some(plan) => {
+                sleep.retry = plan.retry;
+                sleep.wake = match plan.retry {
+                    Some(retry) if retry.mem => match self.mem.stall_level(i) {
+                        StallLevel::L1 => self
+                            .mem
+                            .next_l1_fill(i)
+                            .map_or(next, |fill| plan.wake.min(fill)),
+                        // Its retries reserve shared LLC banks every cycle:
+                        // never sleeps.
+                        StallLevel::Llc => next,
+                    },
+                    _ => plan.wake,
+                };
             }
-        }
-        // Several cores stalled on LLC MSHRs interleave at the shared LLC
-        // banks every cycle; replaying that interleaving in closed form is
-        // not worth the complexity, so step those (rare) windows normally.
-        if llc_stalls > 1 || wake <= next || wake == u64::MAX {
-            return next;
-        }
-        let skipped = wake - next;
-        for i in 0..self.cores.len() {
-            match self.usable_plan(i, next) {
-                Some(plan) => {
-                    if let Some(retry) = plan.retry {
-                        self.cores[i].apply_retirements(next, wake);
-                        self.cores[i].apply_stall_cycles(next, skipped);
-                        if retry.mem {
-                            let first = next.max(retry.dep_ready);
-                            self.mem
-                                .apply_stalled_retries(i, retry.block, first, skipped);
-                        }
-                    }
-                }
-                None => {
-                    let consumed = self.cores[i].apply_op_crank(next, wake);
+            None => {
+                // While the stream head is a run of ops, the next `k`
+                // cycles touch nothing but this core's ROB: crank them now.
+                let ops = self.sources[i].peek_ops();
+                let k = self.cores[i].op_crank_cycles(ops);
+                if k > 0 {
+                    sleep.wake = next + k;
+                    let consumed = self.cores[i].apply_op_crank(next, sleep.wake);
                     let taken = self.sources[i].take_ops(consumed);
                     debug_assert_eq!(taken, consumed, "op run shorter than peeked");
                 }
             }
         }
-        wake
+        sleep
     }
 
-    /// The core's quiescent plan, if it describes a real skippable window.
-    /// A ROB-full core whose head retires immediately (`wake <= next`,
-    /// no retry to replay) is treated as active instead — it is exactly
-    /// the throughput-bound regime the op crank handles.
-    fn usable_plan(&self, i: usize, next: u64) -> Option<crate::core_model::CorePlan> {
-        self.cores[i]
-            .quiescent_plan(self.now)
-            .filter(|p| p.retry.is_some() || p.wake > next)
+    /// Replays core `i`'s deferred retries for the cycles it slept through
+    /// before `until`. Each retry deterministically fails at the core's
+    /// private L1 MSHR check or its LSQ, so the effects are closed-form.
+    fn catch_up(&mut self, i: usize, until: u64) {
+        let sleep = &mut self.sleep[i];
+        let Some(retry) = sleep.retry else {
+            return;
+        };
+        let from = sleep.from;
+        if until <= from {
+            return;
+        }
+        sleep.from = until;
+        let skipped = until - from;
+        self.cores[i].apply_retirements(from, until);
+        self.cores[i].apply_stall_cycles(from, skipped);
+        if retry.mem {
+            self.mem
+                .apply_stalled_retries(i, retry.block, from.max(retry.dep_ready), skipped);
+        }
+    }
+
+    /// The next cycle anything happens: a fill lands or a core is due.
+    fn next_event(&self) -> u64 {
+        let fill = self.mem.next_fill_ready().unwrap_or(u64::MAX);
+        self.sleep.iter().fold(fill, |t, s| t.min(s.wake))
     }
 }
 
@@ -647,6 +709,63 @@ mod tests {
             let slow = build(false).run();
             assert_eq!(fast, slow, "fast-forward diverged on source shape {si}");
         }
+    }
+
+    /// Loads that miss the 8 KB tiny L1 but hit the LLC: a 16 KB working
+    /// set walked over and over. One load in eight keeps the core off its
+    /// MSHR and ROB limits, so its LLC lookups land on arbitrary cycles
+    /// rather than just after fills.
+    fn llc_hit_source(core: usize) -> Box<dyn InstrSource> {
+        let mut next = 0u64;
+        let base = (core as u64) << 40;
+        Box::new(move || {
+            next += 1;
+            if next.is_multiple_of(8) {
+                Instr::Load {
+                    pc: Pc::new(0x600),
+                    addr: Addr::new(base + (next / 8 % 256) * 64),
+                    dep: None,
+                }
+            } else {
+                Instr::Op
+            }
+        })
+    }
+
+    /// A core stalled on LLC MSHRs never sleeps: its retries reserve the
+    /// shared LLC banks every cycle, which the LLC-hitting core sees in
+    /// its lookup latencies. Six LLC MSHRs make such stalls common. Were
+    /// LLC-stalled cores to sleep until the next fill, this mix would
+    /// diverge, because the LLC-hitting core also looks up between fills.
+    #[test]
+    fn fast_forward_is_bit_for_bit_under_llc_mshr_stalls() {
+        let mut cfg = SystemConfig::tiny().with_cores(4);
+        cfg.llc.mshrs = 6;
+        cfg.llc_mshrs_reserved_for_demand = 1;
+        type SourceShape = fn(usize) -> Box<dyn InstrSource>;
+        let shapes: [SourceShape; 4] =
+            [store_source, llc_hit_source, streaming_source, chase_source];
+        let build = |ff: bool| {
+            System::new(
+                cfg,
+                shapes.iter().enumerate().map(|(i, make)| make(i)).collect(),
+                vec![
+                    Box::new(NextLinePrefetcher::new(4)),
+                    Box::new(NoPrefetcher),
+                    Box::new(NoPrefetcher),
+                    Box::new(NoPrefetcher),
+                ],
+                20_000,
+            )
+            .with_fast_forward(ff)
+        };
+        let fast = build(true).run();
+        let slow = build(false).run();
+        assert!(
+            fast.llc.demand_mshr_stalls > 0,
+            "the LLC MSHRs must run out"
+        );
+        assert_eq!(fast, slow);
     }
 
     /// Same equivalence through a warmup window, where the measurement

@@ -3,7 +3,10 @@
 
 use bingo_repro::baselines::{Bop, BopConfig, Sms, Vldp, VldpConfig};
 use bingo_repro::prefetcher::{Bingo, BingoConfig};
-use bingo_repro::sim::{CoverageReport, NoPrefetcher, Prefetcher, SimResult, System, SystemConfig};
+use bingo_repro::sim::{
+    Addr, CoverageReport, Instr, InstrSource, NextLinePrefetcher, NoPrefetcher, Pc, Prefetcher,
+    SimResult, System, SystemConfig, TelemetryLevel, ThrottleMode,
+};
 use bingo_repro::trace::capture_source;
 use bingo_repro::workloads::{TraceWorkload, Workload};
 
@@ -158,8 +161,8 @@ fn mix_workloads_assign_different_programs_per_core() {
     );
 }
 
-/// The quiescent fast-forward — including the op-crank over the
-/// run-length-encoded workload streams — must be unobservable on the
+/// The fast-forward — per-core sleeping, including the op-crank over
+/// the run-length-encoded workload streams — must be unobservable on the
 /// real workload suite: identical `SimResult`s with it on and off.
 /// (The closure-source equivalence tests in `bingo-sim` never exercise
 /// the crank, because closures report no op runs; `WorkloadSource` does.)
@@ -181,6 +184,90 @@ fn fast_forward_is_bit_for_bit_on_real_workloads() {
         let slow = build(false).run();
         assert_eq!(fast, slow, "fast-forward diverged on {w}");
     }
+
+    // A heterogeneous mix under constrained memory, throttled, with
+    // telemetry on: cores finish and throttle levels move while other
+    // cores sleep. Next-line prefetchers issue from the first access, so
+    // the ladders move within these short budgets (Bingo would still be
+    // training).
+    let mut cfg = SystemConfig::paper();
+    cfg.dram.channels = 1;
+    cfg.dram.transfer_cycles = 28;
+    cfg.prefetch_queue_depth = Some(16);
+    let mix = [
+        Workload::Em3d,
+        Workload::StressStorm,
+        Workload::Streaming,
+        Workload::StressChase,
+    ];
+    for mode in [ThrottleMode::Feedback, ThrottleMode::Percore] {
+        let build = |ff: bool| {
+            System::new_heterogeneous(
+                cfg,
+                (0..4)
+                    .map(|core| mix[core].source_for_core(core, 42))
+                    .collect(),
+                (0..4)
+                    .map(|_| Box::new(NextLinePrefetcher::new(4)) as Box<dyn Prefetcher>)
+                    .collect(),
+                &[60_000, 20_000, 45_000, 10_000],
+            )
+            .with_warmup(15_000)
+            .with_throttle(mode)
+            .with_telemetry(TelemetryLevel::Counts)
+            .with_fast_forward(ff)
+        };
+        let fast = build(true).run();
+        let slow = build(false).run();
+        assert!(fast.telemetry.is_some(), "{mode:?}: telemetry attached");
+        if let Some(qos) = &fast.qos {
+            assert!(
+                qos.cores.iter().any(|c| c.degrades > 0),
+                "some per-core ladder must move"
+            );
+        }
+        assert_eq!(
+            fast, slow,
+            "fast-forward diverged on the heterogeneous mix under {mode:?}"
+        );
+    }
+}
+
+/// Sequential 8-byte stores: eight merge into one in-flight block, so the
+/// 16-entry LSQ of the tiny configuration fills long before the L1 MSHRs
+/// do. A core stalled on its LSQ sleeps until its oldest store
+/// completes; waking it any later shows up here.
+#[test]
+fn fast_forward_is_bit_for_bit_on_lsq_stalls() {
+    let cfg = SystemConfig::tiny().with_cores(2);
+    let build = |ff: bool| {
+        let mut next = 0u64;
+        let stores: Box<dyn InstrSource> = Box::new(move || {
+            next += 1;
+            Instr::Store {
+                pc: Pc::new(0x500),
+                addr: Addr::new(next * 8),
+            }
+        });
+        System::with_prefetchers(
+            cfg,
+            vec![stores, Workload::DataServing.source_for_core(1, 42)],
+            |_| Box::new(Bingo::new(BingoConfig::paper())) as Box<dyn Prefetcher>,
+            30_000,
+        )
+        .with_fast_forward(ff)
+    };
+    let fast = build(true).run();
+    let slow = build(false).run();
+    assert_eq!(fast, slow, "fast-forward diverged under LSQ stalls");
+    // Every MSHR stall is also a dispatch stall; core 0 stalling more
+    // often than all MSHR stalls together proves it stalled on its LSQ.
+    let mshr_stalls = fast.l1d.demand_mshr_stalls + fast.llc.demand_mshr_stalls;
+    assert!(
+        fast.cores[0].dispatch_stall_cycles > mshr_stalls,
+        "core 0 must stall on its LSQ ({} dispatch stalls, {mshr_stalls} MSHR stalls)",
+        fast.cores[0].dispatch_stall_cycles
+    );
 }
 
 /// The same equivalence on replayed `.btrc` traces, whose op runs reach
