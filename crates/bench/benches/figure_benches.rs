@@ -11,10 +11,7 @@
 use std::hint::black_box;
 
 use bingo::EventKind;
-use bingo_bench::{
-    run_mix_configured, run_one, time_median, BenchWriter, MixAssignment, MixConfig,
-    PrefetcherKind, Pressure, RunScale,
-};
+use bingo_bench::{run_one, time_median, BenchWriter, PrefetcherKind, RunScale, RunSpec};
 use bingo_sim::{SystemConfig, TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
 
@@ -121,8 +118,8 @@ fn bench_fig8_grid(writer: &mut Option<BenchWriter>) {
     }
 }
 
-/// The multi-core trajectory: 2-core homogeneous mixes through the mix
-/// path (per-core front-ends, shared LLC/MSHR/DRAM) for every fig8
+/// The multi-core trajectory: 2-core homogeneous runs (per-core
+/// front-ends, shared LLC/MSHR/DRAM at the paper's sizing) for every fig8
 /// workload against the baseline and Bingo, so contention-grid speed is
 /// gated alongside the single-core grid.
 fn bench_fig8_2core(writer: &mut Option<BenchWriter>) {
@@ -131,31 +128,10 @@ fn bench_fig8_2core(writer: &mut Option<BenchWriter>) {
     let instrs = (cores as u64 * (scale.instructions_per_core + scale.warmup_per_core)) as f64;
     for w in Workload::ALL {
         for k in [PrefetcherKind::None, PrefetcherKind::Bingo] {
-            let mix = MixConfig {
-                name: "bench".to_string(),
-                cores: vec![
-                    MixAssignment {
-                        workload: w,
-                        prefetcher: k,
-                        scale_percent: 100,
-                    };
-                    cores
-                ],
-                ramp: None,
-            };
+            let mut spec = RunSpec::classic(scale, w, k, TelemetryLevel::Off, ThrottleMode::Off);
+            spec.slots.truncate(cores);
             let s = time_median(3, || {
-                black_box(
-                    run_mix_configured(
-                        &mix,
-                        cores,
-                        &Pressure::NONE,
-                        scale,
-                        None,
-                        TelemetryLevel::Off,
-                        ThrottleMode::Off,
-                    )
-                    .expect("bench mix cell completes"),
-                );
+                black_box(spec.run(None).expect("bench 2-core cell completes"));
             });
             let key = format!("fig8_2core/{}/{}", w.name(), k.name());
             let r = s.throughput_record(&key, instrs);

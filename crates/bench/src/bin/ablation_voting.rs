@@ -5,24 +5,26 @@
 //! ablation sweeps the threshold from aggressive-union (5%) to strict
 //! intersection (100%), confirming the paper's choice of 20%.
 
-use bingo_bench::{geometric_mean, mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{
+    geometric_mean, mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness,
+    PrefetcherKind, RunScale, RunSpec, Table,
+};
 use bingo_workloads::Workload;
 
 const THRESHOLDS: [f64; 6] = [0.05, 0.2, 0.35, 0.5, 0.75, 1.0];
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     // Threshold-major grid: all workloads of one threshold are contiguous.
-    let cells: Vec<_> = THRESHOLDS
+    let specs: Vec<RunSpec> = THRESHOLDS
         .iter()
         .flat_map(|&th| {
-            Workload::ALL
-                .into_iter()
-                .map(move |w| (w, PrefetcherKind::BingoVote(th)))
+            let kind = PrefetcherKind::BingoVote(th);
+            RunSpec::grid(scale, &Workload::ALL, &[kind], telemetry, throttle)
         })
         .collect();
-    let evals = harness.evaluate_grid(&cells);
+    let evals = ParallelHarness::from_env().evaluate(&specs);
     let mut t = Table::new(vec![
         "Vote threshold",
         "Perf gmean",

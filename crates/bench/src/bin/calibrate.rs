@@ -2,18 +2,22 @@
 //! coverage/speedup sanity for a few prefetchers. Not one of the paper's
 //! figures — a development tool for tuning the workload generators.
 
-use bingo_bench::{pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{
+    pct, telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale, RunSpec,
+    Table,
+};
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let kinds = [
         PrefetcherKind::Bingo,
         PrefetcherKind::Sms,
         PrefetcherKind::Bop,
     ];
-    let evals = harness.evaluate_all(&Workload::ALL, &kinds);
+    let specs = RunSpec::grid(scale, &Workload::ALL, &kinds, telemetry, throttle);
+    let evals = ParallelHarness::from_env().evaluate(&specs);
     let mut table = Table::new(vec![
         "Workload",
         "MPKI",

@@ -1,18 +1,20 @@
 //! Deep diagnostic for one workload+prefetcher pair (development tool).
 
-use bingo_bench::{ParallelHarness, PrefetcherKind, RunScale};
+use bingo_bench::{
+    telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale, RunSpec,
+};
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
-    let cells = [
-        (Workload::Em3d, PrefetcherKind::Ampm),
-        (Workload::DataServing, PrefetcherKind::Ampm),
-    ];
-    for e in harness.evaluate_grid(&cells) {
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
+    let workloads = [Workload::Em3d, Workload::DataServing];
+    let kind = PrefetcherKind::Ampm;
+    let specs = RunSpec::grid(scale, &workloads, &[kind], telemetry, throttle);
+    let evals = ParallelHarness::from_env().evaluate(&specs);
+    for (w, e) in workloads.iter().zip(evals) {
         let s = &e.result.llc;
-        println!("=== {} + {} ===", e.workload, e.kind.name());
+        println!("=== {w} + {} ===", kind.name());
         println!(
             "base: misses={} mpki={:.1} ipc={:.2} cycles={}",
             e.baseline.llc.demand_misses,

@@ -5,12 +5,15 @@
 //! The paper's result: aggressiveness buys a little performance and a lot
 //! of overprediction; Bingo still wins.
 
-use bingo_bench::{geometric_mean, mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{
+    geometric_mean, mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness,
+    PrefetcherKind, RunScale, RunSpec, Table,
+};
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let rows = [
         ("BOP-Orig", PrefetcherKind::Bop),
         ("BOP-Aggr", PrefetcherKind::BopAggressive),
@@ -21,11 +24,11 @@ fn main() {
         ("Bingo", PrefetcherKind::Bingo),
     ];
     // Kind-major grid: all workloads of one row are contiguous.
-    let cells: Vec<_> = rows
+    let specs: Vec<RunSpec> = rows
         .iter()
-        .flat_map(|&(_, k)| Workload::ALL.into_iter().map(move |w| (w, k)))
+        .flat_map(|&(_, k)| RunSpec::grid(scale, &Workload::ALL, &[k], telemetry, throttle))
         .collect();
-    let evals = harness.evaluate_grid(&cells);
+    let evals = ParallelHarness::from_env().evaluate(&specs);
     let mut t = Table::new(vec![
         "Prefetcher",
         "Perf gmean",

@@ -6,21 +6,21 @@
 //! probability is the fraction of history lookups that found an entry.
 
 use bingo::EventKind;
-use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{
+    mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale,
+    RunSpec, Table,
+};
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let kinds: Vec<PrefetcherKind> = EventKind::LONGEST_FIRST
         .into_iter()
         .map(PrefetcherKind::SingleEvent)
         .collect();
-    let cells: Vec<(Workload, PrefetcherKind)> = Workload::ALL
-        .iter()
-        .flat_map(|&w| kinds.iter().map(move |&k| (w, k)))
-        .collect();
-    let mut report = harness.try_evaluate_grid(&cells);
+    let specs = RunSpec::grid(scale, &Workload::ALL, &kinds, telemetry, throttle);
+    let mut report = ParallelHarness::from_env().try_evaluate(&specs);
     // A renamed counter must fail the figure by name, not plot as zero.
     report.require_metrics(&["lookups", "matches"]);
     let evals = report.into_complete();

@@ -5,14 +5,18 @@
 //! The paper's takeaway: the step from one to two events is large, and
 //! returns diminish beyond two — which is why Bingo uses exactly two.
 
-use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{
+    mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale,
+    RunSpec, Table,
+};
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let kinds: Vec<PrefetcherKind> = (1..=5).map(PrefetcherKind::MultiEvent).collect();
-    let evals = harness.evaluate_all(&Workload::ALL, &kinds);
+    let specs = RunSpec::grid(scale, &Workload::ALL, &kinds, telemetry, throttle);
+    let evals = ParallelHarness::from_env().evaluate(&specs);
     let mut t = Table::new(vec!["Events", "Coverage", "Accuracy"]);
     for (j, n) in (1..=5).enumerate() {
         let mut covs = Vec::new();

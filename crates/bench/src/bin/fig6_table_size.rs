@@ -1,19 +1,23 @@
 //! Figure 6 — Bingo's miss coverage as a function of history-table entries
 //! (1K to 64K), per workload. The paper picks 16K entries as the knee.
 
-use bingo_bench::{pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{
+    pct, telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale, RunSpec,
+    Table,
+};
 use bingo_workloads::Workload;
 
 const SIZES: [usize; 7] = [1024, 2048, 4096, 8192, 16384, 32768, 65536];
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let kinds: Vec<PrefetcherKind> = SIZES
         .into_iter()
         .map(PrefetcherKind::BingoEntries)
         .collect();
-    let evals = harness.evaluate_all(&Workload::ALL, &kinds);
+    let specs = RunSpec::grid(scale, &Workload::ALL, &kinds, telemetry, throttle);
+    let evals = ParallelHarness::from_env().evaluate(&specs);
     let mut header = vec!["Workload".to_string()];
     header.extend(SIZES.iter().map(|s| format!("{}K", s / 1024)));
     let mut t = Table::new(header);

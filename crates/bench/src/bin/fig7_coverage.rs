@@ -4,13 +4,18 @@
 //! The paper reports Bingo covering >63% of misses on average, 8% above
 //! the second-best prefetcher, with overprediction on par with the rest.
 
-use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{
+    mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale,
+    RunSpec, Table,
+};
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
-    let evals = harness.evaluate_all(&Workload::ALL, &PrefetcherKind::HEADLINE);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
+    let kinds = PrefetcherKind::HEADLINE;
+    let specs = RunSpec::grid(scale, &Workload::ALL, &kinds, telemetry, throttle);
+    let evals = ParallelHarness::from_env().evaluate(&specs);
     let mut t = Table::new(vec![
         "Workload",
         "Prefetcher",
@@ -19,15 +24,15 @@ fn main() {
         "Accuracy",
         "Timeliness",
     ]);
-    let mut avg: Vec<(String, Vec<f64>, Vec<f64>)> = PrefetcherKind::HEADLINE
+    let mut avg: Vec<(String, Vec<f64>, Vec<f64>)> = kinds
         .iter()
         .map(|k| (k.name(), Vec::new(), Vec::new()))
         .collect();
     for (idx, e) in evals.iter().enumerate() {
-        let i = idx % PrefetcherKind::HEADLINE.len();
+        let i = idx % kinds.len();
         t.row(vec![
-            e.workload.name().to_string(),
-            e.kind.name(),
+            Workload::ALL[idx / kinds.len()].name().to_string(),
+            kinds[i].name(),
             pct(e.coverage.coverage),
             pct(e.coverage.overprediction),
             pct(e.coverage.accuracy),

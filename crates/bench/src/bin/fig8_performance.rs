@@ -4,13 +4,23 @@
 //! The paper reports Bingo at +60% gmean (11% in Zeus to 285% in em3d),
 //! 11% above the best prior spatial prefetcher.
 
-use bingo_bench::{geometric_mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{
+    geometric_mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind,
+    RunScale, RunSpec, Table,
+};
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
-    let evals = harness.evaluate_all(&Workload::ALL, &PrefetcherKind::HEADLINE);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
+    let specs = RunSpec::grid(
+        scale,
+        &Workload::ALL,
+        &PrefetcherKind::HEADLINE,
+        telemetry,
+        throttle,
+    );
+    let evals = ParallelHarness::from_env().evaluate(&specs);
     let mut header = vec!["Workload".to_string()];
     header.extend(PrefetcherKind::HEADLINE.iter().map(|k| k.name()));
     let mut t = Table::new(header);

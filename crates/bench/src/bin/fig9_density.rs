@@ -5,24 +5,25 @@
 //! less than 1% of the performance gain.
 
 use bingo_bench::{
-    geometric_mean, pct, AreaModel, ParallelHarness, PrefetcherKind, RunScale, Table,
+    geometric_mean, pct, telemetry_from_env, throttle_from_env, AreaModel, ParallelHarness,
+    PrefetcherKind, RunScale, RunSpec, Table,
 };
 use bingo_sim::SystemConfig;
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let area = AreaModel::default_14nm();
     let cfg = SystemConfig::paper();
     let llc_mb = cfg.llc.size_bytes as f64 / 1024.0 / 1024.0;
 
     // Kind-major grid: all workloads of one prefetcher are contiguous.
-    let cells: Vec<_> = PrefetcherKind::HEADLINE
+    let specs: Vec<RunSpec> = PrefetcherKind::HEADLINE
         .iter()
-        .flat_map(|&k| Workload::ALL.into_iter().map(move |w| (w, k)))
+        .flat_map(|&k| RunSpec::grid(scale, &Workload::ALL, &[k], telemetry, throttle))
         .collect();
-    let evals = harness.evaluate_grid(&cells);
+    let evals = ParallelHarness::from_env().evaluate(&specs);
 
     let mut t = Table::new(vec![
         "Prefetcher",

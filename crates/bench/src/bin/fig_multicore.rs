@@ -11,10 +11,10 @@
 //! `configs/mixes/contention.mix`; grammar in `bingo_bench::mix`). Each
 //! selected mix runs at every core count of its `ramp` directive (or its
 //! declared core count when unramped) under every selected memory
-//! [`Pressure`] level, through
-//! [`ParallelHarness::try_evaluate_mix_grid`] — so mix cells and their
-//! per-slot solo runs parallelize, checkpoint (`BINGO_CHECKPOINT`), and
-//! export stats (`BINGO_STATS`) like every other sweep. Per (mix,
+//! [`Pressure`] level, through [`ParallelHarness::try_evaluate_mix`] — so
+//! mix cells and their per-slot solo runs parallelize, checkpoint
+//! (`BINGO_CHECKPOINT`), and export stats (`BINGO_STATS`) like every other
+//! sweep. Per (mix,
 //! pressure) the ramp becomes a [`CapacitySearch`]: aggregate IPC,
 //! min/max IPC fairness, worst per-core slowdown versus solo at each
 //! step, plus the capacity knee (the last core count whose added cores
@@ -34,10 +34,10 @@
 use std::path::PathBuf;
 
 use bingo_bench::{
-    f2, CapacityCell, CapacitySearch, MixCell, MixConfig, ParallelHarness, Pressure, RunScale,
-    Table,
+    f2, telemetry_from_env, throttle_from_env, CapacityCell, CapacitySearch, MixConfig,
+    ParallelHarness, Pressure, RunScale, RunSpec, Table,
 };
-use bingo_sim::{SimResult, TelemetryLevel, ThrottleMode};
+use bingo_sim::{TelemetryLevel, ThrottleMode};
 
 /// The mix the starvation experiment runs, when selected.
 const STARVATION_MIX: &str = "polite-vs-storm";
@@ -68,6 +68,7 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = RunScale::from_args();
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let config = flag_value(&args, "--config")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("configs/mixes/contention.mix"));
@@ -114,20 +115,18 @@ fn main() {
             .map(|r| r.steps())
             .unwrap_or_else(|| vec![mix.core_count()])
     };
-    let mut cells: Vec<MixCell> = Vec::new();
+    let mut specs: Vec<RunSpec> = Vec::new();
     for mix in &mixes {
         for &pressure in &pressures {
             for cores in steps_of(mix) {
-                cells.push(MixCell {
-                    mix: mix.clone(),
-                    cores,
-                    pressure,
-                });
+                specs.push(RunSpec::mix(
+                    scale, mix, cores, pressure, telemetry, throttle,
+                ));
             }
         }
     }
-    let mut harness = ParallelHarness::new(scale);
-    let evals = harness.try_evaluate_mix_grid(&cells).into_complete();
+    let mut harness = ParallelHarness::from_env();
+    let evals = harness.evaluate_mix(&specs);
 
     // Regroup the flat evaluations into per-(mix, pressure) searches.
     let mut searches: Vec<CapacitySearch> = Vec::new();
@@ -141,7 +140,7 @@ fn main() {
                     let e = &evals[idx];
                     idx += 1;
                     CapacityCell {
-                        cores: e.cores,
+                        cores: e.spec.slots.len(),
                         fairness: e.fairness.clone(),
                     }
                 })
@@ -192,7 +191,7 @@ fn main() {
     let starvation = mixes
         .iter()
         .find(|m| m.name == STARVATION_MIX)
-        .map(|mix| starvation_experiment(mix, scale));
+        .map(|mix| starvation_experiment(&mut harness, mix, scale, telemetry));
 
     let mut report_lines: Vec<String> = searches.iter().map(CapacitySearch::to_json).collect();
     if let Some(line) = &starvation {
@@ -213,23 +212,22 @@ fn main() {
 
 /// Runs the throttle-starvation experiment and returns its report JSON
 /// line: `polite-vs-storm` at 2 cores under `constrained` pressure,
-/// throttle off versus chip-wide feedback.
-fn starvation_experiment(mix: &MixConfig, scale: RunScale) -> String {
+/// throttle off versus chip-wide feedback (the throttle mode is the
+/// experiment's variable, so the environment's mode does not apply).
+fn starvation_experiment(
+    harness: &mut ParallelHarness,
+    mix: &MixConfig,
+    scale: RunScale,
+    telemetry: TelemetryLevel,
+) -> String {
     let pressure = Pressure::CONSTRAINED;
-    let run = |throttle: ThrottleMode| -> SimResult {
-        bingo_bench::run_mix_configured(
-            mix,
-            2,
-            &pressure,
-            scale,
-            None,
-            TelemetryLevel::Off,
-            throttle,
-        )
-        .unwrap_or_else(|e| panic!("starvation cell aborted: {e}"))
-    };
-    let off = run(ThrottleMode::Off);
-    let feedback = run(ThrottleMode::Feedback);
+    let specs = [ThrottleMode::Off, ThrottleMode::Feedback]
+        .map(|throttle| RunSpec::mix(scale, mix, 2, pressure, telemetry, throttle));
+    let [off, feedback]: [_; 2] = harness
+        .try_run(&specs)
+        .into_complete()
+        .try_into()
+        .expect("two arms in, two results out");
     let polite = (off.core_ipcs()[0], feedback.core_ipcs()[0]);
     let storm = (off.core_ipcs()[1], feedback.core_ipcs()[1]);
     let polite_ratio = polite.1 / polite.0;

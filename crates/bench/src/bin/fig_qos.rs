@@ -28,8 +28,10 @@
 
 use std::path::PathBuf;
 
-use bingo_bench::{f2, run_mix_qos, MixConfig, Pressure, RunScale, Table};
-use bingo_sim::{ChaosInjector, ChaosPlan, SimResult, ThrottleMode};
+use bingo_bench::{
+    f2, telemetry_from_env, MixConfig, ParallelHarness, Pressure, RunScale, RunSpec, Table,
+};
+use bingo_sim::{ChaosPlan, SimResult, ThrottleMode};
 
 /// The mix every arm runs: one streaming core behind Bingo, one
 /// stress-storm core whose prefetches are mostly waste.
@@ -56,6 +58,9 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = RunScale::from_args();
+    // The throttle mode is this figure's variable, so only the telemetry
+    // knob is read from the environment.
+    let telemetry = telemetry_from_env();
     let config = flag_value(&args, "--config")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("configs/mixes/contention.mix"));
@@ -73,15 +78,29 @@ fn main() {
     let qos_slo = bingo_bench::qos_slo_from_env();
     let chaos_seed = bingo_bench::chaos_seed_from_env();
 
-    let run = |throttle: ThrottleMode, chaos: Option<ChaosInjector>| -> SimResult {
-        run_mix_qos(mix, 2, &pressure, scale, None, throttle, qos_slo, chaos)
-            .unwrap_or_else(|e| panic!("qos cell aborted: {e}"))
+    let spec = |throttle: ThrottleMode, chaos: Option<ChaosPlan>| RunSpec {
+        qos_slo,
+        chaos,
+        ..RunSpec::mix(scale, mix, 2, pressure, telemetry, throttle)
     };
 
-    // Calm arms: the starvation comparison.
-    let off = run(ThrottleMode::Off, None);
-    let feedback = run(ThrottleMode::Feedback, None);
-    let percore = run(ThrottleMode::Percore, None);
+    // Calm arms (the starvation comparison), then the chaos cell: same
+    // mix, standard perturbation schedule, percore throttle versus
+    // throttle-off under identical chaos. The chaos cell is part of the
+    // committed figure, so it runs unless `BINGO_CHAOS=off` skips it.
+    let mut specs = vec![
+        spec(ThrottleMode::Off, None),
+        spec(ThrottleMode::Feedback, None),
+        spec(ThrottleMode::Percore, None),
+    ];
+    let with_chaos = bingo_bench::chaos_from_env();
+    if with_chaos {
+        let plan = ChaosPlan::standard(chaos_seed);
+        specs.push(spec(ThrottleMode::Off, Some(plan.clone())));
+        specs.push(spec(ThrottleMode::Percore, Some(plan)));
+    }
+    let results = ParallelHarness::from_env().try_run(&specs).into_complete();
+    let (off, feedback, percore) = (&results[0], &results[1], &results[2]);
 
     // "Aggregate" follows the mix-fairness convention (and PR 8's
     // published starvation verdict): the sum of per-core IPCs.
@@ -96,7 +115,7 @@ fn main() {
         feedback.core_ipcs()[1],
         percore.core_ipcs()[1],
     ];
-    let aggregate = [sum_ipc(&off), sum_ipc(&feedback), sum_ipc(&percore)];
+    let aggregate = [sum_ipc(off), sum_ipc(feedback), sum_ipc(percore)];
     let polite_ratio_feedback = polite[1] / polite[0];
     let polite_ratio_percore = polite[2] / polite[0];
 
@@ -145,18 +164,8 @@ fn main() {
         qos.watchdog_exempted
     );
 
-    // Chaos cell: same mix, standard perturbation schedule, percore
-    // throttle versus throttle-off under identical chaos. Part of the
-    // committed figure, so it runs unless `BINGO_CHAOS=off` skips it.
-    let chaos_cell = if bingo_bench::chaos_from_env() {
-        let chaos_off = run(
-            ThrottleMode::Off,
-            Some(ChaosInjector::new(ChaosPlan::standard(chaos_seed))),
-        );
-        let chaos_percore = run(
-            ThrottleMode::Percore,
-            Some(ChaosInjector::new(ChaosPlan::standard(chaos_seed))),
-        );
+    let chaos_cell = if with_chaos {
+        let (chaos_off, chaos_percore) = (&results[3], &results[4]);
         let chaos_polite_ratio = chaos_percore.core_ipcs()[0] / chaos_off.core_ipcs()[0];
         println!("\nChaos cell (standard schedule, seed {chaos_seed:#x}):");
         let mut t = Table::new(vec!["Throttle", "Polite IPC", "Storm IPC", "Agg IPC"]);
@@ -164,13 +173,13 @@ fn main() {
             "off".to_string(),
             f2(chaos_off.core_ipcs()[0]),
             f2(chaos_off.core_ipcs()[1]),
-            f2(sum_ipc(&chaos_off)),
+            f2(sum_ipc(chaos_off)),
         ]);
         t.row(vec![
             "percore".to_string(),
             f2(chaos_percore.core_ipcs()[0]),
             f2(chaos_percore.core_ipcs()[1]),
-            f2(sum_ipc(&chaos_percore)),
+            f2(sum_ipc(chaos_percore)),
         ]);
         println!("{}", t.render());
         Some((chaos_off, chaos_percore, chaos_polite_ratio))

@@ -14,7 +14,10 @@
 //! Pass `--workload <name>` (repeatable) to restrict the sweep — the CI
 //! smoke job runs a single cheap workload this way.
 
-use bingo_bench::{f2, mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{
+    f2, mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind,
+    RunScale, RunSpec, Table,
+};
 use bingo_sim::{SourceCounters, TelemetryLevel, TelemetryReport};
 use bingo_workloads::Workload;
 
@@ -74,13 +77,16 @@ fn source_timeliness(c: &SourceCounters) -> f64 {
 
 fn main() {
     let scale = RunScale::from_args();
+    let telemetry = match telemetry_from_env() {
+        TelemetryLevel::Off => TelemetryLevel::Counts,
+        level => level,
+    };
+    let throttle = throttle_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let workloads = parse_workloads(&args);
-    let mut harness = ParallelHarness::new(scale);
-    if !harness.telemetry().enabled() {
-        harness = harness.with_telemetry(TelemetryLevel::Counts);
-    }
-    let evals = harness.evaluate_all(&workloads, &PrefetcherKind::HEADLINE);
+    let kinds = PrefetcherKind::HEADLINE;
+    let specs = RunSpec::grid(scale, &workloads, &kinds, telemetry, throttle);
+    let evals = ParallelHarness::from_env().evaluate(&specs);
 
     let mut t = Table::new(vec![
         "Workload",
@@ -94,15 +100,14 @@ fn main() {
         "Dropped",
         "Fill lat",
     ]);
-    let mut timeliness_by_kind: Vec<(String, Vec<f64>)> = PrefetcherKind::HEADLINE
-        .iter()
-        .map(|k| (k.name(), Vec::new()))
-        .collect();
+    let mut timeliness_by_kind: Vec<(String, Vec<f64>)> =
+        kinds.iter().map(|k| (k.name(), Vec::new())).collect();
+    let workload_of = |idx: usize| workloads[idx / kinds.len()].name().to_string();
     for (idx, e) in evals.iter().enumerate() {
         let r = report(e);
         t.row(vec![
-            e.workload.name().to_string(),
-            e.kind.name(),
+            workload_of(idx),
+            kinds[idx % kinds.len()].name(),
             pct(e.coverage.coverage),
             pct(r.accuracy()),
             pct(r.timeliness()),
@@ -112,9 +117,7 @@ fn main() {
             (r.dropped_duplicate + r.dropped_mshr).to_string(),
             f2(r.avg_fill_latency()),
         ]);
-        timeliness_by_kind[idx % PrefetcherKind::HEADLINE.len()]
-            .1
-            .push(r.timeliness());
+        timeliness_by_kind[idx % kinds.len()].1.push(r.timeliness());
     }
     for (name, vals) in &timeliness_by_kind {
         t.row(vec![
@@ -138,10 +141,13 @@ fn main() {
         "Accuracy",
         "Timeliness",
     ]);
-    for e in evals.iter().filter(|e| e.kind == PrefetcherKind::Bingo) {
+    for (idx, e) in evals.iter().enumerate() {
+        if kinds[idx % kinds.len()] != PrefetcherKind::Bingo {
+            continue;
+        }
         for (label, c) in &report(e).by_source {
             s.row(vec![
-                e.workload.name().to_string(),
+                workload_of(idx),
                 label.clone(),
                 c.issued.to_string(),
                 pct(c.accuracy()),

@@ -5,11 +5,11 @@
 //! fig_traces [--traces DIR] [--workload NAME]... [--quick]
 //! ```
 //!
-//! Missing captures are recorded on the fly into `DIR` (default
-//! `target/traces/`, the `trace_capture` tool's default) at the current
-//! [`RunScale`], then the (trace × prefetcher) grid runs through
-//! [`ParallelHarness::evaluate_trace_grid`] with per-trace no-prefetcher
-//! baselines. Because capture and replay are bit-for-bit (see the
+//! Missing captures, and captures too short for the current [`RunScale`]
+//! (they would wrap during replay), are recorded on the fly into `DIR`
+//! (default `target/traces/`, the `trace_capture` tool's default); then
+//! the (trace × prefetcher) grid runs through
+//! [`ParallelHarness::evaluate`] with per-trace no-prefetcher baselines. Because capture and replay are bit-for-bit (see the
 //! `trace_capture --verify` round trip), the numbers here match the
 //! generator-driven Fig. 7/8 sweeps at the same scale — what the figure
 //! *adds* is the ingestion evidence: every row reports how many records
@@ -19,14 +19,12 @@
 use std::path::PathBuf;
 
 use bingo_bench::{
-    geometric_mean, pct, trace_chunk_from_env, ParallelHarness, PrefetcherKind, RunScale, Table,
+    ensure_capture, geometric_mean, pct, telemetry_from_env, throttle_from_env,
+    trace_chunk_from_env, ParallelHarness, PrefetcherKind, RunScale, RunSpec, Table, CAPTURE_SLACK,
 };
 use bingo_sim::SystemConfig;
 use bingo_trace::DEFAULT_CHUNK_RECORDS;
-use bingo_workloads::{capture_workload, TraceWorkload, Workload};
-
-/// Fetch-ahead slack appended to each capture (see `trace_capture`).
-const CAPTURE_SLACK: u64 = 256;
+use bingo_workloads::{TraceWorkload, Workload};
 
 fn parse_workloads(args: &[String]) -> Vec<Workload> {
     let mut picked = Vec::new();
@@ -75,6 +73,7 @@ fn parse_traces_dir(args: &[String]) -> PathBuf {
 
 fn main() {
     let scale = RunScale::from_args();
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let args: Vec<String> = std::env::args().skip(1).collect();
     let workloads = parse_workloads(&args);
     let root = parse_traces_dir(&args);
@@ -86,19 +85,21 @@ fn main() {
         .iter()
         .map(|&w| {
             let dir = root.join(w.slug());
-            if TraceWorkload::open(&dir).is_err() {
-                eprintln!("[capture] recording {} -> {}", w.name(), dir.display());
-                capture_workload(w, cores, scale.seed, records, chunk, &dir).unwrap_or_else(|e| {
-                    panic!("capture of {} into {} failed: {e}", w.name(), dir.display())
-                });
-            }
-            TraceWorkload::open(&dir)
-                .unwrap_or_else(|e| panic!("opening capture {}: {e}", dir.display()))
+            ensure_capture(w, cores, scale.seed, records, chunk, &dir)
+                .unwrap_or_else(|e| panic!("capture of {} in {}: {e}", w.name(), dir.display()))
         })
         .collect();
 
-    let mut harness = ParallelHarness::new(scale);
-    let evals = harness.evaluate_trace_grid(&traces, &PrefetcherKind::HEADLINE);
+    let kinds = PrefetcherKind::HEADLINE;
+    let specs: Vec<RunSpec> = traces
+        .iter()
+        .flat_map(|t| {
+            kinds
+                .iter()
+                .map(move |&k| RunSpec::trace(scale, t, k, telemetry, throttle))
+        })
+        .collect();
+    let evals = ParallelHarness::from_env().evaluate(&specs);
 
     let mut t = Table::new(vec![
         "Trace",
@@ -109,10 +110,8 @@ fn main() {
         "Delivered",
         "Quarantined",
     ]);
-    let mut speedups_by_kind: Vec<(String, Vec<f64>)> = PrefetcherKind::HEADLINE
-        .iter()
-        .map(|k| (k.name(), Vec::new()))
-        .collect();
+    let mut speedups_by_kind: Vec<(String, Vec<f64>)> =
+        kinds.iter().map(|k| (k.name(), Vec::new())).collect();
     let mut quarantined_total = 0u64;
     for (idx, e) in evals.iter().enumerate() {
         let ingest = e
@@ -122,17 +121,15 @@ fn main() {
             .expect("trace replays attach an ingest report");
         quarantined_total += ingest.quarantined_records;
         t.row(vec![
-            e.trace.clone(),
-            e.kind.name(),
+            traces[idx / kinds.len()].name().to_string(),
+            kinds[idx % kinds.len()].name(),
             pct(e.coverage.coverage),
             pct(e.coverage.overprediction),
             format!("{:.3}x", e.speedup),
             ingest.delivered_records.to_string(),
             ingest.quarantined_records.to_string(),
         ]);
-        speedups_by_kind[idx % PrefetcherKind::HEADLINE.len()]
-            .1
-            .push(e.speedup);
+        speedups_by_kind[idx % kinds.len()].1.push(e.speedup);
     }
     for (name, vals) in &speedups_by_kind {
         t.row(vec![

@@ -41,9 +41,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bingo_bench::{
-    run_trace_cell, trace_cell_key, CellOutcome, PrefetcherKind, RunScale, StatsExport,
-};
+use bingo_bench::{ParallelHarness, PrefetcherKind, RunScale, RunSpec, StatsExport};
 use bingo_oracle::shrink_items;
 use bingo_sim::{IngestReport, Instr, TelemetryLevel, ThrottleMode};
 use bingo_trace::{
@@ -254,10 +252,10 @@ fn report_violation(
     ExitCode::FAILURE
 }
 
-/// End-to-end lenient replay of a corrupted image through the cell
-/// harness: must either complete with an ingest report (quarantine
-/// visible in the JSONL stats export) or fail as a contained cell with a
-/// loud message — never hang, never take down the process.
+/// End-to-end lenient replay of a corrupted image through the sweep
+/// engine: must either complete with an ingest report (quarantine
+/// visible in the engine's JSONL stats export) or fail as a contained
+/// cell with a loud message — never hang, never take down the process.
 fn check_lenient_sim(out: &Path, seed: u64, corrupted: &[u8]) -> Result<(), String> {
     let dir = out.join("sim-scratch").join(format!("seed{seed}"));
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
@@ -270,47 +268,35 @@ fn check_lenient_sim(out: &Path, seed: u64, corrupted: &[u8]) -> Result<(), Stri
         warmup_per_core: 500,
         seed,
     };
-    let outcome = run_trace_cell(
+    let stats_path = dir.join("stats.jsonl");
+    let stats = StatsExport::create(&stats_path)
+        .map_err(|e| format!("creating {}: {e}", stats_path.display()))?;
+    let spec = RunSpec::trace(
+        scale,
         &trace,
         PrefetcherKind::NextLine(1),
-        scale,
-        None,
         TelemetryLevel::Off,
         ThrottleMode::Off,
     );
-    let result = match outcome {
-        CellOutcome::Ok(result) => result,
+    let mut report = ParallelHarness::with_jobs(1)
+        .quiet()
+        .with_stats_export(stats)
+        .try_run(&[spec]);
+    let Some(result) = report.evaluations.pop().flatten() else {
+        let reason = &report.failures[0].reason;
         // A capture with zero decodable records has nothing to replay;
         // the designed failure is a loud, contained cell panic.
-        CellOutcome::Panicked { message } if message.contains("no decodable records") => {
+        if reason.contains("no decodable records") {
             std::fs::remove_dir_all(&dir).ok();
             return Ok(());
         }
-        CellOutcome::Panicked { message } => {
-            return Err(format!("lenient sim cell panicked: {message}"));
-        }
-        CellOutcome::TimedOut { limit } => {
-            return Err(format!("lenient sim timed out after {limit:?}"));
-        }
+        return Err(format!("lenient sim cell failed: {reason}"));
     };
     let ingest = result
         .ingest
         .as_ref()
         .ok_or("lenient sim completed without an ingest report")?;
     // The quarantine tally must survive into the machine-readable export.
-    let stats_path = dir.join("stats.jsonl");
-    let stats = StatsExport::create(&stats_path)
-        .map_err(|e| format!("creating {}: {e}", stats_path.display()))?;
-    let key = trace_cell_key(
-        scale,
-        &trace.key(),
-        PrefetcherKind::NextLine(1),
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    );
-    stats
-        .record(&key, &result)
-        .map_err(|e| format!("writing {}: {e}", stats_path.display()))?;
     let line = std::fs::read_to_string(&stats_path)
         .map_err(|e| format!("reading back {}: {e}", stats_path.display()))?;
     if !line.contains("\"ingest\"") {

@@ -22,13 +22,15 @@
 //!    anything about graceful degradation.
 //!
 //! `BINGO_PF_QUEUE` overrides every pressure level's prefetch-queue depth;
-//! `BINGO_STATS` exports each cell's full `SimResult` as JSON lines.
+//! `BINGO_STATS` exports each cell's full `SimResult` as JSON lines. The
+//! throttle mode is the experiment's variable, so `BINGO_THROTTLE` does
+//! not apply.
 
 use bingo_bench::{
-    default_jobs, f2, parallel_map, pf_queue_from_env, PrefetcherKind, Pressure, RunScale,
-    StatsExport, Table,
+    f2, pf_queue_from_env, telemetry_from_env, ParallelHarness, PrefetcherKind, Pressure, RunScale,
+    RunSpec, Table,
 };
-use bingo_sim::{SimResult, System, SystemConfig, ThrottleMode};
+use bingo_sim::ThrottleMode;
 use bingo_workloads::Workload;
 
 /// Half the paper's bandwidth, then roughly a quarter (the shared
@@ -48,59 +50,27 @@ const CONFIGS: [(&str, PrefetcherKind, ThrottleMode); 4] = [
 /// Tolerated IPC loss versus the prefetcher-off baseline.
 const TOLERANCE: f64 = 0.05;
 
-fn run_cell(
-    pressure: &Pressure,
-    workload: Workload,
-    kind: PrefetcherKind,
-    throttle: ThrottleMode,
-    scale: RunScale,
-) -> SimResult {
-    let mut cfg = SystemConfig::paper();
-    // Two cores keep the sweep fast; with a single channel at reduced
-    // bandwidth they contend plenty.
-    cfg.cores = 2;
-    pressure.apply(&mut cfg);
-    if let Some(depth) = pf_queue_from_env() {
-        cfg.prefetch_queue_depth = Some(depth);
-    }
-    let sources = workload.sources(cfg.cores, scale.seed);
-    System::with_prefetchers(cfg, sources, |_| kind.build(), scale.instructions_per_core)
-        .with_warmup(scale.warmup_per_core)
-        .with_throttle(throttle)
-        .run()
-}
-
 fn main() {
     let scale = RunScale::from_args();
-    let stats = StatsExport::from_env();
-    let cells: Vec<(usize, Workload, usize)> = PRESSURES
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, _)| {
-            Workload::STRESS
-                .into_iter()
-                .flat_map(move |w| (0..CONFIGS.len()).map(move |ci| (pi, w, ci)))
-        })
-        .collect();
-    let results = parallel_map(default_jobs(), cells.len(), |i| {
-        let (pi, workload, ci) = cells[i];
-        let (_, kind, throttle) = CONFIGS[ci];
-        run_cell(&PRESSURES[pi], workload, kind, throttle, scale)
-    });
-    if let Some(export) = &stats {
-        for (i, r) in results.iter().enumerate() {
-            let (pi, workload, ci) = cells[i];
-            let key = format!(
-                "stress/{}/{}/{}",
-                PRESSURES[pi].name,
-                workload.name(),
-                CONFIGS[ci].0
-            );
-            export
-                .record(&key, r)
-                .unwrap_or_else(|e| panic!("stats export failed: {e}"));
+    let telemetry = telemetry_from_env();
+    let queue = pf_queue_from_env();
+    let mut specs: Vec<RunSpec> = Vec::new();
+    for p in PRESSURES {
+        for w in Workload::STRESS {
+            for (_, kind, throttle) in CONFIGS {
+                let mut spec = RunSpec::classic(scale, w, kind, telemetry, throttle);
+                // Two cores keep the sweep fast; with a single channel at
+                // reduced bandwidth they contend plenty.
+                spec.slots.truncate(2);
+                spec.pressure = Pressure {
+                    queue: queue.or(p.queue),
+                    ..p
+                };
+                specs.push(spec);
+            }
         }
     }
+    let results = ParallelHarness::from_env().try_run(&specs).into_complete();
 
     let mut t = Table::new(vec![
         "Pressure",

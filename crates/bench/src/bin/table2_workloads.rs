@@ -1,16 +1,20 @@
 //! Table II — application parameters: baseline LLC MPKI of every workload
 //! (no prefetcher), compared against the paper's reported values.
 
-use bingo_bench::{ParallelHarness, RunScale, Table};
+use bingo_bench::{
+    telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale, RunSpec,
+    Table,
+};
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
-    harness.prime_baselines(&Workload::ALL);
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
+    let kinds = [PrefetcherKind::None];
+    let specs = RunSpec::grid(scale, &Workload::ALL, &kinds, telemetry, throttle);
+    let baselines = ParallelHarness::from_env().try_run(&specs).into_complete();
     let mut t = Table::new(vec!["Application", "Description", "MPKI", "Paper MPKI"]);
-    for w in Workload::ALL {
-        let base = harness.baseline(w);
+    for (w, base) in Workload::ALL.into_iter().zip(&baselines) {
         t.row(vec![
             w.name().to_string(),
             w.description().to_string(),

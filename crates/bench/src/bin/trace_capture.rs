@@ -22,17 +22,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bingo_bench::{
-    run_one, run_trace_one_configured, trace_chunk_from_env, PrefetcherKind, RunScale,
+    telemetry_from_env, throttle_from_env, trace_chunk_from_env, PrefetcherKind, RunScale, RunSpec,
+    CAPTURE_SLACK,
 };
-use bingo_sim::{SystemConfig, TelemetryLevel, ThrottleMode};
+use bingo_sim::SystemConfig;
 use bingo_trace::DEFAULT_CHUNK_RECORDS;
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
-
-/// Fetch-ahead slack appended to every per-core stream: cores fetch a
-/// handful of instructions past their retirement budget (stalled slots),
-/// so a capture sized exactly to the budget would wrap into a second
-/// replay pass and diverge from the live run.
-const CAPTURE_SLACK: u64 = 256;
 
 struct Args {
     out: PathBuf,
@@ -88,6 +83,7 @@ fn parse_args() -> Args {
 
 fn main() -> ExitCode {
     let scale = RunScale::from_args();
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let args = parse_args();
     let cores = SystemConfig::paper().cores;
     let records = scale.warmup_per_core + scale.instructions_per_core + CAPTURE_SLACK;
@@ -115,20 +111,18 @@ fn main() -> ExitCode {
         }
         let trace = TraceWorkload::open(&dir)
             .unwrap_or_else(|e| panic!("reopening capture {}: {e}", dir.display()));
-        let mut replayed = run_trace_one_configured(
-            &trace,
-            PrefetcherKind::None,
-            scale,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        )
-        .unwrap_or_else(|abort| panic!("replay of {} aborted: {abort}", dir.display()));
+        // Run directly, never from a checkpoint: this is the check.
+        let kind = PrefetcherKind::None;
+        let mut replayed = RunSpec::trace(scale, &trace, kind, telemetry, throttle)
+            .run(None)
+            .unwrap_or_else(|abort| panic!("replay of {} aborted: {abort}", dir.display()));
         let ingest = replayed
             .ingest
             .take()
             .expect("replay attaches an ingest report");
-        let live = run_one(w, PrefetcherKind::None, scale);
+        let live = RunSpec::classic(scale, w, kind, telemetry, throttle)
+            .run(None)
+            .unwrap_or_else(|abort| panic!("live run of {} aborted: {abort}", w.name()));
         if !ingest.is_clean() {
             eprintln!(
                 "VERIFY FAIL {}: fresh capture reported quarantine: {ingest}",

@@ -3,13 +3,17 @@
 //! A long sweep killed mid-run (OOM, ^C, node preemption) loses hours of
 //! finished cells. The checkpoint makes each cell's [`SimResult`] durable
 //! the moment it completes: one self-contained JSON line per cell, appended
-//! and flushed immediately, keyed by everything that determines the result
-//! — `(seed, instructions, warmup, workload, prefetcher kind)`. A resumed
-//! sweep pointed at the same file replays the finished cells from disk and
-//! only simulates the missing ones; because a cell's result is a pure
-//! function of its key (see the determinism notes in [`crate::runner`]),
-//! the resumed sweep is **bit-for-bit identical** to an uninterrupted one —
-//! test-locked by `resume_is_bit_for_bit_identical`.
+//! and flushed immediately by the worker that ran it, keyed by
+//! [`crate::RunSpec::key`] — every field of the run description (scale,
+//! machine, per-core slots, telemetry, throttle, chaos). A resumed sweep
+//! pointed at the same file replays the finished cells from disk and only
+//! simulates the missing ones; because a cell's result is a pure function
+//! of its key (see the determinism notes in [`crate::runner`]), the
+//! resumed sweep is **bit-for-bit identical** to an uninterrupted one —
+//! test-locked by `resume_from_checkpoint_is_bit_for_bit_identical`.
+//! Lines written under older key formats still load (and count in
+//! [`Checkpoint::len`]) but never match a `run:` key, so those cells
+//! re-simulate once.
 //!
 //! Robustness properties:
 //!

@@ -24,6 +24,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod area;
+pub mod capture;
 pub mod checkpoint;
 pub mod differential;
 pub mod knobs;
@@ -34,6 +35,7 @@ pub mod stats_export;
 pub mod table;
 
 pub use area::AreaModel;
+pub use capture::{ensure_capture, CAPTURE_SLACK};
 pub use checkpoint::{Checkpoint, CHECKPOINT_ENV};
 pub use differential::{
     bingo_config_variants, diff_bingo, diff_bingo_instances, diff_with_oracle, fuzz_baseline,
@@ -52,14 +54,9 @@ pub use perf_record::{
     BENCH_JSON_ENV, BENCH_MERGE_ENV, BENCH_THRESHOLD_ENV, CALIBRATION_KEY,
 };
 pub use runner::{
-    cell_key, cell_key_with_options, cell_key_with_telemetry, default_jobs, geometric_mean, mean,
-    mix_cell_key, mix_solo_key, parallel_map, run_cell, run_cell_configured, run_mix_configured,
-    run_mix_qos, run_mix_solo_configured, run_one, run_one_configured, run_one_with_deadline,
-    run_trace_cell, run_trace_one_configured, telemetry_from_env, throttle_from_env,
-    trace_cell_key, CellFailure, CellOutcome, Evaluation, GridReport, Harness, MixCell,
-    MixCellFailure, MixEvaluation, MixGridReport, ParallelHarness, PrefetcherKind, RunScale,
-    TraceCellFailure, TraceEvaluation, TraceGridReport, CELL_TIMEOUT_ENV, TELEMETRY_ENV,
-    THROTTLE_ENV,
+    default_jobs, geometric_mean, mean, parallel_map, run_one, telemetry_from_env,
+    throttle_from_env, Evaluation, Failure, MixEvaluation, ParallelHarness, PrefetcherKind, Report,
+    RunScale, RunSpec, Slot, Stream, THROTTLE_ENV,
 };
 pub use stats_export::{StatsExport, STATS_ENV};
 pub use table::{f2, pct, Table};

@@ -40,7 +40,8 @@ use crate::runner::PrefetcherKind;
 /// prefetch-queue bound. The paper machine itself is the `NONE` preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pressure {
-    /// Short name used in report rows and checkpoint-key suffixes.
+    /// Short name used in report rows (not part of any checkpoint key:
+    /// runs are keyed by the values below).
     pub name: &'static str,
     /// DRAM channels (the paper machine has 2).
     pub channels: usize,
@@ -89,17 +90,6 @@ impl Pressure {
         cfg.dram.channels = self.channels;
         cfg.dram.transfer_cycles = self.transfer_cycles;
         cfg.prefetch_queue_depth = self.queue;
-    }
-
-    /// Checkpoint/stats key suffix. `NONE` contributes nothing, so
-    /// un-pressured mix keys stay byte-for-byte stable (the same rule the
-    /// telemetry and throttle suffixes follow).
-    pub fn key_suffix(&self) -> String {
-        if *self == Pressure::NONE {
-            String::new()
-        } else {
-            format!("/pressure={}", self.name)
-        }
     }
 }
 
@@ -289,30 +279,6 @@ pub struct MixAssignment {
     pub scale_percent: u32,
 }
 
-impl MixAssignment {
-    /// The slot's committed-instruction target given the grid's full
-    /// per-core budget.
-    pub fn instructions(&self, full_budget: u64) -> u64 {
-        full_budget * u64::from(self.scale_percent) / 100
-    }
-
-    /// Canonical `c<slot>=<workload>+<Prefetcher>[*<pct>%]` description
-    /// of this assignment on core `slot` — the building block of mix
-    /// checkpoint/stats keys (the `*…%` suffix appears only for scaled
-    /// slots, so unscaled keys stay compact and stable).
-    pub fn slot_spec(&self, slot: usize) -> String {
-        let mut out = format!(
-            "c{slot}={}+{}",
-            self.workload.slug(),
-            self.prefetcher.name()
-        );
-        if self.scale_percent != 100 {
-            out.push_str(&format!("*{}%", self.scale_percent));
-        }
-        out
-    }
-}
-
 /// A core-count ramp for the capacity search: run the mix at `initial`,
 /// `initial + increment`, … cores, stopping at `max`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,8 +309,8 @@ impl Ramp {
 /// (contiguous from 0), and an optional capacity-search [`Ramp`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixConfig {
-    /// The mix's name (`[A-Za-z0-9_-]+`) — embedded in checkpoint/stats
-    /// keys and report rows.
+    /// The mix's name (`[A-Za-z0-9_-]+`), used in report rows; runs are
+    /// keyed by their slots, not by this name.
     pub name: String,
     /// Per-core assignments; index is the core id.
     pub cores: Vec<MixAssignment>,
@@ -366,22 +332,6 @@ impl MixConfig {
     pub fn assignment(&self, core: usize) -> MixAssignment {
         self.cores[core % self.cores.len()]
     }
-
-    /// Canonical single-line description of the declared slots, used as
-    /// the mix's identity inside checkpoint/stats keys:
-    /// `c0=streaming+Bingo,c1=stress-storm+None*50%` (the `*…%` suffix
-    /// appears only for scaled slots, so unscaled keys stay compact and
-    /// stable).
-    pub fn spec(&self) -> String {
-        let specs: Vec<String> = self
-            .cores
-            .iter()
-            .enumerate()
-            .map(|(i, a)| a.slot_spec(i))
-            .collect();
-        specs.join(",")
-    }
-
     /// Parses every mix in a config file. See the module docs for the
     /// grammar.
     ///
@@ -893,16 +843,6 @@ end
     }
 
     #[test]
-    fn spec_is_compact_and_marks_scaled_slots() {
-        let mixes = MixConfig::parse_str(GOOD).unwrap();
-        assert_eq!(
-            mixes[0].spec(),
-            "c0=streaming+Bingo,c1=stress-storm+Bingo*50%"
-        );
-        assert_eq!(mixes[1].spec(), "c0=data-serving+None");
-    }
-
-    #[test]
     fn assignment_replicates_cyclically() {
         let mixes = MixConfig::parse_str(GOOD).unwrap();
         let m = &mixes[0];
@@ -947,23 +887,6 @@ end
         assert_eq!(cfg.dram.channels, reference.dram.channels);
         assert_eq!(cfg.dram.transfer_cycles, reference.dram.transfer_cycles);
         assert_eq!(cfg.prefetch_queue_depth, reference.prefetch_queue_depth);
-        assert_eq!(Pressure::NONE.key_suffix(), "");
-        assert_eq!(Pressure::SCARCE.key_suffix(), "/pressure=scarce");
-    }
-
-    #[test]
-    fn scaled_instruction_targets_are_exact() {
-        let a = MixAssignment {
-            workload: Workload::Streaming,
-            prefetcher: PrefetcherKind::Bingo,
-            scale_percent: 50,
-        };
-        assert_eq!(a.instructions(1_000_000), 500_000);
-        let full = MixAssignment {
-            scale_percent: 100,
-            ..a
-        };
-        assert_eq!(full.instructions(999_999), 999_999);
     }
 
     // Error paths have a dedicated integration suite

@@ -5,7 +5,8 @@
 //! for a fixed fault seed, and only *lose coverage*, degrading toward
 //! no-prefetch behavior — never corrupting the simulation itself.
 
-use bingo_bench::{run_one, ParallelHarness, PrefetcherKind, RunScale};
+use bingo_bench::{run_one, Evaluation, ParallelHarness, PrefetcherKind, RunScale, RunSpec};
+use bingo_sim::{TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
 
 fn scale(seed: u64) -> RunScale {
@@ -18,16 +19,24 @@ fn scale(seed: u64) -> RunScale {
 
 const RATES: [f64; 3] = [0.01, 0.05, 0.10];
 
+/// Evaluates one cell against its (memoized) baseline.
+fn evaluate(h: &mut ParallelHarness, seed: u64, w: Workload, k: PrefetcherKind) -> Evaluation {
+    let spec = RunSpec::classic(scale(seed), w, k, TelemetryLevel::Off, ThrottleMode::Off);
+    h.evaluate(&[spec]).remove(0)
+}
+
 #[test]
 fn corrupted_bingo_completes_and_degrades_gracefully() {
     for (workload, seed) in [(Workload::Em3d, 31), (Workload::Streaming, 32)] {
-        let mut h = ParallelHarness::with_jobs(scale(seed), 2).quiet();
-        let fault_free = h.evaluate(workload, PrefetcherKind::Bingo);
+        let mut h = ParallelHarness::with_jobs(2).quiet();
+        let fault_free = evaluate(&mut h, seed, workload, PrefetcherKind::Bingo);
         for rate in RATES {
             // Completing `evaluate` at all is the no-panic/no-deadlock
             // half of the property (a livelock would hit the simulator's
             // cycle limit and panic).
-            let faulty = h.evaluate(
+            let faulty = evaluate(
+                &mut h,
+                seed,
                 workload,
                 PrefetcherKind::BingoFaulty {
                     fault_seed: 0xFA17,
@@ -88,8 +97,10 @@ fn total_prefetch_loss_collapses_to_no_prefetch_behavior() {
     // exactly the no-prefetcher access stream, so misses match the
     // baseline and coverage is exactly zero — the documented degradation
     // endpoint.
-    let mut h = ParallelHarness::with_jobs(scale(34), 2).quiet();
-    let eval = h.evaluate(
+    let mut h = ParallelHarness::with_jobs(2).quiet();
+    let eval = evaluate(
+        &mut h,
+        34,
         Workload::Streaming,
         PrefetcherKind::BingoFaulty {
             fault_seed: 1,

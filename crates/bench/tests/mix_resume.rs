@@ -1,15 +1,15 @@
-//! Checkpoint compatibility of the mix grid: old single-core checkpoint
-//! files keep working, `mix:`/`mix-solo:`-namespaced entries resume
-//! bit-for-bit, and a checkpoint holding a mixture of old-style and
-//! mix-style entries (with failures among them) retries only what is
-//! actually missing.
+//! Checkpoint compatibility of the mix view: mix cells and their solo
+//! runs resume bit-for-bit, classic and mix entries share one file
+//! without cross-talk, and a checkpoint of a sweep with failures among
+//! its cells retries only what is actually missing.
 
 use std::path::PathBuf;
 
 use bingo_bench::{
-    Checkpoint, MixAssignment, MixCell, MixConfig, MixEvaluation, ParallelHarness, PrefetcherKind,
-    Pressure, RunScale,
+    Checkpoint, MixAssignment, MixConfig, MixEvaluation, ParallelHarness, PrefetcherKind, Pressure,
+    RunScale, RunSpec,
 };
+use bingo_sim::{TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
 
 fn scale() -> RunScale {
@@ -39,26 +39,37 @@ fn mix() -> MixConfig {
     .remove(0)
 }
 
-fn mix_cells() -> Vec<MixCell> {
+fn mix_spec(mix: &MixConfig, cores: usize, pressure: Pressure) -> RunSpec {
+    RunSpec::mix(
+        scale(),
+        mix,
+        cores,
+        pressure,
+        TelemetryLevel::Off,
+        ThrottleMode::Off,
+    )
+}
+
+fn mix_cells() -> Vec<RunSpec> {
     vec![
-        MixCell {
-            mix: mix(),
-            cores: 2,
-            pressure: Pressure::NONE,
-        },
-        MixCell {
-            mix: mix(),
-            cores: 2,
-            pressure: Pressure::SCARCE,
-        },
+        mix_spec(&mix(), 2, Pressure::NONE),
+        mix_spec(&mix(), 2, Pressure::SCARCE),
     ]
 }
 
-fn classic_cells() -> Vec<(Workload, PrefetcherKind)> {
-    vec![
+fn classic_cells() -> Vec<RunSpec> {
+    [
         (Workload::Em3d, PrefetcherKind::Stride),
         (Workload::Streaming, PrefetcherKind::NextLine(1)),
     ]
+    .map(|(w, k)| RunSpec::classic(scale(), w, k, TelemetryLevel::Off, ThrottleMode::Off))
+    .to_vec()
+}
+
+fn harness(path: &PathBuf) -> ParallelHarness {
+    ParallelHarness::with_jobs(2)
+        .quiet()
+        .with_checkpoint(Checkpoint::open(path).expect("open checkpoint"))
 }
 
 /// NaN-proof bitwise comparison of two mix evaluations.
@@ -88,17 +99,11 @@ fn mix_keys_resume_bit_for_bit() {
     let path = tmp_path("mix-resume");
 
     // The reference: an uncheckpointed sweep.
-    let fresh = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .try_evaluate_mix_grid(&cells)
-        .into_complete();
+    let fresh = ParallelHarness::with_jobs(2).quiet().evaluate_mix(&cells);
 
     // A checkpointed sweep populates the file...
     {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
-        let report = h.try_evaluate_mix_grid(&cells);
+        let report = harness(&path).try_evaluate_mix(&cells);
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(report.checkpoint_hits, 0, "first run simulates everything");
     }
@@ -107,10 +112,10 @@ fn mix_keys_resume_bit_for_bit() {
     // it: 2 mix cells + 2 slots × 2 pressure levels = 6 entries.
     let cp = Checkpoint::open(&path).expect("reopen checkpoint");
     assert_eq!(cp.len(), 6, "2 mix cells + 4 solo runs are durable");
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
+    let report = ParallelHarness::with_jobs(2)
         .quiet()
-        .with_checkpoint(cp);
-    let report = h.try_evaluate_mix_grid(&cells);
+        .with_checkpoint(cp)
+        .try_evaluate_mix(&cells);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
         report.checkpoint_hits, 6,
@@ -119,38 +124,28 @@ fn mix_keys_resume_bit_for_bit() {
     let resumed = report.into_complete();
     assert_eq!(fresh.len(), resumed.len());
     for (f, r) in fresh.iter().zip(&resumed) {
-        let what = format!("{}@{} / {}", f.mix_name, f.cores, f.pressure.name);
-        assert_bit_identical(f, r, &what);
+        assert_bit_identical(f, r, &f.spec.label());
     }
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
-fn old_single_core_checkpoints_still_parse_and_share_the_file() {
-    // A checkpoint written by the classic (pre-mix) grid is still valid:
-    // its entries replay for classic cells, and mix entries append to the
-    // same file without disturbing them.
+fn classic_and_mix_entries_share_one_file() {
+    // Classic cells checkpoint first; mix entries then append to the same
+    // file without disturbing them, and the grown file replays both.
     let path = tmp_path("mixed-generations");
     let classic = classic_cells();
-    {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
-        h.evaluate_grid(&classic);
-    }
+    harness(&path).evaluate(&classic);
     let classic_entries = Checkpoint::open(&path).expect("reopen").len();
     assert_eq!(
         classic_entries, 4,
         "2 classic cells + 2 baselines are durable"
     );
 
-    // Run the mix grid against the same file: classic entries are not
-    // consulted (disjoint key namespaces), mix entries append.
+    // Run the mix cells against the same file: no classic entry matches a
+    // mix cell or solo, so the mix entries append.
     {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("reopen for mixes"));
-        let report = h.try_evaluate_mix_grid(&mix_cells());
+        let report = harness(&path).try_evaluate_mix(&mix_cells());
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(report.checkpoint_hits, 0, "no mix entry predates this run");
     }
@@ -162,13 +157,11 @@ fn old_single_core_checkpoints_still_parse_and_share_the_file() {
         classic_entries + 6,
         "old entries survived the append"
     );
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .with_checkpoint(cp);
-    let classic_report = h.try_evaluate_grid(&classic);
+    let mut h = ParallelHarness::with_jobs(2).quiet().with_checkpoint(cp);
+    let classic_report = h.try_evaluate(&classic);
     assert!(classic_report.is_clean());
     assert_eq!(classic_report.checkpoint_hits, 4, "classic cells replay");
-    let mix_report = h.try_evaluate_mix_grid(&mix_cells());
+    let mix_report = h.try_evaluate_mix(&mix_cells());
     assert!(mix_report.is_clean());
     assert_eq!(mix_report.checkpoint_hits, 6, "mix cells replay");
     let _ = std::fs::remove_file(&path);
@@ -190,17 +183,10 @@ fn mixed_old_new_checkpoint_retries_only_failed_cells() {
         ramp: None,
     };
     let mut cells = mix_cells();
-    cells.push(MixCell {
-        mix: broken,
-        cores: 1,
-        pressure: Pressure::NONE,
-    });
+    cells.push(mix_spec(&broken, 1, Pressure::NONE));
 
     let durable = {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
-        let report = h.try_evaluate_mix_grid(&cells);
+        let report = harness(&path).try_evaluate_mix(&cells);
         assert!(!report.is_clean(), "the faulty cell must fail");
         assert!(report.evaluations[0].is_some() && report.evaluations[1].is_some());
         assert!(report.evaluations[2].is_none());
@@ -213,10 +199,7 @@ fn mixed_old_new_checkpoint_retries_only_failed_cells() {
 
     // Resume over the same grid: the 6 healthy entries replay; only the
     // broken cell's solo re-simulates (and fails again, listed as data).
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .with_checkpoint(Checkpoint::open(&path).expect("reopen for retry"));
-    let report = h.try_evaluate_mix_grid(&cells);
+    let report = harness(&path).try_evaluate_mix(&cells);
     assert_eq!(
         report.checkpoint_hits, 6,
         "healthy cells replay, not re-run"
@@ -225,8 +208,12 @@ fn mixed_old_new_checkpoint_retries_only_failed_cells() {
     assert!(report.evaluations[0].is_some() && report.evaluations[1].is_some());
     assert!(report.evaluations[2].is_none());
     assert!(
-        report.failures.iter().any(|f| f.solo.is_some()),
-        "the re-attempted failure is the broken solo"
+        report
+            .failures
+            .iter()
+            .any(|f| f.reason.contains("FaultyPrefetcher panicked deliberately")),
+        "the re-attempted failure is the broken solo: {}",
+        report.failure_report()
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -1,15 +1,15 @@
 //! Checkpoint compatibility of the per-core throttle mode: `percore`
-//! sweeps resume bit-for-bit from their own `/throttle=percore`-suffixed
-//! namespace, and that namespace is disjoint from both the unthrottled
-//! and the chip-wide-feedback generations sharing the same file — a
-//! mixed-generation checkpoint serves all three without cross-talk.
+//! sweeps resume bit-for-bit from their own keys (the throttle mode is
+//! part of every key), and those keys are disjoint from both the
+//! unthrottled and the chip-wide-feedback runs sharing the same file — a
+//! mixed-mode checkpoint serves all three without cross-talk.
 
 use std::path::PathBuf;
 
 use bingo_bench::{
-    Checkpoint, MixCell, MixConfig, MixEvaluation, ParallelHarness, Pressure, RunScale,
+    Checkpoint, MixConfig, MixEvaluation, ParallelHarness, Pressure, RunScale, RunSpec,
 };
-use bingo_sim::ThrottleMode;
+use bingo_sim::{TelemetryLevel, ThrottleMode};
 
 fn scale() -> RunScale {
     RunScale {
@@ -38,29 +38,18 @@ fn mix() -> MixConfig {
     .remove(0)
 }
 
-fn cells() -> Vec<MixCell> {
-    vec![
-        MixCell {
-            mix: mix(),
-            cores: 2,
-            pressure: Pressure::NONE,
-        },
-        MixCell {
-            mix: mix(),
-            cores: 2,
-            pressure: Pressure::CONSTRAINED,
-        },
-    ]
+fn specs(throttle: ThrottleMode) -> Vec<RunSpec> {
+    [Pressure::NONE, Pressure::CONSTRAINED]
+        .map(|p| RunSpec::mix(scale(), &mix(), 2, p, TelemetryLevel::Off, throttle))
+        .to_vec()
 }
 
-fn harness(throttle: ThrottleMode, cp: Option<Checkpoint>) -> ParallelHarness {
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .with_throttle(throttle);
-    if let Some(cp) = cp {
-        h = h.with_checkpoint(cp);
+fn harness(cp: Option<Checkpoint>) -> ParallelHarness {
+    let h = ParallelHarness::with_jobs(2).quiet();
+    match cp {
+        Some(cp) => h.with_checkpoint(cp),
+        None => h,
     }
-    h
 }
 
 /// NaN-proof bitwise comparison of two mix evaluations.
@@ -82,24 +71,20 @@ fn percore_mix_keys_resume_bit_for_bit() {
     // QoS reports, so this also pins that the optional `qos` field
     // round-trips through the checkpoint in a real sweep (not just the
     // serializer unit tests).
-    let fresh = harness(ThrottleMode::Percore, None)
-        .try_evaluate_mix_grid(&cells())
-        .into_complete();
+    let percore = specs(ThrottleMode::Percore);
+    let fresh = harness(None).evaluate_mix(&percore);
 
     {
-        let mut h = harness(
-            ThrottleMode::Percore,
-            Some(Checkpoint::open(&path).expect("create checkpoint")),
-        );
-        let report = h.try_evaluate_mix_grid(&cells());
+        let mut h = harness(Some(Checkpoint::open(&path).expect("create checkpoint")));
+        let report = h.try_evaluate_mix(&percore);
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(report.checkpoint_hits, 0, "first run simulates everything");
     }
 
     let cp = Checkpoint::open(&path).expect("reopen checkpoint");
     assert_eq!(cp.len(), 6, "2 mix cells + 4 solo runs are durable");
-    let mut h = harness(ThrottleMode::Percore, Some(cp));
-    let report = h.try_evaluate_mix_grid(&cells());
+    let mut h = harness(Some(cp));
+    let report = h.try_evaluate_mix(&percore);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
         report.checkpoint_hits, 6,
@@ -108,7 +93,7 @@ fn percore_mix_keys_resume_bit_for_bit() {
     let resumed = report.into_complete();
     assert_eq!(fresh.len(), resumed.len());
     for (f, r) in fresh.iter().zip(&resumed) {
-        let what = format!("{}@{} / {}", f.mix_name, f.cores, f.pressure.name);
+        let what = f.spec.label();
         assert_bit_identical(f, r, &what);
         let qos = r
             .result
@@ -122,11 +107,10 @@ fn percore_mix_keys_resume_bit_for_bit() {
 
 #[test]
 fn percore_entries_share_a_file_with_older_throttle_generations() {
-    // One checkpoint file, three generations: an unthrottled sweep (the
-    // pre-throttle key format), a chip-wide feedback sweep (PR 8's
-    // suffix), then a percore sweep. Each must populate its own
-    // namespace — zero hits on first contact — and replay fully from it
-    // afterwards, leaving the others untouched.
+    // One checkpoint file, three throttle modes: an unthrottled sweep, a
+    // chip-wide feedback sweep, then a percore sweep. Each must populate
+    // its own keys — zero hits on first contact — and replay fully from
+    // them afterwards, leaving the others untouched.
     let path = tmp_path("mixed-throttle-generations");
     let generations = [
         ThrottleMode::Off,
@@ -136,11 +120,8 @@ fn percore_entries_share_a_file_with_older_throttle_generations() {
 
     let mut expected_len = 0;
     for &mode in &generations {
-        let mut h = harness(
-            mode,
-            Some(Checkpoint::open(&path).expect("open checkpoint")),
-        );
-        let report = h.try_evaluate_mix_grid(&cells());
+        let mut h = harness(Some(Checkpoint::open(&path).expect("open checkpoint")));
+        let report = h.try_evaluate_mix(&specs(mode));
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(
             report.checkpoint_hits, 0,
@@ -156,11 +137,8 @@ fn percore_entries_share_a_file_with_older_throttle_generations() {
 
     // The grown file now serves every generation entirely from replay.
     for &mode in &generations {
-        let mut h = harness(
-            mode,
-            Some(Checkpoint::open(&path).expect("reopen grown file")),
-        );
-        let report = h.try_evaluate_mix_grid(&cells());
+        let mut h = harness(Some(Checkpoint::open(&path).expect("reopen grown file")));
+        let report = h.try_evaluate_mix(&specs(mode));
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(report.checkpoint_hits, 6, "{mode} cells replay");
     }

@@ -3,12 +3,13 @@
 //! [`bingo_bench::Evaluation`]s as an uninterrupted sweep — including
 //! after the file picks up a torn final line from the simulated kill.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use bingo_bench::{Checkpoint, Evaluation, ParallelHarness, PrefetcherKind, RunScale};
-use bingo_sim::ThrottleMode;
+use bingo_bench::{Checkpoint, Evaluation, ParallelHarness, PrefetcherKind, RunScale, RunSpec};
+use bingo_sim::{TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
 
 fn scale() -> RunScale {
@@ -19,13 +20,14 @@ fn scale() -> RunScale {
     }
 }
 
-fn grid() -> Vec<(Workload, PrefetcherKind)> {
-    vec![
-        (Workload::Em3d, PrefetcherKind::NextLine(1)),
-        (Workload::Em3d, PrefetcherKind::Stride),
-        (Workload::Streaming, PrefetcherKind::NextLine(1)),
-        (Workload::Streaming, PrefetcherKind::Stride),
-    ]
+fn grid() -> Vec<RunSpec> {
+    RunSpec::grid(
+        scale(),
+        &[Workload::Em3d, Workload::Streaming],
+        &[PrefetcherKind::NextLine(1), PrefetcherKind::Stride],
+        TelemetryLevel::Off,
+        ThrottleMode::Off,
+    )
 }
 
 fn tmp_path(name: &str) -> PathBuf {
@@ -80,17 +82,15 @@ fn resume_from_checkpoint_is_bit_for_bit_identical() {
     let path = tmp_path("resume");
 
     // The reference: one uninterrupted sweep, no checkpoint involved.
-    let fresh = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .evaluate_grid(&cells);
+    let fresh = ParallelHarness::with_jobs(2).quiet().evaluate(&cells);
 
     // The "killed" sweep: only the first half of the grid completes
     // before the process dies.
     {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
+        let mut h = ParallelHarness::with_jobs(2)
             .quiet()
             .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
-        let partial = h.evaluate_grid(&cells[..2]);
+        let partial = h.evaluate(&cells[..2]);
         assert_eq!(partial.len(), 2);
     }
 
@@ -116,10 +116,10 @@ fn resume_from_checkpoint_is_bit_for_bit_identical() {
         3,
         "two cells plus the Em3d baseline were durable"
     );
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
+    let mut h = ParallelHarness::with_jobs(2)
         .quiet()
         .with_checkpoint(resumed_checkpoint);
-    let report = h.try_evaluate_grid(&cells);
+    let report = h.try_evaluate(&cells);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
         report.checkpoint_hits, 3,
@@ -129,9 +129,8 @@ fn resume_from_checkpoint_is_bit_for_bit_identical() {
 
     assert_eq!(fresh.len(), resumed.len());
     for (f, r) in fresh.iter().zip(&resumed) {
-        assert_eq!(f.workload, r.workload);
-        assert_eq!(f.kind, r.kind);
-        assert_bit_identical(f, r, &format!("{} / {}", f.workload.name(), f.kind.name()));
+        assert_eq!(f.spec.key(), r.spec.key());
+        assert_bit_identical(f, r, &f.spec.label());
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -141,19 +140,19 @@ fn completed_checkpoint_resumes_without_any_simulation() {
     let cells = grid();
     let path = tmp_path("full");
     let fresh = {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
+        let mut h = ParallelHarness::with_jobs(2)
             .quiet()
             .with_checkpoint(Checkpoint::open(&path).expect("create"));
-        h.evaluate_grid(&cells)
+        h.evaluate(&cells)
     };
     // Second harness, same file: every cell and baseline is a hit, and a
     // tight deadline proves nothing is simulated (a real simulation at
     // Duration::ZERO would time out).
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
+    let mut h = ParallelHarness::with_jobs(2)
         .quiet()
         .with_cell_timeout(Duration::ZERO)
         .with_checkpoint(Checkpoint::open(&path).expect("reopen"));
-    let report = h.try_evaluate_grid(&cells);
+    let report = h.try_evaluate(&cells);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
         report.checkpoint_hits,
@@ -162,16 +161,16 @@ fn completed_checkpoint_resumes_without_any_simulation() {
     );
     let resumed = report.into_complete();
     for (f, r) in fresh.iter().zip(&resumed) {
-        assert_bit_identical(f, r, &format!("{} / {}", f.workload.name(), f.kind.name()));
+        assert_bit_identical(f, r, &f.spec.label());
     }
     let _ = std::fs::remove_file(&path);
 }
 
 /// Checkpoint/resume with the feedback throttle enabled: the controller's
 /// level walk is part of the simulated machine, so a resumed throttled
-/// sweep must be bit-for-bit identical to an uninterrupted one — and its
-/// checkpoint keys are namespaced by mode, so an unthrottled harness can
-/// never replay throttled results (or vice versa).
+/// sweep must be bit-for-bit identical to an uninterrupted one — and the
+/// mode is part of every key, so an unthrottled sweep can never replay
+/// throttled results (or vice versa).
 #[test]
 fn throttled_sweep_resumes_bit_for_bit_and_keys_stay_disjoint() {
     let scale = RunScale {
@@ -179,34 +178,35 @@ fn throttled_sweep_resumes_bit_for_bit_and_keys_stay_disjoint() {
         warmup_per_core: 5_000,
         seed: 33,
     };
-    let cells = vec![
-        (Workload::Em3d, PrefetcherKind::Bingo),
-        (Workload::Streaming, PrefetcherKind::Bingo),
-    ];
+    let specs = |throttle| {
+        RunSpec::grid(
+            scale,
+            &[Workload::Em3d, Workload::Streaming],
+            &[PrefetcherKind::Bingo],
+            TelemetryLevel::Off,
+            throttle,
+        )
+    };
+    let cells = specs(ThrottleMode::Feedback);
     let path = tmp_path("throttle");
 
     // Reference: uninterrupted feedback-throttled sweep, no checkpoint.
-    let fresh = ParallelHarness::with_jobs(scale, 2)
-        .quiet()
-        .with_throttle(ThrottleMode::Feedback)
-        .evaluate_grid(&cells);
+    let fresh = ParallelHarness::with_jobs(2).quiet().evaluate(&cells);
 
     // Interrupted: only the first cell (and its baseline) completes.
     {
-        let mut h = ParallelHarness::with_jobs(scale, 2)
+        let mut h = ParallelHarness::with_jobs(2)
             .quiet()
-            .with_throttle(ThrottleMode::Feedback)
             .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
-        let partial = h.evaluate_grid(&cells[..1]);
+        let partial = h.evaluate(&cells[..1]);
         assert_eq!(partial.len(), 1);
     }
 
     // Resume under the same mode: the finished cell and baseline replay.
-    let mut h = ParallelHarness::with_jobs(scale, 2)
+    let mut h = ParallelHarness::with_jobs(2)
         .quiet()
-        .with_throttle(ThrottleMode::Feedback)
         .with_checkpoint(Checkpoint::open(&path).expect("reopen checkpoint"));
-    let report = h.try_evaluate_grid(&cells);
+    let report = h.try_evaluate(&cells);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
         report.checkpoint_hits, 2,
@@ -215,15 +215,15 @@ fn throttled_sweep_resumes_bit_for_bit_and_keys_stay_disjoint() {
     let resumed = report.into_complete();
     assert_eq!(fresh.len(), resumed.len());
     for (f, r) in fresh.iter().zip(&resumed) {
-        assert_bit_identical(f, r, &format!("{} / {}", f.workload.name(), f.kind.name()));
+        assert_bit_identical(f, r, &f.spec.label());
     }
 
-    // Mode mismatch: an *unthrottled* harness on the same file finds no
-    // usable entries — every key is namespaced by throttle mode.
-    let mut h = ParallelHarness::with_jobs(scale, 2)
+    // Mode mismatch: an *unthrottled* sweep on the same file finds no
+    // usable entries — the throttle mode is part of every key.
+    let mut h = ParallelHarness::with_jobs(2)
         .quiet()
         .with_checkpoint(Checkpoint::open(&path).expect("reopen checkpoint"));
-    let report = h.try_evaluate_grid(&cells);
+    let report = h.try_evaluate(&specs(ThrottleMode::Off));
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
         report.checkpoint_hits, 0,
@@ -235,18 +235,21 @@ fn throttled_sweep_resumes_bit_for_bit_and_keys_stay_disjoint() {
 #[test]
 fn failed_cells_are_not_checkpointed_and_retry_on_resume() {
     let path = tmp_path("failed");
-    let cells = [
-        (Workload::Streaming, PrefetcherKind::NextLine(1)),
-        (
-            Workload::Streaming,
+    let cells = RunSpec::grid(
+        scale(),
+        &[Workload::Streaming],
+        &[
+            PrefetcherKind::NextLine(1),
             PrefetcherKind::Faulty { panic_after: 0 },
-        ),
-    ];
+        ],
+        TelemetryLevel::Off,
+        ThrottleMode::Off,
+    );
     {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
+        let mut h = ParallelHarness::with_jobs(2)
             .quiet()
             .with_checkpoint(Checkpoint::open(&path).expect("create"));
-        let report = h.try_evaluate_grid(&cells);
+        let report = h.try_evaluate(&cells);
         assert_eq!(report.failures.len(), 1);
     }
     let cp = Checkpoint::open(&path).expect("reopen");
@@ -256,13 +259,48 @@ fn failed_cells_are_not_checkpointed_and_retry_on_resume() {
         "baseline + healthy cell only; no failure entry"
     );
     assert!(
-        cp.get(&bingo_bench::cell_key(
-            scale(),
-            Workload::Streaming,
-            PrefetcherKind::Faulty { panic_after: 0 }
-        ))
-        .is_none(),
+        cp.get(&cells[1].key()).is_none(),
         "a panicked cell must be retried on resume, not replayed"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A real sweep killed mid-run keeps every cell it reported finished: the
+/// engine checkpoints a cell before printing its `[cell]` line, so after
+/// a SIGKILL following the k-th line the file holds at least k entries —
+/// baselines and grid cells alike, not just completed phases.
+#[test]
+fn sigkill_after_a_cell_line_keeps_that_cell() {
+    const KILL_AFTER: usize = 16; // past fig7's 10 baselines
+    let path = tmp_path("sigkill");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fig7_coverage"))
+        .env("BINGO_CHECKPOINT", &path)
+        .env("BINGO_JOBS", "2")
+        .env("BINGO_INSTR", "20000")
+        .env("BINGO_WARMUP", "10000")
+        .env_remove("BINGO_STATS")
+        .env_remove("BINGO_CELL_TIMEOUT")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fig7_coverage");
+    let stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut cells = 0;
+    for line in stderr.lines() {
+        if line.expect("stderr line").starts_with("[cell]") {
+            cells += 1;
+            if cells == KILL_AFTER {
+                child.kill().expect("SIGKILL the sweep");
+                break;
+            }
+        }
+    }
+    child.wait().expect("reap the sweep");
+    assert_eq!(cells, KILL_AFTER, "the sweep ended before the kill");
+    let durable = Checkpoint::open(&path).expect("reopen checkpoint").len();
+    assert!(
+        durable >= KILL_AFTER,
+        "{KILL_AFTER} cells reported finished, only {durable} durable"
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -10,7 +10,9 @@
 //! mix1..mix5 (default: data-serving). The six cells run in parallel; set
 //! `BINGO_JOBS` to bound the worker count.
 
-use bingo_repro::bench::{ParallelHarness, PrefetcherKind, RunScale};
+use bingo_repro::bench::{
+    telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale, RunSpec,
+};
 use bingo_repro::workloads::Workload;
 
 fn parse_workload(name: &str) -> Option<Workload> {
@@ -41,8 +43,10 @@ fn main() {
         warmup_per_core: 600_000,
         seed: 42,
     };
-    let mut harness = ParallelHarness::new(scale).quiet();
-    let evals = harness.evaluate_all(&[workload], &PrefetcherKind::HEADLINE);
+    let kinds = PrefetcherKind::HEADLINE;
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
+    let specs = RunSpec::grid(scale, &[workload], &kinds, telemetry, throttle);
+    let evals = ParallelHarness::from_env().quiet().evaluate(&specs);
 
     let baseline = &evals[0].baseline;
     println!(
@@ -55,10 +59,10 @@ fn main() {
         "{:>6}  {:>9}  {:>9}  {:>9}  {:>8}",
         "", "coverage", "overpred", "accuracy", "speedup"
     );
-    for e in &evals {
+    for (kind, e) in kinds.iter().zip(&evals) {
         println!(
             "{:>6}  {:>8.1}%  {:>8.1}%  {:>8.1}%  {:>7.1}%",
-            e.kind.name(),
+            kind.name(),
             e.coverage.coverage * 100.0,
             e.coverage.overprediction * 100.0,
             e.coverage.accuracy * 100.0,

@@ -24,10 +24,10 @@
 
 use std::path::Path;
 
-use bingo_bench::{parallel_map, run_mix_qos, MixConfig, PrefetcherKind, Pressure, RunScale};
+use bingo_bench::{MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec};
 use bingo_sim::{
-    ChaosInjector, ChaosKind, ChaosPlan, InstrSource, PhaseFlipSource, SimResult, System,
-    SystemConfig, ThrottleMode,
+    ChaosKind, ChaosPlan, InstrSource, PhaseFlipSource, SimResult, System, SystemConfig,
+    TelemetryLevel, ThrottleMode,
 };
 use bingo_workloads::Workload;
 
@@ -53,16 +53,6 @@ fn committed_mix(name: &str) -> MixConfig {
         .unwrap_or_else(|| panic!("contention.mix does not declare {name:?}"))
 }
 
-/// The same mix with every prefetcher replaced by `none` — the safety
-/// baseline each chaos cell is measured against.
-fn prefetcher_off(mix: &MixConfig) -> MixConfig {
-    let mut off = mix.clone();
-    for slot in &mut off.cores {
-        slot.prefetcher = PrefetcherKind::None;
-    }
-    off
-}
-
 /// A single-kind plan at the standard cadence, so each failure mode is
 /// exercised in isolation as well as in the full rotation.
 fn plan_of(kinds: Vec<ChaosKind>, seed: u64) -> ChaosPlan {
@@ -74,29 +64,33 @@ fn plan_of(kinds: Vec<ChaosKind>, seed: u64) -> ChaosPlan {
     }
 }
 
+/// `mix` at 2 cores under `pressure` with the given throttle and chaos.
+fn chaos_spec(
+    mix: &MixConfig,
+    pressure: Pressure,
+    throttle: ThrottleMode,
+    plan: Option<ChaosPlan>,
+) -> RunSpec {
+    RunSpec {
+        chaos: plan,
+        ..RunSpec::mix(SCALE, mix, 2, pressure, TelemetryLevel::Off, throttle)
+    }
+}
+
 fn run_chaos(
     mix: &MixConfig,
-    pressure: &Pressure,
+    pressure: Pressure,
     throttle: ThrottleMode,
     plan: Option<ChaosPlan>,
 ) -> SimResult {
-    run_mix_qos(
-        mix,
-        2,
-        pressure,
-        SCALE,
-        None,
-        throttle,
-        None,
-        plan.map(ChaosInjector::new),
-    )
-    .expect("chaos cell completes")
+    chaos_spec(mix, pressure, throttle, plan)
+        .run(None)
+        .expect("chaos cell completes")
 }
 
 #[test]
 fn every_chaos_cell_keeps_every_core_within_the_slowdown_bound() {
     let mix = committed_mix("polite-vs-storm");
-    let off_mix = prefetcher_off(&mix);
     let plans: Vec<(String, Vec<ChaosKind>)> = ChaosKind::ALL
         .iter()
         .map(|k| (k.label().to_string(), vec![*k]))
@@ -106,18 +100,29 @@ fn every_chaos_cell_keeps_every_core_within_the_slowdown_bound() {
     let cells: Vec<(usize, usize)> = (0..plans.len())
         .flat_map(|pi| (0..pressures.len()).map(move |qi| (pi, qi)))
         .collect();
+    // Each cell pairs the percore run with the prefetcher-off run of the
+    // same chaos scenario (every prefetcher removed, throttle off) — the
+    // safety baseline the cell is measured against.
+    let specs: Vec<RunSpec> = cells
+        .iter()
+        .flat_map(|&(pi, qi)| {
+            let plan = plan_of(plans[pi].1.clone(), CHAOS_SEED);
+            let with_pf = chaos_spec(&mix, pressures[qi], ThrottleMode::Percore, Some(plan));
+            let without_pf = RunSpec {
+                throttle: ThrottleMode::Off,
+                ..with_pf.baseline()
+            };
+            [with_pf, without_pf]
+        })
+        .collect();
+    let results = ParallelHarness::with_jobs(4)
+        .quiet()
+        .try_run(&specs)
+        .into_complete();
 
-    let violations: Vec<String> = parallel_map(4, cells.len(), |i| {
-        let (pi, qi) = cells[i];
-        let plan = plan_of(plans[pi].1.clone(), CHAOS_SEED);
-        let with_pf = run_chaos(
-            &mix,
-            &pressures[qi],
-            ThrottleMode::Percore,
-            Some(plan.clone()),
-        );
-        let without_pf = run_chaos(&off_mix, &pressures[qi], ThrottleMode::Off, Some(plan));
-        let mut bad = Vec::new();
+    let mut violations: Vec<String> = Vec::new();
+    for (&(pi, qi), pair) in cells.iter().zip(results.chunks(2)) {
+        let (with_pf, without_pf) = (&pair[0], &pair[1]);
         for (core, (a, b)) in with_pf
             .core_ipcs()
             .iter()
@@ -126,17 +131,13 @@ fn every_chaos_cell_keeps_every_core_within_the_slowdown_bound() {
         {
             let ratio = a / b;
             if ratio < SLOWDOWN_BOUND {
-                bad.push(format!(
+                violations.push(format!(
                     "chaos={} pressure={} core{core}: {ratio:.3}x of prefetcher-off",
                     plans[pi].0, pressures[qi].name
                 ));
             }
         }
-        bad
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    }
     assert!(
         violations.is_empty(),
         "per-core throttling broke the bounded-slowdown contract under chaos:\n{}",
@@ -206,7 +207,7 @@ fn chaos_runs_replay_bit_for_bit_and_seeds_matter() {
     let run = |seed: u64| {
         run_chaos(
             &mix,
-            &Pressure::CONSTRAINED,
+            Pressure::CONSTRAINED,
             ThrottleMode::Percore,
             Some(plan_of(ChaosKind::ALL.to_vec(), seed)),
         )
@@ -226,17 +227,7 @@ fn chaos_runs_replay_bit_for_bit_and_seeds_matter() {
 fn an_injector_that_never_fires_is_bit_for_bit_invisible() {
     let mix = committed_mix("polite-vs-storm");
     for throttle in [ThrottleMode::Off, ThrottleMode::Percore] {
-        let calm = run_mix_qos(
-            &mix,
-            2,
-            &Pressure::CONSTRAINED,
-            SCALE,
-            None,
-            throttle,
-            None,
-            None,
-        )
-        .expect("calm run completes");
+        let calm = run_chaos(&mix, Pressure::CONSTRAINED, throttle, None);
         // First onset far past any plausible cycle count for this scale.
         let dormant = ChaosPlan {
             seed: CHAOS_SEED,
@@ -244,7 +235,7 @@ fn an_injector_that_never_fires_is_bit_for_bit_invisible() {
             window: 1,
             kinds: ChaosKind::ALL.to_vec(),
         };
-        let with_dormant = run_chaos(&mix, &Pressure::CONSTRAINED, throttle, Some(dormant));
+        let with_dormant = run_chaos(&mix, Pressure::CONSTRAINED, throttle, Some(dormant));
         assert_eq!(
             calm, with_dormant,
             "an injector with no onsets changed a {throttle} run — either the \

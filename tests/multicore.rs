@@ -1,23 +1,24 @@
 //! Multi-core contention grid: equivalence, determinism, and fairness
-//! invariants of the declarative mix path.
+//! invariants of the unified [`RunSpec`] path.
 //!
-//! The mix layer claims three things these tests pin down:
+//! The run layer claims three things these tests pin down:
 //!
-//! 1. **Invisible at N=1** — a 1-core mix produces bit-for-bit the same
-//!    `SimResult` as the classic single-core construction, for every
-//!    workload (ALL + STRESS) and for both the no-prefetcher baseline
-//!    and Bingo.
-//! 2. **Homogeneous mixes collapse to the classic path** — a mix whose
-//!    slots all carry the same assignment is the existing homogeneous
-//!    sweep, at the paper's 4-core count.
-//! 3. **Deterministic at any worker count and on repetition** — the mix
-//!    grid's results do not depend on `BINGO_JOBS` or on how often the
-//!    sweep runs, and the fairness metrics in the report recompute
-//!    exactly from the per-core stats they summarize.
+//! 1. **Every machine shape is the hand-built one** — a [`RunSpec`]
+//!    produces bit-for-bit the `SimResult` of the construction each
+//!    caller used to write by hand: the classic 4-core sweep, the 1-core
+//!    mix, and the 2-core pressured machine of `stress_degrade`, for
+//!    every workload (ALL + STRESS) and for both the no-prefetcher
+//!    baseline and Bingo.
+//! 2. **Deterministic at any worker count and on repetition** — the mix
+//!    view's results do not depend on `BINGO_JOBS` or on how often the
+//!    sweep runs.
+//! 3. **Fairness recomputes** — the metrics in the report recompute
+//!    exactly from the per-core stats they summarize and from solo runs
+//!    built by hand.
 
 use bingo_bench::{
-    parallel_map, run_mix_configured, run_mix_solo_configured, run_one_configured, MixAssignment,
-    MixCell, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale,
+    parallel_map, MixAssignment, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale,
+    RunSpec,
 };
 use bingo_sim::{SimResult, System, SystemConfig, TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
@@ -28,14 +29,43 @@ const SCALE: RunScale = RunScale {
     seed: 42,
 };
 
-/// The pre-mix single-core path: explicit 1-core machine, the workload's
-/// own source vector, one prefetcher.
-fn classic_single_core(workload: Workload, kind: PrefetcherKind) -> SimResult {
-    let cfg = SystemConfig::paper_single_core();
-    let sources = workload.sources(1, SCALE.seed);
+const OFF: TelemetryLevel = TelemetryLevel::Off;
+
+/// The hand-built homogeneous construction every classic caller used:
+/// the workload's own source vector and one prefetcher per core.
+fn hand_built(cfg: SystemConfig, workload: Workload, kind: PrefetcherKind) -> System {
+    let sources = workload.sources(cfg.cores, SCALE.seed);
     System::with_prefetchers(cfg, sources, |_| kind.build(), SCALE.instructions_per_core)
         .with_warmup(SCALE.warmup_per_core)
-        .run()
+}
+
+/// Every workload (ALL + STRESS) with the baseline and with Bingo.
+fn every_workload() -> Vec<(Workload, PrefetcherKind)> {
+    Workload::ALL
+        .into_iter()
+        .chain(Workload::STRESS)
+        .flat_map(|w| [(w, PrefetcherKind::None), (w, PrefetcherKind::Bingo)])
+        .collect()
+}
+
+/// Runs `pair` for every case in parallel and returns the labels of the
+/// cases whose reference and unified results differ.
+fn mismatches<C: Sync>(
+    cases: &[C],
+    label: impl Fn(&C) -> String + Sync,
+    pair: impl Fn(&C) -> (SimResult, SimResult) + Sync,
+) -> Vec<String> {
+    parallel_map(4, cases.len(), |i| {
+        let (reference, unified) = pair(&cases[i]);
+        (reference != unified).then(|| label(&cases[i]))
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+fn run(spec: &RunSpec) -> SimResult {
+    spec.run(None).expect("spec run completes")
 }
 
 /// A mix with `cores` identical slots.
@@ -66,96 +96,103 @@ fn contention_mix() -> MixConfig {
     .remove(0)
 }
 
+fn pair_label(&(w, k): &(Workload, PrefetcherKind)) -> String {
+    format!("{} / {}", w.name(), k.name())
+}
+
 #[test]
 fn one_core_mix_is_bit_for_bit_the_classic_single_core_path() {
-    let pairs: Vec<(Workload, PrefetcherKind)> = Workload::ALL
-        .into_iter()
-        .chain(Workload::STRESS)
-        .flat_map(|w| [(w, PrefetcherKind::None), (w, PrefetcherKind::Bingo)])
-        .collect();
-    let mismatches: Vec<String> = parallel_map(4, pairs.len(), |i| {
-        let (w, k) = pairs[i];
-        let classic = classic_single_core(w, k);
+    let bad = mismatches(&every_workload(), pair_label, |&(w, k)| {
+        let classic = hand_built(SystemConfig::paper_single_core(), w, k).run();
         let mix = homogeneous_mix(w, k, 1);
-        let via_mix = run_mix_configured(
-            &mix,
-            1,
-            &Pressure::NONE,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        )
-        .expect("mix run completes");
-        (classic != via_mix).then(|| format!("{} / {}", w.name(), k.name()))
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+        let spec = RunSpec::mix(SCALE, &mix, 1, Pressure::NONE, OFF, ThrottleMode::Off);
+        (classic, run(&spec))
+    });
     assert!(
-        mismatches.is_empty(),
-        "1-core mix diverged from the classic path on: {mismatches:?}"
+        bad.is_empty(),
+        "1-core mix diverged from the classic path on: {bad:?}"
     );
 }
 
 #[test]
 fn four_core_homogeneous_mix_matches_the_classic_path() {
-    for kind in [PrefetcherKind::None, PrefetcherKind::Bingo] {
-        let classic = run_one_configured(
-            Workload::Streaming,
-            kind,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        )
-        .expect("classic run completes");
-        let mix = homogeneous_mix(Workload::Streaming, kind, 4);
-        let via_mix = run_mix_configured(
-            &mix,
-            4,
-            &Pressure::NONE,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        )
-        .expect("mix run completes");
-        assert_eq!(
-            classic,
-            via_mix,
-            "4-core homogeneous mix diverged from the classic path ({})",
-            kind.name()
-        );
-    }
+    let bad = mismatches(&every_workload(), pair_label, |&(w, k)| {
+        let classic = hand_built(SystemConfig::paper(), w, k)
+            .with_telemetry(OFF)
+            .with_throttle(ThrottleMode::Off)
+            .run();
+        let spec = RunSpec::classic(SCALE, w, k, OFF, ThrottleMode::Off);
+        let mix = homogeneous_mix(w, k, 4);
+        let via_mix = RunSpec::mix(SCALE, &mix, 4, Pressure::NONE, OFF, ThrottleMode::Off);
+        assert_eq!(spec.key(), via_mix.key(), "one machine, one key");
+        (classic, run(&spec))
+    });
+    assert!(
+        bad.is_empty(),
+        "4-core RunSpec diverged from the classic path on: {bad:?}"
+    );
+}
+
+/// The 2-core pressured machine `stress_degrade` used to build by hand —
+/// core count cut to 2, a pressure preset applied, the prefetch queue
+/// overridden, a throttle attached — is exactly a truncated classic spec
+/// with the queue in its pressure.
+#[test]
+fn two_core_pressured_spec_matches_the_hand_built_stress_machine() {
+    let queue = 4;
+    let configs = [
+        (PrefetcherKind::None, ThrottleMode::Off),
+        (PrefetcherKind::Bingo, ThrottleMode::Off),
+        (PrefetcherKind::Bingo, ThrottleMode::Feedback),
+        (PrefetcherKind::Bingo, ThrottleMode::Percore),
+    ];
+    let cases: Vec<(Workload, PrefetcherKind, ThrottleMode)> = Workload::STRESS
+        .into_iter()
+        .flat_map(|w| configs.map(|(k, t)| (w, k, t)))
+        .collect();
+    let bad = mismatches(
+        &cases,
+        |(w, k, t)| format!("{} / {} / {t}", w.name(), k.name()),
+        |&(w, k, throttle)| {
+            let mut cfg = SystemConfig::paper();
+            cfg.cores = 2;
+            Pressure::SCARCE.apply(&mut cfg);
+            cfg.prefetch_queue_depth = Some(queue);
+            let by_hand = hand_built(cfg, w, k).with_throttle(throttle).run();
+            let mut spec = RunSpec::classic(SCALE, w, k, OFF, throttle);
+            spec.slots.truncate(2);
+            spec.pressure = Pressure {
+                queue: Some(queue),
+                ..Pressure::SCARCE
+            };
+            (by_hand, run(&spec))
+        },
+    );
+    assert!(
+        bad.is_empty(),
+        "2-core pressured spec diverged from the hand-built machine on: {bad:?}"
+    );
 }
 
 #[test]
 fn mix_grid_is_deterministic_across_worker_counts() {
     let mix2 = contention_mix();
-    let cells = [
-        MixCell {
-            mix: mix2.clone(),
-            cores: 2,
-            pressure: Pressure::NONE,
-        },
-        MixCell {
-            mix: mix2,
-            cores: 4,
-            pressure: Pressure::CONSTRAINED,
-        },
+    let specs = [
+        RunSpec::mix(SCALE, &mix2, 2, Pressure::NONE, OFF, ThrottleMode::Off),
+        RunSpec::mix(
+            SCALE,
+            &mix2,
+            4,
+            Pressure::CONSTRAINED,
+            OFF,
+            ThrottleMode::Off,
+        ),
     ];
-    let serial = ParallelHarness::with_jobs(SCALE, 1)
-        .quiet()
-        .try_evaluate_mix_grid(&cells)
-        .into_complete();
-    let parallel = ParallelHarness::with_jobs(SCALE, 8)
-        .quiet()
-        .try_evaluate_mix_grid(&cells)
-        .into_complete();
+    let serial = ParallelHarness::with_jobs(1).quiet().evaluate_mix(&specs);
+    let parallel = ParallelHarness::with_jobs(8).quiet().evaluate_mix(&specs);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
-        let what = format!("{}@{} / {}", s.mix_name, s.cores, s.pressure.name);
+        let what = s.spec.label();
         assert_eq!(
             s.result, p.result,
             "{what}: result differs across worker counts"
@@ -183,34 +220,20 @@ fn mix_grid_is_deterministic_across_worker_counts() {
 fn repeated_mix_runs_are_bit_for_bit_equal() {
     let mix = contention_mix();
     for cores in [2usize, 4] {
-        let run = || {
-            run_mix_configured(
-                &mix,
-                cores,
-                &Pressure::NONE,
-                SCALE,
-                None,
-                TelemetryLevel::Off,
-                ThrottleMode::Off,
-            )
-            .expect("mix run completes")
-        };
-        assert_eq!(run(), run(), "repeated {cores}-core mix run diverged");
+        let spec = RunSpec::mix(SCALE, &mix, cores, Pressure::NONE, OFF, ThrottleMode::Off);
+        assert_eq!(
+            run(&spec),
+            run(&spec),
+            "repeated {cores}-core mix run diverged"
+        );
     }
 }
 
 #[test]
 fn fairness_metrics_recompute_from_per_core_stats() {
     let mix = contention_mix();
-    let cells = [MixCell {
-        mix: mix.clone(),
-        cores: 2,
-        pressure: Pressure::NONE,
-    }];
-    let evals = ParallelHarness::with_jobs(SCALE, 2)
-        .quiet()
-        .try_evaluate_mix_grid(&cells)
-        .into_complete();
+    let spec = RunSpec::mix(SCALE, &mix, 2, Pressure::NONE, OFF, ThrottleMode::Off);
+    let evals = ParallelHarness::with_jobs(2).quiet().evaluate_mix(&[spec]);
     let e = &evals[0];
 
     // Recompute every reported metric from the raw per-core stats and
@@ -229,16 +252,18 @@ fn fairness_metrics_recompute_from_per_core_stats() {
         "min/max IPC ratio does not recompute"
     );
     for (slot, &mix_ipc) in ipcs.iter().enumerate() {
-        let solo = run_mix_solo_configured(
-            mix.assignment(slot),
-            slot,
-            &Pressure::NONE,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
+        // A solo built by hand: the slot's own stream (same stream core,
+        // so same seed and address space), prefetcher and scaled target
+        // on a 1-core machine.
+        let a = mix.assignment(slot);
+        let solo = System::new(
+            SystemConfig::paper_single_core(),
+            vec![a.workload.source_for_core(slot, SCALE.seed)],
+            vec![a.prefetcher.build()],
+            SCALE.instructions_per_core * u64::from(a.scale_percent) / 100,
         )
-        .expect("solo run completes");
+        .with_warmup(SCALE.warmup_per_core)
+        .run();
         let solo_ipc: f64 = solo.core_ipcs().iter().sum();
         assert_eq!(
             e.fairness.slowdowns[slot].to_bits(),

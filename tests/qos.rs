@@ -16,7 +16,7 @@
 
 use std::path::Path;
 
-use bingo_bench::{run_mix_configured, run_mix_qos, MixConfig, Pressure, RunScale};
+use bingo_bench::{MixConfig, Pressure, RunScale, RunSpec};
 use bingo_sim::{SimResult, TelemetryLevel, ThrottleMode};
 
 const SCALE: RunScale = RunScale {
@@ -35,6 +35,14 @@ fn committed_mix(name: &str) -> MixConfig {
         .unwrap_or_else(|| panic!("contention.mix does not declare {name:?}"))
 }
 
+/// `mix` at 2 cores under `constrained` pressure, run directly.
+fn run_constrained(mix: &MixConfig, scale: RunScale, throttle: ThrottleMode) -> SimResult {
+    let pressure = Pressure::CONSTRAINED;
+    RunSpec::mix(scale, mix, 2, pressure, TelemetryLevel::Off, throttle)
+        .run(None)
+        .expect("qos cell completes")
+}
+
 /// Aggregate throughput under the mix-fairness convention: the sum of
 /// per-core IPCs (what PR 8's published starvation verdict used).
 fn sum_ipc(r: &SimResult) -> f64 {
@@ -44,19 +52,7 @@ fn sum_ipc(r: &SimResult) -> f64 {
 #[test]
 fn percore_recovers_the_polite_core_without_losing_aggregate_ipc() {
     let mix = committed_mix("polite-vs-storm");
-    let pressure = Pressure::CONSTRAINED;
-    let run = |throttle: ThrottleMode| -> SimResult {
-        run_mix_configured(
-            &mix,
-            2,
-            &pressure,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            throttle,
-        )
-        .expect("qos acceptance cell completes")
-    };
+    let run = |throttle| run_constrained(&mix, SCALE, throttle);
     let off = run(ThrottleMode::Off);
     let feedback = run(ThrottleMode::Feedback);
     let percore = run(ThrottleMode::Percore);
@@ -125,24 +121,12 @@ fn percore_recovers_the_polite_core_without_losing_aggregate_ipc() {
 #[test]
 fn qos_report_attaches_only_to_percore_runs() {
     let mix = committed_mix("polite-vs-storm");
-    let pressure = Pressure::CONSTRAINED;
     let small = RunScale {
         instructions_per_core: 15_000,
         warmup_per_core: 10_000,
         seed: 42,
     };
-    let run = |throttle: ThrottleMode| -> SimResult {
-        run_mix_configured(
-            &mix,
-            2,
-            &pressure,
-            small,
-            None,
-            TelemetryLevel::Off,
-            throttle,
-        )
-        .expect("cell completes")
-    };
+    let run = |throttle| run_constrained(&mix, small, throttle);
     for mode in [ThrottleMode::Off, ThrottleMode::Feedback] {
         assert!(
             run(mode).qos.is_none(),
@@ -166,27 +150,19 @@ fn qos_slo_override_is_invisible_off_the_percore_path() {
         seed: 42,
     };
     for mode in [ThrottleMode::Off, ThrottleMode::Feedback] {
-        let plain = run_mix_configured(
+        let plain = RunSpec::mix(
+            small,
             &mix,
             2,
-            &Pressure::CONSTRAINED,
-            small,
-            None,
+            Pressure::CONSTRAINED,
             TelemetryLevel::Off,
             mode,
-        )
-        .expect("cell completes");
-        let with_slo = run_mix_qos(
-            &mix,
-            2,
-            &Pressure::CONSTRAINED,
-            small,
-            None,
-            mode,
-            Some(0.5),
-            None,
-        )
-        .expect("cell completes");
+        );
+        let with_slo = RunSpec {
+            qos_slo: Some(0.5),
+            ..plain.clone()
+        };
+        let (plain, with_slo) = (plain.run(None), with_slo.run(None));
         assert_eq!(plain, with_slo, "qos_slo changed a {mode} run");
     }
 }

@@ -14,9 +14,7 @@ use std::io::Cursor;
 use std::mem::{discriminant, Discriminant};
 use std::path::{Path, PathBuf};
 
-use bingo_repro::bench::{
-    run_trace_cell, run_trace_one_configured, CellOutcome, PrefetcherKind, RunScale,
-};
+use bingo_repro::bench::{ParallelHarness, PrefetcherKind, RunScale, RunSpec};
 use bingo_repro::sim::{Addr, IngestReport, Instr, InstrSource, Pc, TelemetryLevel, ThrottleMode};
 use bingo_repro::trace::{
     apply, CorruptionOp, Policy, ReadError, ReplaySource, TraceReader, TraceWriter,
@@ -121,15 +119,10 @@ fn corpus_trace_drives_a_simulation_end_to_end() {
         warmup_per_core: 500,
         seed: 0,
     };
-    let mut result = run_trace_one_configured(
-        &trace,
-        PrefetcherKind::NextLine(1),
-        scale,
-        None,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    )
-    .expect("corpus replay completes");
+    let kind = PrefetcherKind::NextLine(1);
+    let mut result = RunSpec::trace(scale, &trace, kind, TelemetryLevel::Off, ThrottleMode::Off)
+        .run(None)
+        .expect("corpus replay completes");
     let ingest = result.ingest.take().expect("replay attaches a report");
     assert!(ingest.is_clean(), "pristine corpus quarantined: {ingest}");
     assert!(
@@ -269,42 +262,34 @@ fn corrupt_corpus_trace_fails_strict_cell_but_completes_lenient_sim() {
         seed: 0,
     };
 
+    // Both policies in one panic-isolated sweep.
     let strict = TraceWorkload::open(&dir).expect("open corpus capture");
-    match run_trace_cell(
-        &strict,
-        PrefetcherKind::None,
-        scale,
-        None,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    ) {
-        CellOutcome::Panicked { message } => {
-            assert!(
-                message.contains("byte"),
-                "strict cell failure should carry the typed offset: {message}"
-            );
-        }
-        other => panic!("strict replay of corrupt bytes must fail its cell, got {other:?}"),
-    }
-
     let lenient =
         TraceWorkload::with_policy(&dir, Policy::Lenient).expect("open corpus capture leniently");
-    match run_trace_cell(
-        &lenient,
-        PrefetcherKind::None,
-        scale,
-        None,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    ) {
-        CellOutcome::Ok(result) => {
-            let ingest = result.ingest.as_ref().expect("replay attaches a report");
-            assert!(
-                ingest.quarantined_records > 0,
-                "the damage must be visible in the result: {ingest}"
-            );
-        }
-        other => panic!("lenient replay must complete, got {other:?}"),
-    }
+    let spec = |trace: &TraceWorkload| {
+        let kind = PrefetcherKind::None;
+        RunSpec::trace(scale, trace, kind, TelemetryLevel::Off, ThrottleMode::Off)
+    };
+    let report = ParallelHarness::with_jobs(2)
+        .quiet()
+        .try_run(&[spec(&strict), spec(&lenient)]);
+
+    assert!(report.evaluations[0].is_none(), "strict replay must fail");
+    let [failure] = &report.failures[..] else {
+        panic!("only the strict cell fails: {}", report.failure_report());
+    };
+    assert!(
+        failure.reason.contains("byte"),
+        "strict cell failure should carry the typed offset: {}",
+        failure.reason
+    );
+    let result = report.evaluations[1]
+        .as_ref()
+        .expect("lenient replay must complete");
+    let ingest = result.ingest.as_ref().expect("replay attaches a report");
+    assert!(
+        ingest.quarantined_records > 0,
+        "the damage must be visible in the result: {ingest}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use bingo_repro::bench::{run_one, run_trace_one_configured, PrefetcherKind, RunScale};
+use bingo_repro::bench::{ensure_capture, run_one, PrefetcherKind, RunScale, RunSpec};
 use bingo_repro::sim::{SimResult, SystemConfig, TelemetryLevel, ThrottleMode};
 use bingo_repro::workloads::{capture_workload, TraceWorkload, Workload};
 
@@ -39,15 +39,9 @@ fn round_trip(workload: Workload, kind: PrefetcherKind) -> (SimResult, SimResult
     capture_workload(workload, cores, SCALE.seed, records, 1 << 12, &dir)
         .unwrap_or_else(|e| panic!("capture of {workload} failed: {e}"));
     let trace = TraceWorkload::open(&dir).expect("open capture");
-    let mut replayed = run_trace_one_configured(
-        &trace,
-        kind,
-        SCALE,
-        None,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    )
-    .unwrap_or_else(|abort| panic!("replay of {workload} aborted: {abort}"));
+    let mut replayed = RunSpec::trace(SCALE, &trace, kind, TelemetryLevel::Off, ThrottleMode::Off)
+        .run(None)
+        .unwrap_or_else(|abort| panic!("replay of {workload} aborted: {abort}"));
     let ingest = replayed
         .ingest
         .take()
@@ -96,4 +90,44 @@ fn round_trip_holds_under_bingo() {
         let (live, replayed) = round_trip(w, PrefetcherKind::Bingo);
         assert_eq!(live, replayed, "{w}: Bingo replay diverged");
     }
+}
+
+/// A capture shorter than the run would wrap during replay and silently
+/// measure a different program: `ensure_capture` re-records it, while a
+/// capture that covers the run is reused with its bytes untouched.
+#[test]
+fn short_captures_are_rerecorded_and_long_ones_reused() {
+    let dir = scratch("reuse");
+    let (w, cores, chunk) = (Workload::Streaming, 2, 512);
+    let short = 1_000;
+    capture_workload(w, cores, SCALE.seed, short, chunk, &dir).expect("short capture");
+    let needed = 3_000;
+    let records = |dir: &std::path::Path| {
+        let file = std::fs::File::open(dir.join("core1.btrc")).expect("core1.btrc");
+        let reader = bingo_repro::trace::TraceReader::new(
+            std::io::BufReader::new(file),
+            bingo_repro::trace::Policy::Strict,
+        )
+        .expect("header parses");
+        reader.header().expect("header").total_records
+    };
+    assert_eq!(records(&dir), short);
+
+    ensure_capture(w, cores, SCALE.seed, needed, chunk, &dir).expect("re-record");
+    assert_eq!(records(&dir), needed, "the short capture was re-recorded");
+
+    let bytes = |dir: &std::path::Path| -> Vec<Vec<u8>> {
+        (0..cores)
+            .map(|i| std::fs::read(dir.join(format!("core{i}.btrc"))).expect("read"))
+            .collect()
+    };
+    let before = bytes(&dir);
+    let trace = ensure_capture(w, cores, SCALE.seed, needed - 1, chunk, &dir).expect("reuse");
+    assert_eq!(
+        bytes(&dir),
+        before,
+        "a long enough capture is reused untouched"
+    );
+    assert_eq!(trace.captured_cores(), cores);
+    std::fs::remove_dir_all(&dir).ok();
 }
