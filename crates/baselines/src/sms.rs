@@ -120,22 +120,10 @@ impl Prefetcher for Sms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bingo_sim::{CoreId, Pc};
+    use bingo_sim::Pc;
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        let g = RegionGeometry::default();
-        let b = BlockAddr::new(block);
-        AccessInfo {
-            core: CoreId(0),
-            pc: Pc::new(pc),
-            addr: b.base_addr(),
-            block: b,
-            region: g.region_of(b),
-            offset: g.offset_of(b),
-            is_write: false,
-            hit: false,
-            cycle: 0,
-        }
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
     }
 
     fn visit(s: &mut Sms, pc: u64, region: u64, offsets: &[u32]) -> Vec<BlockAddr> {

@@ -263,22 +263,10 @@ impl Prefetcher for Spp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bingo_sim::{CoreId, Pc, RegionGeometry};
+    use bingo_sim::Pc;
 
     fn info(block: u64) -> AccessInfo {
-        let g = RegionGeometry::default();
-        let b = BlockAddr::new(block);
-        AccessInfo {
-            core: CoreId(0),
-            pc: Pc::new(0x400),
-            addr: b.base_addr(),
-            block: b,
-            region: g.region_of(b),
-            offset: g.offset_of(b),
-            is_write: false,
-            hit: false,
-            cycle: 0,
-        }
+        AccessInfo::demand(Pc::new(0x400), BlockAddr::new(block), 0)
     }
 
     fn access(s: &mut Spp, block: u64) -> Vec<u64> {

@@ -12,18 +12,15 @@ use bingo_baselines::{
     Ampm, AmpmConfig, Bop, BopConfig, Sms, Spp, SppConfig, StridePrefetcher, Vldp, VldpConfig,
     DEFAULT_OFFSETS,
 };
-use bingo_sim::{AccessInfo, BlockAddr, CoreId, Pc, Prefetcher, RegionGeometry};
+use bingo_sim::{AccessInfo, BlockAddr, CoreId, Pc, Prefetcher};
 
 fn info(pc: u64, block: u64, is_write: bool) -> AccessInfo {
-    let g = RegionGeometry::default();
     let b = BlockAddr::new(block);
     AccessInfo {
         core: CoreId(0),
         pc: Pc::new(pc),
         addr: b.base_addr(),
         block: b,
-        region: g.region_of(b),
-        offset: g.offset_of(b),
         is_write,
         hit: false,
         cycle: 0,

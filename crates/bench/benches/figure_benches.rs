@@ -10,7 +10,7 @@
 
 use std::hint::black_box;
 
-use bingo::EventKind;
+use bingo::{BingoConfig, EventKind};
 use bingo_bench::{run_one, time_median, BenchWriter, PrefetcherKind, RunScale, RunSpec};
 use bingo_sim::{SystemConfig, TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
@@ -74,7 +74,7 @@ fn bench_figure_paths(writer: &mut Option<BenchWriter>) {
         (
             "fig6_small_table",
             Workload::Streaming,
-            PrefetcherKind::BingoEntries(1024),
+            PrefetcherKind::BingoWith(BingoConfig::with_history_entries(1024)),
         ),
         ("fig7_sms", Workload::Streaming, PrefetcherKind::Sms),
         ("fig8_vldp", Workload::Mix1, PrefetcherKind::Vldp),

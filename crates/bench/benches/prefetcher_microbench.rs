@@ -15,22 +15,10 @@ use bingo_bench::{time_median, BenchRecord, BenchWriter};
 use bingo::multi_event::{MultiEventConfig, MultiEventPrefetcher};
 use bingo::{Bingo, BingoConfig, Footprint, UnifiedHistoryTable};
 use bingo_baselines::{Ampm, AmpmConfig, Bop, BopConfig, Sms, Spp, SppConfig, Vldp, VldpConfig};
-use bingo_sim::{AccessInfo, BlockAddr, CoreId, Pc, Prefetcher, RegionGeometry};
+use bingo_sim::{AccessInfo, BlockAddr, Pc, Prefetcher};
 
 fn info(pc: u64, block: u64) -> AccessInfo {
-    let g = RegionGeometry::default();
-    let b = BlockAddr::new(block);
-    AccessInfo {
-        core: CoreId(0),
-        pc: Pc::new(pc),
-        addr: b.base_addr(),
-        block: b,
-        region: g.region_of(b),
-        offset: g.offset_of(b),
-        is_write: false,
-        hit: false,
-        cycle: 0,
-    }
+    AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
 }
 
 /// Drives a prefetcher with a deterministic mixed access stream.

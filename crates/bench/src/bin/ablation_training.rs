@@ -5,32 +5,17 @@
 //! evicted from the cache". The alternative is to train only when the
 //! accumulation table overflows (no cache feedback at all). This ablation
 //! quantifies how much the eviction signal matters.
-//!
-//! The non-paper variant is not expressible as a [`PrefetcherKind`], so
-//! the study fans its cells out with [`parallel_map`] directly.
 
-use bingo::{Bingo, BingoConfig};
-use bingo_bench::{default_jobs, geometric_mean, mean, parallel_map, pct, RunScale, Table};
-use bingo_sim::{CoverageReport, NoPrefetcher, Prefetcher, System, SystemConfig};
+use bingo::BingoConfig;
+use bingo_bench::{
+    geometric_mean, mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness,
+    PrefetcherKind, RunScale, RunSpec, Table,
+};
 use bingo_workloads::Workload;
-
-fn run(w: Workload, pf: Option<BingoConfig>, scale: RunScale) -> bingo_sim::SimResult {
-    let cfg = SystemConfig::paper();
-    System::with_prefetchers(
-        cfg,
-        w.sources(cfg.cores, scale.seed),
-        |_| match pf {
-            Some(c) => Box::new(Bingo::new(c)) as Box<dyn Prefetcher>,
-            None => Box::new(NoPrefetcher),
-        },
-        scale.instructions_per_core,
-    )
-    .with_warmup(scale.warmup_per_core)
-    .run()
-}
 
 fn main() {
     let scale = RunScale::from_args();
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let variants = [
         ("eviction + overflow (paper)", BingoConfig::paper()),
         (
@@ -41,41 +26,27 @@ fn main() {
             },
         ),
     ];
-    // Cell list: first the per-workload baselines, then (variant, workload)
-    // in variant-major order.
-    let mut cells: Vec<(Option<BingoConfig>, Workload)> =
-        Workload::ALL.iter().map(|&w| (None, w)).collect();
-    for (_, cfg) in variants {
-        cells.extend(Workload::ALL.iter().map(|&w| (Some(cfg), w)));
-    }
-    let results = parallel_map(default_jobs(), cells.len(), |i| {
-        let (cfg, w) = cells[i];
-        let r = run(w, cfg, scale);
-        eprintln!(
-            "done {w} ({})",
-            if cfg.is_some() { "bingo" } else { "baseline" }
-        );
-        r
-    });
-    let n_workloads = Workload::ALL.len();
-    let baselines = &results[..n_workloads];
+    // Variant-major grid: all workloads of one variant are contiguous.
+    let specs: Vec<RunSpec> = variants
+        .iter()
+        .flat_map(|&(_, cfg)| {
+            let kind = PrefetcherKind::BingoWith(cfg);
+            RunSpec::grid(scale, &Workload::ALL, &[kind], telemetry, throttle)
+        })
+        .collect();
+    let evals = ParallelHarness::from_env().evaluate(&specs);
     let mut t = Table::new(vec![
         "Training signal",
         "Perf gmean",
         "Coverage",
         "Overprediction",
     ]);
-    for (vi, (name, _)) in variants.into_iter().enumerate() {
-        let chunk = &results[(vi + 1) * n_workloads..(vi + 2) * n_workloads];
-        let mut speedups = Vec::new();
-        let mut covs = Vec::new();
-        let mut ovs = Vec::new();
-        for (r, base) in chunk.iter().zip(baselines) {
-            let c = CoverageReport::from_runs(r, base);
-            speedups.push(r.speedup_over(base));
-            covs.push(c.coverage);
-            ovs.push(c.overprediction);
-        }
+    let n_workloads = Workload::ALL.len();
+    for (i, (name, _)) in variants.into_iter().enumerate() {
+        let chunk = &evals[i * n_workloads..(i + 1) * n_workloads];
+        let speedups: Vec<f64> = chunk.iter().map(|e| e.speedup).collect();
+        let covs: Vec<f64> = chunk.iter().map(|e| e.coverage.coverage).collect();
+        let ovs: Vec<f64> = chunk.iter().map(|e| e.coverage.overprediction).collect();
         t.row(vec![
             name.to_string(),
             pct(geometric_mean(&speedups) - 1.0),

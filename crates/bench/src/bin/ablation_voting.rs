@@ -5,6 +5,7 @@
 //! ablation sweeps the threshold from aggressive-union (5%) to strict
 //! intersection (100%), confirming the paper's choice of 20%.
 
+use bingo::BingoConfig;
 use bingo_bench::{
     geometric_mean, mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness,
     PrefetcherKind, RunScale, RunSpec, Table,
@@ -20,7 +21,10 @@ fn main() {
     let specs: Vec<RunSpec> = THRESHOLDS
         .iter()
         .flat_map(|&th| {
-            let kind = PrefetcherKind::BingoVote(th);
+            let kind = PrefetcherKind::BingoWith(BingoConfig {
+                vote_threshold: th,
+                ..BingoConfig::paper()
+            });
             RunSpec::grid(scale, &Workload::ALL, &[kind], telemetry, throttle)
         })
         .collect();

@@ -1,6 +1,7 @@
 //! Figure 6 — Bingo's miss coverage as a function of history-table entries
 //! (1K to 64K), per workload. The paper picks 16K entries as the knee.
 
+use bingo::BingoConfig;
 use bingo_bench::{
     pct, telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale, RunSpec,
     Table,
@@ -14,7 +15,7 @@ fn main() {
     let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let kinds: Vec<PrefetcherKind> = SIZES
         .into_iter()
-        .map(PrefetcherKind::BingoEntries)
+        .map(|n| PrefetcherKind::BingoWith(BingoConfig::with_history_entries(n)))
         .collect();
     let specs = RunSpec::grid(scale, &Workload::ALL, &kinds, telemetry, throttle);
     let evals = ParallelHarness::from_env().evaluate(&specs);

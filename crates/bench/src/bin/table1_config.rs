@@ -7,6 +7,7 @@ use bingo_sim::SystemConfig;
 
 fn main() {
     let cfg = SystemConfig::paper();
+    let bingo = BingoConfig::paper();
     let mut t = Table::new(vec!["Parameter", "Value"]);
     t.row(vec![
         "Chip".to_string(),
@@ -51,15 +52,14 @@ fn main() {
         "Spatial region".to_string(),
         format!(
             "{} B ({} blocks)",
-            cfg.region.region_bytes(),
-            cfg.region.blocks_per_region()
+            bingo.region.region_bytes(),
+            bingo.region.blocks_per_region()
         ),
     ]);
     println!("Table I. Evaluation parameters.\n\n{t}");
 
     // Storage is a pure function of the configuration — no need to build
     // the prefetcher to account for it.
-    let bingo = BingoConfig::paper();
     let kb = bingo.storage_bits() as f64 / 8.0 / 1024.0;
     let llc_pct = bingo.storage_bits() as f64 / 8.0 / cfg.llc.size_bytes as f64 * 100.0;
     println!(

@@ -6,7 +6,7 @@
 
 use bingo::{EventKind, SpatialProfiler};
 use bingo_bench::{default_jobs, parallel_map, pct, RunScale, Table};
-use bingo_sim::Instr;
+use bingo_sim::{Instr, RegionGeometry};
 use bingo_workloads::Workload;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
     // Each workload profiles independently; fan them out.
     let rows = parallel_map(default_jobs(), Workload::ALL.len(), |wi| {
         let w = Workload::ALL[wi];
-        let mut profiler = SpatialProfiler::new(32, 64);
+        let mut profiler = SpatialProfiler::new(RegionGeometry::default(), 64);
         let mut sources = w.sources(1, scale.seed);
         let src = sources[0].as_mut();
         let mut seen = 0;

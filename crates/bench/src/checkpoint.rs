@@ -11,15 +11,15 @@
 //! of its key (see the determinism notes in [`crate::runner`]), the
 //! resumed sweep is **bit-for-bit identical** to an uninterrupted one —
 //! test-locked by `resume_from_checkpoint_is_bit_for_bit_identical`.
-//! Lines written under older key formats still load (and count in
-//! [`Checkpoint::len`]) but never match a `run:` key, so those cells
-//! re-simulate once.
 //!
 //! Robustness properties:
 //!
 //! * a torn final line (the process died mid-write) is skipped, not fatal;
 //! * corrupt or hand-edited lines are skipped the same way, and counted in
 //!   [`Checkpoint::skipped_lines`] so tampering is visible;
+//! * stale lines — keys without the `run:` prefix, written under an older
+//!   key format that no cell can look up — are skipped and counted too,
+//!   so those cells re-simulate;
 //! * floats are stored as IEEE-754 bit patterns (`f64::to_bits`), so a
 //!   round trip through the file cannot lose precision — "resume equals
 //!   fresh run" holds at the bit level, not merely approximately;
@@ -56,8 +56,9 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Opens (or creates) the checkpoint file, loading every parseable
-    /// entry. Unparseable lines — torn tails, hand-edits, bit rot — are
-    /// skipped and counted, never fatal.
+    /// `run:` entry. Unparseable lines — torn tails, hand-edits, bit rot —
+    /// and stale lines under older key formats are skipped and counted,
+    /// never fatal.
     ///
     /// # Errors
     ///
@@ -109,7 +110,8 @@ impl Checkpoint {
         self.len() == 0
     }
 
-    /// Lines of the existing file that did not parse and were ignored.
+    /// Lines of the existing file that did not parse, or were stale, and
+    /// were ignored.
     pub fn skipped_lines(&self) -> usize {
         self.skipped
     }
@@ -198,11 +200,10 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
     }
     s.push(']');
     // The telemetry field is optional: absent when the run had telemetry
-    // off, so files written before the field existed still parse.
+    // off.
     if let Some(t) = &r.telemetry {
         s.push_str(",\"telemetry\":{\"counts\":");
-        // `dropped_queue` rides at the end, mirroring `push_cache`: the
-        // first ten indices match pre-queue checkpoint files.
+        // `dropped_queue` rides at the end, as in `push_cache`.
         s.push_str(&format!(
             "[{},{},{},{},{},{},{},{},{},{},{}]",
             t.issued,
@@ -239,8 +240,7 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
         }
         s.push_str("]}");
     }
-    // Also optional: only trace-replay cells carry ingestion accounting,
-    // and pre-ingest checkpoint files still parse (absent field → None).
+    // Also optional: only trace-replay cells carry ingestion accounting.
     if let Some(g) = &r.ingest {
         s.push_str(&format!(
             ",\"ingest\":[{},{},{},{}]",
@@ -248,8 +248,6 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
         ));
     }
     // Optional again: only `percore`-throttled runs carry QoS accounting.
-    // Absent field -> None keeps every earlier checkpoint generation
-    // parseable, and `off` and `feedback` lines byte-identical.
     if let Some(q) = &r.qos {
         s.push_str(",\"qos\":{\"cores\":[");
         for (i, c) in q.cores.iter().enumerate() {
@@ -286,9 +284,7 @@ fn push_source_counters(s: &mut String, c: &SourceCounters) {
 }
 
 fn push_cache(s: &mut String, c: &CacheStats) {
-    // `pf_dropped_queue` rides at the *end* (not at its struct position)
-    // so every index written by pre-queue checkpoints stays valid; see
-    // `parse_cache` for the matching 14-or-15 acceptance.
+    // `pf_dropped_queue` rides at the *end*, not at its struct position.
     s.push_str(&format!(
         "[{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}]",
         c.demand_accesses,
@@ -500,7 +496,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses one checkpoint line into `(key, result)`; `None` on any
-/// malformation — the caller skips the line.
+/// malformation or a stale key — the caller skips the line.
 fn parse_entry(line: &str) -> Option<(String, SimResult)> {
     let mut p = Parser {
         bytes: line.as_bytes(),
@@ -512,7 +508,9 @@ fn parse_entry(line: &str) -> Option<(String, SimResult)> {
         return None; // trailing garbage: treat the whole line as torn
     }
     let key = match root.field("key")? {
-        Json::Str(s) => s.clone(),
+        // Only `RunSpec::key`'s format can be looked up; an older key is
+        // stale and its result is never decoded.
+        Json::Str(s) if s.starts_with("run:") => s.clone(),
         _ => return None,
     };
     let cores = root
@@ -542,12 +540,12 @@ fn parse_entry(line: &str) -> Option<(String, SimResult)> {
             .iter()
             .map(parse_metrics)
             .collect::<Option<Vec<_>>>()?,
-        // Optional: pre-telemetry checkpoint lines simply have no field.
+        // Optional: absent when the run had telemetry off.
         telemetry: match root.field("telemetry") {
             Some(v) => Some(parse_telemetry(v)?),
             None => None,
         },
-        // Optional for the same reason: pre-ingest lines have no field.
+        // Optional: only trace-replay cells carry it.
         ingest: match root.field("ingest") {
             Some(v) => Some(parse_ingest(v)?),
             None => None,
@@ -615,8 +613,7 @@ fn parse_qos(v: &Json) -> Option<QosReport> {
 
 fn parse_telemetry(v: &Json) -> Option<TelemetryReport> {
     let counts = v.field("counts")?.arr()?;
-    // 10 = pre-queue format (queue drops definitionally zero); 11 = current.
-    if counts.len() != 10 && counts.len() != 11 {
+    if counts.len() != 11 {
         return None;
     }
     Some(TelemetryReport {
@@ -630,10 +627,7 @@ fn parse_telemetry(v: &Json) -> Option<TelemetryReport> {
         fill_latency_sum: counts[7].num()?,
         in_flight_at_end: counts[8].num()?,
         orphans: counts[9].num()?,
-        dropped_queue: match counts.get(10) {
-            Some(n) => n.num()?,
-            None => 0,
-        },
+        dropped_queue: counts[10].num()?,
         by_source: v
             .field("by_source")?
             .arr()?
@@ -696,9 +690,7 @@ fn parse_core(v: &Json) -> Option<CoreStats> {
 
 fn parse_cache(v: &Json) -> Option<CacheStats> {
     let a = v.arr()?;
-    // 14 = pre-queue format (no bounded prefetch queue existed, so its
-    // drop count is definitionally zero); 15 = current format.
-    if a.len() != 14 && a.len() != 15 {
+    if a.len() != 15 {
         return None;
     }
     Some(CacheStats {
@@ -716,10 +708,7 @@ fn parse_cache(v: &Json) -> Option<CacheStats> {
         pf_useful: a[11].num()?,
         pf_late: a[12].num()?,
         pf_useless: a[13].num()?,
-        pf_dropped_queue: match a.get(14) {
-            Some(n) => n.num()?,
-            None => 0,
-        },
+        pf_dropped_queue: a[14].num()?,
     })
 }
 
@@ -856,21 +845,40 @@ mod tests {
     #[test]
     fn round_trip_preserves_every_bit() {
         let r = sample_result(1);
-        let line = serialize_entry("42/1000/500/Em3d/Bingo", &r);
+        let line = serialize_entry("run:1000/500/Em3d/Bingo", &r);
         let (key, parsed) = parse_entry(&line).expect("own output parses");
-        assert_eq!(key, "42/1000/500/Em3d/Bingo");
+        assert_eq!(key, "run:1000/500/Em3d/Bingo");
         assert_bit_equal(&r, &parsed);
+        // A 14-counter cache array (the pre-queue layout) is corrupt, and
+        // a key under an older format is stale.
+        let short = line.replace("3,2,0,0,1]", "3,2,0,0]");
+        assert_ne!(short, line, "replacement must hit");
+        assert!(parse_entry(&short).is_none(), "14-element cache is corrupt");
+        assert!(
+            parse_entry(&line.replace("run:", "")).is_none(),
+            "stale key"
+        );
     }
 
     #[test]
     fn round_trip_preserves_telemetry() {
         let mut r = sample_result(2);
         r.telemetry = Some(sample_telemetry(7));
-        let line = serialize_entry("42/1000/500/Em3d/Bingo/telemetry=counts", &r);
+        let line = serialize_entry("run:1000/500/Em3d/Bingo/Counts", &r);
         let (_, parsed) = parse_entry(&line).expect("own output parses");
         assert_bit_equal(&r, &parsed);
-        // A pre-telemetry reader shape (no field) still parses to None.
-        let plain = serialize_entry("k", &sample_result(2));
+        // 10 counts (the pre-queue layout) are corrupt.
+        let short = line.replace(
+            "[107,3,2,60,20,20,95,40000,0,0,1]",
+            "[107,3,2,60,20,20,95,40000,0,0]",
+        );
+        assert_ne!(short, line, "replacement must hit");
+        assert!(
+            parse_entry(&short).is_none(),
+            "10 telemetry counts are corrupt"
+        );
+        // A telemetry-off result (no field) parses to None.
+        let plain = serialize_entry("run:k", &sample_result(2));
         let (_, parsed) = parse_entry(&plain).expect("parses");
         assert!(parsed.telemetry.is_none());
     }
@@ -884,12 +892,12 @@ mod tests {
             quarantined_bytes: 612,
             skipped_chunks: 3,
         });
-        let line = serialize_entry("trace:/tmp/t/10/5/Bingo", &r);
+        let line = serialize_entry("run:10/5/trace=/tmp/t/Bingo", &r);
         let (key, parsed) = parse_entry(&line).expect("parses");
-        assert_eq!(key, "trace:/tmp/t/10/5/Bingo");
+        assert_eq!(key, "run:10/5/trace=/tmp/t/Bingo");
         assert_eq!(parsed.ingest, r.ingest);
-        // Pre-ingest lines (no field) parse to None.
-        let plain = serialize_entry("k", &sample_result(2));
+        // A live cell's line (no field) parses to None.
+        let plain = serialize_entry("run:k", &sample_result(2));
         let (_, parsed) = parse_entry(&plain).expect("parses");
         assert!(parsed.ingest.is_none());
         // Longer arrays (future counters ride at the end) still parse;
@@ -937,14 +945,13 @@ mod tests {
             watchdog_clamps: 1,
             watchdog_exempted: 0,
         });
-        let line = serialize_entry("42/1000/500/mix/throttle=percore", &r);
+        let line = serialize_entry("run:1000/500/mix/Percore", &r);
         let (key, parsed) = parse_entry(&line).expect("own output parses");
-        assert_eq!(key, "42/1000/500/mix/throttle=percore");
+        assert_eq!(key, "run:1000/500/mix/Percore");
         assert_eq!(parsed.qos, r.qos);
-        // Pre-qos lines (no field) parse to None, and a qos-free result
-        // serializes without the field at all — off and feedback lines
-        // stay byte-identical to what older builds wrote.
-        let plain = serialize_entry("k", &sample_result(11));
+        // A qos-free result serializes without the field at all and
+        // parses back to None.
+        let plain = serialize_entry("run:k", &sample_result(11));
         assert!(!plain.contains("\"qos\""));
         let (_, parsed) = parse_entry(&plain).expect("parses");
         assert!(parsed.qos.is_none());
@@ -957,47 +964,20 @@ mod tests {
         );
     }
 
-    /// Checkpoint files written before the bounded prefetch queue existed
-    /// carry 14-element cache arrays and 10-element telemetry counts;
-    /// both must still parse, with the queue-drop counters reading zero
-    /// (no queue, no drops — the value is exact, not a guess).
-    #[test]
-    fn pre_queue_lines_still_parse_with_zero_queue_drops() {
-        let line = concat!(
-            "{\"key\":\"legacy\",\"cores\":[[1,2,3,4,5,6]],",
-            "\"l1d\":[1,2,3,4,5,6,7,8,9,10,11,12,13,14],",
-            "\"llc\":[1,2,3,4,5,6,7,8,9,10,11,12,13,14],",
-            "\"dram_transfers\":9,\"total_cycles\":10,",
-            "\"debug\":[\"d\"],\"metrics\":[[]],",
-            "\"telemetry\":{\"counts\":[1,2,3,4,5,6,7,8,9,10],",
-            "\"by_source\":[],\"hot_pcs\":[]}}"
-        );
-        let (key, r) = parse_entry(line).expect("legacy line parses");
-        assert_eq!(key, "legacy");
-        assert_eq!(r.llc.pf_dropped_queue, 0);
-        assert_eq!(r.llc.pf_useless, 14, "existing indices keep meaning");
-        let t = r.telemetry.expect("telemetry present");
-        assert_eq!(t.dropped_queue, 0);
-        assert_eq!(t.orphans, 10, "existing indices keep meaning");
-        // A wrong arity is still rejected outright.
-        let torn = line.replace(",13,14]", ",13]");
-        assert!(parse_entry(&torn).is_none(), "13-element cache is corrupt");
-    }
-
     #[test]
     fn open_record_reopen_restores_entries() {
         let path = tmp_path("reopen");
         let cp = Checkpoint::open(&path).expect("create");
         assert!(cp.is_empty());
-        cp.record("a", &sample_result(1)).expect("write");
-        cp.record("b", &sample_result(2)).expect("write");
+        cp.record("run:a", &sample_result(1)).expect("write");
+        cp.record("run:b", &sample_result(2)).expect("write");
         drop(cp);
         let cp = Checkpoint::open(&path).expect("reopen");
         assert_eq!(cp.len(), 2);
         assert_eq!(cp.skipped_lines(), 0);
-        assert_bit_equal(&cp.get("a").expect("a"), &sample_result(1));
-        assert_bit_equal(&cp.get("b").expect("b"), &sample_result(2));
-        assert!(cp.get("c").is_none());
+        assert_bit_equal(&cp.get("run:a").expect("a"), &sample_result(1));
+        assert_bit_equal(&cp.get("run:b").expect("b"), &sample_result(2));
+        assert!(cp.get("run:c").is_none());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1005,23 +985,23 @@ mod tests {
     fn torn_and_tampered_lines_are_skipped_not_fatal() {
         let path = tmp_path("torn");
         let cp = Checkpoint::open(&path).expect("create");
-        cp.record("good", &sample_result(3)).expect("write");
+        cp.record("run:good", &sample_result(3)).expect("write");
         drop(cp);
         // Simulate a mid-write kill plus hand tampering: a torn half line,
         // a valid-JSON-wrong-shape line, and plain garbage.
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");
-        let torn = serialize_entry("torn", &sample_result(4));
+        let torn = serialize_entry("run:torn", &sample_result(4));
         writeln!(f, "{}", &torn[..torn.len() / 2]).expect("torn write");
-        writeln!(f, "{{\"key\":\"shapeless\"}}").expect("tamper write");
+        writeln!(f, "{{\"key\":\"run:shapeless\"}}").expect("tamper write");
         writeln!(f, "not json at all").expect("garbage write");
         drop(f);
         let cp = Checkpoint::open(&path).expect("reopen survives corruption");
         assert_eq!(cp.len(), 1, "only the intact entry is loaded");
         assert_eq!(cp.skipped_lines(), 3);
-        assert!(cp.get("torn").is_none());
-        assert_bit_equal(&cp.get("good").expect("good"), &sample_result(3));
+        assert!(cp.get("run:torn").is_none());
+        assert_bit_equal(&cp.get("run:good").expect("good"), &sample_result(3));
         // The file still accepts new entries after corruption.
-        cp.record("after", &sample_result(5))
+        cp.record("run:after", &sample_result(5))
             .expect("append after skip");
         let cp = Checkpoint::open(&path).expect("third open");
         assert_eq!(cp.len(), 2);
@@ -1032,12 +1012,12 @@ mod tests {
     fn latest_entry_wins_on_duplicate_keys() {
         let path = tmp_path("dup");
         let cp = Checkpoint::open(&path).expect("create");
-        cp.record("k", &sample_result(1)).expect("write");
-        cp.record("k", &sample_result(9)).expect("write");
+        cp.record("run:k", &sample_result(1)).expect("write");
+        cp.record("run:k", &sample_result(9)).expect("write");
         assert_eq!(cp.len(), 1);
         drop(cp);
         let cp = Checkpoint::open(&path).expect("reopen");
-        assert_bit_equal(&cp.get("k").expect("k"), &sample_result(9));
+        assert_bit_equal(&cp.get("run:k").expect("k"), &sample_result(9));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -87,11 +87,10 @@ pub fn diff_bingo_instances(
         trace.geometry(),
         "spec geometry must match the trace"
     );
-    let g = trace.geometry();
     for (i, &event) in trace.events().iter().enumerate() {
         match event {
             PrefetchEvent::Access { pc, block } => {
-                let info = AccessInfo::demand(g, Pc::new(pc), BlockAddr::new(block), i as u64);
+                let info = AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), i as u64);
                 let got = real.step(&info);
                 let want = spec.step(&info);
                 if got.trigger != want.trigger
@@ -227,13 +226,12 @@ pub fn diff_bingo_throttled(cfg: &BingoConfig, trace: &PrefetchTrace) -> Result<
         trace.geometry(),
         "config geometry must match the trace"
     );
-    let g = trace.geometry();
     for (i, &event) in trace.events().iter().enumerate() {
         match event {
             PrefetchEvent::Access { pc, block } => {
                 let level = throttle_schedule(i);
                 real.set_throttle_level(level);
-                let info = AccessInfo::demand(g, Pc::new(pc), BlockAddr::new(block), i as u64);
+                let info = AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), i as u64);
                 let got = real.step(&info);
                 let want = spec.step(&info);
                 let fail = if got.trigger != want.trigger {
@@ -503,7 +501,6 @@ mod tests {
                 };
                 let mut real = Bingo::new(loose);
                 let mut spec = SpecBingo::new(tight);
-                let g = trace.geometry();
                 trace
                     .events()
                     .iter()
@@ -512,7 +509,7 @@ mod tests {
                         PrefetchEvent::Access { pc, block } => {
                             real.set_throttle_level(throttle_schedule(i));
                             let info =
-                                AccessInfo::demand(g, Pc::new(pc), BlockAddr::new(block), i as u64);
+                                AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), i as u64);
                             let got = real.step(&info);
                             let want = spec.step(&info);
                             !is_subsequence(&got.prefetches, &want.prefetches)

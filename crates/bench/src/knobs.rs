@@ -263,6 +263,31 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "BINGO_TELEMETRY must be one of off/counts, got \"trace\"")]
+    fn telemetry_rejects_the_retired_trace_level() {
+        // Mirrors `runner::telemetry_from_env`: the ring-buffer level is
+        // gone, so a script asking for it aborts instead of silently
+        // running at another level.
+        let _ = parse(
+            crate::runner::TELEMETRY_ENV,
+            "trace",
+            "one of off/counts",
+            bingo_sim::TelemetryLevel::parse,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "BINGO_TELEMETRY must be one of off/counts, got \"2\"")]
+    fn telemetry_rejects_the_retired_numeric_trace_level() {
+        let _ = parse(
+            crate::runner::TELEMETRY_ENV,
+            "2",
+            "one of off/counts",
+            bingo_sim::TelemetryLevel::parse,
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "BINGO_CHAOS_SEED must be an unsigned 64-bit integer, got \"-1\"")]
     fn chaos_seed_rejects_negative() {
         let _: u64 = parse(CHAOS_SEED_ENV, "-1", "an unsigned 64-bit integer", |v| {

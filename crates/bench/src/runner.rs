@@ -77,10 +77,9 @@ pub enum PrefetcherKind {
     Sms,
     /// Bingo, paper configuration (16 K-entry unified table).
     Bingo,
-    /// Bingo with a non-default history size (Fig. 6 sweep).
-    BingoEntries(usize),
-    /// Bingo with a non-default footprint-voting threshold (ablation).
-    BingoVote(f64),
+    /// Bingo under any configuration: the Fig. 6 history-size sweep and
+    /// the voting, region-size and training-signal ablations.
+    BingoWith(BingoConfig),
     /// Single-event TAGE-like prefetcher (Fig. 2 sweep).
     SingleEvent(EventKind),
     /// Multi-event cascade over the first `n` events (Fig. 3 sweep; also
@@ -134,8 +133,7 @@ impl PrefetcherKind {
             PrefetcherKind::Ampm => "AMPM".into(),
             PrefetcherKind::Sms => "SMS".into(),
             PrefetcherKind::Bingo => "Bingo".into(),
-            PrefetcherKind::BingoEntries(n) => format!("Bingo-{}K", n / 1024),
-            PrefetcherKind::BingoVote(t) => format!("Bingo-vote{:.0}%", t * 100.0),
+            PrefetcherKind::BingoWith(cfg) => bingo_name(&cfg),
             PrefetcherKind::SingleEvent(k) => k.label().into(),
             PrefetcherKind::MultiEvent(n) => format!("{n}-event"),
             PrefetcherKind::Stride => "Stride".into(),
@@ -183,13 +181,7 @@ impl PrefetcherKind {
             PrefetcherKind::Ampm => Box::new(Ampm::new(AmpmConfig::paper())),
             PrefetcherKind::Sms => Box::new(Sms::new(SmsConfig::paper())),
             PrefetcherKind::Bingo => Box::new(Bingo::new(BingoConfig::paper())),
-            PrefetcherKind::BingoEntries(n) => {
-                Box::new(Bingo::new(BingoConfig::with_history_entries(n)))
-            }
-            PrefetcherKind::BingoVote(t) => Box::new(Bingo::new(BingoConfig {
-                vote_threshold: t,
-                ..BingoConfig::paper()
-            })),
+            PrefetcherKind::BingoWith(cfg) => Box::new(Bingo::new(cfg)),
             PrefetcherKind::SingleEvent(k) => {
                 Box::new(MultiEventPrefetcher::new(MultiEventConfig::single(k)))
             }
@@ -223,12 +215,7 @@ impl PrefetcherKind {
             PrefetcherKind::Ampm => AmpmConfig::paper().storage_bits(),
             PrefetcherKind::Sms => SmsConfig::paper().storage_bits(),
             PrefetcherKind::Bingo => BingoConfig::paper().storage_bits(),
-            PrefetcherKind::BingoEntries(n) => BingoConfig::with_history_entries(n).storage_bits(),
-            PrefetcherKind::BingoVote(t) => BingoConfig {
-                vote_threshold: t,
-                ..BingoConfig::paper()
-            }
-            .storage_bits(),
+            PrefetcherKind::BingoWith(cfg) => cfg.storage_bits(),
             PrefetcherKind::SingleEvent(k) => MultiEventConfig::single(k).storage_bits(),
             PrefetcherKind::MultiEvent(n) => MultiEventConfig::first_n(n).storage_bits(),
             PrefetcherKind::Stride => StrideConfig::typical().storage_bits(),
@@ -246,6 +233,55 @@ impl PrefetcherKind {
     pub fn storage_kb(self) -> f64 {
         self.storage_bits() as f64 / 8.0 / 1024.0
     }
+}
+
+/// `Bingo` followed by every field of `cfg` that differs from the paper's
+/// configuration, e.g. `Bingo-4K-entries` or `Bingo-1KB-region`.
+fn bingo_name(cfg: &BingoConfig) -> String {
+    let BingoConfig {
+        region,
+        history_entries,
+        history_ways,
+        accumulation_entries,
+        vote_threshold,
+        min_footprint_blocks,
+        train_on_eviction,
+    } = *cfg;
+    let paper = BingoConfig::paper();
+    let kilo = |n: u64| match n % 1024 {
+        0 => format!("{}K", n / 1024),
+        _ => n.to_string(),
+    };
+    let tags = [
+        (
+            history_entries != paper.history_entries,
+            format!("{}-entries", kilo(history_entries as u64)),
+        ),
+        (
+            history_ways != paper.history_ways,
+            format!("{history_ways}-way"),
+        ),
+        (
+            accumulation_entries != paper.accumulation_entries,
+            format!("acc{accumulation_entries}"),
+        ),
+        (
+            vote_threshold != paper.vote_threshold,
+            format!("vote{:.0}%", vote_threshold * 100.0),
+        ),
+        (
+            min_footprint_blocks != paper.min_footprint_blocks,
+            format!("min{min_footprint_blocks}"),
+        ),
+        (
+            region != paper.region,
+            format!("{}B-region", kilo(region.region_bytes())),
+        ),
+        (!train_on_eviction, "overflow-only".to_string()),
+    ];
+    tags.into_iter()
+        .filter(|(differs, _)| *differs)
+        .fold("Bingo".to_string(), |name, (_, tag)| name + "-" + &tag)
 }
 
 /// Simulation scale for an experiment run.
@@ -320,7 +356,8 @@ fn parse_override(name: &str, value: &str) -> u64 {
 }
 
 /// Environment variable selecting the prefetch-lifecycle telemetry level
-/// for CLI sweeps: `off` (default), `counts`, or `trace`.
+/// for CLI sweeps: `off` (default) or `counts`. Any other value, including
+/// the retired `trace`, aborts the run.
 pub const TELEMETRY_ENV: &str = "BINGO_TELEMETRY";
 
 /// Reads [`TELEMETRY_ENV`], aborting loudly on garbage — a typo'd level
@@ -330,12 +367,8 @@ pub const TELEMETRY_ENV: &str = "BINGO_TELEMETRY";
 ///
 /// Panics if the variable is set but is not a recognized level.
 pub fn telemetry_from_env() -> TelemetryLevel {
-    knobs::from_env(
-        TELEMETRY_ENV,
-        "one of off/counts/trace",
-        TelemetryLevel::parse,
-    )
-    .unwrap_or(TelemetryLevel::Off)
+    knobs::from_env(TELEMETRY_ENV, "one of off/counts", TelemetryLevel::parse)
+        .unwrap_or(TelemetryLevel::Off)
 }
 
 /// Environment variable selecting the prefetch-throttle mode for CLI
@@ -891,7 +924,7 @@ impl ParallelHarness {
                 .unwrap_or_else(|e| panic!("{CHECKPOINT_ENV}: cannot open {path:?}: {e}"));
             if checkpoint.skipped_lines() > 0 {
                 eprintln!(
-                    "[checkpoint] {}: loaded {} cell(s), skipped {} corrupt line(s)",
+                    "[checkpoint] {}: loaded {} cell(s), skipped {} corrupt or stale line(s)",
                     path,
                     checkpoint.len(),
                     checkpoint.skipped_lines()
@@ -1312,6 +1345,7 @@ pub fn mean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::mix::MixAssignment;
+    use bingo_sim::RegionGeometry;
 
     /// Every constructible kind, one representative per variant.
     fn all_kinds() -> Vec<PrefetcherKind> {
@@ -1326,8 +1360,12 @@ mod tests {
             PrefetcherKind::Ampm,
             PrefetcherKind::Sms,
             PrefetcherKind::Bingo,
-            PrefetcherKind::BingoEntries(4096),
-            PrefetcherKind::BingoVote(0.5),
+            PrefetcherKind::BingoWith(BingoConfig::with_history_entries(4096)),
+            PrefetcherKind::BingoWith(BingoConfig {
+                vote_threshold: 0.5,
+                region: RegionGeometry::new(1024),
+                ..BingoConfig::paper()
+            }),
             PrefetcherKind::SingleEvent(EventKind::Offset),
             PrefetcherKind::MultiEvent(3),
             PrefetcherKind::Stride,
@@ -1347,6 +1385,42 @@ mod tests {
             assert!(!p.name().is_empty());
             assert!(!k.name().is_empty());
         }
+    }
+
+    #[test]
+    fn bingo_with_names_every_field_that_differs_from_the_paper() {
+        let paper = BingoConfig::paper();
+        let name = |cfg| PrefetcherKind::BingoWith(cfg).name();
+        assert_eq!(name(paper), "Bingo");
+        assert_eq!(
+            name(BingoConfig::with_history_entries(4096)),
+            "Bingo-4K-entries"
+        );
+        assert_eq!(
+            name(BingoConfig {
+                vote_threshold: 0.35,
+                ..paper
+            }),
+            "Bingo-vote35%"
+        );
+        assert_eq!(
+            name(BingoConfig {
+                region: RegionGeometry::new(1024),
+                train_on_eviction: false,
+                ..paper
+            }),
+            "Bingo-1KB-region-overflow-only"
+        );
+        assert_eq!(
+            name(BingoConfig {
+                history_entries: 1000,
+                history_ways: 8,
+                accumulation_entries: 32,
+                min_footprint_blocks: 3,
+                ..paper
+            }),
+            "Bingo-1000-entries-8-way-acc32-min3"
+        );
     }
 
     #[test]

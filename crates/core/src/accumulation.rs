@@ -12,7 +12,7 @@
 //! or early when the accumulation table overflows; either way the recorded
 //! pattern is handed to the history table for training.
 
-use bingo_sim::{AccessInfo, RegionId};
+use bingo_sim::{AccessInfo, RegionGeometry, RegionId};
 
 use crate::event::EventKind;
 use crate::footprint::Footprint;
@@ -75,20 +75,21 @@ pub struct AccumulationTable {
     slots: Vec<Slot>,
     filter_capacity: usize,
     capacity: usize,
-    region_blocks: u32,
+    geometry: RegionGeometry,
     stamp: u64,
 }
 
 impl AccumulationTable {
     /// Creates a table tracking up to `capacity` concurrent multi-access
     /// residencies (plus an equally-sized filter for single-access
-    /// regions) of `region_blocks`-block regions.
+    /// regions) over regions of `geometry`.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or `region_blocks` is out of `1..=64`.
-    pub fn new(capacity: usize, region_blocks: u32) -> Self {
+    /// Panics if `capacity` is zero or a region holds more than 64 blocks.
+    pub fn new(capacity: usize, geometry: RegionGeometry) -> Self {
         assert!(capacity > 0, "accumulation table needs capacity");
+        let region_blocks = geometry.blocks_per_region();
         assert!(
             (1..=64).contains(&region_blocks),
             "region blocks {region_blocks} out of range"
@@ -101,7 +102,7 @@ impl AccumulationTable {
             slots: Vec::with_capacity(capacity),
             filter_capacity,
             capacity,
-            region_blocks,
+            geometry,
             stamp: 0,
         }
     }
@@ -135,11 +136,13 @@ impl AccumulationTable {
         );
         self.stamp += 1;
         let stamp = self.stamp;
+        let region = self.geometry.region_of(info.block);
+        let offset = self.geometry.offset_of(info.block);
 
         // Already promoted: extend the footprint.
-        if let Some(i) = self.slot_regions.iter().position(|r| *r == info.region) {
+        if let Some(i) = self.slot_regions.iter().position(|r| *r == region) {
             let slot = &mut self.slots[i];
-            slot.residency.footprint.set(info.offset);
+            slot.residency.footprint.set(offset);
             slot.last_touch = stamp;
             return Observation {
                 trigger: false,
@@ -148,10 +151,10 @@ impl AccumulationTable {
         }
 
         // Second access to a filtered region: promote to accumulation.
-        if let Some(i) = self.filter_regions.iter().position(|r| *r == info.region) {
+        if let Some(i) = self.filter_regions.iter().position(|r| *r == region) {
             self.filter_regions.swap_remove(i);
             let mut slot = self.filter.swap_remove(i);
-            slot.residency.footprint.set(info.offset);
+            slot.residency.footprint.set(offset);
             slot.last_touch = stamp;
             let evicted = if self.slots.len() >= self.capacity {
                 let (idx, _) = self
@@ -174,13 +177,13 @@ impl AccumulationTable {
         }
 
         // Trigger access: new residency enters the filter.
-        let mut footprint = Footprint::empty(self.region_blocks);
-        footprint.set(info.offset);
+        let mut footprint = Footprint::empty(self.geometry.blocks_per_region() as u32);
+        footprint.set(offset);
         let residency = Residency {
-            region: info.region,
+            region,
             trigger_pc: info.pc.raw(),
             trigger_block: info.block.index(),
-            trigger_offset: info.offset,
+            trigger_offset: offset,
             footprint,
         };
         if self.filter.len() >= self.filter_capacity {
@@ -222,7 +225,7 @@ impl AccumulationTable {
     /// (16 b hashed), trigger offset, footprint, and LRU stamp (8 b); the
     /// filter stores the same minus the footprint.
     pub fn storage_bits(&self) -> u64 {
-        Self::storage_bits_for(self.capacity, self.region_blocks)
+        Self::storage_bits_for(self.capacity, self.geometry.blocks_per_region() as u32)
     }
 
     /// [`AccumulationTable::storage_bits`] computed from the geometry
@@ -239,27 +242,20 @@ impl AccumulationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bingo_sim::{BlockAddr, CoreId, Pc, RegionGeometry};
+    use bingo_sim::{BlockAddr, Pc};
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        let g = RegionGeometry::default();
-        let b = BlockAddr::new(block);
-        AccessInfo {
-            core: CoreId(0),
-            pc: Pc::new(pc),
-            addr: b.base_addr(),
-            block: b,
-            region: g.region_of(b),
-            offset: g.offset_of(b),
-            is_write: false,
-            hit: false,
-            cycle: 0,
-        }
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
+    }
+
+    /// A table over the paper's 2 KB (32-block) regions.
+    fn table(capacity: usize) -> AccumulationTable {
+        AccumulationTable::new(capacity, RegionGeometry::default())
     }
 
     #[test]
     fn trigger_then_record_builds_footprint() {
-        let mut t = AccumulationTable::new(4, 32);
+        let mut t = table(4);
         let o = t.observe(&info(0x400, 32 * 5 + 3));
         assert!(o.trigger);
         assert!(!t.observe(&info(0x404, 32 * 5 + 7)).trigger);
@@ -273,13 +269,13 @@ mod tests {
 
     #[test]
     fn end_residency_of_untracked_region_is_none() {
-        let mut t = AccumulationTable::new(4, 32);
+        let mut t = table(4);
         assert!(t.end_residency(RegionId::new(9)).is_none());
     }
 
     #[test]
     fn single_access_regions_stay_in_filter() {
-        let mut t = AccumulationTable::new(4, 32);
+        let mut t = table(4);
         t.observe(&info(0x1, 32));
         assert_eq!(t.filter_len(), 1);
         assert!(t.is_empty(), "no promotion on first access");
@@ -287,7 +283,7 @@ mod tests {
 
     #[test]
     fn second_access_promotes_to_accumulation() {
-        let mut t = AccumulationTable::new(4, 32);
+        let mut t = table(4);
         t.observe(&info(0x1, 32));
         t.observe(&info(0x1, 33));
         assert_eq!(t.filter_len(), 0);
@@ -296,7 +292,7 @@ mod tests {
 
     #[test]
     fn filter_floods_do_not_disturb_accumulated_residencies() {
-        let mut t = AccumulationTable::new(2, 32);
+        let mut t = table(2);
         // Build a 2-access residency in region 0.
         t.observe(&info(0xA, 0));
         t.observe(&info(0xA, 1));
@@ -311,7 +307,7 @@ mod tests {
 
     #[test]
     fn overflow_evicts_lru_promoted_residency() {
-        let mut t = AccumulationTable::new(2, 32);
+        let mut t = table(2);
         // Three promoted residencies; capacity 2.
         t.observe(&info(0x1, 32));
         t.observe(&info(0x1, 33));
@@ -328,7 +324,7 @@ mod tests {
 
     #[test]
     fn distinct_regions_tracked_independently() {
-        let mut t = AccumulationTable::new(8, 32);
+        let mut t = table(8);
         t.observe(&info(0xA, 0));
         t.observe(&info(0xB, 32));
         t.observe(&info(0xA, 1));
@@ -341,18 +337,19 @@ mod tests {
 
     #[test]
     fn residency_event_keys_match_trigger_access() {
-        let mut t = AccumulationTable::new(4, 32);
+        let mut t = table(4);
         let trigger = info(0x400, 32 * 5 + 3);
         t.observe(&trigger);
-        let res = t.end_residency(trigger.region).unwrap();
+        let g = RegionGeometry::default();
+        let res = t.end_residency(g.region_of(trigger.block)).unwrap();
         for kind in EventKind::LONGEST_FIRST {
-            assert_eq!(res.key(kind), kind.key_of(&trigger), "{kind}");
+            assert_eq!(res.key(kind), kind.key_of(&trigger, g), "{kind}");
         }
     }
 
     #[test]
     fn end_residency_finds_filtered_regions_too() {
-        let mut t = AccumulationTable::new(4, 32);
+        let mut t = table(4);
         t.observe(&info(0x1, 32));
         let res = t.end_residency(RegionId::new(1)).expect("in filter");
         assert_eq!(res.footprint.count(), 1);
@@ -360,8 +357,8 @@ mod tests {
 
     #[test]
     fn storage_bits_scales_with_capacity() {
-        let small = AccumulationTable::new(32, 32).storage_bits();
-        let large = AccumulationTable::new(64, 32).storage_bits();
+        let small = table(32).storage_bits();
+        let large = table(64).storage_bits();
         assert!(large > small);
         assert!(small > 0);
     }
@@ -369,6 +366,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
-        let _ = AccumulationTable::new(0, 32);
+        let _ = table(0);
     }
 }

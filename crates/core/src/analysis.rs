@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use bingo_sim::{AccessInfo, RegionId};
+use bingo_sim::{AccessInfo, BlockAddr, Pc, RegionGeometry};
 
 use crate::event::EventKind;
 use crate::footprint::Footprint;
@@ -108,7 +108,7 @@ struct OpenRegion {
 
 /// Streaming analyzer of spatial structure.
 pub struct SpatialProfiler {
-    region_blocks: u32,
+    geometry: RegionGeometry,
     window: usize,
     open: HashMap<u64, OpenRegion>,
     /// Distinct-region LRU used to close idle residencies.
@@ -127,18 +127,18 @@ impl std::fmt::Debug for SpatialProfiler {
 }
 
 impl SpatialProfiler {
-    /// Creates a profiler for regions of `region_blocks` blocks, closing a
-    /// residency once `window` other distinct regions have been touched
-    /// since its last access.
+    /// Creates a profiler for regions of `geometry`, closing a residency
+    /// once `window` other distinct regions have been touched since its
+    /// last access.
     ///
     /// # Panics
     ///
-    /// Panics if `region_blocks` is out of `1..=64` or `window` is zero.
-    pub fn new(region_blocks: u32, window: usize) -> Self {
-        assert!((1..=64).contains(&region_blocks));
+    /// Panics if a region holds more than 64 blocks or `window` is zero.
+    pub fn new(geometry: RegionGeometry, window: usize) -> Self {
+        assert!(geometry.blocks_per_region() <= 64);
         assert!(window > 0, "window must be nonzero");
         SpatialProfiler {
-            region_blocks,
+            geometry,
             window,
             open: HashMap::new(),
             recency: VecDeque::new(),
@@ -155,20 +155,21 @@ impl SpatialProfiler {
     /// Observes one access.
     pub fn observe(&mut self, info: &AccessInfo) {
         self.report.accesses += 1;
-        let region = info.region.raw();
+        let region = self.geometry.region_of(info.block).raw();
+        let offset = self.geometry.offset_of(info.block);
         match self.open.get_mut(&region) {
             Some(open) => {
-                open.footprint.set(info.offset);
+                open.footprint.set(offset);
             }
             None => {
-                let mut footprint = Footprint::empty(self.region_blocks);
-                footprint.set(info.offset);
+                let mut footprint = Footprint::empty(self.geometry.blocks_per_region() as u32);
+                footprint.set(offset);
                 self.open.insert(
                     region,
                     OpenRegion {
                         trigger_pc: info.pc.raw(),
                         trigger_block: info.block.index(),
-                        trigger_offset: info.offset,
+                        trigger_offset: offset,
                         footprint,
                     },
                 );
@@ -219,23 +220,10 @@ impl SpatialProfiler {
         self.report
     }
 
-    /// Convenience: analyzes `RegionId`-less raw parts (pc, block index),
-    /// deriving region/offset from this profiler's geometry.
+    /// Convenience: observes a demand access from raw parts (PC, block
+    /// index).
     pub fn observe_parts(&mut self, pc: u64, block: u64) {
-        let region = block / self.region_blocks as u64;
-        let offset = (block % self.region_blocks as u64) as u32;
-        let info = AccessInfo {
-            core: bingo_sim::CoreId(0),
-            pc: bingo_sim::Pc::new(pc),
-            addr: bingo_sim::BlockAddr::new(block).base_addr(),
-            block: bingo_sim::BlockAddr::new(block),
-            region: RegionId::new(region),
-            offset,
-            is_write: false,
-            hit: false,
-            cycle: 0,
-        };
-        self.observe(&info);
+        self.observe(&AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0));
     }
 }
 
@@ -245,7 +233,7 @@ mod tests {
 
     #[test]
     fn recurring_pattern_yields_high_similarity() {
-        let mut p = SpatialProfiler::new(32, 4);
+        let mut p = SpatialProfiler::new(RegionGeometry::default(), 4);
         // Two visits to different regions, same PC, same offsets {0,1,2}:
         // PC+Offset should match on the second with Jaccard 1.0.
         for region in [10u64, 20] {
@@ -269,7 +257,7 @@ mod tests {
 
     #[test]
     fn unrelated_patterns_yield_low_similarity() {
-        let mut p = SpatialProfiler::new(32, 2);
+        let mut p = SpatialProfiler::new(RegionGeometry::default(), 2);
         // Same PC+Offset trigger, disjoint footprints.
         for (region, offs) in [(1u64, [0u64, 5, 6]), (2, [0, 20, 21])] {
             for off in offs {
@@ -295,7 +283,7 @@ mod tests {
 
     #[test]
     fn pc_address_only_matches_exact_revisits() {
-        let mut p = SpatialProfiler::new(32, 2);
+        let mut p = SpatialProfiler::new(RegionGeometry::default(), 2);
         // Same PC, different regions: PC+Address never matches; PC does.
         for region in 1..=5u64 {
             p.observe_parts(0x400, region * 32);
@@ -311,7 +299,7 @@ mod tests {
 
     #[test]
     fn density_statistics() {
-        let mut p = SpatialProfiler::new(32, 1);
+        let mut p = SpatialProfiler::new(RegionGeometry::default(), 1);
         // One region with 16/32 blocks = 0.5 density.
         for off in 0..16u64 {
             p.observe_parts(0x1, off);
@@ -324,7 +312,7 @@ mod tests {
 
     #[test]
     fn window_closes_idle_regions() {
-        let mut p = SpatialProfiler::new(32, 2);
+        let mut p = SpatialProfiler::new(RegionGeometry::default(), 2);
         p.observe_parts(0x1, 0); // region 0
         p.observe_parts(0x1, 32); // region 1
         p.observe_parts(0x1, 64); // region 2 -> closes region 0

@@ -22,7 +22,9 @@ use crate::history::UnifiedHistoryTable;
 /// Configuration of a [`Bingo`] prefetcher.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct BingoConfig {
-    /// Spatial region geometry (2 KB regions by default).
+    /// Spatial region geometry (2 KB regions by default). Bingo derives
+    /// every region and offset it records, predicts and ends from the
+    /// block address with it.
     pub region: RegionGeometry,
     /// Total history-table entries (16 K in the paper's chosen design).
     pub history_entries: usize,
@@ -166,7 +168,7 @@ impl Bingo {
     pub fn new(cfg: BingoConfig) -> Self {
         let region_blocks = cfg.region.blocks_per_region() as u32;
         Bingo {
-            accumulation: AccumulationTable::new(cfg.accumulation_entries, region_blocks),
+            accumulation: AccumulationTable::new(cfg.accumulation_entries, cfg.region),
             history: UnifiedHistoryTable::new(cfg.history_entries, cfg.history_ways, region_blocks),
             short_matches: Vec::with_capacity(cfg.history_ways),
             faults: None,
@@ -257,8 +259,13 @@ impl Bingo {
 
     fn predict(&mut self, info: &AccessInfo, out: &mut Vec<BlockAddr>) {
         self.stats.lookups += 1;
-        let long = EventKind::PcAddress.key_of(info);
-        let short = EventKind::PcOffset.key_of(info);
+        let geometry = self.cfg.region;
+        let (region, trigger) = (
+            geometry.region_of(info.block),
+            geometry.offset_of(info.block),
+        );
+        let long = EventKind::PcAddress.key_of(info, geometry);
+        let short = EventKind::PcOffset.key_of(info, geometry);
         let footprint = if let Some(fp) = self.history.lookup_long(long, short) {
             self.stats.long_hits += 1;
             self.last_source = PrefetchSource::LongEvent;
@@ -274,7 +281,7 @@ impl Bingo {
                 // A strict threshold can veto every block (or leave only
                 // the trigger, which is never re-prefetched): that lookup
                 // issued nothing and must not count as a hit.
-                if fp.iter().any(|offset| offset != info.offset) {
+                if fp.iter().any(|offset| offset != trigger) {
                     self.stats.short_hits += 1;
                     self.last_source = PrefetchSource::ShortVote;
                     Some(fp)
@@ -290,8 +297,8 @@ impl Bingo {
             }
         };
         for offset in footprint.iter() {
-            if offset != info.offset {
-                out.push(self.cfg.region.block_at(info.region, offset));
+            if offset != trigger {
+                out.push(geometry.block_at(region, offset));
             }
         }
     }
@@ -410,26 +417,10 @@ impl Prefetcher for Bingo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bingo_sim::{Addr, CoreId, Pc, RegionId};
-
-    fn geometry() -> RegionGeometry {
-        RegionGeometry::default()
-    }
+    use bingo_sim::Pc;
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        let g = geometry();
-        let b = BlockAddr::new(block);
-        AccessInfo {
-            core: CoreId(0),
-            pc: Pc::new(pc),
-            addr: b.base_addr(),
-            block: b,
-            region: g.region_of(b),
-            offset: g.offset_of(b),
-            is_write: false,
-            hit: false,
-            cycle: 0,
-        }
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
     }
 
     fn small() -> Bingo {
@@ -891,11 +882,22 @@ mod tests {
     }
 
     #[test]
-    fn region_id_consistency() {
-        // Guard against geometry drift between sim and prefetcher.
-        let i = info(0x1, 32 * 42 + 5);
-        assert_eq!(i.region, RegionId::new(42));
-        assert_eq!(i.offset, 5);
-        assert_eq!(i.addr, Addr::new((32 * 42 + 5) * 64));
+    fn region_geometry_comes_from_the_config() {
+        // 1 KB regions: block 16 * r + o is offset o of region r. Under
+        // 2 KB regions the second trigger would sit at offset 19 of the
+        // trained region and predict nothing.
+        let mut b = Bingo::new(BingoConfig {
+            region: RegionGeometry::new(1024),
+            ..BingoConfig::paper()
+        });
+        let mut out = Vec::new();
+        for offset in [3, 7, 9] {
+            b.on_access(&info(0x400, 16 * 10 + offset), &mut out);
+        }
+        b.on_eviction(BlockAddr::new(16 * 10 + 3));
+        out.clear();
+        b.on_access(&info(0x400, 16 * 11 + 3), &mut out);
+        let blocks: Vec<u64> = out.iter().map(|x| x.index()).collect();
+        assert_eq!(blocks, vec![16 * 11 + 7, 16 * 11 + 9]);
     }
 }

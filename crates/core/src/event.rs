@@ -14,7 +14,7 @@
 //! Bingo itself uses only the first two; [`crate::multi_event`] exercises
 //! all five for the motivation figures.
 
-use bingo_sim::AccessInfo;
+use bingo_sim::{AccessInfo, RegionGeometry};
 
 /// One of the five event heuristics.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,12 +42,14 @@ impl EventKind {
         EventKind::Offset,
     ];
 
-    /// Extracts this event's key from a trigger access.
+    /// Extracts this event's key from a trigger access, taking the
+    /// in-region offset under `geometry`.
     ///
     /// Keys of different kinds never collide because the kind is mixed into
     /// the key (each kind hashes into a disjoint stream).
-    pub fn key_of(self, info: &AccessInfo) -> u64 {
-        self.key_parts(info.pc.raw(), info.block.index(), info.offset as u64)
+    pub fn key_of(self, info: &AccessInfo, geometry: RegionGeometry) -> u64 {
+        let offset = geometry.offset_of(info.block);
+        self.key_parts(info.pc.raw(), info.block.index(), u64::from(offset))
     }
 
     /// Computes the key from the raw trigger components (PC, block index,
@@ -93,25 +95,6 @@ impl std::fmt::Display for EventKind {
     }
 }
 
-/// The (kind, key) pair actually stored or looked up.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Event {
-    /// Which heuristic produced the key.
-    pub kind: EventKind,
-    /// The extracted key value.
-    pub key: u64,
-}
-
-impl Event {
-    /// Extracts the event of the given kind from a trigger access.
-    pub fn from_access(kind: EventKind, info: &AccessInfo) -> Self {
-        Event {
-            kind,
-            key: kind.key_of(info),
-        }
-    }
-}
-
 /// A strong 64-bit mixer (splitmix64 finalizer) over a salted pair.
 fn mix2(salt: u64, a: u64, b: u64) -> u64 {
     let mut x = salt
@@ -130,22 +113,14 @@ fn mix2(salt: u64, a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bingo_sim::{BlockAddr, CoreId, Pc, RegionGeometry};
+    use bingo_sim::{BlockAddr, Pc};
+
+    fn geometry() -> RegionGeometry {
+        RegionGeometry::default()
+    }
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        let g = RegionGeometry::default();
-        let b = BlockAddr::new(block);
-        AccessInfo {
-            core: CoreId(0),
-            pc: Pc::new(pc),
-            addr: b.base_addr(),
-            block: b,
-            region: g.region_of(b),
-            offset: g.offset_of(b),
-            is_write: false,
-            hit: false,
-            cycle: 0,
-        }
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
     }
 
     #[test]
@@ -154,12 +129,12 @@ mod tests {
         let a = info(0x400, 5);
         let b = info(0x400, 37);
         assert_ne!(
-            EventKind::PcAddress.key_of(&a),
-            EventKind::PcAddress.key_of(&b)
+            EventKind::PcAddress.key_of(&a, geometry()),
+            EventKind::PcAddress.key_of(&b, geometry())
         );
         assert_eq!(
-            EventKind::PcOffset.key_of(&a),
-            EventKind::PcOffset.key_of(&b),
+            EventKind::PcOffset.key_of(&a, geometry()),
+            EventKind::PcOffset.key_of(&b, geometry()),
             "PC+Offset generalizes across regions"
         );
     }
@@ -167,32 +142,32 @@ mod tests {
     #[test]
     fn pc_event_ignores_address_entirely() {
         assert_eq!(
-            EventKind::Pc.key_of(&info(0x400, 5)),
-            EventKind::Pc.key_of(&info(0x400, 1234))
+            EventKind::Pc.key_of(&info(0x400, 5), geometry()),
+            EventKind::Pc.key_of(&info(0x400, 1234), geometry())
         );
         assert_ne!(
-            EventKind::Pc.key_of(&info(0x400, 5)),
-            EventKind::Pc.key_of(&info(0x404, 5))
+            EventKind::Pc.key_of(&info(0x400, 5), geometry()),
+            EventKind::Pc.key_of(&info(0x404, 5), geometry())
         );
     }
 
     #[test]
     fn offset_event_ignores_pc() {
         assert_eq!(
-            EventKind::Offset.key_of(&info(0x400, 37)),
-            EventKind::Offset.key_of(&info(0x999, 5))
+            EventKind::Offset.key_of(&info(0x400, 37), geometry()),
+            EventKind::Offset.key_of(&info(0x999, 5), geometry())
         );
     }
 
     #[test]
     fn address_event_ignores_pc_but_not_block() {
         assert_eq!(
-            EventKind::Address.key_of(&info(0x400, 37)),
-            EventKind::Address.key_of(&info(0x999, 37))
+            EventKind::Address.key_of(&info(0x400, 37), geometry()),
+            EventKind::Address.key_of(&info(0x999, 37), geometry())
         );
         assert_ne!(
-            EventKind::Address.key_of(&info(0x400, 37)),
-            EventKind::Address.key_of(&info(0x400, 38))
+            EventKind::Address.key_of(&info(0x400, 37), geometry()),
+            EventKind::Address.key_of(&info(0x400, 38), geometry())
         );
     }
 
@@ -202,7 +177,7 @@ mod tests {
         let i = info(0x400, 5);
         let keys: Vec<u64> = EventKind::LONGEST_FIRST
             .iter()
-            .map(|k| k.key_of(&i))
+            .map(|k| k.key_of(&i, geometry()))
             .collect();
         for x in 0..keys.len() {
             for y in x + 1..keys.len() {
@@ -223,13 +198,5 @@ mod tests {
         assert_eq!(lens[0], 3);
         assert!(lens.iter().skip(1).all(|&l| l < lens[0]));
         assert_eq!(*lens.last().unwrap(), 1);
-    }
-
-    #[test]
-    fn event_from_access_round_trip() {
-        let i = info(0x400, 5);
-        let e = Event::from_access(EventKind::PcOffset, &i);
-        assert_eq!(e.kind, EventKind::PcOffset);
-        assert_eq!(e.key, EventKind::PcOffset.key_of(&i));
     }
 }

@@ -61,7 +61,7 @@ pub mod multi_event;
 pub use crate::bingo::{Bingo, BingoConfig, BingoStats, PredictionStep};
 pub use accumulation::{AccumulationTable, Observation, Residency};
 pub use analysis::{EventProfile, SpatialProfiler, SpatialReport};
-pub use event::{Event, EventKind};
+pub use event::EventKind;
 pub use footprint::Footprint;
 pub use history::UnifiedHistoryTable;
 pub use multi_event::{EventTable, MultiEventConfig, MultiEventPrefetcher, MultiEventStats};

@@ -274,7 +274,7 @@ impl MultiEventPrefetcher {
             format!("MultiEvent[{}]", cfg.events.len())
         };
         MultiEventPrefetcher {
-            accumulation: AccumulationTable::new(cfg.accumulation_entries, region_blocks),
+            accumulation: AccumulationTable::new(cfg.accumulation_entries, cfg.region),
             tables,
             name,
             last_source: PrefetchSource::Unattributed,
@@ -318,10 +318,11 @@ impl MultiEventPrefetcher {
 
     fn predict(&mut self, info: &AccessInfo, out: &mut Vec<BlockAddr>) {
         self.stats.lookups += 1;
+        let geometry = self.cfg.region;
         // Redundancy probe over the first two tables (when present).
         if self.cfg.events.len() >= 2 {
-            let k0 = self.cfg.events[0].key_of(info);
-            let k1 = self.cfg.events[1].key_of(info);
+            let k0 = self.cfg.events[0].key_of(info, geometry);
+            let k1 = self.cfg.events[1].key_of(info, geometry);
             let p0 = self.tables[0].lookup(k0);
             let p1 = self.tables[1].lookup(k1);
             if let (Some(a), Some(b)) = (p0, p1) {
@@ -333,7 +334,7 @@ impl MultiEventPrefetcher {
         }
         let mut chosen: Option<(usize, Footprint)> = None;
         for (i, kind) in self.cfg.events.iter().enumerate() {
-            let key = kind.key_of(info);
+            let key = kind.key_of(info, geometry);
             if let Some(fp) = self.tables[i].lookup(key) {
                 chosen = Some((i, fp));
                 break;
@@ -345,9 +346,13 @@ impl MultiEventPrefetcher {
         };
         self.stats.hits_by_event[i] += 1;
         self.last_source = PrefetchSource::CascadeLevel(i as u8);
+        let (region, trigger) = (
+            geometry.region_of(info.block),
+            geometry.offset_of(info.block),
+        );
         for offset in fp.iter() {
-            if offset != info.offset {
-                out.push(self.cfg.region.block_at(info.region, offset));
+            if offset != trigger {
+                out.push(geometry.block_at(region, offset));
             }
         }
     }
@@ -420,22 +425,10 @@ impl Prefetcher for MultiEventPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bingo_sim::{CoreId, Pc};
+    use bingo_sim::Pc;
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        let g = RegionGeometry::default();
-        let b = BlockAddr::new(block);
-        AccessInfo {
-            core: CoreId(0),
-            pc: Pc::new(pc),
-            addr: b.base_addr(),
-            block: b,
-            region: g.region_of(b),
-            offset: g.offset_of(b),
-            is_write: false,
-            hit: false,
-            cycle: 0,
-        }
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
     }
 
     fn small(events: Vec<EventKind>) -> MultiEventPrefetcher {

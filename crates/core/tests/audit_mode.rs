@@ -33,22 +33,10 @@ fn audited_invariants_hold_on_a_real_bingo_run() {
 /// Minimal driver shared by the audit smoke test.
 mod bingo_core_driver {
     use bingo::{Bingo, BingoConfig};
-    use bingo_sim::{AccessInfo, BlockAddr, CoreId, Pc, Prefetcher, RegionGeometry};
+    use bingo_sim::{AccessInfo, BlockAddr, Pc, Prefetcher};
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        let g = RegionGeometry::default();
-        let b = BlockAddr::new(block);
-        AccessInfo {
-            core: CoreId(0),
-            pc: Pc::new(pc),
-            addr: b.base_addr(),
-            block: b,
-            region: g.region_of(b),
-            offset: g.offset_of(b),
-            is_write: false,
-            hit: false,
-            cycle: 0,
-        }
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
     }
 
     pub fn drive() {

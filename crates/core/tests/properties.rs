@@ -8,26 +8,14 @@
 use bingo_rng::{Rng, SeedableRng, SmallRng};
 
 use bingo::{AccumulationTable, EventKind, Footprint, UnifiedHistoryTable};
-use bingo_sim::{AccessInfo, BlockAddr, CoreId, Pc, RegionGeometry};
+use bingo_sim::{AccessInfo, BlockAddr, Pc, RegionGeometry};
 
 fn fp(bits: u32) -> Footprint {
     Footprint::from_bits(bits as u64, 32)
 }
 
 fn info(pc: u64, block: u64) -> AccessInfo {
-    let g = RegionGeometry::default();
-    let b = BlockAddr::new(block);
-    AccessInfo {
-        core: CoreId(0),
-        pc: Pc::new(pc),
-        addr: b.base_addr(),
-        block: b,
-        region: g.region_of(b),
-        offset: g.offset_of(b),
-        is_write: false,
-        hit: false,
-        cycle: 0,
-    }
+    AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
 }
 
 fn random_patterns(rng: &mut SmallRng) -> Vec<u32> {
@@ -142,7 +130,8 @@ fn event_keys_deterministic() {
 fn accumulation_invariants() {
     let mut rng = SmallRng::seed_from_u64(0xB1A5_0006);
     for _ in 0..64 {
-        let mut acc = AccumulationTable::new(16, 32);
+        let geometry = RegionGeometry::default();
+        let mut acc = AccumulationTable::new(16, geometry);
         let mut regions = Vec::new();
         let n = rng.gen_range(1..300usize);
         for _ in 0..n {
@@ -150,7 +139,7 @@ fn accumulation_invariants() {
             let block = rng.gen_range(0..512u64);
             let i = info(0x400 + pc * 4, block);
             acc.observe(&i);
-            regions.push(i.region);
+            regions.push(geometry.region_of(i.block));
             assert!(acc.len() <= 16);
         }
         for r in regions {

@@ -204,8 +204,9 @@ impl StepOracle for SmsOracle {
     }
 
     fn check_access(&mut self, info: &AccessInfo, emitted: &[BlockAddr]) -> Result<(), String> {
+        let trigger_region = self.region.region_of(info.block);
         for b in emitted {
-            if self.region.region_of(*b) != info.region {
+            if self.region.region_of(*b) != trigger_region {
                 return Err(format!(
                     "block={:#x}: prefetch {:#x} escapes the trigger region",
                     info.block.index(),
@@ -236,12 +237,7 @@ mod tests {
     use bingo_sim::Pc;
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        AccessInfo::demand(
-            RegionGeometry::default(),
-            Pc::new(pc),
-            BlockAddr::new(block),
-            0,
-        )
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
     }
 
     fn blocks(idx: &[u64]) -> Vec<BlockAddr> {

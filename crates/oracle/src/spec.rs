@@ -130,14 +130,16 @@ impl SpecBingo {
     /// out of a full active list (which goes straight to training).
     fn observe(&mut self, info: &AccessInfo) -> (bool, Option<Residency>) {
         let now = self.tick();
-        if let Some(r) = self.active.iter_mut().find(|r| r.region == info.region) {
-            r.blocks.insert(info.offset);
+        let region = self.cfg.region.region_of(info.block);
+        let offset = self.cfg.region.offset_of(info.block);
+        if let Some(r) = self.active.iter_mut().find(|r| r.region == region) {
+            r.blocks.insert(offset);
             r.last_touch = now;
             return (false, None);
         }
-        if let Some(i) = self.filter.iter().position(|r| r.region == info.region) {
+        if let Some(i) = self.filter.iter().position(|r| r.region == region) {
             let mut r = self.filter.remove(i);
-            r.blocks.insert(info.offset);
+            r.blocks.insert(offset);
             r.last_touch = now;
             let evicted = if self.active.len() >= self.cfg.accumulation_entries {
                 Some(remove_lru(&mut self.active))
@@ -156,11 +158,11 @@ impl SpecBingo {
             let _ = remove_lru(&mut self.filter);
         }
         self.filter.push(Residency {
-            region: info.region,
+            region,
             trigger_pc: info.pc.raw(),
             trigger_block: info.block.index(),
-            trigger_offset: info.offset,
-            blocks: BTreeSet::from([info.offset]),
+            trigger_offset: offset,
+            blocks: BTreeSet::from([offset]),
             last_touch: now,
         });
         (true, None)
@@ -200,8 +202,8 @@ impl SpecBingo {
 
     /// Rule 3: long event first, then the short-event vote.
     fn predict(&mut self, info: &AccessInfo) -> (PrefetchSource, Vec<BlockAddr>) {
-        let long_key = EventKind::PcAddress.key_of(info);
-        let short_key = EventKind::PcOffset.key_of(info);
+        let long_key = EventKind::PcAddress.key_of(info, self.cfg.region);
+        let short_key = EventKind::PcOffset.key_of(info, self.cfg.region);
         let now = self.tick();
         let set = &mut self.sets[(short_key & self.set_mask) as usize];
 
@@ -237,7 +239,8 @@ impl SpecBingo {
             .collect();
         // A vote that keeps nothing beyond the trigger block issues no
         // prefetch and is not a match.
-        if kept.iter().any(|&offset| offset != info.offset) {
+        let trigger = self.cfg.region.offset_of(info.block);
+        if kept.iter().any(|&offset| offset != trigger) {
             (PrefetchSource::ShortVote, emit(&self.cfg, info, &kept))
         } else {
             (PrefetchSource::Unattributed, Vec::new())
@@ -309,10 +312,12 @@ fn free_or_lru_way(set: &[Option<Entry>]) -> usize {
 /// The predicted blocks: every kept offset of the trigger's region except
 /// the trigger block itself, ascending.
 fn emit(cfg: &BingoConfig, info: &AccessInfo, offsets: &BTreeSet<u32>) -> Vec<BlockAddr> {
+    let region = cfg.region.region_of(info.block);
+    let trigger = cfg.region.offset_of(info.block);
     offsets
         .iter()
-        .filter(|&&offset| offset != info.offset)
-        .map(|&offset| cfg.region.block_at(info.region, offset))
+        .filter(|&&offset| offset != trigger)
+        .map(|&offset| cfg.region.block_at(region, offset))
         .collect()
 }
 
@@ -345,7 +350,7 @@ impl StepOracle for SpecBingo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bingo_sim::{Pc, RegionGeometry};
+    use bingo_sim::Pc;
 
     fn small_cfg() -> BingoConfig {
         BingoConfig {
@@ -357,12 +362,7 @@ mod tests {
     }
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        AccessInfo::demand(
-            RegionGeometry::default(),
-            Pc::new(pc),
-            BlockAddr::new(block),
-            0,
-        )
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
     }
 
     fn visit(s: &mut SpecBingo, pc: u64, region: u64, offsets: &[u32]) -> SpecStep {

@@ -6,7 +6,7 @@
 //! 15-cycle hit latency, and two DRAM channels providing 60 ns zero-load
 //! latency and 37.5 GB/s of peak bandwidth. Blocks are 64 bytes everywhere.
 
-use crate::addr::{RegionGeometry, BLOCK_BYTES};
+use crate::addr::BLOCK_BYTES;
 use crate::cache::MAX_PREFETCH_OWNERS;
 
 /// Why [`SystemConfig::validate`] rejected a configuration.
@@ -142,8 +142,6 @@ pub struct SystemConfig {
     pub llc: CacheConfig,
     /// DRAM subsystem.
     pub dram: DramConfig,
-    /// Spatial-region geometry used by prefetchers trained at the LLC.
-    pub region: RegionGeometry,
     /// LLC MSHR slots reserved for demand requests; prefetches may only use
     /// the remainder so they can never starve demands.
     pub llc_mshrs_reserved_for_demand: usize,
@@ -205,7 +203,6 @@ impl SystemConfig {
                 row_miss_latency: 226,
                 transfer_cycles: 14,
             },
-            region: RegionGeometry::default(),
             llc_mshrs_reserved_for_demand: 32,
             prefetch_queue_depth: None,
             qos_slo: None,
@@ -261,7 +258,6 @@ impl SystemConfig {
                 row_miss_latency: 226,
                 transfer_cycles: 14,
             },
-            region: RegionGeometry::default(),
             llc_mshrs_reserved_for_demand: 8,
             prefetch_queue_depth: None,
             qos_slo: None,

@@ -80,8 +80,7 @@ pub use stats::{
 };
 pub use system::{SimAbort, System};
 pub use telemetry::{
-    DropReason, LifecycleEvent, LifecycleEventKind, PrefetchLedger, PrefetchSource, SourceCounters,
-    TelemetryLevel, TelemetryReport,
+    DropReason, PrefetchLedger, PrefetchSource, SourceCounters, TelemetryLevel, TelemetryReport,
 };
 pub use throttle::{
     CoreSignals, Throttle, ThrottleLevel, ThrottleMode, ThrottleStats, WatchdogStats,

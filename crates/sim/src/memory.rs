@@ -275,8 +275,7 @@ impl MemorySystem {
                             self.dram.write(evicted.block, now);
                         }
                         if let Some(owner) = evicted.unused_prefetch {
-                            self.ledger
-                                .evicted_unused(owner.0, evicted.block.index(), now);
+                            self.ledger.evicted_unused(owner.0, evicted.block.index());
                         }
                         for pf in &mut self.prefetchers {
                             pf.on_eviction(evicted.block);
@@ -415,9 +414,9 @@ impl MemorySystem {
                 throttle.note_pf_used(owner.0);
             }
             if llc_hit {
-                self.ledger.used_timely(owner.0, block.index(), t_llc);
+                self.ledger.used_timely(owner.0, block.index());
             } else {
-                self.ledger.used_late(owner.0, block.index(), t_llc);
+                self.ledger.used_late(owner.0, block.index());
             }
         }
 
@@ -466,8 +465,6 @@ impl MemorySystem {
             pc,
             addr,
             block,
-            region: self.cfg.region.region_of(block),
-            offset: self.cfg.region.offset_of(block),
             is_write,
             hit,
             cycle,
@@ -513,14 +510,8 @@ impl MemorySystem {
         self.llc.stats.pf_requested += 1;
         if self.llc.probe(block) {
             self.llc.stats.pf_dropped_duplicate += 1;
-            self.ledger.dropped(
-                core.0,
-                block.index(),
-                pc,
-                source,
-                now,
-                DropReason::Duplicate,
-            );
+            self.ledger
+                .dropped(core.0, pc, source, DropReason::Duplicate);
             return;
         }
         // The bounded prefetch queue sits in front of the MSHR file: a
@@ -530,14 +521,8 @@ impl MemorySystem {
         if let Some(depth) = self.cfg.prefetch_queue_depth {
             if self.llc.prefetches_in_flight() >= depth {
                 self.llc.stats.pf_dropped_queue += 1;
-                self.ledger.dropped(
-                    core.0,
-                    block.index(),
-                    pc,
-                    source,
-                    now,
-                    DropReason::QueueFull,
-                );
+                self.ledger
+                    .dropped(core.0, pc, source, DropReason::QueueFull);
                 return;
             }
         }
@@ -547,7 +532,7 @@ impl MemorySystem {
         {
             self.llc.stats.pf_dropped_mshr += 1;
             self.ledger
-                .dropped(core.0, block.index(), pc, source, now, DropReason::MshrFull);
+                .dropped(core.0, pc, source, DropReason::MshrFull);
             return;
         }
         let ready = self

@@ -8,11 +8,15 @@
 //! whenever a block leaves the LLC — the end-of-residency signal
 //! per-page-history prefetchers train on.
 
-use crate::addr::{Addr, BlockAddr, CoreId, Pc, RegionGeometry, RegionId};
+use crate::addr::{Addr, BlockAddr, CoreId, Pc};
 use crate::telemetry::PrefetchSource;
 use crate::throttle::ThrottleLevel;
 
 /// Everything a prefetcher may observe about one demand access.
+///
+/// Region and offset are not part of it: a spatial prefetcher derives
+/// them from `block` with the [`RegionGeometry`](crate::RegionGeometry)
+/// of its own configuration, so the two can never disagree.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct AccessInfo {
     /// Core issuing the access.
@@ -23,10 +27,6 @@ pub struct AccessInfo {
     pub addr: Addr,
     /// Cache-block index of the access.
     pub block: BlockAddr,
-    /// Spatial region containing the block.
-    pub region: RegionId,
-    /// Block offset within the region.
-    pub offset: u32,
     /// Whether the access is a store.
     pub is_write: bool,
     /// Whether the access hit a resident, ready LLC line.
@@ -37,19 +37,17 @@ pub struct AccessInfo {
 
 impl AccessInfo {
     /// Builds the canonical demand-miss view of a load at `pc` touching
-    /// `block`, with region/offset derived from `geometry`.
+    /// `block`.
     ///
     /// This is how trace replay and the differential harness construct
     /// accesses: a core-0 read miss, which is the trigger condition every
     /// spatial prefetcher in this workspace trains on.
-    pub fn demand(geometry: RegionGeometry, pc: Pc, block: BlockAddr, cycle: u64) -> Self {
+    pub fn demand(pc: Pc, block: BlockAddr, cycle: u64) -> Self {
         AccessInfo {
             core: CoreId(0),
             pc,
             addr: block.base_addr(),
             block,
-            region: geometry.region_of(block),
-            offset: geometry.offset_of(block),
             is_write: false,
             hit: false,
             cycle,
@@ -237,22 +235,9 @@ impl Prefetcher for FaultyPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::RegionGeometry;
 
     fn info(block: u64) -> AccessInfo {
-        let g = RegionGeometry::default();
-        let b = BlockAddr::new(block);
-        AccessInfo {
-            core: CoreId(0),
-            pc: Pc::new(0x400),
-            addr: b.base_addr(),
-            block: b,
-            region: g.region_of(b),
-            offset: g.offset_of(b),
-            is_write: false,
-            hit: false,
-            cycle: 0,
-        }
+        AccessInfo::demand(Pc::new(0x400), BlockAddr::new(block), 0)
     }
 
     #[test]

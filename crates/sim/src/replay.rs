@@ -198,12 +198,11 @@ impl PrefetchTrace {
         prefetcher: &mut dyn Prefetcher,
         mut on_step: impl FnMut(usize, ReplayStep<'_>) -> bool,
     ) -> bool {
-        let g = self.geometry();
         let mut out = Vec::new();
         for (i, &event) in self.events.iter().enumerate() {
             match event {
                 PrefetchEvent::Access { pc, block } => {
-                    let info = AccessInfo::demand(g, Pc::new(pc), BlockAddr::new(block), i as u64);
+                    let info = AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), i as u64);
                     out.clear();
                     prefetcher.on_access(&info, &mut out);
                     if !on_step(
@@ -428,15 +427,15 @@ mod tests {
     }
 
     #[test]
-    fn access_infos_carry_trace_geometry() {
-        let mut t = PrefetchTrace::new(1024); // 16 blocks per region
+    fn replayed_accesses_are_demand_misses() {
+        let mut t = PrefetchTrace::new(1024);
         t.access(0x400, 16 * 3 + 5);
         let mut p = NextLinePrefetcher::new(1);
-        t.replay_with(&mut p, |_, step| {
+        t.replay_with(&mut p, |i, step| {
             if let ReplayStep::Access { info, .. } = step {
-                assert_eq!(info.region.raw(), 3);
-                assert_eq!(info.offset, 5);
-                assert!(!info.hit);
+                assert_eq!(info.block, BlockAddr::new(16 * 3 + 5));
+                assert_eq!((info.pc, info.cycle), (Pc::new(0x400), i as u64));
+                assert!(!info.hit && !info.is_write);
             }
             true
         });

@@ -34,7 +34,7 @@
 //! a warmup reset. This equality is test-locked, making the ledger a
 //! cross-check of the attribution logic rather than a second opinion.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// How much prefetch-lifecycle instrumentation to collect.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -44,9 +44,6 @@ pub enum TelemetryLevel {
     Off,
     /// Lifecycle counters plus per-source and per-PC attribution.
     Counts,
-    /// [`Counts`](TelemetryLevel::Counts) plus a bounded ring buffer of
-    /// recent lifecycle events for debugging.
-    Trace,
 }
 
 impl TelemetryLevel {
@@ -56,13 +53,13 @@ impl TelemetryLevel {
     }
 
     /// Parses the spelling used by the `BINGO_TELEMETRY` knob
-    /// (case-insensitive `off` / `counts` / `trace`); `None` on anything
-    /// else so callers can abort loudly.
+    /// (case-insensitive `off` / `counts`); `None` on anything else,
+    /// including the retired `trace` level and its alias `2`, so callers
+    /// can abort loudly.
     pub fn parse(value: &str) -> Option<Self> {
         match value.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "none" => Some(TelemetryLevel::Off),
             "counts" | "on" | "1" => Some(TelemetryLevel::Counts),
-            "trace" | "2" => Some(TelemetryLevel::Trace),
             _ => None,
         }
     }
@@ -169,46 +166,6 @@ impl SourceCounters {
     }
 }
 
-/// One entry of the [`TelemetryLevel::Trace`] ring buffer.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct LifecycleEvent {
-    /// Cycle of the transition.
-    pub cycle: u64,
-    /// Block the prefetch targeted.
-    pub block: u64,
-    /// Which transition happened.
-    pub kind: LifecycleEventKind,
-}
-
-/// The lifecycle transition recorded by a [`LifecycleEvent`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum LifecycleEventKind {
-    /// Prefetch issued toward DRAM.
-    Issued {
-        /// Prediction source of the prefetch.
-        source: PrefetchSource,
-        /// Trigger PC.
-        pc: u64,
-    },
-    /// Candidate filtered before issue.
-    Dropped {
-        /// Why it was filtered.
-        reason: DropReason,
-    },
-    /// Fill landed in the cache.
-    Filled,
-    /// First demand touched the filled line.
-    UsedTimely,
-    /// Demand merged with the fill while in flight.
-    UsedLate,
-    /// Line evicted without ever being demanded.
-    EvictedUnused,
-}
-
-/// Bound of the trace ring buffer: enough context to see what led up to a
-/// condition without the memory footprint scaling with run length.
-pub const TRACE_RING_CAPACITY: usize = 512;
-
 /// Hot-list length of the per-trigger-PC report.
 pub const HOT_PC_LIMIT: usize = 16;
 
@@ -261,7 +218,6 @@ pub struct PrefetchLedger {
     /// [`TelemetryReport`]: adding fields there would invalidate the
     /// committed differential-corpus golden results.
     by_core: Vec<SourceCounters>,
-    ring: VecDeque<LifecycleEvent>,
     in_flight_at_end: u64,
 }
 
@@ -276,7 +232,6 @@ impl PrefetchLedger {
             by_source: [SourceCounters::default(); SOURCE_SLOTS],
             by_pc: HashMap::new(),
             by_core: Vec::new(),
-            ring: VecDeque::new(),
             in_flight_at_end: 0,
         }
     }
@@ -306,21 +261,6 @@ impl PrefetchLedger {
         self.level.enabled()
     }
 
-    fn trace(&mut self, cycle: u64, block: u64, kind: LifecycleEventKind) {
-        if self.level != TelemetryLevel::Trace {
-            return;
-        }
-        if self.ring.len() == TRACE_RING_CAPACITY {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(LifecycleEvent { cycle, block, kind });
-    }
-
-    /// The trace ring buffer (empty below [`TelemetryLevel::Trace`]).
-    pub fn events(&self) -> &VecDeque<LifecycleEvent> {
-        &self.ring
-    }
-
     /// Records a prefetch issued toward DRAM on behalf of `core`.
     pub fn issued(&mut self, core: usize, block: u64, pc: u64, source: PrefetchSource, cycle: u64) {
         if !self.enabled() {
@@ -348,19 +288,10 @@ impl PrefetchLedger {
             let _ = stale;
             self.counts.orphans += 1;
         }
-        self.trace(cycle, block, LifecycleEventKind::Issued { source, pc });
     }
 
     /// Records a candidate of `core` filtered before issue.
-    pub fn dropped(
-        &mut self,
-        core: usize,
-        block: u64,
-        pc: u64,
-        source: PrefetchSource,
-        cycle: u64,
-        reason: DropReason,
-    ) {
+    pub fn dropped(&mut self, core: usize, pc: u64, source: PrefetchSource, reason: DropReason) {
         if !self.enabled() {
             return;
         }
@@ -372,7 +303,6 @@ impl PrefetchLedger {
         self.by_source[source.slot()].dropped += 1;
         self.by_pc.entry(pc).or_default().dropped += 1;
         self.core_mut(core).dropped += 1;
-        self.trace(cycle, block, LifecycleEventKind::Dropped { reason });
     }
 
     /// Records a fill landing. A no-op unless the block has an open
@@ -386,7 +316,6 @@ impl PrefetchLedger {
                 rec.filled_at = Some(cycle);
                 self.counts.fills += 1;
                 self.counts.fill_latency_sum += cycle.saturating_sub(rec.issued_at);
-                self.trace(cycle, block, LifecycleEventKind::Filled);
             }
         }
     }
@@ -403,7 +332,7 @@ impl PrefetchLedger {
 
     /// Records the first demand touch of a filled prefetched line that
     /// `core` issued (the event that increments `pf_useful`).
-    pub fn used_timely(&mut self, core: usize, block: u64, cycle: u64) {
+    pub fn used_timely(&mut self, core: usize, block: u64) {
         if !self.enabled() {
             return;
         }
@@ -413,12 +342,11 @@ impl PrefetchLedger {
             self.by_pc.entry(rec.pc).or_default().timely += 1;
             self.core_mut(core).timely += 1;
         }
-        self.trace(cycle, block, LifecycleEventKind::UsedTimely);
     }
 
     /// Records a demand merging with a still-in-flight prefetch that
     /// `core` issued (the event that increments `pf_late`).
-    pub fn used_late(&mut self, core: usize, block: u64, cycle: u64) {
+    pub fn used_late(&mut self, core: usize, block: u64) {
         if !self.enabled() {
             return;
         }
@@ -428,12 +356,11 @@ impl PrefetchLedger {
             self.by_pc.entry(rec.pc).or_default().late += 1;
             self.core_mut(core).late += 1;
         }
-        self.trace(cycle, block, LifecycleEventKind::UsedLate);
     }
 
     /// Records the eviction of a never-demanded prefetched line that
     /// `core` issued (the event that increments `pf_useless`).
-    pub fn evicted_unused(&mut self, core: usize, block: u64, cycle: u64) {
+    pub fn evicted_unused(&mut self, core: usize, block: u64) {
         if !self.enabled() {
             return;
         }
@@ -443,7 +370,6 @@ impl PrefetchLedger {
             self.by_pc.entry(rec.pc).or_default().unused += 1;
             self.core_mut(core).unused += 1;
         }
-        self.trace(cycle, block, LifecycleEventKind::EvictedUnused);
     }
 
     /// End-of-warmup reset: zeroes every counter (mirroring
@@ -460,7 +386,6 @@ impl PrefetchLedger {
         self.by_source = [SourceCounters::default(); SOURCE_SLOTS];
         self.by_pc.clear();
         self.by_core.clear();
-        self.ring.clear();
         self.in_flight_at_end = 0;
         for rec in self.open.values_mut() {
             if rec.filled_at.is_some() {
@@ -635,7 +560,12 @@ mod tests {
             TelemetryLevel::parse(" Counts "),
             Some(TelemetryLevel::Counts)
         );
-        assert_eq!(TelemetryLevel::parse("TRACE"), Some(TelemetryLevel::Trace));
+        assert_eq!(
+            TelemetryLevel::parse("TRACE"),
+            None,
+            "the trace level is retired"
+        );
+        assert_eq!(TelemetryLevel::parse("2"), None);
         assert_eq!(TelemetryLevel::parse("verbose"), None);
         assert!(!TelemetryLevel::Off.enabled());
         assert!(TelemetryLevel::Counts.enabled());
@@ -646,10 +576,9 @@ mod tests {
         let mut led = PrefetchLedger::new(TelemetryLevel::Off);
         led.issued(0, 1, 0x400, PrefetchSource::LongEvent, 10);
         led.filled(1, 50);
-        led.used_timely(0, 1, 60);
+        led.used_timely(0, 1);
         led.finalize(|_| Some(0));
         assert!(led.report().is_none());
-        assert!(led.events().is_empty());
     }
 
     #[test]
@@ -657,7 +586,7 @@ mod tests {
         let mut led = counting_ledger();
         led.issued(0, 7, 0x400, PrefetchSource::LongEvent, 10);
         led.filled(7, 100);
-        led.used_timely(0, 7, 150);
+        led.used_timely(0, 7);
         led.finalize(|_| Some(0));
         let r = led.report().expect("counts level reports");
         assert_eq!((r.issued, r.timely, r.late, r.unused), (1, 1, 0, 0));
@@ -675,7 +604,7 @@ mod tests {
     fn late_use_settles_before_fill() {
         let mut led = counting_ledger();
         led.issued(0, 7, 0x400, PrefetchSource::ShortVote, 10);
-        led.used_late(0, 7, 20);
+        led.used_late(0, 7);
         // The fill still lands later, but the record is already settled.
         led.filled(7, 100);
         led.finalize(|_| Some(0));
@@ -691,7 +620,7 @@ mod tests {
         let mut led = counting_ledger();
         led.issued(0, 1, 0xa, PrefetchSource::Unattributed, 0);
         led.filled(1, 10);
-        led.evicted_unused(0, 1, 99);
+        led.evicted_unused(0, 1);
         // Second prefetch: filled, never used, still resident at drain.
         led.issued(0, 2, 0xa, PrefetchSource::Unattributed, 0);
         led.filled(2, 10);
@@ -717,30 +646,9 @@ mod tests {
     #[test]
     fn drops_are_counted_per_reason() {
         let mut led = counting_ledger();
-        led.dropped(
-            0,
-            1,
-            0x4,
-            PrefetchSource::LongEvent,
-            0,
-            DropReason::Duplicate,
-        );
-        led.dropped(
-            0,
-            2,
-            0x4,
-            PrefetchSource::LongEvent,
-            0,
-            DropReason::MshrFull,
-        );
-        led.dropped(
-            0,
-            3,
-            0x4,
-            PrefetchSource::LongEvent,
-            0,
-            DropReason::QueueFull,
-        );
+        led.dropped(0, 0x4, PrefetchSource::LongEvent, DropReason::Duplicate);
+        led.dropped(0, 0x4, PrefetchSource::LongEvent, DropReason::MshrFull);
+        led.dropped(0, 0x4, PrefetchSource::LongEvent, DropReason::QueueFull);
         let r = led.report().unwrap();
         assert_eq!(r.dropped_duplicate, 1);
         assert_eq!(r.dropped_mshr, 1);
@@ -751,8 +659,8 @@ mod tests {
     #[test]
     fn orphan_transitions_never_panic_or_count_classes() {
         let mut led = counting_ledger();
-        led.used_timely(0, 42, 5); // never issued
-        led.evicted_unused(0, 43, 6); // never issued
+        led.used_timely(0, 42); // never issued
+        led.evicted_unused(0, 43); // never issued
         led.filled(44, 7); // no record: ignored entirely
                            // Re-issue over an open record.
         led.issued(0, 45, 0x4, PrefetchSource::ShortVote, 0);
@@ -775,33 +683,12 @@ mod tests {
         assert_eq!(led.report().unwrap().issued, 0, "counters wiped");
         led.filled(2, 20);
         // Pre-reset-filled record still closes correctly if used.
-        led.used_timely(0, 1, 30);
+        led.used_timely(0, 1);
         led.finalize(|_| Some(0));
         let r = led.report().unwrap();
         assert_eq!(r.timely, 1, "pre-warmup prefetch used post-warmup counts");
         assert_eq!(r.unused, 1, "post-reset fill settles unused at drain");
         assert_eq!(r.orphans, 0);
-    }
-
-    #[test]
-    fn trace_ring_is_bounded_and_ordered() {
-        let mut led = PrefetchLedger::new(TelemetryLevel::Trace);
-        for i in 0..(TRACE_RING_CAPACITY as u64 + 100) {
-            led.issued(0, i, 0x4, PrefetchSource::Unattributed, i);
-        }
-        assert_eq!(led.events().len(), TRACE_RING_CAPACITY);
-        assert_eq!(led.events().front().unwrap().cycle, 100, "oldest dropped");
-        assert_eq!(
-            led.events().back().unwrap().cycle,
-            TRACE_RING_CAPACITY as u64 + 99
-        );
-    }
-
-    #[test]
-    fn counts_level_keeps_no_ring() {
-        let mut led = counting_ledger();
-        led.issued(0, 1, 0x4, PrefetchSource::Unattributed, 0);
-        assert!(led.events().is_empty());
     }
 
     #[test]
@@ -842,19 +729,12 @@ mod tests {
         // credit stays with the issuer.
         led.issued(1, 7, 0x400, PrefetchSource::LongEvent, 0);
         led.filled(7, 50);
-        led.used_timely(1, 7, 60);
+        led.used_timely(1, 7);
         // Core 0 issues one that settles unused, and drops a candidate.
         led.issued(0, 8, 0x404, PrefetchSource::ShortVote, 0);
         led.filled(8, 50);
-        led.evicted_unused(0, 8, 99);
-        led.dropped(
-            0,
-            9,
-            0x404,
-            PrefetchSource::ShortVote,
-            1,
-            DropReason::Duplicate,
-        );
+        led.evicted_unused(0, 8);
+        led.dropped(0, 0x404, PrefetchSource::ShortVote, DropReason::Duplicate);
         led.finalize(|_| Some(0));
         let by_core = led.by_core();
         assert_eq!(by_core.len(), 2);

@@ -6,8 +6,8 @@
 //! exhausted it reopens the file and wraps around, accumulating the
 //! ingestion report across passes. Under [`Policy::Strict`] a corrupt
 //! byte panics with the typed error — inside a bench cell that panic is
-//! caught and becomes a `CellOutcome::Panicked` with the byte offset in
-//! its message. Under [`Policy::Lenient`] corruption is quarantined and
+//! caught and becomes a sweep `Failure` whose reason starts with
+//! `panicked:` and names the byte offset. Under [`Policy::Lenient`] corruption is quarantined and
 //! the replay continues on whatever records survive.
 //!
 //! `ReplaySource` forwards the simulator's op-run fast path

@@ -19,6 +19,8 @@ use bingo_repro::sim::{
 use bingo_repro::workloads::Workload;
 
 /// Prefetches every remaining block of the accessed region on a miss.
+/// Like every spatial prefetcher, it maps the block to its region and
+/// offset with its own geometry.
 #[derive(Debug, Default)]
 struct RegionRounder {
     geometry: RegionGeometry,
@@ -33,9 +35,11 @@ impl Prefetcher for RegionRounder {
         if info.hit {
             return;
         }
+        let region = self.geometry.region_of(info.block);
+        let trigger = self.geometry.offset_of(info.block);
         for offset in 0..self.geometry.blocks_per_region() as u32 {
-            if offset != info.offset {
-                out.push(self.geometry.block_at(info.region, offset));
+            if offset != trigger {
+                out.push(self.geometry.block_at(region, offset));
             }
         }
     }

@@ -11,7 +11,7 @@ use std::fs::File;
 use std::io::BufReader;
 
 use bingo_repro::prefetcher::{Bingo, BingoConfig, EventKind, SpatialProfiler};
-use bingo_repro::sim::{Instr, NoPrefetcher, Prefetcher, System, SystemConfig};
+use bingo_repro::sim::{Instr, NoPrefetcher, Prefetcher, RegionGeometry, System, SystemConfig};
 use bingo_repro::trace::{
     capture_source, Policy, ReplaySource, TraceReader, DEFAULT_CHUNK_RECORDS,
 };
@@ -37,7 +37,7 @@ fn main() {
     //    per trigger event, before any prefetcher runs?
     let file = File::open(&path).expect("open trace file");
     let mut reader = TraceReader::new(BufReader::new(file), Policy::Strict).expect("read header");
-    let mut profiler = SpatialProfiler::new(32, 64);
+    let mut profiler = SpatialProfiler::new(RegionGeometry::default(), 64);
     let mut accesses = 0u64;
     while let Some(instr) = reader.next_instr().expect("decode trace") {
         match instr {

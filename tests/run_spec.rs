@@ -4,11 +4,12 @@
 
 use std::path::{Path, PathBuf};
 
+use bingo::BingoConfig;
 use bingo_bench::{
     Checkpoint, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Slot,
     Stream,
 };
-use bingo_sim::{ChaosPlan, CoverageReport, TelemetryLevel, ThrottleMode};
+use bingo_sim::{ChaosPlan, CoverageReport, RegionGeometry, TelemetryLevel, ThrottleMode};
 use bingo_trace::Policy;
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
 
@@ -50,7 +51,7 @@ fn full_spec(trace: &TraceWorkload) -> RunSpec {
             Slot {
                 stream: Stream::Trace(trace.clone()),
                 stream_core: 2,
-                prefetcher: PrefetcherKind::BingoVote(0.2),
+                prefetcher: PrefetcherKind::BingoWith(BingoConfig::paper()),
                 budget_percent: 75,
             },
         ],
@@ -80,6 +81,14 @@ fn every_field_perturbation_changes_the_key() {
     assert_legacy_free(&base_key);
 
     type Edit = Box<dyn Fn(&mut RunSpec)>;
+    // Slot 1's prefetcher as the paper's Bingo with one field edited.
+    let bingo = |edit: fn(&mut BingoConfig)| -> Edit {
+        Box::new(move |s| {
+            let mut cfg = BingoConfig::paper();
+            edit(&mut cfg);
+            s.slots[1].prefetcher = PrefetcherKind::BingoWith(cfg);
+        })
+    };
     let edits: Vec<(&str, Edit)> = vec![
         (
             "instructions",
@@ -96,10 +105,7 @@ fn every_field_perturbation_changes_the_key() {
         ("queue unbounded", Box::new(|s| s.pressure.queue = None)),
         ("qos slo", Box::new(|s| s.qos_slo = Some(0.7 + 1e-15))),
         ("qos slo default", Box::new(|s| s.qos_slo = None)),
-        (
-            "telemetry",
-            Box::new(|s| s.telemetry = TelemetryLevel::Trace),
-        ),
+        ("telemetry", Box::new(|s| s.telemetry = TelemetryLevel::Off)),
         (
             "throttle",
             Box::new(|s| s.throttle = ThrottleMode::Feedback),
@@ -124,8 +130,26 @@ fn every_field_perturbation_changes_the_key() {
             }),
         ),
         (
-            "vote threshold past display precision",
-            Box::new(|s| s.slots[1].prefetcher = PrefetcherKind::BingoVote(0.2 + 1e-12)),
+            "bingo region",
+            bingo(|c| c.region = RegionGeometry::new(1024)),
+        ),
+        ("bingo history entries", bingo(|c| c.history_entries /= 2)),
+        ("bingo history ways", bingo(|c| c.history_ways /= 2)),
+        (
+            "bingo accumulation entries",
+            bingo(|c| c.accumulation_entries += 1),
+        ),
+        (
+            "bingo vote threshold past display precision",
+            bingo(|c| c.vote_threshold += 1e-12),
+        ),
+        (
+            "bingo min footprint",
+            bingo(|c| c.min_footprint_blocks += 1),
+        ),
+        (
+            "bingo training signal",
+            bingo(|c| c.train_on_eviction = false),
         ),
         ("slot budget", Box::new(|s| s.slots[1].budget_percent = 100)),
         (
@@ -222,7 +246,8 @@ fn legacy_checkpoint_lines_are_never_replayed() {
         }
     }
     let cp = Checkpoint::open(&path).expect("reopen checkpoint");
-    assert_eq!(cp.len(), 3, "legacy lines still parse and count");
+    assert_eq!(cp.len(), 0, "legacy lines are never loaded");
+    assert_eq!(cp.skipped_lines(), 3, "legacy lines are counted as stale");
     let resumed = sweep(&mut ParallelHarness::with_jobs(2).quiet().with_checkpoint(cp));
     assert_eq!(resumed.3, 0, "no legacy line may be looked up");
     assert_eq!(resumed.0, fresh.0, "classic cell replayed a legacy line");
