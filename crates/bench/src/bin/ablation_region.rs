@@ -7,43 +7,22 @@
 //! [`PrefetcherKind::BingoWith`] on the paper machine.
 
 use bingo::BingoConfig;
-use bingo_bench::{
-    geometric_mean, mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness,
-    PrefetcherKind, RunScale, RunSpec, Table,
-};
+use bingo_bench::{summary_table, PrefetcherKind};
 use bingo_sim::RegionGeometry;
-use bingo_workloads::Workload;
 
 const REGION_BYTES: [u64; 3] = [1024, 2048, 4096];
 
 fn main() {
-    let scale = RunScale::from_args();
-    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
-    // Region-major grid: all workloads of one region size are contiguous.
-    let specs: Vec<RunSpec> = REGION_BYTES
+    let rows: Vec<(String, PrefetcherKind)> = REGION_BYTES
         .iter()
-        .flat_map(|&bytes| {
+        .map(|&bytes| {
             let kind = PrefetcherKind::BingoWith(BingoConfig {
                 region: RegionGeometry::new(bytes),
                 ..BingoConfig::paper()
             });
-            RunSpec::grid(scale, &Workload::ALL, &[kind], telemetry, throttle)
+            (format!("{} KB", bytes / 1024), kind)
         })
         .collect();
-    let evals = ParallelHarness::from_env().evaluate(&specs);
-    let mut t = Table::new(vec!["Region", "Perf gmean", "Coverage", "Overprediction"]);
-    let n_workloads = Workload::ALL.len();
-    for (i, &bytes) in REGION_BYTES.iter().enumerate() {
-        let chunk = &evals[i * n_workloads..(i + 1) * n_workloads];
-        let speedups: Vec<f64> = chunk.iter().map(|e| e.speedup).collect();
-        let covs: Vec<f64> = chunk.iter().map(|e| e.coverage.coverage).collect();
-        let ovs: Vec<f64> = chunk.iter().map(|e| e.coverage.overprediction).collect();
-        t.row(vec![
-            format!("{} KB", bytes / 1024),
-            pct(geometric_mean(&speedups) - 1.0),
-            pct(mean(&covs)),
-            pct(mean(&ovs)),
-        ]);
-    }
+    let t = summary_table("Region", &rows);
     println!("Ablation: spatial region size for Bingo.\n\n{t}");
 }

@@ -7,52 +7,20 @@
 //! quantifies how much the eviction signal matters.
 
 use bingo::BingoConfig;
-use bingo_bench::{
-    geometric_mean, mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness,
-    PrefetcherKind, RunScale, RunSpec, Table,
-};
-use bingo_workloads::Workload;
+use bingo_bench::{summary_table, PrefetcherKind};
 
 fn main() {
-    let scale = RunScale::from_args();
-    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
-    let variants = [
-        ("eviction + overflow (paper)", BingoConfig::paper()),
+    let overflow_only = BingoConfig {
+        train_on_eviction: false,
+        ..BingoConfig::paper()
+    };
+    let rows = [
         (
-            "overflow only",
-            BingoConfig {
-                train_on_eviction: false,
-                ..BingoConfig::paper()
-            },
+            "eviction + overflow (paper)",
+            PrefetcherKind::BingoWith(BingoConfig::paper()),
         ),
+        ("overflow only", PrefetcherKind::BingoWith(overflow_only)),
     ];
-    // Variant-major grid: all workloads of one variant are contiguous.
-    let specs: Vec<RunSpec> = variants
-        .iter()
-        .flat_map(|&(_, cfg)| {
-            let kind = PrefetcherKind::BingoWith(cfg);
-            RunSpec::grid(scale, &Workload::ALL, &[kind], telemetry, throttle)
-        })
-        .collect();
-    let evals = ParallelHarness::from_env().evaluate(&specs);
-    let mut t = Table::new(vec![
-        "Training signal",
-        "Perf gmean",
-        "Coverage",
-        "Overprediction",
-    ]);
-    let n_workloads = Workload::ALL.len();
-    for (i, (name, _)) in variants.into_iter().enumerate() {
-        let chunk = &evals[i * n_workloads..(i + 1) * n_workloads];
-        let speedups: Vec<f64> = chunk.iter().map(|e| e.speedup).collect();
-        let covs: Vec<f64> = chunk.iter().map(|e| e.coverage.coverage).collect();
-        let ovs: Vec<f64> = chunk.iter().map(|e| e.coverage.overprediction).collect();
-        t.row(vec![
-            name.to_string(),
-            pct(geometric_mean(&speedups) - 1.0),
-            pct(mean(&covs)),
-            pct(mean(&ovs)),
-        ]);
-    }
+    let t = summary_table("Training signal", &rows);
     println!("Ablation: Bingo end-of-residency training signal.\n\n{t}");
 }

@@ -45,7 +45,6 @@ fn main() {
             pct(mean(&probs)),
         ]);
     }
-    t.write_csv_if_requested("fig2_events");
     println!(
         "Figure 2. Accuracy and match probability of event heuristics\n\
          (longest event first; paper: accuracy decreases and match\n\

@@ -28,7 +28,6 @@ fn main() {
         }
         t.row(vec![n.to_string(), pct(mean(&covs)), pct(mean(&accs))]);
     }
-    t.write_csv_if_requested("fig3_num_events");
     println!(
         "Figure 3. Coverage and accuracy vs. number of events in a\n\
          TAGE-like spatial prefetcher (paper: the 1→2 step dominates).\n\n{t}"

@@ -42,7 +42,6 @@ fn main() {
         t.row(vec![w.name().to_string(), pct(redundancy), pct(both_frac)]);
     }
     t.row(vec!["Average".to_string(), pct(mean(&all)), String::new()]);
-    t.write_csv_if_requested("fig4_redundancy");
     println!(
         "Figure 4. Redundancy of naive two-table TAGE metadata: fraction of\n\
          lookups where long and short events predict identically\n\

@@ -29,7 +29,6 @@ fn main() {
         }
         t.row(row);
     }
-    t.write_csv_if_requested("fig6_table_size");
     println!(
         "Figure 6. Bingo miss coverage vs. history-table entries\n\
          (paper: coverage plateaus beyond 16K entries).\n\n{t}"

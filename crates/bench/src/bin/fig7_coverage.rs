@@ -51,7 +51,6 @@ fn main() {
             String::new(),
         ]);
     }
-    t.write_csv_if_requested("fig7_coverage");
     println!(
         "Figure 7. Coverage and overprediction of all prefetchers\n\
          (paper: Bingo highest coverage on every workload, >63% average).\n\n{t}"

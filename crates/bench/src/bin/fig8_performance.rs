@@ -39,7 +39,6 @@ fn main() {
         gmean_row.push(pct(geometric_mean(s) - 1.0));
     }
     t.row(gmean_row);
-    t.write_csv_if_requested("fig8_performance");
     println!(
         "Figure 8. Performance improvement over the no-prefetcher baseline\n\
          (paper: Bingo +60% gmean, +11% Zeus, +285% em3d).\n\n{t}"

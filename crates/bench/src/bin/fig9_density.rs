@@ -47,7 +47,6 @@ fn main() {
             pct(density),
         ]);
     }
-    t.write_csv_if_requested("fig9_density");
     println!(
         "Figure 9. Performance-density improvement over the baseline\n\
          (paper: Bingo +59%, within 1% of its raw performance gain).\n\n{t}"

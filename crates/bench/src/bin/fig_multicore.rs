@@ -34,36 +34,13 @@
 use std::path::PathBuf;
 
 use bingo_bench::{
-    f2, telemetry_from_env, throttle_from_env, CapacityCell, CapacitySearch, MixConfig,
-    ParallelHarness, Pressure, RunScale, RunSpec, Table,
+    f2, flag_value, flag_values, telemetry_from_env, throttle_from_env, CapacityCell,
+    CapacitySearch, MixConfig, ParallelHarness, Pressure, RunScale, RunSpec, Table,
 };
 use bingo_sim::{TelemetryLevel, ThrottleMode};
 
 /// The mix the starvation experiment runs, when selected.
 const STARVATION_MIX: &str = "polite-vs-storm";
-
-/// Values of every `--flag value` occurrence of `flag`.
-fn flag_values(args: &[String], flag: &str) -> Vec<String> {
-    let mut values = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} requires a value"));
-            values.push(v.clone());
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    values
-}
-
-/// The value of the last `--flag value` occurrence, if any.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    flag_values(args, flag).pop()
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

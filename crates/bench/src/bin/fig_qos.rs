@@ -29,31 +29,14 @@
 use std::path::PathBuf;
 
 use bingo_bench::{
-    f2, telemetry_from_env, MixConfig, ParallelHarness, Pressure, RunScale, RunSpec, Table,
+    f2, flag_value, telemetry_from_env, MixConfig, ParallelHarness, Pressure, RunScale, RunSpec,
+    Table,
 };
 use bingo_sim::{ChaosPlan, SimResult, ThrottleMode};
 
 /// The mix every arm runs: one streaming core behind Bingo, one
 /// stress-storm core whose prefetches are mostly waste.
 const QOS_MIX: &str = "polite-vs-storm";
-
-/// The value of the last `--flag value` occurrence, if any.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} requires a value"));
-            value = Some(v.clone());
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    value
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

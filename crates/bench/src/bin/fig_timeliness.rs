@@ -9,55 +9,17 @@
 //! reports per-event-kind accuracy — the observable counterpart of the
 //! paper's Fig. 2 accuracy argument.
 //!
-//! Telemetry defaults to `counts` here (this binary is *about* telemetry);
-//! `BINGO_TELEMETRY` still overrides, e.g. `trace` for the event ring.
-//! Pass `--workload <name>` (repeatable) to restrict the sweep — the CI
-//! smoke job runs a single cheap workload this way.
+//! Telemetry is always `counts` here (this binary is *about* telemetry);
+//! a garbage `BINGO_TELEMETRY` still aborts. Pass `--workload <name>`
+//! (repeatable; a slug, paper name or variant name) to restrict the sweep —
+//! the CI smoke job runs a single cheap workload this way.
 
 use bingo_bench::{
-    f2, mean, pct, telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind,
-    RunScale, RunSpec, Table,
+    f2, mean, pct, telemetry_from_env, throttle_from_env, workload_args, ParallelHarness,
+    PrefetcherKind, RunScale, RunSpec, Table,
 };
 use bingo_sim::{SourceCounters, TelemetryLevel, TelemetryReport};
 use bingo_workloads::Workload;
-
-/// Parses repeated `--workload <name>` arguments (case-insensitive,
-/// spaces in paper names optional: `em3d`, `sat solver`, `SatSolver`).
-/// No filter means every workload.
-///
-/// # Panics
-///
-/// Panics on an unknown workload name, listing the valid ones.
-fn parse_workloads(args: &[String]) -> Vec<Workload> {
-    let mut picked = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--workload" {
-            let name = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--workload requires a name"));
-            let canon = |s: &str| s.replace(' ', "").to_ascii_lowercase();
-            let w = *Workload::ALL
-                .iter()
-                .find(|w| canon(w.name()) == canon(name) || canon(&format!("{w:?}")) == canon(name))
-                .unwrap_or_else(|| {
-                    let names: Vec<&str> = Workload::ALL.iter().map(|w| w.name()).collect();
-                    panic!("unknown workload {name:?}; valid names: {names:?}")
-                });
-            if !picked.contains(&w) {
-                picked.push(w);
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    if picked.is_empty() {
-        Workload::ALL.to_vec()
-    } else {
-        picked
-    }
-}
 
 fn report(e: &bingo_bench::Evaluation) -> &TelemetryReport {
     e.result
@@ -83,7 +45,7 @@ fn main() {
     };
     let throttle = throttle_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let workloads = parse_workloads(&args);
+    let workloads = workload_args(&args, &Workload::ALL);
     let kinds = PrefetcherKind::HEADLINE;
     let specs = RunSpec::grid(scale, &workloads, &kinds, telemetry, throttle);
     let evals = ParallelHarness::from_env().evaluate(&specs);
@@ -156,8 +118,6 @@ fn main() {
         }
     }
 
-    t.write_csv_if_requested("fig_timeliness");
-    s.write_csv_if_requested("fig_timeliness_sources");
     println!(
         "Prefetch lifecycle: timeliness and attribution of every issued\n\
          prefetch (timely + late + unused = issued minus still-in-flight).\n\n{t}"

@@ -19,64 +19,21 @@
 use std::path::PathBuf;
 
 use bingo_bench::{
-    ensure_capture, geometric_mean, pct, telemetry_from_env, throttle_from_env,
-    trace_chunk_from_env, ParallelHarness, PrefetcherKind, RunScale, RunSpec, Table, CAPTURE_SLACK,
+    ensure_capture, flag_value, geometric_mean, pct, telemetry_from_env, throttle_from_env,
+    trace_chunk_from_env, workload_args, ParallelHarness, PrefetcherKind, RunScale, RunSpec, Table,
+    CAPTURE_SLACK,
 };
 use bingo_sim::SystemConfig;
 use bingo_trace::DEFAULT_CHUNK_RECORDS;
 use bingo_workloads::{TraceWorkload, Workload};
 
-fn parse_workloads(args: &[String]) -> Vec<Workload> {
-    let mut picked = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--workload" {
-            let name = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--workload requires a name"));
-            let canon = |s: &str| s.replace([' ', '-'], "").to_ascii_lowercase();
-            let w = *Workload::ALL
-                .iter()
-                .find(|w| canon(w.slug()) == canon(name) || canon(w.name()) == canon(name))
-                .unwrap_or_else(|| {
-                    let slugs: Vec<&str> = Workload::ALL.iter().map(|w| w.slug()).collect();
-                    panic!("unknown workload {name:?}; valid slugs: {slugs:?}")
-                });
-            if !picked.contains(&w) {
-                picked.push(w);
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    if picked.is_empty() {
-        Workload::ALL.to_vec()
-    } else {
-        picked
-    }
-}
-
-fn parse_traces_dir(args: &[String]) -> PathBuf {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--traces" {
-            return PathBuf::from(
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("--traces requires a directory")),
-            );
-        }
-        i += 1;
-    }
-    PathBuf::from("target/traces")
-}
-
 fn main() {
     let scale = RunScale::from_args();
     let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let workloads = parse_workloads(&args);
-    let root = parse_traces_dir(&args);
+    let workloads = workload_args(&args, &Workload::ALL);
+    let root =
+        PathBuf::from(flag_value(&args, "--traces").unwrap_or_else(|| "target/traces".into()));
     let cores = SystemConfig::paper().cores;
     let records = scale.warmup_per_core + scale.instructions_per_core + CAPTURE_SLACK;
     let chunk = trace_chunk_from_env().unwrap_or(DEFAULT_CHUNK_RECORDS);
@@ -143,7 +100,6 @@ fn main() {
         ]);
     }
 
-    t.write_csv_if_requested("fig_traces");
     println!(
         "Recorded-trace replay: headline prefetchers on the captured\n\
          corpus under {} (streamed chunk-at-a-time; quarantined must be 0\n\

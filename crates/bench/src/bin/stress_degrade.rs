@@ -111,7 +111,6 @@ fn main() {
             ]);
         }
     }
-    t.write_csv_if_requested("stress_degrade");
     println!(
         "Graceful degradation under resource pressure\n\
          (speedup over the no-prefetcher baseline; 1.00x = harmless).\n\n{t}"

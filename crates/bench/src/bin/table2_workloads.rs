@@ -22,6 +22,5 @@ fn main() {
             format!("{:.1}", w.paper_mpki()),
         ]);
     }
-    t.write_csv_if_requested("table2_workloads");
     println!("Table II. Application parameters (baseline LLC MPKI).\n\n{t}");
 }

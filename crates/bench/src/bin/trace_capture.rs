@@ -22,8 +22,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bingo_bench::{
-    telemetry_from_env, throttle_from_env, trace_chunk_from_env, PrefetcherKind, RunScale, RunSpec,
-    CAPTURE_SLACK,
+    flag_value, telemetry_from_env, throttle_from_env, trace_chunk_from_env, workload_args,
+    PrefetcherKind, RunScale, RunSpec, CAPTURE_SLACK,
 };
 use bingo_sim::SystemConfig;
 use bingo_trace::DEFAULT_CHUNK_RECORDS;
@@ -44,30 +44,16 @@ fn suite() -> Vec<Workload> {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        out: PathBuf::from("target/traces"),
-        workloads: Vec::new(),
-        verify: false,
-    };
-    let mut it = std::env::args().skip(1);
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let mut verify = false;
+    let mut it = raw.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => args.out = PathBuf::from(it.next().expect("--out needs a path")),
-            "--workload" => {
-                let name = it.next().expect("--workload needs a name");
-                let canon = |s: &str| s.replace([' ', '-'], "").to_ascii_lowercase();
-                let w = *suite()
-                    .iter()
-                    .find(|w| canon(w.slug()) == canon(&name) || canon(w.name()) == canon(&name))
-                    .unwrap_or_else(|| {
-                        let slugs: Vec<&str> = suite().iter().map(|w| w.slug()).collect();
-                        panic!("unknown workload {name:?}; valid slugs: {slugs:?}")
-                    });
-                if !args.workloads.contains(&w) {
-                    args.workloads.push(w);
-                }
+            // Their values are read below.
+            "--out" | "--workload" => {
+                it.next();
             }
-            "--verify" => args.verify = true,
+            "--verify" => verify = true,
             "--quick" => {} // consumed by RunScale::from_args
             other => {
                 eprintln!("unknown argument: {other}");
@@ -75,10 +61,11 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.workloads.is_empty() {
-        args.workloads = suite();
+    Args {
+        out: PathBuf::from(flag_value(&raw, "--out").unwrap_or_else(|| "target/traces".into())),
+        workloads: workload_args(&raw, &suite()),
+        verify,
     }
-    args
 }
 
 fn main() -> ExitCode {

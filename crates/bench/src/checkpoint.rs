@@ -26,9 +26,9 @@
 //! * only successful cells are recorded: a panicked or timed-out cell is
 //!   retried on resume rather than replayed as a failure.
 //!
-//! The format is deliberately hand-rolled (this workspace builds offline,
-//! without serde): a tiny JSON subset — objects, arrays, strings, and
-//! unsigned integers — wide enough for [`SimResult`] and nothing else.
+//! The line is JSON read and escaped by the crate's one hand-rolled JSON
+//! module (this workspace builds offline, without serde). Every number a
+//! line carries is an unsigned integer, read back exactly.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -40,6 +40,8 @@ use bingo_sim::{
     CacheStats, CoreQos, CoreStats, IngestReport, QosReport, SimResult, SourceCounters,
     TelemetryReport,
 };
+
+use crate::json::{self, Json};
 
 /// Environment variable naming the checkpoint file for CLI sweeps.
 pub const CHECKPOINT_ENV: &str = "BINGO_CHECKPOINT";
@@ -151,7 +153,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
     let mut s = String::with_capacity(512);
     s.push_str("{\"key\":");
-    push_json_string(&mut s, key);
+    json::push_string(&mut s, key);
     s.push_str(",\"cores\":[");
     for (i, c) in r.cores.iter().enumerate() {
         if i > 0 {
@@ -179,7 +181,7 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
         if i > 0 {
             s.push(',');
         }
-        push_json_string(&mut s, d);
+        json::push_string(&mut s, d);
     }
     s.push_str("],\"metrics\":[");
     for (i, core) in r.prefetcher_metrics.iter().enumerate() {
@@ -192,7 +194,7 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
                 s.push(',');
             }
             s.push('[');
-            push_json_string(&mut s, name);
+            json::push_string(&mut s, name);
             // f64 as IEEE-754 bits: exact round trip, no decimal formatting.
             s.push_str(&format!(",{}]", value.to_bits()));
         }
@@ -224,7 +226,7 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
                 s.push(',');
             }
             s.push('[');
-            push_json_string(&mut s, label);
+            json::push_string(&mut s, label);
             s.push(',');
             push_source_counters(&mut s, c);
             s.push(']');
@@ -305,214 +307,19 @@ fn push_cache(s: &mut String, c: &CacheStats) {
     ));
 }
 
-fn push_json_string(s: &mut String, value: &str) {
-    s.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
 // --- parsing -------------------------------------------------------------
-
-/// Minimal JSON value: the subset the checkpoint format emits.
-#[derive(Debug)]
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn num(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn field(&self, name: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b'0'..=b'9' => self.number(),
-            _ => None,
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Json::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match *self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match *self.bytes.get(self.pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                b => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let ch = rest.chars().next()?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                    let _ = b;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-            .map(Json::Num)
-    }
-}
 
 /// Parses one checkpoint line into `(key, result)`; `None` on any
 /// malformation or a stale key — the caller skips the line.
 fn parse_entry(line: &str) -> Option<(String, SimResult)> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return None; // trailing garbage: treat the whole line as torn
+    // Trailing garbage fails the parse: the whole line counts as torn.
+    let root = Json::parse(line)?;
+    // Only `RunSpec::key`'s format can be looked up; an older key is stale
+    // and its result is never decoded.
+    let key = root.field("key")?.str()?;
+    if !key.starts_with("run:") {
+        return None;
     }
-    let key = match root.field("key")? {
-        // Only `RunSpec::key`'s format can be looked up; an older key is
-        // stale and its result is never decoded.
-        Json::Str(s) if s.starts_with("run:") => s.clone(),
-        _ => return None,
-    };
     let cores = root
         .field("cores")?
         .arr()?
@@ -529,10 +336,7 @@ fn parse_entry(line: &str) -> Option<(String, SimResult)> {
             .field("debug")?
             .arr()?
             .iter()
-            .map(|v| match v {
-                Json::Str(s) => Some(s.clone()),
-                _ => None,
-            })
+            .map(|v| v.str().map(str::to_string))
             .collect::<Option<Vec<_>>>()?,
         prefetcher_metrics: root
             .field("metrics")?
@@ -556,7 +360,7 @@ fn parse_entry(line: &str) -> Option<(String, SimResult)> {
             None => None,
         },
     };
-    Some((key, result))
+    Some((key.to_string(), result))
 }
 
 fn parse_ingest(v: &Json) -> Option<IngestReport> {
@@ -637,11 +441,7 @@ fn parse_telemetry(v: &Json) -> Option<TelemetryReport> {
                 if a.len() != 2 {
                     return None;
                 }
-                let label = match &a[0] {
-                    Json::Str(s) => s.clone(),
-                    _ => return None,
-                };
-                Some((label, parse_source_counters(&a[1])?))
+                Some((a[0].str()?.to_string(), parse_source_counters(&a[1])?))
             })
             .collect::<Option<Vec<_>>>()?,
         hot_pcs: v
@@ -720,13 +520,10 @@ fn parse_metrics(v: &Json) -> Option<Vec<(&'static str, f64)>> {
             if a.len() != 2 {
                 return None;
             }
-            let name = match &a[0] {
-                // Metric names are `&'static str` in SimResult; the small,
-                // bounded set of distinct names makes leaking them the
-                // pragmatic way to restore that lifetime from a file.
-                Json::Str(s) => &*Box::leak(s.clone().into_boxed_str()),
-                _ => return None,
-            };
+            // Metric names are `&'static str` in SimResult; the small,
+            // bounded set of distinct names makes leaking them the
+            // pragmatic way to restore that lifetime from a file.
+            let name: &'static str = Box::leak(a[0].str()?.into());
             Some((name, f64::from_bits(a[1].num()?)))
         })
         .collect()
@@ -735,6 +532,23 @@ fn parse_metrics(v: &Json) -> Option<Vec<(&'static str, f64)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `serialize_entry` of a result with every optional field.
+    const PINNED: &str = concat!(
+        r#"{"key":"run:1000/500/\"quoted\"/Bingo","#,
+        r#""cores":[[103,250,30,10,5,7],[90,260,28,12,6,8]],"#,
+        r#""l1d":[40,30,0,10,0,0,0,0,0,0,0,0,0,0,0],"#,
+        r#""llc":[10,0,0,4,0,0,0,0,0,0,3,2,0,0,1],"#,
+        r#""dram_transfers":9,"total_cycles":260,"#,
+        r#""debug":["plain","quotes \" and \\ and\nnewline \u0001 unicode é"],"#,
+        r#""metrics":[[["coverage",4592086352849071506],"#,
+        r#"["nan_metric",9221120237041090560]],[]],"#,
+        r#""telemetry":{"counts":[105,3,2,60,20,20,95,40000,0,0,1],"#,
+        r#""by_source":[["long",[64,32,16,8,4]],["short",[32,16,8,4,2]]],"#,
+        r#""hot_pcs":[[1024,[48,24,12,6,3]],[4660,[16,8,4,2,1]]]},"#,
+        r#""ingest":[10000,37,612,3],"#,
+        r#""qos":{"cores":[[5000,900,700,850,1400,12,2,1,1]],"watchdog":[6,2,1,0]}}"#,
+    );
 
     fn sample_result(salt: u64) -> SimResult {
         SimResult {
@@ -962,6 +776,40 @@ mod tests {
             parse_entry(&torn).is_none(),
             "2-element core qos is corrupt"
         );
+    }
+
+    #[test]
+    fn serialized_line_is_pinned() {
+        let mut r = sample_result(3);
+        r.telemetry = Some(sample_telemetry(5));
+        r.ingest = Some(IngestReport {
+            delivered_records: 10_000,
+            quarantined_records: 37,
+            quarantined_bytes: 612,
+            skipped_chunks: 3,
+        });
+        r.qos = Some(QosReport {
+            cores: vec![CoreQos {
+                demand_accesses: 5_000,
+                pf_issued: 900,
+                pf_used: 700,
+                prefetch_reads: 850,
+                reads: 1_400,
+                epochs: 12,
+                degrades: 2,
+                upgrades: 1,
+                final_level: 1,
+            }],
+            watchdog_epochs: 6,
+            watchdog_starved_epochs: 2,
+            watchdog_clamps: 1,
+            watchdog_exempted: 0,
+        });
+        let line = serialize_entry("run:1000/500/\"quoted\"/Bingo", &r);
+        assert_eq!(line, PINNED);
+        let (_, parsed) = parse_entry(&line).expect("own output parses");
+        assert_bit_equal(&r, &parsed);
+        assert_eq!((parsed.ingest, parsed.qos), (r.ingest, r.qos));
     }
 
     #[test]

@@ -26,7 +26,9 @@
 pub mod area;
 pub mod capture;
 pub mod checkpoint;
+pub mod cli;
 pub mod differential;
+mod json;
 pub mod knobs;
 pub mod mix;
 pub mod perf_record;
@@ -37,6 +39,7 @@ pub mod table;
 pub use area::AreaModel;
 pub use capture::{ensure_capture, CAPTURE_SLACK};
 pub use checkpoint::{Checkpoint, CHECKPOINT_ENV};
+pub use cli::{flag_value, flag_values, workload_args, workload_named};
 pub use differential::{
     bingo_config_variants, diff_bingo, diff_bingo_instances, diff_with_oracle, fuzz_baseline,
     fuzz_bingo, shrink_bingo_mismatch, FuzzFailure, FuzzReport, Mismatch,
@@ -54,7 +57,7 @@ pub use perf_record::{
     BENCH_JSON_ENV, BENCH_MERGE_ENV, BENCH_THRESHOLD_ENV, CALIBRATION_KEY,
 };
 pub use runner::{
-    default_jobs, geometric_mean, mean, parallel_map, run_one, telemetry_from_env,
+    default_jobs, geometric_mean, mean, parallel_map, run_one, summary_table, telemetry_from_env,
     throttle_from_env, Evaluation, Failure, MixEvaluation, ParallelHarness, PrefetcherKind, Report,
     RunScale, RunSpec, Slot, Stream, THROTTLE_ENV,
 };

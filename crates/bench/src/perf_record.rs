@@ -5,7 +5,8 @@
 //! — into the file named by `BINGO_BENCH_JSON`. The committed snapshot
 //! (`BENCH_simulator.json` at the repo root) pins the current performance
 //! baseline; the `bench_compare` binary diffs a fresh candidate against it
-//! with a noise threshold and fails CI on regressions.
+//! with a noise threshold and fails CI on regressions. Lines are read and
+//! their strings escaped by the same JSON module as the checkpoint's.
 //!
 //! Writing follows the same discipline as [`crate::stats_export`]: errors
 //! are loud (a run asked to record measurements must not silently drop
@@ -26,6 +27,8 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+use crate::json::{self, Json};
 
 /// Environment variable naming the bench-record output file.
 pub const BENCH_JSON_ENV: &str = "BINGO_BENCH_JSON";
@@ -110,43 +113,53 @@ impl BenchRecord {
 
     /// Serializes to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"key\":{},\"unit\":{},\"median\":{},\"lo\":{},\"hi\":{},\"samples\":{}}}",
-            json_string(&self.key),
-            json_string(&self.unit),
+        let mut s = String::from("{\"key\":");
+        json::push_string(&mut s, &self.key);
+        s.push_str(",\"unit\":");
+        json::push_string(&mut s, &self.unit);
+        s.push_str(&format!(
+            ",\"median\":{},\"lo\":{},\"hi\":{},\"samples\":{}}}",
             json_f64(self.median),
             json_f64(self.lo),
             json_f64(self.hi),
             self.samples,
-        )
+        ));
+        s
     }
 
     /// Parses one JSON line produced by [`BenchRecord::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Returns a description naming the first missing or mistyped field.
     pub fn from_json(line: &str) -> Result<BenchRecord, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |name: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.as_str())
+        let root = Json::parse(line).ok_or_else(|| format!("not a JSON object: {line:?}"))?;
+        let field = |name: &str| {
+            root.field(name)
                 .ok_or_else(|| format!("missing field {name:?} in {line:?}"))
         };
-        let num = |name: &str| -> Result<f64, String> {
-            let raw = get(name)?;
-            raw.parse::<f64>()
-                .map_err(|e| format!("field {name:?}: {e} in {line:?}"))
+        let mistyped = |name: &str, kind: &str| format!("field {name:?} is not {kind} in {line:?}");
+        let text = |name: &str| {
+            field(name)?
+                .str()
+                .map(str::to_string)
+                .ok_or_else(|| mistyped(name, "a string"))
+        };
+        let number = |name: &str| {
+            field(name)?
+                .float()
+                .ok_or_else(|| mistyped(name, "a number"))
         };
         Ok(BenchRecord {
-            key: unquote(get("key")?)?,
-            unit: unquote(get("unit")?)?,
-            median: num("median")?,
-            lo: num("lo")?,
-            hi: num("hi")?,
-            samples: num("samples")? as u32,
+            key: text("key")?,
+            unit: text("unit")?,
+            median: number("median")?,
+            lo: number("lo")?,
+            hi: number("hi")?,
+            samples: field("samples")?
+                .num()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| mistyped("samples", "a u32"))?,
         })
     }
 }
@@ -157,93 +170,6 @@ fn json_f64(v: f64) -> String {
         format!("{v:.1}")
     } else {
         format!("{v}")
-    }
-}
-
-/// Minimal JSON string escaping (keys and units are ASCII identifiers).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn unquote(raw: &str) -> Result<String, String> {
-    let inner = raw
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a JSON string, got {raw:?}"))?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                other => return Err(format!("unsupported escape {other:?} in {raw:?}")),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Ok(out)
-}
-
-/// Splits a flat one-line JSON object into raw `(key, value)` pairs.
-/// Handles only what [`BenchRecord::to_json`] emits: string and number
-/// values, no nesting.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: {line:?}"))?;
-    let mut fields = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let (key_raw, after_key) = take_token(rest)?;
-        let after_colon = after_key
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected ':' after {key_raw:?} in {line:?}"))?;
-        let (value, after_value) = take_token(after_colon)?;
-        fields.push((unquote(&key_raw)?, value));
-        rest = after_value.strip_prefix(',').unwrap_or(after_value);
-        if after_value == rest && !rest.is_empty() && !after_value.starts_with(',') {
-            return Err(format!("expected ',' between fields in {line:?}"));
-        }
-    }
-    Ok(fields)
-}
-
-/// Takes one string or number token off the front of `rest`.
-fn take_token(rest: &str) -> Result<(String, &str), String> {
-    let rest = rest.trim_start();
-    if let Some(inner) = rest.strip_prefix('"') {
-        let mut escaped = false;
-        for (i, c) in inner.char_indices() {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                return Ok((rest[..i + 2].to_string(), &inner[i + 1..]));
-            }
-        }
-        Err(format!("unterminated string in {rest:?}"))
-    } else {
-        let end = rest.find([':', ',', '}']).unwrap_or(rest.len());
-        if end == 0 {
-            return Err(format!("empty token at {rest:?}"));
-        }
-        Ok((rest[..end].trim().to_string(), &rest[end..]))
     }
 }
 
@@ -522,13 +448,31 @@ mod tests {
     }
 
     #[test]
+    fn committed_snapshot_re_renders_byte_for_byte() {
+        let snapshot = include_str!("../../../BENCH_simulator.json");
+        assert!(snapshot.lines().count() > 100);
+        for line in snapshot.lines() {
+            let record = BenchRecord::from_json(line).expect("committed record parses");
+            assert_eq!(record.to_json(), line);
+        }
+    }
+
+    #[test]
     fn malformed_lines_are_rejected_loudly() {
-        for bad in [
-            "not json",
-            "{\"key\":\"a\"}",
-            "{\"key\":\"a\",\"unit\":\"ms/run\",\"median\":\"abc\",\"lo\":1,\"hi\":2,\"samples\":3}",
+        for (bad, names) in [
+            ("not json", "not a JSON object"),
+            ("{\"key\":\"a\"}", "missing field \"unit\""),
+            (
+                "{\"key\":\"a\",\"unit\":\"ms/run\",\"median\":\"abc\",\"lo\":1,\"hi\":2,\"samples\":3}",
+                "field \"median\" is not a number",
+            ),
+            (
+                "{\"key\":\"a\",\"unit\":\"ms/run\",\"median\":1,\"lo\":1,\"hi\":2,\"samples\":3.5}",
+                "field \"samples\" is not a u32",
+            ),
         ] {
-            assert!(BenchRecord::from_json(bad).is_err(), "accepted: {bad}");
+            let err = BenchRecord::from_json(bad).expect_err(bad);
+            assert!(err.contains(names), "{bad}: {err}");
         }
     }
 

@@ -53,6 +53,7 @@ use crate::checkpoint::{Checkpoint, CHECKPOINT_ENV};
 use crate::knobs;
 use crate::mix::{FairnessReport, MixConfig, Pressure};
 use crate::stats_export::StatsExport;
+use crate::table::{pct, Table};
 
 /// Which prefetcher to attach to every core.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -1339,6 +1340,46 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 pub fn mean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "mean of empty slice");
     values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// The summary table of the ablations and Fig. 10: each `(label, kind)`
+/// row runs on every workload of [`Workload::ALL`] at the command line's
+/// [`RunScale`] and the environment's telemetry and throttle, through
+/// [`ParallelHarness::from_env`], and becomes one table row — the label
+/// (under `first_column`), the gmean performance improvement, the mean
+/// coverage and the mean overprediction.
+///
+/// # Panics
+///
+/// Panics on a malformed knob or a failed cell, as
+/// [`ParallelHarness::evaluate`] does.
+pub fn summary_table<S: AsRef<str>>(first_column: &str, rows: &[(S, PrefetcherKind)]) -> Table {
+    let scale = RunScale::from_args();
+    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
+    // Kind-major grid: all workloads of one row are contiguous.
+    let specs: Vec<RunSpec> = rows
+        .iter()
+        .flat_map(|&(_, kind)| RunSpec::grid(scale, &Workload::ALL, &[kind], telemetry, throttle))
+        .collect();
+    let evals = ParallelHarness::from_env().evaluate(&specs);
+    let mut t = Table::new(vec![
+        first_column,
+        "Perf gmean",
+        "Coverage",
+        "Overprediction",
+    ]);
+    for ((label, _), chunk) in rows.iter().zip(evals.chunks(Workload::ALL.len())) {
+        let speedups: Vec<f64> = chunk.iter().map(|e| e.speedup).collect();
+        let covs: Vec<f64> = chunk.iter().map(|e| e.coverage.coverage).collect();
+        let ovs: Vec<f64> = chunk.iter().map(|e| e.coverage.overprediction).collect();
+        t.row(vec![
+            label.as_ref().to_string(),
+            pct(geometric_mean(&speedups) - 1.0),
+            pct(mean(&covs)),
+            pct(mean(&ovs)),
+        ]);
+    }
+    t
 }
 
 #[cfg(test)]

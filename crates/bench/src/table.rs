@@ -74,52 +74,6 @@ impl std::fmt::Display for Table {
     }
 }
 
-impl Table {
-    /// Renders the table as RFC 4180-ish CSV (quotes fields containing
-    /// commas or quotes), for downstream plotting.
-    pub fn to_csv(&self) -> String {
-        let escape = |s: &str| {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let mut write_row = |cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| escape(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        write_row(&self.header);
-        for row in &self.rows {
-            write_row(row);
-        }
-        out
-    }
-
-    /// Writes the CSV rendering to `path` when the process was launched
-    /// with `--csv <dir>`; returns whether a file was written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directory cannot be written to.
-    pub fn write_csv_if_requested(&self, name: &str) -> bool {
-        let args: Vec<String> = std::env::args().collect();
-        let Some(pos) = args.iter().position(|a| a == "--csv") else {
-            return false;
-        };
-        let dir = args.get(pos + 1).cloned().unwrap_or_else(|| ".".into());
-        let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("cannot create csv directory {dir:?}: {e}"));
-        std::fs::write(&path, self.to_csv())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
-        true
-    }
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -159,24 +113,5 @@ mod tests {
     fn pct_and_f2() {
         assert_eq!(pct(0.634), "63.4%");
         assert_eq!(f2(1.23456), "1.23");
-    }
-
-    #[test]
-    fn csv_escapes_fields() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["plain", "with,comma"]);
-        t.row(vec!["with\"quote", "x"]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "a,b");
-        assert_eq!(lines[1], "plain,\"with,comma\"");
-        assert_eq!(lines[2], "\"with\"\"quote\",x");
-    }
-
-    #[test]
-    fn csv_round_trips_simple_tables() {
-        let mut t = Table::new(vec!["Workload", "MPKI"]);
-        t.row(vec!["em3d", "32.4"]);
-        assert_eq!(t.to_csv(), "Workload,MPKI\nem3d,32.4\n");
     }
 }

@@ -1,5 +1,5 @@
-//! Set-associative cache model with MSHRs, pluggable replacement, and
-//! per-line prefetch attribution.
+//! Set-associative LRU cache model with MSHRs and per-line prefetch
+//! attribution.
 //!
 //! A cache tracks two populations of blocks:
 //!
@@ -14,25 +14,12 @@
 //! eviction is *useful*; one demanded while still in flight is *late*; one
 //! evicted untouched is *useless* (an overprediction). Each prefetched line
 //! also remembers the core whose prefetcher issued it, and hands that owner
-//! back at exactly those three events, so per-core attribution needs no
-//! side table.
+//! back at the two use events, so per-core attribution needs no side table.
 
 use crate::addr::{BlockAddr, CoreId};
 use crate::config::CacheConfig;
 use crate::openmap::OpenMap;
 use crate::stats::CacheStats;
-
-/// Replacement policy for victim selection within a set.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum ReplacementPolicy {
-    /// Least-recently-used (the paper's baseline policy).
-    #[default]
-    Lru,
-    /// First-in-first-out (insertion order).
-    Fifo,
-    /// Pseudo-random (deterministic xorshift).
-    Random,
-}
 
 /// Outcome of a demand lookup.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -65,9 +52,9 @@ pub struct Evicted {
     pub block: BlockAddr,
     /// Whether the line was dirty and must be written back.
     pub dirty: bool,
-    /// The issuing core when the line was brought in by a prefetch and
-    /// never demanded (the event counted as `pf_useless`).
-    pub unused_prefetch: Option<CoreId>,
+    /// Whether the line was brought in by a prefetch and never demanded
+    /// (the event counted as `pf_useless`).
+    pub unused_prefetch: bool,
 }
 
 /// Largest core count the per-line prefetch-owner field can name; checked
@@ -115,7 +102,6 @@ pub struct Cache {
     /// while the line's `PREFETCHED` flag is set.
     owners: Vec<u8>,
     last_touch: Vec<u64>,
-    inserted: Vec<u64>,
     set_mask: u64,
     /// `banks - 1` when the bank count is a power of two, letting
     /// [`Cache::bank_start`] — on the path retried every cycle by a
@@ -128,8 +114,6 @@ pub struct Cache {
     pending_prefetches: usize,
     bank_free: Vec<u64>,
     stamp: u64,
-    rng_state: u64,
-    policy: ReplacementPolicy,
     /// Statistics; reset with [`Cache::reset_stats`].
     pub stats: CacheStats,
 }
@@ -141,15 +125,6 @@ impl Cache {
     ///
     /// Panics if the configuration implies a non-power-of-two set count.
     pub fn new(cfg: CacheConfig) -> Self {
-        Self::with_policy(cfg, ReplacementPolicy::Lru)
-    }
-
-    /// Creates a cache with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration implies a non-power-of-two set count.
-    pub fn with_policy(cfg: CacheConfig, policy: ReplacementPolicy) -> Self {
         let sets = cfg.sets();
         let lines = sets * cfg.ways;
         Cache {
@@ -160,15 +135,12 @@ impl Cache {
             flags: vec![flag::MEASURED; lines],
             owners: vec![0; lines],
             last_touch: vec![0; lines],
-            inserted: vec![0; lines],
             set_mask: sets as u64 - 1,
             bank_mask: cfg.banks.is_power_of_two().then(|| cfg.banks as u64 - 1),
             pending: OpenMap::with_capacity(cfg.mshrs),
             pending_prefetches: 0,
             bank_free: vec![0; cfg.banks],
             stamp: 0,
-            rng_state: 0x9e37_79b9_7f4a_7c15,
-            policy,
             stats: CacheStats::default(),
         }
     }
@@ -403,9 +375,8 @@ impl Cache {
             if victim_dirty {
                 self.stats.writebacks += 1;
             }
-            let unused_prefetch = (vf & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED)
-                .then(|| CoreId(self.owners[victim_idx].into()));
-            if unused_prefetch.is_some() {
+            let unused_prefetch = vf & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED;
+            if unused_prefetch {
                 self.stats.pf_useless += 1;
             }
             Some(Evicted {
@@ -424,7 +395,6 @@ impl Cache {
             | if entry.demanded { flag::DEMANDED } else { 0 };
         self.owners[victim_idx] = entry.owner;
         self.last_touch[victim_idx] = stamp;
-        self.inserted[victim_idx] = stamp;
         crate::audit_assert!(
             victim_idx >= base && victim_idx < base + self.cfg.ways,
             "set structure invariant: victim index {} outside set at {}..{}",
@@ -435,25 +405,11 @@ impl Cache {
         evicted
     }
 
-    fn pick_victim(&mut self, base: usize) -> usize {
-        let ways = base..base + self.cfg.ways;
-        match self.policy {
-            ReplacementPolicy::Lru => ways
-                .min_by_key(|&i| self.last_touch[i])
-                .expect("cache sets are never empty"),
-            ReplacementPolicy::Fifo => ways
-                .min_by_key(|&i| self.inserted[i])
-                .expect("cache sets are never empty"),
-            ReplacementPolicy::Random => {
-                // xorshift64*
-                let mut x = self.rng_state;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng_state = x;
-                base + (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % self.cfg.ways as u64) as usize
-            }
-        }
+    /// The least-recently-touched way of the set starting at `base`.
+    fn pick_victim(&self, base: usize) -> usize {
+        (base..base + self.cfg.ways)
+            .min_by_key(|&i| self.last_touch[i])
+            .expect("cache sets are never empty")
     }
 
     /// Marks a resident line dirty (used for writebacks arriving from an
@@ -479,17 +435,7 @@ impl Cache {
         self.tags[i] = 0;
         self.flags[i] = flag::MEASURED;
         self.last_touch[i] = 0;
-        self.inserted[i] = 0;
         Some(dirty)
-    }
-
-    /// The issuing core of `block` when it is resident, was filled by a
-    /// prefetch, and has not been demanded since. Does not disturb state or
-    /// statistics.
-    pub fn unused_prefetch_owner(&self, block: BlockAddr) -> Option<CoreId> {
-        let i = self.find_resident(block)?;
-        (self.flags[i] & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED)
-            .then(|| CoreId(self.owners[i].into()))
     }
 
     /// Number of resident prefetched lines never demanded, restricted to
@@ -638,7 +584,7 @@ mod tests {
         c.allocate_fill(BlockAddr::new(8), 0, None);
         let ev = c.complete_fill(BlockAddr::new(8), false).expect("eviction");
         assert_eq!(ev.block, BlockAddr::new(0));
-        assert_eq!(ev.unused_prefetch, Some(CoreId(0)));
+        assert!(ev.unused_prefetch);
         assert_eq!(c.stats.pf_useless, 1);
     }
 
@@ -733,24 +679,5 @@ mod tests {
         assert_eq!(c.resident_lines(), 8); // exactly full: 4 sets x 2 ways
         fill_now(&mut c, 8);
         assert_eq!(c.resident_lines(), 8); // one eviction happened
-    }
-
-    #[test]
-    fn fifo_policy_evicts_oldest_insertion() {
-        let cfg = CacheConfig {
-            size_bytes: 512,
-            ways: 2,
-            latency: 1,
-            mshrs: 4,
-            banks: 1,
-        };
-        let mut c = Cache::with_policy(cfg, ReplacementPolicy::Fifo);
-        fill_now(&mut c, 0);
-        fill_now(&mut c, 4);
-        // Touch block 0: with LRU, 4 would be the victim; FIFO still evicts 0.
-        c.demand_access(BlockAddr::new(0), 10, false);
-        c.allocate_fill(BlockAddr::new(8), 20, None);
-        let ev = c.complete_fill(BlockAddr::new(8), false).expect("eviction");
-        assert_eq!(ev.block, BlockAddr::new(0));
     }
 }

@@ -65,7 +65,7 @@ pub mod telemetry;
 pub mod throttle;
 
 pub use addr::{Addr, BlockAddr, CoreId, Pc, RegionGeometry, RegionId, BLOCK_BYTES, BLOCK_SHIFT};
-pub use cache::{Cache, Evicted, Lookup, ReplacementPolicy};
+pub use cache::{Cache, Evicted, Lookup};
 pub use chaos::{AppliedPerturbation, ChaosInjector, ChaosKind, ChaosPlan, PhaseFlipSource};
 pub use config::{CacheConfig, ConfigError, CoreConfig, DramConfig, SystemConfig};
 pub use core_model::{Instr, InstrSource, OooCore};

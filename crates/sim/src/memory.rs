@@ -13,9 +13,8 @@
 //! Prefetchers observe every successful LLC demand access and may emit
 //! candidate blocks, which are deduplicated against resident/in-flight
 //! blocks, rate-limited by prefetch-eligible MSHRs, and sent to DRAM. The
-//! LLC line records the issuing core, and the prefetch's later use or
-//! unused eviction is credited to that core — in the optional [`Throttle`]
-//! and in the telemetry ledger alike.
+//! LLC line records the issuing core, and the optional [`Throttle`] credits
+//! the prefetch's later use to that core.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -140,11 +139,6 @@ impl MemorySystem {
     /// throttle mode is active.
     pub fn qos_report(&self) -> Option<QosReport> {
         self.throttle.as_ref().and_then(Throttle::report)
-    }
-
-    /// The prefetch-lifecycle ledger (off by default).
-    pub fn telemetry(&self) -> &PrefetchLedger {
-        &self.ledger
     }
 
     /// The aggregate lifecycle report; `None` when telemetry is off.
@@ -274,8 +268,8 @@ impl MemorySystem {
                         if evicted.dirty {
                             self.dram.write(evicted.block, now);
                         }
-                        if let Some(owner) = evicted.unused_prefetch {
-                            self.ledger.evicted_unused(owner.0, evicted.block.index());
+                        if evicted.unused_prefetch {
+                            self.ledger.evicted_unused(evicted.block.index());
                         }
                         for pf in &mut self.prefetchers {
                             pf.on_eviction(evicted.block);
@@ -414,9 +408,9 @@ impl MemorySystem {
                 throttle.note_pf_used(owner.0);
             }
             if llc_hit {
-                self.ledger.used_timely(owner.0, block.index());
+                self.ledger.used_timely(block.index());
             } else {
-                self.ledger.used_late(owner.0, block.index());
+                self.ledger.used_late(block.index());
             }
         }
 
@@ -510,8 +504,7 @@ impl MemorySystem {
         self.llc.stats.pf_requested += 1;
         if self.llc.probe(block) {
             self.llc.stats.pf_dropped_duplicate += 1;
-            self.ledger
-                .dropped(core.0, pc, source, DropReason::Duplicate);
+            self.ledger.dropped(pc, source, DropReason::Duplicate);
             return;
         }
         // The bounded prefetch queue sits in front of the MSHR file: a
@@ -521,8 +514,7 @@ impl MemorySystem {
         if let Some(depth) = self.cfg.prefetch_queue_depth {
             if self.llc.prefetches_in_flight() >= depth {
                 self.llc.stats.pf_dropped_queue += 1;
-                self.ledger
-                    .dropped(core.0, pc, source, DropReason::QueueFull);
+                self.ledger.dropped(pc, source, DropReason::QueueFull);
                 return;
             }
         }
@@ -531,8 +523,7 @@ impl MemorySystem {
             .mshr_available_for_prefetch(self.cfg.llc_mshrs_reserved_for_demand)
         {
             self.llc.stats.pf_dropped_mshr += 1;
-            self.ledger
-                .dropped(core.0, pc, source, DropReason::MshrFull);
+            self.ledger.dropped(pc, source, DropReason::MshrFull);
             return;
         }
         let ready = self
@@ -544,7 +535,7 @@ impl MemorySystem {
         self.llc.allocate_fill(block, ready, Some(core));
         self.schedule_fill(FillLevel::Llc, block, ready);
         self.llc.stats.pf_issued += 1;
-        self.ledger.issued(core.0, block.index(), pc, source, now);
+        self.ledger.issued(block.index(), pc, source, now);
         crate::audit_assert!(
             self.llc.prefetch_pending(block),
             "prefetch issue invariant: {block:?} not pending as a prefetch after issue"
@@ -570,13 +561,9 @@ impl MemorySystem {
         }
         self.llc.stats.pf_useless += self.llc.count_unused_prefetched();
         // The matching ledger settlement: filled-but-never-demanded records
-        // become unused, credited to the owner their LLC line records;
-        // finalize consumes them, so a second drain cannot double-count.
-        let llc = &self.llc;
-        self.ledger.finalize(|block| {
-            llc.unused_prefetch_owner(BlockAddr::new(block))
-                .map(|c| c.0)
-        });
+        // become unused; finalize consumes them, so a second drain cannot
+        // double-count.
+        self.ledger.finalize();
         last
     }
 }
@@ -900,14 +887,10 @@ mod tests {
         assert_eq!(llc.pf_issued, 64);
         assert_eq!(llc.pf_useful + llc.pf_late, 64);
         // Core 0 demanded every line; core 1 issued them and gets the
-        // credit, in the throttle's signals and the ledger alike.
+        // credit in the throttle's signals.
         let qos = mem.qos_report().expect("percore reports");
         assert_eq!((qos.cores[1].pf_issued, qos.cores[1].pf_used), (64, 64));
         assert_eq!((qos.cores[0].pf_issued, qos.cores[0].pf_used), (0, 0));
-        let by_core = mem.telemetry().by_core();
-        assert_eq!(by_core[1].issued, 64);
-        assert_eq!(by_core[1].timely + by_core[1].late, 64);
-        assert_eq!(by_core[0].timely + by_core[0].late, 0);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! and attributes each one to the prediction event that produced it
 //! ([`PrefetchSource`]: Bingo's long `PC+Address` event, its voted short
 //! `PC+Offset` event, or a multi-event cascade level) and to the trigger
-//! PC, mirroring the paper's per-event quality analysis.
+//! PC, mirroring the paper's per-event quality analysis. The issuing core
+//! is not tracked here: it lives on the LLC line, and only the per-core
+//! throttle reads it.
 //!
 //! **Zero cost when disabled.** The level is checked once per access
 //! ([`PrefetchLedger::enabled`], a single branch on a two-variant check);
@@ -211,13 +213,6 @@ pub struct PrefetchLedger {
     counts: LedgerCounts,
     by_source: [SourceCounters; SOURCE_SLOTS],
     by_pc: HashMap<u64, SourceCounters>,
-    /// Per-issuing-core lifecycle counters on the shared LLC/DRAM path,
-    /// indexed by core id and grown on demand. Settlements are credited to
-    /// the owner the LLC line reports, so a block demanded by another core
-    /// still credits its issuer. Deliberately *not* part of
-    /// [`TelemetryReport`]: adding fields there would invalidate the
-    /// committed differential-corpus golden results.
-    by_core: Vec<SourceCounters>,
     in_flight_at_end: u64,
 }
 
@@ -231,22 +226,8 @@ impl PrefetchLedger {
             counts: LedgerCounts::default(),
             by_source: [SourceCounters::default(); SOURCE_SLOTS],
             by_pc: HashMap::new(),
-            by_core: Vec::new(),
             in_flight_at_end: 0,
         }
-    }
-
-    /// Per-issuing-core lifecycle counters (index = core id). Cores that
-    /// never issued a prefetch may be absent from the tail.
-    pub fn by_core(&self) -> &[SourceCounters] {
-        &self.by_core
-    }
-
-    fn core_mut(&mut self, core: usize) -> &mut SourceCounters {
-        if self.by_core.len() <= core {
-            self.by_core.resize(core + 1, SourceCounters::default());
-        }
-        &mut self.by_core[core]
     }
 
     /// The configured level.
@@ -261,15 +242,14 @@ impl PrefetchLedger {
         self.level.enabled()
     }
 
-    /// Records a prefetch issued toward DRAM on behalf of `core`.
-    pub fn issued(&mut self, core: usize, block: u64, pc: u64, source: PrefetchSource, cycle: u64) {
+    /// Records a prefetch issued toward DRAM.
+    pub fn issued(&mut self, block: u64, pc: u64, source: PrefetchSource, cycle: u64) {
         if !self.enabled() {
             return;
         }
         self.counts.issued += 1;
         self.by_source[source.slot()].issued += 1;
         self.by_pc.entry(pc).or_default().issued += 1;
-        self.core_mut(core).issued += 1;
         if let Some(stale) = self.open.insert(
             block,
             OpenRecord {
@@ -290,8 +270,8 @@ impl PrefetchLedger {
         }
     }
 
-    /// Records a candidate of `core` filtered before issue.
-    pub fn dropped(&mut self, core: usize, pc: u64, source: PrefetchSource, reason: DropReason) {
+    /// Records a candidate filtered before issue.
+    pub fn dropped(&mut self, pc: u64, source: PrefetchSource, reason: DropReason) {
         if !self.enabled() {
             return;
         }
@@ -302,7 +282,6 @@ impl PrefetchLedger {
         }
         self.by_source[source.slot()].dropped += 1;
         self.by_pc.entry(pc).or_default().dropped += 1;
-        self.core_mut(core).dropped += 1;
     }
 
     /// Records a fill landing. A no-op unless the block has an open
@@ -330,9 +309,9 @@ impl PrefetchLedger {
         rec
     }
 
-    /// Records the first demand touch of a filled prefetched line that
-    /// `core` issued (the event that increments `pf_useful`).
-    pub fn used_timely(&mut self, core: usize, block: u64) {
+    /// Records the first demand touch of a filled prefetched line (the
+    /// event that increments `pf_useful`).
+    pub fn used_timely(&mut self, block: u64) {
         if !self.enabled() {
             return;
         }
@@ -340,13 +319,12 @@ impl PrefetchLedger {
             self.counts.timely += 1;
             self.by_source[rec.source.slot()].timely += 1;
             self.by_pc.entry(rec.pc).or_default().timely += 1;
-            self.core_mut(core).timely += 1;
         }
     }
 
-    /// Records a demand merging with a still-in-flight prefetch that
-    /// `core` issued (the event that increments `pf_late`).
-    pub fn used_late(&mut self, core: usize, block: u64) {
+    /// Records a demand merging with a still-in-flight prefetch (the event
+    /// that increments `pf_late`).
+    pub fn used_late(&mut self, block: u64) {
         if !self.enabled() {
             return;
         }
@@ -354,13 +332,12 @@ impl PrefetchLedger {
             self.counts.late += 1;
             self.by_source[rec.source.slot()].late += 1;
             self.by_pc.entry(rec.pc).or_default().late += 1;
-            self.core_mut(core).late += 1;
         }
     }
 
-    /// Records the eviction of a never-demanded prefetched line that
-    /// `core` issued (the event that increments `pf_useless`).
-    pub fn evicted_unused(&mut self, core: usize, block: u64) {
+    /// Records the eviction of a never-demanded prefetched line (the event
+    /// that increments `pf_useless`).
+    pub fn evicted_unused(&mut self, block: u64) {
         if !self.enabled() {
             return;
         }
@@ -368,7 +345,6 @@ impl PrefetchLedger {
             self.counts.unused += 1;
             self.by_source[rec.source.slot()].unused += 1;
             self.by_pc.entry(rec.pc).or_default().unused += 1;
-            self.core_mut(core).unused += 1;
         }
     }
 
@@ -385,7 +361,6 @@ impl PrefetchLedger {
         self.counts = LedgerCounts::default();
         self.by_source = [SourceCounters::default(); SOURCE_SLOTS];
         self.by_pc.clear();
-        self.by_core.clear();
         self.in_flight_at_end = 0;
         for rec in self.open.values_mut() {
             if rec.filled_at.is_some() {
@@ -398,24 +373,19 @@ impl PrefetchLedger {
     /// unused prefetched lines into `pf_useless`: every still-open record
     /// that was filled inside the measurement window counts as unused; the
     /// rest (still in flight, or filled pre-measurement) are dropped.
-    /// `owner` maps a block to the core that issued its still-resident
-    /// prefetch (the LLC line's owner), which the per-core counters credit.
     /// Consumes the open set, so draining twice cannot double-count.
-    pub fn finalize(&mut self, owner: impl Fn(u64) -> Option<usize>) {
+    pub fn finalize(&mut self) {
         if !self.enabled() {
             return;
         }
         let open = std::mem::take(&mut self.open);
-        for (block, rec) in open {
+        for rec in open.into_values() {
             if rec.filled_at.is_none() {
                 self.in_flight_at_end += 1;
             } else if rec.measured {
                 self.counts.unused += 1;
                 self.by_source[rec.source.slot()].unused += 1;
                 self.by_pc.entry(rec.pc).or_default().unused += 1;
-                if let Some(core) = owner(block) {
-                    self.core_mut(core).unused += 1;
-                }
             }
         }
     }
@@ -574,20 +544,20 @@ mod tests {
     #[test]
     fn off_ledger_records_nothing_and_reports_none() {
         let mut led = PrefetchLedger::new(TelemetryLevel::Off);
-        led.issued(0, 1, 0x400, PrefetchSource::LongEvent, 10);
+        led.issued(1, 0x400, PrefetchSource::LongEvent, 10);
         led.filled(1, 50);
-        led.used_timely(0, 1);
-        led.finalize(|_| Some(0));
+        led.used_timely(1);
+        led.finalize();
         assert!(led.report().is_none());
     }
 
     #[test]
     fn timely_lifecycle_attributes_source_and_pc() {
         let mut led = counting_ledger();
-        led.issued(0, 7, 0x400, PrefetchSource::LongEvent, 10);
+        led.issued(7, 0x400, PrefetchSource::LongEvent, 10);
         led.filled(7, 100);
-        led.used_timely(0, 7);
-        led.finalize(|_| Some(0));
+        led.used_timely(7);
+        led.finalize();
         let r = led.report().expect("counts level reports");
         assert_eq!((r.issued, r.timely, r.late, r.unused), (1, 1, 0, 0));
         assert_eq!(r.fills, 1);
@@ -603,11 +573,11 @@ mod tests {
     #[test]
     fn late_use_settles_before_fill() {
         let mut led = counting_ledger();
-        led.issued(0, 7, 0x400, PrefetchSource::ShortVote, 10);
-        led.used_late(0, 7);
+        led.issued(7, 0x400, PrefetchSource::ShortVote, 10);
+        led.used_late(7);
         // The fill still lands later, but the record is already settled.
         led.filled(7, 100);
-        led.finalize(|_| Some(0));
+        led.finalize();
         let r = led.report().unwrap();
         assert_eq!((r.timely, r.late, r.unused), (0, 1, 0));
         assert_eq!(r.fills, 0, "late prefetches settle before their fill");
@@ -618,15 +588,15 @@ mod tests {
     #[test]
     fn unused_eviction_and_end_of_run_residue() {
         let mut led = counting_ledger();
-        led.issued(0, 1, 0xa, PrefetchSource::Unattributed, 0);
+        led.issued(1, 0xa, PrefetchSource::Unattributed, 0);
         led.filled(1, 10);
-        led.evicted_unused(0, 1);
+        led.evicted_unused(1);
         // Second prefetch: filled, never used, still resident at drain.
-        led.issued(0, 2, 0xa, PrefetchSource::Unattributed, 0);
+        led.issued(2, 0xa, PrefetchSource::Unattributed, 0);
         led.filled(2, 10);
         // Third prefetch: still in flight at drain.
-        led.issued(0, 3, 0xa, PrefetchSource::Unattributed, 0);
-        led.finalize(|_| Some(0));
+        led.issued(3, 0xa, PrefetchSource::Unattributed, 0);
+        led.finalize();
         let r = led.report().unwrap();
         assert_eq!(r.unused, 2, "evicted + resident-unused both settle unused");
         assert_eq!(r.in_flight_at_end, 1);
@@ -636,19 +606,19 @@ mod tests {
     #[test]
     fn finalize_is_idempotent() {
         let mut led = counting_ledger();
-        led.issued(0, 1, 0xa, PrefetchSource::Unattributed, 0);
+        led.issued(1, 0xa, PrefetchSource::Unattributed, 0);
         led.filled(1, 10);
-        led.finalize(|_| Some(0));
-        led.finalize(|_| Some(0));
+        led.finalize();
+        led.finalize();
         assert_eq!(led.report().unwrap().unused, 1, "no double count");
     }
 
     #[test]
     fn drops_are_counted_per_reason() {
         let mut led = counting_ledger();
-        led.dropped(0, 0x4, PrefetchSource::LongEvent, DropReason::Duplicate);
-        led.dropped(0, 0x4, PrefetchSource::LongEvent, DropReason::MshrFull);
-        led.dropped(0, 0x4, PrefetchSource::LongEvent, DropReason::QueueFull);
+        led.dropped(0x4, PrefetchSource::LongEvent, DropReason::Duplicate);
+        led.dropped(0x4, PrefetchSource::LongEvent, DropReason::MshrFull);
+        led.dropped(0x4, PrefetchSource::LongEvent, DropReason::QueueFull);
         let r = led.report().unwrap();
         assert_eq!(r.dropped_duplicate, 1);
         assert_eq!(r.dropped_mshr, 1);
@@ -659,12 +629,12 @@ mod tests {
     #[test]
     fn orphan_transitions_never_panic_or_count_classes() {
         let mut led = counting_ledger();
-        led.used_timely(0, 42); // never issued
-        led.evicted_unused(0, 43); // never issued
+        led.used_timely(42); // never issued
+        led.evicted_unused(43); // never issued
         led.filled(44, 7); // no record: ignored entirely
                            // Re-issue over an open record.
-        led.issued(0, 45, 0x4, PrefetchSource::ShortVote, 0);
-        led.issued(0, 45, 0x4, PrefetchSource::ShortVote, 1);
+        led.issued(45, 0x4, PrefetchSource::ShortVote, 0);
+        led.issued(45, 0x4, PrefetchSource::ShortVote, 1);
         let r = led.report().unwrap();
         assert_eq!(r.orphans, 3);
         assert_eq!((r.timely, r.late, r.unused), (0, 0, 0));
@@ -675,16 +645,16 @@ mod tests {
     fn warmup_reset_zeroes_counters_but_keeps_open_records() {
         let mut led = counting_ledger();
         // Filled pre-reset: excluded from finalize.
-        led.issued(0, 1, 0xa, PrefetchSource::LongEvent, 0);
+        led.issued(1, 0xa, PrefetchSource::LongEvent, 0);
         led.filled(1, 10);
         // In flight across the reset: fill lands post-reset, stays measured.
-        led.issued(0, 2, 0xb, PrefetchSource::ShortVote, 5);
+        led.issued(2, 0xb, PrefetchSource::ShortVote, 5);
         led.on_stats_reset();
         assert_eq!(led.report().unwrap().issued, 0, "counters wiped");
         led.filled(2, 20);
         // Pre-reset-filled record still closes correctly if used.
-        led.used_timely(0, 1);
-        led.finalize(|_| Some(0));
+        led.used_timely(1);
+        led.finalize();
         let r = led.report().unwrap();
         assert_eq!(r.timely, 1, "pre-warmup prefetch used post-warmup counts");
         assert_eq!(r.unused, 1, "post-reset fill settles unused at drain");
@@ -698,7 +668,7 @@ mod tests {
             // Give PC 5 the most issues; everyone else one each.
             let n = if pc == 5 { 3 } else { 1 };
             for i in 0..n {
-                led.issued(0, pc * 1000 + i, pc, PrefetchSource::Unattributed, 0);
+                led.issued(pc * 1000 + i, pc, PrefetchSource::Unattributed, 0);
             }
         }
         let r = led.report().unwrap();
@@ -717,49 +687,8 @@ mod tests {
         // Deep cascade levels share the last slot rather than indexing out
         // of bounds.
         let mut led = counting_ledger();
-        led.issued(0, 1, 0x4, PrefetchSource::CascadeLevel(200), 0);
+        led.issued(1, 0x4, PrefetchSource::CascadeLevel(200), 0);
         assert_eq!(led.report().unwrap().source("cascade4+").unwrap().issued, 1);
-    }
-
-    #[test]
-    fn per_core_credit_follows_the_issuing_core() {
-        let mut led = counting_ledger();
-        // Core 1 issues; the demand that uses it could come from anyone —
-        // the memory system passes the LLC line's owner, so lifecycle
-        // credit stays with the issuer.
-        led.issued(1, 7, 0x400, PrefetchSource::LongEvent, 0);
-        led.filled(7, 50);
-        led.used_timely(1, 7);
-        // Core 0 issues one that settles unused, and drops a candidate.
-        led.issued(0, 8, 0x404, PrefetchSource::ShortVote, 0);
-        led.filled(8, 50);
-        led.evicted_unused(0, 8);
-        led.dropped(0, 0x404, PrefetchSource::ShortVote, DropReason::Duplicate);
-        led.finalize(|_| Some(0));
-        let by_core = led.by_core();
-        assert_eq!(by_core.len(), 2);
-        assert_eq!(
-            (by_core[0].issued, by_core[0].unused, by_core[0].dropped),
-            (1, 1, 1)
-        );
-        assert_eq!((by_core[1].issued, by_core[1].timely), (1, 1));
-        // The report itself is unchanged — old golden results stay valid.
-        let r = led.report().unwrap();
-        assert_eq!((r.issued, r.timely, r.unused), (2, 1, 1));
-    }
-
-    #[test]
-    fn per_core_counters_survive_into_finalize_and_reset_clears_them() {
-        let mut led = counting_ledger();
-        led.issued(2, 7, 0x400, PrefetchSource::LongEvent, 0);
-        led.filled(7, 50);
-        led.finalize(|block| (block == 7).then_some(2));
-        assert_eq!(led.by_core()[2].unused, 1, "resident-unused credits issuer");
-        led.on_stats_reset();
-        assert!(
-            led.by_core().is_empty(),
-            "warmup reset wipes per-core credit"
-        );
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! * [`replay`] — [`ReplaySource`], the simulator-facing
 //!   [`bingo_sim::InstrSource`] that loops a trace file, plus
 //!   [`capture_source`] for recording live generators.
-//! * [`raw`] — best-effort decoding of headerless ChampSim-style flat
-//!   record streams.
 //! * [`corrupt`] — seeded corruption operators for the adversarial
 //!   decoder fuzzer.
 //!
@@ -52,7 +50,6 @@ pub mod corrupt;
 pub mod crc32;
 pub mod error;
 pub mod format;
-pub mod raw;
 pub mod reader;
 pub mod replay;
 pub mod writer;
@@ -60,7 +57,6 @@ pub mod writer;
 pub use corrupt::{apply, plan_for_seed, CorruptionOp};
 pub use error::ReadError;
 pub use format::{TraceHeader, DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
-pub use raw::RawReader;
 pub use reader::{Policy, TraceReader};
 pub use replay::{capture_source, ReplaySource};
 pub use writer::TraceWriter;

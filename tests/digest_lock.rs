@@ -3,10 +3,14 @@
 //! equal the value committed in `tests/corpus/run_spec.digests`.
 //!
 //! The cells span the paths a refactor of the run description can break:
-//! the classic 4-core grid, Bingo variants (history size, vote threshold,
-//! region size, training signal), a 2-core mix under both throttle modes,
-//! and a trace-replay slot. A mismatch prints every cell's current line,
-//! so an intended change of results is recorded by pasting them.
+//! the classic 4-core grid, a 1-core machine, Bingo variants (history
+//! size, vote threshold, region size, training signal), a 2-core mix under
+//! both throttle modes, and a trace-replay slot. The digest leaves the
+//! telemetry report out, so each telemetry-on cell also pins an FNV-1a
+//! hash of its report's `Debug` text: em3d under Bingo, whose ledger
+//! settles thousands of prefetches, and the `percore` mix. A mismatch
+//! prints every cell's current line, so an intended change of results is
+//! recorded by pasting them.
 
 use std::path::{Path, PathBuf};
 
@@ -50,15 +54,22 @@ fn polite_vs_storm() -> MixConfig {
         .expect("contention.mix declares polite-vs-storm")
 }
 
-fn mix(throttle: ThrottleMode) -> RunSpec {
+fn mix(telemetry: TelemetryLevel, throttle: ThrottleMode) -> RunSpec {
     RunSpec::mix(
         SCALE,
         &polite_vs_storm(),
         2,
         Pressure::CONSTRAINED,
-        TelemetryLevel::Off,
+        telemetry,
         throttle,
     )
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Scale of the trace-replay cell, whose capture is recorded per run.
@@ -91,6 +102,20 @@ fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
     vec![
         ("em3d/None", classic(Workload::Em3d, PrefetcherKind::None)),
         ("em3d/Bingo", classic(Workload::Em3d, PrefetcherKind::Bingo)),
+        (
+            "em3d@1/Bingo",
+            classic(Workload::Em3d, PrefetcherKind::Bingo).solo(0),
+        ),
+        (
+            "em3d/Bingo/counts",
+            RunSpec::classic(
+                SCALE,
+                Workload::Em3d,
+                PrefetcherKind::Bingo,
+                TelemetryLevel::Counts,
+                ThrottleMode::Off,
+            ),
+        ),
         ("em3d/SMS", classic(Workload::Em3d, PrefetcherKind::Sms)),
         (
             "em3d/3-event",
@@ -116,11 +141,15 @@ fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
         ),
         (
             "polite-vs-storm@2/constrained/feedback",
-            mix(ThrottleMode::Feedback),
+            mix(TelemetryLevel::Off, ThrottleMode::Feedback),
         ),
         (
             "polite-vs-storm@2/constrained/percore",
-            mix(ThrottleMode::Percore),
+            mix(TelemetryLevel::Off, ThrottleMode::Percore),
+        ),
+        (
+            "polite-vs-storm@2/constrained/percore/counts",
+            mix(TelemetryLevel::Counts, ThrottleMode::Percore),
         ),
         ("trace-em3d/SMS", replay),
     ]
@@ -138,7 +167,14 @@ fn small_cells_reproduce_their_committed_digests() {
     let actual: Vec<String> = names
         .iter()
         .zip(&results)
-        .map(|(name, result)| format!("{name} {:016x}", bingo_benchmark::digest(result)))
+        .map(|(name, result)| {
+            let mut line = format!("{name} {:016x}", bingo_benchmark::digest(result));
+            if let Some(report) = &result.telemetry {
+                let text = format!("{report:?}");
+                line.push_str(&format!(" telemetry={:016x}", fnv1a(text.as_bytes())));
+            }
+            line
+        })
         .collect();
     let committed = std::fs::read_to_string(CORPUS).expect("read the digest corpus");
     let expected: Vec<&str> = committed
