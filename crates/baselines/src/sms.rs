@@ -8,8 +8,9 @@
 //! `PC+Offset` generalizes across regions (covering compulsory misses) but
 //! cannot exploit the higher accuracy of an exact `PC+Address` recurrence.
 //!
-//! The implementation reuses the accumulation table and the generic
-//! event-keyed history table from the `bingo` crate, configured with the
+//! The implementation is the `bingo` crate's single-event
+//! [`MultiEventPrefetcher`]: Bingo's accumulation table, and Bingo's
+//! history table searched by `PC+Offset` alone, configured with the
 //! paper's SMS parameters: a 16 K-entry, 16-way pattern history table.
 
 use bingo::multi_event::{MultiEventConfig, MultiEventPrefetcher};

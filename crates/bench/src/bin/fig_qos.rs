@@ -15,14 +15,12 @@
 //! at or above the chip-wide feedback arm's.
 //!
 //! The chaos cell replays the same mix under the standard perturbation
-//! schedule ([`bingo_sim::ChaosPlan::standard`], seeded by
-//! `BINGO_CHAOS_SEED`) with the per-core throttle on, against a
-//! prefetcher-throttle-off run under the *same* chaos, reporting the
-//! bounded-slowdown ratio the property suite asserts.
+//! schedule ([`bingo_sim::ChaosPlan::standard`] at [`CHAOS_SEED`]) with
+//! the per-core throttle on, against a prefetcher-throttle-off run under
+//! the *same* chaos, reporting the bounded-slowdown ratio the property
+//! suite asserts.
 //!
-//! Knobs: `BINGO_QOS_SLO` overrides the watchdog's starvation SLO;
-//! `BINGO_CHAOS_SEED` reseeds the chaos schedule; `BINGO_CHAOS=off`
-//! skips the chaos cell entirely. The structured report
+//! The watchdog runs at [`bingo_sim::QOS_SLO`]. The structured report
 //! (one JSON line per experiment) lands in `--report` (default
 //! `target/fig_qos_report.json`; CI uploads it as an artifact).
 
@@ -37,6 +35,10 @@ use bingo_sim::{ChaosPlan, SimResult, ThrottleMode};
 /// The mix every arm runs: one streaming core behind Bingo, one
 /// stress-storm core whose prefetches are mostly waste.
 const QOS_MIX: &str = "polite-vs-storm";
+
+/// Seed of the chaos cell's perturbation schedule: committed so every run
+/// replays the same perturbation log.
+const CHAOS_SEED: u64 = 0xB1A60;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,30 +60,23 @@ fn main() {
         .find(|m| m.name == QOS_MIX)
         .unwrap_or_else(|| panic!("{} does not declare mix {QOS_MIX:?}", config.display()));
     let pressure = Pressure::CONSTRAINED;
-    let qos_slo = bingo_bench::qos_slo_from_env();
-    let chaos_seed = bingo_bench::chaos_seed_from_env();
 
     let spec = |throttle: ThrottleMode, chaos: Option<ChaosPlan>| RunSpec {
-        qos_slo,
         chaos,
         ..RunSpec::mix(scale, mix, 2, pressure, telemetry, throttle)
     };
 
     // Calm arms (the starvation comparison), then the chaos cell: same
     // mix, standard perturbation schedule, percore throttle versus
-    // throttle-off under identical chaos. The chaos cell is part of the
-    // committed figure, so it runs unless `BINGO_CHAOS=off` skips it.
-    let mut specs = vec![
+    // throttle-off under identical chaos.
+    let plan = ChaosPlan::standard(CHAOS_SEED);
+    let specs = [
         spec(ThrottleMode::Off, None),
         spec(ThrottleMode::Feedback, None),
         spec(ThrottleMode::Percore, None),
+        spec(ThrottleMode::Off, Some(plan.clone())),
+        spec(ThrottleMode::Percore, Some(plan)),
     ];
-    let with_chaos = bingo_bench::chaos_from_env();
-    if with_chaos {
-        let plan = ChaosPlan::standard(chaos_seed);
-        specs.push(spec(ThrottleMode::Off, Some(plan.clone())));
-        specs.push(spec(ThrottleMode::Percore, Some(plan)));
-    }
     let results = ParallelHarness::from_env().try_run(&specs).into_complete();
     let (off, feedback, percore) = (&results[0], &results[1], &results[2]);
 
@@ -147,68 +142,62 @@ fn main() {
         qos.watchdog_exempted
     );
 
-    let chaos_cell = if with_chaos {
-        let (chaos_off, chaos_percore) = (&results[3], &results[4]);
-        let chaos_polite_ratio = chaos_percore.core_ipcs()[0] / chaos_off.core_ipcs()[0];
-        println!("\nChaos cell (standard schedule, seed {chaos_seed:#x}):");
-        let mut t = Table::new(vec!["Throttle", "Polite IPC", "Storm IPC", "Agg IPC"]);
-        t.row(vec![
-            "off".to_string(),
-            f2(chaos_off.core_ipcs()[0]),
-            f2(chaos_off.core_ipcs()[1]),
-            f2(sum_ipc(chaos_off)),
-        ]);
-        t.row(vec![
-            "percore".to_string(),
-            f2(chaos_percore.core_ipcs()[0]),
-            f2(chaos_percore.core_ipcs()[1]),
-            f2(sum_ipc(chaos_percore)),
-        ]);
-        println!("{}", t.render());
-        Some((chaos_off, chaos_percore, chaos_polite_ratio))
-    } else {
-        println!("\nChaos cell skipped (BINGO_CHAOS=off)");
-        None
-    };
+    let (chaos_off, chaos_percore) = (&results[3], &results[4]);
+    let chaos_polite_ratio = chaos_percore.core_ipcs()[0] / chaos_off.core_ipcs()[0];
+    println!("\nChaos cell (standard schedule, seed {CHAOS_SEED:#x}):");
+    let mut t = Table::new(vec!["Throttle", "Polite IPC", "Storm IPC", "Agg IPC"]);
+    t.row(vec![
+        "off".to_string(),
+        f2(chaos_off.core_ipcs()[0]),
+        f2(chaos_off.core_ipcs()[1]),
+        f2(sum_ipc(chaos_off)),
+    ]);
+    t.row(vec![
+        "percore".to_string(),
+        f2(chaos_percore.core_ipcs()[0]),
+        f2(chaos_percore.core_ipcs()[1]),
+        f2(sum_ipc(chaos_percore)),
+    ]);
+    println!("{}", t.render());
 
-    let mut report_lines = vec![format!(
-        "{{\"qos\":{{\"mix\":\"{}\",\"pressure\":\"{}\",\"cores\":2,\
+    let report_lines = [
+        format!(
+            "{{\"qos\":{{\"mix\":\"{}\",\"pressure\":\"{}\",\"cores\":2,\
              \"polite_ipc\":[{:.6},{:.6},{:.6}],\"storm_ipc\":[{:.6},{:.6},{:.6}],\
              \"aggregate_ipc\":[{:.6},{:.6},{:.6}],\
              \"polite_ratio_feedback\":{:.6},\"polite_ratio_percore\":{:.6},\
              \"watchdog\":[{},{},{},{}]}}}}",
-        mix.name,
-        pressure.name,
-        polite[0],
-        polite[1],
-        polite[2],
-        storm[0],
-        storm[1],
-        storm[2],
-        aggregate[0],
-        aggregate[1],
-        aggregate[2],
-        polite_ratio_feedback,
-        polite_ratio_percore,
-        qos.watchdog_epochs,
-        qos.watchdog_starved_epochs,
-        qos.watchdog_clamps,
-        qos.watchdog_exempted,
-    )];
-    if let Some((chaos_off, chaos_percore, chaos_polite_ratio)) = &chaos_cell {
-        report_lines.push(format!(
+            mix.name,
+            pressure.name,
+            polite[0],
+            polite[1],
+            polite[2],
+            storm[0],
+            storm[1],
+            storm[2],
+            aggregate[0],
+            aggregate[1],
+            aggregate[2],
+            polite_ratio_feedback,
+            polite_ratio_percore,
+            qos.watchdog_epochs,
+            qos.watchdog_starved_epochs,
+            qos.watchdog_clamps,
+            qos.watchdog_exempted,
+        ),
+        format!(
             "{{\"qos_chaos\":{{\"mix\":\"{}\",\"seed\":{},\
              \"off_ipc\":[{:.6},{:.6}],\"percore_ipc\":[{:.6},{:.6}],\
              \"polite_ratio\":{:.6}}}}}",
             mix.name,
-            chaos_seed,
+            CHAOS_SEED,
             chaos_off.core_ipcs()[0],
             chaos_off.core_ipcs()[1],
             chaos_percore.core_ipcs()[0],
             chaos_percore.core_ipcs()[1],
             chaos_polite_ratio,
-        ));
-    }
+        ),
+    ];
     if let Some(parent) = report_path.parent() {
         std::fs::create_dir_all(parent)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", parent.display()));

@@ -20,8 +20,7 @@ use std::path::PathBuf;
 
 use bingo_bench::{
     ensure_capture, flag_value, geometric_mean, pct, telemetry_from_env, throttle_from_env,
-    trace_chunk_from_env, workload_args, ParallelHarness, PrefetcherKind, RunScale, RunSpec, Table,
-    CAPTURE_SLACK,
+    workload_args, ParallelHarness, PrefetcherKind, RunScale, RunSpec, Table, CAPTURE_SLACK,
 };
 use bingo_sim::SystemConfig;
 use bingo_trace::DEFAULT_CHUNK_RECORDS;
@@ -36,13 +35,12 @@ fn main() {
         PathBuf::from(flag_value(&args, "--traces").unwrap_or_else(|| "target/traces".into()));
     let cores = SystemConfig::paper().cores;
     let records = scale.warmup_per_core + scale.instructions_per_core + CAPTURE_SLACK;
-    let chunk = trace_chunk_from_env().unwrap_or(DEFAULT_CHUNK_RECORDS);
 
     let traces: Vec<TraceWorkload> = workloads
         .iter()
         .map(|&w| {
             let dir = root.join(w.slug());
-            ensure_capture(w, cores, scale.seed, records, chunk, &dir)
+            ensure_capture(w, cores, scale.seed, records, DEFAULT_CHUNK_RECORDS, &dir)
                 .unwrap_or_else(|e| panic!("capture of {} in {}: {e}", w.name(), dir.display()))
         })
         .collect();

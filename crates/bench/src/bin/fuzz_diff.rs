@@ -30,8 +30,8 @@ use std::process::ExitCode;
 use bingo::{Bingo, BingoConfig};
 use bingo_baselines::{Bop, BopConfig, Sms, SmsConfig, StrideConfig, StridePrefetcher};
 use bingo_bench::differential::{
-    bingo_config_variants, diff_bingo_instances, diff_bingo_throttled, fuzz_baseline, fuzz_bingo,
-    fuzz_bingo_throttled, FuzzFailure,
+    bingo_config_variants, diff_bingo, diff_bingo_instances, diff_bingo_throttled, fuzz_baseline,
+    fuzz_bingo, FuzzFailure,
 };
 use bingo_oracle::{
     generate, shrink, BopOracle, GeneratorConfig, NextLineOracle, SmsOracle, SpecBingo,
@@ -114,7 +114,7 @@ fn run_sweep(args: &Args) -> ExitCode {
         let base = pi as u64 * args.traces_per_preset;
         let range = base..base + seeds.end;
 
-        match fuzz_bingo(gen, range.clone()) {
+        match fuzz_bingo(gen, range.clone(), diff_bingo) {
             Ok(r) => {
                 total_traces += r.traces;
                 total_events += r.events;
@@ -215,7 +215,11 @@ fn run_throttle_sweep(args: &Args) -> ExitCode {
     let mut total_events = 0usize;
     for (pi, gen) in GeneratorConfig::all().iter().enumerate() {
         let base = SEED_BASE + pi as u64 * args.traces_per_preset;
-        match fuzz_bingo_throttled(gen, base..base + args.traces_per_preset) {
+        match fuzz_bingo(
+            gen,
+            base..base + args.traces_per_preset,
+            diff_bingo_throttled,
+        ) {
             Ok(r) => {
                 total_traces += r.traces;
                 total_events += r.events;

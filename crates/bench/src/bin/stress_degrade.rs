@@ -21,14 +21,13 @@
 //!    otherwise the stress family is not adversarial enough to prove
 //!    anything about graceful degradation.
 //!
-//! `BINGO_PF_QUEUE` overrides every pressure level's prefetch-queue depth;
+//! Each pressure level bounds the prefetch queue at its own preset depth.
 //! `BINGO_STATS` exports each cell's full `SimResult` as JSON lines. The
 //! throttle mode is the experiment's variable, so `BINGO_THROTTLE` does
 //! not apply.
 
 use bingo_bench::{
-    f2, pf_queue_from_env, telemetry_from_env, ParallelHarness, PrefetcherKind, Pressure, RunScale,
-    RunSpec, Table,
+    f2, telemetry_from_env, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Table,
 };
 use bingo_sim::ThrottleMode;
 use bingo_workloads::Workload;
@@ -53,7 +52,6 @@ const TOLERANCE: f64 = 0.05;
 fn main() {
     let scale = RunScale::from_args();
     let telemetry = telemetry_from_env();
-    let queue = pf_queue_from_env();
     let mut specs: Vec<RunSpec> = Vec::new();
     for p in PRESSURES {
         for w in Workload::STRESS {
@@ -62,10 +60,7 @@ fn main() {
                 // Two cores keep the sweep fast; with a single channel at
                 // reduced bandwidth they contend plenty.
                 spec.slots.truncate(2);
-                spec.pressure = Pressure {
-                    queue: queue.or(p.queue),
-                    ..p
-                };
+                spec.pressure = p;
                 specs.push(spec);
             }
         }

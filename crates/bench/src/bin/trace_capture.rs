@@ -8,9 +8,9 @@
 //! Each workload lands in `DIR/<slug>/core<i>.btrc` (default
 //! `target/traces/`), one stream per core of the paper's 4-core system,
 //! sized to the current [`RunScale`] plus fetch-ahead slack so a replay
-//! at the same scale never wraps. `BINGO_TRACE_CHUNK` overrides the
-//! records-per-chunk of the written files (the chunk size bounds replay
-//! memory; see EXPERIMENTS.md).
+//! at the same scale never wraps. Every file is written with
+//! [`DEFAULT_CHUNK_RECORDS`] records per chunk (the chunk size bounds
+//! replay memory; see EXPERIMENTS.md).
 //!
 //! `--verify` replays every fresh capture through the no-prefetcher
 //! system and asserts the [`bingo_sim::SimResult`] is bit-for-bit the
@@ -22,8 +22,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bingo_bench::{
-    flag_value, telemetry_from_env, throttle_from_env, trace_chunk_from_env, workload_args,
-    PrefetcherKind, RunScale, RunSpec, CAPTURE_SLACK,
+    flag_value, telemetry_from_env, throttle_from_env, workload_args, PrefetcherKind, RunScale,
+    RunSpec, CAPTURE_SLACK,
 };
 use bingo_sim::SystemConfig;
 use bingo_trace::DEFAULT_CHUNK_RECORDS;
@@ -74,14 +74,14 @@ fn main() -> ExitCode {
     let args = parse_args();
     let cores = SystemConfig::paper().cores;
     let records = scale.warmup_per_core + scale.instructions_per_core + CAPTURE_SLACK;
-    let chunk = trace_chunk_from_env().unwrap_or(DEFAULT_CHUNK_RECORDS);
     let mut mismatches = 0usize;
 
     for &w in &args.workloads {
         let dir = args.out.join(w.slug());
-        capture_workload(w, cores, scale.seed, records, chunk, &dir).unwrap_or_else(|e| {
-            panic!("capture of {} into {} failed: {e}", w.name(), dir.display())
-        });
+        capture_workload(w, cores, scale.seed, records, DEFAULT_CHUNK_RECORDS, &dir)
+            .unwrap_or_else(|e| {
+                panic!("capture of {} into {} failed: {e}", w.name(), dir.display())
+            });
         let bytes: u64 = (0..cores)
             .filter_map(|i| std::fs::metadata(dir.join(format!("core{i}.btrc"))).ok())
             .map(|m| m.len())

@@ -273,36 +273,6 @@ pub fn diff_bingo_throttled(cfg: &BingoConfig, trace: &PrefetchTrace) -> Result<
     Ok(())
 }
 
-/// Fuzzes throttled Bingo against the unthrottled [`SpecBingo`]: for every
-/// seed, generates a trace and checks [`diff_bingo_throttled`] under every
-/// [`bingo_config_variants`] geometry.
-///
-/// # Errors
-///
-/// The first (seed, variant) pair that violated the subtractive contract.
-pub fn fuzz_bingo_throttled(
-    gen: &GeneratorConfig,
-    seeds: Range<u64>,
-) -> Result<FuzzReport, Box<FuzzFailure>> {
-    let mut report = FuzzReport::default();
-    for seed in seeds {
-        let trace = generate(gen, seed);
-        for (name, cfg) in bingo_config_variants(trace.geometry()) {
-            if let Err(mismatch) = diff_bingo_throttled(&cfg, &trace) {
-                return Err(Box::new(FuzzFailure {
-                    seed,
-                    variant: name.to_string(),
-                    trace,
-                    mismatch,
-                }));
-            }
-        }
-        report.traces += 1;
-        report.events += trace.len();
-    }
-    Ok(report)
-}
-
 /// The matrix of Bingo table geometries the differential fuzzer sweeps:
 /// the paper's configuration plus deliberately cramped and degenerate
 /// variants, because capacity pressure (evictions, filter overflow,
@@ -375,23 +345,26 @@ pub struct FuzzFailure {
     pub mismatch: Mismatch,
 }
 
-/// Fuzzes clean Bingo against [`SpecBingo`]: for every seed in `seeds`,
-/// generates a trace from `gen` and diffs it under every
+/// Fuzzes Bingo against [`SpecBingo`]: for every seed in `seeds`,
+/// generates a trace from `gen` and checks it with `diff` —
+/// [`diff_bingo`] (clean Bingo, exact) or [`diff_bingo_throttled`] (the
+/// subtractive-throttling contract) — under every
 /// [`bingo_config_variants`] geometry.
 ///
 /// # Errors
 ///
-/// The first (seed, variant) pair that diverged. Shrink it with
-/// [`shrink_bingo_mismatch`] before reporting.
+/// The first (seed, variant) pair that diverged. Shrink a [`diff_bingo`]
+/// failure with [`shrink_bingo_mismatch`] before reporting.
 pub fn fuzz_bingo(
     gen: &GeneratorConfig,
     seeds: Range<u64>,
+    diff: fn(&BingoConfig, &PrefetchTrace) -> Result<(), Mismatch>,
 ) -> Result<FuzzReport, Box<FuzzFailure>> {
     let mut report = FuzzReport::default();
     for seed in seeds {
         let trace = generate(gen, seed);
         for (name, cfg) in bingo_config_variants(trace.geometry()) {
-            if let Err(mismatch) = diff_bingo(&cfg, &trace) {
+            if let Err(mismatch) = diff(&cfg, &trace) {
                 return Err(Box::new(FuzzFailure {
                     seed,
                     variant: name.to_string(),
@@ -565,7 +538,8 @@ mod tests {
 
     #[test]
     fn fuzz_report_counts_cover_the_sweep() {
-        let report = fuzz_bingo(&GeneratorConfig::tiny_regions(), 0..3).expect("no divergence");
+        let report =
+            fuzz_bingo(&GeneratorConfig::tiny_regions(), 0..3, diff_bingo).expect("no divergence");
         assert_eq!(report.traces, 3);
         assert_eq!(report.events, 3 * GeneratorConfig::tiny_regions().events);
     }

@@ -44,10 +44,6 @@ pub use differential::{
     bingo_config_variants, diff_bingo, diff_bingo_instances, diff_with_oracle, fuzz_baseline,
     fuzz_bingo, shrink_bingo_mismatch, FuzzFailure, FuzzReport, Mismatch,
 };
-pub use knobs::{
-    chaos_from_env, chaos_seed_from_env, pf_queue_from_env, qos_slo_from_env, trace_chunk_from_env,
-    CHAOS_ENV, CHAOS_SEED_ENV, DEFAULT_CHAOS_SEED, PF_QUEUE_ENV, QOS_SLO_ENV, TRACE_CHUNK_ENV,
-};
 pub use mix::{
     find_knee, CapacityCell, CapacitySearch, FairnessReport, MixAssignment, MixConfig, MixError,
     Pressure, Ramp, KNEE_FRACTION,

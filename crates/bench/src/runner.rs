@@ -2,7 +2,7 @@
 //! resolves it, and the two comparisons every figure is built from.
 //!
 //! * [`RunSpec`] describes one simulation completely: the scale, the
-//!   machine (core count, memory [`Pressure`], QoS SLO), one [`Slot`] per
+//!   machine (core count, memory [`Pressure`]), one [`Slot`] per
 //!   core (a synthetic or captured instruction [`Stream`], its prefetcher
 //!   and its instruction budget), and the telemetry, throttle and chaos
 //!   options. [`RunSpec::run`] is the only place the harness builds a
@@ -475,9 +475,6 @@ pub struct RunSpec {
     pub scale: RunScale,
     /// Memory-system pressure on the shared DRAM and prefetch queue.
     pub pressure: Pressure,
-    /// Starvation-SLO override of the per-core watchdog (`None`:
-    /// [`bingo_sim::DEFAULT_QOS_SLO`]); only the `percore` throttle reads it.
-    pub qos_slo: Option<f64>,
     /// One slot per core; the machine's core count is `slots.len()`.
     pub slots: Vec<Slot>,
     /// Prefetch-lifecycle telemetry level. Never changes the machine; it
@@ -545,7 +542,7 @@ impl RunSpec {
         Self::on_machine(scale, Pressure::NONE, slots, telemetry, throttle)
     }
 
-    /// A spec with the default QoS SLO and no chaos.
+    /// A spec with no chaos.
     fn on_machine(
         scale: RunScale,
         pressure: Pressure,
@@ -556,7 +553,6 @@ impl RunSpec {
         RunSpec {
             scale,
             pressure,
-            qos_slo: None,
             slots,
             telemetry,
             throttle,
@@ -647,7 +643,6 @@ impl RunSpec {
         let RunSpec {
             scale,
             pressure,
-            qos_slo,
             slots,
             telemetry,
             throttle,
@@ -666,7 +661,7 @@ impl RunSpec {
         } = *pressure;
         let mut key = format!(
             "run:{instructions_per_core}/{warmup_per_core}/dram={channels}x{transfer_cycles}\
-             /queue={queue:?}/slo={qos_slo:?}/{telemetry:?}/{throttle:?}/chaos={chaos:?}"
+             /queue={queue:?}/{telemetry:?}/{throttle:?}/chaos={chaos:?}"
         );
         for Slot {
             stream,
@@ -735,7 +730,6 @@ impl RunSpec {
     pub fn run(&self, deadline: Option<Duration>) -> Result<SimResult, SimAbort> {
         let mut cfg = SystemConfig::paper().with_cores(self.slots.len());
         self.pressure.apply(&mut cfg);
-        cfg.qos_slo = self.qos_slo;
         let seed = self.scale.seed;
         let sources = self.slots.iter().map(|s| s.source(seed)).collect();
         let prefetchers = self.slots.iter().map(|s| s.prefetcher.build()).collect();

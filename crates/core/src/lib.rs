@@ -64,4 +64,4 @@ pub use analysis::{EventProfile, SpatialProfiler, SpatialReport};
 pub use event::EventKind;
 pub use footprint::Footprint;
 pub use history::UnifiedHistoryTable;
-pub use multi_event::{EventTable, MultiEventConfig, MultiEventPrefetcher, MultiEventStats};
+pub use multi_event::{MultiEventConfig, MultiEventPrefetcher, MultiEventStats};

@@ -10,6 +10,11 @@
 //! probability are produced. With the event count swept from 1 to 5 it
 //! produces Fig. 3. Its built-in redundancy probe — does the short table
 //! predict the same footprint as the long table? — produces Fig. 4.
+//!
+//! Each event's table is Bingo's own [`UnifiedHistoryTable`], searched by
+//! that one event: the event key is the full tag, and `key >> 16` selects
+//! the set. Fig. 4's unified-versus-per-event comparison therefore runs
+//! the same table code on both sides and measures the design alone.
 
 use bingo_sim::{AccessInfo, BlockAddr, PrefetchSource, Prefetcher, RegionGeometry, ThrottleLevel};
 
@@ -17,120 +22,7 @@ use crate::accumulation::{AccumulationTable, Residency};
 use crate::bingo::PredictionStep;
 use crate::event::EventKind;
 use crate::footprint::Footprint;
-
-#[derive(Copy, Clone, Debug)]
-struct Entry {
-    valid: bool,
-    tag: u64,
-    footprint: Footprint,
-    last_touch: u64,
-}
-
-/// A conventional set-associative history table indexed and tagged by a
-/// single event's key.
-#[derive(Debug)]
-pub struct EventTable {
-    sets: Vec<Vec<Entry>>,
-    ways: usize,
-    set_mask: u64,
-    stamp: u64,
-    region_blocks: u32,
-}
-
-impl EventTable {
-    /// Creates a table with `entries` entries in `ways`-way sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `entries / ways` is a power of two.
-    pub fn new(entries: usize, ways: usize, region_blocks: u32) -> Self {
-        assert!(ways > 0 && entries >= ways, "invalid geometry");
-        let sets = entries / ways;
-        assert!(
-            sets.is_power_of_two() && sets * ways == entries,
-            "entries {entries} / ways {ways} must give a power-of-two set count"
-        );
-        EventTable {
-            sets: vec![
-                vec![
-                    Entry {
-                        valid: false,
-                        tag: 0,
-                        footprint: Footprint::empty(region_blocks),
-                        last_touch: 0,
-                    };
-                    ways
-                ];
-                sets
-            ],
-            ways,
-            set_mask: sets as u64 - 1,
-            stamp: 0,
-            region_blocks,
-        }
-    }
-
-    fn set_of(&self, key: u64) -> usize {
-        // The tag is the full key; index with the high-mixed bits.
-        ((key >> 16) & self.set_mask) as usize
-    }
-
-    /// Inserts or re-trains the footprint for `key`.
-    pub fn insert(&mut self, key: u64, footprint: Footprint) {
-        debug_assert_eq!(footprint.len(), self.region_blocks);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set_idx = self.set_of(key);
-        let set = &mut self.sets[set_idx];
-        if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == key) {
-            e.footprint = footprint;
-            e.last_touch = stamp;
-            return;
-        }
-        let slot = set.iter().position(|e| !e.valid).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_touch)
-                .map(|(i, _)| i)
-                .expect("sets are non-empty")
-        });
-        set[slot] = Entry {
-            valid: true,
-            tag: key,
-            footprint,
-            last_touch: stamp,
-        };
-    }
-
-    /// Looks up `key`, updating recency on a hit.
-    pub fn lookup(&mut self, key: u64) -> Option<Footprint> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set_idx = self.set_of(key);
-        let e = self.sets[set_idx]
-            .iter_mut()
-            .find(|e| e.valid && e.tag == key)?;
-        e.last_touch = stamp;
-        Some(e.footprint)
-    }
-
-    /// Total entries.
-    pub fn entries(&self) -> usize {
-        self.sets.len() * self.ways
-    }
-
-    /// Storage in bits: footprint + 23-bit tag + valid + 4 LRU bits per
-    /// entry (same accounting as the unified table).
-    pub fn storage_bits(&self) -> u64 {
-        Self::storage_bits_for(self.entries(), self.region_blocks)
-    }
-
-    /// [`EventTable::storage_bits`] computed from the geometry alone,
-    /// without allocating the table.
-    pub fn storage_bits_for(entries: usize, region_blocks: u32) -> u64 {
-        entries as u64 * (region_blocks as u64 + 23 + 4)
-    }
-}
+use crate::history::UnifiedHistoryTable;
 
 /// Configuration of a [`MultiEventPrefetcher`].
 #[derive(Clone, Debug, PartialEq)]
@@ -190,7 +82,7 @@ impl MultiEventConfig {
     pub fn storage_bits(&self) -> u64 {
         let region_blocks = self.region.blocks_per_region() as u32;
         self.events.len() as u64
-            * EventTable::storage_bits_for(self.entries_per_table, region_blocks)
+            * UnifiedHistoryTable::storage_bits_for(self.entries_per_table, region_blocks)
             + AccumulationTable::storage_bits_for(self.accumulation_entries, region_blocks)
     }
 }
@@ -239,7 +131,9 @@ impl MultiEventStats {
 #[derive(Debug)]
 pub struct MultiEventPrefetcher {
     cfg: MultiEventConfig,
-    tables: Vec<EventTable>,
+    /// One table per event, in `cfg.events` order; only the long-event
+    /// operations are used, with the key's high bits as the set index.
+    tables: Vec<UnifiedHistoryTable>,
     accumulation: AccumulationTable,
     name: String,
     /// Which cascade level produced the most recent prediction, for
@@ -266,7 +160,7 @@ impl MultiEventPrefetcher {
         let tables = cfg
             .events
             .iter()
-            .map(|_| EventTable::new(cfg.entries_per_table, cfg.ways, region_blocks))
+            .map(|_| UnifiedHistoryTable::new(cfg.entries_per_table, cfg.ways, region_blocks))
             .collect();
         let name = if cfg.events.len() == 1 {
             format!("Single[{}]", cfg.events[0])
@@ -312,7 +206,8 @@ impl MultiEventPrefetcher {
         }
         self.stats.trainings += 1;
         for (kind, table) in self.cfg.events.iter().zip(&mut self.tables) {
-            table.insert(residency.key(*kind), residency.footprint);
+            let key = residency.key(*kind);
+            table.insert(key, key >> 16, residency.footprint);
         }
     }
 
@@ -323,8 +218,8 @@ impl MultiEventPrefetcher {
         if self.cfg.events.len() >= 2 {
             let k0 = self.cfg.events[0].key_of(info, geometry);
             let k1 = self.cfg.events[1].key_of(info, geometry);
-            let p0 = self.tables[0].lookup(k0);
-            let p1 = self.tables[1].lookup(k1);
+            let p0 = self.tables[0].lookup_long(k0, k0 >> 16);
+            let p1 = self.tables[1].lookup_long(k1, k1 >> 16);
             if let (Some(a), Some(b)) = (p0, p1) {
                 self.stats.dual_both_matched += 1;
                 if a == b {
@@ -335,7 +230,7 @@ impl MultiEventPrefetcher {
         let mut chosen: Option<(usize, Footprint)> = None;
         for (i, kind) in self.cfg.events.iter().enumerate() {
             let key = kind.key_of(info, geometry);
-            if let Some(fp) = self.tables[i].lookup(key) {
+            if let Some(fp) = self.tables[i].lookup_long(key, key >> 16) {
                 chosen = Some((i, fp));
                 break;
             }
@@ -401,7 +296,7 @@ impl Prefetcher for MultiEventPrefetcher {
     fn storage_bits(&self) -> u64 {
         self.tables
             .iter()
-            .map(EventTable::storage_bits)
+            .map(UnifiedHistoryTable::storage_bits)
             .sum::<u64>()
             + self.accumulation.storage_bits()
     }
@@ -457,18 +352,6 @@ mod tests {
         }
         p.on_eviction(BlockAddr::new(region * 32 + offsets[0] as u64));
         first
-    }
-
-    #[test]
-    fn event_table_insert_lookup_and_lru() {
-        let mut t = EventTable::new(8, 2, 32);
-        let f1 = Footprint::from_bits(1, 32);
-        let f2 = Footprint::from_bits(2, 32);
-        t.insert(10, f1);
-        assert_eq!(t.lookup(10), Some(f1));
-        assert_eq!(t.lookup(11), None);
-        t.insert(10, f2);
-        assert_eq!(t.lookup(10), Some(f2), "retraining replaces");
     }
 
     #[test]

@@ -152,12 +152,6 @@ pub struct SystemConfig {
     /// queue-full classification instead of issuing them; demand misses are
     /// never gated by this bound.
     pub prefetch_queue_depth: Option<usize>,
-    /// Starvation SLO for the per-core throttle mode: the minimum
-    /// acceptable min/max per-core progress ratio before the watchdog
-    /// clamps the offending core(s). `None` uses
-    /// [`throttle::DEFAULT_QOS_SLO`](crate::throttle::DEFAULT_QOS_SLO);
-    /// ignored by every other throttle mode.
-    pub qos_slo: Option<f64>,
 }
 
 impl SystemConfig {
@@ -205,7 +199,6 @@ impl SystemConfig {
             },
             llc_mshrs_reserved_for_demand: 32,
             prefetch_queue_depth: None,
-            qos_slo: None,
         }
     }
 
@@ -260,7 +253,6 @@ impl SystemConfig {
             },
             llc_mshrs_reserved_for_demand: 8,
             prefetch_queue_depth: None,
-            qos_slo: None,
         }
     }
 
@@ -319,11 +311,6 @@ impl SystemConfig {
             return Err("prefetch queue depth of 0 disables prefetching entirely; \
                         use a no-op prefetcher instead"
                 .into());
-        }
-        if let Some(slo) = self.qos_slo {
-            if !(slo.is_finite() && slo > 0.0 && slo <= 1.0) {
-                return Err(format!("qos_slo must be a ratio in (0, 1], got {slo}").into());
-            }
         }
         Ok(())
     }

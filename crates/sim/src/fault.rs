@@ -5,9 +5,9 @@
 //! simulation stays correct. This module provides the corruption source for
 //! testing that claim end to end:
 //!
-//! * [`FaultPlan`] — the experiment knob set: per-event corruption rates
-//!   for stored footprints, history-table entries, and issued prefetches.
-//! * [`FaultInjector`] — a seeded generator rolling those rates; every
+//! * [`FaultPlan`] — the experiment knob set: one corruption rate applied
+//!   to stored footprints, history-table entries, and issued prefetches.
+//! * [`FaultInjector`] — a seeded generator rolling that rate; every
 //!   decision is a pure function of the seed and call sequence, so a
 //!   corrupted run is exactly reproducible from `(plan, access stream)`.
 //! * [`FaultStats`] — counts of what was actually injected, for reports.
@@ -16,74 +16,53 @@
 //! the prefetcher crates and the harness can share one corruption model
 //! without a dependency cycle.
 
-/// Corruption rates for one faulty run. All rates are probabilities in
-/// `[0, 1]` applied independently per opportunity.
+/// The corruption rate of one faulty run: a probability in `[0, 1]`,
+/// rolled independently for every fault opportunity of every class — a
+/// footprint being trained into the history table has one random bit
+/// flipped, a random history-table entry is evicted on an access (metadata
+/// loss), an individual prefetch candidate is silently dropped before
+/// issue.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the injector's decision stream.
     pub seed: u64,
-    /// Probability that a footprint being trained into the history table
-    /// has one random bit flipped.
-    pub footprint_bit_flip_rate: f64,
-    /// Probability per access that a random history-table entry is evicted
-    /// (models metadata loss / corruption-forced invalidation).
-    pub history_drop_rate: f64,
-    /// Probability that an individual prefetch candidate is silently
-    /// dropped before issue.
-    pub prefetch_drop_rate: f64,
+    /// Probability of each fault, per opportunity.
+    pub rate: f64,
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (rates all zero).
+    /// A plan that injects nothing (rate zero).
     pub fn none(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            footprint_bit_flip_rate: 0.0,
-            history_drop_rate: 0.0,
-            prefetch_drop_rate: 0.0,
-        }
+        FaultPlan { seed, rate: 0.0 }
     }
 
-    /// A plan applying the same `rate` to every fault class.
+    /// A plan applying `rate` to every fault class.
     ///
     /// # Panics
     ///
     /// Panics if `rate` is outside `[0, 1]`.
     pub fn uniform(seed: u64, rate: f64) -> Self {
-        let plan = FaultPlan {
-            seed,
-            footprint_bit_flip_rate: rate,
-            history_drop_rate: rate,
-            prefetch_drop_rate: rate,
-        };
+        let plan = FaultPlan { seed, rate };
         plan.validate();
         plan
     }
 
-    /// Checks every rate is a probability.
+    /// Checks the rate is a probability.
     ///
     /// # Panics
     ///
-    /// Panics naming the offending field if any rate is outside `[0, 1]`
-    /// or NaN.
+    /// Panics if the rate is outside `[0, 1]` or NaN.
     pub fn validate(&self) {
-        for (name, rate) in [
-            ("footprint_bit_flip_rate", self.footprint_bit_flip_rate),
-            ("history_drop_rate", self.history_drop_rate),
-            ("prefetch_drop_rate", self.prefetch_drop_rate),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&rate),
-                "fault plan {name} = {rate} is not a probability"
-            );
-        }
+        assert!(
+            (0.0..=1.0).contains(&self.rate),
+            "fault plan rate = {} is not a probability",
+            self.rate
+        );
     }
 
     /// Whether this plan can ever inject a fault.
     pub fn is_active(&self) -> bool {
-        self.footprint_bit_flip_rate > 0.0
-            || self.history_drop_rate > 0.0
-            || self.prefetch_drop_rate > 0.0
+        self.rate > 0.0
     }
 }
 
@@ -117,7 +96,7 @@ impl FaultInjector {
     ///
     /// # Panics
     ///
-    /// Panics if any rate in the plan is not a probability.
+    /// Panics if the plan's rate is not a probability.
     pub fn new(plan: FaultPlan) -> Self {
         plan.validate();
         // SplitMix64 scramble so nearby seeds give unrelated streams; the
@@ -170,27 +149,29 @@ impl FaultInjector {
         ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
     }
 
-    /// Rolls the footprint-corruption rate; counts a flip when it fires.
+    /// Rolls the rate for a footprint bit flip; counts a flip when it
+    /// fires.
     pub fn should_flip_footprint_bit(&mut self) -> bool {
-        let fire = self.chance(self.plan.footprint_bit_flip_rate);
+        let fire = self.chance(self.plan.rate);
         if fire {
             self.stats.bits_flipped += 1;
         }
         fire
     }
 
-    /// Rolls the history-drop rate; counts an eviction when it fires.
+    /// Rolls the rate for a history-entry drop; counts an eviction when it
+    /// fires.
     pub fn should_drop_history_entry(&mut self) -> bool {
-        let fire = self.chance(self.plan.history_drop_rate);
+        let fire = self.chance(self.plan.rate);
         if fire {
             self.stats.entries_dropped += 1;
         }
         fire
     }
 
-    /// Rolls the prefetch-drop rate; counts a drop when it fires.
+    /// Rolls the rate for a prefetch drop; counts a drop when it fires.
     pub fn should_drop_prefetch(&mut self) -> bool {
-        let fire = self.chance(self.plan.prefetch_drop_rate);
+        let fire = self.chance(self.plan.rate);
         if fire {
             self.stats.prefetches_dropped += 1;
         }
@@ -249,11 +230,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a probability")]
     fn invalid_rate_is_rejected() {
-        let _ = FaultInjector::new(FaultPlan {
-            seed: 0,
-            footprint_bit_flip_rate: 1.5,
-            history_drop_rate: 0.0,
-            prefetch_drop_rate: 0.0,
-        });
+        let _ = FaultInjector::new(FaultPlan { seed: 0, rate: 1.5 });
     }
 }

@@ -83,8 +83,7 @@ pub use telemetry::{
     DropReason, PrefetchLedger, PrefetchSource, SourceCounters, TelemetryLevel, TelemetryReport,
 };
 pub use throttle::{
-    CoreSignals, Throttle, ThrottleLevel, ThrottleMode, ThrottleStats, WatchdogStats,
-    DEFAULT_QOS_SLO,
+    CoreSignals, Throttle, ThrottleLevel, ThrottleMode, ThrottleStats, WatchdogStats, QOS_SLO,
 };
 
 /// Asserts an internal invariant, compiled in only under the `audit`

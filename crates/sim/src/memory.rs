@@ -28,7 +28,7 @@ use crate::stats::{CacheStats, QosReport};
 use crate::telemetry::{
     DropReason, PrefetchLedger, PrefetchSource, TelemetryLevel, TelemetryReport,
 };
-use crate::throttle::{Throttle, ThrottleLevel, ThrottleMode, DEFAULT_QOS_SLO};
+use crate::throttle::{Throttle, ThrottleLevel, ThrottleMode};
 
 /// Result of issuing a memory operation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -116,12 +116,7 @@ impl MemorySystem {
     /// [`ThrottleMode::Off`] no throttle exists at all, so disabled
     /// throttling cannot perturb a run.
     pub fn set_throttle(&mut self, mode: ThrottleMode) {
-        self.throttle = Throttle::new(
-            mode,
-            self.cfg.cores,
-            self.cfg.qos_slo.unwrap_or(DEFAULT_QOS_SLO),
-            self.cfg.dram.transfer_cycles,
-        );
+        self.throttle = Throttle::new(mode, self.cfg.cores, self.cfg.dram.transfer_cycles);
         self.push_throttle_levels();
     }
 

@@ -186,21 +186,6 @@ struct OpenRecord {
     measured: bool,
 }
 
-/// Aggregate lifecycle counters (the unattributed totals).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-struct LedgerCounts {
-    issued: u64,
-    dropped_duplicate: u64,
-    dropped_mshr: u64,
-    dropped_queue: u64,
-    timely: u64,
-    late: u64,
-    unused: u64,
-    fills: u64,
-    fill_latency_sum: u64,
-    orphans: u64,
-}
-
 /// Per-prefetch lifecycle ledger, keyed by block address.
 ///
 /// Owned by the memory system, which reports issues, drops, fills, uses,
@@ -210,10 +195,12 @@ struct LedgerCounts {
 pub struct PrefetchLedger {
     level: TelemetryLevel,
     open: HashMap<u64, OpenRecord>,
-    counts: LedgerCounts,
+    /// The aggregate counters. Its two attribution lists stay empty here:
+    /// [`report`](PrefetchLedger::report) builds them from the tallies
+    /// below.
+    counts: TelemetryReport,
     by_source: [SourceCounters; SOURCE_SLOTS],
     by_pc: HashMap<u64, SourceCounters>,
-    in_flight_at_end: u64,
 }
 
 impl PrefetchLedger {
@@ -223,10 +210,9 @@ impl PrefetchLedger {
         PrefetchLedger {
             level,
             open: HashMap::new(),
-            counts: LedgerCounts::default(),
+            counts: TelemetryReport::default(),
             by_source: [SourceCounters::default(); SOURCE_SLOTS],
             by_pc: HashMap::new(),
-            in_flight_at_end: 0,
         }
     }
 
@@ -358,10 +344,9 @@ impl PrefetchLedger {
         if !self.enabled() {
             return;
         }
-        self.counts = LedgerCounts::default();
+        self.counts = TelemetryReport::default();
         self.by_source = [SourceCounters::default(); SOURCE_SLOTS];
         self.by_pc.clear();
-        self.in_flight_at_end = 0;
         for rec in self.open.values_mut() {
             if rec.filled_at.is_some() {
                 rec.measured = false;
@@ -381,7 +366,7 @@ impl PrefetchLedger {
         let open = std::mem::take(&mut self.open);
         for rec in open.into_values() {
             if rec.filled_at.is_none() {
-                self.in_flight_at_end += 1;
+                self.counts.in_flight_at_end += 1;
             } else if rec.measured {
                 self.counts.unused += 1;
                 self.by_source[rec.source.slot()].unused += 1;
@@ -412,19 +397,9 @@ impl PrefetchLedger {
         hot_pcs.sort_by(|a, b| b.1.issued.cmp(&a.1.issued).then(a.0.cmp(&b.0)));
         hot_pcs.truncate(HOT_PC_LIMIT);
         Some(TelemetryReport {
-            issued: self.counts.issued,
-            dropped_duplicate: self.counts.dropped_duplicate,
-            dropped_mshr: self.counts.dropped_mshr,
-            dropped_queue: self.counts.dropped_queue,
-            timely: self.counts.timely,
-            late: self.counts.late,
-            unused: self.counts.unused,
-            fills: self.counts.fills,
-            fill_latency_sum: self.counts.fill_latency_sum,
-            in_flight_at_end: self.in_flight_at_end,
-            orphans: self.counts.orphans,
             by_source,
             hot_pcs,
+            ..self.counts.clone()
         })
     }
 }

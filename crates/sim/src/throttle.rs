@@ -213,13 +213,13 @@ pub const PROBE_WINDOW: u32 = 4;
 /// to [`UPGRADE_AFTER`] so genuine pressure relief still recovers fast.
 pub const MAX_UPGRADE_PATIENCE: u32 = 64;
 
-/// Default starvation SLO for [`ThrottleMode::Percore`]: the watchdog
-/// flags an epoch when the minimum-to-maximum per-core progress ratio
-/// falls *strictly below* this (a ratio exactly at the SLO is
-/// compliant). Deliberately loose — heterogeneous mixes have legitimate
-/// progress imbalance; the watchdog is a backstop against pathological
-/// starvation, not a fairness equalizer. Override with `BINGO_QOS_SLO`.
-pub const DEFAULT_QOS_SLO: f64 = 0.25;
+/// Starvation SLO for [`ThrottleMode::Percore`]: the watchdog flags an
+/// epoch when the minimum-to-maximum per-core progress ratio falls
+/// *strictly below* this (a ratio exactly at the SLO is compliant).
+/// Deliberately loose — heterogeneous mixes have legitimate progress
+/// imbalance; the watchdog is a backstop against pathological
+/// starvation, not a fairness equalizer.
+pub const QOS_SLO: f64 = 0.25;
 
 /// Consecutive starved watchdog epochs before the watchdog clamps the
 /// offending core(s) — the watchdog-side hysteresis, mirroring
@@ -492,7 +492,6 @@ pub struct WatchdogStats {
 /// [`Watchdog::decide`]).
 #[derive(Debug)]
 struct Watchdog {
-    slo: f64,
     accesses: u64,
     prev: Vec<CoreSignals>,
     starved_streak: u32,
@@ -510,9 +509,8 @@ struct WatchdogVerdict {
 }
 
 impl Watchdog {
-    fn new(slo: f64, cores: usize) -> Self {
+    fn new(cores: usize) -> Self {
         Watchdog {
-            slo,
             accesses: 0,
             prev: vec![CoreSignals::default(); cores],
             starved_streak: 0,
@@ -579,7 +577,7 @@ impl Watchdog {
             .min_by_key(|&&i| (progress(i), i))
             .expect("active");
         // Strict comparison: a ratio exactly at the SLO is compliant.
-        if progress(starved_core) as f64 / max as f64 >= self.slo {
+        if progress(starved_core) as f64 / max as f64 >= QOS_SLO {
             self.starved_streak = 0;
             return verdict;
         }
@@ -674,8 +672,7 @@ pub struct Throttle {
 impl Throttle {
     /// Builds the throttle for `mode` on a `cores`-core chip; `None` for
     /// [`ThrottleMode::Off`], which carries no throttle at all (that is
-    /// what keeps it bit-for-bit invisible). `slo` is the watchdog's
-    /// starvation SLO (per-core mode only); `dram_service_cycles` is the
+    /// what keeps it bit-for-bit invisible). `dram_service_cycles` is the
     /// DRAM per-transfer service time, against which an average queue wait
     /// of more than [`CONGESTION_WAIT_FACTOR`] slots per read counts as
     /// congestion and raises the accuracy bar to
@@ -683,25 +680,13 @@ impl Throttle {
     ///
     /// # Panics
     ///
-    /// Panics when `cores` is zero, or in per-core mode when `slo` is not
-    /// a ratio in `(0, 1]`.
-    pub fn new(
-        mode: ThrottleMode,
-        cores: usize,
-        slo: f64,
-        dram_service_cycles: u64,
-    ) -> Option<Self> {
+    /// Panics when `cores` is zero.
+    pub fn new(mode: ThrottleMode, cores: usize, dram_service_cycles: u64) -> Option<Self> {
         assert!(cores > 0, "throttling needs at least one core");
         let domains = match mode {
             ThrottleMode::Off => return None,
             ThrottleMode::Feedback => 1,
-            ThrottleMode::Percore => {
-                assert!(
-                    slo.is_finite() && slo > 0.0 && slo <= 1.0,
-                    "QoS SLO must be a ratio in (0, 1], got {slo}"
-                );
-                cores
-            }
+            ThrottleMode::Percore => cores,
         };
         // A per-core domain only sees its core's ~1/n slice of the chip's
         // demand accesses, so its epoch clock is scaled to keep the
@@ -716,7 +701,7 @@ impl Throttle {
                 .map(|_| Ladder::new(epoch, dram_service_cycles))
                 .collect(),
             signals: vec![CoreSignals::default(); domains],
-            watchdog: (mode == ThrottleMode::Percore).then(|| Watchdog::new(slo, cores)),
+            watchdog: (mode == ThrottleMode::Percore).then(|| Watchdog::new(cores)),
         })
     }
 
@@ -913,13 +898,12 @@ mod tests {
 
     #[test]
     fn off_mode_builds_no_throttle() {
-        assert!(Throttle::new(ThrottleMode::Off, 4, DEFAULT_QOS_SLO, SERVICE).is_none());
+        assert!(Throttle::new(ThrottleMode::Off, 4, SERVICE).is_none());
     }
 
     #[test]
     fn feedback_is_one_chip_wide_domain() {
-        let mut t = Throttle::new(ThrottleMode::Feedback, 4, DEFAULT_QOS_SLO, SERVICE)
-            .expect("feedback throttles");
+        let mut t = Throttle::new(ThrottleMode::Feedback, 4, SERVICE).expect("feedback throttles");
         assert_eq!(t.ladders.len(), 1);
         assert_eq!(t.ladders[0].epoch_accesses, EPOCH_ACCESSES);
         t.note_pf_issued(1, 3);
@@ -1110,7 +1094,7 @@ mod tests {
         // Half an epoch of pure waste, the warmup reset, then accurate
         // prefetching until the next boundary.
         let run = |mode: ThrottleMode| {
-            let mut t = Throttle::new(mode, 2, DEFAULT_QOS_SLO, SERVICE).expect("enabled");
+            let mut t = Throttle::new(mode, 2, SERVICE).expect("enabled");
             let epoch = t.ladders[0].epoch_accesses;
             for _ in 0..100 {
                 t.note_pf_issued(0, 0);
@@ -1186,8 +1170,8 @@ mod tests {
 
     // ---- per-core domains + starvation watchdog ----------------------
 
-    fn percore(cores: usize, slo: f64) -> Throttle {
-        Throttle::new(ThrottleMode::Percore, cores, slo, SERVICE).expect("percore throttles")
+    fn percore(cores: usize) -> Throttle {
+        Throttle::new(ThrottleMode::Percore, cores, SERVICE).expect("percore throttles")
     }
 
     /// Ticks `t` for one full chip epoch with per-core access shares
@@ -1209,16 +1193,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ratio in (0, 1]")]
-    fn percore_rejects_slo_above_one() {
-        let _ = percore(2, 1.5);
-    }
-
-    #[test]
     fn percore_epochs_scale_with_the_core_count() {
-        assert_eq!(percore(2, DEFAULT_QOS_SLO).ladders[1].epoch_accesses, 1024);
+        assert_eq!(percore(2).ladders[1].epoch_accesses, 1024);
         assert_eq!(
-            percore(256, DEFAULT_QOS_SLO).ladders[0].epoch_accesses,
+            percore(256).ladders[0].epoch_accesses,
             4 * MIN_EVIDENCE,
             "floored against sampling noise"
         );
@@ -1226,7 +1204,7 @@ mod tests {
 
     #[test]
     fn storm_core_throttles_alone() {
-        let mut t = percore(2, DEFAULT_QOS_SLO);
+        let mut t = percore(2);
         // Each chip epoch is split between the two cores, so a per-core
         // epoch takes two outer iterations; 16 iterations give each ladder
         // 8 epochs — enough for the full descent.
@@ -1252,7 +1230,7 @@ mod tests {
 
     #[test]
     fn percore_report_carries_attribution_and_levels() {
-        let mut t = percore(2, DEFAULT_QOS_SLO);
+        let mut t = percore(2);
         t.note_pf_issued(0, 5);
         t.note_pf_used(0);
         t.note_demand_read(1, 9);
@@ -1285,27 +1263,28 @@ mod tests {
     #[test]
     fn progress_ratio_exactly_at_the_slo_is_compliant() {
         let levels = [ThrottleLevel::Full, ThrottleLevel::Full];
-        let mut wd = Watchdog::new(0.5, 2);
+        let mut wd = Watchdog::new(2);
+        assert_eq!(500.0 / 2000.0, QOS_SLO);
         for _ in 0..4 {
-            let v = wd.decide(&levels, &[delta(1000, 500), delta(2000, 0)]);
+            let v = wd.decide(&levels, &[delta(500, 500), delta(2000, 0)]);
             assert!(!v.starved, "ratio == SLO must not count as starved");
             assert!(v.clamp.is_empty());
         }
         assert_eq!(wd.stats.starved_epochs, 0);
         // One access less — with the fast core hogging the prefetch
         // bandwidth — and the same windows are starved epochs.
-        let v = wd.decide(&levels, &[delta(999, 0), delta(2000, 500)]);
+        let v = wd.decide(&levels, &[delta(499, 0), delta(2000, 500)]);
         assert!(v.starved);
         assert_eq!(wd.starved_streak, 1, "first starved epoch arms hysteresis");
         assert!(v.clamp.is_empty(), "hysteresis defers the clamp");
-        let v = wd.decide(&levels, &[delta(999, 0), delta(2000, 500)]);
+        let v = wd.decide(&levels, &[delta(499, 0), delta(2000, 500)]);
         assert_eq!(v.clamp, vec![1], "second consecutive starved epoch clamps");
     }
 
     #[test]
     fn watchdog_clamps_only_bandwidth_hogs_never_the_starved_core() {
         let levels = [ThrottleLevel::Full; 3];
-        let mut wd = Watchdog::new(0.5, 3);
+        let mut wd = Watchdog::new(3);
         // Core 0 starves; cores 1 and 2 split prefetch traffic, but only
         // core 2 exceeds the fair 1/3 share.
         let window = [delta(100, 0), delta(2000, 100), delta(2000, 500)];
@@ -1317,7 +1296,7 @@ mod tests {
     #[test]
     fn compliant_epochs_reset_the_starved_streak() {
         let levels = [ThrottleLevel::Full, ThrottleLevel::Full];
-        let mut wd = Watchdog::new(0.5, 2);
+        let mut wd = Watchdog::new(2);
         let starving = [delta(100, 0), delta(2000, 800)];
         let fine = [delta(2000, 0), delta(2000, 800)];
         wd.decide(&levels, &starving);
@@ -1332,7 +1311,7 @@ mod tests {
     #[test]
     fn idle_cores_are_not_starved_cores() {
         let levels = [ThrottleLevel::Full, ThrottleLevel::Full];
-        let mut wd = Watchdog::new(0.5, 2);
+        let mut wd = Watchdog::new(2);
         // Core 0 finished its instruction target: zero progress, but that
         // is idleness, not starvation.
         for _ in 0..4 {
@@ -1346,7 +1325,7 @@ mod tests {
     /// whole chip to Stopped — the best-accuracy offender is spared.
     #[test]
     fn watchdog_never_clamps_every_core_to_stopped() {
-        let mut t = percore(3, 0.9);
+        let mut t = percore(3);
         // Drive every core's ladder to TriggerOnly, one forced step at a
         // time, so any further clamp would mean Stopped.
         for ladder in &mut t.ladders {
@@ -1384,7 +1363,7 @@ mod tests {
     /// patience.
     #[test]
     fn clamped_core_recovers_within_the_bounded_epoch_count() {
-        let mut t = percore(2, DEFAULT_QOS_SLO);
+        let mut t = percore(2);
         for _ in 0..6 {
             t.ladders[1].force_degrade(); // Stopped, patience saturated
         }

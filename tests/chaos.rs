@@ -37,7 +37,7 @@ const SCALE: RunScale = RunScale {
     seed: 42,
 };
 
-/// Committed chaos seed (mirrors `bingo_bench::DEFAULT_CHAOS_SEED`): the
+/// Committed chaos seed (the one `fig_qos` runs its chaos cell at): the
 /// grid is deterministic, so one seed pins the whole suite.
 const CHAOS_SEED: u64 = 0xB1A60;
 

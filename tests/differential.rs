@@ -23,7 +23,7 @@ use bingo::{Bingo, BingoConfig};
 use bingo_baselines::{Bop, BopConfig, Sms, SmsConfig, StrideConfig, StridePrefetcher};
 use bingo_bench::differential::{
     bingo_config_variants, diff_bingo, diff_bingo_instances, diff_bingo_throttled,
-    diff_with_oracle, fuzz_baseline, fuzz_bingo, fuzz_bingo_throttled, shrink_bingo_mismatch,
+    diff_with_oracle, fuzz_baseline, fuzz_bingo, shrink_bingo_mismatch,
 };
 use bingo_oracle::{
     BopOracle, GeneratorConfig, NextLineOracle, SmsOracle, SpecBingo, StrideOracle,
@@ -93,7 +93,7 @@ fn corpus_throttled_bingo_stays_a_subset_of_the_spec() {
 fn fuzz_smoke_throttled_bingo_stays_a_subset_of_the_spec() {
     for (pi, gen) in GeneratorConfig::all().iter().enumerate() {
         let base = 31_000 + pi as u64 * SMOKE_SEEDS;
-        if let Err(f) = fuzz_bingo_throttled(gen, base..base + SMOKE_SEEDS) {
+        if let Err(f) = fuzz_bingo(gen, base..base + SMOKE_SEEDS, diff_bingo_throttled) {
             panic!("seed {} variant {}: {}", f.seed, f.variant, f.mismatch);
         }
     }
@@ -162,7 +162,7 @@ fn fault_divergence_trace_still_reproduces() {
 fn fuzz_smoke_bingo_matches_spec() {
     for (pi, gen) in GeneratorConfig::all().iter().enumerate() {
         let base = pi as u64 * SMOKE_SEEDS;
-        if let Err(f) = fuzz_bingo(gen, base..base + SMOKE_SEEDS) {
+        if let Err(f) = fuzz_bingo(gen, base..base + SMOKE_SEEDS, diff_bingo) {
             let variant_cfg = bingo_config_variants(f.trace.geometry())
                 .into_iter()
                 .find(|(n, _)| *n == f.variant)

@@ -138,31 +138,3 @@ fn qos_report_attaches_only_to_percore_runs() {
         .expect("percore run attaches a QoS report");
     assert_eq!(qos.cores.len(), 2, "one QoS row per core");
 }
-
-#[test]
-fn qos_slo_override_is_invisible_off_the_percore_path() {
-    // `SystemConfig::qos_slo` only parameterizes the percore watchdog;
-    // setting it must not perturb the other throttle modes by a bit.
-    let mix = committed_mix("polite-vs-storm");
-    let small = RunScale {
-        instructions_per_core: 15_000,
-        warmup_per_core: 10_000,
-        seed: 42,
-    };
-    for mode in [ThrottleMode::Off, ThrottleMode::Feedback] {
-        let plain = RunSpec::mix(
-            small,
-            &mix,
-            2,
-            Pressure::CONSTRAINED,
-            TelemetryLevel::Off,
-            mode,
-        );
-        let with_slo = RunSpec {
-            qos_slo: Some(0.5),
-            ..plain.clone()
-        };
-        let (plain, with_slo) = (plain.run(None), with_slo.run(None));
-        assert_eq!(plain, with_slo, "qos_slo changed a {mode} run");
-    }
-}

@@ -37,7 +37,6 @@ fn full_spec(trace: &TraceWorkload) -> RunSpec {
             seed: 3,
         },
         pressure: Pressure::SCARCE,
-        qos_slo: Some(0.7),
         slots: vec![
             Slot {
                 stream: Stream::Synthetic(Workload::Em3d),
@@ -103,8 +102,6 @@ fn every_field_perturbation_changes_the_key() {
         ),
         ("queue", Box::new(|s| s.pressure.queue = Some(9))),
         ("queue unbounded", Box::new(|s| s.pressure.queue = None)),
-        ("qos slo", Box::new(|s| s.qos_slo = Some(0.7 + 1e-15))),
-        ("qos slo default", Box::new(|s| s.qos_slo = None)),
         ("telemetry", Box::new(|s| s.telemetry = TelemetryLevel::Off)),
         (
             "throttle",
