@@ -175,7 +175,7 @@ fn main() {
     let mut writer = BenchWriter::from_env();
     if let Some(w) = &mut writer {
         // Host-speed reference for bench_compare's normalization. Both
-        // bench binaries record it; the merged file keeps the freshest.
+        // bench binaries record it; the merged file keeps the fastest.
         w.record_or_die(bingo_bench::calibration_record());
     }
     bench_prefetcher_access(&mut writer);

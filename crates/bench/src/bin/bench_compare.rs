@@ -22,15 +22,14 @@
 //!   threshold: a real slowdown degrades every pass, while scheduler
 //!   jitter usually spares at least one.
 //!
-//! `BINGO_BENCH_THRESHOLD` overrides the default threshold; the
-//! `--threshold` flag overrides both. A snapshot key missing from the
-//! candidate is a failure (silent coverage loss must not pass the gate);
-//! candidate-only keys are listed as new and do not fail.
+//! `--threshold` overrides the default threshold of 15 %. A snapshot key
+//! missing from the candidate is a failure (silent coverage loss must not
+//! pass the gate); candidate-only keys are listed as new and do not fail.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bingo_bench::perf_record::{BENCH_THRESHOLD_ENV, CALIBRATION_KEY};
+use bingo_bench::perf_record::CALIBRATION_KEY;
 use bingo_bench::{load_records, BenchRecord};
 
 struct Args {
@@ -47,13 +46,7 @@ fn usage() -> ! {
 fn parse_args() -> Args {
     let mut snapshot = None;
     let mut candidate = None;
-    let mut threshold = std::env::var(BENCH_THRESHOLD_ENV)
-        .ok()
-        .map(|raw| {
-            raw.parse::<f64>()
-                .unwrap_or_else(|e| panic!("{BENCH_THRESHOLD_ENV}={raw:?}: {e}"))
-        })
-        .unwrap_or(0.15);
+    let mut threshold = 0.15;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -230,8 +223,10 @@ fn main() -> ExitCode {
     if failed {
         eprintln!(
             "\nbench gate failed (threshold {:.0}%). If the change is intentional, \
-             regenerate the snapshot from the workspace root: \
-             BINGO_BENCH_JSON=$PWD/BENCH_simulator.json cargo bench -p bingo-bench",
+             re-baseline from the workspace root: accumulate three runs into an empty \
+             file, then copy it over the snapshot: rm -f target/bench/new.json; \
+             for i in 1 2 3; do BINGO_BENCH_JSON=$PWD/target/bench/new.json \
+             cargo bench -p bingo-bench; done; cp target/bench/new.json BENCH_simulator.json",
             args.threshold * 100.0
         );
         ExitCode::FAILURE

@@ -1,8 +1,8 @@
 //! Prefetch-lifecycle timeliness breakdown (observability companion to
 //! Fig. 7): for every workload × headline prefetcher, the full fate of
 //! every issued prefetch — used timely, used late, evicted unused, or
-//! dropped before issue — plus the average fill latency, from the
-//! [`bingo_sim::TelemetryReport`] attached to each run.
+//! dropped before issue — from the LLC's counters, plus the average fill
+//! latency from the [`bingo_sim::TelemetryReport`] attached to each run.
 //!
 //! A second table attributes Bingo's prefetches to the originating event
 //! kind (long `PC+Address` event vs voted short `PC+Offset` event) and
@@ -66,20 +66,22 @@ fn main() {
         kinds.iter().map(|k| (k.name(), Vec::new())).collect();
     let workload_of = |idx: usize| workloads[idx / kinds.len()].name().to_string();
     for (idx, e) in evals.iter().enumerate() {
-        let r = report(e);
+        let llc = &e.result.llc;
         t.row(vec![
             workload_of(idx),
             kinds[idx % kinds.len()].name(),
             pct(e.coverage.coverage),
-            pct(r.accuracy()),
-            pct(r.timeliness()),
-            r.timely.to_string(),
-            r.late.to_string(),
-            r.unused.to_string(),
-            (r.dropped_duplicate + r.dropped_mshr).to_string(),
-            f2(r.avg_fill_latency()),
+            pct(e.coverage.accuracy),
+            pct(e.coverage.timeliness),
+            llc.pf_useful.to_string(),
+            llc.pf_late.to_string(),
+            llc.pf_useless.to_string(),
+            (llc.pf_dropped_duplicate + llc.pf_dropped_mshr + llc.pf_dropped_queue).to_string(),
+            f2(report(e).avg_fill_latency()),
         ]);
-        timeliness_by_kind[idx % kinds.len()].1.push(r.timeliness());
+        timeliness_by_kind[idx % kinds.len()]
+            .1
+            .push(e.coverage.timeliness);
     }
     for (name, vals) in &timeliness_by_kind {
         t.row(vec![

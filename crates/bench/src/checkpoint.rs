@@ -20,6 +20,10 @@
 //! * stale lines — keys without the `run:` prefix, written under an older
 //!   key format that no cell can look up — are skipped and counted too,
 //!   so those cells re-simulate;
+//! * every counter array holds exactly one number per counter of its
+//!   struct's walk ([`bingo_sim::Counters`]), in walk order; a line with
+//!   an array of any other length (one written under another layout) is
+//!   skipped too, so no cell replays half-read counters;
 //! * floats are stored as IEEE-754 bit patterns (`f64::to_bits`), so a
 //!   round trip through the file cannot lose precision — "resume equals
 //!   fresh run" holds at the bit level, not merely approximately;
@@ -36,10 +40,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use bingo_sim::{
-    CacheStats, CoreQos, CoreStats, IngestReport, QosReport, SimResult, SourceCounters,
-    TelemetryReport,
-};
+use bingo_sim::{Counters, QosReport, SimResult, TelemetryReport};
 
 use crate::json::{self, Json};
 
@@ -159,20 +160,12 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!(
-            "[{},{},{},{},{},{}]",
-            c.instructions,
-            c.cycles,
-            c.loads,
-            c.stores,
-            c.dispatch_stall_cycles,
-            c.dependency_stall_cycles
-        ));
+        push_counters(&mut s, c);
     }
     s.push_str("],\"l1d\":");
-    push_cache(&mut s, &r.l1d);
+    push_counters(&mut s, &r.l1d);
     s.push_str(",\"llc\":");
-    push_cache(&mut s, &r.llc);
+    push_counters(&mut s, &r.llc);
     s.push_str(&format!(
         ",\"dram_transfers\":{},\"total_cycles\":{},\"debug\":[",
         r.dram_transfers, r.total_cycles
@@ -205,21 +198,7 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
     // off.
     if let Some(t) = &r.telemetry {
         s.push_str(",\"telemetry\":{\"counts\":");
-        // `dropped_queue` rides at the end, as in `push_cache`.
-        s.push_str(&format!(
-            "[{},{},{},{},{},{},{},{},{},{},{}]",
-            t.issued,
-            t.dropped_duplicate,
-            t.dropped_mshr,
-            t.timely,
-            t.late,
-            t.unused,
-            t.fills,
-            t.fill_latency_sum,
-            t.in_flight_at_end,
-            t.orphans,
-            t.dropped_queue
-        ));
+        push_counters(&mut s, t);
         s.push_str(",\"by_source\":[");
         for (i, (label, c)) in t.by_source.iter().enumerate() {
             if i > 0 {
@@ -228,7 +207,7 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
             s.push('[');
             json::push_string(&mut s, label);
             s.push(',');
-            push_source_counters(&mut s, c);
+            push_counters(&mut s, c);
             s.push(']');
         }
         s.push_str("],\"hot_pcs\":[");
@@ -237,17 +216,15 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
                 s.push(',');
             }
             s.push_str(&format!("[{pc},"));
-            push_source_counters(&mut s, c);
+            push_counters(&mut s, c);
             s.push(']');
         }
         s.push_str("]}");
     }
     // Also optional: only trace-replay cells carry ingestion accounting.
     if let Some(g) = &r.ingest {
-        s.push_str(&format!(
-            ",\"ingest\":[{},{},{},{}]",
-            g.delivered_records, g.quarantined_records, g.quarantined_bytes, g.skipped_chunks
-        ));
+        s.push_str(",\"ingest\":");
+        push_counters(&mut s, g);
     }
     // Optional again: only `percore`-throttled runs carry QoS accounting.
     if let Some(q) = &r.qos {
@@ -256,55 +233,22 @@ pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!(
-                "[{},{},{},{},{},{},{},{},{}]",
-                c.demand_accesses,
-                c.pf_issued,
-                c.pf_used,
-                c.prefetch_reads,
-                c.reads,
-                c.epochs,
-                c.degrades,
-                c.upgrades,
-                c.final_level
-            ));
+            push_counters(&mut s, c);
         }
-        s.push_str(&format!(
-            "],\"watchdog\":[{},{},{},{}]}}",
-            q.watchdog_epochs, q.watchdog_starved_epochs, q.watchdog_clamps, q.watchdog_exempted
-        ));
+        s.push_str("],\"watchdog\":");
+        push_counters(&mut s, q);
+        s.push('}');
     }
     s.push('}');
     s
 }
 
-fn push_source_counters(s: &mut String, c: &SourceCounters) {
-    s.push_str(&format!(
-        "[{},{},{},{},{}]",
-        c.issued, c.timely, c.late, c.unused, c.dropped
-    ));
-}
-
-fn push_cache(s: &mut String, c: &CacheStats) {
-    // `pf_dropped_queue` rides at the *end*, not at its struct position.
-    s.push_str(&format!(
-        "[{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}]",
-        c.demand_accesses,
-        c.demand_hits,
-        c.demand_hits_pending,
-        c.demand_misses,
-        c.demand_mshr_stalls,
-        c.evictions,
-        c.writebacks,
-        c.pf_requested,
-        c.pf_dropped_duplicate,
-        c.pf_dropped_mshr,
-        c.pf_issued,
-        c.pf_useful,
-        c.pf_late,
-        c.pf_useless,
-        c.pf_dropped_queue
-    ));
+/// Appends a struct's counters as one JSON array, in walk order.
+fn push_counters(s: &mut String, c: &impl Counters) {
+    let values: Vec<String> = c.values().iter().map(u64::to_string).collect();
+    s.push('[');
+    s.push_str(&values.join(","));
+    s.push(']');
 }
 
 // --- parsing -------------------------------------------------------------
@@ -320,30 +264,14 @@ fn parse_entry(line: &str) -> Option<(String, SimResult)> {
     if !key.starts_with("run:") {
         return None;
     }
-    let cores = root
-        .field("cores")?
-        .arr()?
-        .iter()
-        .map(parse_core)
-        .collect::<Option<Vec<_>>>()?;
     let result = SimResult {
-        cores,
-        l1d: parse_cache(root.field("l1d")?)?,
-        llc: parse_cache(root.field("llc")?)?,
+        cores: list(root.field("cores")?, counters)?,
+        l1d: counters(root.field("l1d")?)?,
+        llc: counters(root.field("llc")?)?,
         dram_transfers: root.field("dram_transfers")?.num()?,
         total_cycles: root.field("total_cycles")?.num()?,
-        prefetcher_debug: root
-            .field("debug")?
-            .arr()?
-            .iter()
-            .map(|v| v.str().map(str::to_string))
-            .collect::<Option<Vec<_>>>()?,
-        prefetcher_metrics: root
-            .field("metrics")?
-            .arr()?
-            .iter()
-            .map(parse_metrics)
-            .collect::<Option<Vec<_>>>()?,
+        prefetcher_debug: list(root.field("debug")?, |v| v.str().map(str::to_string))?,
+        prefetcher_metrics: list(root.field("metrics")?, parse_metrics)?,
         // Optional: absent when the run had telemetry off.
         telemetry: match root.field("telemetry") {
             Some(v) => Some(parse_telemetry(v)?),
@@ -351,187 +279,69 @@ fn parse_entry(line: &str) -> Option<(String, SimResult)> {
         },
         // Optional: only trace-replay cells carry it.
         ingest: match root.field("ingest") {
-            Some(v) => Some(parse_ingest(v)?),
+            Some(v) => Some(counters(v)?),
             None => None,
         },
         // Optional: only percore-throttled lines carry QoS accounting.
         qos: match root.field("qos") {
-            Some(v) => Some(parse_qos(v)?),
+            Some(v) => Some(QosReport {
+                cores: list(v.field("cores")?, counters)?,
+                ..counters(v.field("watchdog")?)?
+            }),
             None => None,
         },
     };
     Some((key.to_string(), result))
 }
 
-fn parse_ingest(v: &Json) -> Option<IngestReport> {
-    let a = v.arr()?;
-    // Exactly 4 today; extra counters would ride at the end, so accept
-    // longer arrays for forward compatibility but never shorter.
-    if a.len() < 4 {
-        return None;
-    }
-    Some(IngestReport {
-        delivered_records: a[0].num()?,
-        quarantined_records: a[1].num()?,
-        quarantined_bytes: a[2].num()?,
-        skipped_chunks: a[3].num()?,
-    })
+/// Reads an array of exactly one number per counter of `C`, in walk
+/// order.
+fn counters<C: Counters>(v: &Json) -> Option<C> {
+    let values = list(v, Json::num)?;
+    C::from_values(&values)
 }
 
-fn parse_qos(v: &Json) -> Option<QosReport> {
-    let cores = v
-        .field("cores")?
-        .arr()?
-        .iter()
-        .map(|c| {
-            let a = c.arr()?;
-            // Exactly 9 today; extras would ride at the end.
-            if a.len() < 9 {
-                return None;
-            }
-            Some(CoreQos {
-                demand_accesses: a[0].num()?,
-                pf_issued: a[1].num()?,
-                pf_used: a[2].num()?,
-                prefetch_reads: a[3].num()?,
-                reads: a[4].num()?,
-                epochs: a[5].num()?,
-                degrades: a[6].num()?,
-                upgrades: a[7].num()?,
-                final_level: u8::try_from(a[8].num()?).ok()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let wd = v.field("watchdog")?.arr()?;
-    if wd.len() < 4 {
-        return None;
-    }
-    Some(QosReport {
-        cores,
-        watchdog_epochs: wd[0].num()?,
-        watchdog_starved_epochs: wd[1].num()?,
-        watchdog_clamps: wd[2].num()?,
-        watchdog_exempted: wd[3].num()?,
-    })
+/// Reads an array whose every element `parse` accepts.
+fn list<T>(v: &Json, parse: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+    v.arr()?.iter().map(parse).collect()
 }
 
 fn parse_telemetry(v: &Json) -> Option<TelemetryReport> {
-    let counts = v.field("counts")?.arr()?;
-    if counts.len() != 11 {
-        return None;
-    }
     Some(TelemetryReport {
-        issued: counts[0].num()?,
-        dropped_duplicate: counts[1].num()?,
-        dropped_mshr: counts[2].num()?,
-        timely: counts[3].num()?,
-        late: counts[4].num()?,
-        unused: counts[5].num()?,
-        fills: counts[6].num()?,
-        fill_latency_sum: counts[7].num()?,
-        in_flight_at_end: counts[8].num()?,
-        orphans: counts[9].num()?,
-        dropped_queue: counts[10].num()?,
-        by_source: v
-            .field("by_source")?
-            .arr()?
-            .iter()
-            .map(|pair| {
-                let a = pair.arr()?;
-                if a.len() != 2 {
-                    return None;
-                }
-                Some((a[0].str()?.to_string(), parse_source_counters(&a[1])?))
-            })
-            .collect::<Option<Vec<_>>>()?,
-        hot_pcs: v
-            .field("hot_pcs")?
-            .arr()?
-            .iter()
-            .map(|pair| {
-                let a = pair.arr()?;
-                if a.len() != 2 {
-                    return None;
-                }
-                Some((a[0].num()?, parse_source_counters(&a[1])?))
-            })
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
-
-fn parse_source_counters(v: &Json) -> Option<SourceCounters> {
-    let a = v.arr()?;
-    if a.len() != 5 {
-        return None;
-    }
-    Some(SourceCounters {
-        issued: a[0].num()?,
-        timely: a[1].num()?,
-        late: a[2].num()?,
-        unused: a[3].num()?,
-        dropped: a[4].num()?,
-    })
-}
-
-fn parse_core(v: &Json) -> Option<CoreStats> {
-    let a = v.arr()?;
-    if a.len() != 6 {
-        return None;
-    }
-    Some(CoreStats {
-        instructions: a[0].num()?,
-        cycles: a[1].num()?,
-        loads: a[2].num()?,
-        stores: a[3].num()?,
-        dispatch_stall_cycles: a[4].num()?,
-        dependency_stall_cycles: a[5].num()?,
-    })
-}
-
-fn parse_cache(v: &Json) -> Option<CacheStats> {
-    let a = v.arr()?;
-    if a.len() != 15 {
-        return None;
-    }
-    Some(CacheStats {
-        demand_accesses: a[0].num()?,
-        demand_hits: a[1].num()?,
-        demand_hits_pending: a[2].num()?,
-        demand_misses: a[3].num()?,
-        demand_mshr_stalls: a[4].num()?,
-        evictions: a[5].num()?,
-        writebacks: a[6].num()?,
-        pf_requested: a[7].num()?,
-        pf_dropped_duplicate: a[8].num()?,
-        pf_dropped_mshr: a[9].num()?,
-        pf_issued: a[10].num()?,
-        pf_useful: a[11].num()?,
-        pf_late: a[12].num()?,
-        pf_useless: a[13].num()?,
-        pf_dropped_queue: a[14].num()?,
+        by_source: list(v.field("by_source")?, |pair| {
+            let [label, c] = pair.arr()? else {
+                return None;
+            };
+            Some((label.str()?.to_string(), counters(c)?))
+        })?,
+        hot_pcs: list(v.field("hot_pcs")?, |pair| {
+            let [pc, c] = pair.arr()? else {
+                return None;
+            };
+            Some((pc.num()?, counters(c)?))
+        })?,
+        ..counters(v.field("counts")?)?
     })
 }
 
 fn parse_metrics(v: &Json) -> Option<Vec<(&'static str, f64)>> {
-    v.arr()?
-        .iter()
-        .map(|pair| {
-            let a = pair.arr()?;
-            if a.len() != 2 {
-                return None;
-            }
-            // Metric names are `&'static str` in SimResult; the small,
-            // bounded set of distinct names makes leaking them the
-            // pragmatic way to restore that lifetime from a file.
-            let name: &'static str = Box::leak(a[0].str()?.into());
-            Some((name, f64::from_bits(a[1].num()?)))
-        })
-        .collect()
+    list(v, |pair| {
+        let [name, bits] = pair.arr()? else {
+            return None;
+        };
+        // Metric names are `&'static str` in SimResult; the small,
+        // bounded set of distinct names makes leaking them the
+        // pragmatic way to restore that lifetime from a file.
+        let name: &'static str = Box::leak(name.str()?.into());
+        Some((name, f64::from_bits(bits.num()?)))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bingo_sim::{CacheStats, CoreQos, CoreStats, IngestReport, SourceCounters};
+    use std::collections::HashSet;
 
     /// `serialize_entry` of a result with every optional field.
     const PINNED: &str = concat!(
@@ -543,7 +353,7 @@ mod tests {
         r#""debug":["plain","quotes \" and \\ and\nnewline \u0001 unicode é"],"#,
         r#""metrics":[[["coverage",4592086352849071506],"#,
         r#"["nan_metric",9221120237041090560]],[]],"#,
-        r#""telemetry":{"counts":[105,3,2,60,20,20,95,40000,0,0,1],"#,
+        r#""telemetry":{"counts":[95,40000,0,0],"#,
         r#""by_source":[["long",[64,32,16,8,4]],["short",[32,16,8,4,2]]],"#,
         r#""hot_pcs":[[1024,[48,24,12,6,3]],[4660,[16,8,4,2,1]]]},"#,
         r#""ingest":[10000,37,612,3],"#,
@@ -603,29 +413,73 @@ mod tests {
         }
     }
 
-    fn sample_telemetry(salt: u64) -> TelemetryReport {
-        let c = |base: u64| SourceCounters {
-            issued: base,
-            timely: base / 2,
-            late: base / 4,
-            unused: base / 8,
-            dropped: base / 16,
-        };
-        TelemetryReport {
-            issued: 100 + salt,
-            dropped_duplicate: 3,
-            dropped_mshr: 2,
-            dropped_queue: 1,
-            timely: 60,
-            late: 20,
-            unused: 20,
-            fills: 95,
-            fill_latency_sum: 40_000,
-            in_flight_at_end: 0,
-            orphans: 0,
-            by_source: vec![("long".to_string(), c(64)), ("short".to_string(), c(32))],
-            hot_pcs: vec![(0x400, c(48)), (0x1234, c(16))],
+    /// A `C` whose counters hold the next distinct values of `next`.
+    fn distinct<C: Counters + Default>(next: &mut u64) -> C {
+        let len = C::default().values().len() as u64;
+        let values: Vec<u64> = (*next..*next + len).collect();
+        *next += len;
+        C::from_values(&values).expect("small values fit every counter")
+    }
+
+    /// A result carrying all three optional fields, every walked counter
+    /// set to a value no other counter holds.
+    fn distinct_result() -> SimResult {
+        let mut n = 1;
+        SimResult {
+            cores: vec![distinct(&mut n), distinct(&mut n)],
+            l1d: distinct(&mut n),
+            llc: distinct(&mut n),
+            telemetry: Some(TelemetryReport {
+                by_source: vec![
+                    ("long".to_string(), distinct(&mut n)),
+                    ("short".to_string(), distinct(&mut n)),
+                ],
+                hot_pcs: vec![(0x400, distinct(&mut n)), (0x1234, distinct(&mut n))],
+                ..distinct(&mut n)
+            }),
+            ingest: Some(distinct(&mut n)),
+            qos: Some(QosReport {
+                cores: vec![distinct(&mut n), distinct(&mut n)],
+                ..distinct(&mut n)
+            }),
+            ..sample_result(0)
         }
+    }
+
+    /// Every walked struct of `r` as `(name, walk values)`, the counter
+    /// arrays a line carries.
+    fn walks(r: &SimResult) -> Vec<(String, Vec<u64>)> {
+        let mut out = Vec::new();
+        for (i, c) in r.cores.iter().enumerate() {
+            out.push((format!("core {i}"), c.values()));
+        }
+        out.push(("l1d".into(), r.l1d.values()));
+        out.push(("llc".into(), r.llc.values()));
+        if let Some(t) = &r.telemetry {
+            out.push(("telemetry counts".into(), t.values()));
+            for (label, c) in &t.by_source {
+                out.push((format!("by_source {label}"), c.values()));
+            }
+            for (pc, c) in &t.hot_pcs {
+                out.push((format!("hot_pcs {pc:#x}"), c.values()));
+            }
+        }
+        if let Some(g) = &r.ingest {
+            out.push(("ingest".into(), g.values()));
+        }
+        if let Some(q) = &r.qos {
+            for (i, c) in q.cores.iter().enumerate() {
+                out.push((format!("qos core {i}"), c.values()));
+            }
+            out.push(("watchdog".into(), q.values()));
+        }
+        out
+    }
+
+    /// `values` as the JSON array a line carries.
+    fn array(values: &[u64]) -> String {
+        let text: Vec<String> = values.iter().map(u64::to_string).collect();
+        format!("[{}]", text.join(","))
     }
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -654,134 +508,109 @@ mod tests {
             }
         }
         assert_eq!(a.telemetry, b.telemetry);
+        assert_eq!(a.ingest, b.ingest);
+        assert_eq!(a.qos, b.qos);
     }
 
+    /// Every walked counter, each holding its own value, comes back from
+    /// the line in its own struct and position.
     #[test]
     fn round_trip_preserves_every_bit() {
-        let r = sample_result(1);
+        let r = distinct_result();
+        let expected = walks(&r);
+        let all: Vec<u64> = expected.iter().flat_map(|(_, v)| v.clone()).collect();
+        assert_eq!(
+            all.len(),
+            all.iter().collect::<HashSet<_>>().len(),
+            "values are distinct"
+        );
         let line = serialize_entry("run:1000/500/Em3d/Bingo", &r);
         let (key, parsed) = parse_entry(&line).expect("own output parses");
         assert_eq!(key, "run:1000/500/Em3d/Bingo");
+        assert_eq!(walks(&parsed), expected);
         assert_bit_equal(&r, &parsed);
-        // A 14-counter cache array (the pre-queue layout) is corrupt, and
-        // a key under an older format is stale.
-        let short = line.replace("3,2,0,0,1]", "3,2,0,0]");
-        assert_ne!(short, line, "replacement must hit");
-        assert!(parse_entry(&short).is_none(), "14-element cache is corrupt");
         assert!(
             parse_entry(&line.replace("run:", "")).is_none(),
             "stale key"
         );
     }
 
+    /// Each counter array must hold exactly its walk's length: one value
+    /// more or fewer skips the whole line. So does a `final_level` that
+    /// does not fit its `u8`.
     #[test]
-    fn round_trip_preserves_telemetry() {
-        let mut r = sample_result(2);
-        r.telemetry = Some(sample_telemetry(7));
-        let line = serialize_entry("run:1000/500/Em3d/Bingo/Counts", &r);
+    fn counter_arrays_of_another_length_are_rejected() {
+        let r = distinct_result();
+        let line = serialize_entry("run:k", &r);
+        assert!(parse_entry(&line).is_some());
+        for (name, values) in walks(&r) {
+            let text = array(&values);
+            assert_eq!(line.matches(&text).count(), 1, "{name}: {text} in {line}");
+            let longer = array(&[&values[..], &[999]].concat());
+            let shorter = array(&values[..values.len() - 1]);
+            for bad in [longer, shorter] {
+                let edited = line.replace(&text, &bad);
+                assert!(parse_entry(&edited).is_none(), "{name} as {bad} parsed");
+            }
+        }
+        let core = r.qos.as_ref().expect("qos present").cores[0].values();
+        let with_level = |level: u64| {
+            let mut edited = core.clone();
+            *edited.last_mut().expect("final_level is walked last") = level;
+            line.replace(&array(&core), &array(&edited))
+        };
+        let parsed = parse_entry(&with_level(255)).expect("255 fits final_level");
+        assert_eq!(parsed.1.qos.expect("qos").cores[0].final_level, 255);
+        assert!(
+            parse_entry(&with_level(256)).is_none(),
+            "final_level 256 parsed"
+        );
+    }
+
+    /// A result lacking one optional field writes no such field and reads
+    /// back equal, with the field `None`.
+    fn round_trip_without(field: &str, strip: fn(&mut SimResult)) {
+        let mut r = distinct_result();
+        strip(&mut r);
+        let line = serialize_entry("run:k", &r);
+        assert!(!line.contains(&format!("\"{field}\"")), "{line}");
         let (_, parsed) = parse_entry(&line).expect("own output parses");
         assert_bit_equal(&r, &parsed);
-        // 10 counts (the pre-queue layout) are corrupt.
-        let short = line.replace(
-            "[107,3,2,60,20,20,95,40000,0,0,1]",
-            "[107,3,2,60,20,20,95,40000,0,0]",
-        );
-        assert_ne!(short, line, "replacement must hit");
-        assert!(
-            parse_entry(&short).is_none(),
-            "10 telemetry counts are corrupt"
-        );
-        // A telemetry-off result (no field) parses to None.
-        let plain = serialize_entry("run:k", &sample_result(2));
-        let (_, parsed) = parse_entry(&plain).expect("parses");
-        assert!(parsed.telemetry.is_none());
+    }
+
+    #[test]
+    fn round_trip_preserves_telemetry() {
+        round_trip_without("telemetry", |r| r.telemetry = None);
     }
 
     #[test]
     fn round_trip_preserves_ingest_report() {
-        let mut r = sample_result(9);
-        r.ingest = Some(bingo_sim::IngestReport {
-            delivered_records: 10_000,
-            quarantined_records: 37,
-            quarantined_bytes: 612,
-            skipped_chunks: 3,
-        });
-        let line = serialize_entry("run:10/5/trace=/tmp/t/Bingo", &r);
-        let (key, parsed) = parse_entry(&line).expect("parses");
-        assert_eq!(key, "run:10/5/trace=/tmp/t/Bingo");
-        assert_eq!(parsed.ingest, r.ingest);
-        // A live cell's line (no field) parses to None.
-        let plain = serialize_entry("run:k", &sample_result(2));
-        let (_, parsed) = parse_entry(&plain).expect("parses");
-        assert!(parsed.ingest.is_none());
-        // Longer arrays (future counters ride at the end) still parse;
-        // shorter ones are rejected as corrupt.
-        let extended = line.replace(
-            "\"ingest\":[10000,37,612,3]",
-            "\"ingest\":[10000,37,612,3,8]",
-        );
-        assert_ne!(extended, line, "replacement must hit");
-        assert_eq!(parse_entry(&extended).expect("parses").1.ingest, r.ingest);
-        let torn = line.replace("\"ingest\":[10000,37,612,3]", "\"ingest\":[10000,37]");
-        assert!(parse_entry(&torn).is_none(), "2-element ingest is corrupt");
+        round_trip_without("ingest", |r| r.ingest = None);
     }
 
     #[test]
     fn round_trip_preserves_qos_report() {
-        let mut r = sample_result(11);
-        r.qos = Some(QosReport {
-            cores: vec![
-                CoreQos {
-                    demand_accesses: 5_000,
-                    pf_issued: 900,
-                    pf_used: 700,
-                    prefetch_reads: 850,
-                    reads: 1_400,
-                    epochs: 12,
-                    degrades: 2,
-                    upgrades: 1,
-                    final_level: 1,
-                },
-                CoreQos {
-                    demand_accesses: 4_800,
-                    pf_issued: 40,
-                    pf_used: 39,
-                    prefetch_reads: 38,
-                    reads: 620,
-                    epochs: 12,
-                    degrades: 0,
-                    upgrades: 0,
-                    final_level: 0,
-                },
-            ],
-            watchdog_epochs: 6,
-            watchdog_starved_epochs: 2,
-            watchdog_clamps: 1,
-            watchdog_exempted: 0,
-        });
-        let line = serialize_entry("run:1000/500/mix/Percore", &r);
-        let (key, parsed) = parse_entry(&line).expect("own output parses");
-        assert_eq!(key, "run:1000/500/mix/Percore");
-        assert_eq!(parsed.qos, r.qos);
-        // A qos-free result serializes without the field at all and
-        // parses back to None.
-        let plain = serialize_entry("run:k", &sample_result(11));
-        assert!(!plain.contains("\"qos\""));
-        let (_, parsed) = parse_entry(&plain).expect("parses");
-        assert!(parsed.qos.is_none());
-        // A torn per-core array is corrupt, not silently zero-filled.
-        let torn = line.replace("[5000,900,700,850,1400,12,2,1,1]", "[5000,900]");
-        assert_ne!(torn, line, "replacement must hit");
-        assert!(
-            parse_entry(&torn).is_none(),
-            "2-element core qos is corrupt"
-        );
+        round_trip_without("qos", |r| r.qos = None);
     }
 
     #[test]
     fn serialized_line_is_pinned() {
+        let c = |base: u64| SourceCounters {
+            issued: base,
+            timely: base / 2,
+            late: base / 4,
+            unused: base / 8,
+            dropped: base / 16,
+        };
         let mut r = sample_result(3);
-        r.telemetry = Some(sample_telemetry(5));
+        r.telemetry = Some(TelemetryReport {
+            fills: 95,
+            fill_latency_sum: 40_000,
+            in_flight_at_end: 0,
+            orphans: 0,
+            by_source: vec![("long".to_string(), c(64)), ("short".to_string(), c(32))],
+            hot_pcs: vec![(0x400, c(48)), (0x1234, c(16))],
+        });
         r.ingest = Some(IngestReport {
             delivered_records: 10_000,
             quarantined_records: 37,
@@ -809,7 +638,6 @@ mod tests {
         assert_eq!(line, PINNED);
         let (_, parsed) = parse_entry(&line).expect("own output parses");
         assert_bit_equal(&r, &parsed);
-        assert_eq!((parsed.ingest, parsed.qos), (r.ingest, r.qos));
     }
 
     #[test]

@@ -57,7 +57,8 @@ fn blocks_hex(blocks: &[BlockAddr]) -> String {
 }
 
 /// Replays `trace` through already-constructed real and spec Bingo
-/// instances, diffing every step exactly.
+/// instances, diffing every step exactly: the real side stays at
+/// [`ThrottleLevel::Full`] throughout.
 ///
 /// Exposed separately from [`diff_bingo`] so callers can pair a spec with
 /// a [`Bingo::with_faults`] instance — the fault-detection test needs
@@ -77,51 +78,7 @@ pub fn diff_bingo_instances(
     spec: &mut SpecBingo,
     trace: &PrefetchTrace,
 ) -> Result<(), Mismatch> {
-    assert_eq!(
-        real.config().region,
-        trace.geometry(),
-        "real prefetcher geometry must match the trace"
-    );
-    assert_eq!(
-        spec.config().region,
-        trace.geometry(),
-        "spec geometry must match the trace"
-    );
-    for (i, &event) in trace.events().iter().enumerate() {
-        match event {
-            PrefetchEvent::Access { pc, block } => {
-                let info = AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), i as u64);
-                let got = real.step(&info);
-                let want = spec.step(&info);
-                if got.trigger != want.trigger
-                    || got.source != want.source
-                    || got.prefetches != want.prefetches
-                {
-                    return Err(Mismatch {
-                        oracle: "SpecBingo".into(),
-                        index: i,
-                        event,
-                        detail: format!(
-                            "real: trigger={} source={:?} burst={}; \
-                             spec: trigger={} source={:?} burst={}",
-                            got.trigger,
-                            got.source,
-                            blocks_hex(&got.prefetches),
-                            want.trigger,
-                            want.source,
-                            blocks_hex(&want.prefetches),
-                        ),
-                    });
-                }
-            }
-            PrefetchEvent::Evict { block } => {
-                let block = BlockAddr::new(block);
-                real.on_eviction(block);
-                spec.evict(block);
-            }
-        }
-    }
-    Ok(())
+    diff_bingo_scheduled(real, spec, trace, |_| ThrottleLevel::Full)
 }
 
 /// Replays `trace` through a fresh clean [`Bingo`] built from `cfg` and a
@@ -202,14 +159,8 @@ fn is_subsequence(sub: &[BlockAddr], sup: &[BlockAddr]) -> bool {
 
 /// Replays `trace` through a throttled real Bingo — its level driven by
 /// [`throttle_schedule`] — against an *unthrottled* [`SpecBingo`],
-/// checking the subtractive-throttling contract at every step:
-///
-/// * trigger classification matches exactly (throttling must not disturb
-///   observation or training),
-/// * the throttled burst is an ordered subsequence of the unthrottled
-///   spec burst (throttling only ever removes candidates),
-/// * at [`ThrottleLevel::Full`] the burst and prediction source match the
-///   spec exactly (no residue from earlier throttled steps).
+/// checking the subtractive-throttling contract at every step (see
+/// [`diff_bingo_scheduled`]).
 ///
 /// # Errors
 ///
@@ -221,23 +172,50 @@ fn is_subsequence(sub: &[BlockAddr], sup: &[BlockAddr]) -> bool {
 pub fn diff_bingo_throttled(cfg: &BingoConfig, trace: &PrefetchTrace) -> Result<(), Mismatch> {
     let mut real = Bingo::new(*cfg);
     let mut spec = SpecBingo::new(*cfg);
+    diff_bingo_scheduled(&mut real, &mut spec, trace, throttle_schedule)
+}
+
+/// The one Bingo replay loop: before each access the real Bingo is set to
+/// `schedule(event index)`, and its step is checked against the
+/// unthrottled spec's:
+///
+/// * trigger classification matches exactly (throttling must not disturb
+///   observation or training),
+/// * the real burst is an ordered subsequence of the spec burst
+///   (throttling only ever removes candidates),
+/// * at [`ThrottleLevel::Full`] the burst and prediction source match the
+///   spec exactly (no residue from earlier throttled steps).
+///
+/// With every step at `Full` these checks fail exactly when an exact diff
+/// would: a burst that is not a subsequence also differs.
+fn diff_bingo_scheduled(
+    real: &mut Bingo,
+    spec: &mut SpecBingo,
+    trace: &PrefetchTrace,
+    schedule: fn(usize) -> ThrottleLevel,
+) -> Result<(), Mismatch> {
     assert_eq!(
-        cfg.region,
+        real.config().region,
         trace.geometry(),
-        "config geometry must match the trace"
+        "real prefetcher geometry must match the trace"
+    );
+    assert_eq!(
+        spec.config().region,
+        trace.geometry(),
+        "spec geometry must match the trace"
     );
     for (i, &event) in trace.events().iter().enumerate() {
         match event {
             PrefetchEvent::Access { pc, block } => {
-                let level = throttle_schedule(i);
+                let level = schedule(i);
                 real.set_throttle_level(level);
                 let info = AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), i as u64);
                 let got = real.step(&info);
                 let want = spec.step(&info);
                 let fail = if got.trigger != want.trigger {
-                    Some("trigger classification diverged under throttling")
+                    Some("trigger classification diverged")
                 } else if !is_subsequence(&got.prefetches, &want.prefetches) {
-                    Some("throttled burst is not a subsequence of the unthrottled spec burst")
+                    Some("real burst is not a subsequence of the unthrottled spec burst")
                 } else if level == ThrottleLevel::Full
                     && (got.source != want.source || got.prefetches != want.prefetches)
                 {
@@ -247,7 +225,7 @@ pub fn diff_bingo_throttled(cfg: &BingoConfig, trace: &PrefetchTrace) -> Result<
                 };
                 if let Some(why) = fail {
                     return Err(Mismatch {
-                        oracle: "SpecBingo(throttled)".into(),
+                        oracle: "SpecBingo".into(),
                         index: i,
                         event,
                         detail: format!(
@@ -474,26 +452,8 @@ mod tests {
                 };
                 let mut real = Bingo::new(loose);
                 let mut spec = SpecBingo::new(tight);
-                trace
-                    .events()
-                    .iter()
-                    .enumerate()
-                    .any(|(i, &event)| match event {
-                        PrefetchEvent::Access { pc, block } => {
-                            real.set_throttle_level(throttle_schedule(i));
-                            let info =
-                                AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), i as u64);
-                            let got = real.step(&info);
-                            let want = spec.step(&info);
-                            !is_subsequence(&got.prefetches, &want.prefetches)
-                        }
-                        PrefetchEvent::Evict { block } => {
-                            let block = BlockAddr::new(block);
-                            real.on_eviction(block);
-                            spec.evict(block);
-                            false
-                        }
-                    })
+                diff_bingo_scheduled(&mut real, &mut spec, &trace, throttle_schedule)
+                    .is_err_and(|m| m.detail.contains("not a subsequence"))
             })
         });
         assert!(

@@ -50,7 +50,7 @@ pub use mix::{
 };
 pub use perf_record::{
     calibration_record, load_records, time_median, BenchRecord, BenchWriter, Sample,
-    BENCH_JSON_ENV, BENCH_MERGE_ENV, BENCH_THRESHOLD_ENV, CALIBRATION_KEY,
+    BENCH_JSON_ENV, CALIBRATION_KEY,
 };
 pub use runner::{
     default_jobs, geometric_mean, mean, parallel_map, run_one, summary_table, telemetry_from_env,

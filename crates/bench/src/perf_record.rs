@@ -14,9 +14,10 @@
 //! one process dedupe instead of double-reporting). Unlike the stats
 //! export, the target file is *merged*, not truncated: both bench binaries
 //! write to the one snapshot file, so a writer loads existing records,
-//! replaces only the keys it re-measured, and atomically rewrites the
-//! whole file via a temp-file rename — a crashed writer can never leave a
-//! half-written snapshot behind.
+//! keeps the better of the existing and the new record for each key it
+//! re-measured, and atomically rewrites the whole file via a temp-file
+//! rename — a crashed writer can never leave a half-written snapshot
+//! behind.
 //!
 //! The `unit` string doubles as the comparison direction: units ending in
 //! `/s` are throughputs (higher is better); everything else (`ms/run`,
@@ -32,10 +33,6 @@ use crate::json::{self, Json};
 
 /// Environment variable naming the bench-record output file.
 pub const BENCH_JSON_ENV: &str = "BINGO_BENCH_JSON";
-
-/// Environment variable overriding the regression threshold of
-/// `bench_compare` (a fraction, e.g. `0.15`).
-pub const BENCH_THRESHOLD_ENV: &str = "BINGO_BENCH_THRESHOLD";
 
 /// Key of the host-speed calibration case every bench binary records.
 ///
@@ -200,28 +197,23 @@ pub fn load_records(path: &Path) -> io::Result<Vec<BenchRecord>> {
 ///
 /// Each [`BenchWriter::record`] call rewrites the target file atomically
 /// (temp file + rename) with the merged record set: existing keys not
-/// re-measured by this process are preserved, re-measured keys are
-/// replaced, and a key recorded twice by this process is written once
-/// (first measurement wins, matching the stats-export dedup policy).
+/// re-measured by this process are preserved, a re-measured key keeps
+/// whichever record is *better* (by its unit's direction), and a key
+/// recorded twice by this process is written once (first measurement
+/// wins, matching the stats-export dedup policy).
 ///
-/// With `BINGO_BENCH_MERGE=best` a re-measured key instead keeps
-/// whichever record is *better* (by its unit's direction). Repeated
-/// `cargo bench` runs into the same file then accumulate a best-of-runs
-/// snapshot: contention from co-tenant load only ever adds time, so the
-/// per-key minimum converges on the host's intrinsic speed — the right
-/// baseline to commit from a shared or otherwise noisy machine.
+/// Repeated `cargo bench` runs into the same file therefore accumulate a
+/// best-of-runs snapshot: contention from co-tenant load only ever adds
+/// time, so the per-key minimum converges on the host's intrinsic speed —
+/// the right baseline to commit from a shared or otherwise noisy machine.
+/// To record a slower baseline on purpose, accumulate into an empty file
+/// and copy it over the snapshot.
 #[derive(Debug)]
 pub struct BenchWriter {
     path: PathBuf,
     records: Vec<BenchRecord>,
     written: HashSet<String>,
-    keep_best: bool,
 }
-
-/// Environment variable selecting the writer's cross-run merge policy:
-/// unset/`replace` overwrites re-measured keys, `best` keeps the better
-/// of the existing and new record.
-pub const BENCH_MERGE_ENV: &str = "BINGO_BENCH_MERGE";
 
 impl BenchWriter {
     /// Opens (or creates) the bench-record file at `path`, loading any
@@ -243,34 +235,22 @@ impl BenchWriter {
             path,
             records,
             written: HashSet::new(),
-            keep_best: false,
         })
     }
 
-    /// Switches the cross-run merge policy to keep-the-better-record.
-    pub fn keep_best(mut self) -> BenchWriter {
-        self.keep_best = true;
-        self
-    }
-
     /// Builds the writer named by `BINGO_BENCH_JSON`, or `None` when the
-    /// variable is unset. `BINGO_BENCH_MERGE=best` selects the
-    /// keep-the-better-record policy.
+    /// variable is unset.
     ///
     /// # Panics
     ///
     /// Panics if the variable is set but the file cannot be opened or
-    /// parsed (a run asked to record measurements must not drop them), or
-    /// if `BINGO_BENCH_MERGE` names an unknown policy.
+    /// parsed (a run asked to record measurements must not drop them).
     pub fn from_env() -> Option<BenchWriter> {
         let path = std::env::var(BENCH_JSON_ENV).ok()?;
-        let writer = BenchWriter::open(&path)
-            .unwrap_or_else(|e| panic!("{BENCH_JSON_ENV}: cannot open {path:?}: {e}"));
-        match std::env::var(BENCH_MERGE_ENV).as_deref() {
-            Ok("best") => Some(writer.keep_best()),
-            Ok("replace") | Err(_) => Some(writer),
-            Ok(other) => panic!("{BENCH_MERGE_ENV}={other:?}: expected \"best\" or \"replace\""),
-        }
+        Some(
+            BenchWriter::open(&path)
+                .unwrap_or_else(|e| panic!("{BENCH_JSON_ENV}: cannot open {path:?}: {e}")),
+        )
     }
 
     /// The target file.
@@ -289,8 +269,7 @@ impl BenchWriter {
             return Ok(());
         }
         if let Some(existing) = self.records.iter_mut().find(|r| r.key == record.key) {
-            let keep_existing = self.keep_best
-                && existing.unit == record.unit
+            let keep_existing = existing.unit == record.unit
                 && if record.higher_is_better() {
                     existing.median >= record.median
                 } else {
@@ -482,9 +461,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut w = BenchWriter::open(&path).expect("open fresh");
         w.record(rec("a", 1.0)).expect("a");
-        w.record(rec("b", 2.0)).expect("b");
+        w.record(rec("b", 7.0)).expect("b");
         drop(w);
-        // A second writer (another bench binary) updates one key and adds
+        // A second writer (another bench binary) improves one key and adds
         // another; the untouched key survives.
         let mut w = BenchWriter::open(&path).expect("reopen");
         w.record(rec("b", 5.0)).expect("update b");
@@ -506,17 +485,17 @@ mod tests {
     }
 
     #[test]
-    fn keep_best_policy_prefers_better_existing_records() {
+    fn writer_keeps_the_better_of_existing_and_new_records() {
         let path = tmp("keepbest.json");
         let _ = std::fs::remove_file(&path);
-        let mut w = BenchWriter::open(&path).expect("open").keep_best();
+        let mut w = BenchWriter::open(&path).expect("open");
         w.record(rec("cost", 5.0)).expect("seed cost");
         drop(w);
         // Second "run": a slower cost is discarded, a faster one kept.
-        let mut w = BenchWriter::open(&path).expect("reopen").keep_best();
+        let mut w = BenchWriter::open(&path).expect("reopen");
         w.record(rec("cost", 9.0)).expect("slower ignored");
         drop(w);
-        let mut w = BenchWriter::open(&path).expect("reopen").keep_best();
+        let mut w = BenchWriter::open(&path).expect("reopen");
         w.record(rec("cost", 3.0)).expect("faster kept");
         // Throughput direction: higher wins.
         let thru = |median: f64| BenchRecord {
@@ -529,7 +508,7 @@ mod tests {
         };
         w.record(thru(40.0)).expect("seed thru");
         drop(w);
-        let mut w = BenchWriter::open(&path).expect("reopen").keep_best();
+        let mut w = BenchWriter::open(&path).expect("reopen");
         w.record(thru(55.0)).expect("higher kept");
         drop(w);
         let records = load_records(&path).expect("load");

@@ -1380,7 +1380,7 @@ pub fn summary_table<S: AsRef<str>>(first_column: &str, rows: &[(S, PrefetcherKi
 mod tests {
     use super::*;
     use crate::mix::MixAssignment;
-    use bingo_sim::RegionGeometry;
+    use bingo_sim::{Counters, RegionGeometry, SourceCounters};
 
     /// Every constructible kind, one representative per variant.
     fn all_kinds() -> Vec<PrefetcherKind> {
@@ -1839,23 +1839,28 @@ mod tests {
             .filter_map(|l| t.source(l))
             .map(|c| c.issued)
             .sum();
-        assert!(t.issued > 0, "Bingo must prefetch on streaming");
-        assert_eq!(attributed, t.issued, "every Bingo burst is attributed");
+        assert!(llc.pf_issued > 0, "Bingo must prefetch on streaming");
+        assert_eq!(attributed, llc.pf_issued, "every Bingo burst is attributed");
     }
 
-    /// The ledger agrees with the cache's own lifecycle counters —
-    /// including every per-reason drop class, so a prefetch that never
-    /// issued is still accounted for exactly once.
+    /// The ledger's per-source counters sum to the cache's own lifecycle
+    /// counters — drops to every reason together, so a prefetch that
+    /// never issued is still accounted for exactly once.
     fn assert_ledger_matches_llc(result: &SimResult) {
         let t = result.telemetry.as_ref().expect("report attached");
+        let mut sum = SourceCounters::default();
+        for (_, c) in &t.by_source {
+            sum.add(c);
+        }
         let llc = &result.llc;
-        assert_eq!(t.issued, llc.pf_issued);
-        assert_eq!(t.timely, llc.pf_useful);
-        assert_eq!(t.late, llc.pf_late);
-        assert_eq!(t.unused, llc.pf_useless);
-        assert_eq!(t.dropped_duplicate, llc.pf_dropped_duplicate);
-        assert_eq!(t.dropped_mshr, llc.pf_dropped_mshr);
-        assert_eq!(t.dropped_queue, llc.pf_dropped_queue);
+        assert_eq!(sum.issued, llc.pf_issued);
+        assert_eq!(sum.timely, llc.pf_useful);
+        assert_eq!(sum.late, llc.pf_late);
+        assert_eq!(sum.unused, llc.pf_useless);
+        assert_eq!(
+            sum.dropped,
+            llc.pf_dropped_duplicate + llc.pf_dropped_mshr + llc.pf_dropped_queue
+        );
         assert_eq!(t.orphans, 0, "no ledger record may be orphaned");
     }
 

@@ -76,11 +76,11 @@ pub use openmap::OpenMap;
 pub use prefetch::{AccessInfo, FaultyPrefetcher, NextLinePrefetcher, NoPrefetcher, Prefetcher};
 pub use replay::{PrefetchEvent, PrefetchTrace, ReplayParseError, ReplayStep};
 pub use stats::{
-    CacheStats, CoreQos, CoreStats, CoverageReport, IngestReport, QosReport, SimResult,
+    CacheStats, CoreQos, CoreStats, Counters, CoverageReport, IngestReport, QosReport, SimResult,
 };
 pub use system::{SimAbort, System};
 pub use telemetry::{
-    DropReason, PrefetchLedger, PrefetchSource, SourceCounters, TelemetryLevel, TelemetryReport,
+    PrefetchLedger, PrefetchSource, SourceCounters, TelemetryLevel, TelemetryReport,
 };
 pub use throttle::{
     CoreSignals, Throttle, ThrottleLevel, ThrottleMode, ThrottleStats, WatchdogStats, QOS_SLO,

@@ -24,10 +24,8 @@ use crate::cache::{Cache, Lookup};
 use crate::config::SystemConfig;
 use crate::dram::Dram;
 use crate::prefetch::{AccessInfo, Prefetcher};
-use crate::stats::{CacheStats, QosReport};
-use crate::telemetry::{
-    DropReason, PrefetchLedger, PrefetchSource, TelemetryLevel, TelemetryReport,
-};
+use crate::stats::{CacheStats, Counters, QosReport};
+use crate::telemetry::{PrefetchLedger, PrefetchSource, TelemetryLevel, TelemetryReport};
 use crate::throttle::{Throttle, ThrottleLevel, ThrottleMode};
 
 /// Result of issuing a memory operation.
@@ -155,14 +153,7 @@ impl MemorySystem {
     pub fn l1d_stats_sum(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for l1 in &self.l1s {
-            let s = &l1.stats;
-            total.demand_accesses += s.demand_accesses;
-            total.demand_hits += s.demand_hits;
-            total.demand_hits_pending += s.demand_hits_pending;
-            total.demand_misses += s.demand_misses;
-            total.demand_mshr_stalls += s.demand_mshr_stalls;
-            total.evictions += s.evictions;
-            total.writebacks += s.writebacks;
+            total.add(&l1.stats);
         }
         total
     }
@@ -499,7 +490,7 @@ impl MemorySystem {
         self.llc.stats.pf_requested += 1;
         if self.llc.probe(block) {
             self.llc.stats.pf_dropped_duplicate += 1;
-            self.ledger.dropped(pc, source, DropReason::Duplicate);
+            self.ledger.dropped(pc, source);
             return;
         }
         // The bounded prefetch queue sits in front of the MSHR file: a
@@ -509,7 +500,7 @@ impl MemorySystem {
         if let Some(depth) = self.cfg.prefetch_queue_depth {
             if self.llc.prefetches_in_flight() >= depth {
                 self.llc.stats.pf_dropped_queue += 1;
-                self.ledger.dropped(pc, source, DropReason::QueueFull);
+                self.ledger.dropped(pc, source);
                 return;
             }
         }
@@ -518,7 +509,7 @@ impl MemorySystem {
             .mshr_available_for_prefetch(self.cfg.llc_mshrs_reserved_for_demand)
         {
             self.llc.stats.pf_dropped_mshr += 1;
-            self.ledger.dropped(pc, source, DropReason::MshrFull);
+            self.ledger.dropped(pc, source);
             return;
         }
         let ready = self
@@ -762,10 +753,14 @@ mod tests {
         mem.drain();
         mem.issue_prefetch(BlockAddr::new(2000), 0);
         assert_eq!(mem.llc_stats().pf_issued, 5);
-        // The ledger classifies the same drops by the same reason.
+        // The ledger attributes the same drops and issues to their source.
         let t = mem.telemetry_report().expect("telemetry on");
-        assert_eq!(t.dropped_queue, mem.llc_stats().pf_dropped_queue);
-        assert_eq!(t.issued, mem.llc_stats().pf_issued);
+        let c = t
+            .source("unattributed")
+            .expect("direct drive is unattributed");
+        assert_eq!(t.by_source.len(), 1);
+        assert_eq!(c.dropped, mem.llc_stats().pf_dropped_queue);
+        assert_eq!(c.issued, mem.llc_stats().pf_issued);
     }
 
     #[test]

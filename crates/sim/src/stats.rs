@@ -6,6 +6,62 @@ use std::fmt;
 
 use crate::telemetry::TelemetryReport;
 
+/// A struct of counters with one walk: the list of its counter fields in
+/// the order the checkpoint stores them. Sums, serialization and parsing
+/// all go through the walk, so each counter is named once.
+///
+/// Implemented with the crate's `counters!` macro, whose methods
+/// destructure the struct without `..`: a field added to the struct fails
+/// to compile until the walk names it as a counter or lists it under
+/// `except`.
+pub trait Counters: Sized {
+    /// The counter values, in walk order.
+    fn values(&self) -> Vec<u64>;
+
+    /// Builds the struct from exactly one value per counter, in walk
+    /// order, with the fields under `except` at their defaults; `None`
+    /// when the number of values differs or a value does not fit its
+    /// counter.
+    fn from_values(values: &[u64]) -> Option<Self>;
+
+    /// Adds every counter of `other` into `self`; the fields under
+    /// `except` keep their values.
+    fn add(&mut self, other: &Self);
+}
+
+/// Implements [`Counters`] for `$ty` from its counter fields in walk
+/// order; the struct's other fields are listed under `except`.
+macro_rules! counters {
+    ($ty:ident { $($counter:ident),+ $(,)? } $(except { $($other:ident),+ $(,)? })?) => {
+        impl $crate::stats::Counters for $ty {
+            fn values(&self) -> Vec<u64> {
+                let $ty { $($counter,)+ $($($other: _,)+)? } = self;
+                vec![$(u64::from(*$counter)),+]
+            }
+
+            fn from_values(values: &[u64]) -> Option<Self> {
+                let [$($counter),+] = values else {
+                    return None;
+                };
+                Some($ty {
+                    $($counter: (*$counter).try_into().ok()?,)+
+                    $($($other: Default::default(),)+)?
+                })
+            }
+
+            fn add(&mut self, other: &Self) {
+                let mut theirs = other.values().into_iter();
+                let $ty { $($counter,)+ $($($other: _,)+)? } = self;
+                $(
+                    let sum = u64::from(*$counter) + theirs.next().expect("one value per counter");
+                    *$counter = sum.try_into().expect("a sum of counters fits its counter");
+                )+
+            }
+        }
+    };
+}
+pub(crate) use counters;
+
 /// Counters for one cache (the LLC counters drive every figure).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -47,6 +103,26 @@ pub struct CacheStats {
     /// Prefetched lines evicted without ever being demanded.
     pub pf_useless: u64,
 }
+
+counters!(CacheStats {
+    demand_accesses,
+    demand_hits,
+    demand_hits_pending,
+    demand_misses,
+    demand_mshr_stalls,
+    evictions,
+    writebacks,
+    pf_requested,
+    pf_dropped_duplicate,
+    pf_dropped_mshr,
+    pf_issued,
+    pf_useful,
+    pf_late,
+    pf_useless,
+    // Last, not at its struct position: the checkpoint array gained it
+    // after the others.
+    pf_dropped_queue,
+});
 
 impl CacheStats {
     /// Demand misses per kilo-instruction, given the retired instruction
@@ -98,6 +174,15 @@ pub struct CoreStats {
     pub dependency_stall_cycles: u64,
 }
 
+counters!(CoreStats {
+    instructions,
+    cycles,
+    loads,
+    stores,
+    dispatch_stall_cycles,
+    dependency_stall_cycles,
+});
+
 impl CoreStats {
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
@@ -134,16 +219,14 @@ pub struct IngestReport {
     pub skipped_chunks: u64,
 }
 
-impl IngestReport {
-    /// Accumulates another report into this one (used to sum per-core
-    /// readers, and to total successive replay loops of one reader).
-    pub fn absorb(&mut self, other: &IngestReport) {
-        self.delivered_records += other.delivered_records;
-        self.quarantined_records += other.quarantined_records;
-        self.quarantined_bytes += other.quarantined_bytes;
-        self.skipped_chunks += other.skipped_chunks;
-    }
+counters!(IngestReport {
+    delivered_records,
+    quarantined_records,
+    quarantined_bytes,
+    skipped_chunks,
+});
 
+impl IngestReport {
     /// Whether any input was quarantined.
     pub fn is_clean(&self) -> bool {
         self.quarantined_records == 0 && self.quarantined_bytes == 0 && self.skipped_chunks == 0
@@ -197,6 +280,18 @@ pub struct CoreQos {
     pub final_level: u8,
 }
 
+counters!(CoreQos {
+    demand_accesses,
+    pf_issued,
+    pf_used,
+    prefetch_reads,
+    reads,
+    epochs,
+    degrades,
+    upgrades,
+    final_level,
+});
+
 /// The per-core QoS accounting of a [`ThrottleMode::Percore`] run,
 /// attached to [`SimResult::qos`]. Every other throttle mode carries
 /// `None` — the field then serializes to nothing (like
@@ -216,6 +311,13 @@ pub struct QosReport {
     /// Offenders spared by the never-all-stopped arbiter rule.
     pub watchdog_exempted: u64,
 }
+
+counters!(QosReport {
+    watchdog_epochs,
+    watchdog_starved_epochs,
+    watchdog_clamps,
+    watchdog_exempted,
+} except { cores });
 
 /// The complete outcome of one simulation run.
 ///
@@ -461,6 +563,25 @@ mod tests {
             total_cycles: 2000,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn walk_add_sums_every_counter_and_keeps_the_rest() {
+        let one: Vec<u64> = (1..=15).collect();
+        let mut sum = CacheStats::from_values(&one).expect("15 cache counters");
+        sum.add(&CacheStats::from_values(&one).expect("15 cache counters"));
+        let doubled: Vec<u64> = one.iter().map(|v| 2 * v).collect();
+        assert_eq!(sum.values(), doubled);
+        let mut qos = QosReport {
+            cores: vec![CoreQos::default()],
+            watchdog_clamps: 1,
+            ..QosReport::default()
+        };
+        qos.add(&QosReport {
+            watchdog_clamps: 2,
+            ..QosReport::default()
+        });
+        assert_eq!((qos.cores.len(), qos.watchdog_clamps), (1, 3));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::config::SystemConfig;
 use crate::core_model::{InstrSource, OooCore, RetrySpec};
 use crate::memory::{MemorySystem, StallLevel};
 use crate::prefetch::Prefetcher;
-use crate::stats::SimResult;
+use crate::stats::{Counters, SimResult};
 use crate::telemetry::TelemetryLevel;
 use crate::throttle::ThrottleMode;
 
@@ -393,7 +393,7 @@ impl System {
         let mut ingest: Option<crate::stats::IngestReport> = None;
         for source in &self.sources {
             if let Some(report) = source.ingest_report() {
-                ingest.get_or_insert_with(Default::default).absorb(&report);
+                ingest.get_or_insert_with(Default::default).add(&report);
             }
         }
         Ok(SimResult {

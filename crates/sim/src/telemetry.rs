@@ -11,7 +11,7 @@
 //!    │            │                   used late        (pf_late)
 //!    │            └──────────────────► used late       (demand merged in flight)
 //!    │                                 evicted unused  (pf_useless)
-//!    └──► dropped (duplicate / MSHR)
+//!    └──► dropped (duplicate / queue / MSHR)
 //! ```
 //!
 //! and attributes each one to the prediction event that produced it
@@ -28,15 +28,21 @@
 //! evictions, it never changes them. `telemetry_on_is_invisible` in
 //! `tests/telemetry.rs` locks the on/off miss streams bit-for-bit equal.
 //!
-//! **Agreement with the cache counters.** The ledger classifies a use as
-//! timely or late by observing the same events that increment `pf_useful` /
-//! `pf_late`, and closes unused records on the same evictions that
-//! increment `pf_useless`, so at end of run `timely == pf_useful`,
-//! `late == pf_late`, and `unused == pf_useless` exactly — including across
-//! a warmup reset. This equality is test-locked, making the ledger a
-//! cross-check of the attribution logic rather than a second opinion.
+//! **Agreement with the cache counters.** The report keeps no totals of
+//! its own: the LLC's `pf_*` counters are the one tally of how many
+//! prefetches issued, dropped and settled. The ledger classifies a use as
+//! timely or late by observing the same events that increment `pf_useful`
+//! / `pf_late`, and closes unused records on the same evictions that
+//! increment `pf_useless`, so at end of run its per-source counters sum to
+//! the LLC's exactly: `issued` to `pf_issued`, `timely` to `pf_useful`,
+//! `late` to `pf_late`, `unused` to `pf_useless`, and `dropped` to the
+//! three `pf_dropped_*` together — including across a warmup reset. These
+//! sums are test-locked, making the attribution a cross-check of the cache
+//! counters rather than a second opinion.
 
 use std::collections::HashMap;
+
+use crate::stats::counters;
 
 /// How much prefetch-lifecycle instrumentation to collect.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -127,18 +133,6 @@ impl PrefetchSource {
     }
 }
 
-/// Why an issued prefetch candidate never reached DRAM.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DropReason {
-    /// The block was already resident or in flight.
-    Duplicate,
-    /// No prefetch-eligible MSHR was available.
-    MshrFull,
-    /// The bounded prefetch queue had no free slot
-    /// ([`SystemConfig::prefetch_queue_depth`](crate::SystemConfig)).
-    QueueFull,
-}
-
 /// Lifecycle counters attributed to one prediction source or trigger PC.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SourceCounters {
@@ -150,9 +144,18 @@ pub struct SourceCounters {
     pub late: u64,
     /// Filled and evicted (or still resident at end of run) undemanded.
     pub unused: u64,
-    /// Candidates filtered before issue (duplicate or MSHR-full).
+    /// Candidates filtered before issue (duplicate, queue-full or
+    /// MSHR-full).
     pub dropped: u64,
 }
+
+counters!(SourceCounters {
+    issued,
+    timely,
+    late,
+    unused,
+    dropped,
+});
 
 impl SourceCounters {
     /// Accuracy over this source's settled prefetches, with the paper's
@@ -195,9 +198,9 @@ struct OpenRecord {
 pub struct PrefetchLedger {
     level: TelemetryLevel,
     open: HashMap<u64, OpenRecord>,
-    /// The aggregate counters. Its two attribution lists stay empty here:
-    /// [`report`](PrefetchLedger::report) builds them from the tallies
-    /// below.
+    /// The fill and desync counters. Its two attribution lists stay empty
+    /// here: [`report`](PrefetchLedger::report) builds them from the
+    /// tallies below.
     counts: TelemetryReport,
     by_source: [SourceCounters; SOURCE_SLOTS],
     by_pc: HashMap<u64, SourceCounters>,
@@ -233,7 +236,6 @@ impl PrefetchLedger {
         if !self.enabled() {
             return;
         }
-        self.counts.issued += 1;
         self.by_source[source.slot()].issued += 1;
         self.by_pc.entry(pc).or_default().issued += 1;
         if let Some(stale) = self.open.insert(
@@ -256,15 +258,11 @@ impl PrefetchLedger {
         }
     }
 
-    /// Records a candidate filtered before issue.
-    pub fn dropped(&mut self, pc: u64, source: PrefetchSource, reason: DropReason) {
+    /// Records a candidate filtered before issue (the LLC counts it under
+    /// its reason).
+    pub fn dropped(&mut self, pc: u64, source: PrefetchSource) {
         if !self.enabled() {
             return;
-        }
-        match reason {
-            DropReason::Duplicate => self.counts.dropped_duplicate += 1,
-            DropReason::MshrFull => self.counts.dropped_mshr += 1,
-            DropReason::QueueFull => self.counts.dropped_queue += 1,
         }
         self.by_source[source.slot()].dropped += 1;
         self.by_pc.entry(pc).or_default().dropped += 1;
@@ -302,7 +300,6 @@ impl PrefetchLedger {
             return;
         }
         if let Some(rec) = self.close(block) {
-            self.counts.timely += 1;
             self.by_source[rec.source.slot()].timely += 1;
             self.by_pc.entry(rec.pc).or_default().timely += 1;
         }
@@ -315,7 +312,6 @@ impl PrefetchLedger {
             return;
         }
         if let Some(rec) = self.close(block) {
-            self.counts.late += 1;
             self.by_source[rec.source.slot()].late += 1;
             self.by_pc.entry(rec.pc).or_default().late += 1;
         }
@@ -328,7 +324,6 @@ impl PrefetchLedger {
             return;
         }
         if let Some(rec) = self.close(block) {
-            self.counts.unused += 1;
             self.by_source[rec.source.slot()].unused += 1;
             self.by_pc.entry(rec.pc).or_default().unused += 1;
         }
@@ -368,7 +363,6 @@ impl PrefetchLedger {
             if rec.filled_at.is_none() {
                 self.counts.in_flight_at_end += 1;
             } else if rec.measured {
-                self.counts.unused += 1;
                 self.by_source[rec.source.slot()].unused += 1;
                 self.by_pc.entry(rec.pc).or_default().unused += 1;
             }
@@ -404,31 +398,16 @@ impl PrefetchLedger {
     }
 }
 
-/// The aggregate prefetch-lifecycle report of one run, attached to
+/// The prefetch-lifecycle report of one run, attached to
 /// [`SimResult`](crate::SimResult) when telemetry is enabled.
 ///
-/// All counts cover the measurement window (post-warmup). The aggregate
-/// counters agree exactly with the LLC's `pf_*` counters (`timely ==
-/// pf_useful`, `late == pf_late`, `unused == pf_useless`); what the report
-/// adds is attribution (per prediction source, per trigger PC) and
-/// in-flight latency.
+/// All counts cover the measurement window (post-warmup). The report
+/// holds only what the ledger alone knows: attribution (per prediction
+/// source, per trigger PC), in-flight latency and desync counts. The
+/// totals live in the LLC's `pf_*` counters, which `by_source` sums to
+/// exactly (see the module docs).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryReport {
-    /// Prefetches issued toward DRAM.
-    pub issued: u64,
-    /// Candidates dropped as duplicates (resident or in flight).
-    pub dropped_duplicate: u64,
-    /// Candidates dropped for lack of a prefetch-eligible MSHR.
-    pub dropped_mshr: u64,
-    /// Candidates dropped because the bounded prefetch queue was full.
-    pub dropped_queue: u64,
-    /// Settled as used-timely (== LLC `pf_useful`).
-    pub timely: u64,
-    /// Settled as used-late (== LLC `pf_late`).
-    pub late: u64,
-    /// Settled as unused (evicted undemanded or resident-unused at end of
-    /// run; == LLC `pf_useless`).
-    pub unused: u64,
     /// Prefetch fills observed (excludes prefetches demanded in flight,
     /// which settle at the merge, before their fill lands).
     pub fills: u64,
@@ -448,30 +427,14 @@ pub struct TelemetryReport {
     pub hot_pcs: Vec<(u64, SourceCounters)>,
 }
 
+counters!(TelemetryReport {
+    fills,
+    fill_latency_sum,
+    in_flight_at_end,
+    orphans,
+} except { by_source, hot_pcs });
+
 impl TelemetryReport {
-    /// Fraction of *used* prefetches that arrived before their demand —
-    /// the timeliness metric. 0 when nothing was used.
-    pub fn timeliness(&self) -> f64 {
-        let used = self.timely + self.late;
-        if used == 0 {
-            0.0
-        } else {
-            self.timely as f64 / used as f64
-        }
-    }
-
-    /// Accuracy over settled prefetches (late counts as useful), matching
-    /// [`CacheStats::accuracy`](crate::CacheStats::accuracy).
-    pub fn accuracy(&self) -> f64 {
-        let used = self.timely + self.late;
-        let judged = used + self.unused;
-        if judged == 0 {
-            0.0
-        } else {
-            used as f64 / judged as f64
-        }
-    }
-
     /// Mean issue-to-fill latency in cycles over observed prefetch fills.
     pub fn avg_fill_latency(&self) -> f64 {
         if self.fills == 0 {
@@ -493,9 +456,24 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Counters;
 
     fn counting_ledger() -> PrefetchLedger {
         PrefetchLedger::new(TelemetryLevel::Counts)
+    }
+
+    /// The report's per-source counters summed: the totals the LLC's
+    /// `pf_*` counters hold in a full run.
+    fn totals(r: &TelemetryReport) -> SourceCounters {
+        let mut sum = SourceCounters::default();
+        for (_, c) in &r.by_source {
+            sum.add(c);
+        }
+        sum
+    }
+
+    fn settled(c: SourceCounters) -> (u64, u64, u64, u64) {
+        (c.issued, c.timely, c.late, c.unused)
     }
 
     #[test]
@@ -534,15 +512,14 @@ mod tests {
         led.used_timely(7);
         led.finalize();
         let r = led.report().expect("counts level reports");
-        assert_eq!((r.issued, r.timely, r.late, r.unused), (1, 1, 0, 0));
+        let long = *r.source("long").expect("long active");
+        assert_eq!(settled(long), (1, 1, 0, 0));
         assert_eq!(r.fills, 1);
         assert_eq!(r.fill_latency_sum, 90);
         assert_eq!(r.orphans, 0);
-        assert_eq!(r.source("long").expect("long active").timely, 1);
         assert!(r.source("short").is_none(), "inactive sources are omitted");
-        assert_eq!(r.hot_pcs, vec![(0x400, *r.source("long").unwrap())]);
-        assert_eq!(r.timeliness(), 1.0);
-        assert_eq!(r.accuracy(), 1.0);
+        assert_eq!(r.hot_pcs, vec![(0x400, long)]);
+        assert_eq!(long.accuracy(), 1.0);
     }
 
     #[test]
@@ -554,10 +531,10 @@ mod tests {
         led.filled(7, 100);
         led.finalize();
         let r = led.report().unwrap();
-        assert_eq!((r.timely, r.late, r.unused), (0, 1, 0));
+        let short = *r.source("short").expect("short active");
+        assert_eq!(settled(short), (1, 0, 1, 0));
         assert_eq!(r.fills, 0, "late prefetches settle before their fill");
-        assert_eq!(r.timeliness(), 0.0);
-        assert_eq!(r.accuracy(), 1.0, "late still counts as useful");
+        assert_eq!(short.accuracy(), 1.0, "late still counts as useful");
     }
 
     #[test]
@@ -573,9 +550,10 @@ mod tests {
         led.issued(3, 0xa, PrefetchSource::Unattributed, 0);
         led.finalize();
         let r = led.report().unwrap();
-        assert_eq!(r.unused, 2, "evicted + resident-unused both settle unused");
+        let t = totals(&r);
+        assert_eq!(t.unused, 2, "evicted + resident-unused both settle unused");
         assert_eq!(r.in_flight_at_end, 1);
-        assert_eq!(r.accuracy(), 0.0);
+        assert_eq!(t.accuracy(), 0.0);
     }
 
     #[test]
@@ -585,20 +563,21 @@ mod tests {
         led.filled(1, 10);
         led.finalize();
         led.finalize();
-        assert_eq!(led.report().unwrap().unused, 1, "no double count");
+        assert_eq!(totals(&led.report().unwrap()).unused, 1, "no double count");
     }
 
     #[test]
-    fn drops_are_counted_per_reason() {
+    fn drops_are_counted_per_source_and_pc() {
         let mut led = counting_ledger();
-        led.dropped(0x4, PrefetchSource::LongEvent, DropReason::Duplicate);
-        led.dropped(0x4, PrefetchSource::LongEvent, DropReason::MshrFull);
-        led.dropped(0x4, PrefetchSource::LongEvent, DropReason::QueueFull);
+        led.dropped(0x4, PrefetchSource::LongEvent);
+        led.dropped(0x4, PrefetchSource::LongEvent);
+        led.dropped(0x8, PrefetchSource::ShortVote);
         let r = led.report().unwrap();
-        assert_eq!(r.dropped_duplicate, 1);
-        assert_eq!(r.dropped_mshr, 1);
-        assert_eq!(r.dropped_queue, 1);
-        assert_eq!(r.source("long").unwrap().dropped, 3);
+        assert_eq!(r.source("long").unwrap().dropped, 2);
+        assert_eq!(r.source("short").unwrap().dropped, 1);
+        let by_pc: Vec<(u64, u64)> = r.hot_pcs.iter().map(|(pc, c)| (*pc, c.dropped)).collect();
+        assert_eq!(by_pc, vec![(0x4, 2), (0x8, 1)]);
+        assert_eq!(totals(&r).issued, 0, "a drop is not an issue");
     }
 
     #[test]
@@ -612,8 +591,7 @@ mod tests {
         led.issued(45, 0x4, PrefetchSource::ShortVote, 1);
         let r = led.report().unwrap();
         assert_eq!(r.orphans, 3);
-        assert_eq!((r.timely, r.late, r.unused), (0, 0, 0));
-        assert_eq!(r.issued, 2);
+        assert_eq!(settled(totals(&r)), (2, 0, 0, 0));
     }
 
     #[test]
@@ -625,14 +603,19 @@ mod tests {
         // In flight across the reset: fill lands post-reset, stays measured.
         led.issued(2, 0xb, PrefetchSource::ShortVote, 5);
         led.on_stats_reset();
-        assert_eq!(led.report().unwrap().issued, 0, "counters wiped");
+        assert_eq!(
+            led.report().unwrap(),
+            TelemetryReport::default(),
+            "counters wiped"
+        );
         led.filled(2, 20);
         // Pre-reset-filled record still closes correctly if used.
         led.used_timely(1);
         led.finalize();
         let r = led.report().unwrap();
-        assert_eq!(r.timely, 1, "pre-warmup prefetch used post-warmup counts");
-        assert_eq!(r.unused, 1, "post-reset fill settles unused at drain");
+        let t = totals(&r);
+        assert_eq!(t.timely, 1, "pre-warmup prefetch used post-warmup counts");
+        assert_eq!(t.unused, 1, "post-reset fill settles unused at drain");
         assert_eq!(r.orphans, 0);
     }
 
@@ -668,9 +651,7 @@ mod tests {
 
     #[test]
     fn report_metrics_handle_zero_denominators() {
-        let r = TelemetryReport::default();
-        assert_eq!(r.timeliness(), 0.0);
-        assert_eq!(r.accuracy(), 0.0);
-        assert_eq!(r.avg_fill_latency(), 0.0);
+        assert_eq!(TelemetryReport::default().avg_fill_latency(), 0.0);
+        assert_eq!(SourceCounters::default().accuracy(), 0.0);
     }
 }

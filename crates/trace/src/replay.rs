@@ -21,7 +21,7 @@ use std::fs::File;
 use std::io::{self, BufReader, Seek, Write};
 use std::path::{Path, PathBuf};
 
-use bingo_sim::{IngestReport, Instr, InstrSource};
+use bingo_sim::{Counters, IngestReport, Instr, InstrSource};
 
 use crate::error::ReadError;
 use crate::reader::{Policy, TraceReader};
@@ -98,7 +98,7 @@ impl InstrSource for ReplaySource {
                         "trace {}: no decodable records to replay",
                         self.path.display()
                     );
-                    self.completed.absorb(&pass);
+                    self.completed.add(&pass);
                     self.passes += 1;
                     match Self::open_reader(&self.path, self.policy) {
                         Ok(reader) => self.reader = reader,
@@ -116,7 +116,7 @@ impl InstrSource for ReplaySource {
 
     fn ingest_report(&self) -> Option<IngestReport> {
         let mut total = self.completed;
-        total.absorb(&self.reader.report());
+        total.add(&self.reader.report());
         Some(total)
     }
 

@@ -4,7 +4,7 @@
 #
 # Opt-in: BINGO_BENCH=1 scripts/check.sh additionally runs the bench
 # binaries and gates them against the committed BENCH_simulator.json with
-# the same threshold CI uses (override with BINGO_BENCH_THRESHOLD).
+# the same threshold CI uses (bench_compare's --threshold default).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,13 +33,13 @@ if [[ "${BINGO_BENCH:-0}" == "1" ]]; then
     echo "==> cargo bench -p bingo-bench (perf trajectory vs BENCH_simulator.json)"
     # Absolute path: cargo bench runs the bench executables with the
     # package directory (crates/bench) as CWD, not the workspace root.
-    # Three best-merged runs accumulate a candidate measured the same way
-    # the committed snapshot was (per-key minima over runs, which
-    # contention can only inflate).
+    # Three runs accumulate a candidate measured the same way the
+    # committed snapshot was: the writer keeps the better record per key,
+    # so each key holds its best over runs, which contention can only
+    # inflate.
     rm -f target/bench/candidate.json
     for _ in 1 2 3; do
-        BINGO_BENCH_JSON="$PWD/target/bench/candidate.json" BINGO_BENCH_MERGE=best \
-            cargo bench -p bingo-bench
+        BINGO_BENCH_JSON="$PWD/target/bench/candidate.json" cargo bench -p bingo-bench
     done
     cargo run --release -p bingo-bench --bin bench_compare -- \
         --snapshot BENCH_simulator.json --candidate target/bench/candidate.json
