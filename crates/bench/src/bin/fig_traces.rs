@@ -13,8 +13,9 @@
 //! `trace_capture --verify` round trip), the numbers here match the
 //! generator-driven Fig. 7/8 sweeps at the same scale — what the figure
 //! *adds* is the ingestion evidence: every row reports how many records
-//! the loader delivered and how many it quarantined, which must be zero
-//! for a pristine corpus.
+//! the loader delivered. A damaged capture fails its cells with the
+//! reader's typed error, byte offset included, and the binary exits
+//! nonzero.
 
 use std::path::PathBuf;
 
@@ -63,18 +64,15 @@ fn main() {
         "Overpred",
         "Speedup",
         "Delivered",
-        "Quarantined",
     ]);
     let mut speedups_by_kind: Vec<(String, Vec<f64>)> =
         kinds.iter().map(|k| (k.name(), Vec::new())).collect();
-    let mut quarantined_total = 0u64;
     for (idx, e) in evals.iter().enumerate() {
         let ingest = e
             .result
             .ingest
             .as_ref()
             .expect("trace replays attach an ingest report");
-        quarantined_total += ingest.quarantined_records;
         t.row(vec![
             traces[idx / kinds.len()].name().to_string(),
             kinds[idx % kinds.len()].name(),
@@ -82,7 +80,6 @@ fn main() {
             pct(e.coverage.overprediction),
             format!("{:.3}x", e.speedup),
             ingest.delivered_records.to_string(),
-            ingest.quarantined_records.to_string(),
         ]);
         speedups_by_kind[idx % kinds.len()].1.push(e.speedup);
     }
@@ -94,18 +91,12 @@ fn main() {
             String::new(),
             format!("{:.3}x", geometric_mean(vals)),
             String::new(),
-            String::new(),
         ]);
     }
 
     println!(
         "Recorded-trace replay: headline prefetchers on the captured\n\
-         corpus under {} (streamed chunk-at-a-time; quarantined must be 0\n\
-         for a pristine corpus).\n\n{t}",
+         corpus under {} (streamed chunk-at-a-time).\n\n{t}",
         root.display()
-    );
-    assert_eq!(
-        quarantined_total, 0,
-        "pristine corpus reported quarantined records — the capture or the loader is corrupt"
     );
 }

@@ -8,27 +8,25 @@
 //!
 //! For every seed, a pristine capture image is corrupted by a deterministic
 //! plan ([`bingo_trace::plan_for_seed`]: truncation, bit flips, chunk
-//! reordering, garbage headers, mid-record EOF) and pushed through both
-//! ingestion policies. The loader's contract, checked per seed:
+//! reordering, garbage headers, mid-record EOF) and pushed through the
+//! reader. The loader's contract, checked per seed:
 //!
-//! * **no panics** — either policy, any input;
-//! * **strict** either decodes everything or returns a typed
-//!   [`bingo_trace::ReadError`] whose message carries the byte offset;
-//! * **strict-clean implies lenient-clean** — when strict accepts the
-//!   bytes, lenient must deliver the identical record stream with nothing
-//!   quarantined;
-//! * **lenient always terminates** with an ingest report, never an error
-//!   (I/O aside), no matter how mangled the bytes are;
+//! * **no panics** on any input;
+//! * **typed errors** — the reader either decodes everything or returns a
+//!   typed [`bingo_trace::ReadError`] whose message carries its byte
+//!   offset;
 //! * **the op fast path is invisible** — a drain that takes op runs with
 //!   `TraceReader::take_ops` delivers the same records, the same report
-//!   and the same error (variant and offset) as the lazy drain, under
-//!   both policies, on the corrupted image and on a forgery of it whose
-//!   CRC-valid chunks declare fewer records than their payload holds.
+//!   and the same error (variant and offset) as the lazy drain, on the
+//!   corrupted image and on a forgery of it whose CRC-valid chunks
+//!   declare fewer records than their payload holds.
 //!
-//! A subsample of corrupted images additionally runs a tiny lenient
-//! simulation end to end, asserting the sweep completes (or fails as a
-//! contained cell) and that the quarantine tally survives into the
-//! JSONL stats export.
+//! Every accepted image, and every 25th image, also runs a tiny
+//! simulation end to end. It reads only a prefix of the image, so it may
+//! complete even on a rejected one; it must either complete with the
+//! ingest report in the JSONL stats export, or fail as a contained cell
+//! whose reason carries the exact error the drain of that image returned
+//! (an accepted image may fail only for holding no decodable records).
 //!
 //! On any violation the corruption plan is shrunk with
 //! [`bingo_oracle::shrink_items`] to a minimal reproducing op list, the
@@ -44,9 +42,7 @@ use std::process::ExitCode;
 use bingo_bench::{ParallelHarness, PrefetcherKind, RunScale, RunSpec, StatsExport};
 use bingo_oracle::shrink_items;
 use bingo_sim::{IngestReport, Instr, TelemetryLevel, ThrottleMode};
-use bingo_trace::{
-    apply, capture_source, plan_for_seed, CorruptionOp, Policy, ReadError, TraceReader,
-};
+use bingo_trace::{apply, capture_source, plan_for_seed, CorruptionOp, ReadError, TraceReader};
 use bingo_workloads::{TraceWorkload, Workload};
 
 struct Args {
@@ -102,8 +98,8 @@ type Drained = (Vec<Instr>, IngestReport, Option<ReadError>);
 /// Drains a reader to completion, through `next_instr` alone or, when
 /// `batched`, with the op fast path (`leading_ops`, then `take_ops(k)`
 /// with k cycling 1..=9) before every `next_instr` call.
-fn drain(bytes: &[u8], policy: Policy, batched: bool) -> Drained {
-    let mut reader = match TraceReader::new(Cursor::new(bytes), policy) {
+fn drain(bytes: &[u8], batched: bool) -> Drained {
+    let mut reader = match TraceReader::new(Cursor::new(bytes)) {
         Ok(reader) => reader,
         Err(e) => return (Vec::new(), IngestReport::default(), Some(e)),
     };
@@ -129,66 +125,38 @@ fn drain(bytes: &[u8], policy: Policy, batched: bool) -> Drained {
 /// means every clause held.
 fn violation(image: &[u8], ops: &[CorruptionOp]) -> Option<String> {
     let corrupted = apply(image, ops);
-    let run = |bytes: &[u8], policy: Policy, batched: bool| {
-        catch_unwind(AssertUnwindSafe(|| drain(bytes, policy, batched)))
-    };
-    let Ok(strict) = run(&corrupted, Policy::Strict, false) else {
-        return Some("strict decoder PANICKED".to_string());
-    };
-    let Ok(lenient) = run(&corrupted, Policy::Lenient, false) else {
-        return Some("lenient decoder PANICKED".to_string());
-    };
-    match (&strict.2, &lenient.2) {
-        (None, None) => {
-            if strict.0 != lenient.0 {
-                return Some(format!(
-                    "strict accepted {} records but lenient delivered {}",
-                    strict.0.len(),
-                    lenient.0.len()
-                ));
-            }
-        }
-        (Some(e), _) => {
-            if !e.to_string().contains("byte") {
-                return Some(format!("strict error lost its byte offset: {e}"));
-            }
-        }
-        (_, Some(e)) => {
-            return Some(format!(
-                "lenient policy must never error on corruption: {e}"
-            ));
-        }
-    }
-    // The op fast path must be invisible: same records, same report, same
-    // error variant at the same offset as the lazy drain. Checked on the
-    // corrupted image and on a forgery of it whose CRC-valid chunks each
-    // declare one record fewer than their payload holds.
+    let run =
+        |bytes: &[u8], batched: bool| catch_unwind(AssertUnwindSafe(|| drain(bytes, batched)));
+    // Every error names its offset. The op fast path must be invisible:
+    // same records, same report, same error variant at the same offset as
+    // the lazy drain. Both are checked on the corrupted image and on a
+    // forgery of it whose CRC-valid chunks each declare one record fewer
+    // than their payload holds.
     let forged = apply(&corrupted, &[CorruptionOp::ShortenChunks { fewer: 1 }]);
     let key = |e: &Option<ReadError>| e.as_ref().map(|e| (discriminant(e), e.offset()));
     for (which, bytes) in [("corrupted", &corrupted), ("forged", &forged)] {
-        for policy in [Policy::Strict, Policy::Lenient] {
-            let (Ok(lazy), Ok(batched)) = (run(bytes, policy, false), run(bytes, policy, true))
-            else {
-                return Some(format!("{policy:?} decoder PANICKED on the {which} image"));
-            };
-            let why = if batched.0 != lazy.0 {
-                format!(
-                    "batched drain delivered {} records, lazy {}",
-                    batched.0.len(),
-                    lazy.0.len()
-                )
-            } else if batched.1 != lazy.1 {
+        let (Ok(lazy), Ok(batched)) = (run(bytes, false), run(bytes, true)) else {
+            return Some(format!("decoder PANICKED on the {which} image"));
+        };
+        let why = match &lazy.2 {
+            Some(e) if !e.to_string().contains(&format!("byte {}", e.offset())) => {
+                format!("error lost its byte offset: {e}")
+            }
+            _ if batched.0 != lazy.0 => format!(
+                "batched drain delivered {} records, lazy {}",
+                batched.0.len(),
+                lazy.0.len()
+            ),
+            _ if batched.1 != lazy.1 => {
                 format!("batched report {} differs from lazy {}", batched.1, lazy.1)
-            } else if key(&batched.2) != key(&lazy.2) {
-                format!(
-                    "batched error {:?} differs from lazy {:?}",
-                    batched.2, lazy.2
-                )
-            } else {
-                continue;
-            };
-            return Some(format!("{policy:?} on the {which} image: {why}"));
-        }
+            }
+            _ if key(&batched.2) != key(&lazy.2) => format!(
+                "batched error {:?} differs from lazy {:?}",
+                batched.2, lazy.2
+            ),
+            _ => continue,
+        };
+        return Some(format!("on the {which} image: {why}"));
     }
     None
 }
@@ -252,17 +220,23 @@ fn report_violation(
     ExitCode::FAILURE
 }
 
-/// End-to-end lenient replay of a corrupted image through the sweep
-/// engine: must either complete with an ingest report (quarantine
-/// visible in the engine's JSONL stats export) or fail as a contained
-/// cell with a loud message — never hang, never take down the process.
-fn check_lenient_sim(out: &Path, seed: u64, corrupted: &[u8]) -> Result<(), String> {
+/// End-to-end replay of a corrupted image through the sweep engine: must
+/// either complete with its ingest report in the engine's JSONL stats
+/// export, or fail as a contained cell whose reason carries `error`, the
+/// typed error the drain of the image returned (with no such error, only
+/// an image without decodable records may fail) — never hang, never take
+/// down the process. Returns whether the sim completed.
+fn check_sim(
+    out: &Path,
+    seed: u64,
+    corrupted: &[u8],
+    error: Option<&ReadError>,
+) -> Result<bool, String> {
     let dir = out.join("sim-scratch").join(format!("seed{seed}"));
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let path = dir.join("core0.btrc");
     std::fs::write(&path, corrupted).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    let trace = TraceWorkload::with_policy(&dir, Policy::Lenient)
-        .map_err(|e| format!("opening {}: {e}", dir.display()))?;
+    let trace = TraceWorkload::open(&dir).map_err(|e| format!("opening {}: {e}", dir.display()))?;
     let scale = RunScale {
         instructions_per_core: 1_500,
         warmup_per_core: 500,
@@ -282,39 +256,41 @@ fn check_lenient_sim(out: &Path, seed: u64, corrupted: &[u8]) -> Result<(), Stri
         .quiet()
         .with_stats_export(stats)
         .try_run(&[spec]);
-    let Some(result) = report.evaluations.pop().flatten() else {
-        let reason = &report.failures[0].reason;
-        // A capture with zero decodable records has nothing to replay;
-        // the designed failure is a loud, contained cell panic.
-        if reason.contains("no decodable records") {
-            std::fs::remove_dir_all(&dir).ok();
-            return Ok(());
+    let completed = match report.evaluations.pop().flatten() {
+        Some(result) => {
+            if result.ingest.is_none() {
+                return Err("sim completed without an ingest report".to_string());
+            }
+            // The ingest report must survive into the machine-readable export.
+            let line = std::fs::read_to_string(&stats_path)
+                .map_err(|e| format!("reading back {}: {e}", stats_path.display()))?;
+            if !line.contains("\"ingest\"") {
+                return Err(format!("stats export dropped the ingest report: {line}"));
+            }
+            true
         }
-        return Err(format!("lenient sim cell failed: {reason}"));
+        None => {
+            // A capture with zero decodable records has nothing to replay;
+            // the designed failure is a loud, contained cell panic.
+            let expected = error.map_or("no decodable records".to_string(), ToString::to_string);
+            let reason = &report.failures[0].reason;
+            if !reason.contains(&expected) {
+                return Err(format!(
+                    "sim cell failed with {reason:?}, not the drain's {expected:?}"
+                ));
+            }
+            false
+        }
     };
-    let ingest = result
-        .ingest
-        .as_ref()
-        .ok_or("lenient sim completed without an ingest report")?;
-    // The quarantine tally must survive into the machine-readable export.
-    let line = std::fs::read_to_string(&stats_path)
-        .map_err(|e| format!("reading back {}: {e}", stats_path.display()))?;
-    if !line.contains("\"ingest\"") {
-        return Err(format!(
-            "stats export dropped the ingest report (quarantined {} records): {line}",
-            ingest.quarantined_records
-        ));
-    }
     std::fs::remove_dir_all(&dir).ok();
-    Ok(())
+    Ok(completed)
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
     let images = base_images();
-    let mut strict_clean = 0u64;
-    let mut strict_rejected = 0u64;
-    let mut sims = 0u64;
+    let (mut accepted, mut rejected) = (0u64, 0u64);
+    let (mut completed, mut failed) = (0u64, 0u64);
 
     for seed in 0..args.seeds {
         let (workload, image) = &images[(seed % images.len() as u64) as usize];
@@ -323,23 +299,28 @@ fn main() -> ExitCode {
             return report_violation(&args.out, seed, *workload, image, &ops, &why);
         }
         let corrupted = apply(image, &ops);
-        match drain(&corrupted, Policy::Strict, false).2 {
-            None => strict_clean += 1,
-            Some(_) => strict_rejected += 1,
+        let error = drain(&corrupted, false).2;
+        match error {
+            None => accepted += 1,
+            Some(_) => rejected += 1,
         }
-        // Every 25th seed: full lenient simulation over the mangled bytes.
-        if seed % 25 == 0 {
-            sims += 1;
-            if let Err(why) = check_lenient_sim(&args.out, seed, &corrupted) {
-                return report_violation(&args.out, seed, *workload, image, &ops, &why);
+        // Every accepted image and every 25th seed: a full simulation
+        // over the mangled bytes.
+        if error.is_none() || seed % 25 == 0 {
+            match check_sim(&args.out, seed, &corrupted, error.as_ref()) {
+                Ok(true) => completed += 1,
+                Ok(false) => failed += 1,
+                Err(why) => return report_violation(&args.out, seed, *workload, image, &ops, &why),
             }
         }
     }
 
     println!(
-        "trace-decoder fuzz clean: {} corrupted images ({} strict-accepted, {} typed \
-         rejections), {} end-to-end lenient sims, zero panics",
-        args.seeds, strict_clean, strict_rejected, sims
+        "trace-decoder fuzz clean: {} corrupted images ({accepted} accepted, {rejected} typed \
+         rejections), {} end-to-end sims ({completed} completed, {failed} failed as contained \
+         cells), zero panics",
+        args.seeds,
+        completed + failed
     );
     ExitCode::SUCCESS
 }

@@ -11,7 +11,7 @@ use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::Path;
 
-use bingo_trace::{Policy, TraceReader};
+use bingo_trace::TraceReader;
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
 
 /// Fetch-ahead slack appended to every per-core stream: cores fetch a
@@ -27,8 +27,8 @@ fn captured_records(dir: &Path, cores: usize) -> Option<u64> {
     (0..cores)
         .map(|core| {
             let file = File::open(dir.join(format!("core{core}.btrc"))).ok()?;
-            let reader = TraceReader::new(BufReader::new(file), Policy::Strict).ok()?;
-            reader.header().map(|h| h.total_records)
+            let reader = TraceReader::new(BufReader::new(file)).ok()?;
+            Some(reader.header().total_records)
         })
         .min()
         .flatten()

@@ -444,9 +444,9 @@ impl Slot {
     ///
     /// # Panics
     ///
-    /// Panics if a trace stream cannot be opened (a strict trace with a
-    /// corrupt header included); inside a sweep the panic is confined to
-    /// the cell.
+    /// Panics if a trace stream cannot be opened (a trace with a corrupt
+    /// header included); inside a sweep the panic is confined to the
+    /// cell.
     fn source(&self, seed: u64) -> Box<dyn InstrSource> {
         match &self.stream {
             Stream::Synthetic(workload) => workload.source_for_core(self.stream_core, seed),
@@ -455,7 +455,7 @@ impl Slot {
                 // files; core 0's then fails to open with the path named.
                 let captured = trace.captured_cores().max(1);
                 let path = trace.core_path(self.stream_core % captured);
-                let source = ReplaySource::open(path, trace.policy())
+                let source = ReplaySource::open(path)
                     .unwrap_or_else(|e| panic!("trace workload {}: {e}", trace.name()));
                 Box::new(source)
             }
@@ -723,9 +723,8 @@ impl RunSpec {
     ///
     /// # Panics
     ///
-    /// Panics if a trace stream cannot be opened or is corrupt under the
-    /// strict policy (the typed decode error, byte offset included,
-    /// becomes the panic message), or if a prefetcher panics. The engine
+    /// Panics if a trace stream cannot be opened or is corrupt (the typed
+    /// decode error, byte offset included, becomes the panic message), or if a prefetcher panics. The engine
     /// confines such panics to the cell.
     pub fn run(&self, deadline: Option<Duration>) -> Result<SimResult, SimAbort> {
         let mut cfg = SystemConfig::paper().with_cores(self.slots.len());
@@ -1726,54 +1725,66 @@ mod tests {
         std::fs::remove_dir_all(trace.dir()).ok();
     }
 
-    /// A corrupt strict trace fails its cell with the typed decode error
-    /// (byte offset included) while the rest of the sweep completes; the
-    /// same bytes under the lenient policy complete with the damage
-    /// quarantined and reported.
+    /// A corrupt trace fails its cell with the typed decode error (byte
+    /// offset included) while a healthy cell in the same sweep — the live
+    /// generator run of the captured workload — completes.
     #[test]
-    fn corrupt_trace_cell_fails_typed_while_lenient_completes() {
+    fn corrupt_trace_cell_fails_typed_while_live_cell_completes() {
         let scale = RunScale {
             instructions_per_core: 4_000,
             warmup_per_core: 1_000,
             seed: 22,
         };
-        let strict = capture(Workload::Em3d, scale, "corrupt", 512);
+        let corrupt = capture(Workload::Em3d, scale, "corrupt", 512);
         // Stomp a payload byte mid-file in core 0's stream.
-        let path = strict.core_path(0);
+        let path = corrupt.core_path(0);
         let mut bytes = std::fs::read(&path).expect("read capture");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).expect("rewrite capture");
-        let lenient = TraceWorkload::with_policy(strict.dir(), bingo_trace::Policy::Lenient)
-            .expect("open capture leniently");
+        let mut reader =
+            bingo_trace::TraceReader::new(std::io::Cursor::new(&bytes)).expect("header intact");
+        let decode_error = loop {
+            match reader.next_instr() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("the stomped capture decoded cleanly"),
+                Err(e) => break e.to_string(),
+            }
+        };
         let (off, on, kind) = (
             TelemetryLevel::Off,
             ThrottleMode::Off,
             PrefetcherKind::NextLine(1),
         );
         let specs = [
-            RunSpec::trace(scale, &strict, kind, off, on),
-            RunSpec::trace(scale, &lenient, kind, off, on),
+            RunSpec::trace(scale, &corrupt, kind, off, on),
+            RunSpec::classic(scale, Workload::Em3d, kind, off, on),
         ];
         let report = ParallelHarness::with_jobs(2).quiet().try_evaluate(&specs);
 
-        // Strict: baseline fails with a byte offset; the cell is not run.
+        // The trace's baseline fails with the reader's error; its cell is
+        // not run.
         assert_eq!(report.failures.len(), 2, "{}", report.failure_report());
         assert!(
-            report.failures[0].reason.contains("byte"),
-            "typed error with offset expected, got: {}",
+            report.failures[0].reason.contains(&decode_error),
+            "expected the reader's {decode_error:?}, got: {}",
             report.failures[0].reason
         );
-        assert!(report.evaluations[0].is_none(), "strict cell has no result");
-        let ingest = report.evaluations[1]
-            .as_ref()
-            .and_then(|e| e.result.ingest.as_ref())
-            .expect("lenient replay completes with a report");
+        assert!(decode_error.contains("byte"), "{decode_error}");
         assert!(
-            ingest.quarantined_records > 0,
-            "the stomped chunk must be quarantined: {ingest}"
+            report
+                .failures
+                .iter()
+                .all(|f| matches!(f.spec.slots[0].stream, Stream::Trace(_))),
+            "only the corrupt trace's runs fail: {}",
+            report.failure_report()
         );
-        std::fs::remove_dir_all(strict.dir()).ok();
+        assert!(
+            report.evaluations[0].is_none(),
+            "corrupt cell has no result"
+        );
+        assert!(report.evaluations[1].is_some(), "the live cell completes");
+        std::fs::remove_dir_all(corrupt.dir()).ok();
     }
 
     #[test]

@@ -51,10 +51,9 @@ pub trait InstrSource {
     fn next_instr(&mut self) -> Instr;
 
     /// Trace-ingestion accounting, for sources that replay recorded
-    /// traces: how many records were delivered and how much corrupt
-    /// input was quarantined so far. Synthetic generators keep the
-    /// default `None`; [`crate::System::try_run`] sums the `Some`
-    /// reports into [`crate::SimResult::ingest`].
+    /// traces: how many records were delivered so far. Synthetic
+    /// generators keep the default `None`; [`crate::System::try_run`]
+    /// sums the `Some` reports into [`crate::SimResult::ingest`].
     fn ingest_report(&self) -> Option<crate::stats::IngestReport> {
         None
     }

@@ -195,13 +195,15 @@ impl CoreStats {
 }
 
 /// Accounting of a trace-ingestion pass: how many records a streaming
-/// loader delivered to the simulator and how much corrupt input it had to
-/// quarantine along the way.
+/// loader delivered to the simulator.
 ///
-/// Produced by lenient-mode trace readers (see the `bingo-trace` crate)
-/// through [`crate::InstrSource::ingest_report`]; [`System::try_run`]
-/// sums the per-core reports into [`SimResult::ingest`] so quarantined
-/// input is visible in every stats export and checkpoint. A run whose
+/// Produced by trace readers (see the `bingo-trace` crate) through
+/// [`crate::InstrSource::ingest_report`]; [`System::try_run`] sums the
+/// per-core reports into [`SimResult::ingest`], so it is visible in every
+/// stats export and checkpoint. The reader fails on the first corrupt
+/// byte instead of skipping it, so the three quarantine counters are
+/// always 0; they stay only because `bingo-benchmark`'s digest hashes
+/// them. A run whose
 /// sources are all synthetic generators carries `None` — the field then
 /// serializes to nothing and historical checkpoint files stay valid.
 ///
@@ -227,7 +229,8 @@ counters!(IngestReport {
 });
 
 impl IngestReport {
-    /// Whether any input was quarantined.
+    /// Whether no input was quarantined — always, since the reader fails
+    /// on corrupt input instead.
     pub fn is_clean(&self) -> bool {
         self.quarantined_records == 0 && self.quarantined_bytes == 0 && self.skipped_chunks == 0
     }

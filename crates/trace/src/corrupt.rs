@@ -4,9 +4,8 @@
 //! mutations — truncations, bit flips, chunk swaps, garbage prefixes,
 //! mid-record amputations, shortened record counts — applied to a
 //! well-formed trace image. The fuzz driver asserts that every corrupted
-//! image either decodes, yields a typed error (strict), or is quarantined
-//! (lenient); a plan that provokes a panic is shrunk to a minimal
-//! reproducer with `bingo_oracle`'s delta-debugging loop, which is why
+//! image either decodes or yields a typed error carrying its byte offset;
+//! a plan that breaks that contract is shrunk to a minimal reproducer with `bingo_oracle`'s delta-debugging loop, which is why
 //! the plan is a plain `Vec` of small self-describing ops.
 
 use bingo_rng::{Rng, SeedableRng, SmallRng};
@@ -253,8 +252,7 @@ mod tests {
             assert_eq!(records, 3, "chunk at {start}");
         }
         let mut r =
-            crate::reader::TraceReader::new(Cursor::new(&forged), crate::reader::Policy::Strict)
-                .expect("header untouched");
+            crate::reader::TraceReader::new(Cursor::new(&forged)).expect("header untouched");
         let err = loop {
             match r.next_instr() {
                 Ok(Some(_)) => {}

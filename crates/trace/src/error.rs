@@ -1,7 +1,7 @@
 //! Typed errors for the framed trace format.
 //!
 //! Every variant carries the byte offset in the input stream where the
-//! problem was detected, so a strict-mode failure pinpoints the corrupt
+//! problem was detected, so a failed read pinpoints the corrupt
 //! region of a multi-gigabyte capture without re-reading it.
 
 use std::fmt;

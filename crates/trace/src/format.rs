@@ -29,10 +29,10 @@
 //! ```
 //!
 //! Every multi-byte integer is little-endian. The chunk framing gives a
-//! reader three properties the flat format cannot: memory is bounded by
-//! one chunk regardless of trace length, corruption is detected by the
-//! per-chunk CRC before any record is trusted, and a lenient reader can
-//! resynchronize at the next valid chunk instead of abandoning the file.
+//! reader two properties the flat format cannot: memory is bounded by
+//! one chunk regardless of trace length, and corruption is detected by
+//! the per-chunk CRC before any record is trusted, so the read fails at
+//! the damaged chunk's byte offset.
 
 use bingo_sim::{Addr, Instr, Pc};
 
@@ -43,7 +43,8 @@ pub const FILE_MAGIC: [u8; 8] = *b"BGTRACE2";
 /// Format version this crate reads and writes.
 pub const VERSION: u32 = 1;
 
-/// Chunk magic, the lenient reader's resynchronization anchor.
+/// Chunk magic: a chunk header that does not start with it is a typed
+/// error at that header's offset.
 pub const CHUNK_MAGIC: [u8; 4] = *b"BGCK";
 
 /// File-header size in bytes.
@@ -79,14 +80,6 @@ pub struct TraceHeader {
     pub chunk_records: u32,
     /// Records in the whole trace.
     pub total_records: u64,
-}
-
-impl TraceHeader {
-    /// Hard bound on a conforming chunk's payload length under this
-    /// header — the reader's single-chunk memory budget.
-    pub fn max_payload_bytes(&self) -> u64 {
-        self.chunk_records as u64 * MAX_RECORD_BYTES as u64
-    }
 }
 
 /// Appends one record's encoding to `out`.

@@ -5,9 +5,8 @@
 //! end: the on-disk format is framed into CRC-32-protected chunks, the
 //! reader holds at most one chunk in memory regardless of trace length,
 //! and every way a file can lie — truncation, bit rot, reordered or
-//! forged chunks, impossible records — maps to either a typed error
-//! with a byte offset (strict mode) or a counted quarantine that lets
-//! the simulation finish on the surviving records (lenient mode).
+//! forged chunks, impossible records — maps to a typed error with a
+//! byte offset, and the read stops there.
 //!
 //! * [`format`] — the framed `.btrc` layout and record encoding.
 //! * [`crc32`] — hand-rolled IEEE CRC-32 (the workspace is offline; no
@@ -24,7 +23,7 @@
 //! ```
 //! use std::io::Cursor;
 //! use bingo_sim::Instr;
-//! use bingo_trace::{Policy, TraceReader, TraceWriter};
+//! use bingo_trace::{TraceReader, TraceWriter};
 //!
 //! let mut file = Cursor::new(Vec::new());
 //! let mut writer = TraceWriter::new(&mut file, 256).unwrap();
@@ -33,14 +32,14 @@
 //! }
 //! writer.finish().unwrap();
 //!
-//! let mut reader = TraceReader::new(Cursor::new(file.into_inner()), Policy::Strict).unwrap();
+//! let mut reader = TraceReader::new(Cursor::new(file.into_inner())).unwrap();
 //! let mut n = 0;
 //! while let Some(instr) = reader.next_instr().unwrap() {
 //!     assert_eq!(instr, Instr::Op);
 //!     n += 1;
 //! }
 //! assert_eq!(n, 1000);
-//! assert!(reader.report().is_clean());
+//! assert_eq!(reader.report().delivered_records, 1000);
 //! ```
 
 #![warn(missing_docs)]
@@ -57,6 +56,6 @@ pub mod writer;
 pub use corrupt::{apply, plan_for_seed, CorruptionOp};
 pub use error::ReadError;
 pub use format::{TraceHeader, DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
-pub use reader::{Policy, TraceReader};
+pub use reader::TraceReader;
 pub use replay::{capture_source, ReplaySource};
 pub use writer::TraceWriter;

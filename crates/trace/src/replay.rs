@@ -4,11 +4,10 @@
 //! [`ReplaySource`] adapts a framed trace file to the simulator's
 //! [`InstrSource`] contract (an infinite stream): when the trace is
 //! exhausted it reopens the file and wraps around, accumulating the
-//! ingestion report across passes. Under [`Policy::Strict`] a corrupt
-//! byte panics with the typed error — inside a bench cell that panic is
-//! caught and becomes a sweep `Failure` whose reason starts with
-//! `panicked:` and names the byte offset. Under [`Policy::Lenient`] corruption is quarantined and
-//! the replay continues on whatever records survive.
+//! ingestion report across passes. A corrupt byte panics with the typed
+//! error — inside a bench cell that panic is caught and becomes a sweep
+//! `Failure` whose reason starts with `panicked:` and names the byte
+//! offset.
 //!
 //! `ReplaySource` forwards the simulator's op-run fast path
 //! ([`InstrSource::take_ops`] / [`InstrSource::peek_ops`]) to
@@ -24,13 +23,12 @@ use std::path::{Path, PathBuf};
 use bingo_sim::{Counters, IngestReport, Instr, InstrSource};
 
 use crate::error::ReadError;
-use crate::reader::{Policy, TraceReader};
+use crate::reader::TraceReader;
 use crate::writer::TraceWriter;
 
 /// An [`InstrSource`] that replays a framed trace file, looping forever.
 pub struct ReplaySource {
     path: PathBuf,
-    policy: Policy,
     reader: TraceReader<BufReader<File>>,
     /// Ingestion totals from completed passes over the file.
     completed: IngestReport,
@@ -42,44 +40,33 @@ impl std::fmt::Debug for ReplaySource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplaySource")
             .field("path", &self.path)
-            .field("policy", &self.policy)
             .field("passes", &self.passes)
             .finish_non_exhaustive()
     }
 }
 
 impl ReplaySource {
-    /// Opens `path` for replay under `policy`.
-    pub fn open(path: impl Into<PathBuf>, policy: Policy) -> Result<Self, ReadError> {
+    /// Opens `path` for replay; a malformed file header is an immediate
+    /// error.
+    pub fn open(path: impl Into<PathBuf>) -> Result<Self, ReadError> {
         let path = path.into();
-        let reader = Self::open_reader(&path, policy)?;
+        let reader = Self::open_reader(&path)?;
         Ok(ReplaySource {
             path,
-            policy,
             reader,
             completed: IngestReport::default(),
             passes: 0,
         })
     }
 
-    fn open_reader(path: &Path, policy: Policy) -> Result<TraceReader<BufReader<File>>, ReadError> {
+    fn open_reader(path: &Path) -> Result<TraceReader<BufReader<File>>, ReadError> {
         let file = File::open(path).map_err(|error| ReadError::Io { offset: 0, error })?;
-        TraceReader::new(BufReader::new(file), policy)
-    }
-
-    /// The trace file being replayed.
-    pub fn path(&self) -> &Path {
-        &self.path
+        TraceReader::new(BufReader::new(file))
     }
 
     /// Completed wrap-arounds over the file.
     pub fn passes(&self) -> u64 {
         self.passes
-    }
-
-    /// High-water memory mark of the current pass's reader.
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.reader.peak_resident_bytes()
     }
 }
 
@@ -91,8 +78,8 @@ impl InstrSource for ReplaySource {
                 Ok(None) => {
                     let pass = self.reader.report();
                     // A pass that delivered nothing would loop forever;
-                    // fail loudly instead (lenient mode can hit this
-                    // when every chunk of a short trace is corrupt).
+                    // fail loudly instead (a well-formed trace of zero
+                    // records reaches this).
                     assert!(
                         pass.delivered_records > 0,
                         "trace {}: no decodable records to replay",
@@ -100,7 +87,7 @@ impl InstrSource for ReplaySource {
                     );
                     self.completed.add(&pass);
                     self.passes += 1;
-                    match Self::open_reader(&self.path, self.policy) {
+                    match Self::open_reader(&self.path) {
                         Ok(reader) => self.reader = reader,
                         Err(err) => panic!(
                             "trace {}: reopen for pass {} failed: {err}",
@@ -188,7 +175,7 @@ mod tests {
         let file = File::create(&path).expect("create");
         capture_source(&mut *synthetic(), 10, 4, file).expect("capture");
 
-        let mut replay = ReplaySource::open(&path, Policy::Strict).expect("open");
+        let mut replay = ReplaySource::open(&path).expect("open");
         let mut live = synthetic();
         // Two full passes: the wrap must restart the stream exactly.
         for pass in 0..2 {
@@ -214,7 +201,7 @@ mod tests {
         let path = scratch("empty");
         let file = File::create(&path).expect("create");
         capture_source(&mut *synthetic(), 0, 4, file).expect("capture");
-        let mut replay = ReplaySource::open(&path, Policy::Strict).expect("open");
+        let mut replay = ReplaySource::open(&path).expect("open");
         let _ = replay.next_instr();
     }
 }

@@ -124,7 +124,7 @@ mod tests {
     use bingo_sim::{Addr, Pc};
 
     use super::*;
-    use crate::reader::{Policy, TraceReader};
+    use crate::reader::TraceReader;
 
     fn sample(n: u64) -> Instr {
         match n % 3 {
@@ -155,8 +155,8 @@ mod tests {
         assert_eq!(w.finish().expect("finish"), 23);
 
         let bytes = file.into_inner();
-        let mut r = TraceReader::new(Cursor::new(&bytes), Policy::Strict).expect("open");
-        let header = r.header().expect("header parsed");
+        let mut r = TraceReader::new(Cursor::new(&bytes)).expect("open");
+        let header = r.header();
         assert_eq!(header.total_records, 23);
         assert_eq!(header.chunk_records, 7);
         for n in 0..23 {
@@ -207,7 +207,7 @@ mod tests {
         let mut file = Cursor::new(Vec::new());
         let w = TraceWriter::new(&mut file, 4).expect("header");
         assert_eq!(w.finish().expect("finish"), 0);
-        let mut r = TraceReader::new(Cursor::new(file.into_inner()), Policy::Strict).expect("open");
+        let mut r = TraceReader::new(Cursor::new(file.into_inner())).expect("open");
         assert_eq!(r.next_instr().expect("end"), None);
         assert!(r.report().is_clean());
     }

@@ -14,7 +14,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use bingo_sim::InstrSource;
-use bingo_trace::{capture_source, Policy, ReadError, ReplaySource};
+use bingo_trace::{capture_source, ReadError, ReplaySource};
 
 use crate::Workload;
 
@@ -23,21 +23,15 @@ use crate::Workload;
 pub struct TraceWorkload {
     dir: PathBuf,
     name: String,
-    policy: Policy,
 }
 
 impl TraceWorkload {
-    /// Opens a capture directory under [`Policy::Strict`].
+    /// Opens a capture directory.
     ///
     /// Fails with the path and cause when the directory is missing or
     /// holds no `core0.btrc` — misconfiguration surfaces before any
     /// simulation time is spent.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::with_policy(dir, Policy::Strict)
-    }
-
-    /// Opens a capture directory with an explicit recovery policy.
-    pub fn with_policy(dir: impl Into<PathBuf>, policy: Policy) -> io::Result<Self> {
         let dir = dir.into();
         let probe = core_path(&dir, 0);
         if !probe.is_file() {
@@ -54,7 +48,7 @@ impl TraceWorkload {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| dir.display().to_string());
-        Ok(TraceWorkload { dir, name, policy })
+        Ok(TraceWorkload { dir, name })
     }
 
     /// The capture directory.
@@ -67,19 +61,10 @@ impl TraceWorkload {
         &self.name
     }
 
-    /// The recovery policy replay sources will use.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
     /// Stable identifier for checkpoint cell keys: the capture
-    /// directory path plus the policy when non-default, so strict and
-    /// lenient replays of the same file never share a checkpoint line.
+    /// directory path.
     pub fn key(&self) -> String {
-        match self.policy {
-            Policy::Strict => self.dir.display().to_string(),
-            Policy::Lenient => format!("{}?policy=lenient", self.dir.display()),
-        }
+        self.dir.display().to_string()
     }
 
     /// Path of core `core`'s trace file.
@@ -97,8 +82,7 @@ impl TraceWorkload {
         (0..cores)
             .map(|core| {
                 let path = self.core_path(core % captured);
-                ReplaySource::open(path, self.policy)
-                    .map(|source| Box::new(source) as Box<dyn InstrSource>)
+                ReplaySource::open(path).map(|source| Box::new(source) as Box<dyn InstrSource>)
             })
             .collect()
     }
@@ -203,15 +187,5 @@ mod tests {
         let missing = scratch("gone").join("nope");
         let err = TraceWorkload::open(&missing).expect_err("must fail");
         assert!(err.to_string().contains("nope"), "error names the path");
-    }
-
-    #[test]
-    fn keys_distinguish_policies() {
-        let dir = scratch("keys");
-        capture_workload(Workload::Zeus, 1, 1, 50, 16, &dir).expect("capture");
-        let strict = TraceWorkload::open(&dir).expect("open");
-        let lenient = TraceWorkload::with_policy(&dir, Policy::Lenient).expect("open");
-        assert_ne!(strict.key(), lenient.key());
-        fs::remove_dir_all(&dir).ok();
     }
 }

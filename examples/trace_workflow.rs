@@ -12,9 +12,7 @@ use std::io::BufReader;
 
 use bingo_repro::prefetcher::{Bingo, BingoConfig, EventKind, SpatialProfiler};
 use bingo_repro::sim::{Instr, NoPrefetcher, Prefetcher, RegionGeometry, System, SystemConfig};
-use bingo_repro::trace::{
-    capture_source, Policy, ReplaySource, TraceReader, DEFAULT_CHUNK_RECORDS,
-};
+use bingo_repro::trace::{capture_source, ReplaySource, TraceReader, DEFAULT_CHUNK_RECORDS};
 use bingo_repro::workloads::Workload;
 
 fn main() {
@@ -36,7 +34,7 @@ fn main() {
     //    (one chunk resident at a time): how predictable is this stream,
     //    per trigger event, before any prefetcher runs?
     let file = File::open(&path).expect("open trace file");
-    let mut reader = TraceReader::new(BufReader::new(file), Policy::Strict).expect("read header");
+    let mut reader = TraceReader::new(BufReader::new(file)).expect("read header");
     let mut profiler = SpatialProfiler::new(RegionGeometry::default(), 64);
     let mut accesses = 0u64;
     while let Some(instr) = reader.next_instr().expect("decode trace") {
@@ -48,10 +46,6 @@ fn main() {
             Instr::Op => {}
         }
     }
-    assert!(
-        reader.report().is_clean(),
-        "a fresh capture decodes cleanly"
-    );
     let report = profiler.finish();
     println!(
         "\nspatial profile of {accesses} memory accesses: {} residencies, \
@@ -73,7 +67,7 @@ fn main() {
     let mut cfg = SystemConfig::tiny();
     cfg.cores = 1;
     let run = |prefetcher: Box<dyn Prefetcher>| {
-        let replay = ReplaySource::open(&path, Policy::Strict).expect("open trace for replay");
+        let replay = ReplaySource::open(&path).expect("open trace for replay");
         System::new(cfg, vec![Box::new(replay)], vec![prefetcher], 150_000)
             .with_warmup(100_000)
             .run()

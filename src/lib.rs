@@ -11,7 +11,7 @@
 //! | [`prefetcher`] | the Bingo prefetcher and the multi-event TAGE-like predictors |
 //! | [`baselines`] | BOP, SPP, VLDP, AMPM, SMS, stride |
 //! | [`workloads`] | synthetic generators for the Table II workload suite |
-//! | [`trace`] | hardened trace capture/replay: framed format, CRC32, quarantine |
+//! | [`trace`] | hardened trace capture/replay: framed format, CRC32, typed offset-carrying errors |
 //! | [`bench`] | experiment harness: parallel (workload × prefetcher) runner |
 //!
 //! ## Quickstart

@@ -10,7 +10,6 @@ use bingo_bench::{
     Stream,
 };
 use bingo_sim::{ChaosPlan, CoverageReport, RegionGeometry, TelemetryLevel, ThrottleMode};
-use bingo_trace::Policy;
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
 
 fn scratch(name: &str) -> PathBuf {
@@ -23,9 +22,9 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// A directory `TraceWorkload::open` accepts; the key never reads it.
-fn fake_trace(dir: &Path, policy: Policy) -> TraceWorkload {
+fn fake_trace(dir: &Path) -> TraceWorkload {
     std::fs::write(dir.join("core0.btrc"), b"").expect("probe file");
-    TraceWorkload::with_policy(dir, policy).expect("open")
+    TraceWorkload::open(dir).expect("open")
 }
 
 /// A spec with every field away from its default.
@@ -72,9 +71,8 @@ fn assert_legacy_free(key: &str) {
 
 #[test]
 fn every_field_perturbation_changes_the_key() {
-    let dir = scratch("keys");
-    let trace = fake_trace(&dir, Policy::Strict);
-    let lenient = fake_trace(&dir, Policy::Lenient);
+    let (dir, other_dir) = (scratch("keys"), scratch("keys-other"));
+    let (trace, other_trace) = (fake_trace(&dir), fake_trace(&other_dir));
     let base = full_spec(&trace);
     let base_key = base.key();
     assert_legacy_free(&base_key);
@@ -150,8 +148,8 @@ fn every_field_perturbation_changes_the_key() {
         ),
         ("slot budget", Box::new(|s| s.slots[1].budget_percent = 100)),
         (
-            "strict vs lenient",
-            Box::new(move |s| s.slots[1].stream = Stream::Trace(lenient.clone())),
+            "trace directory",
+            Box::new(move |s| s.slots[1].stream = Stream::Trace(other_trace.clone())),
         ),
         ("core count", Box::new(|s| s.slots.truncate(1))),
     ];
@@ -185,6 +183,7 @@ fn every_field_perturbation_changes_the_key() {
     );
     assert_legacy_free(&replay.key());
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&other_dir).ok();
 }
 
 #[test]

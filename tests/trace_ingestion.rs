@@ -6,9 +6,8 @@
 //!
 //! The corpus holds three pristine single-core captures (2 256 records
 //! each, 256-record chunks) plus `corrupt-bitflip.btrc` — the minimal
-//! corruption, a single flipped payload bit, which must trip the chunk
-//! CRC: a typed error under the strict policy, a quarantined chunk under
-//! the lenient one.
+//! corruption, a single flipped payload bit in the first chunk, which
+//! must trip that chunk's CRC with a typed error at its payload offset.
 
 use std::io::Cursor;
 use std::mem::{discriminant, Discriminant};
@@ -16,9 +15,7 @@ use std::path::{Path, PathBuf};
 
 use bingo_repro::bench::{ParallelHarness, PrefetcherKind, RunScale, RunSpec};
 use bingo_repro::sim::{Addr, IngestReport, Instr, InstrSource, Pc, TelemetryLevel, ThrottleMode};
-use bingo_repro::trace::{
-    apply, CorruptionOp, Policy, ReadError, ReplaySource, TraceReader, TraceWriter,
-};
+use bingo_repro::trace::{apply, CorruptionOp, ReadError, ReplaySource, TraceReader, TraceWriter};
 use bingo_repro::workloads::TraceWorkload;
 
 fn corpus_dir() -> PathBuf {
@@ -28,8 +25,8 @@ fn corpus_dir() -> PathBuf {
 const PRISTINE: [&str; 3] = ["streaming.btrc", "em3d.btrc", "stress-chase.btrc"];
 const CORRUPT: &str = "corrupt-bitflip.btrc";
 
-fn decode(bytes: &[u8], policy: Policy) -> Result<Vec<Instr>, bingo_repro::trace::ReadError> {
-    let mut reader = TraceReader::new(Cursor::new(bytes), policy)?;
+fn decode(bytes: &[u8]) -> Result<Vec<Instr>, ReadError> {
+    let mut reader = TraceReader::new(Cursor::new(bytes))?;
     let mut out = Vec::new();
     while let Some(instr) = reader.next_instr()? {
         out.push(instr);
@@ -60,54 +57,40 @@ fn corpus_is_present_and_complete() {
 fn pristine_corpus_decodes_identically_under_both_policies() {
     for name in PRISTINE {
         let bytes = std::fs::read(corpus_dir().join(name)).expect("read corpus file");
-        let strict = decode(&bytes, Policy::Strict)
-            .unwrap_or_else(|e| panic!("{name}: strict decode failed: {e}"));
-        assert!(!strict.is_empty(), "{name}: no records decoded");
+        let records = decode(&bytes).unwrap_or_else(|e| panic!("{name}: decode failed: {e}"));
+        assert!(!records.is_empty(), "{name}: no records decoded");
 
-        let mut reader = TraceReader::new(Cursor::new(&bytes[..]), Policy::Strict).unwrap();
-        let total = reader.header().expect("framed header").total_records;
+        let mut reader = TraceReader::new(Cursor::new(&bytes[..])).unwrap();
+        let total = reader.header().total_records;
         while reader.next_instr().unwrap().is_some() {}
-        assert_eq!(strict.len() as u64, total, "{name}: header total disagrees");
+        assert_eq!(
+            records.len() as u64,
+            total,
+            "{name}: header total disagrees"
+        );
         assert!(reader.report().is_clean(), "{name}: {}", reader.report());
-
-        let lenient = decode(&bytes, Policy::Lenient)
-            .unwrap_or_else(|e| panic!("{name}: lenient decode failed: {e}"));
-        assert_eq!(strict, lenient, "{name}: policies disagree on clean bytes");
     }
 }
 
 #[test]
 fn corrupt_corpus_trace_yields_typed_strict_error_with_offset() {
     let bytes = std::fs::read(corpus_dir().join(CORRUPT)).expect("read corpus file");
-    let err = decode(&bytes, Policy::Strict).expect_err("a flipped bit must not decode cleanly");
-    assert!(err.offset() > 0, "error should locate the damage: {err}");
+    let mut reader = TraceReader::new(Cursor::new(&bytes[..])).expect("header intact");
+    let err = reader
+        .next_instr()
+        .expect_err("a flipped bit must not decode cleanly");
+    // The bit sits in the first chunk's payload, which starts after the
+    // 24-byte file header and the 16-byte chunk header; no record is
+    // delivered before the CRC check rejects it.
     assert!(
-        err.to_string().contains("byte"),
+        matches!(err, ReadError::ChecksumMismatch { offset: 40, .. }),
+        "expected a checksum mismatch at byte 40, got {err}"
+    );
+    assert_eq!(reader.report().delivered_records, 0);
+    assert!(
+        err.to_string().contains("byte 40"),
         "typed errors carry their byte offset: {err}"
     );
-}
-
-#[test]
-fn corrupt_corpus_trace_is_quarantined_under_lenient_policy() {
-    let bytes = std::fs::read(corpus_dir().join(CORRUPT)).expect("read corpus file");
-    let mut reader = TraceReader::new(Cursor::new(&bytes[..]), Policy::Lenient).unwrap();
-    let mut delivered = 0u64;
-    while reader
-        .next_instr()
-        .expect("lenient never errors on bit flips")
-        .is_some()
-    {
-        delivered += 1;
-    }
-    let report = reader.report();
-    assert!(delivered > 0, "the undamaged chunks must still replay");
-    assert!(
-        report.quarantined_records > 0,
-        "the damaged chunk must be quarantined: {report}"
-    );
-    // The flipped bit damages exactly one 256-record chunk.
-    assert_eq!(report.quarantined_records, 256, "{report}");
-    assert_eq!(report.skipped_chunks, 1, "{report}");
 }
 
 #[test]
@@ -142,9 +125,9 @@ type Drained = (
 
 /// Drains `bytes` through `next_instr` alone or, when `batched`, through
 /// `leading_ops`/`take_ops(k)` (k cycling 1..=9) interleaved with it.
-fn drain_observed(bytes: &[u8], policy: Policy, batched: bool) -> Drained {
+fn drain_observed(bytes: &[u8], batched: bool) -> Drained {
     let error = |e: ReadError| Some((discriminant(&e), e.offset()));
-    let mut reader = match TraceReader::new(Cursor::new(bytes), policy) {
+    let mut reader = match TraceReader::new(Cursor::new(bytes)) {
         Ok(reader) => reader,
         Err(e) => return (Vec::new(), IngestReport::default(), error(e)),
     };
@@ -182,22 +165,17 @@ fn batched_op_drain_matches_the_lazy_drain_on_every_corpus_file() {
         // declared count even when zero bytes run on past it.
         let forged = apply(&bytes, &[CorruptionOp::ShortenChunks { fewer: 1 }]);
         for (image, which) in [(&bytes, "as committed"), (&forged, "forged")] {
-            for policy in [Policy::Strict, Policy::Lenient] {
-                let lazy = drain_observed(image, policy, false);
-                let batched = drain_observed(image, policy, true);
-                let name = format!("{} ({which}) {policy:?}", path.display());
-                assert_eq!(lazy.0, batched.0, "{name}: streams differ");
-                assert_eq!(lazy.1, batched.1, "{name}: reports differ");
-                assert_eq!(lazy.2, batched.2, "{name}: errors differ");
-            }
+            let lazy = drain_observed(image, false);
+            let batched = drain_observed(image, true);
+            let name = format!("{} ({which})", path.display());
+            assert_eq!(lazy.0, batched.0, "{name}: streams differ");
+            assert_eq!(lazy.1, batched.1, "{name}: reports differ");
+            assert_eq!(lazy.2, batched.2, "{name}: errors differ");
         }
     }
     let corrupt = std::fs::read(corpus_dir().join(CORRUPT)).expect("read corpus file");
-    let (_, _, err) = drain_observed(&corrupt, Policy::Strict, true);
-    assert!(
-        err.is_some(),
-        "the strict error comparison must be exercised"
-    );
+    let (_, _, err) = drain_observed(&corrupt, true);
+    assert!(err.is_some(), "the error comparison must be exercised");
 }
 
 #[test]
@@ -228,11 +206,11 @@ fn batched_replay_matches_lazy_replay_across_chunk_ends_and_wraps() {
     // Three passes: the replay wraps around twice.
     let total = 3 * records.len();
     let expected: Vec<Instr> = records.iter().copied().cycle().take(total).collect();
-    let mut lazy = ReplaySource::open(&path, Policy::Strict).expect("open");
+    let mut lazy = ReplaySource::open(&path).expect("open");
     let lazy_stream: Vec<Instr> = (0..total).map(|_| lazy.next_instr()).collect();
     assert_eq!(lazy_stream, expected);
 
-    let mut batched = ReplaySource::open(&path, Policy::Strict).expect("open");
+    let mut batched = ReplaySource::open(&path).expect("open");
     let mut stream = Vec::new();
     let mut k = 0;
     while stream.len() < total {
@@ -254,42 +232,44 @@ fn batched_replay_matches_lazy_replay_across_chunk_ends_and_wraps() {
 }
 
 #[test]
-fn corrupt_corpus_trace_fails_strict_cell_but_completes_lenient_sim() {
-    let dir = as_capture_dir(CORRUPT, "corrupt-sim");
+fn corrupt_corpus_trace_fails_only_its_own_cell() {
+    let corrupt_dir = as_capture_dir(CORRUPT, "corrupt-sim");
+    let pristine_dir = as_capture_dir(PRISTINE[0], "pristine-sim");
     let scale = RunScale {
         instructions_per_core: 1_000,
         warmup_per_core: 300,
         seed: 0,
     };
+    let bytes = std::fs::read(corpus_dir().join(CORRUPT)).expect("read corpus file");
+    let decode_error = decode(&bytes).expect_err("a flipped bit must not decode cleanly");
 
-    // Both policies in one panic-isolated sweep.
-    let strict = TraceWorkload::open(&dir).expect("open corpus capture");
-    let lenient =
-        TraceWorkload::with_policy(&dir, Policy::Lenient).expect("open corpus capture leniently");
+    // The corrupt capture beside a pristine one, in one panic-isolated
+    // sweep.
+    let corrupt = TraceWorkload::open(&corrupt_dir).expect("open corrupt capture");
+    let pristine = TraceWorkload::open(&pristine_dir).expect("open pristine capture");
     let spec = |trace: &TraceWorkload| {
         let kind = PrefetcherKind::None;
         RunSpec::trace(scale, trace, kind, TelemetryLevel::Off, ThrottleMode::Off)
     };
     let report = ParallelHarness::with_jobs(2)
         .quiet()
-        .try_run(&[spec(&strict), spec(&lenient)]);
+        .try_run(&[spec(&corrupt), spec(&pristine)]);
 
-    assert!(report.evaluations[0].is_none(), "strict replay must fail");
+    assert!(report.evaluations[0].is_none(), "corrupt replay must fail");
     let [failure] = &report.failures[..] else {
-        panic!("only the strict cell fails: {}", report.failure_report());
+        panic!("only the corrupt cell fails: {}", report.failure_report());
     };
     assert!(
-        failure.reason.contains("byte"),
-        "strict cell failure should carry the typed offset: {}",
+        failure.reason.contains(&decode_error.to_string()),
+        "the cell failure should carry the reader's {decode_error}: {}",
         failure.reason
     );
     let result = report.evaluations[1]
         .as_ref()
-        .expect("lenient replay must complete");
+        .expect("pristine replay must complete");
     let ingest = result.ingest.as_ref().expect("replay attaches a report");
-    assert!(
-        ingest.quarantined_records > 0,
-        "the damage must be visible in the result: {ingest}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(ingest.is_clean(), "pristine corpus quarantined: {ingest}");
+    assert!(ingest.delivered_records > 0, "{ingest}");
+    std::fs::remove_dir_all(&corrupt_dir).ok();
+    std::fs::remove_dir_all(&pristine_dir).ok();
 }
