@@ -1,83 +1,52 @@
-//! Runs every experiment binary in sequence, printing all tables/figures
-//! and per-binary wall-clock timings. Pass `--quick` to run at CI scale.
+//! Runs every figure of [`bingo_bench::figures::ALL`] in order, in this
+//! process and over one [`Session`], printing each under a header and then
+//! per-figure wall-clock timings. Pass `--quick` to run at CI scale.
 //!
-//! The binaries themselves parallelize across (workload, prefetcher)
-//! cells — see `BINGO_JOBS` in EXPERIMENTS.md.
+//! The session's one harness memoizes every cell, so a cell two figures
+//! share is simulated once; it parallelizes across cells — see
+//! `BINGO_JOBS` in EXPERIMENTS.md. With `BINGO_STATS` naming a directory,
+//! each figure exports to its own `<figure>.json`.
 
-use std::process::Command;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-const BINARIES: [&str; 17] = [
-    "table1_config",
-    "table2_workloads",
-    "fig2_events",
-    "fig3_num_events",
-    "fig4_redundancy",
-    "fig6_table_size",
-    "fig7_coverage",
-    "fig8_performance",
-    "fig9_density",
-    "fig10_isodegree",
-    "fig_timeliness",
-    "fig_traces",
-    "fig_multicore",
-    "ablation_voting",
-    "ablation_region",
-    "ablation_training",
-    "workload_stats",
-];
+use bingo_bench::figures::{Session, ALL};
 
 fn main() {
-    let exe = std::env::current_exe()
-        .unwrap_or_else(|e| panic!("cannot resolve the current executable path: {e}"));
-    let dir = exe
-        .parent()
-        .unwrap_or_else(|| panic!("executable {} has no parent directory", exe.display()))
-        .to_path_buf();
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut session = Session::from_env();
     let total = Instant::now();
     let mut timings = Vec::new();
-    let mut failures: Vec<(&str, String)> = Vec::new();
-    for bin in BINARIES {
-        println!("\n================ {bin} ================\n");
+    for (name, figure) in ALL {
+        println!("\n================ {name} ================\n");
+        session.harness.export_stats_as(name);
         let start = Instant::now();
-        // One failing figure must not cost the remaining thirteen: record
-        // the failure, keep sweeping, and report everything at the end.
-        let outcome = match Command::new(dir.join(bin)).args(&args).status() {
-            Ok(status) if status.success() => Ok(()),
-            Ok(status) => Err(format!("exited with {status}")),
-            Err(e) => Err(format!("failed to launch: {e}")),
-        };
+        // One failing figure must not cost the rest: its panic message is
+        // already on stderr, so record the failure and keep sweeping.
+        let ok = catch_unwind(AssertUnwindSafe(|| figure(&mut session))).is_ok();
         let secs = start.elapsed().as_secs_f64();
-        match outcome {
-            Ok(()) => eprintln!("[all] {bin} finished in {secs:.1}s"),
-            Err(reason) => {
-                eprintln!("[all] {bin} FAILED after {secs:.1}s: {reason}");
-                failures.push((bin, reason));
-            }
-        }
-        timings.push((bin, secs));
+        let verdict = if ok { "finished in" } else { "FAILED after" };
+        eprintln!("[all] {name} {verdict} {secs:.1}s");
+        timings.push((name, secs, ok));
     }
     let total_secs = total.elapsed().as_secs_f64();
     println!("\n================ timing summary ================\n");
-    for (bin, secs) in &timings {
-        let mark = if failures.iter().any(|(f, _)| f == bin) {
-            "  FAILED"
-        } else {
-            ""
-        };
-        println!("{bin:<18} {secs:>8.1}s{mark}");
+    for (name, secs, ok) in &timings {
+        let mark = if *ok { "" } else { "  FAILED" };
+        println!("{name:<18} {secs:>8.1}s{mark}");
     }
     println!("{:<18} {:>8.1}s", "total", total_secs);
+    let failures: Vec<&str> = timings
+        .iter()
+        .filter(|(_, _, ok)| !ok)
+        .map(|(name, ..)| *name)
+        .collect();
     if !failures.is_empty() {
         eprintln!(
-            "\nFAILURE REPORT: {} of {} binaries failed",
+            "\nFAILURE REPORT: {} of {} figures failed: {}",
             failures.len(),
-            BINARIES.len()
+            ALL.len(),
+            failures.join(", ")
         );
-        for (bin, reason) in &failures {
-            eprintln!("  {bin}: {reason}");
-        }
         std::process::exit(1);
     }
 }

@@ -243,8 +243,7 @@ fn check_sim(
         seed,
     };
     let stats_path = dir.join("stats.jsonl");
-    let stats = StatsExport::create(&stats_path)
-        .map_err(|e| format!("creating {}: {e}", stats_path.display()))?;
+    let stats = StatsExport::new(&stats_path);
     let spec = RunSpec::trace(
         scale,
         &trace,

@@ -65,7 +65,9 @@ fn main() {
             }
         }
     }
-    let results = ParallelHarness::from_env().try_run(&specs).into_complete();
+    let mut harness = ParallelHarness::from_env();
+    harness.export_stats_as("stress_degrade");
+    let results = harness.try_run(&specs).into_complete();
 
     let mut t = Table::new(vec![
         "Pressure",

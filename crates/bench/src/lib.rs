@@ -1,9 +1,11 @@
 //! # bingo-bench — experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation. Each
-//! binary in `src/bin/` prints one figure's data; `cargo run -p bingo-bench
-//! --release --bin all` regenerates everything. Pass `--quick` for a
-//! reduced instruction budget (CI scale).
+//! figure is a function of [`figures`] over one [`figures::Session`], and a
+//! binary of the same name in `src/bin/` prints it alone; `cargo run -p
+//! bingo-bench --release --bin all` prints every figure of
+//! [`figures::ALL`] in one process, simulating each cell once. Pass
+//! `--quick` for a reduced instruction budget (CI scale).
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|
@@ -18,7 +20,12 @@
 //! | `fig9_density` | Fig. 9: performance-density improvement |
 //! | `fig10_isodegree` | Fig. 10: iso-degree comparison |
 //! | `fig_timeliness` | prefetch-lifecycle timeliness & event-kind attribution |
-//! | `ablation_voting` / `ablation_region` | design-choice ablations |
+//! | `fig_traces` | headline prefetchers replayed on recorded `.btrc` traces |
+//! | `fig_multicore` | multi-core capacity search & per-core fairness |
+//! | `fig_qos` | throttle starvation: off / chip-wide / per-core arms + chaos cell |
+//! | `ablation_voting` / `ablation_region` / `ablation_training` | design-choice ablations |
+//! | `workload_stats` | spatial structure of each workload's access stream |
+//! | `stress_degrade` | graceful degradation under memory pressure (not in `all`) |
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -28,6 +35,7 @@ pub mod capture;
 pub mod checkpoint;
 pub mod cli;
 pub mod differential;
+pub mod figures;
 mod json;
 pub mod knobs;
 pub mod mix;
@@ -53,7 +61,7 @@ pub use perf_record::{
     BENCH_JSON_ENV, CALIBRATION_KEY,
 };
 pub use runner::{
-    default_jobs, geometric_mean, mean, parallel_map, run_one, summary_table, telemetry_from_env,
+    default_jobs, geometric_mean, mean, parallel_map, run_one, telemetry_from_env,
     throttle_from_env, Evaluation, Failure, MixEvaluation, ParallelHarness, PrefetcherKind, Report,
     RunScale, RunSpec, Slot, Stream, THROTTLE_ENV,
 };

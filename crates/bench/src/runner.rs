@@ -53,7 +53,6 @@ use crate::checkpoint::{Checkpoint, CHECKPOINT_ENV};
 use crate::knobs;
 use crate::mix::{FairnessReport, MixConfig, Pressure};
 use crate::stats_export::StatsExport;
-use crate::table::{pct, Table};
 
 /// Which prefetcher to attach to every core.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -307,7 +306,7 @@ impl RunScale {
         }
     }
 
-    /// A reduced scale for CI and Criterion.
+    /// A reduced scale for CI and the `harness = false` bench binaries.
     pub fn quick() -> Self {
         RunScale {
             instructions_per_core: 150_000,
@@ -322,9 +321,10 @@ impl RunScale {
     ///
     /// # Panics
     ///
-    /// Panics if `BINGO_WARMUP` or `BINGO_INSTR` is set but does not parse
-    /// as an unsigned integer: a typo'd override must abort the run, not
-    /// silently fall back to the full scale.
+    /// Panics if `BINGO_WARMUP` is set but is not an unsigned integer, or
+    /// `BINGO_INSTR` is set but is not a positive one (an empty measurement
+    /// window would report zeros): a typo'd override must abort the run,
+    /// not silently fall back to the full scale.
     pub fn from_args() -> Self {
         Self::from_parts(std::env::args().skip(1), |name| std::env::var(name).ok())
     }
@@ -342,18 +342,18 @@ impl RunScale {
             Self::full()
         };
         if let Some(v) = env("BINGO_WARMUP") {
-            scale.warmup_per_core = parse_override("BINGO_WARMUP", &v);
+            scale.warmup_per_core = knobs::parse("BINGO_WARMUP", &v, "an unsigned integer", |v| {
+                v.parse().ok()
+            });
         }
         if let Some(v) = env("BINGO_INSTR") {
-            scale.instructions_per_core = parse_override("BINGO_INSTR", &v);
+            scale.instructions_per_core =
+                knobs::parse("BINGO_INSTR", &v, "a positive integer", |v| {
+                    v.parse().ok().filter(|&n| n > 0)
+                });
         }
         scale
     }
-}
-
-/// Parses a numeric environment override, aborting loudly on garbage.
-fn parse_override(name: &str, value: &str) -> u64 {
-    knobs::parse(name, value, "an unsigned integer", |v| v.parse().ok())
 }
 
 /// Environment variable selecting the prefetch-lifecycle telemetry level
@@ -850,7 +850,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs one spec with panic isolation and an optional soft deadline (polled
-/// at instruction-batch granularity inside the simulation loop). Never
+/// every 8192 run-loop iterations inside [`System::try_run`]). Never
 /// panics and never blocks past the deadline: a panic, a timeout or a
 /// cycle-limit abort comes back as the failure reason.
 fn run_isolated(spec: &RunSpec, deadline: Option<Duration>) -> Result<SimResult, String> {
@@ -865,17 +865,15 @@ fn run_isolated(spec: &RunSpec, deadline: Option<Duration>) -> Result<SimResult,
 }
 
 /// Parses the `BINGO_CELL_TIMEOUT` value (seconds, fractional allowed),
-/// aborting loudly on garbage — a typo'd deadline must not silently run
-/// unlimited.
+/// aborting loudly on garbage, a negative or non-finite number, or one no
+/// [`Duration`] holds — a typo'd deadline must not silently run unlimited.
 fn parse_cell_timeout(value: &str) -> Duration {
-    let secs: f64 = knobs::parse(CELL_TIMEOUT_ENV, value, "a number of seconds", |v| {
-        v.parse().ok()
-    });
-    assert!(
-        secs.is_finite() && secs >= 0.0,
-        "{CELL_TIMEOUT_ENV} must be a non-negative number of seconds, got {value:?}"
-    );
-    Duration::from_secs_f64(secs)
+    knobs::parse(
+        CELL_TIMEOUT_ENV,
+        value,
+        "a non-negative number of seconds",
+        |v| Duration::try_from_secs_f64(v.parse().ok()?).ok(),
+    )
 }
 
 /// Environment variable holding the per-cell soft deadline in seconds.
@@ -897,19 +895,18 @@ pub struct ParallelHarness {
 
 impl ParallelHarness {
     /// Creates a harness with [`default_jobs`] workers, honoring the
-    /// `BINGO_CELL_TIMEOUT` (per-cell deadline, seconds), `BINGO_CHECKPOINT`
-    /// (resume file) and `BINGO_STATS` (machine-readable stats export)
-    /// environment knobs. [`ParallelHarness::with_jobs`] and the builders
-    /// ignore the environment so tests stay hermetic.
+    /// `BINGO_CELL_TIMEOUT` (per-cell deadline, seconds) and
+    /// `BINGO_CHECKPOINT` (resume file) environment knobs; the
+    /// `BINGO_STATS` export attaches per figure through
+    /// [`ParallelHarness::export_stats_as`]. [`ParallelHarness::with_jobs`]
+    /// and the builders ignore the environment so tests stay hermetic.
     ///
     /// # Panics
     ///
     /// Panics if `BINGO_CELL_TIMEOUT` is set but not a non-negative number
-    /// of seconds, or if `BINGO_CHECKPOINT` or `BINGO_STATS` names an
-    /// unopenable file.
+    /// of seconds, or if `BINGO_CHECKPOINT` names an unopenable file.
     pub fn from_env() -> Self {
         let mut harness = Self::with_jobs(default_jobs());
-        harness.stats = StatsExport::from_env();
         if let Ok(v) = std::env::var(CELL_TIMEOUT_ENV) {
             harness.cell_timeout = Some(parse_cell_timeout(&v));
         }
@@ -973,6 +970,18 @@ impl ParallelHarness {
     pub fn with_stats_export(mut self, export: StatsExport) -> Self {
         self.stats = Some(export);
         self
+    }
+
+    /// Replaces the stats export with the one `BINGO_STATS` names for
+    /// `stem` ([`StatsExport::from_env`]), or with none when it is unset:
+    /// every cell resolved from now on, memo hits included, goes to it.
+    pub fn export_stats_as(&mut self, stem: &str) {
+        self.stats = StatsExport::from_env(stem);
+    }
+
+    /// The worker count.
+    pub fn jobs(&self) -> usize {
+        self.jobs
     }
 
     /// The engine. Resolves every spec — from the memo, then the
@@ -1335,46 +1344,6 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// The summary table of the ablations and Fig. 10: each `(label, kind)`
-/// row runs on every workload of [`Workload::ALL`] at the command line's
-/// [`RunScale`] and the environment's telemetry and throttle, through
-/// [`ParallelHarness::from_env`], and becomes one table row — the label
-/// (under `first_column`), the gmean performance improvement, the mean
-/// coverage and the mean overprediction.
-///
-/// # Panics
-///
-/// Panics on a malformed knob or a failed cell, as
-/// [`ParallelHarness::evaluate`] does.
-pub fn summary_table<S: AsRef<str>>(first_column: &str, rows: &[(S, PrefetcherKind)]) -> Table {
-    let scale = RunScale::from_args();
-    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
-    // Kind-major grid: all workloads of one row are contiguous.
-    let specs: Vec<RunSpec> = rows
-        .iter()
-        .flat_map(|&(_, kind)| RunSpec::grid(scale, &Workload::ALL, &[kind], telemetry, throttle))
-        .collect();
-    let evals = ParallelHarness::from_env().evaluate(&specs);
-    let mut t = Table::new(vec![
-        first_column,
-        "Perf gmean",
-        "Coverage",
-        "Overprediction",
-    ]);
-    for ((label, _), chunk) in rows.iter().zip(evals.chunks(Workload::ALL.len())) {
-        let speedups: Vec<f64> = chunk.iter().map(|e| e.speedup).collect();
-        let covs: Vec<f64> = chunk.iter().map(|e| e.coverage.coverage).collect();
-        let ovs: Vec<f64> = chunk.iter().map(|e| e.coverage.overprediction).collect();
-        t.row(vec![
-            label.as_ref().to_string(),
-            pct(geometric_mean(&speedups) - 1.0),
-            pct(mean(&covs)),
-            pct(mean(&ovs)),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1537,9 +1506,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "BINGO_INSTR must be an unsigned integer")]
+    #[should_panic(expected = "BINGO_INSTR must be a positive integer")]
     fn from_parts_rejects_garbage_instr() {
         let env = |name: &str| (name == "BINGO_INSTR").then(|| "100k".to_string());
+        let _ = RunScale::from_parts(Vec::new(), env);
+    }
+
+    /// An empty measurement window would print a figure of zeros; an
+    /// empty warm-up is a legitimate cold start.
+    #[test]
+    #[should_panic(expected = "BINGO_INSTR must be a positive integer, got \"0\"")]
+    fn from_parts_rejects_zero_instr_but_not_zero_warmup() {
+        let warm = |name: &str| (name == "BINGO_WARMUP").then(|| "0".to_string());
+        assert_eq!(RunScale::from_parts(Vec::new(), warm).warmup_per_core, 0);
+        let env = |name: &str| (name == "BINGO_INSTR").then(|| "0".to_string());
         let _ = RunScale::from_parts(Vec::new(), env);
     }
 
@@ -1795,9 +1775,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "BINGO_CELL_TIMEOUT must be a number of seconds")]
+    #[should_panic(expected = "BINGO_CELL_TIMEOUT must be a non-negative number of seconds")]
     fn parse_cell_timeout_rejects_garbage() {
         let _ = parse_cell_timeout("fast");
+    }
+
+    /// A finite, non-negative value no `Duration` holds fails as a knob,
+    /// not inside `core::time`.
+    #[test]
+    #[should_panic(
+        expected = "BINGO_CELL_TIMEOUT must be a non-negative number of seconds, got \"1e30\""
+    )]
+    fn parse_cell_timeout_rejects_a_value_no_duration_holds() {
+        let _ = parse_cell_timeout("1e30");
     }
 
     #[test]
@@ -2002,7 +1992,7 @@ mod tests {
             .collect();
         let mut h = ParallelHarness::with_jobs(2)
             .quiet()
-            .with_stats_export(StatsExport::create(&path).expect("create export"));
+            .with_stats_export(StatsExport::new(&path));
         let evals = h.evaluate(&specs);
         assert_eq!(evals[0].baseline, evals[1].baseline);
         let text = std::fs::read_to_string(&path).expect("read export");

@@ -1,15 +1,16 @@
 //! Machine-readable stats export: one JSON line per completed sweep cell.
 //!
 //! Point `BINGO_STATS` at a file (or a directory — the file is then named
-//! after the running binary) and every bench binary writes each completed
-//! cell's full [`SimResult`] — telemetry report included, when enabled —
-//! as one self-contained JSON line, in the same format the crash-safe
-//! checkpoint uses (floats as IEEE-754 bit patterns, see
+//! `<name>.json` after the figure or binary) and every bench binary writes
+//! each completed cell's full [`SimResult`] — telemetry report included,
+//! when enabled — as one self-contained JSON line, in the same format the
+//! crash-safe checkpoint uses (floats as IEEE-754 bit patterns, see
 //! [`crate::checkpoint`]). CI uploads the file as an artifact; offline
 //! analysis parses it with any JSON reader.
 //!
 //! Unlike the checkpoint (an append-only resume log), the export is a
-//! *report*: it is truncated on creation, written in deterministic order
+//! *report*: it is truncated when its first cell is recorded (an export
+//! that records nothing leaves no file), written in deterministic order
 //! (baselines first, then cells in grid order), and deduplicates keys so
 //! repeated grids over the same harness cannot double-report a cell.
 
@@ -31,53 +32,29 @@ pub const STATS_ENV: &str = "BINGO_STATS";
 #[derive(Debug)]
 pub struct StatsExport {
     path: PathBuf,
-    writer: Mutex<File>,
+    /// Created, truncating, by the first [`StatsExport::record`].
+    writer: Mutex<Option<File>>,
     written: Mutex<HashSet<String>>,
 }
 
 impl StatsExport {
-    /// Creates (truncating) the export file. A path that names an existing
-    /// directory or ends in a separator is treated as a directory and the
-    /// file inside it is named `<binary>.json` after the running
-    /// executable, so one `BINGO_STATS=results/` serves every binary of a
-    /// multi-figure run.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the file (parent directories
-    /// are created as needed).
-    pub fn create(path: impl AsRef<Path>) -> io::Result<StatsExport> {
-        let path = resolve_path(path.as_ref());
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let writer = File::create(&path)?;
-        Ok(StatsExport {
-            path,
-            writer: Mutex::new(writer),
+    /// An export to `path`. The file (and any missing parent directory)
+    /// is created, truncating, when the first cell is recorded.
+    pub fn new(path: impl Into<PathBuf>) -> StatsExport {
+        StatsExport {
+            path: path.into(),
+            writer: Mutex::new(None),
             written: Mutex::new(HashSet::new()),
-        })
+        }
     }
 
-    /// Builds the export named by `BINGO_STATS`, or `None` when unset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set but the file cannot be created: a
-    /// run asked to export stats must not silently drop them.
-    pub fn from_env() -> Option<StatsExport> {
-        let path = std::env::var(STATS_ENV).ok()?;
-        Some(
-            StatsExport::create(&path)
-                .unwrap_or_else(|e| panic!("{STATS_ENV}: cannot create {path:?}: {e}")),
-        )
-    }
-
-    /// The resolved output file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// The export `BINGO_STATS` names for `stem`, or `None` when unset. A
+    /// value that names an existing directory or ends in a separator is a
+    /// directory, and the file inside it is `<stem>.json`, so one
+    /// `BINGO_STATS=results/` serves every figure of a multi-figure run.
+    pub fn from_env(stem: &str) -> Option<StatsExport> {
+        let target = std::env::var(STATS_ENV).ok()?;
+        Some(StatsExport::new(resolve_path(Path::new(&target), stem)))
     }
 
     /// Writes one cell as a JSON line, flushed immediately. A key already
@@ -87,42 +64,47 @@ impl StatsExport {
     /// # Errors
     ///
     /// Returns any I/O error from appending to the export file.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be created: a run asked to export stats
+    /// must not silently drop them.
     pub fn record(&self, key: &str, result: &SimResult) -> io::Result<()> {
         if !lock(&self.written).insert(key.to_string()) {
             return Ok(());
         }
         let line = serialize_entry(key, result);
         let mut writer = lock(&self.writer);
+        let writer = writer.get_or_insert_with(|| {
+            create_file(&self.path).unwrap_or_else(|e| {
+                panic!("cannot create stats export {}: {e}", self.path.display())
+            })
+        });
         writer.write_all(line.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()
     }
 }
 
-/// Maps a directory-like path to `<dir>/<binary>.json`.
-fn resolve_path(path: &Path) -> PathBuf {
+/// Maps a directory-like path to `<dir>/<stem>.json`.
+fn resolve_path(path: &Path, stem: &str) -> PathBuf {
     let dir_like = path.is_dir()
         || path
             .to_str()
             .is_some_and(|s| s.ends_with('/') || s.ends_with(std::path::MAIN_SEPARATOR));
     if dir_like {
-        path.join(format!("{}.json", current_binary_name()))
+        path.join(format!("{stem}.json"))
     } else {
         path.to_path_buf()
     }
 }
 
-/// The running executable's stem, for directory-target file naming.
-fn current_binary_name() -> String {
-    std::env::current_exe()
-        .ok()
-        .as_deref()
-        .and_then(Path::file_stem)
-        .and_then(|s| s.to_str())
-        // Test binaries carry a `-<hash>` suffix; strip it so reruns
-        // overwrite instead of accumulating.
-        .map(|s| s.rsplit_once('-').map_or(s, |(stem, _)| stem).to_string())
-        .unwrap_or_else(|| "bench".to_string())
+/// Creates (truncating) `path` and any missing parent directory.
+fn create_file(path: &Path) -> io::Result<File> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    File::create(path)
 }
 
 /// Locks a mutex, ignoring poisoning: the export state is a plain set and
@@ -164,7 +146,7 @@ mod tests {
     #[test]
     fn writes_one_line_per_unique_key() {
         let path = tmp_dir().join("unique.json");
-        let export = StatsExport::create(&path).expect("create");
+        let export = StatsExport::new(&path);
         export.record("a", &sample(1)).expect("write a");
         export.record("b", &sample(2)).expect("write b");
         export.record("a", &sample(3)).expect("dup is a no-op");
@@ -179,10 +161,10 @@ mod tests {
     #[test]
     fn create_truncates_previous_report() {
         let path = tmp_dir().join("truncate.json");
-        let export = StatsExport::create(&path).expect("create");
+        let export = StatsExport::new(&path);
         export.record("stale", &sample(1)).expect("write");
         drop(export);
-        let export = StatsExport::create(&path).expect("recreate");
+        let export = StatsExport::new(&path);
         export.record("fresh", &sample(2)).expect("write");
         drop(export);
         let text = std::fs::read_to_string(&path).expect("read back");
@@ -192,19 +174,32 @@ mod tests {
     }
 
     #[test]
-    fn directory_target_names_file_after_binary() {
+    fn directory_target_names_file_after_the_stem() {
         let dir = tmp_dir().join("results");
         std::fs::create_dir_all(&dir).expect("dir");
-        let export = StatsExport::create(&dir).expect("create in dir");
-        assert_eq!(export.path().parent(), Some(dir.as_path()));
-        assert!(export.path().extension().is_some_and(|e| e == "json"));
-        let _ = std::fs::remove_file(export.path());
+        let named = dir.join("fig8_performance.json");
+        assert_eq!(resolve_path(&dir, "fig8_performance"), named);
+        let missing = tmp_dir().join("not-yet");
+        let slash = PathBuf::from(format!("{}/", missing.display()));
+        assert_eq!(
+            resolve_path(&slash, "fig_qos"),
+            missing.join("fig_qos.json")
+        );
+        let file = dir.join("out.json");
+        assert_eq!(resolve_path(&file, "fig_qos"), file);
+    }
+
+    #[test]
+    fn an_export_that_records_nothing_writes_no_file() {
+        let path = tmp_dir().join("untouched/never.json");
+        drop(StatsExport::new(&path));
+        assert!(!path.exists(), "no cell recorded, so no file");
     }
 
     #[test]
     fn missing_parent_directories_are_created() {
         let path = tmp_dir().join("deep/nested/out.json");
-        let export = StatsExport::create(&path).expect("create with parents");
+        let export = StatsExport::new(&path);
         export.record("k", &sample(1)).expect("write");
         assert!(path.exists());
         let _ = std::fs::remove_file(&path);

@@ -46,7 +46,9 @@ fn main() {
     let kinds = PrefetcherKind::HEADLINE;
     let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let specs = RunSpec::grid(scale, &[workload], &kinds, telemetry, throttle);
-    let evals = ParallelHarness::from_env().quiet().evaluate(&specs);
+    let mut harness = ParallelHarness::from_env().quiet();
+    harness.export_stats_as("shootout");
+    let evals = harness.evaluate(&specs);
 
     let baseline = &evals[0].baseline;
     println!(
