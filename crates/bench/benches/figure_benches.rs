@@ -46,12 +46,16 @@ fn bench_simulation_throughput(writer: &mut Option<BenchWriter>) {
         black_box(run_one(Workload::Em3d, PrefetcherKind::None, tiny_scale()));
     });
     report(writer, "simulation", "bingo_em3d", 5, || {
-        black_box(run_one(Workload::Em3d, PrefetcherKind::Bingo, tiny_scale()));
+        black_box(run_one(
+            Workload::Em3d,
+            PrefetcherKind::bingo(),
+            tiny_scale(),
+        ));
     });
     report(writer, "simulation", "bingo_data_serving", 5, || {
         black_box(run_one(
             Workload::DataServing,
-            PrefetcherKind::Bingo,
+            PrefetcherKind::bingo(),
             tiny_scale(),
         ));
     });
@@ -64,17 +68,23 @@ fn bench_figure_paths(writer: &mut Option<BenchWriter>) {
         (
             "fig2_single_event",
             Workload::DataServing,
-            PrefetcherKind::SingleEvent(EventKind::PcOffset),
+            PrefetcherKind::Events {
+                first: EventKind::PcOffset,
+                count: 1,
+            },
         ),
         (
             "fig3_multi_event",
             Workload::DataServing,
-            PrefetcherKind::MultiEvent(5),
+            PrefetcherKind::Events {
+                first: EventKind::PcAddress,
+                count: 5,
+            },
         ),
         (
             "fig6_small_table",
             Workload::Streaming,
-            PrefetcherKind::BingoWith(BingoConfig::with_history_entries(1024)),
+            PrefetcherKind::Bingo(BingoConfig::with_history_entries(1024)),
         ),
         ("fig7_sms", Workload::Streaming, PrefetcherKind::Sms),
         ("fig8_vldp", Workload::Mix1, PrefetcherKind::Vldp),
@@ -99,7 +109,7 @@ fn bench_fig8_grid(writer: &mut Option<BenchWriter>) {
     let scale = tiny_scale();
     let instrs = instrs_per_pass(scale);
     let mut kinds = vec![PrefetcherKind::None];
-    kinds.extend(PrefetcherKind::HEADLINE);
+    kinds.extend(PrefetcherKind::headline());
     for w in Workload::ALL {
         for &k in &kinds {
             let s = time_median(3, || {
@@ -127,7 +137,7 @@ fn bench_fig8_2core(writer: &mut Option<BenchWriter>) {
     let cores = 2usize;
     let instrs = (cores as u64 * (scale.instructions_per_core + scale.warmup_per_core)) as f64;
     for w in Workload::ALL {
-        for k in [PrefetcherKind::None, PrefetcherKind::Bingo] {
+        for k in [PrefetcherKind::None, PrefetcherKind::bingo()] {
             let mut spec = RunSpec::classic(scale, w, k, TelemetryLevel::Off, ThrottleMode::Off);
             spec.slots.truncate(cores);
             let s = time_median(3, || {

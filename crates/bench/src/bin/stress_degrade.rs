@@ -39,12 +39,14 @@ use bingo_workloads::Workload;
 const PRESSURES: [Pressure; 2] = [Pressure::CONSTRAINED, Pressure::SCARCE];
 
 /// The four configurations compared in every cell.
-const CONFIGS: [(&str, PrefetcherKind, ThrottleMode); 4] = [
-    ("off", PrefetcherKind::None, ThrottleMode::Off),
-    ("unthrottled", PrefetcherKind::Bingo, ThrottleMode::Off),
-    ("feedback", PrefetcherKind::Bingo, ThrottleMode::Feedback),
-    ("percore", PrefetcherKind::Bingo, ThrottleMode::Percore),
-];
+fn configs() -> [(&'static str, PrefetcherKind, ThrottleMode); 4] {
+    [
+        ("off", PrefetcherKind::None, ThrottleMode::Off),
+        ("unthrottled", PrefetcherKind::bingo(), ThrottleMode::Off),
+        ("feedback", PrefetcherKind::bingo(), ThrottleMode::Feedback),
+        ("percore", PrefetcherKind::bingo(), ThrottleMode::Percore),
+    ]
+}
 
 /// Tolerated IPC loss versus the prefetcher-off baseline.
 const TOLERANCE: f64 = 0.05;
@@ -55,7 +57,7 @@ fn main() {
     let mut specs: Vec<RunSpec> = Vec::new();
     for p in PRESSURES {
         for w in Workload::STRESS {
-            for (_, kind, throttle) in CONFIGS {
+            for (_, kind, throttle) in configs() {
                 let mut spec = RunSpec::classic(scale, w, kind, telemetry, throttle);
                 // Two cores keep the sweep fast; with a single channel at
                 // reduced bandwidth they contend plenty.
@@ -83,7 +85,7 @@ fn main() {
     let mut worst_unthrottled = (f64::INFINITY, String::new());
     for (pi, p) in PRESSURES.iter().enumerate() {
         for (wi, w) in Workload::STRESS.into_iter().enumerate() {
-            let base = (pi * Workload::STRESS.len() + wi) * CONFIGS.len();
+            let base = (pi * Workload::STRESS.len() + wi) * configs().len();
             let off = &results[base];
             let unthrottled = results[base + 1].speedup_over(off);
             let feedback = results[base + 2].speedup_over(off);

@@ -200,7 +200,7 @@ pub fn table2_workloads(s: &mut Session) {
 pub fn fig2_events(s: &mut Session) {
     let kinds: Vec<PrefetcherKind> = EventKind::LONGEST_FIRST
         .into_iter()
-        .map(PrefetcherKind::SingleEvent)
+        .map(|first| PrefetcherKind::Events { first, count: 1 })
         .collect();
     let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
     let mut report = s.harness.try_evaluate(&specs);
@@ -242,7 +242,12 @@ pub fn fig2_events(s: &mut Session) {
 /// The paper's takeaway: the step from one to two events is large, and
 /// returns diminish beyond two — which is why Bingo uses exactly two.
 pub fn fig3_num_events(s: &mut Session) {
-    let kinds: Vec<PrefetcherKind> = (1..=5).map(PrefetcherKind::MultiEvent).collect();
+    let kinds: Vec<PrefetcherKind> = (1..=5)
+        .map(|count| PrefetcherKind::Events {
+            first: EventKind::PcAddress,
+            count,
+        })
+        .collect();
     let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
     let evals = s.harness.evaluate(&specs);
     let mut t = Table::new(vec!["Events", "Coverage", "Accuracy"]);
@@ -269,7 +274,10 @@ pub fn fig3_num_events(s: &mut Session) {
 ///
 /// The paper reports redundancy from 26% (SAT Solver) to 93% (Mix 2).
 pub fn fig4_redundancy(s: &mut Session) {
-    let kinds = [PrefetcherKind::MultiEvent(2)];
+    let kinds = [PrefetcherKind::Events {
+        first: EventKind::PcAddress,
+        count: 2,
+    }];
     let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
     let mut report = s.harness.try_evaluate(&specs);
     // A renamed counter must fail the figure by name, not plot as zero.
@@ -310,7 +318,7 @@ pub fn fig6_table_size(s: &mut Session) {
     const SIZES: [usize; 7] = [1024, 2048, 4096, 8192, 16384, 32768, 65536];
     let kinds: Vec<PrefetcherKind> = SIZES
         .into_iter()
-        .map(|n| PrefetcherKind::BingoWith(BingoConfig::with_history_entries(n)))
+        .map(|n| PrefetcherKind::Bingo(BingoConfig::with_history_entries(n)))
         .collect();
     let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
     let evals = s.harness.evaluate(&specs);
@@ -336,7 +344,7 @@ pub fn fig6_table_size(s: &mut Session) {
 /// The paper reports Bingo covering >63% of misses on average, 8% above
 /// the second-best prefetcher, with overprediction on par with the rest.
 pub fn fig7_coverage(s: &mut Session) {
-    let kinds = PrefetcherKind::HEADLINE;
+    let kinds = PrefetcherKind::headline();
     let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
     let evals = s.harness.evaluate(&specs);
     let mut t = Table::new(vec![
@@ -386,18 +394,13 @@ pub fn fig7_coverage(s: &mut Session) {
 /// The paper reports Bingo at +60% gmean (11% in Zeus to 285% in em3d),
 /// 11% above the best prior spatial prefetcher.
 pub fn fig8_performance(s: &mut Session) {
-    let specs = RunSpec::grid(
-        s.scale,
-        &Workload::ALL,
-        &PrefetcherKind::HEADLINE,
-        s.telemetry,
-        s.throttle,
-    );
+    let kinds = PrefetcherKind::headline();
+    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
     let evals = s.harness.evaluate(&specs);
     let mut header = vec!["Workload".to_string()];
-    header.extend(PrefetcherKind::HEADLINE.iter().map(|k| k.name()));
+    header.extend(kinds.iter().map(|k| k.name()));
     let mut t = Table::new(header);
-    let n_kinds = PrefetcherKind::HEADLINE.len();
+    let n_kinds = kinds.len();
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); n_kinds];
     for (wi, w) in Workload::ALL.into_iter().enumerate() {
         let mut row = vec![w.name().to_string()];
@@ -429,7 +432,8 @@ pub fn fig9_density(s: &mut Session) {
     let llc_mb = cfg.llc.size_bytes as f64 / 1024.0 / 1024.0;
 
     // Kind-major grid: all workloads of one prefetcher are contiguous.
-    let specs: Vec<RunSpec> = PrefetcherKind::HEADLINE
+    let kinds = PrefetcherKind::headline();
+    let specs: Vec<RunSpec> = kinds
         .iter()
         .flat_map(|&k| RunSpec::grid(s.scale, &Workload::ALL, &[k], s.telemetry, s.throttle))
         .collect();
@@ -442,7 +446,7 @@ pub fn fig9_density(s: &mut Session) {
         "Perf density",
     ]);
     let n_workloads = Workload::ALL.len();
-    for (i, &kind) in PrefetcherKind::HEADLINE.iter().enumerate() {
+    for (i, &kind) in kinds.iter().enumerate() {
         let kb = kind.storage_kb();
         let speedups: Vec<f64> = evals[i * n_workloads..(i + 1) * n_workloads]
             .iter()
@@ -477,7 +481,7 @@ pub fn fig10_isodegree(s: &mut Session) {
         ("SPP-Aggr", PrefetcherKind::SppAggressive),
         ("VLDP-Orig", PrefetcherKind::Vldp),
         ("VLDP-Aggr", PrefetcherKind::VldpAggressive),
-        ("Bingo", PrefetcherKind::Bingo),
+        ("Bingo", PrefetcherKind::bingo()),
     ];
     let t = summary_table(s, "Prefetcher", &rows);
     println!(
@@ -523,7 +527,7 @@ pub fn fig_timeliness(s: &mut Session) {
         level => level,
     };
     let workloads = workload_args(&s.args, &Workload::ALL);
-    let kinds = PrefetcherKind::HEADLINE;
+    let kinds = PrefetcherKind::headline();
     let specs = RunSpec::grid(s.scale, &workloads, &kinds, telemetry, s.throttle);
     let evals = s.harness.evaluate(&specs);
 
@@ -583,7 +587,7 @@ pub fn fig_timeliness(s: &mut Session) {
         "Timeliness",
     ]);
     for (idx, e) in evals.iter().enumerate() {
-        if kinds[idx % kinds.len()] != PrefetcherKind::Bingo {
+        if kinds[idx % kinds.len()] != PrefetcherKind::bingo() {
             continue;
         }
         for (label, c) in &telemetry_of(e).by_source {
@@ -642,7 +646,7 @@ pub fn fig_traces(s: &mut Session) {
         })
         .collect();
 
-    let kinds = PrefetcherKind::HEADLINE;
+    let kinds = PrefetcherKind::headline();
     let specs: Vec<RunSpec> = traces
         .iter()
         .flat_map(|t| {
@@ -1069,7 +1073,7 @@ pub fn ablation_voting(s: &mut Session) {
     let rows: Vec<(String, PrefetcherKind)> = THRESHOLDS
         .iter()
         .map(|&th| {
-            let kind = PrefetcherKind::BingoWith(BingoConfig {
+            let kind = PrefetcherKind::Bingo(BingoConfig {
                 vote_threshold: th,
                 ..BingoConfig::paper()
             });
@@ -1086,13 +1090,13 @@ pub fn ablation_voting(s: &mut Session) {
 /// prefetched; 2 KB is the reference ChampSim Bingo choice. Larger regions
 /// amortize more blocks per trigger but dilute pattern stability. The
 /// region geometry is part of [`BingoConfig`], so each size is one
-/// [`PrefetcherKind::BingoWith`] on the paper machine.
+/// [`PrefetcherKind::Bingo`] on the paper machine.
 pub fn ablation_region(s: &mut Session) {
     const REGION_BYTES: [u64; 3] = [1024, 2048, 4096];
     let rows: Vec<(String, PrefetcherKind)> = REGION_BYTES
         .iter()
         .map(|&bytes| {
-            let kind = PrefetcherKind::BingoWith(BingoConfig {
+            let kind = PrefetcherKind::Bingo(BingoConfig {
                 region: RegionGeometry::new(bytes),
                 ..BingoConfig::paper()
             });
@@ -1116,11 +1120,8 @@ pub fn ablation_training(s: &mut Session) {
         ..BingoConfig::paper()
     };
     let rows = [
-        (
-            "eviction + overflow (paper)",
-            PrefetcherKind::BingoWith(BingoConfig::paper()),
-        ),
-        ("overflow only", PrefetcherKind::BingoWith(overflow_only)),
+        ("eviction + overflow (paper)", PrefetcherKind::bingo()),
+        ("overflow only", PrefetcherKind::Bingo(overflow_only)),
     ];
     let t = summary_table(s, "Training signal", &rows);
     println!("Ablation: Bingo end-of-residency training signal.\n\n{t}");

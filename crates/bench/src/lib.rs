@@ -53,8 +53,8 @@ pub use differential::{
     fuzz_bingo, shrink_bingo_mismatch, FuzzFailure, FuzzReport, Mismatch,
 };
 pub use mix::{
-    find_knee, CapacityCell, CapacitySearch, FairnessReport, MixAssignment, MixConfig, MixError,
-    Pressure, Ramp, KNEE_FRACTION,
+    find_knee, CapacityCell, CapacitySearch, FairnessReport, MixConfig, MixError, Pressure, Ramp,
+    KNEE_FRACTION,
 };
 pub use perf_record::{
     calibration_record, load_records, time_median, BenchRecord, BenchWriter, Sample,

@@ -1,10 +1,11 @@
 //! Declarative multi-core workload mixes and the contention capacity
 //! search.
 //!
-//! A *mix* assigns each core of an N-core machine its own workload,
-//! prefetcher, and instruction-budget scale. Mixes live in committed
-//! config files with a deliberately tiny line-oriented grammar (no
-//! dependencies, mirroring the trace-container and checkpoint formats):
+//! A *mix* gives each core of an N-core machine its own [`Slot`]: a
+//! workload's stream, a prefetcher, and an instruction-budget scale.
+//! Mixes live in committed config files with a deliberately tiny
+//! line-oriented grammar (no dependencies, mirroring the trace-container
+//! and checkpoint formats):
 //!
 //! ```text
 //! # comment
@@ -15,9 +16,11 @@
 //! end
 //! ```
 //!
-//! Every parse failure is a typed [`MixError`] carrying the 1-based line
-//! number — a torn or hand-mangled config aborts loudly, never panics,
-//! and never half-loads.
+//! Each field appears at most once per line. A mix's declared cores and
+//! its ramp's `max` must fit the machine ([`SystemConfig::validate`]: at
+//! most 256 cores). Every malformed line is a [`MixError::Line`] carrying
+//! its 1-based number — a torn or hand-mangled config aborts loudly,
+//! never panics, and never half-loads.
 //!
 //! On top of the mix type sit the contention primitives the capacity
 //! search is built from: shared-resource [`Pressure`] presets,
@@ -30,10 +33,10 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use bingo_sim::{SimResult, SystemConfig};
+use bingo_sim::{ConfigError, SimResult, SystemConfig};
 use bingo_workloads::Workload;
 
-use crate::runner::PrefetcherKind;
+use crate::runner::{PrefetcherKind, Slot, Stream};
 
 /// One level of memory-system resource pressure applied on top of a
 /// [`SystemConfig`]: DRAM channel count, per-transfer occupancy, and the
@@ -93,104 +96,21 @@ impl Pressure {
     }
 }
 
-/// A mix-config parse failure. Every variant names the 1-based line it
-/// was detected on, so a bad committed config points straight at the
-/// offending text.
+/// A mix-config parse failure. A malformed line names its 1-based
+/// number, so a bad committed config points straight at the offending
+/// text.
 #[derive(Debug)]
 pub enum MixError {
     /// Underlying I/O failure reading the config file.
     Io(io::Error),
-    /// A line started with a word that is not a directive.
-    UnknownDirective {
+    /// A malformed line: an unknown directive or field, a missing, bad or
+    /// repeated value, or a block that cannot close (no cores, a gap in
+    /// the core ids, more cores than the machine holds, no `end`).
+    Line {
         /// 1-based line number.
         line: usize,
-        /// The unrecognized first word.
-        directive: String,
-    },
-    /// `core`, `ramp`, or `end` appeared outside a `mix … end` block.
-    OutsideMix {
-        /// 1-based line number.
-        line: usize,
-        /// The directive that appeared too early.
-        directive: String,
-    },
-    /// A `mix` directive opened while the previous block was still open.
-    NestedMix {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// A directive was missing a required token or `key=value` field.
-    MissingField {
-        /// 1-based line number.
-        line: usize,
-        /// The field that was absent.
-        field: &'static str,
-    },
-    /// A field's value failed to parse or was out of range.
-    BadValue {
-        /// 1-based line number.
-        line: usize,
-        /// The field whose value is bad.
-        field: &'static str,
-        /// The offending text.
-        value: String,
-    },
-    /// A `core` or `ramp` field name is not recognized.
-    UnknownField {
-        /// 1-based line number.
-        line: usize,
-        /// The unrecognized field name.
-        field: String,
-    },
-    /// Two mixes in one file share a name.
-    DuplicateMixName {
-        /// 1-based line number of the second definition.
-        line: usize,
-        /// The repeated name.
-        name: String,
-    },
-    /// The same core id was assigned twice in one mix.
-    DuplicateCore {
-        /// 1-based line number of the second assignment.
-        line: usize,
-        /// The repeated core id.
-        core: usize,
-    },
-    /// Core ids are not contiguous from 0 (a slot has no assignment).
-    MissingCore {
-        /// 1-based line number of the `end` directive.
-        line: usize,
-        /// The first unassigned core id.
-        core: usize,
-    },
-    /// `workload=` named something [`Workload::from_slug`] rejects.
-    UnknownWorkload {
-        /// 1-based line number.
-        line: usize,
-        /// The unrecognized workload slug.
-        name: String,
-    },
-    /// `prefetcher=` named something [`PrefetcherKind::from_slug`]
-    /// rejects.
-    UnknownPrefetcher {
-        /// 1-based line number.
-        line: usize,
-        /// The unrecognized prefetcher slug.
-        name: String,
-    },
-    /// A mix block closed without a single `core` line.
-    ZeroCores {
-        /// 1-based line number of the `end` directive.
-        line: usize,
-        /// The empty mix's name.
-        name: String,
-    },
-    /// The input ended inside a `mix … end` block (a torn file).
-    UnterminatedMix {
-        /// 1-based line number of the `mix` directive left open.
-        line: usize,
-        /// The unterminated mix's name.
-        name: String,
+        /// What is wrong with the line.
+        reason: String,
     },
     /// The input contained no mix at all — an empty or fully-torn config
     /// is indistinguishable from a wrong path, so it is an error rather
@@ -202,54 +122,7 @@ impl fmt::Display for MixError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MixError::Io(e) => write!(f, "mix config i/o error: {e}"),
-            MixError::UnknownDirective { line, directive } => {
-                write!(f, "line {line}: unknown directive {directive:?}")
-            }
-            MixError::OutsideMix { line, directive } => {
-                write!(f, "line {line}: {directive:?} outside a mix block")
-            }
-            MixError::NestedMix { line } => {
-                write!(
-                    f,
-                    "line {line}: mix block opened before the previous one ended"
-                )
-            }
-            MixError::MissingField { line, field } => {
-                write!(f, "line {line}: missing {field}")
-            }
-            MixError::BadValue { line, field, value } => {
-                write!(f, "line {line}: bad {field} value {value:?}")
-            }
-            MixError::UnknownField { line, field } => {
-                write!(f, "line {line}: unknown field {field:?}")
-            }
-            MixError::DuplicateMixName { line, name } => {
-                write!(f, "line {line}: duplicate mix name {name:?}")
-            }
-            MixError::DuplicateCore { line, core } => {
-                write!(f, "line {line}: core {core} assigned twice")
-            }
-            MixError::MissingCore { line, core } => {
-                write!(
-                    f,
-                    "line {line}: core {core} has no assignment (ids must be contiguous from 0)"
-                )
-            }
-            MixError::UnknownWorkload { line, name } => {
-                write!(f, "line {line}: unknown workload {name:?}")
-            }
-            MixError::UnknownPrefetcher { line, name } => {
-                write!(f, "line {line}: unknown prefetcher {name:?}")
-            }
-            MixError::ZeroCores { line, name } => {
-                write!(f, "line {line}: mix {name:?} declares zero cores")
-            }
-            MixError::UnterminatedMix { line, name } => {
-                write!(
-                    f,
-                    "line {line}: mix {name:?} never reached its end directive"
-                )
-            }
+            MixError::Line { line, reason } => write!(f, "line {line}: {reason}"),
             MixError::NoMixes => write!(f, "config contains no mixes"),
         }
     }
@@ -264,19 +137,17 @@ impl std::error::Error for MixError {
     }
 }
 
-/// One core slot of a mix: which workload's instruction stream it runs,
-/// which prefetcher guards its L1, and what fraction of the grid's
-/// instruction budget it commits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MixAssignment {
-    /// The workload whose per-core source this slot replays.
-    pub workload: Workload,
-    /// The prefetcher instance attached to this core's L1.
-    pub prefetcher: PrefetcherKind,
-    /// Instruction budget as an integer percentage of the grid's full
-    /// per-core budget (100 = the full budget). Integer so scaled targets
-    /// are exact and platform-independent.
-    pub scale_percent: u32,
+/// A [`MixError::Line`] at `line`.
+fn fail(line: usize, reason: impl fmt::Display) -> MixError {
+    MixError::Line {
+        line,
+        reason: reason.to_string(),
+    }
+}
+
+/// `bad <field> value "<value>"` at `line`.
+fn bad(line: usize, field: &str, value: &str) -> MixError {
+    fail(line, format_args!("bad {field} value {value:?}"))
 }
 
 /// A core-count ramp for the capacity search: run the mix at `initial`,
@@ -287,7 +158,8 @@ pub struct Ramp {
     pub initial: usize,
     /// Cores added per step (≥ 1).
     pub increment: usize,
-    /// Largest core count evaluated (≥ `initial`).
+    /// Largest core count evaluated (≥ `initial`, and a core count
+    /// [`SystemConfig::validate`] accepts).
     pub max: usize,
 }
 
@@ -305,15 +177,17 @@ impl Ramp {
     }
 }
 
-/// A parsed workload mix: a name, one [`MixAssignment`] per core id
-/// (contiguous from 0), and an optional capacity-search [`Ramp`].
-#[derive(Debug, Clone, PartialEq)]
+/// A parsed workload mix: a name, one [`Slot`] per declared core, and an
+/// optional capacity-search [`Ramp`].
+#[derive(Debug, Clone)]
 pub struct MixConfig {
     /// The mix's name (`[A-Za-z0-9_-]+`), used in report rows; runs are
     /// keyed by their slots, not by this name.
     pub name: String,
-    /// Per-core assignments; index is the core id.
-    pub cores: Vec<MixAssignment>,
+    /// One synthetic slot per declared core: `cores[i]` is core `i`, whose
+    /// `stream_core` is `i`. [`RunSpec::mix`](crate::RunSpec::mix)
+    /// replicates them cyclically on larger machines.
+    pub cores: Vec<Slot>,
     /// Optional core-count ramp for the capacity search.
     pub ramp: Option<Ramp>,
 }
@@ -324,21 +198,13 @@ impl MixConfig {
         self.cores.len()
     }
 
-    /// The assignment of core `core` on a machine of any size: a ramped
-    /// run replicates the declared pattern cyclically, so a 2-slot mix at
-    /// 6 cores runs three copies of the pattern, each core keeping its
-    /// own seed and address space via
-    /// [`Workload::source_for_core`].
-    pub fn assignment(&self, core: usize) -> MixAssignment {
-        self.cores[core % self.cores.len()]
-    }
     /// Parses every mix in a config file. See the module docs for the
     /// grammar.
     ///
     /// # Errors
     ///
-    /// [`MixError::Io`] if the file cannot be read; otherwise any of the
-    /// typed parse failures, each carrying its 1-based line number.
+    /// [`MixError::Io`] if the file cannot be read; otherwise as
+    /// [`MixConfig::parse_str`].
     pub fn parse_file(path: impl AsRef<Path>) -> Result<Vec<MixConfig>, MixError> {
         let text = std::fs::read_to_string(path).map_err(MixError::Io)?;
         Self::parse_str(&text)
@@ -349,108 +215,61 @@ impl MixConfig {
     ///
     /// # Errors
     ///
-    /// Any of the typed [`MixError`] parse failures, each carrying its
-    /// 1-based line number.
+    /// [`MixError::Line`] for the first malformed line, or
+    /// [`MixError::NoMixes`] if the text declares no mix.
     pub fn parse_str(text: &str) -> Result<Vec<MixConfig>, MixError> {
         let mut mixes: Vec<MixConfig> = Vec::new();
-        // (name, start line, per-core assignments as (line, core, a), ramp)
         let mut open: Option<OpenMix> = None;
-
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
+            let mut tokens = raw.split('#').next().unwrap_or("").split_whitespace();
+            let Some(directive) = tokens.next() else {
                 continue;
-            }
-            let mut tokens = content.split_whitespace();
-            let directive = tokens.next().expect("non-empty line has a first token");
+            };
             let rest: Vec<&str> = tokens.collect();
-            match directive {
-                "mix" => {
-                    if open.is_some() {
-                        return Err(MixError::NestedMix { line });
-                    }
-                    let name = match rest.as_slice() {
-                        [name] => (*name).to_string(),
-                        [] => {
-                            return Err(MixError::MissingField {
-                                line,
-                                field: "mix name",
-                            })
-                        }
-                        _ => {
-                            return Err(MixError::BadValue {
-                                line,
-                                field: "mix name",
-                                value: rest.join(" "),
-                            })
-                        }
+            match (directive, open.as_mut()) {
+                ("mix", Some(_)) => {
+                    return Err(fail(line, "mix block opened before the previous one ended"))
+                }
+                ("mix", None) => {
+                    let name = match rest[..] {
+                        [name] => name,
+                        [] => return Err(fail(line, "missing mix name")),
+                        _ => return Err(bad(line, "mix name", &rest.join(" "))),
                     };
                     if !name
                         .chars()
                         .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
                     {
-                        return Err(MixError::BadValue {
-                            line,
-                            field: "mix name",
-                            value: name,
-                        });
+                        return Err(bad(line, "mix name", name));
                     }
                     if mixes.iter().any(|m| m.name == name) {
-                        return Err(MixError::DuplicateMixName { line, name });
+                        return Err(fail(line, format_args!("duplicate mix name {name:?}")));
                     }
                     open = Some(OpenMix {
-                        name,
-                        start_line: line,
+                        name: name.to_string(),
+                        line,
                         cores: Vec::new(),
                         ramp: None,
                     });
                 }
-                "core" => {
-                    let block = open.as_mut().ok_or(MixError::OutsideMix {
+                ("core" | "ramp" | "end", None) => {
+                    return Err(fail(
                         line,
-                        directive: directive.to_string(),
-                    })?;
-                    let (core, assignment) = parse_core(line, &rest)?;
-                    if block.cores.iter().any(|&(id, _)| id == core) {
-                        return Err(MixError::DuplicateCore { line, core });
-                    }
-                    block.cores.push((core, assignment));
+                        format_args!("{directive:?} outside a mix block"),
+                    ))
                 }
-                "ramp" => {
-                    let block = open.as_mut().ok_or(MixError::OutsideMix {
-                        line,
-                        directive: directive.to_string(),
-                    })?;
-                    if block.ramp.is_some() {
-                        return Err(MixError::BadValue {
-                            line,
-                            field: "ramp",
-                            value: "declared twice".to_string(),
-                        });
-                    }
-                    block.ramp = Some(parse_ramp(line, &rest)?);
-                }
-                "end" => {
-                    let block = open.take().ok_or(MixError::OutsideMix {
-                        line,
-                        directive: directive.to_string(),
-                    })?;
-                    mixes.push(block.close(line)?);
-                }
-                other => {
-                    return Err(MixError::UnknownDirective {
-                        line,
-                        directive: other.to_string(),
-                    })
-                }
+                ("core", Some(block)) => block.core(line, &rest)?,
+                ("ramp", Some(block)) => block.ramp(line, &rest)?,
+                ("end", Some(_)) => mixes.push(open.take().expect("matched open").close(line)?),
+                (other, _) => return Err(fail(line, format_args!("unknown directive {other:?}"))),
             }
         }
         if let Some(block) = open {
-            return Err(MixError::UnterminatedMix {
-                line: block.start_line,
-                name: block.name,
-            });
+            return Err(fail(
+                block.line,
+                format_args!("mix {:?} never reached its end directive", block.name),
+            ));
         }
         if mixes.is_empty() {
             return Err(MixError::NoMixes);
@@ -459,180 +278,134 @@ impl MixConfig {
     }
 }
 
-/// A `mix … end` block mid-parse.
+/// A `mix … end` block mid-parse, opened at `line`.
 struct OpenMix {
     name: String,
-    start_line: usize,
-    cores: Vec<(usize, MixAssignment)>,
+    line: usize,
+    cores: Vec<Slot>,
     ramp: Option<Ramp>,
 }
 
 impl OpenMix {
-    /// Validates the finished block at its `end` line: at least one core,
-    /// ids contiguous from 0.
-    fn close(self, end_line: usize) -> Result<MixConfig, MixError> {
-        if self.cores.is_empty() {
-            return Err(MixError::ZeroCores {
-                line: end_line,
-                name: self.name,
-            });
-        }
-        let mut cores = self.cores;
-        cores.sort_by_key(|&(id, _)| id);
-        for (expect, &(id, _)) in cores.iter().enumerate() {
-            if id != expect {
-                return Err(MixError::MissingCore {
-                    line: end_line,
-                    core: expect,
-                });
-            }
-        }
-        Ok(MixConfig {
-            name: self.name,
-            cores: cores.into_iter().map(|(_, a)| a).collect(),
-            ramp: self.ramp,
-        })
-    }
-}
-
-/// Parses `core <id> workload=<slug> prefetcher=<slug> [scale=<pct>%]`.
-fn parse_core(line: usize, rest: &[&str]) -> Result<(usize, MixAssignment), MixError> {
-    let (id_token, fields) = rest.split_first().ok_or(MixError::MissingField {
-        line,
-        field: "core id",
-    })?;
-    let core: usize = id_token.parse().map_err(|_| MixError::BadValue {
-        line,
-        field: "core id",
-        value: (*id_token).to_string(),
-    })?;
-    let mut workload: Option<Workload> = None;
-    let mut prefetcher: Option<PrefetcherKind> = None;
-    let mut scale_percent: u32 = 100;
-    for field in fields {
-        let (key, value) = split_field(line, field)?;
-        match key {
-            "workload" => {
-                workload =
-                    Some(
-                        Workload::from_slug(value).ok_or_else(|| MixError::UnknownWorkload {
-                            line,
-                            name: value.to_string(),
-                        })?,
-                    );
-            }
-            "prefetcher" => {
-                prefetcher = Some(PrefetcherKind::from_slug(value).ok_or_else(|| {
-                    MixError::UnknownPrefetcher {
-                        line,
-                        name: value.to_string(),
-                    }
-                })?);
-            }
-            "scale" => {
-                let digits = value.strip_suffix('%').unwrap_or(value);
-                let pct: u32 = digits.parse().map_err(|_| MixError::BadValue {
-                    line,
-                    field: "scale",
-                    value: value.to_string(),
-                })?;
-                if pct == 0 || pct > 100 {
-                    return Err(MixError::BadValue {
-                        line,
-                        field: "scale",
-                        value: value.to_string(),
-                    });
-                }
-                scale_percent = pct;
-            }
-            other => {
-                return Err(MixError::UnknownField {
-                    line,
-                    field: other.to_string(),
-                })
-            }
-        }
-    }
-    let workload = workload.ok_or(MixError::MissingField {
-        line,
-        field: "workload",
-    })?;
-    let prefetcher = prefetcher.ok_or(MixError::MissingField {
-        line,
-        field: "prefetcher",
-    })?;
-    Ok((
-        core,
-        MixAssignment {
-            workload,
-            prefetcher,
-            scale_percent,
-        },
-    ))
-}
-
-/// Parses `ramp initial=<n> increment=<n> max=<n>`.
-fn parse_ramp(line: usize, rest: &[&str]) -> Result<Ramp, MixError> {
-    let mut initial: Option<usize> = None;
-    let mut increment: Option<usize> = None;
-    let mut max: Option<usize> = None;
-    for field in rest {
-        let (key, value) = split_field(line, field)?;
-        let slot = match key {
-            "initial" => &mut initial,
-            "increment" => &mut increment,
-            "max" => &mut max,
-            other => {
-                return Err(MixError::UnknownField {
-                    line,
-                    field: other.to_string(),
-                })
-            }
+    /// Parses `core <id> workload=<slug> prefetcher=<slug> [scale=<pct>%]`
+    /// into the slot of core `id`.
+    fn core(&mut self, line: usize, rest: &[&str]) -> Result<(), MixError> {
+        let (&id, fields) = rest
+            .split_first()
+            .ok_or_else(|| fail(line, "missing core id"))?;
+        let stream_core: usize = id.parse().map_err(|_| bad(line, "core id", id))?;
+        let [workload, prefetcher, scale] =
+            read_fields(line, fields, ["workload", "prefetcher", "scale"])?;
+        let workload = workload.ok_or_else(|| fail(line, "missing workload"))?;
+        let workload = Workload::from_slug(workload)
+            .ok_or_else(|| fail(line, format_args!("unknown workload {workload:?}")))?;
+        let prefetcher = prefetcher.ok_or_else(|| fail(line, "missing prefetcher"))?;
+        let prefetcher = PrefetcherKind::from_slug(prefetcher)
+            .ok_or_else(|| fail(line, format_args!("unknown prefetcher {prefetcher:?}")))?;
+        let budget_percent = match scale {
+            None => 100,
+            Some(value) => value
+                .strip_suffix('%')
+                .unwrap_or(value)
+                .parse()
+                .ok()
+                .filter(|pct| (1..=100).contains(pct))
+                .ok_or_else(|| bad(line, "scale", value))?,
         };
-        let n: usize = value.parse().map_err(|_| MixError::BadValue {
-            line,
-            field: "ramp",
-            value: value.to_string(),
-        })?;
-        if n == 0 {
-            return Err(MixError::BadValue {
+        if self.cores.iter().any(|s| s.stream_core == stream_core) {
+            return Err(fail(
                 line,
-                field: "ramp",
-                value: value.to_string(),
-            });
+                format_args!("core {stream_core} assigned twice"),
+            ));
         }
-        *slot = Some(n);
-    }
-    let initial = initial.ok_or(MixError::MissingField {
-        line,
-        field: "initial",
-    })?;
-    let increment = increment.ok_or(MixError::MissingField {
-        line,
-        field: "increment",
-    })?;
-    let max = max.ok_or(MixError::MissingField { line, field: "max" })?;
-    if max < initial {
-        return Err(MixError::BadValue {
-            line,
-            field: "max",
-            value: max.to_string(),
+        self.cores.push(Slot {
+            stream: Stream::Synthetic(workload),
+            stream_core,
+            prefetcher,
+            budget_percent,
         });
+        Ok(())
     }
-    Ok(Ramp {
-        initial,
-        increment,
-        max,
-    })
+
+    /// Parses the block's one `ramp initial=<n> increment=<n> max=<n>`.
+    fn ramp(&mut self, line: usize, rest: &[&str]) -> Result<(), MixError> {
+        if self.ramp.is_some() {
+            return Err(bad(line, "ramp", "declared twice"));
+        }
+        let [initial, increment, max] = read_fields(line, rest, ["initial", "increment", "max"])?;
+        let count = |field: &str, value: Option<&str>| {
+            let value = value.ok_or_else(|| fail(line, format_args!("missing {field}")))?;
+            value
+                .parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| bad(line, "ramp", value))
+        };
+        let ramp = Ramp {
+            initial: count("initial", initial)?,
+            increment: count("increment", increment)?,
+            max: count("max", max)?,
+        };
+        if ramp.max < ramp.initial {
+            return Err(bad(line, "max", &ramp.max.to_string()));
+        }
+        machine_holds(ramp.max).map_err(|e| fail(line, format_args!("ramp max: {e}")))?;
+        self.ramp = Some(ramp);
+        Ok(())
+    }
+
+    /// Closes the block at its `end` line: at least one core, ids
+    /// contiguous from 0, and no more than the machine holds.
+    fn close(self, line: usize) -> Result<MixConfig, MixError> {
+        let OpenMix {
+            name,
+            mut cores,
+            ramp,
+            ..
+        } = self;
+        if cores.is_empty() {
+            return Err(fail(line, format_args!("mix {name:?} declares zero cores")));
+        }
+        cores.sort_by_key(|s| s.stream_core);
+        if let Some(gap) = (0..cores.len()).find(|&i| cores[i].stream_core != i) {
+            return Err(fail(
+                line,
+                format_args!("core {gap} has no assignment (ids must be contiguous from 0)"),
+            ));
+        }
+        machine_holds(cores.len()).map_err(|e| fail(line, format_args!("mix {name:?}: {e}")))?;
+        Ok(MixConfig { name, cores, ramp })
+    }
 }
 
-/// Splits one `key=value` token.
-fn split_field(line: usize, token: &str) -> Result<(&str, &str), MixError> {
-    token.split_once('=').ok_or(MixError::BadValue {
-        line,
-        field: "field",
-        value: token.to_string(),
-    })
+/// Whether the paper machine with `cores` cores validates: the bound a
+/// mix's declared cores and its ramp must stay within.
+fn machine_holds(cores: usize) -> Result<(), ConfigError> {
+    SystemConfig::paper().with_cores(cores).validate()
+}
+
+/// Reads the `key=value` tokens of one line: the value of each of `keys`,
+/// in `keys` order, `None` where absent. A token without `=`, a key not in
+/// `keys` and a key given twice each fail at `line`.
+fn read_fields<'a, const N: usize>(
+    line: usize,
+    tokens: &[&'a str],
+    keys: [&str; N],
+) -> Result<[Option<&'a str>; N], MixError> {
+    let mut values = [None; N];
+    for &token in tokens {
+        let (key, value) = token
+            .split_once('=')
+            .ok_or_else(|| bad(line, "field", token))?;
+        let i = keys
+            .iter()
+            .position(|&k| k == key)
+            .ok_or_else(|| fail(line, format_args!("unknown field {key:?}")))?;
+        if values[i].replace(value).is_some() {
+            return Err(fail(line, format_args!("repeated field {key:?}")));
+        }
+    }
+    Ok(values)
 }
 
 /// Per-core fairness of one mix run: who got what share of the machine.
@@ -803,6 +576,8 @@ fn join_f64(values: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{RunScale, RunSpec};
+    use bingo_sim::{TelemetryLevel, ThrottleMode};
 
     const GOOD: &str = "\
 # two committed mixes
@@ -824,11 +599,18 @@ end
         let m = &mixes[0];
         assert_eq!(m.name, "polite-vs-storm");
         assert_eq!(m.core_count(), 2);
-        assert_eq!(m.cores[0].workload, Workload::Streaming);
-        assert_eq!(m.cores[0].prefetcher, PrefetcherKind::Bingo);
-        assert_eq!(m.cores[0].scale_percent, 100);
-        assert_eq!(m.cores[1].workload, Workload::StressStorm);
-        assert_eq!(m.cores[1].scale_percent, 50);
+        assert!(matches!(
+            m.cores[0].stream,
+            Stream::Synthetic(Workload::Streaming)
+        ));
+        assert_eq!(m.cores[0].prefetcher, PrefetcherKind::bingo());
+        assert_eq!(m.cores[0].budget_percent, 100);
+        assert!(matches!(
+            m.cores[1].stream,
+            Stream::Synthetic(Workload::StressStorm)
+        ));
+        assert_eq!(m.cores[1].budget_percent, 50);
+        assert_eq!(m.cores[1].stream_core, 1);
         assert_eq!(
             m.ramp,
             Some(Ramp {
@@ -844,12 +626,16 @@ end
 
     #[test]
     fn assignment_replicates_cyclically() {
-        let mixes = MixConfig::parse_str(GOOD).unwrap();
-        let m = &mixes[0];
-        assert_eq!(m.assignment(0), m.cores[0]);
-        assert_eq!(m.assignment(1), m.cores[1]);
-        assert_eq!(m.assignment(2), m.cores[0]);
-        assert_eq!(m.assignment(5), m.cores[1]);
+        let m = &MixConfig::parse_str(GOOD).unwrap()[0];
+        let (off, on) = (TelemetryLevel::Off, ThrottleMode::Off);
+        let spec = RunSpec::mix(RunScale::quick(), m, 6, Pressure::NONE, off, on);
+        for (i, slot) in spec.slots.iter().enumerate() {
+            let declared = &m.cores[i % 2];
+            assert_eq!(slot.stream_core, i, "each core keeps its own stream");
+            assert_eq!(slot.stream.name(), declared.stream.name());
+            assert_eq!(slot.prefetcher, declared.prefetcher);
+            assert_eq!(slot.budget_percent, declared.budget_percent);
+        }
     }
 
     #[test]
@@ -896,8 +682,10 @@ end
     fn torn_file_names_the_open_mix() {
         let torn = "mix half\ncore 0 workload=zeus prefetcher=bingo\n";
         match MixConfig::parse_str(torn) {
-            Err(MixError::UnterminatedMix { line: 1, name }) => assert_eq!(name, "half"),
-            other => panic!("expected UnterminatedMix, got {other:?}"),
+            Err(MixError::Line { line: 1, reason }) => {
+                assert_eq!(reason, "mix \"half\" never reached its end directive")
+            }
+            other => panic!("expected an error at line 1, got {other:?}"),
         }
     }
 

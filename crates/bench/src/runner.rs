@@ -54,7 +54,9 @@ use crate::knobs;
 use crate::mix::{FairnessReport, MixConfig, Pressure};
 use crate::stats_export::StatsExport;
 
-/// Which prefetcher to attach to every core.
+/// Which prefetcher to attach to a core: one value per simulated
+/// prefetcher, so two kinds never build the same machine and a cell two
+/// figures share has one checkpoint key.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum PrefetcherKind {
     /// No prefetcher (baseline).
@@ -73,18 +75,29 @@ pub enum PrefetcherKind {
     VldpAggressive,
     /// Access Map Pattern Matching.
     Ampm,
-    /// Spatial Memory Streaming.
+    /// Spatial Memory Streaming. `Sms::new` builds the cascade of
+    /// [`PrefetcherKind::Events`] `{ first: PcOffset, count: 1 }`, yet the
+    /// two are different machines: the `bingo_baselines::Sms` wrapper
+    /// forwards neither `set_throttle_level` nor `last_burst_source`, so
+    /// a throttle never narrows its bursts, and telemetry attributes them
+    /// to `unattributed`, not `cascade0`.
     Sms,
-    /// Bingo, paper configuration (16 K-entry unified table).
-    Bingo,
-    /// Bingo under any configuration: the Fig. 6 history-size sweep and
-    /// the voting, region-size and training-signal ablations.
-    BingoWith(BingoConfig),
-    /// Single-event TAGE-like prefetcher (Fig. 2 sweep).
-    SingleEvent(EventKind),
-    /// Multi-event cascade over the first `n` events (Fig. 3 sweep; also
-    /// the Fig. 4 redundancy vehicle at `n = 2`).
-    MultiEvent(usize),
+    /// Bingo under any configuration: [`BingoConfig::paper`] (16 K-entry
+    /// unified table) is the headline prefetcher; the Fig. 6
+    /// history-size sweep and the voting, region-size and training-signal
+    /// ablations vary it.
+    Bingo(BingoConfig),
+    /// TAGE-like cascade over the `count` events of
+    /// [`EventKind::LONGEST_FIRST`] from `first` on: one event is a
+    /// single-event prefetcher (Fig. 2), `first: PcAddress` with `count`
+    /// 1 to 5 is the Fig. 3 sweep, and `count: 2` its Fig. 4 redundancy
+    /// vehicle.
+    Events {
+        /// The longest event of the cascade.
+        first: EventKind,
+        /// How many events, `first` included, the cascade looks up.
+        count: usize,
+    },
     /// Classic PC-stride prefetcher (reference).
     Stride,
     /// Next-line prefetcher with the given degree (reference).
@@ -109,16 +122,23 @@ pub enum PrefetcherKind {
 }
 
 impl PrefetcherKind {
+    /// Bingo in the paper's configuration.
+    pub fn bingo() -> PrefetcherKind {
+        PrefetcherKind::Bingo(BingoConfig::paper())
+    }
+
     /// The six prefetchers of the paper's headline comparison, figure
     /// order.
-    pub const HEADLINE: [PrefetcherKind; 6] = [
-        PrefetcherKind::Bop,
-        PrefetcherKind::Spp,
-        PrefetcherKind::Vldp,
-        PrefetcherKind::Ampm,
-        PrefetcherKind::Sms,
-        PrefetcherKind::Bingo,
-    ];
+    pub fn headline() -> [PrefetcherKind; 6] {
+        [
+            PrefetcherKind::Bop,
+            PrefetcherKind::Spp,
+            PrefetcherKind::Vldp,
+            PrefetcherKind::Ampm,
+            PrefetcherKind::Sms,
+            PrefetcherKind::bingo(),
+        ]
+    }
 
     /// Display name matching the paper's figures.
     pub fn name(self) -> String {
@@ -132,10 +152,15 @@ impl PrefetcherKind {
             PrefetcherKind::VldpAggressive => "VLDP-Aggr".into(),
             PrefetcherKind::Ampm => "AMPM".into(),
             PrefetcherKind::Sms => "SMS".into(),
-            PrefetcherKind::Bingo => "Bingo".into(),
-            PrefetcherKind::BingoWith(cfg) => bingo_name(&cfg),
-            PrefetcherKind::SingleEvent(k) => k.label().into(),
-            PrefetcherKind::MultiEvent(n) => format!("{n}-event"),
+            PrefetcherKind::Bingo(cfg) => bingo_name(&cfg),
+            PrefetcherKind::Events { first, count: 1 } => first.label().into(),
+            PrefetcherKind::Events {
+                first: EventKind::PcAddress,
+                count,
+            } => format!("{count}-event"),
+            PrefetcherKind::Events { first, count } => {
+                format!("{count}-event from {}", first.label())
+            }
             PrefetcherKind::Stride => "Stride".into(),
             PrefetcherKind::NextLine(d) => format!("NextLine-{d}"),
             PrefetcherKind::BingoFaulty { rate, .. } => {
@@ -162,13 +187,18 @@ impl PrefetcherKind {
             "vldp-aggr" => PrefetcherKind::VldpAggressive,
             "ampm" => PrefetcherKind::Ampm,
             "sms" => PrefetcherKind::Sms,
-            "bingo" => PrefetcherKind::Bingo,
+            "bingo" => PrefetcherKind::bingo(),
             "stride" => PrefetcherKind::Stride,
             _ => return None,
         })
     }
 
     /// Builds one prefetcher instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`PrefetcherKind::Events`] window runs past
+    /// [`EventKind::LONGEST_FIRST`] or is empty.
     pub fn build(self) -> Box<dyn Prefetcher> {
         match self {
             PrefetcherKind::None => Box::new(NoPrefetcher),
@@ -180,13 +210,9 @@ impl PrefetcherKind {
             PrefetcherKind::VldpAggressive => Box::new(Vldp::new(VldpConfig::aggressive())),
             PrefetcherKind::Ampm => Box::new(Ampm::new(AmpmConfig::paper())),
             PrefetcherKind::Sms => Box::new(Sms::new(SmsConfig::paper())),
-            PrefetcherKind::Bingo => Box::new(Bingo::new(BingoConfig::paper())),
-            PrefetcherKind::BingoWith(cfg) => Box::new(Bingo::new(cfg)),
-            PrefetcherKind::SingleEvent(k) => {
-                Box::new(MultiEventPrefetcher::new(MultiEventConfig::single(k)))
-            }
-            PrefetcherKind::MultiEvent(n) => {
-                Box::new(MultiEventPrefetcher::new(MultiEventConfig::first_n(n)))
+            PrefetcherKind::Bingo(cfg) => Box::new(Bingo::new(cfg)),
+            PrefetcherKind::Events { first, count } => {
+                Box::new(MultiEventPrefetcher::new(cascade(first, count)))
             }
             PrefetcherKind::Stride => Box::new(StridePrefetcher::new(StrideConfig::typical())),
             PrefetcherKind::NextLine(d) => Box::new(NextLinePrefetcher::new(d)),
@@ -214,10 +240,8 @@ impl PrefetcherKind {
             PrefetcherKind::VldpAggressive => VldpConfig::aggressive().storage_bits(),
             PrefetcherKind::Ampm => AmpmConfig::paper().storage_bits(),
             PrefetcherKind::Sms => SmsConfig::paper().storage_bits(),
-            PrefetcherKind::Bingo => BingoConfig::paper().storage_bits(),
-            PrefetcherKind::BingoWith(cfg) => cfg.storage_bits(),
-            PrefetcherKind::SingleEvent(k) => MultiEventConfig::single(k).storage_bits(),
-            PrefetcherKind::MultiEvent(n) => MultiEventConfig::first_n(n).storage_bits(),
+            PrefetcherKind::Bingo(cfg) => cfg.storage_bits(),
+            PrefetcherKind::Events { first, count } => cascade(first, count).storage_bits(),
             PrefetcherKind::Stride => StrideConfig::typical().storage_bits(),
             // Next-line keeps no metadata (trait default).
             PrefetcherKind::NextLine(_) => 0,
@@ -233,6 +257,23 @@ impl PrefetcherKind {
     pub fn storage_kb(self) -> f64 {
         self.storage_bits() as f64 / 8.0 / 1024.0
     }
+}
+
+/// The configuration of the [`PrefetcherKind::Events`] cascade: the
+/// `count` events of [`EventKind::LONGEST_FIRST`] from `first` on.
+///
+/// # Panics
+///
+/// Panics if the window is empty or runs past the fifth event.
+fn cascade(first: EventKind, count: usize) -> MultiEventConfig {
+    let from = EventKind::LONGEST_FIRST
+        .iter()
+        .position(|&k| k == first)
+        .expect("every event kind is in LONGEST_FIRST");
+    let events = EventKind::LONGEST_FIRST
+        .get(from..from + count)
+        .unwrap_or_else(|| panic!("no {count} events from {} in LONGEST_FIRST", first.label()));
+    MultiEventConfig::with_events(events.to_vec())
 }
 
 /// `Bingo` followed by every field of `cfg` that differs from the paper's
@@ -579,9 +620,10 @@ impl RunSpec {
             .collect()
     }
 
-    /// A declared mix on a `cores`-core machine under `pressure`. Core
-    /// counts past the declared slots replicate the pattern cyclically
-    /// (see [`MixConfig::assignment`]), each core keeping its own stream.
+    /// A declared mix on a `cores`-core machine under `pressure`: core `i`
+    /// runs the declared slot `i % n` of the mix's `n`, so counts past the
+    /// declared slots replicate the pattern cyclically, each core keeping
+    /// its own stream (`stream_core = i`: its own seed and address space).
     pub fn mix(
         scale: RunScale,
         mix: &MixConfig,
@@ -592,14 +634,9 @@ impl RunSpec {
     ) -> RunSpec {
         assert!(cores > 0, "a mix machine needs at least one core");
         let slots = (0..cores)
-            .map(|stream_core| {
-                let a = mix.assignment(stream_core);
-                Slot {
-                    stream: Stream::Synthetic(a.workload),
-                    stream_core,
-                    prefetcher: a.prefetcher,
-                    budget_percent: a.scale_percent,
-                }
+            .map(|stream_core| Slot {
+                stream_core,
+                ..mix.cores[stream_core % mix.cores.len()].clone()
             })
             .collect();
         Self::on_machine(scale, pressure, slots, telemetry, throttle)
@@ -773,17 +810,14 @@ pub fn run_one(workload: Workload, kind: PrefetcherKind, scale: RunScale) -> Sim
 ///
 /// Panics if `BINGO_JOBS` is set but is not a positive integer.
 pub fn default_jobs() -> usize {
-    match knobs::from_env("BINGO_JOBS", "a positive integer", |v| {
-        v.parse::<usize>().ok()
-    }) {
-        Some(jobs) => {
-            assert!(jobs > 0, "BINGO_JOBS must be a positive integer, got 0");
-            jobs
-        }
-        None => std::thread::available_parallelism()
+    knobs::from_env("BINGO_JOBS", "a positive integer", |v| {
+        v.parse().ok().filter(|&jobs| jobs > 0)
+    })
+    .unwrap_or_else(|| {
+        std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    }
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `f(0), f(1), ..., f(n - 1)` on a bounded pool of at most `jobs`
@@ -1347,7 +1381,6 @@ pub fn mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mix::MixAssignment;
     use bingo_sim::{Counters, RegionGeometry, SourceCounters};
 
     /// Every constructible kind, one representative per variant.
@@ -1362,15 +1395,25 @@ mod tests {
             PrefetcherKind::VldpAggressive,
             PrefetcherKind::Ampm,
             PrefetcherKind::Sms,
-            PrefetcherKind::Bingo,
-            PrefetcherKind::BingoWith(BingoConfig::with_history_entries(4096)),
-            PrefetcherKind::BingoWith(BingoConfig {
+            PrefetcherKind::bingo(),
+            PrefetcherKind::Bingo(BingoConfig::with_history_entries(4096)),
+            PrefetcherKind::Bingo(BingoConfig {
                 vote_threshold: 0.5,
                 region: RegionGeometry::new(1024),
                 ..BingoConfig::paper()
             }),
-            PrefetcherKind::SingleEvent(EventKind::Offset),
-            PrefetcherKind::MultiEvent(3),
+            PrefetcherKind::Events {
+                first: EventKind::Offset,
+                count: 1,
+            },
+            PrefetcherKind::Events {
+                first: EventKind::PcAddress,
+                count: 3,
+            },
+            PrefetcherKind::Events {
+                first: EventKind::PcOffset,
+                count: 2,
+            },
             PrefetcherKind::Stride,
             PrefetcherKind::NextLine(2),
             PrefetcherKind::BingoFaulty {
@@ -1393,7 +1436,7 @@ mod tests {
     #[test]
     fn bingo_with_names_every_field_that_differs_from_the_paper() {
         let paper = BingoConfig::paper();
-        let name = |cfg| PrefetcherKind::BingoWith(cfg).name();
+        let name = |cfg| PrefetcherKind::Bingo(cfg).name();
         assert_eq!(name(paper), "Bingo");
         assert_eq!(
             name(BingoConfig::with_history_entries(4096)),
@@ -1440,7 +1483,7 @@ mod tests {
 
     #[test]
     fn bingo_has_the_largest_headline_storage() {
-        let bingo_kb = PrefetcherKind::Bingo.storage_kb();
+        let bingo_kb = PrefetcherKind::bingo().storage_kb();
         for k in [
             PrefetcherKind::Bop,
             PrefetcherKind::Spp,
@@ -1452,6 +1495,41 @@ mod tests {
                 k.name()
             );
         }
+    }
+
+    /// `Sms::new` builds the very configuration of the one-event
+    /// `PC+Offset` cascade, and off the throttle the two predict alike.
+    /// They stay two kinds because the `Sms` wrapper attributes no burst
+    /// (nor follows a throttle level), which telemetry shows.
+    #[test]
+    fn sms_and_the_pc_offset_cascade_stay_distinct_kinds() {
+        let scale = RunScale {
+            instructions_per_core: 40_000,
+            warmup_per_core: 40_000,
+            seed: 3,
+        };
+        let cascade = PrefetcherKind::Events {
+            first: EventKind::PcOffset,
+            count: 1,
+        };
+        let specs: Vec<RunSpec> = [PrefetcherKind::Sms, cascade]
+            .into_iter()
+            .map(|kind| {
+                let (counts, off) = (TelemetryLevel::Counts, ThrottleMode::Off);
+                RunSpec::classic(scale, Workload::Em3d, kind, counts, off).solo(0)
+            })
+            .collect();
+        let results = ParallelHarness::with_jobs(2)
+            .quiet()
+            .try_run(&specs)
+            .into_complete();
+        let labels = |r: &SimResult| -> Vec<String> {
+            let report = r.telemetry.as_ref().expect("telemetry is on");
+            report.by_source.iter().map(|(l, _)| l.clone()).collect()
+        };
+        assert_eq!(labels(&results[0]), ["unattributed"]);
+        assert_eq!(labels(&results[1]), ["cascade0"]);
+        assert_eq!(results[0].llc, results[1].llc, "the same predictions");
     }
 
     #[test]
@@ -1538,7 +1616,7 @@ mod tests {
         let half = Slot {
             stream: Stream::Synthetic(Workload::Streaming),
             stream_core: 0,
-            prefetcher: PrefetcherKind::Bingo,
+            prefetcher: PrefetcherKind::bingo(),
             budget_percent: 50,
         };
         assert_eq!(half.target(1_000_000), 500_000);
@@ -1811,7 +1889,7 @@ mod tests {
             let spec = RunSpec::classic(
                 scale,
                 Workload::Streaming,
-                PrefetcherKind::Bingo,
+                PrefetcherKind::bingo(),
                 telemetry,
                 ThrottleMode::Off,
             );
@@ -1896,7 +1974,7 @@ mod tests {
             let spec = RunSpec::classic(
                 tiny_scale(22),
                 Workload::Em3d,
-                PrefetcherKind::Bingo,
+                PrefetcherKind::bingo(),
                 TelemetryLevel::Off,
                 throttle,
             );
@@ -1958,7 +2036,13 @@ mod tests {
     fn require_metrics_reports_unknown_names() {
         let specs = plain(
             tiny_scale(18),
-            &[(Workload::Streaming, PrefetcherKind::MultiEvent(2))],
+            &[(
+                Workload::Streaming,
+                PrefetcherKind::Events {
+                    first: EventKind::PcAddress,
+                    count: 2,
+                },
+            )],
         );
         let mut report = ParallelHarness::with_jobs(2).quiet().try_evaluate(&specs);
         report.require_metrics(&["lookups"]);
@@ -2067,10 +2151,11 @@ mod tests {
     fn failed_solo_fails_dependent_mix_cells_only() {
         let broken = MixConfig {
             name: "broken".to_string(),
-            cores: vec![MixAssignment {
-                workload: Workload::Em3d,
+            cores: vec![Slot {
+                stream: Stream::Synthetic(Workload::Em3d),
+                stream_core: 0,
                 prefetcher: PrefetcherKind::Faulty { panic_after: 100 },
-                scale_percent: 100,
+                budget_percent: 100,
             }],
             ramp: None,
         };

@@ -29,7 +29,7 @@ fn evaluate(h: &mut ParallelHarness, seed: u64, w: Workload, k: PrefetcherKind) 
 fn corrupted_bingo_completes_and_degrades_gracefully() {
     for (workload, seed) in [(Workload::Em3d, 31), (Workload::Streaming, 32)] {
         let mut h = ParallelHarness::with_jobs(2).quiet();
-        let fault_free = evaluate(&mut h, seed, workload, PrefetcherKind::Bingo);
+        let fault_free = evaluate(&mut h, seed, workload, PrefetcherKind::bingo());
         for rate in RATES {
             // Completing `evaluate` at all is the no-panic/no-deadlock
             // half of the property (a livelock would hit the simulator's

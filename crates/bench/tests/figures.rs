@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use bingo_bench::figures::{self, Session, ALL};
+use bingo_bench::figures::{self, Figure, Session, ALL};
 use bingo_bench::{Checkpoint, ParallelHarness, RunScale};
 use bingo_sim::{TelemetryLevel, ThrottleMode};
 
@@ -17,8 +17,11 @@ fn lines_in(path: &Path) -> usize {
 
 /// fig7's grid (10 workloads × 6 headline prefetchers plus 10 baselines)
 /// contains fig8's, fig9's and Table II's cells, so over one session those
-/// add no checkpoint line; fig4 adds exactly its 10 `MultiEvent(2)` cells
-/// (its baselines are fig7's).
+/// add no checkpoint line; fig4 adds exactly its 10 two-event cascade
+/// cells (its baselines are fig7's). Every later figure adds only the
+/// machines no earlier one simulated: fig3's 1-event row is fig2's
+/// `PC+Address` column and its 2-event row fig4's, and fig6's 16K column
+/// and the ablations' paper rows are fig7's Bingo.
 #[test]
 fn a_shared_session_simulates_each_cell_once() {
     let dir = std::env::temp_dir().join("bingo-figures-tests");
@@ -46,7 +49,22 @@ fn a_shared_session_simulates_each_cell_once() {
     figures::table2_workloads(&mut session);
     assert_eq!(lines_in(&path), 70, "fig8, fig9 and Table II reuse fig7's");
     figures::fig4_redundancy(&mut session);
-    assert_eq!(lines_in(&path), 80, "fig4 adds its MultiEvent(2) cells");
+    assert_eq!(lines_in(&path), 80, "fig4 adds its two-event cells");
+    let added: [(&str, Figure, usize); 6] = [
+        ("fig2: 5 single events", figures::fig2_events, 50),
+        ("fig3: 3-, 4- and 5-event", figures::fig3_num_events, 30),
+        ("fig6: 6 sizes but 16K", figures::fig6_table_size, 60),
+        ("voting: 5 thresholds but 20%", figures::ablation_voting, 50),
+        ("region: 1 KB and 4 KB", figures::ablation_region, 20),
+        ("training: overflow only", figures::ablation_training, 10),
+    ];
+    let mut expected = 80;
+    for (what, figure, cells) in added {
+        figure(&mut session);
+        expected += cells;
+        assert_eq!(lines_in(&path), expected, "{what}");
+    }
+    assert_eq!(expected, 300);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -68,6 +86,22 @@ fn every_committed_result_but_stress_degrade_is_a_figure() {
             "results/{stem}.txt"
         );
     }
+}
+
+/// `BINGO_JOBS=0` fails like every other malformed knob, with the
+/// uniform message, before the figure resolves a cell.
+#[test]
+fn a_zero_worker_count_fails_as_a_knob() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1_config"))
+        .env("BINGO_JOBS", "0")
+        .output()
+        .expect("run table1_config");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("BINGO_JOBS must be a positive integer, got \"0\""),
+        "{stderr}"
+    );
 }
 
 #[test]

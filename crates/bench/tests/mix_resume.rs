@@ -6,8 +6,8 @@
 use std::path::PathBuf;
 
 use bingo_bench::{
-    Checkpoint, MixAssignment, MixConfig, MixEvaluation, ParallelHarness, PrefetcherKind, Pressure,
-    RunScale, RunSpec,
+    Checkpoint, MixConfig, MixEvaluation, ParallelHarness, PrefetcherKind, Pressure, RunScale,
+    RunSpec, Slot, Stream,
 };
 use bingo_sim::{TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
@@ -175,10 +175,11 @@ fn mixed_old_new_checkpoint_retries_only_failed_cells() {
     let path = tmp_path("retry-failed");
     let broken = MixConfig {
         name: "broken".to_string(),
-        cores: vec![MixAssignment {
-            workload: Workload::Em3d,
+        cores: vec![Slot {
+            stream: Stream::Synthetic(Workload::Em3d),
+            stream_core: 0,
             prefetcher: PrefetcherKind::Faulty { panic_after: 100 },
-            scale_percent: 100,
+            budget_percent: 100,
         }],
         ramp: None,
     };

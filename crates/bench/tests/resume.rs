@@ -182,7 +182,7 @@ fn throttled_sweep_resumes_bit_for_bit_and_keys_stay_disjoint() {
         RunSpec::grid(
             scale,
             &[Workload::Em3d, Workload::Streaming],
-            &[PrefetcherKind::Bingo],
+            &[PrefetcherKind::bingo()],
             TelemetryLevel::Off,
             throttle,
         )

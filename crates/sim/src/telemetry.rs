@@ -60,14 +60,13 @@ impl TelemetryLevel {
         self != TelemetryLevel::Off
     }
 
-    /// Parses the spelling used by the `BINGO_TELEMETRY` knob
-    /// (case-insensitive `off` / `counts`); `None` on anything else,
-    /// including the retired `trace` level and its alias `2`, so callers
-    /// can abort loudly.
+    /// Parses the spelling used by the `BINGO_TELEMETRY` knob: `off` or
+    /// `counts`, trimmed and in any case; `None` on anything else,
+    /// including the retired `trace` level, so callers can abort loudly.
     pub fn parse(value: &str) -> Option<Self> {
         match value.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Some(TelemetryLevel::Off),
-            "counts" | "on" | "1" => Some(TelemetryLevel::Counts),
+            "off" => Some(TelemetryLevel::Off),
+            "counts" => Some(TelemetryLevel::Counts),
             _ => None,
         }
     }
@@ -488,7 +487,10 @@ mod tests {
             None,
             "the trace level is retired"
         );
-        assert_eq!(TelemetryLevel::parse("2"), None);
+        // Exactly the two words: no undocumented alias.
+        for alias in ["0", "none", "on", "1", "2"] {
+            assert_eq!(TelemetryLevel::parse(alias), None, "{alias}");
+        }
         assert_eq!(TelemetryLevel::parse("verbose"), None);
         assert!(!TelemetryLevel::Off.enabled());
         assert!(TelemetryLevel::Counts.enabled());

@@ -53,14 +53,14 @@ pub enum ThrottleMode {
 }
 
 impl ThrottleMode {
-    /// Parses the spelling used by the `BINGO_THROTTLE` knob
-    /// (case-insensitive `off` / `feedback` / `percore`);
-    /// `None` on anything else so callers can abort loudly.
+    /// Parses the spelling used by the `BINGO_THROTTLE` knob: `off`,
+    /// `feedback` or `percore`, trimmed and in any case; `None` on
+    /// anything else so callers can abort loudly.
     pub fn parse(value: &str) -> Option<Self> {
         match value.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Some(ThrottleMode::Off),
-            "feedback" | "on" | "2" => Some(ThrottleMode::Feedback),
-            "percore" | "3" => Some(ThrottleMode::Percore),
+            "off" => Some(ThrottleMode::Off),
+            "feedback" => Some(ThrottleMode::Feedback),
+            "percore" => Some(ThrottleMode::Percore),
             _ => None,
         }
     }
@@ -858,13 +858,15 @@ mod tests {
             ThrottleMode::parse("Feedback"),
             Some(ThrottleMode::Feedback)
         );
-        assert_eq!(ThrottleMode::parse("none"), Some(ThrottleMode::Off));
         assert_eq!(ThrottleMode::parse("percore"), Some(ThrottleMode::Percore));
         assert_eq!(
             ThrottleMode::parse(" PerCore "),
             Some(ThrottleMode::Percore)
         );
-        assert_eq!(ThrottleMode::parse("3"), Some(ThrottleMode::Percore));
+        // Exactly the three words: no undocumented alias.
+        for alias in ["0", "none", "on", "2", "3"] {
+            assert_eq!(ThrottleMode::parse(alias), None, "{alias}");
+        }
         assert_eq!(ThrottleMode::parse("aggressive"), None);
         assert_eq!(ThrottleMode::parse(""), None);
         // The retired fixed-degree mode fails loudly rather than silently

@@ -43,7 +43,7 @@ fn main() {
         warmup_per_core: 600_000,
         seed: 42,
     };
-    let kinds = PrefetcherKind::HEADLINE;
+    let kinds = PrefetcherKind::headline();
     let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
     let specs = RunSpec::grid(scale, &[workload], &kinds, telemetry, throttle);
     let mut harness = ParallelHarness::from_env().quiet();

@@ -177,7 +177,7 @@ fn controllers_recover_to_full_aggressiveness_after_the_perturbation_ends() {
     let r = System::with_prefetchers(
         cfg,
         sources,
-        |_| PrefetcherKind::Bingo.build(),
+        |_| PrefetcherKind::bingo().build(),
         4 * F - 20_000,
     )
     .with_warmup(20_000)

@@ -14,7 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
-use bingo::BingoConfig;
+use bingo::{BingoConfig, EventKind};
 use bingo_bench::{MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec};
 use bingo_sim::{RegionGeometry, TelemetryLevel, ThrottleMode};
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
@@ -43,7 +43,7 @@ fn classic(workload: Workload, kind: PrefetcherKind) -> RunSpec {
 fn bingo_with(edit: impl FnOnce(&mut BingoConfig)) -> RunSpec {
     let mut cfg = BingoConfig::paper();
     edit(&mut cfg);
-    classic(Workload::Mix2, PrefetcherKind::BingoWith(cfg))
+    classic(Workload::Mix2, PrefetcherKind::Bingo(cfg))
 }
 
 fn polite_vs_storm() -> MixConfig {
@@ -101,17 +101,20 @@ fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
     );
     vec![
         ("em3d/None", classic(Workload::Em3d, PrefetcherKind::None)),
-        ("em3d/Bingo", classic(Workload::Em3d, PrefetcherKind::Bingo)),
+        (
+            "em3d/Bingo",
+            classic(Workload::Em3d, PrefetcherKind::bingo()),
+        ),
         (
             "em3d@1/Bingo",
-            classic(Workload::Em3d, PrefetcherKind::Bingo).solo(0),
+            classic(Workload::Em3d, PrefetcherKind::bingo()).solo(0),
         ),
         (
             "em3d/Bingo/counts",
             RunSpec::classic(
                 SCALE,
                 Workload::Em3d,
-                PrefetcherKind::Bingo,
+                PrefetcherKind::bingo(),
                 TelemetryLevel::Counts,
                 ThrottleMode::Off,
             ),
@@ -119,9 +122,18 @@ fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
         ("em3d/SMS", classic(Workload::Em3d, PrefetcherKind::Sms)),
         (
             "em3d/3-event",
-            classic(Workload::Em3d, PrefetcherKind::MultiEvent(3)),
+            classic(
+                Workload::Em3d,
+                PrefetcherKind::Events {
+                    first: EventKind::PcAddress,
+                    count: 3,
+                },
+            ),
         ),
-        ("mix2/Bingo", classic(Workload::Mix2, PrefetcherKind::Bingo)),
+        (
+            "mix2/Bingo",
+            classic(Workload::Mix2, PrefetcherKind::bingo()),
+        ),
         (
             "mix2/Bingo-4K-entries",
             bingo_with(|c| c.history_entries = 4096),

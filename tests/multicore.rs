@@ -17,8 +17,8 @@
 //!    built by hand.
 
 use bingo_bench::{
-    parallel_map, MixAssignment, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale,
-    RunSpec,
+    parallel_map, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Slot,
+    Stream,
 };
 use bingo_sim::{SimResult, System, SystemConfig, TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
@@ -44,7 +44,7 @@ fn every_workload() -> Vec<(Workload, PrefetcherKind)> {
     Workload::ALL
         .into_iter()
         .chain(Workload::STRESS)
-        .flat_map(|w| [(w, PrefetcherKind::None), (w, PrefetcherKind::Bingo)])
+        .flat_map(|w| [(w, PrefetcherKind::None), (w, PrefetcherKind::bingo())])
         .collect()
 }
 
@@ -72,14 +72,14 @@ fn run(spec: &RunSpec) -> SimResult {
 fn homogeneous_mix(workload: Workload, kind: PrefetcherKind, cores: usize) -> MixConfig {
     MixConfig {
         name: "equiv".to_string(),
-        cores: vec![
-            MixAssignment {
-                workload,
+        cores: (0..cores)
+            .map(|stream_core| Slot {
+                stream: Stream::Synthetic(workload),
+                stream_core,
                 prefetcher: kind,
-                scale_percent: 100,
-            };
-            cores
-        ],
+                budget_percent: 100,
+            })
+            .collect(),
         ramp: None,
     }
 }
@@ -142,9 +142,9 @@ fn two_core_pressured_spec_matches_the_hand_built_stress_machine() {
     let queue = 4;
     let configs = [
         (PrefetcherKind::None, ThrottleMode::Off),
-        (PrefetcherKind::Bingo, ThrottleMode::Off),
-        (PrefetcherKind::Bingo, ThrottleMode::Feedback),
-        (PrefetcherKind::Bingo, ThrottleMode::Percore),
+        (PrefetcherKind::bingo(), ThrottleMode::Off),
+        (PrefetcherKind::bingo(), ThrottleMode::Feedback),
+        (PrefetcherKind::bingo(), ThrottleMode::Percore),
     ];
     let cases: Vec<(Workload, PrefetcherKind, ThrottleMode)> = Workload::STRESS
         .into_iter()
@@ -255,12 +255,20 @@ fn fairness_metrics_recompute_from_per_core_stats() {
         // A solo built by hand: the slot's own stream (same stream core,
         // so same seed and address space), prefetcher and scaled target
         // on a 1-core machine.
-        let a = mix.assignment(slot);
+        let Slot {
+            stream: Stream::Synthetic(workload),
+            prefetcher,
+            budget_percent,
+            ..
+        } = mix.cores[slot]
+        else {
+            panic!("a parsed mix has synthetic slots");
+        };
         let solo = System::new(
             SystemConfig::paper_single_core(),
-            vec![a.workload.source_for_core(slot, SCALE.seed)],
-            vec![a.prefetcher.build()],
-            SCALE.instructions_per_core * u64::from(a.scale_percent) / 100,
+            vec![workload.source_for_core(slot, SCALE.seed)],
+            vec![prefetcher.build()],
+            SCALE.instructions_per_core * u64::from(budget_percent) / 100,
         )
         .with_warmup(SCALE.warmup_per_core)
         .run();

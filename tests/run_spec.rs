@@ -49,7 +49,7 @@ fn full_spec(trace: &TraceWorkload) -> RunSpec {
             Slot {
                 stream: Stream::Trace(trace.clone()),
                 stream_core: 2,
-                prefetcher: PrefetcherKind::BingoWith(BingoConfig::paper()),
+                prefetcher: PrefetcherKind::bingo(),
                 budget_percent: 75,
             },
         ],
@@ -83,7 +83,7 @@ fn every_field_perturbation_changes_the_key() {
         Box::new(move |s| {
             let mut cfg = BingoConfig::paper();
             edit(&mut cfg);
-            s.slots[1].prefetcher = PrefetcherKind::BingoWith(cfg);
+            s.slots[1].prefetcher = PrefetcherKind::Bingo(cfg);
         })
     };
     let edits: Vec<(&str, Edit)> = vec![
@@ -173,7 +173,7 @@ fn every_field_perturbation_changes_the_key() {
         "baselines drop the prefetchers"
     );
     let (off, on) = (TelemetryLevel::Off, ThrottleMode::Off);
-    let replay = RunSpec::trace(base.scale, &trace, PrefetcherKind::Bingo, off, on);
+    let replay = RunSpec::trace(base.scale, &trace, PrefetcherKind::bingo(), off, on);
     let mut reseeded = replay.clone();
     reseeded.scale.seed += 1;
     assert_eq!(
@@ -267,7 +267,7 @@ fn parallel_matches_serial_bit_for_bit() {
         scale,
         &[Workload::Em3d, Workload::Streaming, Workload::Mix1],
         &[
-            PrefetcherKind::Bingo,
+            PrefetcherKind::bingo(),
             PrefetcherKind::Bop,
             PrefetcherKind::Sms,
         ],

@@ -87,7 +87,7 @@ fn every_stress_workload_round_trips_bit_for_bit() {
 #[test]
 fn round_trip_holds_under_bingo() {
     for w in [Workload::Streaming, Workload::Em3d] {
-        let (live, replayed) = round_trip(w, PrefetcherKind::Bingo);
+        let (live, replayed) = round_trip(w, PrefetcherKind::bingo());
         assert_eq!(live, replayed, "{w}: Bingo replay diverged");
     }
 }
