@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use bingo::{BingoConfig, EventKind};
 use bingo_bench::{run_one, time_median, BenchWriter, PrefetcherKind, RunScale, RunSpec};
-use bingo_sim::{SystemConfig, TelemetryLevel, ThrottleMode};
+use bingo_sim::SystemConfig;
 use bingo_workloads::Workload;
 
 fn tiny_scale() -> RunScale {
@@ -138,7 +138,7 @@ fn bench_fig8_2core(writer: &mut Option<BenchWriter>) {
     let instrs = (cores as u64 * (scale.instructions_per_core + scale.warmup_per_core)) as f64;
     for w in Workload::ALL {
         for k in [PrefetcherKind::None, PrefetcherKind::bingo()] {
-            let mut spec = RunSpec::classic(scale, w, k, TelemetryLevel::Off, ThrottleMode::Off);
+            let mut spec = RunSpec::classic(scale, w, k);
             spec.slots.truncate(cores);
             let s = time_median(3, || {
                 black_box(spec.run(None).expect("bench 2-core cell completes"));

@@ -13,7 +13,7 @@ use std::hint::black_box;
 use bingo_bench::{time_median, BenchRecord, BenchWriter};
 
 use bingo::multi_event::{MultiEventConfig, MultiEventPrefetcher};
-use bingo::{Bingo, BingoConfig, Footprint, UnifiedHistoryTable};
+use bingo::{Bingo, BingoConfig, EventKind, Footprint, UnifiedHistoryTable};
 use bingo_baselines::{Ampm, AmpmConfig, Bop, BopConfig, Sms, Spp, SppConfig, Vldp, VldpConfig};
 use bingo_sim::{AccessInfo, BlockAddr, Pc, Prefetcher};
 
@@ -89,7 +89,9 @@ fn bench_prefetcher_access(writer: &mut Option<BenchWriter>) {
         ("bingo", Box::new(Bingo::new(BingoConfig::paper()))),
         (
             "bingo_naive_two_table",
-            Box::new(MultiEventPrefetcher::new(MultiEventConfig::first_n(2))),
+            Box::new(MultiEventPrefetcher::new(MultiEventConfig::with_events(
+                vec![EventKind::PcAddress, EventKind::PcOffset],
+            ))),
         ),
         ("sms", Box::<Sms>::default()),
         ("ampm", Box::new(Ampm::new(AmpmConfig::paper()))),

@@ -5,7 +5,8 @@
 //! The session's one harness memoizes every cell, so a cell two figures
 //! share is simulated once; it parallelizes across cells — see
 //! `BINGO_JOBS` in EXPERIMENTS.md. With `BINGO_STATS` naming a directory,
-//! each figure exports to its own `<figure>.json`.
+//! each figure exports to its own `<figure>.json`; naming a file, every
+//! figure exports to it, each cell once.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;

@@ -41,7 +41,7 @@ use std::process::ExitCode;
 
 use bingo_bench::{ParallelHarness, PrefetcherKind, RunScale, RunSpec, StatsExport};
 use bingo_oracle::shrink_items;
-use bingo_sim::{IngestReport, Instr, TelemetryLevel, ThrottleMode};
+use bingo_sim::{IngestReport, Instr};
 use bingo_trace::{apply, capture_source, plan_for_seed, CorruptionOp, ReadError, TraceReader};
 use bingo_workloads::{TraceWorkload, Workload};
 
@@ -244,13 +244,7 @@ fn check_sim(
     };
     let stats_path = dir.join("stats.jsonl");
     let stats = StatsExport::new(&stats_path);
-    let spec = RunSpec::trace(
-        scale,
-        &trace,
-        PrefetcherKind::NextLine(1),
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    );
+    let spec = RunSpec::trace(scale, &trace, PrefetcherKind::NextLine(1));
     let mut report = ParallelHarness::with_jobs(1)
         .quiet()
         .with_stats_export(stats)

@@ -7,10 +7,10 @@
 //! configurations per cell:
 //!
 //! * **off** — no prefetcher (the safety baseline),
-//! * **unthrottled** — Bingo with `BINGO_THROTTLE=off`,
+//! * **unthrottled** — Bingo with the throttle off,
 //! * **feedback** — Bingo with the closed-loop chip-wide throttle,
 //! * **percore** — Bingo with per-core controllers and the starvation
-//!   watchdog (`BINGO_THROTTLE=percore`).
+//!   watchdog.
 //!
 //! The acceptance criterion, asserted at the end of the sweep:
 //!
@@ -21,14 +21,11 @@
 //!    otherwise the stress family is not adversarial enough to prove
 //!    anything about graceful degradation.
 //!
-//! Each pressure level bounds the prefetch queue at its own preset depth.
-//! `BINGO_STATS` exports each cell's full `SimResult` as JSON lines. The
-//! throttle mode is the experiment's variable, so `BINGO_THROTTLE` does
-//! not apply.
+//! Each pressure level bounds the prefetch queue at its own preset depth,
+//! and each configuration sets its throttle mode in code; telemetry is
+//! off. `BINGO_STATS` exports each cell's full `SimResult` as JSON lines.
 
-use bingo_bench::{
-    f2, telemetry_from_env, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Table,
-};
+use bingo_bench::{f2, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Table};
 use bingo_sim::ThrottleMode;
 use bingo_workloads::Workload;
 
@@ -53,22 +50,24 @@ const TOLERANCE: f64 = 0.05;
 
 fn main() {
     let scale = RunScale::from_args();
-    let telemetry = telemetry_from_env();
+    let mut harness = ParallelHarness::from_env();
+    harness.export_stats_as("stress_degrade");
     let mut specs: Vec<RunSpec> = Vec::new();
     for p in PRESSURES {
         for w in Workload::STRESS {
             for (_, kind, throttle) in configs() {
-                let mut spec = RunSpec::classic(scale, w, kind, telemetry, throttle);
+                let mut spec = RunSpec {
+                    throttle,
+                    pressure: p,
+                    ..RunSpec::classic(scale, w, kind)
+                };
                 // Two cores keep the sweep fast; with a single channel at
                 // reduced bandwidth they contend plenty.
                 spec.slots.truncate(2);
-                spec.pressure = p;
                 specs.push(spec);
             }
         }
     }
-    let mut harness = ParallelHarness::from_env();
-    harness.export_stats_as("stress_degrade");
     let results = harness.try_run(&specs).into_complete();
 
     let mut t = Table::new(vec![

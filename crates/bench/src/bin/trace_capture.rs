@@ -22,8 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bingo_bench::{
-    flag_value, telemetry_from_env, throttle_from_env, workload_args, PrefetcherKind, RunScale,
-    RunSpec, CAPTURE_SLACK,
+    flag_value, knobs, workload_args, PrefetcherKind, RunScale, RunSpec, CAPTURE_SLACK,
 };
 use bingo_sim::SystemConfig;
 use bingo_trace::DEFAULT_CHUNK_RECORDS;
@@ -70,7 +69,7 @@ fn parse_args() -> Args {
 
 fn main() -> ExitCode {
     let scale = RunScale::from_args();
-    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
+    knobs::reject_retired();
     let args = parse_args();
     let cores = SystemConfig::paper().cores;
     let records = scale.warmup_per_core + scale.instructions_per_core + CAPTURE_SLACK;
@@ -100,7 +99,7 @@ fn main() -> ExitCode {
             .unwrap_or_else(|e| panic!("reopening capture {}: {e}", dir.display()));
         // Run directly, never from a checkpoint: this is the check.
         let kind = PrefetcherKind::None;
-        let mut replayed = RunSpec::trace(scale, &trace, kind, telemetry, throttle)
+        let mut replayed = RunSpec::trace(scale, &trace, kind)
             .run(None)
             .unwrap_or_else(|abort| panic!("replay of {} aborted: {abort}", dir.display()));
         // Only a replay attaches an ingest report; strip it so the
@@ -109,7 +108,7 @@ fn main() -> ExitCode {
             .ingest
             .take()
             .expect("replay attaches an ingest report");
-        let live = RunSpec::classic(scale, w, kind, telemetry, throttle)
+        let live = RunSpec::classic(scale, w, kind)
             .run(None)
             .unwrap_or_else(|abort| panic!("live run of {} aborted: {abort}", w.name()));
         if live != replayed {

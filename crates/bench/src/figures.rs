@@ -2,11 +2,14 @@
 //! [`Session`].
 //!
 //! A [`Session`] holds what every figure reads, read once: the
-//! [`RunScale`], the telemetry and throttle knobs, the command line and
-//! one [`ParallelHarness`]. Each `src/bin/<figure>.rs` is a wrapper around
-//! [`run`]; the `all` binary runs every entry of [`ALL`] in order over one
-//! session, so a cell two figures share is simulated once (the harness
-//! memoizes every result it resolves). Figures print to stdout.
+//! [`RunScale`], the command line and one [`ParallelHarness`]. Every cell
+//! is the one configuration its figure states: telemetry and throttling
+//! are off unless the figure sets them in code (`fig_timeliness` counts,
+//! `fig_qos` varies the throttle mode). Each `src/bin/<figure>.rs` is a
+//! wrapper around [`run`]; the `all` binary runs every entry of [`ALL`]
+//! in order over one session, so a cell two figures share is simulated
+//! once (the harness memoizes every result it resolves). Figures print to
+//! stdout.
 
 use std::path::PathBuf;
 
@@ -23,22 +26,17 @@ use crate::capture::{ensure_capture, CAPTURE_SLACK};
 use crate::cli::{flag_value, flag_values, workload_args};
 use crate::mix::{CapacityCell, CapacitySearch, MixConfig, Pressure};
 use crate::runner::{
-    geometric_mean, mean, parallel_map, telemetry_from_env, throttle_from_env, Evaluation,
-    ParallelHarness, PrefetcherKind, RunScale, RunSpec,
+    geometric_mean, mean, parallel_map, Evaluation, ParallelHarness, PrefetcherKind, RunScale,
+    RunSpec,
 };
 use crate::table::{f2, pct, Table};
 
-/// What every figure reads: the knobs and command line, read once, and
+/// What every figure reads: the scale and command line, read once, and
 /// the one harness that resolves every cell.
 #[derive(Debug)]
 pub struct Session {
     /// `--quick` plus the `BINGO_WARMUP` / `BINGO_INSTR` overrides.
     pub scale: RunScale,
-    /// `BINGO_TELEMETRY`.
-    pub telemetry: TelemetryLevel,
-    /// `BINGO_THROTTLE`; figures whose variable is the throttle mode
-    /// ignore it.
-    pub throttle: ThrottleMode,
     /// The command line, program name excluded.
     pub args: Vec<String>,
     /// The executor of every figure's cells, memo included.
@@ -46,17 +44,15 @@ pub struct Session {
 }
 
 impl Session {
-    /// Reads the scale, `BINGO_TELEMETRY`, `BINGO_THROTTLE`, the command
-    /// line and the harness knobs ([`ParallelHarness::from_env`]).
+    /// Reads the scale, the command line and the harness knobs
+    /// ([`ParallelHarness::from_env`]).
     ///
     /// # Panics
     ///
-    /// Panics on a malformed knob, as each reader documents.
+    /// Panics on a malformed or retired knob, as each reader documents.
     pub fn from_env() -> Session {
         Session {
             scale: RunScale::from_args(),
-            telemetry: telemetry_from_env(),
-            throttle: throttle_from_env(),
             args: std::env::args().skip(1).collect(),
             harness: ParallelHarness::from_env(),
         }
@@ -177,7 +173,7 @@ pub fn table1_config(_: &mut Session) {
 /// (no prefetcher), compared against the paper's reported values.
 pub fn table2_workloads(s: &mut Session) {
     let kinds = [PrefetcherKind::None];
-    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
+    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds);
     let baselines = s.harness.try_run(&specs).into_complete();
     let mut t = Table::new(vec!["Application", "Description", "MPKI", "Paper MPKI"]);
     for (w, base) in Workload::ALL.into_iter().zip(&baselines) {
@@ -202,7 +198,7 @@ pub fn fig2_events(s: &mut Session) {
         .into_iter()
         .map(|first| PrefetcherKind::Events { first, count: 1 })
         .collect();
-    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
+    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds);
     let mut report = s.harness.try_evaluate(&specs);
     // A renamed counter must fail the figure by name, not plot as zero.
     report.require_metrics(&["lookups", "matches"]);
@@ -248,7 +244,7 @@ pub fn fig3_num_events(s: &mut Session) {
             count,
         })
         .collect();
-    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
+    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds);
     let evals = s.harness.evaluate(&specs);
     let mut t = Table::new(vec!["Events", "Coverage", "Accuracy"]);
     for (j, n) in (1..=5).enumerate() {
@@ -278,7 +274,7 @@ pub fn fig4_redundancy(s: &mut Session) {
         first: EventKind::PcAddress,
         count: 2,
     }];
-    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
+    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds);
     let mut report = s.harness.try_evaluate(&specs);
     // A renamed counter must fail the figure by name, not plot as zero.
     report.require_metrics(&["lookups", "dual_identical", "dual_both_matched"]);
@@ -320,7 +316,7 @@ pub fn fig6_table_size(s: &mut Session) {
         .into_iter()
         .map(|n| PrefetcherKind::Bingo(BingoConfig::with_history_entries(n)))
         .collect();
-    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
+    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds);
     let evals = s.harness.evaluate(&specs);
     let mut header = vec!["Workload".to_string()];
     header.extend(SIZES.iter().map(|n| format!("{}K", n / 1024)));
@@ -345,7 +341,7 @@ pub fn fig6_table_size(s: &mut Session) {
 /// the second-best prefetcher, with overprediction on par with the rest.
 pub fn fig7_coverage(s: &mut Session) {
     let kinds = PrefetcherKind::headline();
-    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
+    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds);
     let evals = s.harness.evaluate(&specs);
     let mut t = Table::new(vec![
         "Workload",
@@ -395,7 +391,7 @@ pub fn fig7_coverage(s: &mut Session) {
 /// 11% above the best prior spatial prefetcher.
 pub fn fig8_performance(s: &mut Session) {
     let kinds = PrefetcherKind::headline();
-    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds, s.telemetry, s.throttle);
+    let specs = RunSpec::grid(s.scale, &Workload::ALL, &kinds);
     let evals = s.harness.evaluate(&specs);
     let mut header = vec!["Workload".to_string()];
     header.extend(kinds.iter().map(|k| k.name()));
@@ -435,7 +431,7 @@ pub fn fig9_density(s: &mut Session) {
     let kinds = PrefetcherKind::headline();
     let specs: Vec<RunSpec> = kinds
         .iter()
-        .flat_map(|&k| RunSpec::grid(s.scale, &Workload::ALL, &[k], s.telemetry, s.throttle))
+        .flat_map(|&k| RunSpec::grid(s.scale, &Workload::ALL, &[k]))
         .collect();
     let evals = s.harness.evaluate(&specs);
 
@@ -517,18 +513,17 @@ fn source_timeliness(c: &SourceCounters) -> f64 {
 /// reports per-event-kind accuracy — the observable counterpart of the
 /// paper's Fig. 2 accuracy argument.
 ///
-/// Telemetry is always `counts` here (this figure is *about* telemetry);
-/// a garbage `BINGO_TELEMETRY` still aborts. Pass `--workload <name>`
-/// (repeatable; a slug, paper name or variant name) to restrict the sweep —
-/// the CI smoke job runs a single cheap workload this way.
+/// Telemetry is `counts` here: this figure is *about* telemetry. Pass
+/// `--workload <name>` (repeatable; a slug, paper name or variant name) to
+/// restrict the sweep — the CI smoke job runs a single cheap workload this
+/// way.
 pub fn fig_timeliness(s: &mut Session) {
-    let telemetry = match s.telemetry {
-        TelemetryLevel::Off => TelemetryLevel::Counts,
-        level => level,
-    };
     let workloads = workload_args(&s.args, &Workload::ALL);
     let kinds = PrefetcherKind::headline();
-    let specs = RunSpec::grid(s.scale, &workloads, &kinds, telemetry, s.throttle);
+    let mut specs = RunSpec::grid(s.scale, &workloads, &kinds);
+    for spec in &mut specs {
+        spec.telemetry = TelemetryLevel::Counts;
+    }
     let evals = s.harness.evaluate(&specs);
 
     let mut t = Table::new(vec![
@@ -630,7 +625,7 @@ pub fn fig_timeliness(s: &mut Session) {
 /// reader's typed error, byte offset included, and the binary exits
 /// nonzero.
 pub fn fig_traces(s: &mut Session) {
-    let (scale, telemetry, throttle) = (s.scale, s.telemetry, s.throttle);
+    let scale = s.scale;
     let workloads = workload_args(&s.args, &Workload::ALL);
     let root =
         PathBuf::from(flag_value(&s.args, "--traces").unwrap_or_else(|| "target/traces".into()));
@@ -649,11 +644,7 @@ pub fn fig_traces(s: &mut Session) {
     let kinds = PrefetcherKind::headline();
     let specs: Vec<RunSpec> = traces
         .iter()
-        .flat_map(|t| {
-            kinds
-                .iter()
-                .map(move |&k| RunSpec::trace(scale, t, k, telemetry, throttle))
-        })
+        .flat_map(|t| kinds.iter().map(move |&k| RunSpec::trace(scale, t, k)))
         .collect();
     let evals = s.harness.evaluate(&specs);
 
@@ -764,7 +755,7 @@ fn write_report(s: &Session, figure: &str, lines: &[String]) {
 /// `--report` (default `target/fig_multicore_report.json`; CI uploads it
 /// as an artifact). The throttle-starvation comparison is [`fig_qos`].
 pub fn fig_multicore(s: &mut Session) {
-    let (scale, telemetry, throttle) = (s.scale, s.telemetry, s.throttle);
+    let scale = s.scale;
     let (config, mut mixes) = config_mixes(s);
     let picked = flag_values(&s.args, "--mix");
     if !picked.is_empty() {
@@ -807,9 +798,7 @@ pub fn fig_multicore(s: &mut Session) {
     for mix in &mixes {
         for &pressure in &pressures {
             for cores in steps_of(mix) {
-                specs.push(RunSpec::mix(
-                    scale, mix, cores, pressure, telemetry, throttle,
-                ));
+                specs.push(RunSpec::mix(scale, mix, cores, pressure));
             }
         }
     }
@@ -894,9 +883,7 @@ pub fn fig_multicore(s: &mut Session) {
 /// storm), and `percore` (one controller per core plus the chip-level
 /// starvation watchdog). The figure's claim: `percore` keeps the polite
 /// core within 1 % of its unthrottled IPC while the aggregate IPC stays
-/// at or above the chip-wide feedback arm's. The throttle mode is the
-/// figure's variable, so `BINGO_THROTTLE` does not apply (a malformed
-/// value still aborts, as everywhere).
+/// at or above the chip-wide feedback arm's.
 ///
 /// The chaos cell replays the same mix under the standard perturbation
 /// schedule ([`bingo_sim::ChaosPlan::standard`] at `CHAOS_SEED`) with
@@ -923,8 +910,9 @@ pub fn fig_qos(s: &mut Session) {
     let pressure = Pressure::CONSTRAINED;
 
     let spec = |throttle: ThrottleMode, chaos: Option<ChaosPlan>| RunSpec {
+        throttle,
         chaos,
-        ..RunSpec::mix(s.scale, mix, 2, pressure, s.telemetry, throttle)
+        ..RunSpec::mix(s.scale, mix, 2, pressure)
     };
 
     // Calm arms (the starvation comparison), then the chaos cell: same
@@ -1195,10 +1183,10 @@ pub fn workload_stats(s: &mut Session) {
 }
 
 /// The summary table of the ablations and Fig. 10: each `(label, kind)`
-/// row runs on every workload of [`Workload::ALL`] at the session's scale,
-/// telemetry and throttle, and becomes one table row — the label (under
-/// `first_column`), the gmean performance improvement, the mean coverage
-/// and the mean overprediction.
+/// row runs on every workload of [`Workload::ALL`] at the session's scale
+/// and becomes one table row — the label (under `first_column`), the
+/// gmean performance improvement, the mean coverage and the mean
+/// overprediction.
 ///
 /// # Panics
 ///
@@ -1211,9 +1199,7 @@ fn summary_table<S: AsRef<str>>(
     // Kind-major grid: all workloads of one row are contiguous.
     let specs: Vec<RunSpec> = rows
         .iter()
-        .flat_map(|&(_, kind)| {
-            RunSpec::grid(s.scale, &Workload::ALL, &[kind], s.telemetry, s.throttle)
-        })
+        .flat_map(|&(_, kind)| RunSpec::grid(s.scale, &Workload::ALL, &[kind]))
         .collect();
     let evals = s.harness.evaluate(&specs);
     let mut t = Table::new(vec![

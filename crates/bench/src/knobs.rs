@@ -1,13 +1,15 @@
 //! Shared parsing for `BINGO_*` environment knobs.
 //!
-//! Every harness knob — scale overrides, worker count, cell deadline,
-//! telemetry level, throttle mode — funnels its failure path through
-//! [`parse`], so a typo'd value aborts the run with one uniform message
-//! shape (`<NAME> must be <expectation>, got <value>`) instead of each
-//! call site inventing its own, or worse, silently falling back to a
-//! default and producing numbers from the wrong configuration. A
-//! parameter no experiment varies is a constant in the binary that uses
-//! it, not a knob.
+//! Every harness knob — scale overrides, worker count, cell deadline —
+//! funnels its failure path through [`parse`], so a typo'd value aborts
+//! the run with one uniform message shape (`<NAME> must be <expectation>,
+//! got <value>`) instead of each call site inventing its own, or worse,
+//! silently falling back to a default and producing numbers from the
+//! wrong configuration. A parameter no experiment varies is a constant in
+//! the binary that uses it, not a knob, and a figure whose variable it is
+//! sets it in code: each figure's cells carry their telemetry level and
+//! throttle mode, so those two former knobs are retired
+//! ([`reject_retired`]).
 
 /// Parses a knob value, aborting loudly on garbage.
 ///
@@ -46,6 +48,21 @@ pub fn from_env<T>(
         .map(|v| parse(name, &v, expectation, parser))
 }
 
+/// Aborts if a retired knob, `BINGO_TELEMETRY` or `BINGO_THROTTLE`, is
+/// set to any value: a run asking for a configuration the harness no
+/// longer offers must not print numbers from another one.
+///
+/// # Panics
+///
+/// Panics naming the first retired variable the environment sets.
+pub fn reject_retired() {
+    for name in ["BINGO_TELEMETRY", "BINGO_THROTTLE"] {
+        if std::env::var_os(name).is_some() {
+            panic!("{name} is retired: each figure sets its own telemetry level and throttle mode");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,45 +81,5 @@ mod tests {
         let _: u64 = parse("BINGO_TEST", "4x2", "an unsigned integer", |v| {
             v.parse().ok()
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "BINGO_THROTTLE must be one of off/feedback/percore, got \"static\"")]
-    fn throttle_rejects_the_retired_static_mode() {
-        // Mirrors `runner::throttle_from_env`: `static` and its numeric
-        // alias `1` name no mode, so a script asking for them aborts
-        // instead of silently running another policy.
-        assert_eq!(bingo_sim::ThrottleMode::parse("1"), None);
-        let _ = parse(
-            crate::THROTTLE_ENV,
-            "static",
-            "one of off/feedback/percore",
-            bingo_sim::ThrottleMode::parse,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "BINGO_TELEMETRY must be one of off/counts, got \"trace\"")]
-    fn telemetry_rejects_the_retired_trace_level() {
-        // Mirrors `runner::telemetry_from_env`: the ring-buffer level is
-        // gone, so a script asking for it aborts instead of silently
-        // running at another level.
-        let _ = parse(
-            crate::runner::TELEMETRY_ENV,
-            "trace",
-            "one of off/counts",
-            bingo_sim::TelemetryLevel::parse,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "BINGO_TELEMETRY must be one of off/counts, got \"2\"")]
-    fn telemetry_rejects_the_retired_numeric_trace_level() {
-        let _ = parse(
-            crate::runner::TELEMETRY_ENV,
-            "2",
-            "one of off/counts",
-            bingo_sim::TelemetryLevel::parse,
-        );
     }
 }

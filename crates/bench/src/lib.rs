@@ -5,7 +5,10 @@
 //! binary of the same name in `src/bin/` prints it alone; `cargo run -p
 //! bingo-bench --release --bin all` prints every figure of
 //! [`figures::ALL`] in one process, simulating each cell once. Pass
-//! `--quick` for a reduced instruction budget (CI scale).
+//! `--quick` for a reduced instruction budget (CI scale). Every cell is
+//! the one configuration its figure states: telemetry and throttling are
+//! off unless the figure sets them in code (`fig_timeliness` counts,
+//! `fig_qos` and `stress_degrade` vary the throttle mode).
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|
@@ -61,9 +64,8 @@ pub use perf_record::{
     BENCH_JSON_ENV, CALIBRATION_KEY,
 };
 pub use runner::{
-    default_jobs, geometric_mean, mean, parallel_map, run_one, telemetry_from_env,
-    throttle_from_env, Evaluation, Failure, MixEvaluation, ParallelHarness, PrefetcherKind, Report,
-    RunScale, RunSpec, Slot, Stream, THROTTLE_ENV,
+    default_jobs, geometric_mean, mean, parallel_map, run_one, Evaluation, Failure, MixEvaluation,
+    ParallelHarness, PrefetcherKind, Report, RunScale, RunSpec, Slot, Stream,
 };
 pub use stats_export::{StatsExport, STATS_ENV};
 pub use table::{f2, pct, Table};

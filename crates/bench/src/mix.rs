@@ -577,7 +577,6 @@ fn join_f64(values: &[f64]) -> String {
 mod tests {
     use super::*;
     use crate::runner::{RunScale, RunSpec};
-    use bingo_sim::{TelemetryLevel, ThrottleMode};
 
     const GOOD: &str = "\
 # two committed mixes
@@ -627,8 +626,7 @@ end
     #[test]
     fn assignment_replicates_cyclically() {
         let m = &MixConfig::parse_str(GOOD).unwrap()[0];
-        let (off, on) = (TelemetryLevel::Off, ThrottleMode::Off);
-        let spec = RunSpec::mix(RunScale::quick(), m, 6, Pressure::NONE, off, on);
+        let spec = RunSpec::mix(RunScale::quick(), m, 6, Pressure::NONE);
         for (i, slot) in spec.slots.iter().enumerate() {
             let declared = &m.cores[i % 2];
             assert_eq!(slot.stream_core, i, "each core keeps its own stream");

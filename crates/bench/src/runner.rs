@@ -397,45 +397,6 @@ impl RunScale {
     }
 }
 
-/// Environment variable selecting the prefetch-lifecycle telemetry level
-/// for CLI sweeps: `off` (default) or `counts`. Any other value, including
-/// the retired `trace`, aborts the run.
-pub const TELEMETRY_ENV: &str = "BINGO_TELEMETRY";
-
-/// Reads [`TELEMETRY_ENV`], aborting loudly on garbage — a typo'd level
-/// must not silently run without telemetry.
-///
-/// # Panics
-///
-/// Panics if the variable is set but is not a recognized level.
-pub fn telemetry_from_env() -> TelemetryLevel {
-    knobs::from_env(TELEMETRY_ENV, "one of off/counts", TelemetryLevel::parse)
-        .unwrap_or(TelemetryLevel::Off)
-}
-
-/// Environment variable selecting the prefetch-throttle mode for CLI
-/// sweeps: `off` (default, bit-for-bit identical to a build without the
-/// throttle subsystem), `feedback` (closed-loop accuracy/bandwidth control
-/// over one chip-wide domain), or `percore` (one domain per core plus the
-/// starvation watchdog). Any other value, including the retired `static`,
-/// aborts the run.
-pub const THROTTLE_ENV: &str = "BINGO_THROTTLE";
-
-/// Reads [`THROTTLE_ENV`], aborting loudly on garbage — a typo'd mode
-/// must not silently run unthrottled.
-///
-/// # Panics
-///
-/// Panics if the variable is set but is not a recognized mode.
-pub fn throttle_from_env() -> ThrottleMode {
-    knobs::from_env(
-        THROTTLE_ENV,
-        "one of off/feedback/percore",
-        ThrottleMode::parse,
-    )
-    .unwrap_or(ThrottleMode::Off)
-}
-
 /// Where one core's instructions come from.
 #[derive(Clone, Debug)]
 pub enum Stream {
@@ -508,7 +469,8 @@ impl Slot {
 /// determines its [`SimResult`], and nothing else. The machine is the
 /// paper's (Table I) with `slots.len()` cores and `pressure` applied to the
 /// shared memory system, which stays at the paper's sizing at every core
-/// count.
+/// count. The constructors build specs with telemetry, throttle and chaos
+/// off; a figure that varies one of them sets it by struct update.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
     /// Warmup and measured instructions per core, and the seed of every
@@ -531,47 +493,17 @@ pub struct RunSpec {
 impl RunSpec {
     /// One workload on every core of the paper's 4-core machine, each core
     /// behind its own instance of `kind` — a classic figure cell.
-    pub fn classic(
-        scale: RunScale,
-        workload: Workload,
-        kind: PrefetcherKind,
-        telemetry: TelemetryLevel,
-        throttle: ThrottleMode,
-    ) -> RunSpec {
-        Self::uniform(
-            scale,
-            Stream::Synthetic(workload),
-            kind,
-            telemetry,
-            throttle,
-        )
+    pub fn classic(scale: RunScale, workload: Workload, kind: PrefetcherKind) -> RunSpec {
+        Self::uniform(scale, Stream::Synthetic(workload), kind)
     }
 
     /// A captured trace replayed on every core of the paper's 4-core
     /// machine.
-    pub fn trace(
-        scale: RunScale,
-        trace: &TraceWorkload,
-        kind: PrefetcherKind,
-        telemetry: TelemetryLevel,
-        throttle: ThrottleMode,
-    ) -> RunSpec {
-        Self::uniform(
-            scale,
-            Stream::Trace(trace.clone()),
-            kind,
-            telemetry,
-            throttle,
-        )
+    pub fn trace(scale: RunScale, trace: &TraceWorkload, kind: PrefetcherKind) -> RunSpec {
+        Self::uniform(scale, Stream::Trace(trace.clone()), kind)
     }
 
-    fn uniform(
-        scale: RunScale,
-        stream: Stream,
-        prefetcher: PrefetcherKind,
-        telemetry: TelemetryLevel,
-        throttle: ThrottleMode,
-    ) -> RunSpec {
+    fn uniform(scale: RunScale, stream: Stream, prefetcher: PrefetcherKind) -> RunSpec {
         let slots = (0..SystemConfig::paper().cores)
             .map(|stream_core| Slot {
                 stream: stream.clone(),
@@ -580,43 +512,27 @@ impl RunSpec {
                 budget_percent: 100,
             })
             .collect();
-        Self::on_machine(scale, Pressure::NONE, slots, telemetry, throttle)
+        Self::on_machine(scale, Pressure::NONE, slots)
     }
 
-    /// A spec with no chaos.
-    fn on_machine(
-        scale: RunScale,
-        pressure: Pressure,
-        slots: Vec<Slot>,
-        telemetry: TelemetryLevel,
-        throttle: ThrottleMode,
-    ) -> RunSpec {
+    /// A spec with telemetry, throttle and chaos off.
+    fn on_machine(scale: RunScale, pressure: Pressure, slots: Vec<Slot>) -> RunSpec {
         RunSpec {
             scale,
             pressure,
             slots,
-            telemetry,
-            throttle,
+            telemetry: TelemetryLevel::Off,
+            throttle: ThrottleMode::Off,
             chaos: None,
         }
     }
 
     /// Row-major grid of classic cells: `workloads[i]` × `kinds[j]` at
     /// index `i * kinds.len() + j`.
-    pub fn grid(
-        scale: RunScale,
-        workloads: &[Workload],
-        kinds: &[PrefetcherKind],
-        telemetry: TelemetryLevel,
-        throttle: ThrottleMode,
-    ) -> Vec<RunSpec> {
+    pub fn grid(scale: RunScale, workloads: &[Workload], kinds: &[PrefetcherKind]) -> Vec<RunSpec> {
         workloads
             .iter()
-            .flat_map(|&w| {
-                kinds
-                    .iter()
-                    .map(move |&k| RunSpec::classic(scale, w, k, telemetry, throttle))
-            })
+            .flat_map(|&w| kinds.iter().map(move |&k| RunSpec::classic(scale, w, k)))
             .collect()
     }
 
@@ -624,14 +540,7 @@ impl RunSpec {
     /// runs the declared slot `i % n` of the mix's `n`, so counts past the
     /// declared slots replicate the pattern cyclically, each core keeping
     /// its own stream (`stream_core = i`: its own seed and address space).
-    pub fn mix(
-        scale: RunScale,
-        mix: &MixConfig,
-        cores: usize,
-        pressure: Pressure,
-        telemetry: TelemetryLevel,
-        throttle: ThrottleMode,
-    ) -> RunSpec {
+    pub fn mix(scale: RunScale, mix: &MixConfig, cores: usize, pressure: Pressure) -> RunSpec {
         assert!(cores > 0, "a mix machine needs at least one core");
         let slots = (0..cores)
             .map(|stream_core| Slot {
@@ -639,7 +548,7 @@ impl RunSpec {
                 ..mix.cores[stream_core % mix.cores.len()].clone()
             })
             .collect();
-        Self::on_machine(scale, pressure, slots, telemetry, throttle)
+        Self::on_machine(scale, pressure, slots)
     }
 
     /// The same run with every prefetcher removed: the reference of the
@@ -791,15 +700,9 @@ impl RunSpec {
 ///
 /// Panics if the simulation aborts (see [`RunSpec::run`]).
 pub fn run_one(workload: Workload, kind: PrefetcherKind, scale: RunScale) -> SimResult {
-    RunSpec::classic(
-        scale,
-        workload,
-        kind,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    )
-    .run(None)
-    .unwrap_or_else(|abort| panic!("{abort}"))
+    RunSpec::classic(scale, workload, kind)
+        .run(None)
+        .unwrap_or_else(|abort| panic!("{abort}"))
 }
 
 /// Worker count for parallel sweeps: the `BINGO_JOBS` environment override
@@ -937,9 +840,11 @@ impl ParallelHarness {
     ///
     /// # Panics
     ///
-    /// Panics if `BINGO_CELL_TIMEOUT` is set but not a non-negative number
-    /// of seconds, or if `BINGO_CHECKPOINT` names an unopenable file.
+    /// Panics if a retired knob is set ([`knobs::reject_retired`]), if
+    /// `BINGO_CELL_TIMEOUT` is set but not a non-negative number of
+    /// seconds, or if `BINGO_CHECKPOINT` names an unopenable file.
     pub fn from_env() -> Self {
+        knobs::reject_retired();
         let mut harness = Self::with_jobs(default_jobs());
         if let Ok(v) = std::env::var(CELL_TIMEOUT_ENV) {
             harness.cell_timeout = Some(parse_cell_timeout(&v));
@@ -1008,9 +913,14 @@ impl ParallelHarness {
 
     /// Replaces the stats export with the one `BINGO_STATS` names for
     /// `stem` ([`StatsExport::from_env`]), or with none when it is unset:
-    /// every cell resolved from now on, memo hits included, goes to it.
+    /// every cell resolved from now on, memo hits included, goes to it. An
+    /// export already writing that file is kept, so a file every figure of
+    /// `all` names is truncated once and holds each key once.
     pub fn export_stats_as(&mut self, stem: &str) {
-        self.stats = StatsExport::from_env(stem);
+        let export = StatsExport::from_env(stem);
+        if self.stats.as_ref().map(StatsExport::path) != export.as_ref().map(StatsExport::path) {
+            self.stats = export;
+        }
     }
 
     /// The worker count.
@@ -1514,9 +1424,9 @@ mod tests {
         };
         let specs: Vec<RunSpec> = [PrefetcherKind::Sms, cascade]
             .into_iter()
-            .map(|kind| {
-                let (counts, off) = (TelemetryLevel::Counts, ThrottleMode::Off);
-                RunSpec::classic(scale, Workload::Em3d, kind, counts, off).solo(0)
+            .map(|kind| RunSpec {
+                telemetry: TelemetryLevel::Counts,
+                ..RunSpec::classic(scale, Workload::Em3d, kind).solo(0)
             })
             .collect();
         let results = ParallelHarness::with_jobs(2)
@@ -1639,7 +1549,7 @@ mod tests {
     fn plain(scale: RunScale, cells: &[(Workload, PrefetcherKind)]) -> Vec<RunSpec> {
         cells
             .iter()
-            .map(|&(w, k)| RunSpec::classic(scale, w, k, TelemetryLevel::Off, ThrottleMode::Off))
+            .map(|&(w, k)| RunSpec::classic(scale, w, k))
             .collect()
     }
 
@@ -1766,10 +1676,9 @@ mod tests {
     fn trace_grid_matches_live_generators_bit_for_bit() {
         let scale = tiny_scale(21);
         let trace = capture(Workload::Streaming, scale, "streaming", 1024);
-        let (off, on) = (TelemetryLevel::Off, ThrottleMode::Off);
         let specs: Vec<RunSpec> = [PrefetcherKind::None, PrefetcherKind::NextLine(1)]
             .into_iter()
-            .map(|k| RunSpec::trace(scale, &trace, k, off, on))
+            .map(|k| RunSpec::trace(scale, &trace, k))
             .collect();
         let evals = ParallelHarness::with_jobs(2).quiet().evaluate(&specs);
         for e in &evals {
@@ -1809,14 +1718,10 @@ mod tests {
                 Err(e) => break e.to_string(),
             }
         };
-        let (off, on, kind) = (
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-            PrefetcherKind::NextLine(1),
-        );
+        let kind = PrefetcherKind::NextLine(1);
         let specs = [
-            RunSpec::trace(scale, &corrupt, kind, off, on),
-            RunSpec::classic(scale, Workload::Em3d, kind, off, on),
+            RunSpec::trace(scale, &corrupt, kind),
+            RunSpec::classic(scale, Workload::Em3d, kind),
         ];
         let report = ParallelHarness::with_jobs(2).quiet().try_evaluate(&specs);
 
@@ -1886,13 +1791,10 @@ mod tests {
             seed: 16,
         };
         let sweep = |telemetry| {
-            let spec = RunSpec::classic(
-                scale,
-                Workload::Streaming,
-                PrefetcherKind::bingo(),
+            let spec = RunSpec {
                 telemetry,
-                ThrottleMode::Off,
-            );
+                ..RunSpec::classic(scale, Workload::Streaming, PrefetcherKind::bingo())
+            };
             ParallelHarness::with_jobs(1).quiet().evaluate(&[spec])
         };
         let (off, on) = (sweep(TelemetryLevel::Off), sweep(TelemetryLevel::Counts));
@@ -1952,13 +1854,10 @@ mod tests {
             fault_seed: 5,
             rate: 0.05,
         };
-        let spec = RunSpec::classic(
-            tiny_scale(17),
-            Workload::Em3d,
-            kind,
-            TelemetryLevel::Counts,
-            ThrottleMode::Off,
-        );
+        let spec = RunSpec {
+            telemetry: TelemetryLevel::Counts,
+            ..RunSpec::classic(tiny_scale(17), Workload::Em3d, kind)
+        };
         let evals = ParallelHarness::with_jobs(2).quiet().evaluate(&[spec]);
         assert_ledger_matches_llc(&evals[0].result);
     }
@@ -1971,13 +1870,10 @@ mod tests {
     #[test]
     fn throttled_sweeps_only_subtract_prefetches() {
         let sweep = |throttle| {
-            let spec = RunSpec::classic(
-                tiny_scale(22),
-                Workload::Em3d,
-                PrefetcherKind::bingo(),
-                TelemetryLevel::Off,
+            let spec = RunSpec {
                 throttle,
-            );
+                ..RunSpec::classic(tiny_scale(22), Workload::Em3d, PrefetcherKind::bingo())
+            };
             ParallelHarness::with_jobs(1).quiet().evaluate(&[spec])
         };
         let plain_run = sweep(ThrottleMode::Off);
@@ -2007,13 +1903,14 @@ mod tests {
     #[test]
     fn checkpoint_replays_telemetry_reports() {
         let path = temp_file("telemetry-replay.jsonl");
-        let spec = RunSpec::classic(
-            tiny_scale(19),
-            Workload::Streaming,
-            PrefetcherKind::NextLine(1),
-            TelemetryLevel::Counts,
-            ThrottleMode::Off,
-        );
+        let spec = RunSpec {
+            telemetry: TelemetryLevel::Counts,
+            ..RunSpec::classic(
+                tiny_scale(19),
+                Workload::Streaming,
+                PrefetcherKind::NextLine(1),
+            )
+        };
         let run = || {
             ParallelHarness::with_jobs(1)
                 .quiet()
@@ -2064,14 +1961,9 @@ mod tests {
         let path = temp_file("stats-export.json");
         let specs: Vec<RunSpec> = [PrefetcherKind::NextLine(1), PrefetcherKind::Stride]
             .into_iter()
-            .map(|k| {
-                RunSpec::classic(
-                    tiny_scale(20),
-                    Workload::Streaming,
-                    k,
-                    TelemetryLevel::Counts,
-                    ThrottleMode::Off,
-                )
+            .map(|k| RunSpec {
+                telemetry: TelemetryLevel::Counts,
+                ..RunSpec::classic(tiny_scale(20), Workload::Streaming, k)
             })
             .collect();
         let mut h = ParallelHarness::with_jobs(2)
@@ -2108,8 +2000,7 @@ mod tests {
     }
 
     fn mix_spec(seed: u64, mix: &MixConfig, cores: usize, pressure: Pressure) -> RunSpec {
-        let (off, on) = (TelemetryLevel::Off, ThrottleMode::Off);
-        RunSpec::mix(tiny_scale(seed), mix, cores, pressure, off, on)
+        RunSpec::mix(tiny_scale(seed), mix, cores, pressure)
     }
 
     #[test]

@@ -57,6 +57,11 @@ impl StatsExport {
         Some(StatsExport::new(resolve_path(Path::new(&target), stem)))
     }
 
+    /// The file this export writes.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
     /// Writes one cell as a JSON line, flushed immediately. A key already
     /// written is skipped — repeated grids over one harness report each
     /// cell once.

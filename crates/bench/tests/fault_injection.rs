@@ -6,7 +6,6 @@
 //! no-prefetch behavior — never corrupting the simulation itself.
 
 use bingo_bench::{run_one, Evaluation, ParallelHarness, PrefetcherKind, RunScale, RunSpec};
-use bingo_sim::{TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
 
 fn scale(seed: u64) -> RunScale {
@@ -21,7 +20,7 @@ const RATES: [f64; 3] = [0.01, 0.05, 0.10];
 
 /// Evaluates one cell against its (memoized) baseline.
 fn evaluate(h: &mut ParallelHarness, seed: u64, w: Workload, k: PrefetcherKind) -> Evaluation {
-    let spec = RunSpec::classic(scale(seed), w, k, TelemetryLevel::Off, ThrottleMode::Off);
+    let spec = RunSpec::classic(scale(seed), w, k);
     h.evaluate(&[spec]).remove(0)
 }
 

@@ -1,12 +1,13 @@
 //! The figure table and its shared session: every committed result has
-//! a figure, an unknown name fails loudly, and figures that share cells
-//! over one [`Session`] simulate each cell once.
+//! a figure, an unknown name or a retired knob fails loudly, figures that
+//! share cells over one [`Session`] simulate each cell once, and `all`
+//! exports each of them once.
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use bingo_bench::figures::{self, Figure, Session, ALL};
 use bingo_bench::{Checkpoint, ParallelHarness, RunScale};
-use bingo_sim::{TelemetryLevel, ThrottleMode};
 
 fn lines_in(path: &Path) -> usize {
     std::fs::read_to_string(path)
@@ -35,8 +36,6 @@ fn a_shared_session_simulates_each_cell_once() {
             warmup_per_core: 1_000,
             seed: 5,
         },
-        telemetry: TelemetryLevel::Off,
-        throttle: ThrottleMode::Off,
         args: Vec::new(),
         harness: ParallelHarness::with_jobs(2)
             .quiet()
@@ -92,7 +91,7 @@ fn every_committed_result_but_stress_degrade_is_a_figure() {
 /// uniform message, before the figure resolves a cell.
 #[test]
 fn a_zero_worker_count_fails_as_a_knob() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1_config"))
+    let out = Command::new(env!("CARGO_BIN_EXE_table1_config"))
         .env("BINGO_JOBS", "0")
         .output()
         .expect("run table1_config");
@@ -102,6 +101,70 @@ fn a_zero_worker_count_fails_as_a_knob() {
         stderr.contains("BINGO_JOBS must be a positive integer, got \"0\""),
         "{stderr}"
     );
+}
+
+/// A retired knob set to any value, even the one every figure now runs,
+/// aborts the run naming the variable.
+#[test]
+fn a_retired_knob_fails_naming_it() {
+    for (name, value) in [
+        ("BINGO_THROTTLE", "feedback"),
+        ("BINGO_TELEMETRY", "counts"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_table1_config"))
+            .env(name, value)
+            .output()
+            .expect("run table1_config");
+        assert!(!out.status.success(), "{name}={value} must abort");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{name} is retired")), "{stderr}");
+    }
+}
+
+/// `BINGO_STATS` naming one file under `all` holds every figure's cells,
+/// each once: exactly the lines a fresh checkpoint of the same run holds.
+#[test]
+fn all_exports_every_figure_to_one_stats_file() {
+    let dir = std::env::temp_dir().join(format!("bingo-figures-all-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (stats, checkpoint) = (dir.join("stats.json"), dir.join("cp.jsonl"));
+    let config =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../configs/mixes/contention.mix");
+    let out = Command::new(env!("CARGO_BIN_EXE_all"))
+        .args(["--config".as_ref(), config.as_os_str()])
+        .args(["--traces".as_ref(), dir.join("traces").as_os_str()])
+        .args(["--report".as_ref(), dir.join("report.json").as_os_str()])
+        .env("BINGO_STATS", &stats)
+        .env("BINGO_CHECKPOINT", &checkpoint)
+        .env("BINGO_WARMUP", "0")
+        .env("BINGO_INSTR", "1000")
+        .env("BINGO_JOBS", "2")
+        .env_remove("BINGO_CELL_TIMEOUT")
+        .output()
+        .expect("run all");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let sorted_lines = |path: &Path| {
+        let mut lines: Vec<String> = std::fs::read_to_string(path)
+            .expect("read back")
+            .lines()
+            .map(String::from)
+            .collect();
+        lines.sort();
+        lines
+    };
+    let (exported, simulated) = (sorted_lines(&stats), sorted_lines(&checkpoint));
+    assert!(simulated.len() > 500, "{} cells", simulated.len());
+    assert_eq!(exported.len(), simulated.len(), "one stats line per cell");
+    assert!(
+        exported == simulated,
+        "the export and the checkpoint differ"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

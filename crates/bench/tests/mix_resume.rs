@@ -9,7 +9,6 @@ use bingo_bench::{
     Checkpoint, MixConfig, MixEvaluation, ParallelHarness, PrefetcherKind, Pressure, RunScale,
     RunSpec, Slot, Stream,
 };
-use bingo_sim::{TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
 
 fn scale() -> RunScale {
@@ -40,14 +39,7 @@ fn mix() -> MixConfig {
 }
 
 fn mix_spec(mix: &MixConfig, cores: usize, pressure: Pressure) -> RunSpec {
-    RunSpec::mix(
-        scale(),
-        mix,
-        cores,
-        pressure,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    )
+    RunSpec::mix(scale(), mix, cores, pressure)
 }
 
 fn mix_cells() -> Vec<RunSpec> {
@@ -62,7 +54,7 @@ fn classic_cells() -> Vec<RunSpec> {
         (Workload::Em3d, PrefetcherKind::Stride),
         (Workload::Streaming, PrefetcherKind::NextLine(1)),
     ]
-    .map(|(w, k)| RunSpec::classic(scale(), w, k, TelemetryLevel::Off, ThrottleMode::Off))
+    .map(|(w, k)| RunSpec::classic(scale(), w, k))
     .to_vec()
 }
 

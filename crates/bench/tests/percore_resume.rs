@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use bingo_bench::{
     Checkpoint, MixConfig, MixEvaluation, ParallelHarness, Pressure, RunScale, RunSpec,
 };
-use bingo_sim::{TelemetryLevel, ThrottleMode};
+use bingo_sim::ThrottleMode;
 
 fn scale() -> RunScale {
     RunScale {
@@ -40,7 +40,10 @@ fn mix() -> MixConfig {
 
 fn specs(throttle: ThrottleMode) -> Vec<RunSpec> {
     [Pressure::NONE, Pressure::CONSTRAINED]
-        .map(|p| RunSpec::mix(scale(), &mix(), 2, p, TelemetryLevel::Off, throttle))
+        .map(|p| RunSpec {
+            throttle,
+            ..RunSpec::mix(scale(), &mix(), 2, p)
+        })
         .to_vec()
 }
 

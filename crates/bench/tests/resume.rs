@@ -9,7 +9,7 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use bingo_bench::{Checkpoint, Evaluation, ParallelHarness, PrefetcherKind, RunScale, RunSpec};
-use bingo_sim::{TelemetryLevel, ThrottleMode};
+use bingo_sim::ThrottleMode;
 use bingo_workloads::Workload;
 
 fn scale() -> RunScale {
@@ -25,8 +25,6 @@ fn grid() -> Vec<RunSpec> {
         scale(),
         &[Workload::Em3d, Workload::Streaming],
         &[PrefetcherKind::NextLine(1), PrefetcherKind::Stride],
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
     )
 }
 
@@ -178,14 +176,13 @@ fn throttled_sweep_resumes_bit_for_bit_and_keys_stay_disjoint() {
         warmup_per_core: 5_000,
         seed: 33,
     };
-    let specs = |throttle| {
-        RunSpec::grid(
-            scale,
-            &[Workload::Em3d, Workload::Streaming],
-            &[PrefetcherKind::bingo()],
-            TelemetryLevel::Off,
-            throttle,
-        )
+    let specs = |throttle| -> Vec<RunSpec> {
+        [Workload::Em3d, Workload::Streaming]
+            .map(|w| RunSpec {
+                throttle,
+                ..RunSpec::classic(scale, w, PrefetcherKind::bingo())
+            })
+            .to_vec()
     };
     let cells = specs(ThrottleMode::Feedback);
     let path = tmp_path("throttle");
@@ -242,8 +239,6 @@ fn failed_cells_are_not_checkpointed_and_retry_on_resume() {
             PrefetcherKind::NextLine(1),
             PrefetcherKind::Faulty { panic_after: 0 },
         ],
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
     );
     {
         let mut h = ParallelHarness::with_jobs(2)

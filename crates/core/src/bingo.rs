@@ -117,9 +117,8 @@ impl BingoStats {
     }
 }
 
-/// Everything observable about one access fed through a prefetcher's
-/// prediction path, as returned by [`Bingo::step`] and
-/// [`crate::MultiEventPrefetcher::step`].
+/// Everything observable about one access fed through Bingo's prediction
+/// path, as returned by [`Bingo::step`].
 ///
 /// This is the deterministic single-step API the differential-testing
 /// harness drives: a reference model replayed over the same access

@@ -19,7 +19,6 @@
 use bingo_sim::{AccessInfo, BlockAddr, PrefetchSource, Prefetcher, RegionGeometry, ThrottleLevel};
 
 use crate::accumulation::{AccumulationTable, Residency};
-use crate::bingo::PredictionStep;
 use crate::event::EventKind;
 use crate::footprint::Footprint;
 use crate::history::UnifiedHistoryTable;
@@ -58,22 +57,6 @@ impl MultiEventConfig {
             accumulation_entries: 64,
             min_footprint_blocks: 2,
         }
-    }
-
-    /// A single-event prefetcher (Fig. 2's experimental vehicle).
-    pub fn single(kind: EventKind) -> Self {
-        Self::with_events(vec![kind])
-    }
-
-    /// The first `n` events of the longest-first order (Fig. 3: `n` from 1
-    /// to 5).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= n <= 5`.
-    pub fn first_n(n: usize) -> Self {
-        assert!((1..=5).contains(&n), "n must be 1..=5");
-        Self::with_events(EventKind::LONGEST_FIRST[..n].to_vec())
     }
 
     /// Metadata storage in bits of a prefetcher built from this
@@ -139,9 +122,6 @@ pub struct MultiEventPrefetcher {
     /// Which cascade level produced the most recent prediction, for
     /// lifecycle telemetry ([`Prefetcher::last_burst_source`]).
     last_source: PrefetchSource,
-    /// Whether the most recent access was a trigger, for
-    /// [`MultiEventPrefetcher::step`].
-    last_trigger: bool,
     /// Effective aggressiveness pushed by the memory system's throttle
     /// controller; [`ThrottleLevel::Full`] unless throttling is enabled.
     throttle: ThrottleLevel,
@@ -172,7 +152,6 @@ impl MultiEventPrefetcher {
             tables,
             name,
             last_source: PrefetchSource::Unattributed,
-            last_trigger: false,
             throttle: ThrottleLevel::Full,
             stats: MultiEventStats {
                 hits_by_event: vec![0; cfg.events.len()],
@@ -185,19 +164,6 @@ impl MultiEventPrefetcher {
     /// The configuration in use.
     pub fn config(&self) -> &MultiEventConfig {
         &self.cfg
-    }
-
-    /// Feeds one access through the observe/train/predict path and returns
-    /// the externally observable outcome — the cascade counterpart of
-    /// [`crate::Bingo::step`], driven by the same differential harness.
-    pub fn step(&mut self, info: &AccessInfo) -> PredictionStep {
-        let mut prefetches = Vec::new();
-        self.on_access(info, &mut prefetches);
-        PredictionStep {
-            trigger: self.last_trigger,
-            source: self.last_source,
-            prefetches,
-        }
     }
 
     fn train(&mut self, residency: Residency) {
@@ -261,7 +227,6 @@ impl Prefetcher for MultiEventPrefetcher {
     fn on_access(&mut self, info: &AccessInfo, out: &mut Vec<BlockAddr>) {
         self.last_source = PrefetchSource::Unattributed;
         let observation = self.accumulation.observe(info);
-        self.last_trigger = observation.trigger;
         if let Some(res) = observation.evicted {
             self.train(res);
         }
@@ -435,7 +400,7 @@ mod tests {
                 entries_per_table: 256,
                 ways: 4,
                 accumulation_entries: 8,
-                ..MultiEventConfig::first_n(n)
+                ..MultiEventConfig::with_events(EventKind::LONGEST_FIRST[..n].to_vec())
             });
             for r in 0..20u64 {
                 visit(&mut p, 0x400 + (r % 3) * 4, r, &[(r % 5) as u32, 17]);
@@ -472,17 +437,15 @@ mod tests {
     #[test]
     fn step_reports_trigger_and_cascade_source() {
         let mut p = small(EventKind::LONGEST_FIRST.to_vec());
-        let s = p.step(&info(0x400, 10 * 32 + 3));
-        assert!(s.trigger);
-        assert_eq!(s.source, PrefetchSource::Unattributed);
-        assert!(s.prefetches.is_empty());
-        let s = p.step(&info(0x400, 10 * 32 + 7));
-        assert!(!s.trigger, "second touch of a live residency");
+        let mut out = Vec::new();
+        p.on_access(&info(0x400, 10 * 32 + 3), &mut out);
+        assert_eq!(p.last_burst_source(), PrefetchSource::Unattributed);
+        assert!(out.is_empty());
+        p.on_access(&info(0x400, 10 * 32 + 7), &mut out);
         p.on_eviction(BlockAddr::new(10 * 32 + 3));
-        let s = p.step(&info(0x400, 10 * 32 + 3));
-        assert!(s.trigger);
-        assert_eq!(s.source, PrefetchSource::CascadeLevel(0));
-        assert_eq!(s.prefetches, vec![BlockAddr::new(10 * 32 + 7)]);
+        p.on_access(&info(0x400, 10 * 32 + 3), &mut out);
+        assert_eq!(p.last_burst_source(), PrefetchSource::CascadeLevel(0));
+        assert_eq!(out, vec![BlockAddr::new(10 * 32 + 7)]);
     }
 
     #[test]
@@ -494,14 +457,15 @@ mod tests {
 
     #[test]
     fn config_storage_matches_built_prefetcher() {
+        let first = |n: usize| EventKind::LONGEST_FIRST[..n].to_vec();
         for cfg in [
-            MultiEventConfig::single(EventKind::PcOffset),
-            MultiEventConfig::first_n(3),
+            MultiEventConfig::with_events(vec![EventKind::PcOffset]),
+            MultiEventConfig::with_events(first(3)),
             MultiEventConfig {
                 entries_per_table: 256,
                 ways: 4,
                 accumulation_entries: 8,
-                ..MultiEventConfig::first_n(2)
+                ..MultiEventConfig::with_events(first(2))
             },
         ] {
             let built = MultiEventPrefetcher::new(cfg.clone());
@@ -559,7 +523,7 @@ mod tests {
 
     #[test]
     fn first_n_orders_longest_first() {
-        let c = MultiEventConfig::first_n(2);
+        let c = MultiEventConfig::with_events(EventKind::LONGEST_FIRST[..2].to_vec());
         assert_eq!(c.events, vec![EventKind::PcAddress, EventKind::PcOffset]);
     }
 }

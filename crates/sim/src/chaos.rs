@@ -283,11 +283,6 @@ impl PhaseFlipSource {
             on_b: false,
         }
     }
-
-    /// Which phase the next instruction comes from (false = `a`).
-    pub fn in_second_phase(&self) -> bool {
-        self.on_b
-    }
 }
 
 impl InstrSource for PhaseFlipSource {

@@ -64,7 +64,7 @@ pub struct MemorySystem {
     fill_seq: u64,
     pf_buf: Vec<BlockAddr>,
     ledger: PrefetchLedger,
-    /// `None` when `BINGO_THROTTLE=off`: the hot path then pays a single
+    /// `None` under [`ThrottleMode::Off`]: the hot path then pays a single
     /// branch per access, and behavior is bit-for-bit the unthrottled one.
     throttle: Option<Throttle>,
     /// Per-core level of the most recent demand stall. Fresh whenever a

@@ -59,17 +59,6 @@ impl TelemetryLevel {
     pub fn enabled(self) -> bool {
         self != TelemetryLevel::Off
     }
-
-    /// Parses the spelling used by the `BINGO_TELEMETRY` knob: `off` or
-    /// `counts`, trimmed and in any case; `None` on anything else,
-    /// including the retired `trace` level, so callers can abort loudly.
-    pub fn parse(value: &str) -> Option<Self> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "off" => Some(TelemetryLevel::Off),
-            "counts" => Some(TelemetryLevel::Counts),
-            _ => None,
-        }
-    }
 }
 
 /// The prediction event that produced a prefetch, reported by the
@@ -477,21 +466,6 @@ mod tests {
 
     #[test]
     fn level_parsing() {
-        assert_eq!(TelemetryLevel::parse("off"), Some(TelemetryLevel::Off));
-        assert_eq!(
-            TelemetryLevel::parse(" Counts "),
-            Some(TelemetryLevel::Counts)
-        );
-        assert_eq!(
-            TelemetryLevel::parse("TRACE"),
-            None,
-            "the trace level is retired"
-        );
-        // Exactly the two words: no undocumented alias.
-        for alias in ["0", "none", "on", "1", "2"] {
-            assert_eq!(TelemetryLevel::parse(alias), None, "{alias}");
-        }
-        assert_eq!(TelemetryLevel::parse("verbose"), None);
         assert!(!TelemetryLevel::Off.enabled());
         assert!(TelemetryLevel::Counts.enabled());
     }

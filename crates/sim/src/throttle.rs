@@ -33,8 +33,8 @@
 
 use crate::stats::{CoreQos, QosReport};
 
-/// How prefetch throttling is driven, selected by the `BINGO_THROTTLE`
-/// knob.
+/// How prefetch throttling is driven: a field of every run, off unless the
+/// experiment sets it (`fig_qos` and `stress_degrade` vary it).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum ThrottleMode {
     /// No throttling. The memory system carries no throttle at all, so
@@ -50,20 +50,6 @@ pub enum ThrottleMode {
     /// storm core throttles alone; polite neighbors keep their full
     /// aggressiveness.
     Percore,
-}
-
-impl ThrottleMode {
-    /// Parses the spelling used by the `BINGO_THROTTLE` knob: `off`,
-    /// `feedback` or `percore`, trimmed and in any case; `None` on
-    /// anything else so callers can abort loudly.
-    pub fn parse(value: &str) -> Option<Self> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "off" => Some(ThrottleMode::Off),
-            "feedback" => Some(ThrottleMode::Feedback),
-            "percore" => Some(ThrottleMode::Percore),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for ThrottleMode {
@@ -849,30 +835,6 @@ mod tests {
 
     #[test]
     fn parse_accepts_knob_spellings() {
-        assert_eq!(ThrottleMode::parse("off"), Some(ThrottleMode::Off));
-        assert_eq!(
-            ThrottleMode::parse("feedback"),
-            Some(ThrottleMode::Feedback)
-        );
-        assert_eq!(
-            ThrottleMode::parse("Feedback"),
-            Some(ThrottleMode::Feedback)
-        );
-        assert_eq!(ThrottleMode::parse("percore"), Some(ThrottleMode::Percore));
-        assert_eq!(
-            ThrottleMode::parse(" PerCore "),
-            Some(ThrottleMode::Percore)
-        );
-        // Exactly the three words: no undocumented alias.
-        for alias in ["0", "none", "on", "2", "3"] {
-            assert_eq!(ThrottleMode::parse(alias), None, "{alias}");
-        }
-        assert_eq!(ThrottleMode::parse("aggressive"), None);
-        assert_eq!(ThrottleMode::parse(""), None);
-        // The retired fixed-degree mode fails loudly rather than silently
-        // running some other policy.
-        assert_eq!(ThrottleMode::parse("static"), None);
-        assert_eq!(ThrottleMode::parse("1"), None);
         assert_eq!(ThrottleMode::Percore.to_string(), "percore");
     }
 

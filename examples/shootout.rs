@@ -6,36 +6,18 @@
 //! cargo run --release --example shootout [workload]
 //! ```
 //!
-//! `workload` is one of: data-serving, sat-solver, streaming, zeus, em3d,
-//! mix1..mix5 (default: data-serving). The six cells run in parallel; set
-//! `BINGO_JOBS` to bound the worker count.
+//! `workload` is a slug (`data-serving`, `sat-solver`, `streaming`,
+//! `zeus`, `em3d`, `mix-1`..`mix-5`), paper name or variant name (default:
+//! data-serving); an unknown name panics listing the slugs. The six cells
+//! run in parallel; set `BINGO_JOBS` to bound the worker count.
 
-use bingo_repro::bench::{
-    telemetry_from_env, throttle_from_env, ParallelHarness, PrefetcherKind, RunScale, RunSpec,
-};
+use bingo_repro::bench::{workload_named, ParallelHarness, PrefetcherKind, RunScale, RunSpec};
 use bingo_repro::workloads::Workload;
 
-fn parse_workload(name: &str) -> Option<Workload> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "data-serving" => Workload::DataServing,
-        "sat-solver" => Workload::SatSolver,
-        "streaming" => Workload::Streaming,
-        "zeus" => Workload::Zeus,
-        "em3d" => Workload::Em3d,
-        "mix1" => Workload::Mix1,
-        "mix2" => Workload::Mix2,
-        "mix3" => Workload::Mix3,
-        "mix4" => Workload::Mix4,
-        "mix5" => Workload::Mix5,
-        _ => return None,
-    })
-}
-
 fn main() {
-    let workload = std::env::args()
-        .nth(1)
-        .and_then(|a| parse_workload(&a))
-        .unwrap_or(Workload::DataServing);
+    let workload = std::env::args().nth(1).map_or(Workload::DataServing, |a| {
+        workload_named(&a, &Workload::ALL)
+    });
     println!("workload: {workload} — {}\n", workload.description());
 
     let scale = RunScale {
@@ -44,8 +26,7 @@ fn main() {
         seed: 42,
     };
     let kinds = PrefetcherKind::headline();
-    let (telemetry, throttle) = (telemetry_from_env(), throttle_from_env());
-    let specs = RunSpec::grid(scale, &[workload], &kinds, telemetry, throttle);
+    let specs = RunSpec::grid(scale, &[workload], &kinds);
     let mut harness = ParallelHarness::from_env().quiet();
     harness.export_stats_as("shootout");
     let evals = harness.evaluate(&specs);

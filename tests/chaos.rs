@@ -3,7 +3,7 @@
 //!
 //! Every cell of a seeded (chaos kind × mix × pressure) grid asserts:
 //!
-//! 1. **Bounded slowdown** — with `BINGO_THROTTLE=percore`, no core
+//! 1. **Bounded slowdown** — with the `percore` throttle, no core
 //!    falls more than [`SLOWDOWN_BOUND`] below the prefetcher-off run of
 //!    the *same* chaos scenario. Prefetching plus throttling may not
 //!    turn a perturbation into a rout.
@@ -27,7 +27,7 @@ use std::path::Path;
 use bingo_bench::{MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec};
 use bingo_sim::{
     ChaosKind, ChaosPlan, InstrSource, PhaseFlipSource, SimResult, System, SystemConfig,
-    TelemetryLevel, ThrottleMode,
+    ThrottleMode,
 };
 use bingo_workloads::Workload;
 
@@ -72,8 +72,9 @@ fn chaos_spec(
     plan: Option<ChaosPlan>,
 ) -> RunSpec {
     RunSpec {
+        throttle,
         chaos: plan,
-        ..RunSpec::mix(SCALE, mix, 2, pressure, TelemetryLevel::Off, throttle)
+        ..RunSpec::mix(SCALE, mix, 2, pressure)
     }
 }
 

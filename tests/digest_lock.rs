@@ -28,13 +28,7 @@ const SCALE: RunScale = RunScale {
 const CORPUS: &str = "tests/corpus/run_spec.digests";
 
 fn classic(workload: Workload, kind: PrefetcherKind) -> RunSpec {
-    RunSpec::classic(
-        SCALE,
-        workload,
-        kind,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    )
+    RunSpec::classic(SCALE, workload, kind)
 }
 
 /// Bingo on Mix 2 with `edit` applied to the paper configuration. At this
@@ -55,14 +49,11 @@ fn polite_vs_storm() -> MixConfig {
 }
 
 fn mix(telemetry: TelemetryLevel, throttle: ThrottleMode) -> RunSpec {
-    RunSpec::mix(
-        SCALE,
-        &polite_vs_storm(),
-        2,
-        Pressure::CONSTRAINED,
+    RunSpec {
         telemetry,
         throttle,
-    )
+        ..RunSpec::mix(SCALE, &polite_vs_storm(), 2, Pressure::CONSTRAINED)
+    }
 }
 
 /// FNV-1a over `bytes`.
@@ -92,13 +83,7 @@ fn em3d_capture() -> (PathBuf, TraceWorkload) {
 }
 
 fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
-    let replay = RunSpec::trace(
-        TRACE_SCALE,
-        trace,
-        PrefetcherKind::Sms,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    );
+    let replay = RunSpec::trace(TRACE_SCALE, trace, PrefetcherKind::Sms);
     vec![
         ("em3d/None", classic(Workload::Em3d, PrefetcherKind::None)),
         (
@@ -111,13 +96,10 @@ fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
         ),
         (
             "em3d/Bingo/counts",
-            RunSpec::classic(
-                SCALE,
-                Workload::Em3d,
-                PrefetcherKind::bingo(),
-                TelemetryLevel::Counts,
-                ThrottleMode::Off,
-            ),
+            RunSpec {
+                telemetry: TelemetryLevel::Counts,
+                ..classic(Workload::Em3d, PrefetcherKind::bingo())
+            },
         ),
         ("em3d/SMS", classic(Workload::Em3d, PrefetcherKind::Sms)),
         (

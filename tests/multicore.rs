@@ -29,8 +29,6 @@ const SCALE: RunScale = RunScale {
     seed: 42,
 };
 
-const OFF: TelemetryLevel = TelemetryLevel::Off;
-
 /// The hand-built homogeneous construction every classic caller used:
 /// the workload's own source vector and one prefetcher per core.
 fn hand_built(cfg: SystemConfig, workload: Workload, kind: PrefetcherKind) -> System {
@@ -105,7 +103,7 @@ fn one_core_mix_is_bit_for_bit_the_classic_single_core_path() {
     let bad = mismatches(&every_workload(), pair_label, |&(w, k)| {
         let classic = hand_built(SystemConfig::paper_single_core(), w, k).run();
         let mix = homogeneous_mix(w, k, 1);
-        let spec = RunSpec::mix(SCALE, &mix, 1, Pressure::NONE, OFF, ThrottleMode::Off);
+        let spec = RunSpec::mix(SCALE, &mix, 1, Pressure::NONE);
         (classic, run(&spec))
     });
     assert!(
@@ -118,12 +116,12 @@ fn one_core_mix_is_bit_for_bit_the_classic_single_core_path() {
 fn four_core_homogeneous_mix_matches_the_classic_path() {
     let bad = mismatches(&every_workload(), pair_label, |&(w, k)| {
         let classic = hand_built(SystemConfig::paper(), w, k)
-            .with_telemetry(OFF)
+            .with_telemetry(TelemetryLevel::Off)
             .with_throttle(ThrottleMode::Off)
             .run();
-        let spec = RunSpec::classic(SCALE, w, k, OFF, ThrottleMode::Off);
+        let spec = RunSpec::classic(SCALE, w, k);
         let mix = homogeneous_mix(w, k, 4);
-        let via_mix = RunSpec::mix(SCALE, &mix, 4, Pressure::NONE, OFF, ThrottleMode::Off);
+        let via_mix = RunSpec::mix(SCALE, &mix, 4, Pressure::NONE);
         assert_eq!(spec.key(), via_mix.key(), "one machine, one key");
         (classic, run(&spec))
     });
@@ -159,12 +157,15 @@ fn two_core_pressured_spec_matches_the_hand_built_stress_machine() {
             Pressure::SCARCE.apply(&mut cfg);
             cfg.prefetch_queue_depth = Some(queue);
             let by_hand = hand_built(cfg, w, k).with_throttle(throttle).run();
-            let mut spec = RunSpec::classic(SCALE, w, k, OFF, throttle);
-            spec.slots.truncate(2);
-            spec.pressure = Pressure {
-                queue: Some(queue),
-                ..Pressure::SCARCE
+            let mut spec = RunSpec {
+                throttle,
+                pressure: Pressure {
+                    queue: Some(queue),
+                    ..Pressure::SCARCE
+                },
+                ..RunSpec::classic(SCALE, w, k)
             };
+            spec.slots.truncate(2);
             (by_hand, run(&spec))
         },
     );
@@ -178,15 +179,8 @@ fn two_core_pressured_spec_matches_the_hand_built_stress_machine() {
 fn mix_grid_is_deterministic_across_worker_counts() {
     let mix2 = contention_mix();
     let specs = [
-        RunSpec::mix(SCALE, &mix2, 2, Pressure::NONE, OFF, ThrottleMode::Off),
-        RunSpec::mix(
-            SCALE,
-            &mix2,
-            4,
-            Pressure::CONSTRAINED,
-            OFF,
-            ThrottleMode::Off,
-        ),
+        RunSpec::mix(SCALE, &mix2, 2, Pressure::NONE),
+        RunSpec::mix(SCALE, &mix2, 4, Pressure::CONSTRAINED),
     ];
     let serial = ParallelHarness::with_jobs(1).quiet().evaluate_mix(&specs);
     let parallel = ParallelHarness::with_jobs(8).quiet().evaluate_mix(&specs);
@@ -220,7 +214,7 @@ fn mix_grid_is_deterministic_across_worker_counts() {
 fn repeated_mix_runs_are_bit_for_bit_equal() {
     let mix = contention_mix();
     for cores in [2usize, 4] {
-        let spec = RunSpec::mix(SCALE, &mix, cores, Pressure::NONE, OFF, ThrottleMode::Off);
+        let spec = RunSpec::mix(SCALE, &mix, cores, Pressure::NONE);
         assert_eq!(
             run(&spec),
             run(&spec),
@@ -232,7 +226,7 @@ fn repeated_mix_runs_are_bit_for_bit_equal() {
 #[test]
 fn fairness_metrics_recompute_from_per_core_stats() {
     let mix = contention_mix();
-    let spec = RunSpec::mix(SCALE, &mix, 2, Pressure::NONE, OFF, ThrottleMode::Off);
+    let spec = RunSpec::mix(SCALE, &mix, 2, Pressure::NONE);
     let evals = ParallelHarness::with_jobs(2).quiet().evaluate_mix(&[spec]);
     let e = &evals[0];
 

@@ -17,7 +17,7 @@
 use std::path::Path;
 
 use bingo_bench::{MixConfig, Pressure, RunScale, RunSpec};
-use bingo_sim::{SimResult, TelemetryLevel, ThrottleMode};
+use bingo_sim::{SimResult, ThrottleMode};
 
 const SCALE: RunScale = RunScale {
     instructions_per_core: 400_000,
@@ -37,10 +37,12 @@ fn committed_mix(name: &str) -> MixConfig {
 
 /// `mix` at 2 cores under `constrained` pressure, run directly.
 fn run_constrained(mix: &MixConfig, scale: RunScale, throttle: ThrottleMode) -> SimResult {
-    let pressure = Pressure::CONSTRAINED;
-    RunSpec::mix(scale, mix, 2, pressure, TelemetryLevel::Off, throttle)
-        .run(None)
-        .expect("qos cell completes")
+    RunSpec {
+        throttle,
+        ..RunSpec::mix(scale, mix, 2, Pressure::CONSTRAINED)
+    }
+    .run(None)
+    .expect("qos cell completes")
 }
 
 /// Aggregate throughput under the mix-fairness convention: the sum of

@@ -172,8 +172,7 @@ fn every_field_perturbation_changes_the_key() {
         PrefetcherKind::None,
         "baselines drop the prefetchers"
     );
-    let (off, on) = (TelemetryLevel::Off, ThrottleMode::Off);
-    let replay = RunSpec::trace(base.scale, &trace, PrefetcherKind::bingo(), off, on);
+    let replay = RunSpec::trace(base.scale, &trace, PrefetcherKind::bingo());
     let mut reseeded = replay.clone();
     reseeded.scale.seed += 1;
     assert_eq!(
@@ -194,7 +193,6 @@ fn legacy_checkpoint_lines_are_never_replayed() {
         warmup_per_core: 1_000,
         seed: 21,
     };
-    let (off, on) = (TelemetryLevel::Off, ThrottleMode::Off);
     let records = scale.warmup_per_core + scale.instructions_per_core + 256;
     let trace_dir = dir.join("streaming");
     capture_workload(Workload::Streaming, 4, scale.seed, records, 512, &trace_dir)
@@ -208,9 +206,9 @@ fn legacy_checkpoint_lines_are_never_replayed() {
     )
     .expect("valid mix")
     .remove(0);
-    let classic = RunSpec::classic(scale, Workload::Em3d, PrefetcherKind::Stride, off, on);
-    let replay = RunSpec::trace(scale, &trace, PrefetcherKind::NextLine(1), off, on);
-    let mixed = RunSpec::mix(scale, &mix, 2, Pressure::NONE, off, on);
+    let classic = RunSpec::classic(scale, Workload::Em3d, PrefetcherKind::Stride);
+    let replay = RunSpec::trace(scale, &trace, PrefetcherKind::NextLine(1));
+    let mixed = RunSpec::mix(scale, &mix, 2, Pressure::NONE);
     let sweep = |h: &mut ParallelHarness| {
         let classic = h.try_evaluate(std::slice::from_ref(&classic));
         let replay = h.try_run(std::slice::from_ref(&replay));
@@ -271,8 +269,6 @@ fn parallel_matches_serial_bit_for_bit() {
             PrefetcherKind::Bop,
             PrefetcherKind::Sms,
         ],
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
     );
     let parallel = ParallelHarness::with_jobs(4).quiet().evaluate(&specs);
     for (spec, pe) in specs.iter().zip(&parallel) {

@@ -14,7 +14,7 @@ use std::mem::{discriminant, Discriminant};
 use std::path::{Path, PathBuf};
 
 use bingo_repro::bench::{ParallelHarness, PrefetcherKind, RunScale, RunSpec};
-use bingo_repro::sim::{Addr, IngestReport, Instr, InstrSource, Pc, TelemetryLevel, ThrottleMode};
+use bingo_repro::sim::{Addr, IngestReport, Instr, InstrSource, Pc};
 use bingo_repro::trace::{apply, CorruptionOp, ReadError, ReplaySource, TraceReader, TraceWriter};
 use bingo_repro::workloads::TraceWorkload;
 
@@ -103,7 +103,7 @@ fn corpus_trace_drives_a_simulation_end_to_end() {
         seed: 0,
     };
     let kind = PrefetcherKind::NextLine(1);
-    let mut result = RunSpec::trace(scale, &trace, kind, TelemetryLevel::Off, ThrottleMode::Off)
+    let mut result = RunSpec::trace(scale, &trace, kind)
         .run(None)
         .expect("corpus replay completes");
     let ingest = result.ingest.take().expect("replay attaches a report");
@@ -247,10 +247,7 @@ fn corrupt_corpus_trace_fails_only_its_own_cell() {
     // sweep.
     let corrupt = TraceWorkload::open(&corrupt_dir).expect("open corrupt capture");
     let pristine = TraceWorkload::open(&pristine_dir).expect("open pristine capture");
-    let spec = |trace: &TraceWorkload| {
-        let kind = PrefetcherKind::None;
-        RunSpec::trace(scale, trace, kind, TelemetryLevel::Off, ThrottleMode::Off)
-    };
+    let spec = |trace: &TraceWorkload| RunSpec::trace(scale, trace, PrefetcherKind::None);
     let report = ParallelHarness::with_jobs(2)
         .quiet()
         .try_run(&[spec(&corrupt), spec(&pristine)]);

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 
 use bingo_repro::bench::{ensure_capture, run_one, PrefetcherKind, RunScale, RunSpec};
-use bingo_repro::sim::{SimResult, SystemConfig, TelemetryLevel, ThrottleMode};
+use bingo_repro::sim::{SimResult, SystemConfig};
 use bingo_repro::workloads::{capture_workload, TraceWorkload, Workload};
 
 const SCALE: RunScale = RunScale {
@@ -39,7 +39,7 @@ fn round_trip(workload: Workload, kind: PrefetcherKind) -> (SimResult, SimResult
     capture_workload(workload, cores, SCALE.seed, records, 1 << 12, &dir)
         .unwrap_or_else(|e| panic!("capture of {workload} failed: {e}"));
     let trace = TraceWorkload::open(&dir).expect("open capture");
-    let mut replayed = RunSpec::trace(SCALE, &trace, kind, TelemetryLevel::Off, ThrottleMode::Off)
+    let mut replayed = RunSpec::trace(SCALE, &trace, kind)
         .run(None)
         .unwrap_or_else(|abort| panic!("replay of {workload} aborted: {abort}"));
     let ingest = replayed
