@@ -15,7 +15,7 @@
 
 use bingo::multi_event::{MultiEventConfig, MultiEventPrefetcher};
 use bingo::EventKind;
-use bingo_sim::{AccessInfo, BlockAddr, Prefetcher, RegionGeometry};
+use bingo_sim::{AccessInfo, BlockAddr, PrefetchSource, Prefetcher, RegionGeometry, ThrottleLevel};
 
 /// Configuration of an [`Sms`] prefetcher.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -116,6 +116,14 @@ impl Prefetcher for Sms {
     fn metrics(&self) -> Vec<(&'static str, f64)> {
         self.inner.metrics()
     }
+
+    fn set_throttle_level(&mut self, level: ThrottleLevel) {
+        self.inner.set_throttle_level(level);
+    }
+
+    fn last_burst_source(&self) -> PrefetchSource {
+        self.inner.last_burst_source()
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +179,53 @@ mod tests {
         visit(&mut s, 0x400, 1, &[2, 6]);
         let p = visit(&mut s, 0x500, 50, &[2]);
         assert!(p.is_empty());
+    }
+
+    /// `Sms` is the one-event `PC+Offset` cascade: at every throttle level
+    /// both emit the same burst for every access and attribute it alike.
+    #[test]
+    fn matches_the_pc_offset_cascade_at_every_throttle_level() {
+        let levels = [
+            ThrottleLevel::Full,
+            ThrottleLevel::RaisedVote,
+            ThrottleLevel::TriggerOnly,
+            ThrottleLevel::Stopped,
+        ];
+        for level in levels {
+            let mut sms = Sms::default();
+            let mut cascade =
+                MultiEventPrefetcher::new(MultiEventConfig::with_events(vec![EventKind::PcOffset]));
+            sms.set_throttle_level(level);
+            cascade.set_throttle_level(level);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut bursts = 0;
+            // Eight PCs over 40 regions, each region revisited with the
+            // offsets its PC trained, so most triggers predict a burst.
+            for step in 0..4_000u64 {
+                let pc = 0x400 + (step % 8) * 0x10;
+                let block = (step / 7 % 40) * 32 + (step * 5 + pc) % 32;
+                let access = info(pc, block);
+                got.clear();
+                want.clear();
+                sms.on_access(&access, &mut got);
+                cascade.on_access(&access, &mut want);
+                assert_eq!(got, want, "{level:?}: burst at step {step}");
+                if !got.is_empty() {
+                    bursts += 1;
+                    assert_eq!(
+                        sms.last_burst_source(),
+                        cascade.last_burst_source(),
+                        "{level:?}: source at step {step}"
+                    );
+                }
+                if step % 13 == 0 {
+                    let evicted = BlockAddr::new(block);
+                    sms.on_eviction(evicted);
+                    cascade.on_eviction(evicted);
+                }
+            }
+            assert_eq!(bursts == 0, level == ThrottleLevel::Stopped, "{level:?}");
+        }
     }
 
     #[test]

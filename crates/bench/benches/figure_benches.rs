@@ -86,7 +86,7 @@ fn bench_figure_paths(writer: &mut Option<BenchWriter>) {
             Workload::Streaming,
             PrefetcherKind::Bingo(BingoConfig::with_history_entries(1024)),
         ),
-        ("fig7_sms", Workload::Streaming, PrefetcherKind::Sms),
+        ("fig7_sms", Workload::Streaming, PrefetcherKind::sms()),
         ("fig8_vldp", Workload::Mix1, PrefetcherKind::Vldp),
         (
             "fig10_spp_aggressive",

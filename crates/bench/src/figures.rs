@@ -24,7 +24,9 @@ use bingo_workloads::{TraceWorkload, Workload};
 use crate::area::AreaModel;
 use crate::capture::{ensure_capture, CAPTURE_SLACK};
 use crate::cli::{flag_value, flag_values, workload_args};
-use crate::mix::{CapacityCell, CapacitySearch, MixConfig, Pressure};
+use crate::mix::{
+    contention_mixes, polite_vs_storm, CapacityCell, CapacitySearch, MixConfig, Pressure,
+};
 use crate::runner::{
     geometric_mean, mean, parallel_map, Evaluation, ParallelHarness, PrefetcherKind, RunScale,
     RunSpec,
@@ -692,35 +694,18 @@ pub fn fig_traces(s: &mut Session) {
     );
 }
 
-/// The mixes of `--config FILE` (default `configs/mixes/contention.mix`)
-/// and that file.
-///
-/// # Panics
-///
-/// Panics naming the file if it does not parse.
-fn config_mixes(s: &Session) -> (PathBuf, Vec<MixConfig>) {
-    let config = flag_value(&s.args, "--config")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("configs/mixes/contention.mix"));
-    let mixes =
-        MixConfig::parse_file(&config).unwrap_or_else(|e| panic!("{}: {e}", config.display()));
-    (config, mixes)
-}
-
 /// Writes a figure's structured report, one JSON line each, to
-/// `--report FILE` (default `target/<figure>_report.json`).
+/// `<figure>_report.json` in the `--report DIR` directory (default
+/// `target`), so every figure of one run keeps its own report.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
 fn write_report(s: &Session, figure: &str, lines: &[String]) {
-    let path = flag_value(&s.args, "--report")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("target/{figure}_report.json")));
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)
-            .unwrap_or_else(|e| panic!("cannot create {}: {e}", parent.display()));
-    }
+    let dir = PathBuf::from(flag_value(&s.args, "--report").unwrap_or_else(|| "target".into()));
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+    let path = dir.join(format!("{figure}_report.json"));
     std::fs::write(&path, lines.join("\n") + "\n")
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     eprintln!(
@@ -734,14 +719,13 @@ fn write_report(s: &Session, figure: &str, lines: &[String]) {
 /// workload mixes and per-core fairness.
 ///
 /// ```text
-/// fig_multicore [--config FILE] [--mix NAME]... [--pressure NAME]...
-///               [--report FILE] [--quick]
+/// fig_multicore [--mix NAME]... [--pressure NAME]... [--report DIR] [--quick]
 /// ```
 ///
-/// Mixes come from a committed config file (default
-/// `configs/mixes/contention.mix`; grammar in `bingo_bench::mix`). Each
-/// selected mix runs at every core count of its `ramp` directive (or its
-/// declared core count when unramped) under every selected memory
+/// The mixes are [`contention_mixes`], declared in code; `--mix` picks
+/// some of them by name. Each selected mix runs at every core count of
+/// its [`Ramp`](crate::mix::Ramp) (or its declared core count when
+/// unramped) under every selected memory
 /// [`Pressure`] level, through [`ParallelHarness::try_evaluate_mix`] — so
 /// mix cells and their per-slot solo runs parallelize, checkpoint
 /// (`BINGO_CHECKPOINT`), and export stats (`BINGO_STATS`) like every other
@@ -752,18 +736,18 @@ fn write_report(s: &Session, figure: &str, lines: &[String]) {
 /// still earn ≥ 50 % of the un-contended per-core IPC).
 ///
 /// The structured report — one JSON line per capacity search — lands in
-/// `--report` (default `target/fig_multicore_report.json`; CI uploads it
-/// as an artifact). The throttle-starvation comparison is [`fig_qos`].
+/// `fig_multicore_report.json` under `--report DIR` (default `target`;
+/// CI uploads it as an artifact). The throttle-starvation comparison is
+/// [`fig_qos`].
 pub fn fig_multicore(s: &mut Session) {
     let scale = s.scale;
-    let (config, mut mixes) = config_mixes(s);
+    let mut mixes = contention_mixes().to_vec();
     let picked = flag_values(&s.args, "--mix");
     if !picked.is_empty() {
         for name in &picked {
             assert!(
                 mixes.iter().any(|m| &m.name == name),
-                "unknown mix {name:?}; {} declares: {:?}",
-                config.display(),
+                "unknown mix {name:?}; declared: {:?}",
                 mixes.iter().map(|m| m.name.as_str()).collect::<Vec<_>>()
             );
         }
@@ -874,10 +858,10 @@ pub fn fig_multicore(s: &mut Session) {
 /// chaos-hardening cell.
 ///
 /// ```text
-/// fig_qos [--config FILE] [--report FILE] [--quick]
+/// fig_qos [--report DIR] [--quick]
 /// ```
 ///
-/// Three throttle arms run on the `polite-vs-storm` mix at 2 cores under
+/// Three throttle arms run on the [`polite_vs_storm`] mix at 2 cores under
 /// `constrained` memory pressure: `off` (no throttle), `feedback` (the
 /// chip-wide controller, which clamps the polite core alongside the
 /// storm), and `percore` (one controller per core plus the chip-level
@@ -892,21 +876,14 @@ pub fn fig_multicore(s: &mut Session) {
 /// suite asserts.
 ///
 /// The watchdog runs at [`bingo_sim::QOS_SLO`]. The structured report
-/// (one JSON line per experiment) lands in `--report` (default
-/// `target/fig_qos_report.json`; CI uploads it as an artifact).
+/// (one JSON line per experiment) lands in `fig_qos_report.json` under
+/// `--report DIR` (default `target`; CI uploads it as an artifact).
 pub fn fig_qos(s: &mut Session) {
-    /// The mix every arm runs: one streaming core behind Bingo, one
-    /// stress-storm core whose prefetches are mostly waste.
-    const QOS_MIX: &str = "polite-vs-storm";
     /// Seed of the chaos cell's perturbation schedule: committed so every
     /// run replays the same perturbation log.
     const CHAOS_SEED: u64 = 0xB1A60;
 
-    let (config, mixes) = config_mixes(s);
-    let mix = mixes
-        .iter()
-        .find(|m| m.name == QOS_MIX)
-        .unwrap_or_else(|| panic!("{} does not declare mix {QOS_MIX:?}", config.display()));
+    let mix = &polite_vs_storm();
     let pressure = Pressure::CONSTRAINED;
 
     let spec = |throttle: ThrottleMode, chaos: Option<ChaosPlan>| RunSpec {

@@ -8,7 +8,9 @@
 //! `--quick` for a reduced instruction budget (CI scale). Every cell is
 //! the one configuration its figure states: telemetry and throttling are
 //! off unless the figure sets them in code (`fig_timeliness` counts,
-//! `fig_qos` and `stress_degrade` vary the throttle mode).
+//! `fig_qos` and `stress_degrade` vary the throttle mode). `fig_multicore`
+//! and `fig_qos` also write a JSON report, `<figure>_report.json`, into
+//! `--report DIR` (default `target`).
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|
@@ -24,8 +26,8 @@
 //! | `fig10_isodegree` | Fig. 10: iso-degree comparison |
 //! | `fig_timeliness` | prefetch-lifecycle timeliness & event-kind attribution |
 //! | `fig_traces` | headline prefetchers replayed on recorded `.btrc` traces |
-//! | `fig_multicore` | multi-core capacity search & per-core fairness |
-//! | `fig_qos` | throttle starvation: off / chip-wide / per-core arms + chaos cell |
+//! | `fig_multicore` | multi-core capacity search & per-core fairness over [`contention_mixes`] |
+//! | `fig_qos` | throttle starvation on [`polite_vs_storm`]: off / chip-wide / per-core arms + chaos cell |
 //! | `ablation_voting` / `ablation_region` / `ablation_training` | design-choice ablations |
 //! | `workload_stats` | spatial structure of each workload's access stream |
 //! | `stress_degrade` | graceful degradation under memory pressure (not in `all`) |
@@ -56,8 +58,8 @@ pub use differential::{
     fuzz_bingo, shrink_bingo_mismatch, FuzzFailure, FuzzReport, Mismatch,
 };
 pub use mix::{
-    find_knee, CapacityCell, CapacitySearch, FairnessReport, MixConfig, MixError, Pressure, Ramp,
-    KNEE_FRACTION,
+    contention_mixes, find_knee, polite_vs_storm, CapacityCell, CapacitySearch, FairnessReport,
+    MixConfig, Pressure, Ramp, KNEE_FRACTION,
 };
 pub use perf_record::{
     calibration_record, load_records, time_median, BenchRecord, BenchWriter, Sample,

@@ -1,26 +1,11 @@
-//! Declarative multi-core workload mixes and the contention capacity
+//! Declared multi-core workload mixes and the contention capacity
 //! search.
 //!
 //! A *mix* gives each core of an N-core machine its own [`Slot`]: a
 //! workload's stream, a prefetcher, and an instruction-budget scale.
-//! Mixes live in committed config files with a deliberately tiny
-//! line-oriented grammar (no dependencies, mirroring the trace-container
-//! and checkpoint formats):
-//!
-//! ```text
-//! # comment
-//! mix polite-vs-storm
-//! core 0 workload=streaming prefetcher=bingo
-//! core 1 workload=stress-storm prefetcher=bingo scale=50%
-//! ramp initial=2 increment=2 max=8
-//! end
-//! ```
-//!
-//! Each field appears at most once per line. A mix's declared cores and
-//! its ramp's `max` must fit the machine ([`SystemConfig::validate`]: at
-//! most 256 cores). Every malformed line is a [`MixError::Line`] carrying
-//! its 1-based number — a torn or hand-mangled config aborts loudly,
-//! never panics, and never half-loads.
+//! The mixes the figures run are declared here in code:
+//! [`contention_mixes`] is `fig_multicore`'s grid and [`polite_vs_storm`]
+//! is `fig_qos`'s cell.
 //!
 //! On top of the mix type sit the contention primitives the capacity
 //! search is built from: shared-resource [`Pressure`] presets,
@@ -29,11 +14,7 @@
 //! ([`find_knee`]) that decides how many cores a mix scales to before
 //! shared-resource contention eats the added throughput.
 
-use std::fmt;
-use std::io;
-use std::path::Path;
-
-use bingo_sim::{ConfigError, SimResult, SystemConfig};
+use bingo_sim::{SimResult, SystemConfig};
 use bingo_workloads::Workload;
 
 use crate::runner::{PrefetcherKind, Slot, Stream};
@@ -96,60 +77,6 @@ impl Pressure {
     }
 }
 
-/// A mix-config parse failure. A malformed line names its 1-based
-/// number, so a bad committed config points straight at the offending
-/// text.
-#[derive(Debug)]
-pub enum MixError {
-    /// Underlying I/O failure reading the config file.
-    Io(io::Error),
-    /// A malformed line: an unknown directive or field, a missing, bad or
-    /// repeated value, or a block that cannot close (no cores, a gap in
-    /// the core ids, more cores than the machine holds, no `end`).
-    Line {
-        /// 1-based line number.
-        line: usize,
-        /// What is wrong with the line.
-        reason: String,
-    },
-    /// The input contained no mix at all — an empty or fully-torn config
-    /// is indistinguishable from a wrong path, so it is an error rather
-    /// than an empty grid.
-    NoMixes,
-}
-
-impl fmt::Display for MixError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MixError::Io(e) => write!(f, "mix config i/o error: {e}"),
-            MixError::Line { line, reason } => write!(f, "line {line}: {reason}"),
-            MixError::NoMixes => write!(f, "config contains no mixes"),
-        }
-    }
-}
-
-impl std::error::Error for MixError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MixError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-/// A [`MixError::Line`] at `line`.
-fn fail(line: usize, reason: impl fmt::Display) -> MixError {
-    MixError::Line {
-        line,
-        reason: reason.to_string(),
-    }
-}
-
-/// `bad <field> value "<value>"` at `line`.
-fn bad(line: usize, field: &str, value: &str) -> MixError {
-    fail(line, format_args!("bad {field} value {value:?}"))
-}
-
 /// A core-count ramp for the capacity search: run the mix at `initial`,
 /// `initial + increment`, … cores, stopping at `max`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,12 +104,12 @@ impl Ramp {
     }
 }
 
-/// A parsed workload mix: a name, one [`Slot`] per declared core, and an
+/// A workload mix: a name, one [`Slot`] per declared core, and an
 /// optional capacity-search [`Ramp`].
 #[derive(Debug, Clone)]
 pub struct MixConfig {
-    /// The mix's name (`[A-Za-z0-9_-]+`), used in report rows; runs are
-    /// keyed by their slots, not by this name.
+    /// The mix's name, used in report rows; runs are keyed by their
+    /// slots, not by this name.
     pub name: String,
     /// One synthetic slot per declared core: `cores[i]` is core `i`, whose
     /// `stream_core` is `i`. [`RunSpec::mix`](crate::RunSpec::mix)
@@ -193,219 +120,89 @@ pub struct MixConfig {
 }
 
 impl MixConfig {
+    /// A mix whose core `i` runs `cores[i]`: a workload's synthetic
+    /// stream behind a prefetcher, committing the given percentage of the
+    /// per-core instruction budget.
+    pub fn new(name: &str, cores: &[(Workload, PrefetcherKind, u32)], ramp: Option<Ramp>) -> Self {
+        let cores = cores
+            .iter()
+            .enumerate()
+            .map(
+                |(stream_core, &(workload, prefetcher, budget_percent))| Slot {
+                    stream: Stream::Synthetic(workload),
+                    stream_core,
+                    prefetcher,
+                    budget_percent,
+                },
+            )
+            .collect();
+        MixConfig {
+            name: name.to_string(),
+            cores,
+            ramp,
+        }
+    }
+
     /// The number of cores the mix declares.
     pub fn core_count(&self) -> usize {
         self.cores.len()
     }
-
-    /// Parses every mix in a config file. See the module docs for the
-    /// grammar.
-    ///
-    /// # Errors
-    ///
-    /// [`MixError::Io`] if the file cannot be read; otherwise as
-    /// [`MixConfig::parse_str`].
-    pub fn parse_file(path: impl AsRef<Path>) -> Result<Vec<MixConfig>, MixError> {
-        let text = std::fs::read_to_string(path).map_err(MixError::Io)?;
-        Self::parse_str(&text)
-    }
-
-    /// Parses every mix in the given text. See the module docs for the
-    /// grammar.
-    ///
-    /// # Errors
-    ///
-    /// [`MixError::Line`] for the first malformed line, or
-    /// [`MixError::NoMixes`] if the text declares no mix.
-    pub fn parse_str(text: &str) -> Result<Vec<MixConfig>, MixError> {
-        let mut mixes: Vec<MixConfig> = Vec::new();
-        let mut open: Option<OpenMix> = None;
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let mut tokens = raw.split('#').next().unwrap_or("").split_whitespace();
-            let Some(directive) = tokens.next() else {
-                continue;
-            };
-            let rest: Vec<&str> = tokens.collect();
-            match (directive, open.as_mut()) {
-                ("mix", Some(_)) => {
-                    return Err(fail(line, "mix block opened before the previous one ended"))
-                }
-                ("mix", None) => {
-                    let name = match rest[..] {
-                        [name] => name,
-                        [] => return Err(fail(line, "missing mix name")),
-                        _ => return Err(bad(line, "mix name", &rest.join(" "))),
-                    };
-                    if !name
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-                    {
-                        return Err(bad(line, "mix name", name));
-                    }
-                    if mixes.iter().any(|m| m.name == name) {
-                        return Err(fail(line, format_args!("duplicate mix name {name:?}")));
-                    }
-                    open = Some(OpenMix {
-                        name: name.to_string(),
-                        line,
-                        cores: Vec::new(),
-                        ramp: None,
-                    });
-                }
-                ("core" | "ramp" | "end", None) => {
-                    return Err(fail(
-                        line,
-                        format_args!("{directive:?} outside a mix block"),
-                    ))
-                }
-                ("core", Some(block)) => block.core(line, &rest)?,
-                ("ramp", Some(block)) => block.ramp(line, &rest)?,
-                ("end", Some(_)) => mixes.push(open.take().expect("matched open").close(line)?),
-                (other, _) => return Err(fail(line, format_args!("unknown directive {other:?}"))),
-            }
-        }
-        if let Some(block) = open {
-            return Err(fail(
-                block.line,
-                format_args!("mix {:?} never reached its end directive", block.name),
-            ));
-        }
-        if mixes.is_empty() {
-            return Err(MixError::NoMixes);
-        }
-        Ok(mixes)
-    }
 }
 
-/// A `mix … end` block mid-parse, opened at `line`.
-struct OpenMix {
-    name: String,
-    line: usize,
-    cores: Vec<Slot>,
-    ramp: Option<Ramp>,
+/// A polite streamer next to a prefetcher-hostile storm, both behind
+/// Bingo, ramped from 2 to 8 cores: the cell the throttle-starvation
+/// experiment (`fig_qos`) interrogates. The chip-wide feedback throttle
+/// is triggered by the storm core's wasted prefetches, and the question
+/// is how much of the polite core's prefetch benefit it takes.
+pub fn polite_vs_storm() -> MixConfig {
+    let bingo = PrefetcherKind::bingo();
+    MixConfig::new(
+        "polite-vs-storm",
+        &[
+            (Workload::Streaming, bingo, 100),
+            (Workload::StressStorm, bingo, 100),
+        ],
+        Some(Ramp {
+            initial: 2,
+            increment: 2,
+            max: 8,
+        }),
+    )
 }
 
-impl OpenMix {
-    /// Parses `core <id> workload=<slug> prefetcher=<slug> [scale=<pct>%]`
-    /// into the slot of core `id`.
-    fn core(&mut self, line: usize, rest: &[&str]) -> Result<(), MixError> {
-        let (&id, fields) = rest
-            .split_first()
-            .ok_or_else(|| fail(line, "missing core id"))?;
-        let stream_core: usize = id.parse().map_err(|_| bad(line, "core id", id))?;
-        let [workload, prefetcher, scale] =
-            read_fields(line, fields, ["workload", "prefetcher", "scale"])?;
-        let workload = workload.ok_or_else(|| fail(line, "missing workload"))?;
-        let workload = Workload::from_slug(workload)
-            .ok_or_else(|| fail(line, format_args!("unknown workload {workload:?}")))?;
-        let prefetcher = prefetcher.ok_or_else(|| fail(line, "missing prefetcher"))?;
-        let prefetcher = PrefetcherKind::from_slug(prefetcher)
-            .ok_or_else(|| fail(line, format_args!("unknown prefetcher {prefetcher:?}")))?;
-        let budget_percent = match scale {
-            None => 100,
-            Some(value) => value
-                .strip_suffix('%')
-                .unwrap_or(value)
-                .parse()
-                .ok()
-                .filter(|pct| (1..=100).contains(pct))
-                .ok_or_else(|| bad(line, "scale", value))?,
-        };
-        if self.cores.iter().any(|s| s.stream_core == stream_core) {
-            return Err(fail(
-                line,
-                format_args!("core {stream_core} assigned twice"),
-            ));
-        }
-        self.cores.push(Slot {
-            stream: Stream::Synthetic(workload),
-            stream_core,
-            prefetcher,
-            budget_percent,
-        });
-        Ok(())
-    }
-
-    /// Parses the block's one `ramp initial=<n> increment=<n> max=<n>`.
-    fn ramp(&mut self, line: usize, rest: &[&str]) -> Result<(), MixError> {
-        if self.ramp.is_some() {
-            return Err(bad(line, "ramp", "declared twice"));
-        }
-        let [initial, increment, max] = read_fields(line, rest, ["initial", "increment", "max"])?;
-        let count = |field: &str, value: Option<&str>| {
-            let value = value.ok_or_else(|| fail(line, format_args!("missing {field}")))?;
-            value
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| bad(line, "ramp", value))
-        };
-        let ramp = Ramp {
-            initial: count("initial", initial)?,
-            increment: count("increment", increment)?,
-            max: count("max", max)?,
-        };
-        if ramp.max < ramp.initial {
-            return Err(bad(line, "max", &ramp.max.to_string()));
-        }
-        machine_holds(ramp.max).map_err(|e| fail(line, format_args!("ramp max: {e}")))?;
-        self.ramp = Some(ramp);
-        Ok(())
-    }
-
-    /// Closes the block at its `end` line: at least one core, ids
-    /// contiguous from 0, and no more than the machine holds.
-    fn close(self, line: usize) -> Result<MixConfig, MixError> {
-        let OpenMix {
-            name,
-            mut cores,
-            ramp,
-            ..
-        } = self;
-        if cores.is_empty() {
-            return Err(fail(line, format_args!("mix {name:?} declares zero cores")));
-        }
-        cores.sort_by_key(|s| s.stream_core);
-        if let Some(gap) = (0..cores.len()).find(|&i| cores[i].stream_core != i) {
-            return Err(fail(
-                line,
-                format_args!("core {gap} has no assignment (ids must be contiguous from 0)"),
-            ));
-        }
-        machine_holds(cores.len()).map_err(|e| fail(line, format_args!("mix {name:?}: {e}")))?;
-        Ok(MixConfig { name, cores, ramp })
-    }
-}
-
-/// Whether the paper machine with `cores` cores validates: the bound a
-/// mix's declared cores and its ramp must stay within.
-fn machine_holds(cores: usize) -> Result<(), ConfigError> {
-    SystemConfig::paper().with_cores(cores).validate()
-}
-
-/// Reads the `key=value` tokens of one line: the value of each of `keys`,
-/// in `keys` order, `None` where absent. A token without `=`, a key not in
-/// `keys` and a key given twice each fail at `line`.
-fn read_fields<'a, const N: usize>(
-    line: usize,
-    tokens: &[&'a str],
-    keys: [&str; N],
-) -> Result<[Option<&'a str>; N], MixError> {
-    let mut values = [None; N];
-    for &token in tokens {
-        let (key, value) = token
-            .split_once('=')
-            .ok_or_else(|| bad(line, "field", token))?;
-        let i = keys
-            .iter()
-            .position(|&k| k == key)
-            .ok_or_else(|| fail(line, format_args!("unknown field {key:?}")))?;
-        if values[i].replace(value).is_some() {
-            return Err(fail(line, format_args!("repeated field {key:?}")));
-        }
-    }
-    Ok(values)
+/// The mixes of `fig_multicore`'s capacity search, in report order:
+/// [`polite_vs_storm`]; `server-quad`, the paper's four server
+/// applications side by side with one Bingo each (the closest thing to
+/// the paper's own 4-core evaluation), ramped from 4 to 8 cores; and the
+/// unramped `rival-duo`, Bingo next to a BOP core that commits 75 % of
+/// the budget (a mixed prefetcher fleet on the shared LLC).
+pub fn contention_mixes() -> [MixConfig; 3] {
+    let bingo = PrefetcherKind::bingo();
+    [
+        polite_vs_storm(),
+        MixConfig::new(
+            "server-quad",
+            &[
+                (Workload::DataServing, bingo, 100),
+                (Workload::SatSolver, bingo, 100),
+                (Workload::Em3d, bingo, 100),
+                (Workload::Zeus, bingo, 100),
+            ],
+            Some(Ramp {
+                initial: 4,
+                increment: 2,
+                max: 8,
+            }),
+        ),
+        MixConfig::new(
+            "rival-duo",
+            &[
+                (Workload::Em3d, bingo, 100),
+                (Workload::Streaming, PrefetcherKind::Bop, 75),
+            ],
+            None,
+        ),
+    ]
 }
 
 /// Per-core fairness of one mix run: who got what share of the machine.
@@ -578,55 +375,46 @@ mod tests {
     use super::*;
     use crate::runner::{RunScale, RunSpec};
 
-    const GOOD: &str = "\
-# two committed mixes
-mix polite-vs-storm
-core 0 workload=streaming prefetcher=bingo
-core 1 workload=stress-storm prefetcher=bingo scale=50%
-ramp initial=2 increment=2 max=6
-end
-
-mix solo-baseline # trailing comment
-core 0 workload=data-serving prefetcher=none
-end
-";
-
+    /// The checks a mix must pass to run: core ids contiguous from 0, a
+    /// ramp whose every step is a machine [`SystemConfig::validate`]
+    /// accepts, and a name no other mix has.
     #[test]
-    fn parses_a_two_mix_file() {
-        let mixes = MixConfig::parse_str(GOOD).unwrap();
-        assert_eq!(mixes.len(), 2);
-        let m = &mixes[0];
-        assert_eq!(m.name, "polite-vs-storm");
-        assert_eq!(m.core_count(), 2);
-        assert!(matches!(
-            m.cores[0].stream,
-            Stream::Synthetic(Workload::Streaming)
-        ));
-        assert_eq!(m.cores[0].prefetcher, PrefetcherKind::bingo());
-        assert_eq!(m.cores[0].budget_percent, 100);
-        assert!(matches!(
-            m.cores[1].stream,
-            Stream::Synthetic(Workload::StressStorm)
-        ));
-        assert_eq!(m.cores[1].budget_percent, 50);
-        assert_eq!(m.cores[1].stream_core, 1);
-        assert_eq!(
-            m.ramp,
-            Some(Ramp {
-                initial: 2,
-                increment: 2,
-                max: 6
-            })
-        );
-        assert_eq!(mixes[1].name, "solo-baseline");
-        assert_eq!(mixes[1].cores[0].prefetcher, PrefetcherKind::None);
-        assert_eq!(mixes[1].ramp, None);
+    fn declared_mixes_fit_the_machine_and_have_unique_names() {
+        let mixes = contention_mixes();
+        for (i, mix) in mixes.iter().enumerate() {
+            let ids: Vec<usize> = mix.cores.iter().map(|s| s.stream_core).collect();
+            assert_eq!(
+                ids,
+                (0..mix.core_count()).collect::<Vec<_>>(),
+                "{}",
+                mix.name
+            );
+            let steps = match mix.ramp {
+                Some(r) => {
+                    assert!(r.initial >= 1 && r.increment >= 1, "{}: {r:?}", mix.name);
+                    assert!(r.max >= r.initial, "{}: {r:?}", mix.name);
+                    r.steps()
+                }
+                None => vec![mix.core_count()],
+            };
+            for cores in steps {
+                SystemConfig::paper()
+                    .with_cores(cores)
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{} at {cores} cores: {e}", mix.name));
+            }
+            assert!(
+                mixes[..i].iter().all(|m| m.name != mix.name),
+                "duplicate mix name {:?}",
+                mix.name
+            );
+        }
     }
 
     #[test]
     fn assignment_replicates_cyclically() {
-        let m = &MixConfig::parse_str(GOOD).unwrap()[0];
-        let spec = RunSpec::mix(RunScale::quick(), m, 6, Pressure::NONE);
+        let [_, _, m] = contention_mixes();
+        let spec = RunSpec::mix(RunScale::quick(), &m, 6, Pressure::NONE);
         for (i, slot) in spec.slots.iter().enumerate() {
             let declared = &m.cores[i % 2];
             assert_eq!(slot.stream_core, i, "each core keeps its own stream");
@@ -671,27 +459,5 @@ end
         assert_eq!(cfg.dram.channels, reference.dram.channels);
         assert_eq!(cfg.dram.transfer_cycles, reference.dram.transfer_cycles);
         assert_eq!(cfg.prefetch_queue_depth, reference.prefetch_queue_depth);
-    }
-
-    // Error paths have a dedicated integration suite
-    // (crates/bench/tests/mix_parser.rs); these two lock the torn-file
-    // and empty-file behavior at the unit level.
-    #[test]
-    fn torn_file_names_the_open_mix() {
-        let torn = "mix half\ncore 0 workload=zeus prefetcher=bingo\n";
-        match MixConfig::parse_str(torn) {
-            Err(MixError::Line { line: 1, reason }) => {
-                assert_eq!(reason, "mix \"half\" never reached its end directive")
-            }
-            other => panic!("expected an error at line 1, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_input_is_an_error_not_an_empty_grid() {
-        assert!(matches!(
-            MixConfig::parse_str("# only a comment\n"),
-            Err(MixError::NoMixes)
-        ));
     }
 }

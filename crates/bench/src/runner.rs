@@ -38,8 +38,8 @@ use std::time::{Duration, Instant};
 
 use bingo::{Bingo, BingoConfig, EventKind, MultiEventConfig, MultiEventPrefetcher};
 use bingo_baselines::{
-    Ampm, AmpmConfig, Bop, BopConfig, Sms, SmsConfig, Spp, SppConfig, StrideConfig,
-    StridePrefetcher, Vldp, VldpConfig,
+    Ampm, AmpmConfig, Bop, BopConfig, Spp, SppConfig, StrideConfig, StridePrefetcher, Vldp,
+    VldpConfig,
 };
 use bingo_sim::{
     ChaosInjector, ChaosPlan, CoverageReport, FaultPlan, FaultyPrefetcher, InstrSource,
@@ -75,13 +75,6 @@ pub enum PrefetcherKind {
     VldpAggressive,
     /// Access Map Pattern Matching.
     Ampm,
-    /// Spatial Memory Streaming. `Sms::new` builds the cascade of
-    /// [`PrefetcherKind::Events`] `{ first: PcOffset, count: 1 }`, yet the
-    /// two are different machines: the `bingo_baselines::Sms` wrapper
-    /// forwards neither `set_throttle_level` nor `last_burst_source`, so
-    /// a throttle never narrows its bursts, and telemetry attributes them
-    /// to `unattributed`, not `cascade0`.
-    Sms,
     /// Bingo under any configuration: [`BingoConfig::paper`] (16 K-entry
     /// unified table) is the headline prefetcher; the Fig. 6
     /// history-size sweep and the voting, region-size and training-signal
@@ -91,7 +84,9 @@ pub enum PrefetcherKind {
     /// [`EventKind::LONGEST_FIRST`] from `first` on: one event is a
     /// single-event prefetcher (Fig. 2), `first: PcAddress` with `count`
     /// 1 to 5 is the Fig. 3 sweep, and `count: 2` its Fig. 4 redundancy
-    /// vehicle.
+    /// vehicle. The one-event `PcOffset` cascade is Spatial Memory
+    /// Streaming ([`PrefetcherKind::sms`]): `bingo_baselines::Sms` builds
+    /// that very configuration.
     Events {
         /// The longest event of the cascade.
         first: EventKind,
@@ -127,6 +122,15 @@ impl PrefetcherKind {
         PrefetcherKind::Bingo(BingoConfig::paper())
     }
 
+    /// Spatial Memory Streaming: the one-event `PC+Offset` cascade, named
+    /// `SMS`.
+    pub fn sms() -> PrefetcherKind {
+        PrefetcherKind::Events {
+            first: EventKind::PcOffset,
+            count: 1,
+        }
+    }
+
     /// The six prefetchers of the paper's headline comparison, figure
     /// order.
     pub fn headline() -> [PrefetcherKind; 6] {
@@ -135,7 +139,7 @@ impl PrefetcherKind {
             PrefetcherKind::Spp,
             PrefetcherKind::Vldp,
             PrefetcherKind::Ampm,
-            PrefetcherKind::Sms,
+            PrefetcherKind::sms(),
             PrefetcherKind::bingo(),
         ]
     }
@@ -151,8 +155,11 @@ impl PrefetcherKind {
             PrefetcherKind::Vldp => "VLDP".into(),
             PrefetcherKind::VldpAggressive => "VLDP-Aggr".into(),
             PrefetcherKind::Ampm => "AMPM".into(),
-            PrefetcherKind::Sms => "SMS".into(),
             PrefetcherKind::Bingo(cfg) => bingo_name(&cfg),
+            PrefetcherKind::Events {
+                first: EventKind::PcOffset,
+                count: 1,
+            } => "SMS".into(),
             PrefetcherKind::Events { first, count: 1 } => first.label().into(),
             PrefetcherKind::Events {
                 first: EventKind::PcAddress,
@@ -168,29 +175,6 @@ impl PrefetcherKind {
             }
             PrefetcherKind::Faulty { panic_after } => format!("Faulty@{panic_after}"),
         }
-    }
-
-    /// Parses a mix-config prefetcher slug — the lowercase spelling used
-    /// by `core … prefetcher=<slug>` lines. Only the fixed paper
-    /// configurations are addressable from config files; parameterized
-    /// kinds (entry sweeps, fault injection, …) stay programmatic.
-    /// `None` for anything unrecognized, so the parser can report the
-    /// bad name with its line number.
-    pub fn from_slug(slug: &str) -> Option<PrefetcherKind> {
-        Some(match slug {
-            "none" => PrefetcherKind::None,
-            "bop" => PrefetcherKind::Bop,
-            "bop-aggr" => PrefetcherKind::BopAggressive,
-            "spp" => PrefetcherKind::Spp,
-            "spp-aggr" => PrefetcherKind::SppAggressive,
-            "vldp" => PrefetcherKind::Vldp,
-            "vldp-aggr" => PrefetcherKind::VldpAggressive,
-            "ampm" => PrefetcherKind::Ampm,
-            "sms" => PrefetcherKind::Sms,
-            "bingo" => PrefetcherKind::bingo(),
-            "stride" => PrefetcherKind::Stride,
-            _ => return None,
-        })
     }
 
     /// Builds one prefetcher instance.
@@ -209,7 +193,6 @@ impl PrefetcherKind {
             PrefetcherKind::Vldp => Box::new(Vldp::new(VldpConfig::paper())),
             PrefetcherKind::VldpAggressive => Box::new(Vldp::new(VldpConfig::aggressive())),
             PrefetcherKind::Ampm => Box::new(Ampm::new(AmpmConfig::paper())),
-            PrefetcherKind::Sms => Box::new(Sms::new(SmsConfig::paper())),
             PrefetcherKind::Bingo(cfg) => Box::new(Bingo::new(cfg)),
             PrefetcherKind::Events { first, count } => {
                 Box::new(MultiEventPrefetcher::new(cascade(first, count)))
@@ -239,7 +222,6 @@ impl PrefetcherKind {
             PrefetcherKind::Vldp => VldpConfig::paper().storage_bits(),
             PrefetcherKind::VldpAggressive => VldpConfig::aggressive().storage_bits(),
             PrefetcherKind::Ampm => AmpmConfig::paper().storage_bits(),
-            PrefetcherKind::Sms => SmsConfig::paper().storage_bits(),
             PrefetcherKind::Bingo(cfg) => cfg.storage_bits(),
             PrefetcherKind::Events { first, count } => cascade(first, count).storage_bits(),
             PrefetcherKind::Stride => StrideConfig::typical().storage_bits(),
@@ -1304,7 +1286,7 @@ mod tests {
             PrefetcherKind::Vldp,
             PrefetcherKind::VldpAggressive,
             PrefetcherKind::Ampm,
-            PrefetcherKind::Sms,
+            PrefetcherKind::sms(),
             PrefetcherKind::bingo(),
             PrefetcherKind::Bingo(BingoConfig::with_history_entries(4096)),
             PrefetcherKind::Bingo(BingoConfig {
@@ -1405,41 +1387,6 @@ mod tests {
                 k.name()
             );
         }
-    }
-
-    /// `Sms::new` builds the very configuration of the one-event
-    /// `PC+Offset` cascade, and off the throttle the two predict alike.
-    /// They stay two kinds because the `Sms` wrapper attributes no burst
-    /// (nor follows a throttle level), which telemetry shows.
-    #[test]
-    fn sms_and_the_pc_offset_cascade_stay_distinct_kinds() {
-        let scale = RunScale {
-            instructions_per_core: 40_000,
-            warmup_per_core: 40_000,
-            seed: 3,
-        };
-        let cascade = PrefetcherKind::Events {
-            first: EventKind::PcOffset,
-            count: 1,
-        };
-        let specs: Vec<RunSpec> = [PrefetcherKind::Sms, cascade]
-            .into_iter()
-            .map(|kind| RunSpec {
-                telemetry: TelemetryLevel::Counts,
-                ..RunSpec::classic(scale, Workload::Em3d, kind).solo(0)
-            })
-            .collect();
-        let results = ParallelHarness::with_jobs(2)
-            .quiet()
-            .try_run(&specs)
-            .into_complete();
-        let labels = |r: &SimResult| -> Vec<String> {
-            let report = r.telemetry.as_ref().expect("telemetry is on");
-            report.by_source.iter().map(|(l, _)| l.clone()).collect()
-        };
-        assert_eq!(labels(&results[0]), ["unattributed"]);
-        assert_eq!(labels(&results[1]), ["cascade0"]);
-        assert_eq!(results[0].llc, results[1].llc, "the same predictions");
     }
 
     #[test]
@@ -1987,16 +1934,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A tiny committed-style mix used by the mix-view tests.
+    /// A tiny mix used by the mix-view tests.
     fn tiny_mix() -> MixConfig {
-        MixConfig::parse_str(
-            "mix tiny\n\
-             core 0 workload=streaming prefetcher=stride\n\
-             core 1 workload=stress-storm prefetcher=none scale=50%\n\
-             end\n",
+        MixConfig::new(
+            "tiny",
+            &[
+                (Workload::Streaming, PrefetcherKind::Stride, 100),
+                (Workload::StressStorm, PrefetcherKind::None, 50),
+            ],
+            None,
         )
-        .unwrap()
-        .remove(0)
     }
 
     fn mix_spec(seed: u64, mix: &MixConfig, cores: usize, pressure: Pressure) -> RunSpec {

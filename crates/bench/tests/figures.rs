@@ -11,7 +11,7 @@ use bingo_bench::{Checkpoint, ParallelHarness, RunScale};
 
 fn lines_in(path: &Path) -> usize {
     std::fs::read_to_string(path)
-        .expect("read checkpoint")
+        .expect("read back")
         .lines()
         .count()
 }
@@ -20,9 +20,10 @@ fn lines_in(path: &Path) -> usize {
 /// contains fig8's, fig9's and Table II's cells, so over one session those
 /// add no checkpoint line; fig4 adds exactly its 10 two-event cascade
 /// cells (its baselines are fig7's). Every later figure adds only the
-/// machines no earlier one simulated: fig3's 1-event row is fig2's
-/// `PC+Address` column and its 2-event row fig4's, and fig6's 16K column
-/// and the ablations' paper rows are fig7's Bingo.
+/// machines no earlier one simulated: fig2's `PC+Offset` column is fig7's
+/// SMS, fig3's 1-event row is fig2's `PC+Address` column and its 2-event
+/// row fig4's, and fig6's 16K column and the ablations' paper rows are
+/// fig7's Bingo.
 #[test]
 fn a_shared_session_simulates_each_cell_once() {
     let dir = std::env::temp_dir().join("bingo-figures-tests");
@@ -50,7 +51,7 @@ fn a_shared_session_simulates_each_cell_once() {
     figures::fig4_redundancy(&mut session);
     assert_eq!(lines_in(&path), 80, "fig4 adds its two-event cells");
     let added: [(&str, Figure, usize); 6] = [
-        ("fig2: 5 single events", figures::fig2_events, 50),
+        ("fig2: 4 single events", figures::fig2_events, 40),
         ("fig3: 3-, 4- and 5-event", figures::fig3_num_events, 30),
         ("fig6: 6 sizes but 16K", figures::fig6_table_size, 60),
         ("voting: 5 thresholds but 20%", figures::ablation_voting, 50),
@@ -63,7 +64,7 @@ fn a_shared_session_simulates_each_cell_once() {
         expected += cells;
         assert_eq!(lines_in(&path), expected, "{what}");
     }
-    assert_eq!(expected, 300);
+    assert_eq!(expected, 290);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -123,18 +124,19 @@ fn a_retired_knob_fails_naming_it() {
 
 /// `BINGO_STATS` naming one file under `all` holds every figure's cells,
 /// each once: exactly the lines a fresh checkpoint of the same run holds.
+/// The run starts outside the repository, and each figure writes its own
+/// report into the `--report` directory.
 #[test]
 fn all_exports_every_figure_to_one_stats_file() {
     let dir = std::env::temp_dir().join(format!("bingo-figures-all-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let (stats, checkpoint) = (dir.join("stats.json"), dir.join("cp.jsonl"));
-    let config =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../configs/mixes/contention.mix");
+    let reports = dir.join("reports");
     let out = Command::new(env!("CARGO_BIN_EXE_all"))
-        .args(["--config".as_ref(), config.as_os_str()])
+        .current_dir(&dir)
         .args(["--traces".as_ref(), dir.join("traces").as_os_str()])
-        .args(["--report".as_ref(), dir.join("report.json").as_os_str()])
+        .args(["--report".as_ref(), reports.as_os_str()])
         .env("BINGO_STATS", &stats)
         .env("BINGO_CHECKPOINT", &checkpoint)
         .env("BINGO_WARMUP", "0")
@@ -164,6 +166,10 @@ fn all_exports_every_figure_to_one_stats_file() {
         exported == simulated,
         "the export and the checkpoint differ"
     );
+    for (figure, searches) in [("fig_multicore", 9), ("fig_qos", 2)] {
+        let report = reports.join(format!("{figure}_report.json"));
+        assert_eq!(lines_in(&report), searches, "{}", report.display());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

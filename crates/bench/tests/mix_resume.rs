@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use bingo_bench::{
     Checkpoint, MixConfig, MixEvaluation, ParallelHarness, PrefetcherKind, Pressure, RunScale,
-    RunSpec, Slot, Stream,
+    RunSpec,
 };
 use bingo_workloads::Workload;
 
@@ -28,14 +28,14 @@ fn tmp_path(name: &str) -> PathBuf {
 }
 
 fn mix() -> MixConfig {
-    MixConfig::parse_str(
-        "mix pair\n\
-         core 0 workload=streaming prefetcher=stride\n\
-         core 1 workload=em3d prefetcher=none\n\
-         end\n",
+    MixConfig::new(
+        "pair",
+        &[
+            (Workload::Streaming, PrefetcherKind::Stride, 100),
+            (Workload::Em3d, PrefetcherKind::None, 100),
+        ],
+        None,
     )
-    .expect("valid mix")
-    .remove(0)
 }
 
 fn mix_spec(mix: &MixConfig, cores: usize, pressure: Pressure) -> RunSpec {
@@ -165,16 +165,15 @@ fn mixed_old_new_checkpoint_retries_only_failed_cells() {
     // are made durable; the resume replays them and re-attempts only the
     // broken cell.
     let path = tmp_path("retry-failed");
-    let broken = MixConfig {
-        name: "broken".to_string(),
-        cores: vec![Slot {
-            stream: Stream::Synthetic(Workload::Em3d),
-            stream_core: 0,
-            prefetcher: PrefetcherKind::Faulty { panic_after: 100 },
-            budget_percent: 100,
-        }],
-        ramp: None,
-    };
+    let broken = MixConfig::new(
+        "broken",
+        &[(
+            Workload::Em3d,
+            PrefetcherKind::Faulty { panic_after: 100 },
+            100,
+        )],
+        None,
+    );
     let mut cells = mix_cells();
     cells.push(mix_spec(&broken, 1, Pressure::NONE));
 

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 
 use bingo_bench::{
-    Checkpoint, MixConfig, MixEvaluation, ParallelHarness, Pressure, RunScale, RunSpec,
+    polite_vs_storm, Checkpoint, MixEvaluation, ParallelHarness, Pressure, RunScale, RunSpec,
 };
 use bingo_sim::ThrottleMode;
 
@@ -27,22 +27,11 @@ fn tmp_path(name: &str) -> PathBuf {
     path
 }
 
-fn mix() -> MixConfig {
-    MixConfig::parse_str(
-        "mix pair\n\
-         core 0 workload=streaming prefetcher=bingo\n\
-         core 1 workload=stress-storm prefetcher=bingo\n\
-         end\n",
-    )
-    .expect("valid mix")
-    .remove(0)
-}
-
 fn specs(throttle: ThrottleMode) -> Vec<RunSpec> {
     [Pressure::NONE, Pressure::CONSTRAINED]
         .map(|p| RunSpec {
             throttle,
-            ..RunSpec::mix(scale(), &mix(), 2, p)
+            ..RunSpec::mix(scale(), &polite_vs_storm(), 2, p)
         })
         .to_vec()
 }

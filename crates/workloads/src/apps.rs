@@ -167,17 +167,6 @@ impl Workload {
         }
     }
 
-    /// Parses a [`Workload::slug`] back into its workload — the spelling
-    /// used by mix-config files and trace-capture directories. `None` for
-    /// anything that is not exactly a known slug, so callers can report
-    /// the bad name instead of guessing.
-    pub fn from_slug(slug: &str) -> Option<Workload> {
-        Workload::ALL
-            .into_iter()
-            .chain(Workload::STRESS)
-            .find(|w| w.slug() == slug)
-    }
-
     /// Builds the instruction source of one core slot.
     ///
     /// The source is a pure function of `(workload, core, seed)` — it does
@@ -956,20 +945,6 @@ mod tests {
         assert_eq!(Workload::Em3d.paper_mpki(), 32.4);
         assert_eq!(Workload::SatSolver.paper_mpki(), 1.7);
         assert_eq!(Workload::Mix1.paper_mpki(), 15.7);
-    }
-
-    #[test]
-    fn from_slug_round_trips_every_workload() {
-        for w in Workload::ALL.into_iter().chain(Workload::STRESS) {
-            assert_eq!(Workload::from_slug(w.slug()), Some(w), "{w}");
-        }
-        assert_eq!(Workload::from_slug("not-a-workload"), None);
-        assert_eq!(
-            Workload::from_slug("Data-Serving"),
-            None,
-            "slugs are case-sensitive"
-        );
-        assert_eq!(Workload::from_slug(""), None);
     }
 
     #[test]

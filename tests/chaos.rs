@@ -22,9 +22,9 @@
 //!    no-injector run bit-for-bit (this also pins that the run loop's
 //!    fast-forward, which `with_chaos` disables, is result-invariant).
 
-use std::path::Path;
-
-use bingo_bench::{MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec};
+use bingo_bench::{
+    polite_vs_storm, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec,
+};
 use bingo_sim::{
     ChaosKind, ChaosPlan, InstrSource, PhaseFlipSource, SimResult, System, SystemConfig,
     ThrottleMode,
@@ -44,14 +44,6 @@ const CHAOS_SEED: u64 = 0xB1A60;
 /// Worst tolerated per-core IPC ratio versus the prefetcher-off run of
 /// the same chaos scenario.
 const SLOWDOWN_BOUND: f64 = 0.90;
-
-fn committed_mix(name: &str) -> MixConfig {
-    MixConfig::parse_file(Path::new("configs/mixes/contention.mix"))
-        .expect("committed mix config parses")
-        .into_iter()
-        .find(|m| m.name == name)
-        .unwrap_or_else(|| panic!("contention.mix does not declare {name:?}"))
-}
 
 /// A single-kind plan at the standard cadence, so each failure mode is
 /// exercised in isolation as well as in the full rotation.
@@ -91,7 +83,7 @@ fn run_chaos(
 
 #[test]
 fn every_chaos_cell_keeps_every_core_within_the_slowdown_bound() {
-    let mix = committed_mix("polite-vs-storm");
+    let mix = polite_vs_storm();
     let plans: Vec<(String, Vec<ChaosKind>)> = ChaosKind::ALL
         .iter()
         .map(|k| (k.label().to_string(), vec![*k]))
@@ -204,7 +196,7 @@ fn controllers_recover_to_full_aggressiveness_after_the_perturbation_ends() {
 
 #[test]
 fn chaos_runs_replay_bit_for_bit_and_seeds_matter() {
-    let mix = committed_mix("polite-vs-storm");
+    let mix = polite_vs_storm();
     let run = |seed: u64| {
         run_chaos(
             &mix,
@@ -226,7 +218,7 @@ fn chaos_runs_replay_bit_for_bit_and_seeds_matter() {
 
 #[test]
 fn an_injector_that_never_fires_is_bit_for_bit_invisible() {
-    let mix = committed_mix("polite-vs-storm");
+    let mix = polite_vs_storm();
     for throttle in [ThrottleMode::Off, ThrottleMode::Percore] {
         let calm = run_chaos(&mix, Pressure::CONSTRAINED, throttle, None);
         // First onset far past any plausible cycle count for this scale.

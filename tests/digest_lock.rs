@@ -12,10 +12,10 @@
 //! prints every cell's current line, so an intended change of results is
 //! recorded by pasting them.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use bingo::{BingoConfig, EventKind};
-use bingo_bench::{MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec};
+use bingo_bench::{polite_vs_storm, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec};
 use bingo_sim::{RegionGeometry, TelemetryLevel, ThrottleMode};
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
 
@@ -38,14 +38,6 @@ fn bingo_with(edit: impl FnOnce(&mut BingoConfig)) -> RunSpec {
     let mut cfg = BingoConfig::paper();
     edit(&mut cfg);
     classic(Workload::Mix2, PrefetcherKind::Bingo(cfg))
-}
-
-fn polite_vs_storm() -> MixConfig {
-    MixConfig::parse_file(Path::new("configs/mixes/contention.mix"))
-        .expect("committed mix config parses")
-        .into_iter()
-        .find(|m| m.name == "polite-vs-storm")
-        .expect("contention.mix declares polite-vs-storm")
 }
 
 fn mix(telemetry: TelemetryLevel, throttle: ThrottleMode) -> RunSpec {
@@ -83,7 +75,7 @@ fn em3d_capture() -> (PathBuf, TraceWorkload) {
 }
 
 fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
-    let replay = RunSpec::trace(TRACE_SCALE, trace, PrefetcherKind::Sms);
+    let replay = RunSpec::trace(TRACE_SCALE, trace, PrefetcherKind::sms());
     vec![
         ("em3d/None", classic(Workload::Em3d, PrefetcherKind::None)),
         (
@@ -101,7 +93,7 @@ fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
                 ..classic(Workload::Em3d, PrefetcherKind::bingo())
             },
         ),
-        ("em3d/SMS", classic(Workload::Em3d, PrefetcherKind::Sms)),
+        ("em3d/SMS", classic(Workload::Em3d, PrefetcherKind::sms())),
         (
             "em3d/3-event",
             classic(

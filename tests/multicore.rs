@@ -68,30 +68,19 @@ fn run(spec: &RunSpec) -> SimResult {
 
 /// A mix with `cores` identical slots.
 fn homogeneous_mix(workload: Workload, kind: PrefetcherKind, cores: usize) -> MixConfig {
-    MixConfig {
-        name: "equiv".to_string(),
-        cores: (0..cores)
-            .map(|stream_core| Slot {
-                stream: Stream::Synthetic(workload),
-                stream_core,
-                prefetcher: kind,
-                budget_percent: 100,
-            })
-            .collect(),
-        ramp: None,
-    }
+    MixConfig::new("equiv", &vec![(workload, kind, 100); cores], None)
 }
 
 /// The heterogeneous mix the determinism tests run.
 fn contention_mix() -> MixConfig {
-    MixConfig::parse_str(
-        "mix det\n\
-         core 0 workload=streaming prefetcher=bingo\n\
-         core 1 workload=stress-storm prefetcher=stride scale=50%\n\
-         end\n",
+    MixConfig::new(
+        "det",
+        &[
+            (Workload::Streaming, PrefetcherKind::bingo(), 100),
+            (Workload::StressStorm, PrefetcherKind::Stride, 50),
+        ],
+        None,
     )
-    .expect("valid mix")
-    .remove(0)
 }
 
 fn pair_label(&(w, k): &(Workload, PrefetcherKind)) -> String {

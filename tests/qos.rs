@@ -1,5 +1,5 @@
-//! Per-core QoS acceptance: the ISSUE 10 headline claim, asserted over
-//! the committed mix configs.
+//! Per-core QoS acceptance: the headline claim of `fig_qos`, asserted
+//! over the declared `polite-vs-storm` mix.
 //!
 //! PR 8 measured that the chip-wide feedback ladder starves the polite
 //! core of `polite-vs-storm` (−5.2% IPC at full scale) because the storm
@@ -14,9 +14,7 @@
 //! waste to trip the ladder); `fig_qos` reports the same experiment at
 //! full scale.
 
-use std::path::Path;
-
-use bingo_bench::{MixConfig, Pressure, RunScale, RunSpec};
+use bingo_bench::{polite_vs_storm, MixConfig, Pressure, RunScale, RunSpec};
 use bingo_sim::{SimResult, ThrottleMode};
 
 const SCALE: RunScale = RunScale {
@@ -24,16 +22,6 @@ const SCALE: RunScale = RunScale {
     warmup_per_core: 600_000,
     seed: 42,
 };
-
-/// Loads one mix from the committed contention config — the acceptance
-/// criterion is stated over the checked-in mixes, not ad-hoc ones.
-fn committed_mix(name: &str) -> MixConfig {
-    MixConfig::parse_file(Path::new("configs/mixes/contention.mix"))
-        .expect("committed mix config parses")
-        .into_iter()
-        .find(|m| m.name == name)
-        .unwrap_or_else(|| panic!("contention.mix does not declare {name:?}"))
-}
 
 /// `mix` at 2 cores under `constrained` pressure, run directly.
 fn run_constrained(mix: &MixConfig, scale: RunScale, throttle: ThrottleMode) -> SimResult {
@@ -53,7 +41,7 @@ fn sum_ipc(r: &SimResult) -> f64 {
 
 #[test]
 fn percore_recovers_the_polite_core_without_losing_aggregate_ipc() {
-    let mix = committed_mix("polite-vs-storm");
+    let mix = polite_vs_storm();
     let run = |throttle| run_constrained(&mix, SCALE, throttle);
     let off = run(ThrottleMode::Off);
     let feedback = run(ThrottleMode::Feedback);
@@ -122,7 +110,7 @@ fn percore_recovers_the_polite_core_without_losing_aggregate_ipc() {
 
 #[test]
 fn qos_report_attaches_only_to_percore_runs() {
-    let mix = committed_mix("polite-vs-storm");
+    let mix = polite_vs_storm();
     let small = RunScale {
         instructions_per_core: 15_000,
         warmup_per_core: 10_000,

@@ -198,14 +198,14 @@ fn legacy_checkpoint_lines_are_never_replayed() {
     capture_workload(Workload::Streaming, 4, scale.seed, records, 512, &trace_dir)
         .expect("capture");
     let trace = TraceWorkload::open(&trace_dir).expect("open capture");
-    let mix = MixConfig::parse_str(
-        "mix pair\n\
-         core 0 workload=streaming prefetcher=stride\n\
-         core 1 workload=em3d prefetcher=none\n\
-         end\n",
-    )
-    .expect("valid mix")
-    .remove(0);
+    let mix = MixConfig::new(
+        "pair",
+        &[
+            (Workload::Streaming, PrefetcherKind::Stride, 100),
+            (Workload::Em3d, PrefetcherKind::None, 100),
+        ],
+        None,
+    );
     let classic = RunSpec::classic(scale, Workload::Em3d, PrefetcherKind::Stride);
     let replay = RunSpec::trace(scale, &trace, PrefetcherKind::NextLine(1));
     let mixed = RunSpec::mix(scale, &mix, 2, Pressure::NONE);
@@ -267,7 +267,7 @@ fn parallel_matches_serial_bit_for_bit() {
         &[
             PrefetcherKind::bingo(),
             PrefetcherKind::Bop,
-            PrefetcherKind::Sms,
+            PrefetcherKind::sms(),
         ],
     );
     let parallel = ParallelHarness::with_jobs(4).quiet().evaluate(&specs);
