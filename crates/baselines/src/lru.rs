@@ -11,14 +11,13 @@
 //!   `position(|e| e.valid && e.tag == tag)`. Keys are unique among live
 //!   entries (an insert only happens after a failed probe), so the first
 //!   match is the only match.
-//! * never-used slot — the original tables never clear `valid`, so
-//!   `position(|e| !e.valid)` always returns slots in fill order; a live
-//!   counter reproduces it.
-//! * LRU victim — touch stamps strictly increase, so the
-//!   `min_by_key(last_touch)` minimum is unique and equals the tail of a
-//!   recency-ordered list maintained with O(1) splices.
+//! * never-used slot and LRU victim — a [`RecencyList`] of the keys. The
+//!   original tables never clear `valid`, so `position(|e| !e.valid)`
+//!   returns slots in fill order, which is the list's slot order while it
+//!   fills; once full, the victim is the list's tail, whose slot the
+//!   list hands straight to the new key.
 
-use bingo_sim::OpenMap;
+use bingo_sim::{OpenMap, RecencyList};
 
 /// Result of [`LruIndex::touch`].
 pub(crate) enum SlotRef {
@@ -30,57 +29,18 @@ pub(crate) enum SlotRef {
     Miss(usize),
 }
 
-const NIL: u32 = u32::MAX;
-
 /// Key-to-slot map with exact-LRU replacement over a fixed slot range.
 #[derive(Debug, Clone)]
 pub(crate) struct LruIndex {
     index: OpenMap<usize>,
-    keys: Vec<u64>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32,
-    tail: u32,
-    live: usize,
+    keys: RecencyList<u64>,
 }
 
 impl LruIndex {
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0 && capacity < NIL as usize);
         LruIndex {
             index: OpenMap::with_capacity(capacity),
-            keys: vec![0; capacity],
-            prev: vec![NIL; capacity],
-            next: vec![NIL; capacity],
-            head: NIL,
-            tail: NIL,
-            live: 0,
-        }
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-    }
-
-    fn push_front(&mut self, slot: u32) {
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
+            keys: RecencyList::with_capacity(capacity),
         }
     }
 
@@ -88,24 +48,15 @@ impl LruIndex {
     /// claims a slot and rebinds it to `key`.
     pub fn touch(&mut self, key: u64) -> SlotRef {
         if let Some(&slot) = self.index.get(key) {
-            if self.head != slot as u32 {
-                self.unlink(slot as u32);
-                self.push_front(slot as u32);
-            }
+            self.keys.touch(slot);
             return SlotRef::Hit(slot);
         }
-        let slot = if self.live < self.keys.len() {
-            self.live += 1;
-            self.live - 1
-        } else {
-            let victim = self.tail;
-            self.unlink(victim);
-            self.index.remove(self.keys[victim as usize]);
-            victim as usize
-        };
-        self.keys[slot] = key;
+        if self.keys.is_full() {
+            let victim = self.keys.pop_back().expect("a full list has a tail");
+            self.index.remove(victim);
+        }
+        let slot = self.keys.push_front(key);
         self.index.insert(key, slot);
-        self.push_front(slot as u32);
         SlotRef::Miss(slot)
     }
 }

@@ -298,6 +298,15 @@ pub fn bingo_config_variants(region: RegionGeometry) -> Vec<(&'static str, Bingo
                 ..small
             },
         ),
+        // Every promotion evicts, and the accumulation list's head is
+        // also its tail.
+        (
+            "one-slot",
+            BingoConfig {
+                accumulation_entries: 1,
+                ..small
+            },
+        ),
     ]
 }
 

@@ -12,7 +12,7 @@
 //! or early when the accumulation table overflows; either way the recorded
 //! pattern is handed to the history table for training.
 
-use bingo_sim::{AccessInfo, RegionGeometry, RegionId};
+use bingo_sim::{AccessInfo, OpenMap, RecencyList, RegionGeometry, RegionId};
 
 use crate::event::EventKind;
 use crate::footprint::Footprint;
@@ -44,10 +44,11 @@ impl Residency {
     }
 }
 
-#[derive(Copy, Clone, Debug)]
-struct Slot {
-    residency: Residency,
-    last_touch: u64,
+/// Where a live region's residency sits: which list, and its slot there.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Loc {
+    Filter(u32),
+    Accumulating(u32),
 }
 
 /// Result of observing one access.
@@ -63,20 +64,19 @@ pub struct Observation {
 
 /// Filter table + LRU accumulation table.
 ///
-/// Each table keeps a dense column of region keys parallel to its slot
-/// vector: the membership scan that runs on every access walks only the
-/// key column, and the wide slot data is touched on a match. The columns
-/// move in lockstep (every push / `swap_remove` is mirrored).
+/// One region index maps every live region to its list and slot, and two
+/// [`RecencyList`]s hold the residencies: the filter in insertion order
+/// and the accumulation table in touch order. Every LLC eviction asks
+/// whether its region is live, and almost none is, so a miss must be
+/// cheap: the index is sized for a load of at most 1/4, where a miss
+/// usually ends at the first empty slot. Each overflow victim is the
+/// tail of its list.
 #[derive(Debug)]
 pub struct AccumulationTable {
-    filter_regions: Vec<RegionId>,
-    filter: Vec<Slot>,
-    slot_regions: Vec<RegionId>,
-    slots: Vec<Slot>,
-    filter_capacity: usize,
-    capacity: usize,
+    index: OpenMap<Loc>,
+    filter: RecencyList<Residency>,
+    accumulating: RecencyList<Residency>,
     geometry: RegionGeometry,
-    stamp: u64,
 }
 
 impl AccumulationTable {
@@ -96,25 +96,23 @@ impl AccumulationTable {
         );
         let filter_capacity = capacity.max(8);
         AccumulationTable {
-            filter_regions: Vec::with_capacity(filter_capacity),
-            filter: Vec::with_capacity(filter_capacity),
-            slot_regions: Vec::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            filter_capacity,
-            capacity,
+            // `OpenMap` keeps its load at most 1/2 of the capacity asked
+            // for; asking for twice the live bound keeps it at most 1/4.
+            index: OpenMap::with_capacity(2 * (capacity + filter_capacity)),
+            filter: RecencyList::with_capacity(filter_capacity),
+            accumulating: RecencyList::with_capacity(capacity),
             geometry,
-            stamp: 0,
         }
     }
 
     /// Number of live multi-access residencies.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.accumulating.len()
     }
 
     /// Whether no multi-access residency is live.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.accumulating.is_empty()
     }
 
     /// Number of single-access regions currently in the filter.
@@ -127,105 +125,96 @@ impl AccumulationTable {
     /// training).
     pub fn observe(&mut self, info: &AccessInfo) -> Observation {
         bingo_sim::audit_assert!(
-            self.slots.len() <= self.capacity && self.filter.len() <= self.filter_capacity,
+            self.len() <= self.accumulating.capacity()
+                && self.filter_len() <= self.filter.capacity(),
             "accumulation occupancy invariant: {} slots (cap {}), {} filtered (cap {})",
-            self.slots.len(),
-            self.capacity,
-            self.filter.len(),
-            self.filter_capacity
+            self.len(),
+            self.accumulating.capacity(),
+            self.filter_len(),
+            self.filter.capacity()
         );
-        self.stamp += 1;
-        let stamp = self.stamp;
+        bingo_sim::audit_assert!(
+            self.index.len() == self.len() + self.filter_len(),
+            "accumulation index holds {} regions for {} slots + {} filtered",
+            self.index.len(),
+            self.len(),
+            self.filter_len()
+        );
         let region = self.geometry.region_of(info.block);
         let offset = self.geometry.offset_of(info.block);
-
-        // Already promoted: extend the footprint.
-        if let Some(i) = self.slot_regions.iter().position(|r| *r == region) {
-            let slot = &mut self.slots[i];
-            slot.residency.footprint.set(offset);
-            slot.last_touch = stamp;
-            return Observation {
-                trigger: false,
-                evicted: None,
-            };
-        }
-
-        // Second access to a filtered region: promote to accumulation.
-        if let Some(i) = self.filter_regions.iter().position(|r| *r == region) {
-            self.filter_regions.swap_remove(i);
-            let mut slot = self.filter.swap_remove(i);
-            slot.residency.footprint.set(offset);
-            slot.last_touch = stamp;
-            let evicted = if self.slots.len() >= self.capacity {
-                let (idx, _) = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.last_touch)
-                    .expect("table is non-empty when full");
-                self.slot_regions.swap_remove(idx);
-                Some(self.slots.swap_remove(idx).residency)
-            } else {
-                None
-            };
-            self.slot_regions.push(slot.residency.region);
-            self.slots.push(slot);
-            return Observation {
-                trigger: false,
-                evicted,
-            };
-        }
-
-        // Trigger access: new residency enters the filter.
-        let mut footprint = Footprint::empty(self.geometry.blocks_per_region() as u32);
-        footprint.set(offset);
-        let residency = Residency {
-            region,
-            trigger_pc: info.pc.raw(),
-            trigger_block: info.block.index(),
-            trigger_offset: offset,
-            footprint,
-        };
-        if self.filter.len() >= self.filter_capacity {
-            // Single-access regions carry no spatial pattern; the oldest is
-            // silently dropped (it would not pass training anyway).
-            let (idx, _) = self
-                .filter
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_touch)
-                .expect("filter is non-empty when full");
-            self.filter_regions.swap_remove(idx);
-            self.filter.swap_remove(idx);
-        }
-        self.filter_regions.push(residency.region);
-        self.filter.push(Slot {
-            residency,
-            last_touch: stamp,
-        });
-        Observation {
-            trigger: true,
-            evicted: None,
+        match self.index.get(region.raw()).copied() {
+            // Already promoted: extend the footprint.
+            Some(Loc::Accumulating(slot)) => {
+                let slot = slot as usize;
+                self.accumulating.get_mut(slot).footprint.set(offset);
+                self.accumulating.touch(slot);
+                Observation {
+                    trigger: false,
+                    evicted: None,
+                }
+            }
+            // Second access to a filtered region: promote to accumulation.
+            Some(Loc::Filter(slot)) => {
+                let mut residency = self.filter.remove(slot as usize);
+                residency.footprint.set(offset);
+                let evicted = if self.accumulating.is_full() {
+                    let victim = self.accumulating.pop_back().expect("full list has a tail");
+                    self.index.remove(victim.region.raw());
+                    Some(victim)
+                } else {
+                    None
+                };
+                let slot = self.accumulating.push_front(residency) as u32;
+                self.index.insert(region.raw(), Loc::Accumulating(slot));
+                Observation {
+                    trigger: false,
+                    evicted,
+                }
+            }
+            // Trigger access: new residency enters the filter.
+            None => {
+                if self.filter.is_full() {
+                    // Single-access regions carry no spatial pattern; the
+                    // oldest is silently dropped (it would not pass
+                    // training anyway).
+                    let oldest = self.filter.pop_back().expect("full list has a tail");
+                    self.index.remove(oldest.region.raw());
+                }
+                let mut footprint = Footprint::empty(self.geometry.blocks_per_region() as u32);
+                footprint.set(offset);
+                let slot = self.filter.push_front(Residency {
+                    region,
+                    trigger_pc: info.pc.raw(),
+                    trigger_block: info.block.index(),
+                    trigger_offset: offset,
+                    footprint,
+                }) as u32;
+                self.index.insert(region.raw(), Loc::Filter(slot));
+                Observation {
+                    trigger: true,
+                    evicted: None,
+                }
+            }
         }
     }
 
     /// Ends the residency of `region`, if live in either structure,
     /// returning it for training.
     pub fn end_residency(&mut self, region: RegionId) -> Option<Residency> {
-        if let Some(idx) = self.slot_regions.iter().position(|r| *r == region) {
-            self.slot_regions.swap_remove(idx);
-            return Some(self.slots.swap_remove(idx).residency);
-        }
-        let idx = self.filter_regions.iter().position(|r| *r == region)?;
-        self.filter_regions.swap_remove(idx);
-        Some(self.filter.swap_remove(idx).residency)
+        Some(match self.index.remove(region.raw())? {
+            Loc::Filter(slot) => self.filter.remove(slot as usize),
+            Loc::Accumulating(slot) => self.accumulating.remove(slot as usize),
+        })
     }
 
     /// Storage cost in bits: per slot a region tag (~36 b), trigger PC
     /// (16 b hashed), trigger offset, footprint, and LRU stamp (8 b); the
     /// filter stores the same minus the footprint.
     pub fn storage_bits(&self) -> u64 {
-        Self::storage_bits_for(self.capacity, self.geometry.blocks_per_region() as u32)
+        Self::storage_bits_for(
+            self.accumulating.capacity(),
+            self.geometry.blocks_per_region() as u32,
+        )
     }
 
     /// [`AccumulationTable::storage_bits`] computed from the geometry
@@ -367,5 +356,136 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         let _ = table(0);
+    }
+
+    /// The scan-based table the index replaced: linear region probes over
+    /// both tables, and each overflow victim found by
+    /// `min_by_key(last_touch)`.
+    struct ScanReference {
+        filter: Vec<(Residency, u64)>,
+        slots: Vec<(Residency, u64)>,
+        filter_capacity: usize,
+        capacity: usize,
+        geometry: RegionGeometry,
+        stamp: u64,
+    }
+
+    impl ScanReference {
+        fn new(capacity: usize, geometry: RegionGeometry) -> Self {
+            ScanReference {
+                filter: Vec::new(),
+                slots: Vec::new(),
+                filter_capacity: capacity.max(8),
+                capacity,
+                geometry,
+                stamp: 0,
+            }
+        }
+
+        fn oldest(entries: &[(Residency, u64)]) -> usize {
+            let (idx, _) = entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (_, last_touch))| *last_touch)
+                .expect("full table is non-empty");
+            idx
+        }
+
+        fn observe(&mut self, info: &AccessInfo) -> Observation {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let region = self.geometry.region_of(info.block);
+            let offset = self.geometry.offset_of(info.block);
+            if let Some(slot) = self.slots.iter_mut().find(|(r, _)| r.region == region) {
+                slot.0.footprint.set(offset);
+                slot.1 = stamp;
+                return Observation {
+                    trigger: false,
+                    evicted: None,
+                };
+            }
+            if let Some(i) = self.filter.iter().position(|(r, _)| r.region == region) {
+                let (mut residency, _) = self.filter.swap_remove(i);
+                residency.footprint.set(offset);
+                let evicted = (self.slots.len() >= self.capacity)
+                    .then(|| self.slots.swap_remove(Self::oldest(&self.slots)).0);
+                self.slots.push((residency, stamp));
+                return Observation {
+                    trigger: false,
+                    evicted,
+                };
+            }
+            let mut footprint = Footprint::empty(self.geometry.blocks_per_region() as u32);
+            footprint.set(offset);
+            if self.filter.len() >= self.filter_capacity {
+                self.filter.swap_remove(Self::oldest(&self.filter));
+            }
+            let residency = Residency {
+                region,
+                trigger_pc: info.pc.raw(),
+                trigger_block: info.block.index(),
+                trigger_offset: offset,
+                footprint,
+            };
+            self.filter.push((residency, stamp));
+            Observation {
+                trigger: true,
+                evicted: None,
+            }
+        }
+
+        fn end_residency(&mut self, region: RegionId) -> Option<Residency> {
+            if let Some(i) = self.slots.iter().position(|(r, _)| r.region == region) {
+                return Some(self.slots.swap_remove(i).0);
+            }
+            let i = self.filter.iter().position(|(r, _)| r.region == region)?;
+            Some(self.filter.swap_remove(i).0)
+        }
+    }
+
+    #[test]
+    fn matches_scan_reference_on_random_streams() {
+        use bingo_rng::rngs::SmallRng;
+        use bingo_rng::{Rng, SeedableRng};
+
+        let geometry = RegionGeometry::default();
+        let blocks = geometry.blocks_per_region() as u64;
+        let mut rng = SmallRng::seed_from_u64(0xACC0_7AB1);
+        for capacity in [1usize, 2, 3, 8, 64] {
+            let live_bound = (capacity + capacity.max(8)) as u64;
+            // A span inside the filter's reach promotes most regions and
+            // keeps residencies alive; one past both tables' bounds forces
+            // overflow in both lists; a wide span churns the filter.
+            for span in [capacity as u64 + 2, live_bound + 3, 8 * live_bound] {
+                let mut fast = AccumulationTable::new(capacity, geometry);
+                let mut slow = ScanReference::new(capacity, geometry);
+                for step in 0..6_000 {
+                    let region = rng.gen_range(0..span);
+                    if rng.gen_bool(0.3) {
+                        // End-of-residency, for live and untracked regions.
+                        let region = RegionId::new(region);
+                        assert_eq!(
+                            fast.end_residency(region),
+                            slow.end_residency(region),
+                            "step {step}: end_residency({region:?}), capacity {capacity}, span {span}"
+                        );
+                    } else {
+                        let block = region * blocks + rng.gen_range(0..blocks);
+                        let access = info(0x400 + rng.gen_range(0..4u64) * 4, block);
+                        assert_eq!(
+                            fast.observe(&access),
+                            slow.observe(&access),
+                            "step {step}: observe(block {block:#x}), capacity {capacity}, span {span}"
+                        );
+                    }
+                    assert_eq!(fast.len(), slow.slots.len(), "step {step}: len");
+                    assert_eq!(
+                        fast.filter_len(),
+                        slow.filter.len(),
+                        "step {step}: filter_len"
+                    );
+                }
+            }
+        }
     }
 }

@@ -58,6 +58,7 @@ pub mod fault;
 pub mod memory;
 pub mod openmap;
 pub mod prefetch;
+pub mod recency;
 pub mod replay;
 pub mod stats;
 pub mod system;
@@ -74,6 +75,7 @@ pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use memory::{IssueResult, MemorySystem};
 pub use openmap::OpenMap;
 pub use prefetch::{AccessInfo, FaultyPrefetcher, NextLinePrefetcher, NoPrefetcher, Prefetcher};
+pub use recency::RecencyList;
 pub use replay::{PrefetchEvent, PrefetchTrace, ReplayParseError, ReplayStep};
 pub use stats::{
     CacheStats, CoreQos, CoreStats, Counters, CoverageReport, IngestReport, QosReport, SimResult,

@@ -263,7 +263,9 @@ impl MemorySystem {
                     }
                     // Settle the ledger record, if this fill was a prefetch.
                     self.ledger.filled(block.index(), now);
-                    // Notify fill observers (e.g. SPP's filter learns fills).
+                    // No prefetcher implements `on_fill` (`bingo-benchmark`'s
+                    // tracing wrapper only forwards it), so each call ends
+                    // in the trait's no-op default.
                     for pf in &mut self.prefetchers {
                         pf.on_fill(block, false);
                     }
