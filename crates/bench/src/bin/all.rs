@@ -4,9 +4,8 @@
 //!
 //! The session's one harness memoizes every cell, so a cell two figures
 //! share is simulated once; it parallelizes across cells — see
-//! `BINGO_JOBS` in EXPERIMENTS.md. With `BINGO_STATS` naming a directory,
-//! each figure exports to its own `<figure>.json`; naming a file, every
-//! figure exports to it, each cell once.
+//! `BINGO_JOBS` in EXPERIMENTS.md. With `BINGO_CHECKPOINT` naming a fresh
+//! file, that file records every figure's cells, each once.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -19,7 +18,6 @@ fn main() {
     let mut timings = Vec::new();
     for (name, figure) in ALL {
         println!("\n================ {name} ================\n");
-        session.harness.export_stats_as(name);
         let start = Instant::now();
         // One failing figure must not cost the rest: its panic message is
         // already on stderr, so record the failure and keep sweeping.

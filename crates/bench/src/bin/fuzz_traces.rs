@@ -23,8 +23,8 @@
 //!
 //! Every accepted image, and every 25th image, also runs a tiny
 //! simulation end to end. It reads only a prefix of the image, so it may
-//! complete even on a rejected one; it must either complete with the
-//! ingest report in the JSONL stats export, or fail as a contained cell
+//! complete even on a rejected one; it must either complete with an
+//! ingest report that survives its checkpoint, or fail as a contained cell
 //! whose reason carries the exact error the drain of that image returned
 //! (an accepted image may fail only for holding no decodable records).
 //!
@@ -39,7 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bingo_bench::{ParallelHarness, PrefetcherKind, RunScale, RunSpec, StatsExport};
+use bingo_bench::{Checkpoint, ParallelHarness, PrefetcherKind, RunScale, RunSpec};
 use bingo_oracle::shrink_items;
 use bingo_sim::{IngestReport, Instr};
 use bingo_trace::{apply, capture_source, plan_for_seed, CorruptionOp, ReadError, TraceReader};
@@ -221,8 +221,8 @@ fn report_violation(
 }
 
 /// End-to-end replay of a corrupted image through the sweep engine: must
-/// either complete with its ingest report in the engine's JSONL stats
-/// export, or fail as a contained cell whose reason carries `error`, the
+/// either complete with an ingest report that a reopened checkpoint gives
+/// back, or fail as a contained cell whose reason carries `error`, the
 /// typed error the drain of the image returned (with no such error, only
 /// an image without decodable records may fail) — never hang, never take
 /// down the process. Returns whether the sim completed.
@@ -242,23 +242,30 @@ fn check_sim(
         warmup_per_core: 500,
         seed,
     };
-    let stats_path = dir.join("stats.jsonl");
-    let stats = StatsExport::new(&stats_path);
+    let cp_path = dir.join("checkpoint.jsonl");
+    // A checkpoint left by an earlier failed run would replay the cell
+    // instead of simulating it.
+    std::fs::remove_file(&cp_path).ok();
+    let open =
+        || Checkpoint::open(&cp_path).map_err(|e| format!("opening {}: {e}", cp_path.display()));
     let spec = RunSpec::trace(scale, &trace, PrefetcherKind::NextLine(1));
     let mut report = ParallelHarness::with_jobs(1)
         .quiet()
-        .with_stats_export(stats)
-        .try_run(&[spec]);
+        .with_checkpoint(open()?)
+        .try_run(std::slice::from_ref(&spec));
     let completed = match report.evaluations.pop().flatten() {
         Some(result) => {
             if result.ingest.is_none() {
                 return Err("sim completed without an ingest report".to_string());
             }
-            // The ingest report must survive into the machine-readable export.
-            let line = std::fs::read_to_string(&stats_path)
-                .map_err(|e| format!("reading back {}: {e}", stats_path.display()))?;
-            if !line.contains("\"ingest\"") {
-                return Err(format!("stats export dropped the ingest report: {line}"));
+            // The ingest report must survive into the machine-readable record.
+            let recorded = open()?.get(&spec.key());
+            if recorded.as_ref() != Some(&result) {
+                return Err(format!(
+                    "the checkpoint gave back {:?}, not the result with ingest {:?}",
+                    recorded.map(|r| r.ingest),
+                    result.ingest
+                ));
             }
             true
         }

@@ -23,7 +23,8 @@
 //!
 //! Each pressure level bounds the prefetch queue at its own preset depth,
 //! and each configuration sets its throttle mode in code; telemetry is
-//! off. `BINGO_STATS` exports each cell's full `SimResult` as JSON lines.
+//! off. `BINGO_CHECKPOINT` records each cell's full `SimResult` as a JSON
+//! line.
 
 use bingo_bench::{f2, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Table};
 use bingo_sim::ThrottleMode;
@@ -51,7 +52,6 @@ const TOLERANCE: f64 = 0.05;
 fn main() {
     let scale = RunScale::from_args();
     let mut harness = ParallelHarness::from_env();
-    harness.export_stats_as("stress_degrade");
     let mut specs: Vec<RunSpec> = Vec::new();
     for p in PRESSURES {
         for w in Workload::STRESS {

@@ -1,4 +1,5 @@
-//! Crash-safe sweep checkpoints: a JSONL file of completed cell results.
+//! Crash-safe sweep checkpoints: a JSONL file of completed cell results,
+//! and the run's one machine-readable record of them.
 //!
 //! A long sweep killed mid-run (OOM, ^C, node preemption) loses hours of
 //! finished cells. The checkpoint makes each cell's [`SimResult`] durable
@@ -11,6 +12,12 @@
 //! of its key (see the determinism notes in [`crate::runner`]), the
 //! resumed sweep is **bit-for-bit identical** to an uninterrupted one —
 //! test-locked by `resume_from_checkpoint_is_bit_for_bit_identical`.
+//!
+//! The same file is the stats export: each line holds a cell's full
+//! [`SimResult`] (telemetry, ingest and QoS reports included when the run
+//! carries them), so offline analysis parses it with any JSON reader. A
+//! fresh file records every cell the run simulates, each once, in
+//! completion order; a resumed run appends only the cells it simulated.
 //!
 //! Robustness properties:
 //!
@@ -151,7 +158,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 // --- serialization -------------------------------------------------------
 
-pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
+fn serialize_entry(key: &str, r: &SimResult) -> String {
     let mut s = String::with_capacity(512);
     s.push_str("{\"key\":");
     json::push_string(&mut s, key);

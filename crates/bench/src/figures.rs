@@ -87,21 +87,18 @@ pub const ALL: [(&str, Figure); 18] = [
 ];
 
 /// The `main` of every figure binary: runs the [`ALL`] entry `name` over
-/// [`Session::from_env`], exporting its stats as `name`
-/// ([`ParallelHarness::export_stats_as`]).
+/// [`Session::from_env`].
 ///
 /// # Panics
 ///
 /// Panics if no entry of [`ALL`] is named `name`, and wherever the figure
 /// panics.
 pub fn run(name: &str) {
-    let (name, figure) = ALL
+    let (_, figure) = ALL
         .into_iter()
         .find(|&(n, _)| n == name)
         .unwrap_or_else(|| panic!("unknown figure {name:?}"));
-    let mut session = Session::from_env();
-    session.harness.export_stats_as(name);
-    figure(&mut session);
+    figure(&mut Session::from_env());
 }
 
 /// Table I — evaluation parameters — plus the Bingo storage accounting of
@@ -725,15 +722,14 @@ fn write_report(s: &Session, figure: &str, lines: &[String]) {
 /// The mixes are [`contention_mixes`], declared in code; `--mix` picks
 /// some of them by name. Each selected mix runs at every core count of
 /// its [`Ramp`](crate::mix::Ramp) (or its declared core count when
-/// unramped) under every selected memory
-/// [`Pressure`] level, through [`ParallelHarness::try_evaluate_mix`] — so
-/// mix cells and their per-slot solo runs parallelize, checkpoint
-/// (`BINGO_CHECKPOINT`), and export stats (`BINGO_STATS`) like every other
-/// sweep. Per (mix,
-/// pressure) the ramp becomes a [`CapacitySearch`]: aggregate IPC,
-/// min/max IPC fairness, worst per-core slowdown versus solo at each
-/// step, plus the capacity knee (the last core count whose added cores
-/// still earn ≥ 50 % of the un-contended per-core IPC).
+/// unramped) under every selected memory [`Pressure`] level, through
+/// [`ParallelHarness::try_evaluate_mix`] — so mix cells and their
+/// per-slot solo runs parallelize and checkpoint (`BINGO_CHECKPOINT`) like
+/// every other sweep. Per (mix, pressure) the ramp becomes a
+/// [`CapacitySearch`]: aggregate IPC, min/max IPC fairness, worst per-core
+/// slowdown versus solo at each step, plus the capacity knee (the last
+/// core count whose added cores still earn ≥ 50 % of the un-contended
+/// per-core IPC).
 ///
 /// The structured report — one JSON line per capacity search — lands in
 /// `fig_multicore_report.json` under `--report DIR` (default `target`;

@@ -1,5 +1,5 @@
 //! The harness's one JSON reader and string escaper, shared by the
-//! checkpoint (and so the stats export) and the bench records.
+//! checkpoint and the bench records.
 //!
 //! The workspace builds offline, without serde, so this is a hand-rolled
 //! subset of JSON: objects, arrays, strings and numbers — no `true`,

@@ -9,7 +9,7 @@
 //! the binary that uses it, not a knob, and a figure whose variable it is
 //! sets it in code: each figure's cells carry their telemetry level and
 //! throttle mode, so those two former knobs are retired
-//! ([`reject_retired`]).
+//! ([`reject_retired`]), as is the stats export the checkpoint replaced.
 
 /// Parses a knob value, aborting loudly on garbage.
 ///
@@ -48,17 +48,24 @@ pub fn from_env<T>(
         .map(|v| parse(name, &v, expectation, parser))
 }
 
-/// Aborts if a retired knob, `BINGO_TELEMETRY` or `BINGO_THROTTLE`, is
-/// set to any value: a run asking for a configuration the harness no
-/// longer offers must not print numbers from another one.
+/// Aborts if a retired knob — `BINGO_TELEMETRY`, `BINGO_THROTTLE` or
+/// `BINGO_STATS` — is set to any value: a run asking for a configuration
+/// or an output the harness no longer offers must not quietly go without
+/// it.
 ///
 /// # Panics
 ///
-/// Panics naming the first retired variable the environment sets.
+/// Panics naming the first retired variable the environment sets, and
+/// what replaced it.
 pub fn reject_retired() {
-    for name in ["BINGO_TELEMETRY", "BINGO_THROTTLE"] {
+    const FIGURE_SETS: &str = "each figure sets its own telemetry level and throttle mode";
+    for (name, instead) in [
+        ("BINGO_TELEMETRY", FIGURE_SETS),
+        ("BINGO_THROTTLE", FIGURE_SETS),
+        ("BINGO_STATS", "point BINGO_CHECKPOINT at a fresh file"),
+    ] {
         if std::env::var_os(name).is_some() {
-            panic!("{name} is retired: each figure sets its own telemetry level and throttle mode");
+            panic!("{name} is retired: {instead}");
         }
     }
 }

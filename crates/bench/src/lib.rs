@@ -10,7 +10,9 @@
 //! off unless the figure sets them in code (`fig_timeliness` counts,
 //! `fig_qos` and `stress_degrade` vary the throttle mode). `fig_multicore`
 //! and `fig_qos` also write a JSON report, `<figure>_report.json`, into
-//! `--report DIR` (default `target`).
+//! `--report DIR` (default `target`). Every binary's one machine-readable
+//! record of its cells is the [`checkpoint`]: with `BINGO_CHECKPOINT`
+//! naming a fresh file, it holds one JSON line per simulated cell.
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|
@@ -46,7 +48,6 @@ pub mod knobs;
 pub mod mix;
 pub mod perf_record;
 pub mod runner;
-pub mod stats_export;
 pub mod table;
 
 pub use area::AreaModel;
@@ -69,5 +70,4 @@ pub use runner::{
     default_jobs, geometric_mean, mean, parallel_map, run_one, Evaluation, Failure, MixEvaluation,
     ParallelHarness, PrefetcherKind, Report, RunScale, RunSpec, Slot, Stream,
 };
-pub use stats_export::{StatsExport, STATS_ENV};
 pub use table::{f2, pct, Table};

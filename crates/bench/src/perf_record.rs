@@ -8,16 +8,14 @@
 //! with a noise threshold and fails CI on regressions. Lines are read and
 //! their strings escaped by the same JSON module as the checkpoint's.
 //!
-//! Writing follows the same discipline as [`crate::stats_export`]: errors
-//! are loud (a run asked to record measurements must not silently drop
-//! them) and a key is recorded once per writer (re-runs of a case inside
-//! one process dedupe instead of double-reporting). Unlike the stats
-//! export, the target file is *merged*, not truncated: both bench binaries
-//! write to the one snapshot file, so a writer loads existing records,
-//! keeps the better of the existing and the new record for each key it
-//! re-measured, and atomically rewrites the whole file via a temp-file
-//! rename — a crashed writer can never leave a half-written snapshot
-//! behind.
+//! Errors are loud (a run asked to record measurements must not silently
+//! drop them) and a key is recorded once per writer (re-runs of a case
+//! inside one process dedupe instead of double-reporting). The target file
+//! is *merged*, not truncated: both bench binaries write to the one
+//! snapshot file, so a writer loads existing records, keeps the better of
+//! the existing and the new record for each key it re-measured, and
+//! atomically rewrites the whole file via a temp-file rename — a crashed
+//! writer can never leave a half-written snapshot behind.
 //!
 //! The `unit` string doubles as the comparison direction: units ending in
 //! `/s` are throughputs (higher is better); everything else (`ms/run`,
@@ -200,7 +198,7 @@ pub fn load_records(path: &Path) -> io::Result<Vec<BenchRecord>> {
 /// re-measured by this process are preserved, a re-measured key keeps
 /// whichever record is *better* (by its unit's direction), and a key
 /// recorded twice by this process is written once (first measurement
-/// wins, matching the stats-export dedup policy).
+/// wins).
 ///
 /// Repeated `cargo bench` runs into the same file therefore accumulate a
 /// best-of-runs snapshot: contention from co-tenant load only ever adds

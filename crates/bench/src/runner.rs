@@ -6,12 +6,13 @@
 //!   core (a synthetic or captured instruction [`Stream`], its prefetcher
 //!   and its instruction budget), and the telemetry, throttle and chaos
 //!   options. [`RunSpec::run`] is the only place the harness builds a
-//!   [`System`], and [`RunSpec::key`] is the only checkpoint/stats key.
+//!   [`System`], and [`RunSpec::key`] is the only checkpoint key.
 //! * [`ParallelHarness::try_run`] is the engine: each spec is resolved
 //!   from the in-process memo, then from the checkpoint, then by a
 //!   panic-isolated, deadline-bounded simulation on a bounded pool of
-//!   scoped worker threads. A success is checkpointed by the worker the
-//!   moment it finishes and exported under its key.
+//!   scoped worker threads. A success is checkpointed under its key by
+//!   the worker the moment it finishes, so the checkpoint is the run's
+//!   machine-readable record of every cell it simulated.
 //! * [`ParallelHarness::try_evaluate`] (speedup and coverage over the
 //!   no-prefetcher [`RunSpec::baseline`]) and
 //!   [`ParallelHarness::try_evaluate_mix`] (fairness against each slot's
@@ -52,7 +53,6 @@ use bingo_workloads::{TraceWorkload, Workload};
 use crate::checkpoint::{Checkpoint, CHECKPOINT_ENV};
 use crate::knobs;
 use crate::mix::{FairnessReport, MixConfig, Pressure};
-use crate::stats_export::StatsExport;
 
 /// Which prefetcher to attach to a core: one value per simulated
 /// prefetcher, so two kinds never build the same machine and a cell two
@@ -557,13 +557,13 @@ impl RunSpec {
         }
     }
 
-    /// The checkpoint and stats-export key: every field that determines
-    /// the result, written losslessly (floats and prefetcher kinds in
-    /// their shortest round-trip `Debug` form, pressure by its values, a
-    /// trace by [`TraceWorkload::key`]). Labels such as mix and pressure
-    /// names stay out, and the seed only enters through synthetic slots —
-    /// a replayed stream is fully determined by its recorded bytes. The
-    /// `run:` prefix is disjoint from every older key format.
+    /// The checkpoint key: every field that determines the result,
+    /// written losslessly (floats and prefetcher kinds in their shortest
+    /// round-trip `Debug` form, pressure by its values, a trace by
+    /// [`TraceWorkload::key`]). Labels such as mix and pressure names stay
+    /// out, and the seed only enters through synthetic slots — a replayed
+    /// stream is fully determined by its recorded bytes. The `run:` prefix
+    /// is disjoint from every older key format.
     ///
     /// The destructuring below names every field, so a field added to
     /// [`RunSpec`] or [`Slot`] fails to compile until the key covers it.
@@ -799,26 +799,24 @@ fn parse_cell_timeout(value: &str) -> Duration {
 pub const CELL_TIMEOUT_ENV: &str = "BINGO_CELL_TIMEOUT";
 
 /// The executor of [`RunSpec`]s: a bounded worker pool, an optional
-/// per-cell deadline, checkpoint and stats export, and a memo of every
-/// result it has resolved, keyed by [`RunSpec::key`]. Everything that
-/// changes a result lives on the spec, not here.
+/// per-cell deadline, an optional checkpoint, and a memo of every result
+/// it has resolved, keyed by [`RunSpec::key`]. Everything that changes a
+/// result lives on the spec, not here.
 #[derive(Debug)]
 pub struct ParallelHarness {
     jobs: usize,
     progress: bool,
     cell_timeout: Option<Duration>,
     checkpoint: Option<Checkpoint>,
-    stats: Option<StatsExport>,
     memo: HashMap<String, SimResult>,
 }
 
 impl ParallelHarness {
     /// Creates a harness with [`default_jobs`] workers, honoring the
     /// `BINGO_CELL_TIMEOUT` (per-cell deadline, seconds) and
-    /// `BINGO_CHECKPOINT` (resume file) environment knobs; the
-    /// `BINGO_STATS` export attaches per figure through
-    /// [`ParallelHarness::export_stats_as`]. [`ParallelHarness::with_jobs`]
-    /// and the builders ignore the environment so tests stay hermetic.
+    /// `BINGO_CHECKPOINT` (resume file and record of every cell)
+    /// environment knobs. [`ParallelHarness::with_jobs`] and the builders
+    /// ignore the environment so tests stay hermetic.
     ///
     /// # Panics
     ///
@@ -848,7 +846,7 @@ impl ParallelHarness {
     }
 
     /// Creates a harness with an explicit worker count and no
-    /// timeout, checkpoint or export (environment ignored).
+    /// timeout or checkpoint (environment ignored).
     ///
     /// # Panics
     ///
@@ -860,7 +858,6 @@ impl ParallelHarness {
             progress: true,
             cell_timeout: None,
             checkpoint: None,
-            stats: None,
             memo: HashMap::new(),
         }
     }
@@ -886,25 +883,6 @@ impl ParallelHarness {
         self
     }
 
-    /// Attaches a machine-readable stats export: every resolved cell
-    /// (checkpoint replays included) is written as one JSON line.
-    pub fn with_stats_export(mut self, export: StatsExport) -> Self {
-        self.stats = Some(export);
-        self
-    }
-
-    /// Replaces the stats export with the one `BINGO_STATS` names for
-    /// `stem` ([`StatsExport::from_env`]), or with none when it is unset:
-    /// every cell resolved from now on, memo hits included, goes to it. An
-    /// export already writing that file is kept, so a file every figure of
-    /// `all` names is truncated once and holds each key once.
-    pub fn export_stats_as(&mut self, stem: &str) {
-        let export = StatsExport::from_env(stem);
-        if self.stats.as_ref().map(StatsExport::path) != export.as_ref().map(StatsExport::path) {
-            self.stats = export;
-        }
-    }
-
     /// The worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -915,7 +893,6 @@ impl ParallelHarness {
     /// the worker pool, each distinct key once — and reports one slot per
     /// spec in input order. The worker checkpoints a success before it
     /// prints the cell's progress line, so a kill loses no finished cell.
-    /// Resolved results are exported in input order.
     pub fn try_run(&mut self, specs: &[RunSpec]) -> Report<SimResult> {
         let started = Instant::now();
         let keys: Vec<String> = specs.iter().map(RunSpec::key).collect();
@@ -981,19 +958,8 @@ impl ParallelHarness {
             );
         }
 
-        let evaluations: Vec<Option<SimResult>> =
-            keys.iter().map(|key| self.memo.get(key).cloned()).collect();
-        if let Some(stats) = &self.stats {
-            for (key, result) in keys.iter().zip(&evaluations) {
-                if let Some(result) = result {
-                    if let Err(e) = stats.record(key, result) {
-                        eprintln!("[stats] write for {key} failed: {e}");
-                    }
-                }
-            }
-        }
         Report {
-            evaluations,
+            evaluations: keys.iter().map(|key| self.memo.get(key).cloned()).collect(),
             failures,
             checkpoint_hits,
         }
@@ -1608,9 +1574,7 @@ mod tests {
         let dir = std::env::temp_dir()
             .join("bingo-bench-trace-grid")
             .join(format!("{name}-{}", std::process::id()));
-        // Slack past warmup + instructions: cores fetch slightly ahead of
-        // retirement, so the capture must outrun the replay's appetite.
-        let records = scale.warmup_per_core + scale.instructions_per_core + 256;
+        let records = scale.warmup_per_core + scale.instructions_per_core + crate::CAPTURE_SLACK;
         bingo_workloads::capture_workload(workload, 4, scale.seed, records, chunk, &dir)
             .expect("capture");
         TraceWorkload::open(&dir).expect("open capture")
@@ -1900,12 +1864,13 @@ mod tests {
         );
     }
 
-    /// The stats export captures every completed cell plus each unique
-    /// baseline, one JSON line per key, baselines first; the baseline is
-    /// resolved once and shared by every cell that needs it.
+    /// The checkpoint, the run's stats export, records every completed
+    /// cell plus each unique baseline, one JSON line per key, baselines
+    /// first; the baseline is resolved once and shared by every cell that
+    /// needs it.
     #[test]
     fn stats_export_writes_each_baseline_once() {
-        let path = temp_file("stats-export.json");
+        let path = temp_file("stats-export.jsonl");
         let specs: Vec<RunSpec> = [PrefetcherKind::NextLine(1), PrefetcherKind::Stride]
             .into_iter()
             .map(|k| RunSpec {
@@ -1915,21 +1880,21 @@ mod tests {
             .collect();
         let mut h = ParallelHarness::with_jobs(2)
             .quiet()
-            .with_stats_export(StatsExport::new(&path));
+            .with_checkpoint(Checkpoint::open(&path).expect("open checkpoint"));
         let evals = h.evaluate(&specs);
         assert_eq!(evals[0].baseline, evals[1].baseline);
-        let text = std::fs::read_to_string(&path).expect("read export");
+        let text = std::fs::read_to_string(&path).expect("read checkpoint");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "one baseline + two cells");
         let baseline_key = specs[0].baseline().key();
         assert!(lines[0].contains(&baseline_key), "{}", lines[0]);
         assert!(lines.iter().all(|l| l.contains("\"telemetry\":")));
         // A second pass is served from the memo: same results, no new
-        // lines (the export deduplicates keys).
+        // lines.
         let again = h.try_evaluate(&specs);
         assert_eq!(again.checkpoint_hits, 0);
         assert_eq!(again.into_complete()[1].result, evals[1].result);
-        let text = std::fs::read_to_string(&path).expect("reread export");
+        let text = std::fs::read_to_string(&path).expect("reread checkpoint");
         assert_eq!(text.lines().count(), 3);
         let _ = std::fs::remove_file(&path);
     }

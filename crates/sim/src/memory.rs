@@ -263,12 +263,6 @@ impl MemorySystem {
                     }
                     // Settle the ledger record, if this fill was a prefetch.
                     self.ledger.filled(block.index(), now);
-                    // No prefetcher implements `on_fill` (`bingo-benchmark`'s
-                    // tracing wrapper only forwards it), so each call ends
-                    // in the trait's no-op default.
-                    for pf in &mut self.prefetchers {
-                        pf.on_fill(block, false);
-                    }
                 }
                 FillLevel::L1 { core } => {
                     if let Some(evicted) = self.l1s[core].complete_fill(block, false) {

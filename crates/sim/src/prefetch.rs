@@ -77,8 +77,10 @@ pub trait Prefetcher {
         let _ = block;
     }
 
-    /// Observes the completion of a fill (demand or prefetch). Default:
-    /// ignored.
+    /// Never called: the memory system reports no fill to its
+    /// prefetchers, since none of them trains on fills. The method stays
+    /// only while `bingo-benchmark`'s tracing wrapper still forwards it.
+    /// Default: ignored.
     fn on_fill(&mut self, block: BlockAddr, prefetch: bool) {
         let _ = (block, prefetch);
     }

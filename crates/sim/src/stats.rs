@@ -200,10 +200,9 @@ impl CoreStats {
 /// Produced by trace readers (see the `bingo-trace` crate) through
 /// [`crate::InstrSource::ingest_report`]; [`System::try_run`] sums the
 /// per-core reports into [`SimResult::ingest`], so it is visible in every
-/// stats export and checkpoint. The reader fails on the first corrupt
-/// byte instead of skipping it, so the three quarantine counters are
-/// always 0; they stay only because `bingo-benchmark`'s digest hashes
-/// them. A run whose
+/// checkpoint. The reader fails on the first corrupt byte instead of
+/// skipping it, so the three quarantine counters are always 0; they stay
+/// only because `bingo-benchmark`'s digest hashes them. A run whose
 /// sources are all synthetic generators carries `None` — the field then
 /// serializes to nothing and historical checkpoint files stay valid.
 ///

@@ -27,9 +27,7 @@ fn main() {
     };
     let kinds = PrefetcherKind::headline();
     let specs = RunSpec::grid(scale, &[workload], &kinds);
-    let mut harness = ParallelHarness::from_env().quiet();
-    harness.export_stats_as("shootout");
-    let evals = harness.evaluate(&specs);
+    let evals = ParallelHarness::from_env().quiet().evaluate(&specs);
 
     let baseline = &evals[0].baseline;
     println!(

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use bingo::BingoConfig;
 use bingo_bench::{
     Checkpoint, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Slot,
-    Stream,
+    Stream, CAPTURE_SLACK,
 };
 use bingo_sim::{ChaosPlan, CoverageReport, RegionGeometry, TelemetryLevel, ThrottleMode};
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
@@ -193,7 +193,7 @@ fn legacy_checkpoint_lines_are_never_replayed() {
         warmup_per_core: 1_000,
         seed: 21,
     };
-    let records = scale.warmup_per_core + scale.instructions_per_core + 256;
+    let records = scale.warmup_per_core + scale.instructions_per_core + CAPTURE_SLACK;
     let trace_dir = dir.join("streaming");
     capture_workload(Workload::Streaming, 4, scale.seed, records, 512, &trace_dir)
         .expect("capture");

@@ -7,7 +7,9 @@
 
 use std::path::PathBuf;
 
-use bingo_repro::bench::{ensure_capture, run_one, PrefetcherKind, RunScale, RunSpec};
+use bingo_repro::bench::{
+    ensure_capture, run_one, PrefetcherKind, RunScale, RunSpec, CAPTURE_SLACK,
+};
 use bingo_repro::sim::{SimResult, SystemConfig};
 use bingo_repro::workloads::{capture_workload, TraceWorkload, Workload};
 
@@ -16,9 +18,6 @@ const SCALE: RunScale = RunScale {
     warmup_per_core: 8_000,
     seed: 42,
 };
-
-/// Fetch-ahead slack past the retirement budget (see `trace_capture`).
-const SLACK: u64 = 256;
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -34,7 +33,7 @@ fn scratch(name: &str) -> PathBuf {
 /// not carry.
 fn round_trip(workload: Workload, kind: PrefetcherKind) -> (SimResult, SimResult) {
     let cores = SystemConfig::paper().cores;
-    let records = SCALE.warmup_per_core + SCALE.instructions_per_core + SLACK;
+    let records = SCALE.warmup_per_core + SCALE.instructions_per_core + CAPTURE_SLACK;
     let dir = scratch(workload.slug());
     capture_workload(workload, cores, SCALE.seed, records, 1 << 12, &dir)
         .unwrap_or_else(|e| panic!("capture of {workload} failed: {e}"));
