@@ -8,6 +8,16 @@
 //!
 //! Instructions are supplied by an [`InstrSource`] — an infinite,
 //! deterministic generator (see the `bingo-workloads` crate).
+//!
+//! Only loads carry a completion cycle in the reorder buffer. An op or a
+//! store dispatched at cycle `c` completes at `c + 1`, and every cycle
+//! retires before it dispatches, so such an entry is always ready by the
+//! time it reaches the head: the buffer keeps it as a count, not a
+//! timestamp. It is a ring of loads, each carrying the count of ready
+//! entries dispatched just before it, plus the count of ready entries
+//! after the last load. Dispatch, retirement, the stalled core's paced
+//! catch-up and the op crank therefore cost per load and per run of ready
+//! entries, not per instruction.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -85,18 +95,329 @@ impl<F: FnMut() -> Instr> InstrSource for F {
     }
 }
 
+/// A load in the reorder buffer.
+#[derive(Copy, Clone, Debug)]
+struct RobLoad {
+    /// Ready entries (ops and stores) dispatched after the previous load
+    /// and before this one.
+    ready_before: usize,
+    /// Cycle the load's data arrives.
+    done_at: u64,
+}
+
+/// The reorder buffer, in program order: a power-of-two ring of loads plus
+/// the ready entries between them, kept as counts (see the module docs).
+#[derive(Debug)]
+struct Rob {
+    /// The loads' fields as two rings rather than one ring of `RobLoad`s:
+    /// a zeroed slice is allocated without being written, so setting up a
+    /// core touches none of its pages.
+    done_at: Box<[u64]>,
+    ready_before: Box<[usize]>,
+    head: usize,
+    load_count: usize,
+    mask: usize,
+    /// Ready entries dispatched after the last load.
+    tail_ready: usize,
+    /// All entries: loads plus ready entries.
+    len: usize,
+    capacity: usize,
+    retire_width: usize,
+}
+
+impl Rob {
+    fn new(capacity: usize, retire_width: usize) -> Self {
+        let ring = capacity.next_power_of_two();
+        Rob {
+            done_at: vec![0; ring].into_boxed_slice(),
+            ready_before: vec![0; ring].into_boxed_slice(),
+            head: 0,
+            load_count: 0,
+            mask: ring - 1,
+            tail_ready: 0,
+            len: 0,
+            capacity,
+            retire_width,
+        }
+    }
+
+    fn room(&self) -> usize {
+        self.capacity - self.len
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == self.capacity
+    }
+
+    /// The loads, oldest first.
+    fn loads(&self) -> impl Iterator<Item = RobLoad> + '_ {
+        (0..self.load_count).map(|j| {
+            let at = (self.head + j) & self.mask;
+            RobLoad {
+                ready_before: self.ready_before[at],
+                done_at: self.done_at[at],
+            }
+        })
+    }
+
+    /// Appends `n` ops or stores dispatched this cycle.
+    fn push_ready(&mut self, n: usize) {
+        self.tail_ready += n;
+        self.len += n;
+        self.audit();
+    }
+
+    /// Appends a load whose data arrives at `done_at`.
+    fn push_load(&mut self, done_at: u64) {
+        let at = (self.head + self.load_count) & self.mask;
+        self.ready_before[at] = self.tail_ready;
+        self.done_at[at] = done_at;
+        self.load_count += 1;
+        self.tail_ready = 0;
+        self.len += 1;
+        self.audit();
+    }
+
+    /// Removes the `n` oldest entries, loads and ready entries alike, and
+    /// returns `n`.
+    fn take(&mut self, mut n: usize) -> usize {
+        let taken = n;
+        self.len -= n;
+        while self.load_count > 0 {
+            let load = &mut self.ready_before[self.head];
+            if n <= *load {
+                *load -= n;
+                n = 0;
+                break;
+            }
+            n -= *load + 1;
+            self.head = (self.head + 1) & self.mask;
+            self.load_count -= 1;
+        }
+        self.tail_ready -= n;
+        self.audit();
+        taken
+    }
+
+    /// Retires up to `max` entries at cycle `now`, in order, stopping at
+    /// the first load whose data has not arrived. Returns how many.
+    fn retire(&mut self, now: u64, max: usize) -> usize {
+        let n = self.retirable(now, max);
+        self.take(n)
+    }
+
+    fn retirable(&self, now: u64, max: usize) -> usize {
+        let mut n = 0;
+        for load in self.loads() {
+            n += load.ready_before;
+            if n >= max || load.done_at > now {
+                return n.min(max);
+            }
+            n += 1;
+        }
+        (n + self.tail_ready).min(max)
+    }
+
+    /// The cycle the head entry completes, if it is a load still in flight
+    /// at cycle `next`. A ready head or an empty buffer is never blocked.
+    fn blocked_until(&self, next: u64) -> Option<u64> {
+        match self.loads().next() {
+            Some(load) if load.ready_before == 0 && load.done_at > next => Some(load.done_at),
+            _ => None,
+        }
+    }
+
+    /// Cycle at which draining the buffer from cycle `next` retires its
+    /// `needed`-th entry, or `u64::MAX` when it holds fewer (decided
+    /// without a walk — the common case).
+    fn horizon(&self, next: u64, needed: u64) -> u64 {
+        if needed == 0 || (self.len as u64) < needed {
+            return u64::MAX;
+        }
+        let mut pace = Pace::new(next, self.retire_width);
+        let mut left = needed;
+        for load in self.loads() {
+            let run = left.min(load.ready_before as u64);
+            pace.run(run as usize, u64::MAX);
+            left -= run;
+            if left > 0 {
+                pace.entry(load.done_at, u64::MAX);
+                left -= 1;
+            }
+            if left == 0 {
+                return pace.cycle;
+            }
+        }
+        pace.run(left as usize, u64::MAX);
+        pace.cycle
+    }
+
+    /// Retires what draining the buffer over cycles `[next, wake)` would,
+    /// paced like [`Rob::horizon`]. Returns how many entries retired.
+    fn retire_paced(&mut self, next: u64, wake: u64) -> usize {
+        let n = self.paced(next, wake);
+        self.take(n)
+    }
+
+    fn paced(&self, next: u64, wake: u64) -> usize {
+        let mut pace = Pace::new(next, self.retire_width);
+        let mut n = 0;
+        for load in self.loads() {
+            let run = pace.run(load.ready_before, wake);
+            n += run;
+            if run < load.ready_before || !pace.entry(load.done_at, wake) {
+                return n;
+            }
+            n += 1;
+        }
+        n + pace.run(self.tail_ready, wake)
+    }
+
+    /// Steps cycles `[next, wake)` of a core whose stream is all ops: each
+    /// cycle retires up to `retire_width` entries, then dispatches up to
+    /// `width` ops into the room left. Returns `(retired, dispatched)`.
+    ///
+    /// While the buffer is full and dispatch keeps up with retirement,
+    /// each cycle retires `rate` entries and refills them with ops, so the
+    /// entry at position `p` from the head retires at cycle
+    /// `start + p / rate`; that stretch is jumped in closed form, up to the
+    /// cycle of the first load still in flight when it reaches
+    /// retirement. A full buffer behind an in-flight load idles until the
+    /// data arrives. Any other cycle is stepped alone.
+    fn crank(&mut self, next: u64, wake: u64, width: usize) -> (usize, usize) {
+        let rate = self.retire_width.min(self.capacity);
+        let (mut retired, mut dispatched) = (0, 0);
+        let mut cycle = next;
+        while cycle < wake {
+            if self.is_full() {
+                if let Some(done_at) = self.blocked_until(cycle) {
+                    cycle = done_at.min(wake);
+                    continue;
+                }
+                if width >= rate {
+                    let cycles = self.steady_cycles(cycle, wake - cycle, rate);
+                    if cycles > 0 {
+                        // Dispatch before retiring: a long jump retires
+                        // ops it dispatched itself.
+                        let n = cycles as usize * rate;
+                        self.tail_ready += n;
+                        self.len += n;
+                        self.take(n);
+                        retired += n;
+                        dispatched += n;
+                        cycle += cycles;
+                        continue;
+                    }
+                }
+            }
+            retired += self.retire(cycle, self.retire_width);
+            let room = width.min(self.room());
+            self.push_ready(room);
+            dispatched += room;
+            cycle += 1;
+        }
+        (retired, dispatched)
+    }
+
+    /// How many of the `max` cycles from `start` a full buffer retires
+    /// `rate` entries each: up to the retire cycle of the first load whose
+    /// data has not arrived by then.
+    fn steady_cycles(&self, start: u64, max: u64, rate: usize) -> u64 {
+        let mut pos = 0;
+        for load in self.loads() {
+            pos += load.ready_before;
+            let at = (pos / rate) as u64;
+            if at >= max {
+                break;
+            }
+            if load.done_at > start + at {
+                return at;
+            }
+            pos += 1;
+        }
+        max
+    }
+
+    /// Under `--features audit`: the entry count is the loads plus every
+    /// ready count, within capacity.
+    fn audit(&self) {
+        crate::audit_assert!(
+            self.len
+                == self.load_count
+                    + self.tail_ready
+                    + self.loads().map(|l| l.ready_before).sum::<usize>()
+                && self.len <= self.capacity,
+            "ROB invariant: {} entries for {} loads and {} trailing ready (capacity {})",
+            self.len,
+            self.load_count,
+            self.tail_ready,
+            self.capacity
+        );
+    }
+}
+
+/// In-order retirement pacing from a start cycle: at most `width` entries
+/// per cycle, none before its completion cycle.
+struct Pace {
+    /// The cycle the last entry retired in (the start, before any).
+    cycle: u64,
+    /// Entries retired in `cycle`.
+    used: u64,
+    width: u64,
+}
+
+impl Pace {
+    fn new(cycle: u64, width: usize) -> Self {
+        Pace {
+            cycle,
+            used: 0,
+            width: width as u64,
+        }
+    }
+
+    /// Retires up to `run` ready entries, as many as retire before cycle
+    /// `wake`, and returns how many. The `k`-th of them retires at
+    /// `cycle + (used + k - 1) / width`.
+    fn run(&mut self, run: usize, wake: u64) -> usize {
+        let slots = if self.cycle < wake {
+            (wake - self.cycle).saturating_mul(self.width) - self.used
+        } else {
+            0
+        };
+        let n = (run as u64).min(slots);
+        if n > 0 {
+            let last = self.used + n - 1;
+            self.cycle += last / self.width;
+            self.used = last % self.width + 1;
+        }
+        n as usize
+    }
+
+    /// Retires one entry completing at `done_at` if it retires before
+    /// cycle `wake`, and returns whether it did.
+    fn entry(&mut self, done_at: u64, wake: u64) -> bool {
+        if self.used == self.width {
+            self.cycle += 1;
+            self.used = 0;
+        }
+        if done_at > self.cycle {
+            self.cycle = done_at;
+            self.used = 0;
+        }
+        if self.cycle >= wake {
+            return false;
+        }
+        self.used += 1;
+        true
+    }
+}
+
 /// The out-of-order core.
 #[derive(Debug)]
 pub struct OooCore {
     id: CoreId,
     cfg: CoreConfig,
-    /// Completion cycles of in-flight instructions, in program order: a
-    /// power-of-two ring buffer (head + length + mask), cheaper on the
-    /// per-instruction push/pop pair than a `VecDeque`.
-    rob: Box<[u64]>,
-    rob_head: usize,
-    rob_len: usize,
-    rob_mask: usize,
+    rob: Rob,
     /// Instruction that failed to dispatch last cycle, retried first.
     stalled: Option<Instr>,
     /// Whether the current stall came from the LSQ-occupancy check rather
@@ -125,10 +446,7 @@ impl OooCore {
         OooCore {
             id,
             cfg,
-            rob: vec![0; cfg.rob_entries.next_power_of_two()].into_boxed_slice(),
-            rob_head: 0,
-            rob_len: 0,
-            rob_mask: cfg.rob_entries.next_power_of_two() - 1,
+            rob: Rob::new(cfg.rob_entries, cfg.retire_width),
             stalled: None,
             lsq_stall: false,
             store_queue: BinaryHeap::new(),
@@ -150,12 +468,6 @@ impl OooCore {
         self.warmup = warmup;
         self.warmed = warmup == 0;
         self.boundary = if self.warmed { self.target } else { warmup };
-    }
-
-    #[inline(always)]
-    fn rob_push(&mut self, done_at: u64) {
-        self.rob[(self.rob_head + self.rob_len) & self.rob_mask] = done_at;
-        self.rob_len += 1;
     }
 
     /// Whether the core has passed its warmup window.
@@ -181,45 +493,42 @@ impl OooCore {
         }
         self.stats.cycles = (now + 1).saturating_sub(self.cycle_offset);
 
-        // Retire in order.
-        let mut retired = 0;
-        while retired < self.cfg.retire_width {
-            if self.rob_len == 0 || self.rob[self.rob_head] > now {
+        // Retire in order, in batches that end at the warmup/target
+        // boundary: the statistics reset lands between the exact two
+        // instructions, and the rest of the cycle's batch counts as
+        // measured.
+        let mut budget = self.cfg.retire_width;
+        loop {
+            let needed = self.boundary - self.stats.instructions;
+            let n = self.rob.retire(now, needed.min(budget as u64) as usize);
+            self.stats.instructions += n as u64;
+            budget -= n;
+            if (n as u64) < needed {
                 break;
             }
-            self.rob_head = (self.rob_head + 1) & self.rob_mask;
-            self.rob_len -= 1;
-            self.stats.instructions += 1;
-            retired += 1;
-            if self.stats.instructions >= self.boundary {
-                if !self.warmed {
-                    self.warmed = true;
-                    self.cycle_offset = now;
-                    self.stats = CoreStats {
-                        cycles: 1,
-                        ..CoreStats::default()
-                    };
-                    self.boundary = self.target;
-                } else {
-                    self.done = true;
-                    return true;
-                }
+            if self.warmed {
+                self.done = true;
+                return true;
             }
+            self.warmed = true;
+            self.cycle_offset = now;
+            self.stats = CoreStats {
+                cycles: 1,
+                ..CoreStats::default()
+            };
+            self.boundary = self.target;
         }
 
         // Dispatch in order.
         let mut dispatched = 0;
-        while dispatched < self.cfg.width && self.rob_len < self.cfg.rob_entries {
+        while dispatched < self.cfg.width && !self.rob.is_full() {
             // Batch path: a leading run of ops dispatches without the
             // per-instruction source round-trip. Ops never stall, so this
             // is exactly `n` iterations of the general path below.
             if self.stalled.is_none() {
-                let room = (self.cfg.width - dispatched).min(self.cfg.rob_entries - self.rob_len);
-                let n = src.take_ops(room);
+                let n = src.take_ops((self.cfg.width - dispatched).min(self.rob.room()));
                 if n > 0 {
-                    for _ in 0..n {
-                        self.rob_push(now + 1);
-                    }
+                    self.rob.push_ready(n);
                     dispatched += n;
                     continue;
                 }
@@ -230,7 +539,7 @@ impl OooCore {
             };
             match instr {
                 Instr::Op => {
-                    self.rob_push(now + 1);
+                    self.rob.push_ready(1);
                 }
                 Instr::Load { pc, addr, dep } => {
                     // A load whose producer (chain tail) has not completed
@@ -250,7 +559,7 @@ impl OooCore {
                     };
                     match mem.load(self.id, pc, addr, issue_at) {
                         IssueResult::Done(t) => {
-                            self.rob_push(t);
+                            self.rob.push_load(t);
                             if let Some(chain) = dep {
                                 self.chain_done[chain as usize] = t;
                             }
@@ -277,7 +586,7 @@ impl OooCore {
                     match mem.store(self.id, pc, addr, now) {
                         IssueResult::Done(t) => {
                             self.store_queue.push(Reverse(t));
-                            self.rob_push(now + 1);
+                            self.rob.push_ready(1);
                             self.stats.stores += 1;
                         }
                         IssueResult::Stall => {
@@ -341,12 +650,13 @@ impl OooCore {
             }
             // Ops never stall; treat defensively as active.
             Some(Instr::Op) => None,
-            // ROB-full without a stall: the head's retirement reopens
-            // dispatch, so that cycle must be stepped.
-            None if self.rob_len == self.cfg.rob_entries => Some(CorePlan {
-                wake: self.rob[self.rob_head],
-                retry: None,
-            }),
+            // ROB-full without a stall, behind a load in flight: the load's
+            // retirement reopens dispatch, so that cycle must be stepped. A
+            // ready head retires next cycle, which is no sleep.
+            None if self.rob.is_full() => self
+                .rob
+                .blocked_until(now + 1)
+                .map(|wake| CorePlan { wake, retry: None }),
             None => None,
         }
     }
@@ -357,28 +667,8 @@ impl OooCore {
     /// Entries retire in order, at most `retire_width` per cycle, each no
     /// earlier than its completion cycle.
     fn retire_horizon(&self, next: u64) -> u64 {
-        let needed = self.boundary.saturating_sub(self.stats.instructions);
-        if (self.rob_len as u64) < needed {
-            return u64::MAX;
-        }
-        let mut cycle = next;
-        let mut used = 0;
-        for j in 0..self.rob_len {
-            if used == self.cfg.retire_width {
-                cycle += 1;
-                used = 0;
-            }
-            let ready = self.rob[(self.rob_head + j) & self.rob_mask];
-            if ready > cycle {
-                cycle = ready;
-                used = 0;
-            }
-            used += 1;
-            if (j as u64) + 1 == needed {
-                return cycle;
-            }
-        }
-        u64::MAX
+        self.rob
+            .horizon(next, self.boundary.saturating_sub(self.stats.instructions))
     }
 
     /// Replays the retirements a stalled core performs over the skipped
@@ -390,26 +680,7 @@ impl OooCore {
     ///
     /// [`retire_horizon`]: Self::retire_horizon
     pub(crate) fn apply_retirements(&mut self, next: u64, wake: u64) {
-        let mut cycle = next;
-        let mut used = 0;
-        while self.rob_len > 0 {
-            if used == self.cfg.retire_width {
-                cycle += 1;
-                used = 0;
-            }
-            let ready = self.rob[self.rob_head];
-            if ready > cycle {
-                cycle = ready;
-                used = 0;
-            }
-            if cycle >= wake {
-                break;
-            }
-            self.rob_head = (self.rob_head + 1) & self.rob_mask;
-            self.rob_len -= 1;
-            self.stats.instructions += 1;
-            used += 1;
-        }
+        self.stats.instructions += self.rob.retire_paced(next, wake) as u64;
         debug_assert!(
             self.stats.instructions < self.boundary,
             "window retirement crossed a boundary the horizon should have capped"
@@ -440,7 +711,9 @@ impl OooCore {
     /// entry no earlier than its completion cycle) and op dispatch (at
     /// most `width` per cycle, bounded by ROB space, completing next
     /// cycle) — exactly what [`step`] would do, minus the per-cycle
-    /// source/memory round-trips. Returns how many ops were dispatched;
+    /// source/memory round-trips, and jumping a full ROB's steady
+    /// stretches in closed form (see `Rob::crank`). Returns how many ops
+    /// were dispatched;
     /// the caller must consume that many from the source. The caller
     /// capped `wake` via [`op_crank_cycles`], so the ops are available and
     /// no warmup/target boundary is crossed.
@@ -448,24 +721,8 @@ impl OooCore {
     /// [`step`]: Self::step
     /// [`op_crank_cycles`]: Self::op_crank_cycles
     pub(crate) fn apply_op_crank(&mut self, next: u64, wake: u64) -> usize {
-        let mut consumed = 0;
-        for cycle in next..wake {
-            let mut retired = 0;
-            while retired < self.cfg.retire_width
-                && self.rob_len > 0
-                && self.rob[self.rob_head] <= cycle
-            {
-                self.rob_head = (self.rob_head + 1) & self.rob_mask;
-                self.rob_len -= 1;
-                self.stats.instructions += 1;
-                retired += 1;
-            }
-            let room = self.cfg.width.min(self.cfg.rob_entries - self.rob_len);
-            for _ in 0..room {
-                self.rob_push(cycle + 1);
-            }
-            consumed += room;
-        }
+        let (retired, consumed) = self.rob.crank(next, wake, self.cfg.width);
+        self.stats.instructions += retired as u64;
         debug_assert!(
             self.stats.instructions < self.boundary,
             "op crank crossed a boundary op_crank_cycles should have capped"
@@ -523,6 +780,9 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::prefetch::NoPrefetcher;
+    use bingo_rng::rngs::SmallRng;
+    use bingo_rng::{Rng, SeedableRng};
+    use std::collections::VecDeque;
 
     fn mem() -> MemorySystem {
         MemorySystem::new(SystemConfig::tiny(), vec![Box::new(NoPrefetcher)])
@@ -736,6 +996,244 @@ mod tests {
             four * 2 < one,
             "4 chains ({four} cyc) must overlap far better than 1 ({one} cyc)"
         );
+    }
+
+    /// An endless run of ops, delivered in batches like a workload source.
+    struct OpRun;
+
+    impl InstrSource for OpRun {
+        fn next_instr(&mut self) -> Instr {
+            Instr::Op
+        }
+
+        fn take_ops(&mut self, max: usize) -> usize {
+            max
+        }
+
+        fn peek_ops(&mut self) -> usize {
+            usize::MAX
+        }
+    }
+
+    /// The warmup boundary can fall inside one cycle's retire batch: the
+    /// statistics reset lands between the exact two instructions, and the
+    /// rest of that cycle's batch counts as measured.
+    #[test]
+    fn warmup_boundary_inside_a_retire_batch() {
+        let cfg = SystemConfig::tiny().core;
+        assert_eq!((cfg.width, cfg.retire_width), (4, 4));
+        let mut ops = || Instr::Op;
+        let sources: [&mut dyn InstrSource; 2] = [&mut ops, &mut OpRun];
+        for src in sources {
+            let mut m = mem();
+            let mut core = OooCore::new(CoreId(0), cfg, 10);
+            core.set_warmup(6);
+            // Cycle 0 dispatches four ops; cycle 1 retires them and
+            // dispatches four more.
+            assert!(!core.step(0, &mut m, src));
+            assert!(!core.step(1, &mut m, src));
+            assert!(!core.is_warmed());
+            assert_eq!(core.stats.instructions, 4);
+            // Cycle 2 retires four: the 5th and 6th end the warmup, the
+            // 7th and 8th are the first measured instructions.
+            assert!(!core.step(2, &mut m, src));
+            assert!(core.is_warmed());
+            assert_eq!(core.stats.instructions, 2);
+            assert_eq!(core.stats.cycles, 1);
+            // Cycles 3 and 4 retire eight more: the target is the last
+            // instruction of cycle 4's batch.
+            assert!(!core.step(3, &mut m, src));
+            assert_eq!(core.stats.instructions, 6);
+            assert!(core.step(4, &mut m, src));
+            assert_eq!(core.stats.instructions, 10);
+            assert_eq!(core.stats.cycles, 3);
+        }
+    }
+
+    /// The reference ROB: every entry's completion cycle in a ring, walked
+    /// one instruction at a time. Each method is the per-instruction loop
+    /// that its `Rob` counterpart replaces with per-load work.
+    struct RingRob {
+        rob: VecDeque<u64>,
+        retire_width: usize,
+    }
+
+    impl RingRob {
+        fn new(retire_width: usize) -> Self {
+            RingRob {
+                rob: VecDeque::new(),
+                retire_width,
+            }
+        }
+
+        fn push(&mut self, done_at: u64) {
+            self.rob.push_back(done_at);
+        }
+
+        /// `step`'s retire loop.
+        fn retire(&mut self, now: u64, max: usize) -> usize {
+            let mut n = 0;
+            while n < max && self.rob.front().is_some_and(|&t| t <= now) {
+                self.rob.pop_front();
+                n += 1;
+            }
+            n
+        }
+
+        /// `quiescent_plan`'s ROB-full wake, as `schedule` filtered it.
+        fn blocked_until(&self, next: u64) -> Option<u64> {
+            self.rob.front().copied().filter(|&t| t > next)
+        }
+
+        /// `retire_horizon`.
+        fn horizon(&self, next: u64, needed: u64) -> u64 {
+            if (self.rob.len() as u64) < needed {
+                return u64::MAX;
+            }
+            let mut cycle = next;
+            let mut used = 0;
+            for (j, &ready) in self.rob.iter().enumerate() {
+                if used == self.retire_width {
+                    cycle += 1;
+                    used = 0;
+                }
+                if ready > cycle {
+                    cycle = ready;
+                    used = 0;
+                }
+                used += 1;
+                if (j as u64) + 1 == needed {
+                    return cycle;
+                }
+            }
+            u64::MAX
+        }
+
+        /// `apply_retirements`.
+        fn retire_paced(&mut self, next: u64, wake: u64) -> usize {
+            let mut cycle = next;
+            let mut used = 0;
+            let mut n = 0;
+            while let Some(&ready) = self.rob.front() {
+                if used == self.retire_width {
+                    cycle += 1;
+                    used = 0;
+                }
+                if ready > cycle {
+                    cycle = ready;
+                    used = 0;
+                }
+                if cycle >= wake {
+                    break;
+                }
+                self.rob.pop_front();
+                n += 1;
+                used += 1;
+            }
+            n
+        }
+
+        /// `apply_op_crank`.
+        fn crank(&mut self, next: u64, wake: u64, width: usize, capacity: usize) -> (usize, usize) {
+            let (mut retired, mut dispatched) = (0, 0);
+            for cycle in next..wake {
+                retired += self.retire(cycle, self.retire_width);
+                let room = width.min(capacity - self.rob.len());
+                for _ in 0..room {
+                    self.push(cycle + 1);
+                }
+                dispatched += room;
+            }
+            (retired, dispatched)
+        }
+    }
+
+    /// Drives the ROB and the ring reference through the same random
+    /// cycles — boundary-capped retires followed by op runs and loads,
+    /// paced catch-ups, horizons, cranks — and compares every answer and
+    /// the length after each step.
+    fn check_rob(capacity: usize, width: usize, steps: usize, rng: &mut SmallRng) {
+        const RETIRE_WIDTH: usize = 4;
+        let mut rob = Rob::new(capacity, RETIRE_WIDTH);
+        let mut reference = RingRob::new(RETIRE_WIDTH);
+        // The last cycle stepped: every entry was dispatched by then.
+        let mut now = 0u64;
+        for step in 0..steps {
+            let at = format!("capacity {capacity}, width {width}, step {step}");
+            let next = now + 1;
+            match rng.gen_range(0..8u32) {
+                0..=3 => {
+                    now = next;
+                    let max = rng.gen_range(0..=RETIRE_WIDTH);
+                    assert_eq!(rob.retire(now, max), reference.retire(now, max), "{at}");
+                    let mut budget = rng.gen_range(0..=width);
+                    while budget > 0 && rob.room() > 0 {
+                        if rng.gen_bool(0.3) {
+                            let latency = if rng.gen_bool(0.5) {
+                                rng.gen_range(1..8u64)
+                            } else {
+                                rng.gen_range(8..600u64)
+                            };
+                            rob.push_load(now + latency);
+                            reference.push(now + latency);
+                            budget -= 1;
+                        } else {
+                            let n = rng.gen_range(1..=budget.min(rob.room()));
+                            rob.push_ready(n);
+                            for _ in 0..n {
+                                reference.push(now + 1);
+                            }
+                            budget -= n;
+                        }
+                    }
+                }
+                4 => {
+                    let wake = next + rng.gen_range(0..300u64);
+                    assert_eq!(
+                        rob.retire_paced(next, wake),
+                        reference.retire_paced(next, wake),
+                        "{at}"
+                    );
+                    now = wake.max(next) - 1;
+                }
+                5 => {
+                    let needed = rng.gen_range(1..=capacity as u64 + 8);
+                    assert_eq!(
+                        rob.horizon(next, needed),
+                        reference.horizon(next, needed),
+                        "{at}, needed {needed}"
+                    );
+                }
+                6 => {
+                    let wake = next + rng.gen_range(0..400u64);
+                    assert_eq!(
+                        rob.crank(next, wake, width),
+                        reference.crank(next, wake, width, capacity),
+                        "{at}"
+                    );
+                    now = wake.max(next) - 1;
+                }
+                _ => {
+                    assert_eq!(
+                        rob.blocked_until(next),
+                        reference.blocked_until(next),
+                        "{at}"
+                    );
+                }
+            }
+            assert_eq!(rob.len, reference.rob.len(), "{at}");
+        }
+    }
+
+    #[test]
+    fn rob_matches_ring_reference_on_random_streams() {
+        let mut rng = SmallRng::seed_from_u64(0x0b0b_5eed);
+        for capacity in [4, 64, 256] {
+            // Dispatch narrower than, as wide as, and wider than retirement.
+            for width in [2, 4, 6] {
+                check_rob(capacity, width, 4000, &mut rng);
+            }
+        }
     }
 
     #[test]

@@ -421,13 +421,9 @@ impl System {
             from: next,
             retry: None,
         };
-        // A ROB-full core whose head retires next cycle, with no retry to
-        // replay, is active — the throughput-bound regime the op crank
-        // handles.
-        match self.cores[i]
-            .quiescent_plan(self.now)
-            .filter(|p| p.retry.is_some() || p.wake > next)
-        {
+        // A ROB-full core whose head retires next cycle has no plan: it is
+        // active — the throughput-bound regime the op crank handles.
+        match self.cores[i].quiescent_plan(self.now) {
             Some(plan) => {
                 sleep.retry = plan.retry;
                 sleep.wake = match plan.retry {
@@ -452,7 +448,7 @@ impl System {
                     sleep.wake = next + k;
                     let consumed = self.cores[i].apply_op_crank(next, sleep.wake);
                     let taken = self.sources[i].take_ops(consumed);
-                    debug_assert_eq!(taken, consumed, "op run shorter than peeked");
+                    assert_eq!(taken, consumed, "op run shorter than peeked");
                 }
             }
         }

@@ -166,9 +166,17 @@ fn mix_workloads_assign_different_programs_per_core() {
 /// real workload suite: identical `SimResult`s with it on and off.
 /// (The closure-source equivalence tests in `bingo-sim` never exercise
 /// the crank, because closures report no op runs; `WorkloadSource` does.)
+/// SAT Solver and Zeus complete the server workloads, where the crank's
+/// closed-form jump over a full ROB does most of its work.
 #[test]
 fn fast_forward_is_bit_for_bit_on_real_workloads() {
-    for w in [Workload::Em3d, Workload::DataServing, Workload::Mix1] {
+    for w in [
+        Workload::Em3d,
+        Workload::DataServing,
+        Workload::SatSolver,
+        Workload::Zeus,
+        Workload::Mix1,
+    ] {
         let cfg = SystemConfig::paper();
         let build = |ff: bool| {
             System::with_prefetchers(
