@@ -1,7 +1,8 @@
 //! Microbenchmarks of the prefetcher data structures: per-access costs of
 //! Bingo's tables versus the baselines, the accumulation table's two
 //! operations, and the unified history table's three operations (the
-//! storage-consolidation contribution).
+//! storage-consolidation contribution); plus the memory system's fill
+//! layer, which lands every block those prefetchers predict.
 //!
 //! The hermetic build has no criterion, so this is a plain `harness = false`
 //! binary: each case times a fixed-iteration loop several times and prints
@@ -16,7 +17,10 @@ use bingo_bench::{time_median, BenchRecord, BenchWriter};
 use bingo::multi_event::{MultiEventConfig, MultiEventPrefetcher};
 use bingo::{AccumulationTable, Bingo, BingoConfig, EventKind, Footprint, UnifiedHistoryTable};
 use bingo_baselines::{Ampm, AmpmConfig, Bop, BopConfig, Sms, Spp, SppConfig, Vldp, VldpConfig};
-use bingo_sim::{AccessInfo, BlockAddr, Pc, Prefetcher, RegionGeometry, RegionId};
+use bingo_sim::{
+    AccessInfo, BlockAddr, MemorySystem, NoPrefetcher, Pc, Prefetcher, RegionGeometry, RegionId,
+    SystemConfig,
+};
 
 fn info(pc: u64, block: u64) -> AccessInfo {
     AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
@@ -231,6 +235,48 @@ fn bench_history_table(writer: &mut Option<BenchWriter>) {
     );
 }
 
+/// The fill layer alone: prefetches issued into the paper machine's LLC
+/// and landed by `tick` (every cycle), in bursts of 64 every 448 cycles,
+/// as much as the two DRAM channels transfer in that time. One block per
+/// DRAM row, so the rows alternate channels and each burst queues 32 deep
+/// per channel: about 67 fills are in flight on average (100 at most);
+/// `em3d-grid` has about 72 queued at each landing. Every block is fresh,
+/// so no prefetch is dropped, and once the 128 sets the blocks map to are
+/// full every landing evicts.
+fn bench_memory_fill(writer: &mut Option<BenchWriter>) {
+    const BURST: u64 = 64;
+    const PERIOD: u64 = 448;
+    const ITERS: u64 = 5_000;
+    const SAMPLES: u32 = 5;
+    let cfg = SystemConfig::paper();
+    let prefetchers = (0..cfg.cores)
+        .map(|_| Box::new(NoPrefetcher) as Box<dyn Prefetcher>)
+        .collect();
+    let mut mem = MemorySystem::new(cfg, prefetchers);
+    let mut now = 0u64;
+    let mut row = 0u64;
+    report(
+        writer,
+        "memory_fill",
+        "issue_and_land",
+        SAMPLES,
+        ITERS,
+        BURST,
+        || {
+            for _ in 0..BURST {
+                mem.issue_prefetch(BlockAddr::new(row * 64 + row % 64), now);
+                row += 1;
+            }
+            for _ in 0..PERIOD {
+                now += 1;
+                mem.tick(black_box(now));
+            }
+        },
+    );
+    let llc = mem.llc_stats();
+    assert_eq!(llc.pf_issued, llc.pf_requested, "every prefetch issues");
+}
+
 fn main() {
     let mut writer = BenchWriter::from_env();
     if let Some(w) = &mut writer {
@@ -241,6 +287,7 @@ fn main() {
     bench_prefetcher_access(&mut writer);
     bench_accumulation_table(&mut writer);
     bench_history_table(&mut writer);
+    bench_memory_fill(&mut writer);
     if let Some(w) = &writer {
         println!("bench records written to {}", w.path().display());
     }

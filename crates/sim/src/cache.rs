@@ -265,7 +265,10 @@ impl Cache {
             .is_some_and(|e| e.prefetch && !e.demanded)
     }
 
-    /// Ready cycle of the earliest in-flight fill, if any.
+    /// Ready cycle of the earliest in-flight fill, if any: a scan of the
+    /// MSHR file, the audit reference of the memory system's per-core
+    /// list of L1 fill cycles.
+    #[cfg(feature = "audit")]
     pub(crate) fn next_fill_ready(&self) -> Option<u64> {
         self.pending.min_of(|e| e.ready)
     }
@@ -353,22 +356,35 @@ impl Cache {
     /// Returns `None` if the block was not pending (e.g. invalidated while
     /// in flight) or if an invalid way absorbed the fill.
     pub fn complete_fill(&mut self, block: BlockAddr, dirty: bool) -> Option<Evicted> {
+        self.complete_fill_with(block, dirty, Self::pick_victim)
+    }
+
+    /// [`Cache::complete_fill`] with the victim way chosen by
+    /// `victim_of(self, set_base)`; the tests pass the two-step rule it
+    /// replaced.
+    #[inline(always)]
+    fn complete_fill_with(
+        &mut self,
+        block: BlockAddr,
+        dirty: bool,
+        victim_of: impl FnOnce(&Self, usize) -> usize,
+    ) -> Option<Evicted> {
         let entry = self.pending.remove(block.index())?;
         if entry.prefetch {
             self.pending_prefetches -= 1;
         }
         let stamp = self.next_stamp();
         let base = self.set_index(block) * self.cfg.ways;
-
-        // Prefer an invalid way.
-        let victim_idx = if let Some(i) =
-            (base..base + self.cfg.ways).find(|&i| self.flags[i] & flag::VALID == 0)
-        {
-            i
-        } else {
-            self.pick_victim(base)
-        };
+        let victim_idx = victim_of(self, base);
         let vf = self.flags[victim_idx];
+        crate::audit_assert!(
+            vf & flag::VALID == 0
+                || self.flags[base..base + self.cfg.ways]
+                    .iter()
+                    .all(|f| f & flag::VALID != 0),
+            "victim invariant: the set at {} evicts a valid line while it holds an invalid way",
+            base
+        );
         let evicted = if vf & flag::VALID != 0 {
             self.stats.evictions += 1;
             let victim_dirty = vf & flag::DIRTY != 0;
@@ -405,7 +421,10 @@ impl Cache {
         evicted
     }
 
-    /// The least-recently-touched way of the set starting at `base`.
+    /// The way a fill replaces in the set starting at `base`: the first
+    /// invalid way, else the least recently touched. One scan finds both:
+    /// an invalid way's `last_touch` is 0, a valid way's a later stamp,
+    /// and `min_by_key` returns the first minimum.
     fn pick_victim(&self, base: usize) -> usize {
         (base..base + self.cfg.ways)
             .min_by_key(|&i| self.last_touch[i])
@@ -469,6 +488,8 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bingo_rng::rngs::SmallRng;
+    use bingo_rng::{Rng, SeedableRng};
 
     fn small_cache() -> Cache {
         // 4 sets x 2 ways x 64B = 512B
@@ -668,6 +689,93 @@ mod tests {
     fn complete_fill_for_unknown_block_is_none() {
         let mut c = small_cache();
         assert!(c.complete_fill(BlockAddr::new(99), false).is_none());
+    }
+
+    /// The victim rule `pick_victim` replaced: the first invalid way,
+    /// else the least recently touched.
+    fn two_step_victim(c: &Cache, base: usize) -> usize {
+        let set = base..base + c.cfg.ways;
+        set.clone()
+            .find(|&i| c.flags[i] & flag::VALID == 0)
+            .unwrap_or_else(|| {
+                set.min_by_key(|&i| c.last_touch[i])
+                    .expect("cache sets are never empty")
+            })
+    }
+
+    #[test]
+    fn victim_matches_two_step_reference_on_random_streams() {
+        let mut rng = SmallRng::seed_from_u64(0x7a11_c0de);
+        for ways in [1usize, 2, 8, 16] {
+            let cfg = CacheConfig {
+                size_bytes: 4 * ways as u64 * 64,
+                ways,
+                latency: 3,
+                mshrs: 8,
+                banks: 1,
+            };
+            let (mut fast, mut reference) = (Cache::new(cfg), Cache::new(cfg));
+            let mut pending: Vec<BlockAddr> = Vec::new();
+            // Fills into a set that holds both valid and invalid ways: the
+            // case the two rules could disagree on.
+            let mut into_holes = 0;
+            // Four times the capacity: sets fill, evict, and refill the
+            // holes `invalidate` leaves.
+            let blocks = 16 * ways as u64;
+            for step in 0..20_000u64 {
+                let block = BlockAddr::new(rng.gen_range(0..blocks));
+                match rng.gen_range(0..8u32) {
+                    0..=2 => {
+                        let is_write = rng.gen_bool(0.3);
+                        assert_eq!(
+                            fast.demand_access(block, step, is_write),
+                            reference.demand_access(block, step, is_write),
+                            "step {step}, {ways} ways"
+                        );
+                    }
+                    3 | 4 => {
+                        if !fast.probe(block) && fast.mshr_available_for_demand() {
+                            let owner = rng.gen_bool(0.5).then_some(CoreId(0));
+                            fast.allocate_fill(block, step + 50, owner);
+                            reference.allocate_fill(block, step + 50, owner);
+                            pending.push(block);
+                        }
+                    }
+                    5 | 6 => {
+                        if !pending.is_empty() {
+                            let b = pending.swap_remove(rng.gen_range(0..pending.len()));
+                            let base = fast.set_index(b) * ways;
+                            let valid = fast.flags[base..base + ways]
+                                .iter()
+                                .filter(|&&f| f & flag::VALID != 0)
+                                .count();
+                            into_holes += usize::from(valid > 0 && valid < ways);
+                            let dirty = rng.gen_bool(0.2);
+                            assert_eq!(
+                                fast.complete_fill(b, dirty),
+                                reference.complete_fill_with(b, dirty, two_step_victim),
+                                "step {step}, {ways} ways"
+                            );
+                        }
+                    }
+                    _ => assert_eq!(
+                        fast.invalidate(block),
+                        reference.invalidate(block),
+                        "step {step}, {ways} ways"
+                    ),
+                }
+                assert_eq!(
+                    fast.resident_lines(),
+                    reference.resident_lines(),
+                    "step {step}, {ways} ways"
+                );
+            }
+            assert_eq!(fast.stats, reference.stats, "{ways} ways");
+            assert!(
+                ways == 1 || into_holes > 100,
+                "{ways} ways: only {into_holes} fills into partly valid sets"
+            );
+        }
     }
 
     #[test]

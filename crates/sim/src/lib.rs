@@ -64,6 +64,7 @@ pub mod stats;
 pub mod system;
 pub mod telemetry;
 pub mod throttle;
+mod wheel;
 
 pub use addr::{Addr, BlockAddr, CoreId, Pc, RegionGeometry, RegionId, BLOCK_BYTES, BLOCK_SHIFT};
 pub use cache::{Cache, Evicted, Lookup};

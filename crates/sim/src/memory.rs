@@ -8,16 +8,14 @@
 //!    back-pressure that limits memory-level parallelism).
 //! 3. LLC lookup at `now + l1.latency`. Hit → data at `+ llc.latency`.
 //! 4. LLC miss: needs an LLC MSHR; request goes to DRAM; the fill lands at
-//!    the cycle the DRAM model returns and is installed by the event queue.
+//!    the cycle the DRAM model returns and is installed by the fill queue,
+//!    a timing wheel.
 //!
 //! Prefetchers observe every successful LLC demand access and may emit
 //! candidate blocks, which are deduplicated against resident/in-flight
 //! blocks, rate-limited by prefetch-eligible MSHRs, and sent to DRAM. The
 //! LLC line records the issuing core, and the optional [`Throttle`] credits
 //! the prefetch's later use to that core.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::addr::{Addr, BlockAddr, CoreId, Pc};
 use crate::cache::{Cache, Lookup};
@@ -27,6 +25,7 @@ use crate::prefetch::{AccessInfo, Prefetcher};
 use crate::stats::{CacheStats, Counters, QosReport};
 use crate::telemetry::{PrefetchLedger, PrefetchSource, TelemetryLevel, TelemetryReport};
 use crate::throttle::{Throttle, ThrottleLevel, ThrottleMode};
+use crate::wheel::{Fill, FillWheel};
 
 /// Result of issuing a memory operation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -35,12 +34,6 @@ pub enum IssueResult {
     Done(u64),
     /// A structural hazard (MSHR full) prevented issue; retry next cycle.
     Stall,
-}
-
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum FillLevel {
-    Llc,
-    L1 { core: usize },
 }
 
 /// Which MSHR file a core's most recent [`IssueResult::Stall`] came from;
@@ -60,8 +53,12 @@ pub struct MemorySystem {
     llc: Cache,
     dram: Dram,
     prefetchers: Vec<Box<dyn Prefetcher>>,
-    fills: BinaryHeap<Reverse<(u64, u64, FillLevel, u64)>>, // (ready, seq, level, block)
-    fill_seq: u64,
+    fills: FillWheel,
+    /// Ready cycles of each core's in-flight L1 fills, in no order: the
+    /// core's L1-stall wake is their minimum, a scan of at most
+    /// `l1d.mshrs` words. Each row is allocated at that size up front;
+    /// rows grown on first use read `em3d-grid` about 1 % slower.
+    l1_fills: Vec<Vec<u64>>,
     pf_buf: Vec<BlockAddr>,
     ledger: PrefetchLedger,
     /// `None` under [`ThrottleMode::Off`]: the hot path then pays a single
@@ -93,8 +90,10 @@ impl MemorySystem {
             llc: Cache::new(cfg.llc),
             dram: Dram::new(cfg.dram),
             prefetchers,
-            fills: BinaryHeap::with_capacity(64),
-            fill_seq: 0,
+            fills: FillWheel::new(),
+            l1_fills: (0..cfg.cores)
+                .map(|_| Vec::with_capacity(cfg.l1d.mshrs))
+                .collect(),
             pf_buf: Vec::with_capacity(64),
             ledger: PrefetchLedger::new(TelemetryLevel::Off),
             throttle: None,
@@ -228,50 +227,55 @@ impl MemorySystem {
         }
     }
 
-    /// Processes all fills that are due at or before `now`. Must be called
-    /// once per cycle before cores issue new requests.
+    /// Lands every fill due at or before `now`, in (ready cycle, issue
+    /// order). A fill lands when `tick` first reaches its ready cycle, so
+    /// a caller that wants fills on time calls it at each such cycle (the
+    /// run loop visits every one) before cores issue requests there;
+    /// cycles on which nothing is due may be skipped. `now` must be below
+    /// `u64::MAX` (checked in debug builds only).
     ///
-    /// On most cycles nothing is due; that check inlines into the caller's
-    /// loop as a single heap peek, with the landing logic kept out of line.
+    /// At most cycles nothing is due; that check inlines into the caller's
+    /// loop as one compare against the fill queue's cached earliest ready
+    /// cycle, with the landing logic kept out of line.
     #[inline]
     pub fn tick(&mut self, now: u64) {
-        if matches!(self.fills.peek(), Some(&Reverse((ready, _, _, _))) if ready <= now) {
+        if self.fills.is_due(now) {
             self.tick_due(now);
         }
     }
 
     #[inline(never)]
     fn tick_due(&mut self, now: u64) {
-        while let Some(&Reverse((ready, _, _, _))) = self.fills.peek() {
-            if ready > now {
-                break;
-            }
-            let Reverse((_, _, level, block)) = self.fills.pop().expect("peeked entry exists");
-            let block = BlockAddr::new(block);
-            match level {
-                FillLevel::Llc => {
-                    if let Some(evicted) = self.llc.complete_fill(block, false) {
-                        if evicted.dirty {
-                            self.dram.write(evicted.block, now);
-                        }
-                        if evicted.unused_prefetch {
-                            self.ledger.evicted_unused(evicted.block.index());
-                        }
-                        for pf in &mut self.prefetchers {
-                            pf.on_eviction(evicted.block);
-                        }
+        while let Some((ready, fill)) = self.fills.pop_due(now) {
+            let block = BlockAddr::new(fill.block);
+            if fill.cache == Fill::LLC {
+                if let Some(evicted) = self.llc.complete_fill(block, false) {
+                    if evicted.dirty {
+                        self.dram.write(evicted.block, now);
                     }
-                    // Settle the ledger record, if this fill was a prefetch.
-                    self.ledger.filled(block.index(), now);
+                    if evicted.unused_prefetch {
+                        self.ledger.evicted_unused(evicted.block.index());
+                    }
+                    for pf in &mut self.prefetchers {
+                        pf.on_eviction(evicted.block);
+                    }
                 }
-                FillLevel::L1 { core } => {
-                    if let Some(evicted) = self.l1s[core].complete_fill(block, false) {
-                        if evicted.dirty {
-                            // Writeback to LLC: mark dirty if resident, else
-                            // spill to DRAM bandwidth.
-                            if !self.llc.mark_dirty(evicted.block) {
-                                self.dram.write(evicted.block, now);
-                            }
+                // Settle the ledger record, if this fill was a prefetch.
+                self.ledger.filled(block.index(), now);
+            } else {
+                let core = fill.cache as usize;
+                let pending = &mut self.l1_fills[core];
+                let at = pending
+                    .iter()
+                    .position(|&r| r == ready)
+                    .expect("every L1 fill's ready cycle is tracked");
+                pending.swap_remove(at);
+                if let Some(evicted) = self.l1s[core].complete_fill(block, false) {
+                    if evicted.dirty {
+                        // Writeback to LLC: mark dirty if resident, else
+                        // spill to DRAM bandwidth.
+                        if !self.llc.mark_dirty(evicted.block) {
+                            self.dram.write(evicted.block, now);
                         }
                     }
                 }
@@ -282,13 +286,19 @@ impl MemorySystem {
     /// Ready cycle of the earliest outstanding fill, if any — the memory
     /// system's next externally visible event.
     pub(crate) fn next_fill_ready(&self) -> Option<u64> {
-        self.fills.peek().map(|&Reverse((ready, _, _, _))| ready)
+        self.fills.next_ready()
     }
 
     /// Ready cycle of `core`'s earliest in-flight L1 fill, if any — the
     /// only event that can clear that core's L1 MSHR stall.
     pub(crate) fn next_l1_fill(&self, core: usize) -> Option<u64> {
-        self.l1s[core].next_fill_ready()
+        let next = self.l1_fills[core].iter().copied().min();
+        crate::audit_assert!(
+            next == self.l1s[core].next_fill_ready(),
+            "L1 wake invariant: core {core} tracks {next:?}, its MSHR file holds {:?}",
+            self.l1s[core].next_fill_ready()
+        );
+        next
     }
 
     /// Level of `core`'s most recent demand stall (see [`StallLevel`]).
@@ -312,10 +322,11 @@ impl MemorySystem {
         self.l1s[core].apply_missed_retries(block, first, k);
     }
 
-    fn schedule_fill(&mut self, level: FillLevel, block: BlockAddr, ready: u64) {
-        self.fill_seq += 1;
-        self.fills
-            .push(Reverse((ready, self.fill_seq, level, block.index())));
+    /// Queues `block`'s fill into `cache` (a core index or [`Fill::LLC`])
+    /// to land at cycle `ready`.
+    fn schedule_fill(&mut self, cache: u32, block: BlockAddr, ready: u64) {
+        let block = block.index();
+        self.fills.push(ready, Fill { block, cache });
     }
 
     /// Issues a load; returns its completion cycle or a stall.
@@ -381,7 +392,7 @@ impl MemorySystem {
                         throttle.note_demand_read(core.0, self.dram.last_read_wait());
                     }
                     self.llc.allocate_fill(block, ready, None);
-                    self.schedule_fill(FillLevel::Llc, block, ready);
+                    self.schedule_fill(Fill::LLC, block, ready);
                     (ready, false, None)
                 }
             };
@@ -403,7 +414,8 @@ impl MemorySystem {
         if is_write {
             self.l1s[core.0].mark_pending_dirty(block);
         }
-        self.schedule_fill(FillLevel::L1 { core: core.0 }, block, data_ready);
+        self.schedule_fill(core.0 as u32, block, data_ready);
+        self.l1_fills[core.0].push(data_ready);
 
         // Train + trigger the core's prefetcher on this LLC access.
         self.run_prefetcher(core, pc, addr, is_write, llc_hit, t_llc);
@@ -515,7 +527,7 @@ impl MemorySystem {
             throttle.note_pf_issued(core.0, self.dram.last_read_wait());
         }
         self.llc.allocate_fill(block, ready, Some(core));
-        self.schedule_fill(FillLevel::Llc, block, ready);
+        self.schedule_fill(Fill::LLC, block, ready);
         self.llc.stats.pf_issued += 1;
         self.ledger.issued(block.index(), pc, source, now);
         crate::audit_assert!(
@@ -537,7 +549,7 @@ impl MemorySystem {
     /// measurement window.
     pub fn drain(&mut self) -> u64 {
         let mut last = 0;
-        while let Some(&Reverse((ready, _, _, _))) = self.fills.peek() {
+        while let Some(ready) = self.fills.next_ready() {
             last = ready;
             self.tick(ready);
         }
@@ -563,6 +575,7 @@ impl std::fmt::Debug for MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::Dram;
     use crate::prefetch::{NextLinePrefetcher, NoPrefetcher};
 
     fn mem_no_pf() -> MemorySystem {
@@ -923,6 +936,47 @@ mod tests {
             IssueResult::Done(t) => assert_eq!(t, last + 1 + 4),
             IssueResult::Stall => panic!(),
         }
+    }
+
+    /// Fills the fill queue's timing wheel cannot place in its window: one
+    /// prefetch issued below the last tick, whose fill is ready before
+    /// it, and prefetches queued far past the wheel's 4096-cycle span
+    /// behind a collapsed DRAM. `drain` must land every one and return the
+    /// latest ready cycle, which an identical DRAM model predicts.
+    #[test]
+    fn drain_lands_far_and_late_fills() {
+        let cfg = SystemConfig::tiny();
+        let mut mem = mem_no_pf();
+        let mut dram = Dram::new(cfg.dram);
+        let issue = |mem: &mut MemorySystem, dram: &mut Dram, block: BlockAddr, now: u64| {
+            mem.issue_prefetch(block, now);
+            dram.read_tagged(block, now + cfg.llc.latency, true)
+        };
+        let last_tick = 1_000_000;
+        let first = BlockAddr::new(3);
+        issue(&mut mem, &mut dram, first, 0);
+        mem.tick(last_tick);
+        let late = BlockAddr::new(7);
+        let late_ready = issue(&mut mem, &mut dram, late, 10);
+        assert!(late_ready < last_tick);
+        assert_eq!(mem.next_fill_ready(), Some(late_ready));
+        // One transfer per 5000 cycles: ten fills per channel reach 50 K
+        // cycles ahead.
+        mem.set_dram_transfer_cycles(5_000);
+        dram.set_transfer_cycles(5_000);
+        let mut latest = late_ready;
+        let far: Vec<BlockAddr> = (0..20).map(|i| BlockAddr::new(1000 + i * 64)).collect();
+        for &block in &far {
+            latest = latest.max(issue(&mut mem, &mut dram, block, last_tick));
+        }
+        assert_eq!(mem.llc_stats().pf_issued, 22);
+        assert!(latest > last_tick + 10 * 4096, "latest fill at {latest}");
+        assert_eq!(mem.drain(), latest);
+        assert_eq!(mem.llc.mshr_occupancy(), 0);
+        for block in far.into_iter().chain([first, late]) {
+            assert!(mem.llc.probe(block), "{block:?} resident");
+        }
+        assert_eq!(mem.llc.resident_lines(), 22);
     }
 
     #[test]

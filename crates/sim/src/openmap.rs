@@ -13,8 +13,10 @@
 //!
 //! The map is deliberately *not* iterable: nothing in the simulator may
 //! depend on hash-table ordering, and removing iteration makes that a
-//! compile-time guarantee. The one query over all entries, `min_of`, is a
-//! minimum, whose result no slot order can change.
+//! compile-time guarantee. Its one query over all entries, `min_of`, is
+//! compiled into tests and `audit` builds only, where the L1 MSHR file's
+//! earliest ready cycle checks the memory system's dense list of them; a
+//! minimum, its result does not depend on slot order either.
 
 /// An open-addressed `u64 -> V` map with linear probing.
 #[derive(Debug, Clone)]
@@ -85,6 +87,7 @@ impl<V> OpenMap<V> {
     /// The smallest `key_of(value)` over all entries, or `None` when the
     /// map is empty. Empty slots read as `u64::MAX`, so the scan over the
     /// slot array has no data-dependent branch.
+    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn min_of(&self, key_of: impl Fn(&V) -> u64) -> Option<u64> {
         if self.len == 0 {
             return None;
