@@ -2,7 +2,8 @@
 //! Bingo's tables versus the baselines, the accumulation table's two
 //! operations, and the unified history table's three operations (the
 //! storage-consolidation contribution); plus the memory system's fill
-//! layer, which lands every block those prefetchers predict.
+//! layer, which lands every block those prefetchers predict, and the
+//! trace decode layer that replaces the generators on a replayed run.
 //!
 //! The hermetic build has no criterion, so this is a plain `harness = false`
 //! binary: each case times a fixed-iteration loop several times and prints
@@ -11,6 +12,7 @@
 //! `bingo_bench::perf_record`) for the CI regression gate.
 
 use std::hint::black_box;
+use std::io::Cursor;
 
 use bingo_bench::{time_median, BenchRecord, BenchWriter};
 
@@ -21,6 +23,9 @@ use bingo_sim::{
     AccessInfo, BlockAddr, MemorySystem, NoPrefetcher, Pc, Prefetcher, RegionGeometry, RegionId,
     SystemConfig,
 };
+use bingo_trace::format::{CHUNK_HEADER_BYTES, FILE_HEADER_BYTES};
+use bingo_trace::{capture_source, crc32::crc32, TraceReader, DEFAULT_CHUNK_RECORDS};
+use bingo_workloads::Workload;
 
 fn info(pc: u64, block: u64) -> AccessInfo {
     AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
@@ -277,6 +282,58 @@ fn bench_memory_fill(writer: &mut Option<BenchWriter>) {
     assert_eq!(llc.pf_issued, llc.pf_requested, "every prefetch issues");
 }
 
+/// The trace decode layer on a capture of Data Serving's core 0, as
+/// `trace-replay` replays it: the CRC check of one full chunk, and the
+/// cost per record of draining the capture the way the core does (one
+/// `leading_ops` per op run, a `take_ops` of the whole run, then
+/// `next_instr`).
+fn bench_trace_decode(writer: &mut Option<BenchWriter>) {
+    const CHUNKS: u64 = 16;
+    const RECORDS: u64 = CHUNKS * DEFAULT_CHUNK_RECORDS as u64;
+    const SAMPLES: u32 = 5;
+    let mut image = Cursor::new(Vec::new());
+    let mut source = Workload::DataServing.source_for_core(0, 42);
+    capture_source(source.as_mut(), RECORDS, DEFAULT_CHUNK_RECORDS, &mut image)
+        .expect("in-memory capture");
+    let image = image.into_inner();
+
+    let header = FILE_HEADER_BYTES as usize;
+    let payload_len =
+        u32::from_le_bytes(image[header + 8..header + 12].try_into().expect("4 bytes")) as usize;
+    let payload_at = header + CHUNK_HEADER_BYTES as usize;
+    let chunk = &image[payload_at..payload_at + payload_len];
+    report(writer, "trace_crc32", "chunk", SAMPLES, 1_000, 1, || {
+        black_box(crc32(black_box(chunk)));
+    });
+
+    report(
+        writer,
+        "trace_reader",
+        "record",
+        SAMPLES,
+        10,
+        RECORDS,
+        || {
+            let mut reader = TraceReader::new(Cursor::new(&image)).expect("header");
+            let mut records = 0;
+            loop {
+                let run = reader.leading_ops();
+                if run > 0 {
+                    records += reader.take_ops(run);
+                }
+                match reader.next_instr().expect("clean capture") {
+                    Some(instr) => {
+                        black_box(instr);
+                        records += 1;
+                    }
+                    None => break,
+                }
+            }
+            assert_eq!(records as u64, RECORDS, "the drain delivers every record");
+        },
+    );
+}
+
 fn main() {
     let mut writer = BenchWriter::from_env();
     if let Some(w) = &mut writer {
@@ -288,6 +345,7 @@ fn main() {
     bench_accumulation_table(&mut writer);
     bench_history_table(&mut writer);
     bench_memory_fill(&mut writer);
+    bench_trace_decode(&mut writer);
     if let Some(w) = &writer {
         println!("bench records written to {}", w.path().display());
     }

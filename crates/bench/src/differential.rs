@@ -159,8 +159,10 @@ fn is_subsequence(sub: &[BlockAddr], sup: &[BlockAddr]) -> bool {
 
 /// Replays `trace` through a throttled real Bingo — its level driven by
 /// [`throttle_schedule`] — against an *unthrottled* [`SpecBingo`],
-/// checking the subtractive-throttling contract at every step (see
-/// [`diff_bingo_scheduled`]).
+/// checking the subtractive-throttling contract at every step: trigger
+/// classification matches exactly, the real burst is an ordered
+/// subsequence of the spec burst, and at [`ThrottleLevel::Full`] the
+/// burst and prediction source match the spec exactly.
 ///
 /// # Errors
 ///
@@ -402,7 +404,7 @@ pub fn fuzz_baseline(
 /// # Panics
 ///
 /// Panics if the trace does not actually diverge under `cfg` (see
-/// [`bingo_oracle::shrink`]).
+/// [`bingo_oracle::shrink()`]).
 pub fn shrink_bingo_mismatch(cfg: &BingoConfig, trace: &PrefetchTrace) -> PrefetchTrace {
     shrink(trace, &mut |t| diff_bingo(cfg, t).is_err())
 }

@@ -20,10 +20,10 @@
 //!   for the baselines: a stride prefetcher may only predict along the
 //!   delta it actually observed, BOP may only emit multiples of an offset
 //!   from its candidate list, SMS never leaves the trigger region.
-//! * [`generate`] — a seeded adversarial trace generator producing
+//! * [`generate()`] — a seeded adversarial trace generator producing
 //!   page-boundary straddles, trigger/retrigger races,
 //!   eviction-before-fill, aliasing PCs, and tiny/huge region configs.
-//! * [`shrink`] — a hand-rolled ddmin-style shrinker that reduces a
+//! * [`shrink()`] — a hand-rolled ddmin-style shrinker that reduces a
 //!   failing trace to a minimal, canonicalized regression case.
 //!
 //! The differential harness that replays traces through both sides lives

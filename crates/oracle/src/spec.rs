@@ -3,7 +3,7 @@
 //!
 //! Where the real implementation packs footprints into `u64` bitmaps and
 //! reuses buffers, this model allocates a fresh
-//! [`BTreeSet`](std::collections::BTreeSet) per footprint and scans every
+//! [`BTreeSet`] per footprint and scans every
 //! structure linearly, so each rule of the paper is one short, auditable
 //! block of code:
 //!

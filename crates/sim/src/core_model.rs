@@ -9,6 +9,14 @@
 //! Instructions are supplied by an [`InstrSource`] — an infinite,
 //! deterministic generator (see the `bingo-workloads` crate).
 //!
+//! The core holds the op run at the head of its stream as a count: it
+//! asks the source for the run's length once ([`InstrSource::peek_ops`]),
+//! dispatches and op-cranks from that count, and takes the dispatched ops
+//! out of the source in one [`InstrSource::take_ops`] just before its
+//! next [`InstrSource::next_instr`] and when it finishes. So a run costs
+//! two source calls however many cycles it spans, and the source hands
+//! out exactly the instructions a `next_instr`-only fetch would.
+//!
 //! Only loads carry a completion cycle in the reorder buffer. An op or a
 //! store dispatched at cycle `c` completes at `c + 1`, and every cycle
 //! retires before it dispatches, so such an entry is always ready by the
@@ -72,18 +80,29 @@ pub trait InstrSource {
     /// call, returning how many were taken. Must be equivalent to calling
     /// [`InstrSource::next_instr`] that many times and observing only
     /// ops; consumption stops early at the first non-op. The default
-    /// (take nothing) keeps every existing source correct — callers fall
-    /// back to `next_instr` when this returns 0.
+    /// takes nothing, which is right for a source whose
+    /// [`InstrSource::peek_ops`] reports nothing.
+    ///
+    /// [`OooCore`] calls it once per peeked run, just before its next
+    /// `next_instr` and when it finishes, with exactly the ops it
+    /// dispatched from the run: never more than the last `peek_ops`
+    /// reported, so it must take all `max`.
     fn take_ops(&mut self, max: usize) -> usize {
         let _ = max;
         0
     }
 
     /// Number of consecutive ops at the head of the stream, without
-    /// consuming them — the op-crank fast-forward's eligibility probe.
-    /// May generate buffered instructions (hence `&mut`), but must not
-    /// change the observable stream. The conservative default (0)
-    /// disables cranking for sources that do not implement it.
+    /// consuming them. May generate buffered instructions (hence `&mut`),
+    /// but must not change the observable stream. It may report fewer ops
+    /// than the run holds (a trace reader stops at its chunk's end); the
+    /// conservative default (0) makes the core fetch every instruction
+    /// through `next_instr`.
+    ///
+    /// [`OooCore`] calls it once per run, the first time it needs the
+    /// head after a `next_instr`, and dispatches and op-cranks from the
+    /// count it returns; then it takes the dispatched ops with
+    /// [`InstrSource::take_ops`].
     fn peek_ops(&mut self) -> usize {
         0
     }
@@ -420,6 +439,12 @@ pub struct OooCore {
     rob: Rob,
     /// Instruction that failed to dispatch last cycle, retried first.
     stalled: Option<Instr>,
+    /// Ops left at the head of the stream, from the source's last
+    /// `peek_ops` less the ops dispatched since; `None` until the head is
+    /// next needed.
+    head_ops: Option<usize>,
+    /// Ops dispatched from the peeked run that the source still holds.
+    owed_ops: usize,
     /// Whether the current stall came from the LSQ-occupancy check rather
     /// than the memory system (only meaningful while `stalled` is a store).
     lsq_stall: bool,
@@ -448,6 +473,8 @@ impl OooCore {
             cfg,
             rob: Rob::new(cfg.rob_entries, cfg.retire_width),
             stalled: None,
+            head_ops: None,
+            owed_ops: 0,
             lsq_stall: false,
             store_queue: BinaryHeap::new(),
             chain_done: Box::new([0; 256]),
@@ -486,7 +513,9 @@ impl OooCore {
     }
 
     /// Simulates one cycle: retire, then dispatch. Returns `true` once the
-    /// instruction target has been reached (the core then idles).
+    /// instruction target has been reached (the core then idles). Every
+    /// call must pass the same `src`: the core holds the op run at its
+    /// head across cycles (see the module docs).
     pub fn step(&mut self, now: u64, mem: &mut MemorySystem, src: &mut dyn InstrSource) -> bool {
         if self.done {
             return true;
@@ -508,6 +537,7 @@ impl OooCore {
             }
             if self.warmed {
                 self.done = true;
+                self.settle_ops(src);
                 return true;
             }
             self.warmed = true;
@@ -522,20 +552,24 @@ impl OooCore {
         // Dispatch in order.
         let mut dispatched = 0;
         while dispatched < self.cfg.width && !self.rob.is_full() {
-            // Batch path: a leading run of ops dispatches without the
-            // per-instruction source round-trip. Ops never stall, so this
-            // is exactly `n` iterations of the general path below.
-            if self.stalled.is_none() {
-                let n = src.take_ops((self.cfg.width - dispatched).min(self.rob.room()));
-                if n > 0 {
-                    self.rob.push_ready(n);
-                    dispatched += n;
-                    continue;
-                }
-            }
             let instr = match self.stalled.take() {
                 Some(i) => i,
-                None => src.next_instr(),
+                None => {
+                    // Batch path: ops of the peeked run dispatch without a
+                    // source call. Ops never stall, so this is exactly `n`
+                    // iterations of the general path below.
+                    let run = self.head_ops(src);
+                    if run > 0 {
+                        let n = run.min(self.cfg.width - dispatched).min(self.rob.room());
+                        self.rob.push_ready(n);
+                        self.owe_ops(run, n);
+                        dispatched += n;
+                        continue;
+                    }
+                    self.settle_ops(src);
+                    self.head_ops = None;
+                    src.next_instr()
+                }
             };
             match instr {
                 Instr::Op => {
@@ -687,47 +721,59 @@ impl OooCore {
         );
     }
 
-    /// How many consecutive cycles starting next cycle this core could be
-    /// "op-cranked" — stepped by the tight retire/dispatch replay of
-    /// [`apply_op_crank`] instead of the full cycle machinery. Valid only
-    /// for an unstalled, unfinished core. `ops_avail` is the length of
-    /// the op run heading its instruction stream; the cap guarantees the
-    /// crank (a) never needs a non-op instruction (dispatch consumes at
-    /// most `width` ops per cycle) and (b) never crosses the
-    /// warmup/target boundary (retirement adds at most `retire_width`
-    /// instructions per cycle).
-    ///
-    /// [`apply_op_crank`]: Self::apply_op_crank
-    pub(crate) fn op_crank_cycles(&self, ops_avail: usize) -> u64 {
-        debug_assert!(self.stalled.is_none() && !self.done);
-        let k_ops = (ops_avail / self.cfg.width) as u64;
-        let needed = self.boundary - self.stats.instructions;
-        let k_boundary = (needed - 1) / self.cfg.retire_width as u64;
-        k_ops.min(k_boundary)
+    /// Length of the op run heading the stream: the source is peeked the
+    /// first time the head is needed after a `next_instr`, and the count
+    /// shrinks as the run dispatches.
+    fn head_ops(&mut self, src: &mut dyn InstrSource) -> usize {
+        *self.head_ops.get_or_insert_with(|| src.peek_ops())
     }
 
-    /// Replays cycles `[next, wake)` for a core whose stream head is a run
-    /// of ops: in-order retirement (at most `retire_width` per cycle, each
-    /// entry no earlier than its completion cycle) and op dispatch (at
-    /// most `width` per cycle, bounded by ROB space, completing next
-    /// cycle) — exactly what [`step`] would do, minus the per-cycle
-    /// source/memory round-trips, and jumping a full ROB's steady
-    /// stretches in closed form (see `Rob::crank`). Returns how many ops
-    /// were dispatched;
-    /// the caller must consume that many from the source. The caller
-    /// capped `wake` via [`op_crank_cycles`], so the ops are available and
-    /// no warmup/target boundary is crossed.
+    /// Records `n` ops dispatched from the peeked run of `run` ops.
+    fn owe_ops(&mut self, run: usize, n: usize) {
+        self.head_ops = Some(run - n);
+        self.owed_ops += n;
+    }
+
+    /// Takes the ops dispatched from the peeked run out of the source, in
+    /// one call.
+    fn settle_ops(&mut self, src: &mut dyn InstrSource) {
+        if self.owed_ops > 0 {
+            let taken = src.take_ops(self.owed_ops);
+            assert_eq!(taken, self.owed_ops, "op run shorter than peeked");
+            self.owed_ops = 0;
+        }
+    }
+
+    /// Op-cranks cycles `[next, next + k)` of a core whose stream head is a
+    /// run of ops and returns `k`, the cycles it covered (0 when the run
+    /// is too short to fill a cycle). Each cycle replays what [`step`]
+    /// would do, minus the per-cycle source and memory round-trips:
+    /// in-order retirement (at most `retire_width`, each entry no earlier
+    /// than its completion cycle) and op dispatch (at most `width`,
+    /// bounded by ROB space, completing next cycle), with a full ROB's
+    /// steady stretches jumped in closed form (see `Rob::crank`). `k` is
+    /// capped so the crank (a) never needs a non-op instruction (dispatch
+    /// consumes at most `width` ops per cycle) and (b) never crosses the
+    /// warmup/target boundary (retirement adds at most `retire_width`
+    /// instructions per cycle). Valid only for an unstalled, unfinished
+    /// core; the dispatched ops join the peeked run's debt to the source.
     ///
     /// [`step`]: Self::step
-    /// [`op_crank_cycles`]: Self::op_crank_cycles
-    pub(crate) fn apply_op_crank(&mut self, next: u64, wake: u64) -> usize {
-        let (retired, consumed) = self.rob.crank(next, wake, self.cfg.width);
-        self.stats.instructions += retired as u64;
-        debug_assert!(
-            self.stats.instructions < self.boundary,
-            "op crank crossed a boundary op_crank_cycles should have capped"
-        );
-        consumed
+    pub(crate) fn crank_op_run(&mut self, next: u64, src: &mut dyn InstrSource) -> u64 {
+        debug_assert!(self.stalled.is_none() && !self.done);
+        let run = self.head_ops(src);
+        let needed = self.boundary - self.stats.instructions;
+        let k = ((run / self.cfg.width) as u64).min((needed - 1) / self.cfg.retire_width as u64);
+        if k > 0 {
+            let (retired, dispatched) = self.rob.crank(next, next + k, self.cfg.width);
+            self.stats.instructions += retired as u64;
+            debug_assert!(
+                self.stats.instructions < self.boundary,
+                "op crank crossed a boundary its cycle cap should have kept"
+            );
+            self.owe_ops(run, dispatched);
+        }
+        k
     }
 
     /// Replays the core-side effects of `k` skipped stall cycles starting
@@ -1133,7 +1179,7 @@ mod tests {
             n
         }
 
-        /// `apply_op_crank`.
+        /// `crank_op_run`.
         fn crank(&mut self, next: u64, wake: u64, width: usize, capacity: usize) -> (usize, usize) {
             let (mut retired, mut dispatched) = (0, 0);
             for cycle in next..wake {

@@ -14,8 +14,9 @@
 //!   fill, the only event that can free one of those MSHRs;
 //! * stalled on a full LSQ: the cycle its oldest store completes;
 //! * blocked on a full ROB: the cycle the head completes;
-//! * at the head of a run of ops: the run is op-cranked at once, and the
-//!   core wakes `k` cycles later;
+//! * at the head of a run of ops: the core op-cranks the run it holds as
+//!   a count (see [`crate::core_model`]), with no source call, and wakes
+//!   `k` cycles later;
 //! * stalled on LLC MSHRs, or anything else: `t + 1`.
 //!
 //! Every wake is capped at the cycle its retirements would cross the
@@ -442,14 +443,7 @@ impl System {
             None => {
                 // While the stream head is a run of ops, the next `k`
                 // cycles touch nothing but this core's ROB: crank them now.
-                let ops = self.sources[i].peek_ops();
-                let k = self.cores[i].op_crank_cycles(ops);
-                if k > 0 {
-                    sleep.wake = next + k;
-                    let consumed = self.cores[i].apply_op_crank(next, sleep.wake);
-                    let taken = self.sources[i].take_ops(consumed);
-                    assert_eq!(taken, consumed, "op run shorter than peeked");
-                }
+                sleep.wake += self.cores[i].crank_op_run(next, self.sources[i].as_mut());
             }
         }
         sleep
@@ -499,6 +493,9 @@ mod tests {
     use crate::addr::{Addr, Pc};
     use crate::core_model::Instr;
     use crate::prefetch::{NextLinePrefetcher, NoPrefetcher};
+    use std::cell::Cell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
 
     fn streaming_source(core: usize) -> Box<dyn InstrSource> {
         let mut next = 0u64;
@@ -783,6 +780,129 @@ mod tests {
         let slow = build(false).run();
         assert_eq!(fast, slow);
         assert_eq!(fast.cores[0].instructions, 6_000);
+    }
+
+    /// One instruction of an op-heavy stream: runs of three or four ops
+    /// between loads and stores that miss the tiny L1.
+    fn mixed_instr(core: usize, n: u64) -> Instr {
+        let addr = Addr::new(((core as u64) << 40) + n * 64 * 17);
+        match n % 9 {
+            4 => Instr::Load {
+                pc: Pc::new(0x700),
+                addr,
+                dep: n.is_multiple_of(4).then_some(1),
+            },
+            8 if n.is_multiple_of(5) => Instr::Store {
+                pc: Pc::new(0x710),
+                addr,
+            },
+            8 => Instr::Load {
+                pc: Pc::new(0x720),
+                addr,
+                dep: None,
+            },
+            _ => Instr::Op,
+        }
+    }
+
+    /// Serves [`mixed_instr`]'s stream, counting every instruction it
+    /// hands out. With `cap`, `peek_ops` reports at most `cap` of the
+    /// leading ops and `take_ops` never crosses that cap, as a `.btrc`
+    /// reader does at a chunk boundary; without, the source has only
+    /// `next_instr`.
+    struct CountingSource {
+        core: usize,
+        /// Index of the next instruction to generate.
+        next: u64,
+        /// Generated but not yet handed out, at most `cap` long.
+        ahead: VecDeque<Instr>,
+        cap: Option<usize>,
+        handed_out: Rc<Cell<u64>>,
+    }
+
+    impl CountingSource {
+        fn generate(&mut self) -> Instr {
+            self.next += 1;
+            mixed_instr(self.core, self.next)
+        }
+    }
+
+    impl InstrSource for CountingSource {
+        fn next_instr(&mut self) -> Instr {
+            self.handed_out.set(self.handed_out.get() + 1);
+            match self.ahead.pop_front() {
+                Some(instr) => instr,
+                None => self.generate(),
+            }
+        }
+
+        fn take_ops(&mut self, max: usize) -> usize {
+            let n = self.peek_ops().min(max);
+            self.ahead.drain(..n);
+            self.handed_out.set(self.handed_out.get() + n as u64);
+            n
+        }
+
+        fn peek_ops(&mut self) -> usize {
+            let Some(cap) = self.cap else {
+                return 0;
+            };
+            while self.ahead.len() < cap {
+                let instr = self.generate();
+                self.ahead.push_back(instr);
+            }
+            self.ahead.iter().take_while(|&&i| i == Instr::Op).count()
+        }
+    }
+
+    /// A source that under-reports its op runs drives the core to the
+    /// same result as the lockstep loop and as the same stream served
+    /// through `next_instr` alone, and hands out exactly as many
+    /// instructions: the core takes every op it dispatched from a peeked
+    /// run, the last ones when it finishes.
+    #[test]
+    fn capped_op_runs_match_next_instr_only_delivery() {
+        let cfg = SystemConfig::tiny().with_cores(2);
+        for target in [3_000, 5_001, 7_002] {
+            let run = |cap: Option<usize>, ff: bool| {
+                let handed_out: Vec<_> = (0..2).map(|_| Rc::new(Cell::new(0))).collect();
+                let sources = (0..2)
+                    .map(|core| {
+                        Box::new(CountingSource {
+                            core,
+                            next: 0,
+                            ahead: VecDeque::new(),
+                            cap,
+                            handed_out: Rc::clone(&handed_out[core]),
+                        }) as Box<dyn InstrSource>
+                    })
+                    .collect();
+                let result = System::new(
+                    cfg,
+                    sources,
+                    vec![Box::new(NextLinePrefetcher::new(2)), Box::new(NoPrefetcher)],
+                    target,
+                )
+                .with_warmup(1_000)
+                .with_fast_forward(ff)
+                .run();
+                let counts: Vec<u64> = handed_out.iter().map(|c| c.get()).collect();
+                (result, counts)
+            };
+            let (capped, capped_counts) = run(Some(3), true);
+            let (lockstep, lockstep_counts) = run(Some(3), false);
+            let (plain, plain_counts) = run(None, true);
+            assert_eq!(capped, lockstep, "target {target}: capped runs vs lockstep");
+            assert_eq!(
+                capped, plain,
+                "target {target}: capped runs vs next_instr only"
+            );
+            assert_eq!(capped_counts, plain_counts, "target {target}: handed out");
+            assert_eq!(
+                lockstep_counts, plain_counts,
+                "target {target}: lockstep handed out"
+            );
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub enum ThrottleLevel {
     #[default]
     Full,
     /// Bingo raises its short-event vote threshold to
-    /// [`RAISED_VOTE_THRESHOLD`](crate::throttle::RAISED_VOTE_THRESHOLD)
+    /// [`RAISED_VOTE_THRESHOLD`]
     /// so only widely agreed-upon blocks survive; cascade prefetchers
     /// halve their burst.
     RaisedVote,

@@ -1,12 +1,13 @@
 //! Deterministic corruption operators for adversarial decoder testing.
 //!
-//! A [`CorruptionPlan`] is a seeded, reproducible list of byte-level
-//! mutations — truncations, bit flips, chunk swaps, garbage prefixes,
-//! mid-record amputations, shortened record counts — applied to a
-//! well-formed trace image. The fuzz driver asserts that every corrupted
+//! A corruption plan ([`plan_for_seed`]) is a seeded, reproducible list
+//! of byte-level mutations — truncations, bit flips, chunk swaps, garbage
+//! prefixes, mid-record amputations, shortened record counts — applied to
+//! a well-formed trace image. The fuzz driver asserts that every corrupted
 //! image either decodes or yields a typed error carrying its byte offset;
-//! a plan that breaks that contract is shrunk to a minimal reproducer with `bingo_oracle`'s delta-debugging loop, which is why
-//! the plan is a plain `Vec` of small self-describing ops.
+//! a plan that breaks that contract is shrunk to a minimal reproducer with
+//! `bingo_oracle`'s delta-debugging loop, which is why the plan is a plain
+//! `Vec` of small self-describing ops.
 
 use bingo_rng::{Rng, SeedableRng, SmallRng};
 

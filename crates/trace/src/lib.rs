@@ -8,7 +8,7 @@
 //! forged chunks, impossible records — maps to a typed error with a
 //! byte offset, and the read stops there.
 //!
-//! * [`format`] — the framed `.btrc` layout and record encoding.
+//! * [`mod@format`] — the framed `.btrc` layout and record encoding.
 //! * [`crc32`] — hand-rolled IEEE CRC-32 (the workspace is offline; no
 //!   external crates).
 //! * [`reader`] / [`writer`] — bounded-memory streaming codec.

@@ -10,11 +10,14 @@
 //! offset.
 //!
 //! `ReplaySource` forwards the simulator's op-run fast path
-//! ([`InstrSource::take_ops`] / [`InstrSource::peek_ops`]) to
-//! [`TraceReader::take_ops`] / [`TraceReader::leading_ops`]. That path
-//! never crosses a chunk: at a chunk boundary or end of pass it reports
-//! 0, and the core falls back to `next_instr`, which loads the next chunk
-//! or wraps around exactly as before.
+//! ([`InstrSource::peek_ops`] / [`InstrSource::take_ops`]) to
+//! [`TraceReader::leading_ops`] / [`TraceReader::take_ops`]. The core
+//! peeks each run once, dispatches and op-cranks from the count, and takes
+//! exactly the ops it dispatched in one call before its next `next_instr`,
+//! so a run's op bytes are scanned twice however many cycles it spans. The
+//! count never crosses a chunk: at a chunk boundary or end of pass it is
+//! 0, and `next_instr` loads and CRC-checks the next chunk or wraps
+//! around.
 
 use std::fs::File;
 use std::io::{self, BufReader, Seek, Write};

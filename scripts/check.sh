@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full pre-merge check: build, tests, formatting, lints.
+# Full pre-merge check: build, tests, formatting, lints, rustdoc.
 # Usage: scripts/check.sh  (run from anywhere inside the repo)
 #
 # Opt-in: BINGO_BENCH=1 scripts/check.sh additionally runs the bench
@@ -28,6 +28,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if [[ "${BINGO_BENCH:-0}" == "1" ]]; then
     echo "==> cargo bench -p bingo-bench (perf trajectory vs BENCH_simulator.json)"

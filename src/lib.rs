@@ -12,7 +12,7 @@
 //! | [`baselines`] | BOP, SPP, VLDP, AMPM, SMS, stride |
 //! | [`workloads`] | synthetic generators for the Table II workload suite |
 //! | [`trace`] | hardened trace capture/replay: framed format, CRC32, typed offset-carrying errors |
-//! | [`bench`] | experiment harness: parallel (workload × prefetcher) runner |
+//! | [`mod@bench`] | experiment harness: parallel (workload × prefetcher) runner |
 //!
 //! ## Quickstart
 //!
