@@ -2,12 +2,14 @@
 //! Bingo's tables versus the baselines, the accumulation table's two
 //! operations, and the unified history table's three operations (the
 //! storage-consolidation contribution); plus the memory system's fill
-//! layer, which lands every block those prefetchers predict, and the
-//! trace decode layer that replaces the generators on a replayed run.
+//! layer, which lands every block those prefetchers predict, the cache
+//! lookup that checks each of them for a duplicate, and the trace decode
+//! layer that replaces the generators on a replayed run.
 //!
 //! The hermetic build has no criterion, so this is a plain `harness = false`
 //! binary: each case times a fixed-iteration loop several times and prints
-//! the median nanoseconds per operation with the observed spread. Set
+//! the median nanoseconds per operation with the observed spread, to three
+//! significant digits. Set
 //! `BINGO_BENCH_JSON=<file>` to also emit machine-readable records (see
 //! `bingo_bench::perf_record`) for the CI regression gate.
 
@@ -20,8 +22,8 @@ use bingo::multi_event::{MultiEventConfig, MultiEventPrefetcher};
 use bingo::{AccumulationTable, Bingo, BingoConfig, EventKind, Footprint, UnifiedHistoryTable};
 use bingo_baselines::{Ampm, AmpmConfig, Bop, BopConfig, Sms, Spp, SppConfig, Vldp, VldpConfig};
 use bingo_sim::{
-    AccessInfo, BlockAddr, MemorySystem, NoPrefetcher, Pc, Prefetcher, RegionGeometry, RegionId,
-    SystemConfig,
+    AccessInfo, BlockAddr, Cache, MemorySystem, NoPrefetcher, Pc, Prefetcher, RegionGeometry,
+    RegionId, SystemConfig,
 };
 use bingo_trace::format::{CHUNK_HEADER_BYTES, FILE_HEADER_BYTES};
 use bingo_trace::{capture_source, crc32::crc32, TraceReader, DEFAULT_CHUNK_RECORDS};
@@ -62,6 +64,18 @@ fn drive(p: &mut dyn Prefetcher, accesses: u64) -> usize {
     issued
 }
 
+/// `x` with three significant digits, and no fewer than its integer
+/// digits: a sub-nanosecond case still tells runs apart.
+fn three_digits(x: f64) -> String {
+    let magnitude = if x.is_normal() {
+        x.abs().log10().floor() as i32
+    } else {
+        0
+    };
+    let decimals = (2 - magnitude).max(0) as usize;
+    format!("{x:.decimals$}")
+}
+
 /// Times `samples` passes of `iters` runs of `f` and reports the median
 /// ns per inner operation with the observed spread.
 fn report(
@@ -90,8 +104,10 @@ fn report(
         samples,
     };
     println!(
-        "{group}/{name}: {:.1} ns/op (lo {:.1}, hi {:.1}, n={samples})",
-        record.median, record.lo, record.hi
+        "{group}/{name}: {} ns/op (lo {}, hi {}, n={samples})",
+        three_digits(record.median),
+        three_digits(record.lo),
+        three_digits(record.hi)
     );
     if let Some(w) = writer {
         w.record_or_die(record);
@@ -282,6 +298,50 @@ fn bench_memory_fill(writer: &mut Option<BenchWriter>) {
     assert_eq!(llc.pf_issued, llc.pf_requested, "every prefetch issues");
 }
 
+/// The cache lookup layer alone: `Cache::probe` of a block neither
+/// resident nor in flight, the duplicate check every new prefetch
+/// candidate passes, on the paper machine's LLC filled to capacity with
+/// 144 fills in flight (`em3d-grid`'s mean LLC MSHR occupancy at a
+/// lookup). The probed blocks spread over every set.
+fn bench_cache(writer: &mut Option<BenchWriter>) {
+    const IN_FLIGHT: usize = 144;
+    const PROBES: usize = 100_000;
+    const ITERS: u64 = 10;
+    const SAMPLES: u32 = 5;
+    let cfg = SystemConfig::paper().llc;
+    let mut llc = Cache::new(cfg);
+    for block in (0..cfg.blocks()).map(BlockAddr::new) {
+        llc.allocate_fill(block, 0, None);
+        llc.complete_fill(block, false);
+    }
+    // The stream's blocks are below 2^22: shifted to 2^23 and up they
+    // are in flight, shifted to 2^22 and up they are probed, so neither
+    // meets the 2^17 resident blocks or the other.
+    for block in blocks().take(IN_FLIGHT) {
+        llc.allocate_fill(BlockAddr::new(block + (2 << 22)), 1, None);
+    }
+    assert_eq!(llc.mshr_occupancy(), IN_FLIGHT);
+    let absent: Vec<BlockAddr> = blocks()
+        .skip(IN_FLIGHT)
+        .take(PROBES)
+        .map(|block| BlockAddr::new(block + (1 << 22)))
+        .collect();
+    assert!(absent.iter().all(|&block| !llc.probe(block)));
+    report(
+        writer,
+        "cache",
+        "probe_absent",
+        SAMPLES,
+        ITERS,
+        PROBES as u64,
+        || {
+            for &block in &absent {
+                black_box(llc.probe(black_box(block)));
+            }
+        },
+    );
+}
+
 /// The trace decode layer on a capture of Data Serving's core 0, as
 /// `trace-replay` replays it: the CRC check of one full chunk, and the
 /// cost per record of draining the capture the way the core does (one
@@ -345,6 +405,7 @@ fn main() {
     bench_accumulation_table(&mut writer);
     bench_history_table(&mut writer);
     bench_memory_fill(&mut writer);
+    bench_cache(&mut writer);
     bench_trace_decode(&mut writer);
     if let Some(w) = &writer {
         println!("bench records written to {}", w.path().display());

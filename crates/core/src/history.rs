@@ -157,7 +157,8 @@ impl UnifiedHistoryTable {
 
     /// Looks up with the short event only (the gray path of Fig. 5): every
     /// way whose short-tag portion matches contributes its footprint.
-    /// Matches are returned most-recent-first; recency is updated.
+    /// Matches are returned most-recent-first, ways touched at the same
+    /// stamp in way order; recency is updated.
     pub fn lookup_short(&mut self, short_key: u64, out: &mut ShortMatches) {
         out.clear();
         let stamp = self.next_stamp();
@@ -169,11 +170,10 @@ impl UnifiedHistoryTable {
                 self.last_touch[i] = stamp;
             }
         }
-        // Previous stamps are unique (every touch draws a fresh stamp), so
-        // this unstable sort orders matches exactly as the stable
-        // most-recent-first sort always has.
-        self.scratch
-            .sort_unstable_by_key(|m| std::cmp::Reverse(m.0));
+        // One short lookup gives every way it matches the same stamp, so
+        // previous stamps can tie; the stable sort returns tied ways in way
+        // order.
+        self.scratch.sort_by_key(|m| std::cmp::Reverse(m.0));
         out.extend(self.scratch.iter().map(|&(_, f)| f));
     }
 
@@ -271,6 +271,35 @@ mod tests {
         t.lookup_short(7, &mut out);
         assert_eq!(out[0], fp(0b0001));
         assert_eq!(out[1], fp(0b0010));
+    }
+
+    #[test]
+    fn short_lookup_returns_ways_it_tied_in_way_order() {
+        let mut t = table();
+        t.insert(100, 7, fp(0b0001));
+        t.insert(200, 7, fp(0b0010));
+        let mut out = Vec::new();
+        t.lookup_short(7, &mut out);
+        assert_eq!(out, [fp(0b0010), fp(0b0001)], "most recent first");
+        // That lookup gave both ways one stamp.
+        t.lookup_short(7, &mut out);
+        assert_eq!(out, [fp(0b0001), fp(0b0010)], "tied ways in way order");
+
+        // A set wide enough for an unstable sort to reorder ties: every
+        // third way is touched again after the tying lookup.
+        let mut t = UnifiedHistoryTable::new(64, 64, 32);
+        for i in 0..64 {
+            t.insert(1000 + i, 7, fp(i + 1));
+        }
+        t.lookup_short(7, &mut out);
+        let retouched: Vec<u64> = (0..64).step_by(3).collect();
+        for &i in &retouched {
+            t.lookup_long(1000 + i, 7);
+        }
+        t.lookup_short(7, &mut out);
+        let tied = (0..64).filter(|i| i % 3 != 0);
+        let expected = retouched.iter().rev().copied().chain(tied);
+        assert_eq!(out, expected.map(|i| fp(i + 1)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -15,10 +15,18 @@
 //! evicted untouched is *useless* (an overprediction). Each prefetched line
 //! also remembers the core whose prefetcher issued it, and hands that owner
 //! back at the two use events, so per-core attribution needs no side table.
+//!
+//! All metadata beyond the tag array is indexed by set. The MSHR file is
+//! a slab of entries chained per set, so a lookup walks only its own
+//! set's chain, which is empty for nearly every lookup. Each set's LRU
+//! order is one `u64` of 4-bit way numbers (hence at most [`MAX_WAYS`]
+//! ways), and its invalid ways trail the valid ones, lowest index last:
+//! the way at the back is the first invalid way by index, else the least
+//! recently touched, which is what a per-line stamp with a zero stamp for
+//! invalid lines and a `min_by_key` victim picks.
 
 use crate::addr::{BlockAddr, CoreId};
 use crate::config::CacheConfig;
-use crate::openmap::OpenMap;
 use crate::stats::CacheStats;
 
 /// Outcome of a demand lookup.
@@ -61,6 +69,11 @@ pub struct Evicted {
 /// by [`SystemConfig::validate`](crate::SystemConfig::validate).
 pub const MAX_PREFETCH_OWNERS: usize = u8::MAX as usize + 1;
 
+/// Largest associativity a set's recency word can order (sixteen 4-bit
+/// way numbers in one `u64`); checked by
+/// [`SystemConfig::validate`](crate::SystemConfig::validate).
+pub const MAX_WAYS: usize = 16;
+
 /// Per-line status flags, packed so the tag array stays dense.
 mod flag {
     pub const VALID: u8 = 1 << 0;
@@ -71,6 +84,45 @@ mod flag {
     pub const DEMANDED: u8 = 1 << 3;
     /// Line was filled during the measurement window (post-warmup).
     pub const MEASURED: u8 = 1 << 4;
+}
+
+/// Operations on a set's recency order: way numbers as 4-bit entries of
+/// one `u64`, the most recent in the low entry. Entries past the set's
+/// ways are zero.
+mod order {
+    /// One in every 4-bit entry.
+    const ONES: u64 = 0x1111_1111_1111_1111;
+
+    /// The order of a fresh set: way `ways - 1` in front, way 0 at the
+    /// back, so fills take the ways in index order. Stored words are XORed
+    /// with it, so a zeroed word is this order.
+    pub fn initial(ways: usize) -> u64 {
+        (0..ways).fold(0, |o, p| o | ((ways - 1 - p) as u64) << (4 * p))
+    }
+
+    /// The way `at` entries from the front.
+    pub fn way_at(order: u64, at: usize) -> usize {
+        ((order >> (4 * at)) & 0xF) as usize
+    }
+
+    /// `order` with `way` moved to the front.
+    #[inline]
+    pub fn touch(order: u64, way: usize) -> u64 {
+        // The entry holding `way` is the lowest zero entry of `x`; a
+        // borrow can flag only entries above it.
+        let x = order ^ (way as u64 * ONES);
+        let zero = x.wrapping_sub(ONES) & !x & (ONES << 3);
+        // Entries 0..=p, where p holds `way`; all of them at p = 15.
+        let through = (16u64 << (zero.trailing_zeros() & !3)).wrapping_sub(1);
+        (order & !through) | ((order << 4) & through) | way as u64
+    }
+
+    /// Whether `order` holds each of `0..ways` once, and nothing past.
+    #[cfg(any(test, feature = "audit"))]
+    pub fn is_permutation(order: u64, ways: usize) -> bool {
+        let seen = (0..ways).fold(0u32, |s, p| s | 1 << way_at(order, p));
+        seen == (1u32 << ways) - 1 && (ways == 16 || order >> (4 * ways) == 0)
+    }
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -86,13 +138,24 @@ struct PendingFill {
     dirty: bool,
 }
 
+/// One MSHR: a block in flight and its fill, linked into its set's chain
+/// while pending and into the free list once landed.
+#[derive(Copy, Clone, Debug)]
+struct Mshr {
+    block: u64,
+    fill: PendingFill,
+    /// Slab index + 1 of the next entry; 0 ends the chain.
+    next: u32,
+}
+
 /// A set-associative, banked, write-back cache with a finite MSHR file.
 ///
 /// The tag array is structure-of-arrays: every lookup's way scan walks a
 /// dense `u64` tag slice (set *s* occupies indices `s*ways ..
-/// (s+1)*ways`), touching the flag/recency columns only on a match. The
-/// MSHR file is an [`OpenMap`] pre-sized to the MSHR count, so the hot
-/// path never hashes through SipHash or allocates.
+/// (s+1)*ways`), touching the flag columns only on a match. Everything
+/// else is per set: the LRU order is one word per set, and the MSHR file
+/// is a slab of at most `mshrs` entries whose pending fills are chained
+/// from a head per set, so no lookup hashes, probes or allocates.
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -101,19 +164,28 @@ pub struct Cache {
     /// Issuing core of each line filled by a prefetch; meaningful only
     /// while the line's `PREFETCHED` flag is set.
     owners: Vec<u8>,
-    last_touch: Vec<u64>,
+    /// Each set's recency order (see [`order`]) XORed with
+    /// `initial_order`, so the zero-allocated vector holds fresh sets.
+    recency: Vec<u64>,
+    initial_order: u64,
     set_mask: u64,
     /// `banks - 1` when the bank count is a power of two, letting
     /// [`Cache::bank_start`] — on the path retried every cycle by a
     /// stalled core — use a mask instead of an integer division.
     bank_mask: Option<u64>,
-    pending: OpenMap<PendingFill>,
+    /// MSHR entries; grows to at most the peak occupancy.
+    slab: Vec<Mshr>,
+    /// Slab index + 1 of each set's first pending fill; 0 when none.
+    heads: Vec<u32>,
+    /// Slab index + 1 of the first free slab entry; 0 when none.
+    free: u32,
+    /// Pending fills in the chains (the MSHR occupancy).
+    pending: usize,
     /// In-flight fills allocated by prefetches (the prefetch-queue
     /// occupancy); maintained incrementally so the bounded-queue check is
     /// O(1) per candidate.
     pending_prefetches: usize,
     bank_free: Vec<u64>,
-    stamp: u64,
     /// Statistics; reset with [`Cache::reset_stats`].
     pub stats: CacheStats,
 }
@@ -123,8 +195,14 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration implies a non-power-of-two set count.
+    /// Panics if the configuration implies a non-power-of-two set count,
+    /// or has no ways or more than [`MAX_WAYS`].
     pub fn new(cfg: CacheConfig) -> Self {
+        assert!(
+            (1..=MAX_WAYS).contains(&cfg.ways),
+            "cache of {} ways: a set's recency word orders 1 to {MAX_WAYS} ways",
+            cfg.ways
+        );
         let sets = cfg.sets();
         let lines = sets * cfg.ways;
         Cache {
@@ -134,13 +212,16 @@ impl Cache {
             // into pre-measurement accounting.
             flags: vec![flag::MEASURED; lines],
             owners: vec![0; lines],
-            last_touch: vec![0; lines],
+            recency: vec![0; sets],
+            initial_order: order::initial(cfg.ways),
             set_mask: sets as u64 - 1,
             bank_mask: cfg.banks.is_power_of_two().then(|| cfg.banks as u64 - 1),
-            pending: OpenMap::with_capacity(cfg.mshrs),
+            slab: Vec::with_capacity(cfg.mshrs),
+            heads: vec![0; sets],
+            free: 0,
+            pending: 0,
             pending_prefetches: 0,
             bank_free: vec![0; cfg.banks],
-            stamp: 0,
             stats: CacheStats::default(),
         }
     }
@@ -152,11 +233,6 @@ impl Cache {
 
     fn set_index(&self, block: BlockAddr) -> usize {
         (block.index() & self.set_mask) as usize
-    }
-
-    fn next_stamp(&mut self) -> u64 {
-        self.stamp += 1;
-        self.stamp
     }
 
     /// Models bank-port contention: reserves the block's bank for one cycle
@@ -180,9 +256,10 @@ impl Cache {
     pub fn demand_access(&mut self, block: BlockAddr, now: u64, is_write: bool) -> Lookup {
         self.stats.demand_accesses += 1;
         let start = self.bank_start(block, now);
-        let stamp = self.next_stamp();
-        if let Some(i) = self.find_resident(block) {
-            self.last_touch[i] = stamp;
+        let set = self.set_index(block);
+        if let Some(way) = self.find_way(set, block) {
+            self.touch(set, way);
+            let i = set * self.cfg.ways + way;
             let f = self.flags[i];
             let mut prefetch_owner = None;
             if f & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED {
@@ -196,7 +273,8 @@ impl Cache {
                 prefetch_owner,
             };
         }
-        if let Some(entry) = self.pending.get_mut(block.index()) {
+        if let Some(slot) = self.find_pending(set, block) {
+            let entry = &mut self.slab[slot].fill;
             let mut prefetch_owner = None;
             if entry.prefetch && !entry.demanded {
                 self.stats.pf_late += 1;
@@ -217,14 +295,13 @@ impl Cache {
     /// Replays `k` consecutive missed-and-MSHR-stalled retry lookups of
     /// `block` in closed form, the first at cycle `first`. While the core
     /// sleeps its retry deterministically misses, so its only effects are
-    /// the access and stall counters, the recency stamp, and the bank
-    /// reservation — and the bank recurrence `free = max(t, free) + 1` over
-    /// access times that start at `first` and grow by at most one per cycle
-    /// collapses to `free = max(first, free) + k`.
+    /// the access and stall counters and the bank reservation — and the
+    /// bank recurrence `free = max(t, free) + 1` over access times that
+    /// start at `first` and grow by at most one per cycle collapses to
+    /// `free = max(first, free) + k`.
     pub(crate) fn apply_missed_retries(&mut self, block: BlockAddr, first: u64, k: u64) {
         self.stats.demand_accesses += k;
         self.stats.demand_mshr_stalls += k;
-        self.stamp += k;
         let bank = match self.bank_mask {
             Some(mask) => (block.index() & mask) as usize,
             None => (block.index() % self.cfg.banks as u64) as usize,
@@ -236,46 +313,111 @@ impl Cache {
     /// Whether the block is resident or in flight (used to filter duplicate
     /// prefetches). Does not disturb recency or statistics.
     pub fn probe(&self, block: BlockAddr) -> bool {
-        if self.pending.contains_key(block.index()) {
-            return true;
-        }
-        self.find_resident(block).is_some()
+        let set = self.set_index(block);
+        self.find_pending(set, block).is_some() || self.find_way(set, block).is_some()
     }
 
-    /// Flat index of the valid line holding `block`, if resident. Scans
+    /// Way of the valid line holding `block` in `set`, if resident. Scans
     /// the set's dense tag slice; one slice bounds check, no per-way ones.
     #[inline]
-    fn find_resident(&self, block: BlockAddr) -> Option<usize> {
-        let base = self.set_index(block) * self.cfg.ways;
+    fn find_way(&self, set: usize, block: BlockAddr) -> Option<usize> {
+        let base = set * self.cfg.ways;
         let end = base + self.cfg.ways;
         let tag = block.index();
         self.tags[base..end]
             .iter()
             .zip(&self.flags[base..end])
             .position(|(&t, &f)| t == tag && f & flag::VALID != 0)
-            .map(|w| base + w)
+    }
+
+    /// Moves `way` to the front of `set`'s recency order.
+    #[inline]
+    fn touch(&mut self, set: usize, way: usize) {
+        let touched = order::touch(self.recency[set] ^ self.initial_order, way);
+        crate::audit_assert!(
+            order::is_permutation(touched, self.cfg.ways),
+            "recency invariant: set {set} orders {touched:#x}, not a permutation of {} ways",
+            self.cfg.ways
+        );
+        self.recency[set] = touched ^ self.initial_order;
+    }
+
+    /// The pending fills chained from `head`, with their slab indices.
+    fn chain(&self, head: u32) -> impl Iterator<Item = (usize, &Mshr)> + '_ {
+        let mut link = head;
+        std::iter::from_fn(move || {
+            let slot = link.checked_sub(1)? as usize;
+            let entry = &self.slab[slot];
+            link = entry.next;
+            Some((slot, entry))
+        })
+    }
+
+    /// Slab index of `block`'s pending fill in `set`'s chain, if any.
+    #[inline]
+    fn find_pending(&self, set: usize, block: BlockAddr) -> Option<usize> {
+        let tag = block.index();
+        self.chain(self.heads[set])
+            .find(|(_, e)| e.block == tag)
+            .map(|(slot, _)| slot)
+    }
+
+    /// Whether the MSHR file is consistent after a change to `set`'s
+    /// chain: the free list and `pending` live entries partition the slab,
+    /// and `set`'s chain holds exactly the live entries of `set`. No other
+    /// chain changed, so every live entry is in its own set's chain. It
+    /// walks the slab, not every set's head, so an audit build stays fast
+    /// with an 8192-set LLC.
+    #[cfg(any(test, feature = "audit"))]
+    fn chains_are_consistent(&self, set: usize) -> bool {
+        let len = self.slab.len();
+        let mut free = vec![false; len];
+        // Walks are bounded: a cycle shows as a duplicate or an overlong
+        // chain.
+        for (slot, _) in self.chain(self.free).take(len + 1) {
+            if std::mem::replace(&mut free[slot], true) {
+                return false;
+            }
+        }
+        let in_set = |e: &Mshr| self.set_index(BlockAddr::new(e.block)) == set;
+        let mut chained = 0;
+        for (slot, e) in self.chain(self.heads[set]).take(len + 1) {
+            if free[slot] || !in_set(e) {
+                return false;
+            }
+            chained += 1;
+        }
+        let live = || (0..len).filter(|&slot| !free[slot]);
+        live().count() == self.pending
+            && live().filter(|&slot| in_set(&self.slab[slot])).count() == chained
     }
 
     /// Whether the block has an in-flight fill that was allocated by a
     /// prefetch and has not yet been demanded. Telemetry cross-check hook;
     /// does not disturb state or statistics.
     pub fn prefetch_pending(&self, block: BlockAddr) -> bool {
-        self.pending
-            .get(block.index())
-            .is_some_and(|e| e.prefetch && !e.demanded)
+        self.find_pending(self.set_index(block), block)
+            .is_some_and(|slot| {
+                let e = &self.slab[slot].fill;
+                e.prefetch && !e.demanded
+            })
     }
 
-    /// Ready cycle of the earliest in-flight fill, if any: a scan of the
-    /// MSHR file, the audit reference of the memory system's per-core
-    /// list of L1 fill cycles.
+    /// Ready cycle of the earliest in-flight fill, if any: a walk of every
+    /// set's MSHR chain, the audit reference of the memory system's
+    /// per-core list of L1 fill cycles.
     #[cfg(feature = "audit")]
     pub(crate) fn next_fill_ready(&self) -> Option<u64> {
-        self.pending.min_of(|e| e.ready)
+        self.heads
+            .iter()
+            .flat_map(|&head| self.chain(head))
+            .map(|(_, e)| e.fill.ready)
+            .min()
     }
 
     /// Number of in-flight fills (MSHR occupancy).
     pub fn mshr_occupancy(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// Number of in-flight fills allocated by prefetches — the occupancy a
@@ -288,13 +430,13 @@ impl Cache {
 
     /// Whether a demand miss can allocate an MSHR.
     pub fn mshr_available_for_demand(&self) -> bool {
-        self.pending.len() < self.cfg.mshrs
+        self.pending < self.cfg.mshrs
     }
 
     /// Whether a prefetch may allocate an MSHR, leaving `reserved` slots for
     /// demands.
     pub fn mshr_available_for_prefetch(&self, reserved: usize) -> bool {
-        self.pending.len() + reserved < self.cfg.mshrs
+        self.pending + reserved < self.cfg.mshrs
     }
 
     /// Records an outstanding fill that will complete at cycle `ready`;
@@ -314,36 +456,80 @@ impl Cache {
             "allocate_fill for resident/pending {block:?}"
         );
         crate::audit_assert!(
-            self.pending.len() < self.cfg.mshrs,
+            self.pending < self.cfg.mshrs,
             "MSHR occupancy invariant: allocate_fill at occupancy {} with only {} MSHRs",
-            self.pending.len(),
+            self.pending,
             self.cfg.mshrs
         );
         let prefetch = prefetcher.is_some();
         let owner = prefetcher.map_or(0, |c| {
             u8::try_from(c.0).expect("prefetching core id exceeds MAX_PREFETCH_OWNERS")
         });
-        self.pending.insert(
-            block.index(),
-            PendingFill {
+        let set = self.set_index(block);
+        let entry = Mshr {
+            block: block.index(),
+            fill: PendingFill {
                 ready,
                 prefetch,
                 owner,
                 demanded: !prefetch,
                 dirty: false,
             },
-        );
+            next: self.heads[set],
+        };
+        self.heads[set] = match self.free.checked_sub(1) {
+            Some(slot) => {
+                let link = self.free;
+                self.free = self.slab[slot as usize].next;
+                self.slab[slot as usize] = entry;
+                link
+            }
+            None => {
+                self.slab.push(entry);
+                u32::try_from(self.slab.len()).expect("MSHR slab index fits in u32")
+            }
+        };
+        self.pending += 1;
         if prefetch {
             self.pending_prefetches += 1;
         }
+        crate::audit_assert!(
+            self.chains_are_consistent(set),
+            "MSHR chain invariant: set {set}'s chain or the free list disagrees with {} pending fills after allocating {block:?}",
+            self.pending
+        );
+    }
+
+    /// Unlinks `block`'s pending fill from `set`'s chain onto the free
+    /// list and returns it, if the block was pending.
+    fn remove_pending(&mut self, set: usize, block: BlockAddr) -> Option<PendingFill> {
+        let tag = block.index();
+        let mut prev = 0;
+        let mut link = self.heads[set];
+        while let Some(slot) = link.checked_sub(1) {
+            let Mshr { block, fill, next } = self.slab[slot as usize];
+            if block == tag {
+                match prev {
+                    0 => self.heads[set] = next,
+                    p => self.slab[p as usize - 1].next = next,
+                }
+                self.slab[slot as usize].next = self.free;
+                self.free = link;
+                self.pending -= 1;
+                return Some(fill);
+            }
+            prev = link;
+            link = next;
+        }
+        None
     }
 
     /// Marks an in-flight fill dirty (a store is merging into it); returns
     /// whether the block was pending.
     pub fn mark_pending_dirty(&mut self, block: BlockAddr) -> bool {
-        match self.pending.get_mut(block.index()) {
-            Some(entry) => {
-                entry.dirty = true;
+        match self.find_pending(self.set_index(block), block) {
+            Some(slot) => {
+                self.slab[slot].fill.dirty = true;
                 true
             }
             None => false,
@@ -356,34 +542,29 @@ impl Cache {
     /// Returns `None` if the block was not pending (e.g. invalidated while
     /// in flight) or if an invalid way absorbed the fill.
     pub fn complete_fill(&mut self, block: BlockAddr, dirty: bool) -> Option<Evicted> {
-        self.complete_fill_with(block, dirty, Self::pick_victim)
-    }
-
-    /// [`Cache::complete_fill`] with the victim way chosen by
-    /// `victim_of(self, set_base)`; the tests pass the two-step rule it
-    /// replaced.
-    #[inline(always)]
-    fn complete_fill_with(
-        &mut self,
-        block: BlockAddr,
-        dirty: bool,
-        victim_of: impl FnOnce(&Self, usize) -> usize,
-    ) -> Option<Evicted> {
-        let entry = self.pending.remove(block.index())?;
+        let set = self.set_index(block);
+        let entry = self.remove_pending(set, block)?;
+        crate::audit_assert!(
+            self.chains_are_consistent(set),
+            "MSHR chain invariant: set {set}'s chain or the free list disagrees with {} pending fills after landing {block:?}",
+            self.pending
+        );
         if entry.prefetch {
             self.pending_prefetches -= 1;
         }
-        let stamp = self.next_stamp();
-        let base = self.set_index(block) * self.cfg.ways;
-        let victim_idx = victim_of(self, base);
+        let ways = self.cfg.ways;
+        let base = set * ways;
+        // The back of the order: the first invalid way by index, else the
+        // least recently touched.
+        let way = order::way_at(self.recency[set] ^ self.initial_order, ways - 1);
+        let victim_idx = base + way;
         let vf = self.flags[victim_idx];
         crate::audit_assert!(
             vf & flag::VALID == 0
-                || self.flags[base..base + self.cfg.ways]
+                || self.flags[base..base + ways]
                     .iter()
                     .all(|f| f & flag::VALID != 0),
-            "victim invariant: the set at {} evicts a valid line while it holds an invalid way",
-            base
+            "victim invariant: set {set} evicts a valid line while it holds an invalid way"
         );
         let evicted = if vf & flag::VALID != 0 {
             self.stats.evictions += 1;
@@ -410,33 +591,17 @@ impl Cache {
             | if entry.prefetch { flag::PREFETCHED } else { 0 }
             | if entry.demanded { flag::DEMANDED } else { 0 };
         self.owners[victim_idx] = entry.owner;
-        self.last_touch[victim_idx] = stamp;
-        crate::audit_assert!(
-            victim_idx >= base && victim_idx < base + self.cfg.ways,
-            "set structure invariant: victim index {} outside set at {}..{}",
-            victim_idx,
-            base,
-            base + self.cfg.ways
-        );
+        self.touch(set, way);
         evicted
-    }
-
-    /// The way a fill replaces in the set starting at `base`: the first
-    /// invalid way, else the least recently touched. One scan finds both:
-    /// an invalid way's `last_touch` is 0, a valid way's a later stamp,
-    /// and `min_by_key` returns the first minimum.
-    fn pick_victim(&self, base: usize) -> usize {
-        (base..base + self.cfg.ways)
-            .min_by_key(|&i| self.last_touch[i])
-            .expect("cache sets are never empty")
     }
 
     /// Marks a resident line dirty (used for writebacks arriving from an
     /// upper level). Returns `true` if the line was resident.
     pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
-        match self.find_resident(block) {
-            Some(i) => {
-                self.flags[i] |= flag::DIRTY;
+        let set = self.set_index(block);
+        match self.find_way(set, block) {
+            Some(way) => {
+                self.flags[set * self.cfg.ways + way] |= flag::DIRTY;
                 true
             }
             None => false,
@@ -445,7 +610,8 @@ impl Cache {
 
     /// Invalidates a block if resident. Returns whether it was dirty.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let i = self.find_resident(block)?;
+        let set = self.set_index(block);
+        let i = set * self.cfg.ways + self.find_way(set, block)?;
         let f = self.flags[i];
         let dirty = f & flag::DIRTY != 0;
         if f & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED {
@@ -453,8 +619,29 @@ impl Cache {
         }
         self.tags[i] = 0;
         self.flags[i] = flag::MEASURED;
-        self.last_touch[i] = 0;
+        self.sink_invalid(set);
         Some(dirty)
+    }
+
+    /// Reorders `set` so its valid ways keep their recency order in front
+    /// and its invalid ways follow, lowest index last, where the next
+    /// fills take them first.
+    fn sink_invalid(&mut self, set: usize) {
+        let ways = self.cfg.ways;
+        let base = set * ways;
+        let old = self.recency[set] ^ self.initial_order;
+        let valid = |w: &usize| self.flags[base + w] & flag::VALID != 0;
+        let valid_by_recency = (0..ways).map(|p| order::way_at(old, p)).filter(valid);
+        let invalid_by_index = (0..ways).rev().filter(|w| !valid(w));
+        let sunk = valid_by_recency
+            .chain(invalid_by_index)
+            .enumerate()
+            .fold(0, |o, (p, w)| o | (w as u64) << (4 * p));
+        crate::audit_assert!(
+            order::is_permutation(sunk, ways),
+            "recency invariant: set {set} orders {sunk:#x}, not a permutation of {ways} ways"
+        );
+        self.recency[set] = sunk ^ self.initial_order;
     }
 
     /// Number of resident prefetched lines never demanded, restricted to
@@ -490,6 +677,7 @@ mod tests {
     use super::*;
     use bingo_rng::rngs::SmallRng;
     use bingo_rng::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     fn small_cache() -> Cache {
         // 4 sets x 2 ways x 64B = 512B
@@ -691,86 +879,342 @@ mod tests {
         assert!(c.complete_fill(BlockAddr::new(99), false).is_none());
     }
 
-    /// The victim rule `pick_victim` replaced: the first invalid way,
-    /// else the least recently touched.
-    fn two_step_victim(c: &Cache, base: usize) -> usize {
-        let set = base..base + c.cfg.ways;
-        set.clone()
-            .find(|&i| c.flags[i] & flag::VALID == 0)
-            .unwrap_or_else(|| {
-                set.min_by_key(|&i| c.last_touch[i])
-                    .expect("cache sets are never empty")
-            })
+    #[test]
+    #[should_panic(expected = "orders 1 to 16 ways")]
+    fn more_than_sixteen_ways_rejected() {
+        Cache::new(CacheConfig {
+            size_bytes: 17 * 64,
+            ways: 17,
+            latency: 1,
+            mshrs: 1,
+            banks: 1,
+        });
+    }
+
+    /// A line of [`StampedCache`].
+    #[derive(Copy, Clone, Debug, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        prefetched: bool,
+        demanded: bool,
+        measured: bool,
+        owner: u8,
+        /// Stamp of the line's last fill or hit; 0 while invalid.
+        last_touch: u64,
+    }
+
+    /// The cache as it was before its metadata became per set, kept as the
+    /// reference of `matches_stamped_reference_on_random_streams`: a `u64`
+    /// stamp per line drawn from a counter that every lookup and fill
+    /// advances, the victim `min_by_key(last_touch)` (an invalid line's
+    /// stamp is 0, so the first invalid way wins), and a `HashMap` MSHR
+    /// file.
+    struct StampedCache {
+        cfg: CacheConfig,
+        lines: Vec<Line>,
+        pending: HashMap<u64, PendingFill>,
+        bank_free: Vec<u64>,
+        stamp: u64,
+        stats: CacheStats,
+    }
+
+    impl StampedCache {
+        fn new(cfg: CacheConfig) -> Self {
+            StampedCache {
+                cfg,
+                lines: vec![Line::default(); cfg.sets() * cfg.ways],
+                pending: HashMap::new(),
+                bank_free: vec![0; cfg.banks],
+                stamp: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&self, block: BlockAddr) -> std::ops::Range<usize> {
+            let base = (block.index() % self.cfg.sets() as u64) as usize * self.cfg.ways;
+            base..base + self.cfg.ways
+        }
+
+        fn find(&self, block: BlockAddr) -> Option<usize> {
+            self.set(block)
+                .find(|&i| self.lines[i].valid && self.lines[i].tag == block.index())
+        }
+
+        fn bank(&self, block: BlockAddr) -> usize {
+            (block.index() % self.cfg.banks as u64) as usize
+        }
+
+        fn demand_access(&mut self, block: BlockAddr, now: u64, is_write: bool) -> Lookup {
+            self.stats.demand_accesses += 1;
+            let bank = self.bank(block);
+            let start = now.max(self.bank_free[bank]);
+            self.bank_free[bank] = start + 1;
+            self.stamp += 1;
+            if let Some(i) = self.find(block) {
+                let line = &mut self.lines[i];
+                line.last_touch = self.stamp;
+                let mut prefetch_owner = None;
+                if line.prefetched && !line.demanded {
+                    self.stats.pf_useful += 1;
+                    prefetch_owner = Some(CoreId(line.owner.into()));
+                }
+                line.demanded = true;
+                line.dirty |= is_write;
+                self.stats.demand_hits += 1;
+                return Lookup::Hit {
+                    ready_at: start + self.cfg.latency,
+                    prefetch_owner,
+                };
+            }
+            if let Some(entry) = self.pending.get_mut(&block.index()) {
+                let mut prefetch_owner = None;
+                if entry.prefetch && !entry.demanded {
+                    self.stats.pf_late += 1;
+                    prefetch_owner = Some(CoreId(entry.owner.into()));
+                }
+                entry.demanded = true;
+                entry.dirty |= is_write;
+                self.stats.demand_hits_pending += 1;
+                return Lookup::PendingHit {
+                    ready_at: entry.ready.max(start + self.cfg.latency),
+                    prefetch_owner,
+                };
+            }
+            Lookup::Miss
+        }
+
+        fn apply_missed_retries(&mut self, block: BlockAddr, first: u64, k: u64) {
+            for t in first..first + k {
+                assert_eq!(self.demand_access(block, t, false), Lookup::Miss);
+                self.stats.demand_mshr_stalls += 1;
+            }
+        }
+
+        fn probe(&self, block: BlockAddr) -> bool {
+            self.pending.contains_key(&block.index()) || self.find(block).is_some()
+        }
+
+        fn prefetch_pending(&self, block: BlockAddr) -> bool {
+            self.pending
+                .get(&block.index())
+                .is_some_and(|e| e.prefetch && !e.demanded)
+        }
+
+        fn prefetches_in_flight(&self) -> usize {
+            self.pending.values().filter(|e| e.prefetch).count()
+        }
+
+        fn allocate_fill(&mut self, block: BlockAddr, ready: u64, prefetcher: Option<CoreId>) {
+            let prefetch = prefetcher.is_some();
+            let fill = PendingFill {
+                ready,
+                prefetch,
+                owner: prefetcher.map_or(0, |c| c.0 as u8),
+                demanded: !prefetch,
+                dirty: false,
+            };
+            assert!(self.pending.insert(block.index(), fill).is_none());
+        }
+
+        fn mark_pending_dirty(&mut self, block: BlockAddr) -> bool {
+            self.pending
+                .get_mut(&block.index())
+                .map(|e| e.dirty = true)
+                .is_some()
+        }
+
+        fn complete_fill(&mut self, block: BlockAddr, dirty: bool) -> Option<Evicted> {
+            let entry = self.pending.remove(&block.index())?;
+            self.stamp += 1;
+            let victim = self
+                .set(block)
+                .min_by_key(|&i| self.lines[i].last_touch)
+                .expect("sets are never empty");
+            let old = self.lines[victim];
+            let evicted = old.valid.then(|| {
+                self.stats.evictions += 1;
+                self.stats.writebacks += u64::from(old.dirty);
+                let unused_prefetch = old.prefetched && !old.demanded;
+                self.stats.pf_useless += u64::from(unused_prefetch);
+                Evicted {
+                    block: BlockAddr::new(old.tag),
+                    dirty: old.dirty,
+                    unused_prefetch,
+                }
+            });
+            self.lines[victim] = Line {
+                tag: block.index(),
+                valid: true,
+                dirty: dirty || entry.dirty,
+                prefetched: entry.prefetch,
+                demanded: entry.demanded,
+                measured: true,
+                owner: entry.owner,
+                last_touch: self.stamp,
+            };
+            evicted
+        }
+
+        fn mark_dirty(&mut self, block: BlockAddr) -> bool {
+            self.find(block)
+                .map(|i| self.lines[i].dirty = true)
+                .is_some()
+        }
+
+        fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
+            let i = self.find(block)?;
+            let old = std::mem::take(&mut self.lines[i]);
+            self.stats.pf_useless += u64::from(old.prefetched && !old.demanded);
+            Some(old.dirty)
+        }
+
+        fn count_unused_prefetched(&self) -> u64 {
+            self.lines
+                .iter()
+                .filter(|l| l.valid && l.prefetched && !l.demanded && l.measured)
+                .count() as u64
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.lines.iter().filter(|l| l.valid).count()
+        }
+
+        fn reset_stats(&mut self) {
+            self.stats = CacheStats::default();
+            for line in &mut self.lines {
+                line.measured = false;
+            }
+        }
+    }
+
+    /// Whether a lookup of `block` walks past the head of its set's MSHR
+    /// chain: the chain is not empty and does not start with `block`.
+    fn walks_past_head(c: &Cache, block: BlockAddr) -> bool {
+        c.chain(c.heads[c.set_index(block)])
+            .next()
+            .is_some_and(|(_, e)| e.block != block.index())
     }
 
     #[test]
-    fn victim_matches_two_step_reference_on_random_streams() {
-        let mut rng = SmallRng::seed_from_u64(0x7a11_c0de);
-        for ways in [1usize, 2, 8, 16] {
+    fn matches_stamped_reference_on_random_streams() {
+        let mut rng = SmallRng::seed_from_u64(0x5e7_c4a1);
+        for (ways, banks) in [(1usize, 1usize), (2, 3), (8, 2), (16, 4)] {
+            // Four sets and 24 MSHRs: chains several fills long form.
             let cfg = CacheConfig {
                 size_bytes: 4 * ways as u64 * 64,
                 ways,
                 latency: 3,
-                mshrs: 8,
-                banks: 1,
+                mshrs: 24,
+                banks,
             };
-            let (mut fast, mut reference) = (Cache::new(cfg), Cache::new(cfg));
+            let (mut fast, mut reference) = (Cache::new(cfg), StampedCache::new(cfg));
             let mut pending: Vec<BlockAddr> = Vec::new();
-            // Fills into a set that holds both valid and invalid ways: the
-            // case the two rules could disagree on.
-            let mut into_holes = 0;
+            // Lookups that walk past a chain head, and fills into a set
+            // holding both valid and invalid ways: the cases the chains
+            // and the recency word could get wrong.
+            let (mut past_head, mut into_holes) = (0, 0);
             // Four times the capacity: sets fill, evict, and refill the
             // holes `invalidate` leaves.
             let blocks = 16 * ways as u64;
             for step in 0..20_000u64 {
                 let block = BlockAddr::new(rng.gen_range(0..blocks));
-                match rng.gen_range(0..8u32) {
-                    0..=2 => {
+                let ctx = format!("step {step}, {ways} ways");
+                let op = rng.gen_range(0..20u32);
+                if matches!(op, 0..=5 | 10..=13) {
+                    past_head += usize::from(walks_past_head(&fast, block));
+                }
+                match op {
+                    0..=4 => {
                         let is_write = rng.gen_bool(0.3);
                         assert_eq!(
                             fast.demand_access(block, step, is_write),
                             reference.demand_access(block, step, is_write),
-                            "step {step}, {ways} ways"
+                            "{ctx}"
                         );
                     }
-                    3 | 4 => {
+                    5 => assert_eq!(fast.probe(block), reference.probe(block), "{ctx}"),
+                    6..=9 => {
                         if !fast.probe(block) && fast.mshr_available_for_demand() {
-                            let owner = rng.gen_bool(0.5).then_some(CoreId(0));
+                            let owner = rng.gen_bool(0.5).then(|| CoreId(rng.gen_range(0..4usize)));
                             fast.allocate_fill(block, step + 50, owner);
                             reference.allocate_fill(block, step + 50, owner);
                             pending.push(block);
                         }
                     }
-                    5 | 6 => {
+                    10 => assert_eq!(
+                        fast.prefetch_pending(block),
+                        reference.prefetch_pending(block),
+                        "{ctx}"
+                    ),
+                    11 => assert_eq!(
+                        fast.mark_pending_dirty(block),
+                        reference.mark_pending_dirty(block),
+                        "{ctx}"
+                    ),
+                    12 => {
+                        // Usually a block absent from the MSHR file.
+                        let dirty = rng.gen_bool(0.2);
+                        assert_eq!(
+                            fast.complete_fill(block, dirty),
+                            reference.complete_fill(block, dirty),
+                            "{ctx}"
+                        );
+                        pending.retain(|&b| b != block);
+                    }
+                    13..=16 => {
                         if !pending.is_empty() {
                             let b = pending.swap_remove(rng.gen_range(0..pending.len()));
-                            let base = fast.set_index(b) * ways;
-                            let valid = fast.flags[base..base + ways]
-                                .iter()
-                                .filter(|&&f| f & flag::VALID != 0)
-                                .count();
+                            past_head += usize::from(walks_past_head(&fast, b));
+                            let set = reference.set(b);
+                            let valid = set.filter(|&i| reference.lines[i].valid).count();
                             into_holes += usize::from(valid > 0 && valid < ways);
                             let dirty = rng.gen_bool(0.2);
                             assert_eq!(
                                 fast.complete_fill(b, dirty),
-                                reference.complete_fill_with(b, dirty, two_step_victim),
-                                "step {step}, {ways} ways"
+                                reference.complete_fill(b, dirty),
+                                "{ctx}"
                             );
                         }
                     }
-                    _ => assert_eq!(
-                        fast.invalidate(block),
-                        reference.invalidate(block),
-                        "step {step}, {ways} ways"
-                    ),
+                    17 => assert_eq!(fast.invalidate(block), reference.invalidate(block), "{ctx}"),
+                    18 => assert_eq!(fast.mark_dirty(block), reference.mark_dirty(block)),
+                    _ => {
+                        if rng.gen_bool(0.01) {
+                            assert_eq!(fast.stats, reference.stats, "{ctx}");
+                            fast.reset_stats();
+                            reference.reset_stats();
+                        } else if !fast.probe(block) {
+                            let k = rng.gen_range(1..4u64);
+                            fast.apply_missed_retries(block, step, k);
+                            reference.apply_missed_retries(block, step, k);
+                        }
+                    }
                 }
+                assert_eq!(fast.mshr_occupancy(), reference.pending.len(), "{ctx}");
                 assert_eq!(
-                    fast.resident_lines(),
-                    reference.resident_lines(),
-                    "step {step}, {ways} ways"
+                    fast.prefetches_in_flight(),
+                    reference.prefetches_in_flight(),
+                    "{ctx}"
+                );
+                assert_eq!(fast.resident_lines(), reference.resident_lines(), "{ctx}");
+                assert_eq!(
+                    fast.count_unused_prefetched(),
+                    reference.count_unused_prefetched(),
+                    "{ctx}"
+                );
+                assert!(
+                    (0..4).all(|set| fast.chains_are_consistent(set)
+                        && order::is_permutation(fast.recency[set] ^ fast.initial_order, ways)),
+                    "{ctx}"
                 );
             }
             assert_eq!(fast.stats, reference.stats, "{ways} ways");
+            assert!(
+                past_head > 100,
+                "{ways} ways: only {past_head} lookups walked past a chain head"
+            );
             assert!(
                 ways == 1 || into_holes > 100,
                 "{ways} ways: only {into_holes} fills into partly valid sets"

@@ -7,7 +7,7 @@
 //! latency and 37.5 GB/s of peak bandwidth. Blocks are 64 bytes everywhere.
 
 use crate::addr::BLOCK_BYTES;
-use crate::cache::MAX_PREFETCH_OWNERS;
+use crate::cache::{MAX_PREFETCH_OWNERS, MAX_WAYS};
 
 /// Why [`SystemConfig::validate`] rejected a configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -268,8 +268,9 @@ impl SystemConfig {
     ///
     /// Returns [`ConfigError::TooManyCores`] past [`MAX_PREFETCH_OWNERS`]
     /// cores, and [`ConfigError::Invalid`] if any parameter is zero where
-    /// that is meaningless, if cache geometry does not divide evenly, or if
-    /// the demand MSHR reservation exceeds the LLC MSHR count.
+    /// that is meaningless, if a cache has more than [`MAX_WAYS`] ways, if
+    /// cache geometry does not divide evenly, or if the demand MSHR
+    /// reservation exceeds the LLC MSHR count.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err("system must have at least one core".into());
@@ -289,6 +290,13 @@ impl SystemConfig {
         for (name, c) in [("l1d", &self.l1d), ("llc", &self.llc)] {
             if c.ways == 0 || c.banks == 0 || c.mshrs == 0 {
                 return Err(format!("{name}: ways/banks/mshrs must be nonzero").into());
+            }
+            if c.ways > MAX_WAYS {
+                return Err(format!(
+                    "{name}: {} ways exceed the {MAX_WAYS} a set's recency word can order",
+                    c.ways
+                )
+                .into());
             }
             let sets = c.size_bytes / (c.ways as u64 * BLOCK_BYTES);
             if sets == 0 || !sets.is_power_of_two() {
@@ -385,6 +393,28 @@ mod tests {
         let mut cfg = SystemConfig::paper();
         cfg.l1d.ways = 0;
         assert!(cfg.validate().is_err());
+
+        // A set's recency word orders at most 16 ways.
+        let mut cfg = SystemConfig::paper();
+        cfg.llc.ways = 32;
+        cfg.llc.size_bytes = 16 * 1024 * 1024;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::Invalid(
+                "llc: 32 ways exceed the 16 a set's recency word can order".into()
+            ))
+        );
+        let mut cfg = SystemConfig::paper();
+        cfg.l1d.ways = 17;
+        cfg.l1d.size_bytes = 17 * 64 * 128;
+        assert!(cfg
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .starts_with("l1d: 17 ways"));
+        cfg.l1d.ways = MAX_WAYS;
+        cfg.l1d.size_bytes = 16 * 64 * 128;
+        assert!(cfg.validate().is_ok());
 
         let mut cfg = SystemConfig::paper();
         cfg.l1d.size_bytes = 3 * 1024; // 3 KB / (8*64) = 6 sets, not a power of two

@@ -1,22 +1,20 @@
 //! A small open-addressed hash map keyed by `u64`, for the simulator's
-//! hottest lookup structures (the MSHR / pending-fill files).
+//! hot lookup structures that are not indexed by cache set: Bingo's and
+//! SMS's region index (`AccumulationTable`) and the baselines' recency
+//! tables (`LruIndex`).
 //!
 //! `std::collections::HashMap` pays SipHash plus a heap indirection on
-//! every probe; the structures it backs here are bounded (MSHR files hold
-//! at most a few dozen in-flight blocks), hit on every demand access and
-//! every prefetch candidate, and never iterated. This map instead uses
-//! Fibonacci multiplicative hashing into a flat slot array with linear
-//! probing and backward-shift deletion, sized once at construction so the
-//! steady state performs no allocation at all. The table doubles if its
-//! load factor would exceed 1/2, so a caller that underestimates capacity
-//! gets slower inserts, never a wrong answer.
+//! every probe; the structures it backs here are bounded, hit on every
+//! access, and never iterated. This map instead uses Fibonacci
+//! multiplicative hashing into a flat slot array with linear probing and
+//! backward-shift deletion, sized once at construction so the steady
+//! state performs no allocation at all. The table doubles if its load
+//! factor would exceed 1/2, so a caller that underestimates capacity gets
+//! slower inserts, never a wrong answer.
 //!
 //! The map is deliberately *not* iterable: nothing in the simulator may
 //! depend on hash-table ordering, and removing iteration makes that a
-//! compile-time guarantee. Its one query over all entries, `min_of`, is
-//! compiled into tests and `audit` builds only, where the L1 MSHR file's
-//! earliest ready cycle checks the memory system's dense list of them; a
-//! minimum, its result does not depend on slot order either.
+//! compile-time guarantee.
 
 /// An open-addressed `u64 -> V` map with linear probing.
 #[derive(Debug, Clone)]
@@ -82,20 +80,6 @@ impl<V> OpenMap<V> {
         let i = self.find(key)?;
         let (_, v) = self.slots[i].as_mut().expect("found slot is occupied");
         Some(v)
-    }
-
-    /// The smallest `key_of(value)` over all entries, or `None` when the
-    /// map is empty. Empty slots read as `u64::MAX`, so the scan over the
-    /// slot array has no data-dependent branch.
-    #[cfg(any(test, feature = "audit"))]
-    pub(crate) fn min_of(&self, key_of: impl Fn(&V) -> u64) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        self.slots
-            .iter()
-            .map(|slot| slot.as_ref().map_or(u64::MAX, |(_, v)| key_of(v)))
-            .min()
     }
 
     /// Inserts `val` under `key`, returning the previous value if the key
@@ -235,23 +219,5 @@ mod tests {
         for k in 0..64 {
             assert_eq!(m.get(k), reference.get(&k), "final state key {k}");
         }
-    }
-
-    #[test]
-    fn min_of_tracks_inserts_and_removals() {
-        let mut m = OpenMap::with_capacity(8);
-        assert_eq!(m.min_of(|&v: &u64| v), None);
-        for (k, v) in [(3u64, 70u64), (11, 20), (19, 45), (27, 20)] {
-            m.insert(k, v);
-        }
-        assert_eq!(m.min_of(|&v| v), Some(20));
-        m.remove(11);
-        assert_eq!(m.min_of(|&v| v), Some(20), "a tied entry remains");
-        m.remove(27);
-        assert_eq!(m.min_of(|&v| v), Some(45));
-        assert_eq!(m.min_of(|&v| 100 - v), Some(30), "any key function");
-        m.remove(3);
-        m.remove(19);
-        assert_eq!(m.min_of(|&v| v), None);
     }
 }

@@ -26,9 +26,9 @@
 //! A sleeping core touches nothing shared: its skipped cycles would retry
 //! an access that dies at its private L1 or LSQ, or do nothing at all, so
 //! no LLC bank, DRAM channel, prefetcher, throttle or ledger sees them.
-//! Their private effects — retirements, stall counters, L1 access counts,
-//! recency stamps and bank reservations — are deferred and replayed in
-//! closed form when the core wakes. The one reader of those private
+//! Their private effects — retirements, stall counters, L1 access counts
+//! and bank reservations — are deferred and replayed in closed form when
+//! the core wakes (a missed retry leaves recency alone). The one reader of those private
 //! counters before then is the end-of-warm-up statistics reset, so every
 //! sleeper catches up through the current cycle just before it.
 
