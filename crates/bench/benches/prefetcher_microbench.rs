@@ -312,7 +312,7 @@ fn bench_cache(writer: &mut Option<BenchWriter>) {
     let mut llc = Cache::new(cfg);
     for block in (0..cfg.blocks()).map(BlockAddr::new) {
         llc.allocate_fill(block, 0, None);
-        llc.complete_fill(block, false);
+        llc.complete_fill(block);
     }
     // The stream's blocks are below 2^22: shifted to 2^23 and up they
     // are in flight, shifted to 2^22 and up they are probed, so neither

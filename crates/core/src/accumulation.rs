@@ -207,18 +207,10 @@ impl AccumulationTable {
         })
     }
 
-    /// Storage cost in bits: per slot a region tag (~36 b), trigger PC
-    /// (16 b hashed), trigger offset, footprint, and LRU stamp (8 b); the
-    /// filter stores the same minus the footprint.
-    pub fn storage_bits(&self) -> u64 {
-        Self::storage_bits_for(
-            self.accumulating.capacity(),
-            self.geometry.blocks_per_region() as u32,
-        )
-    }
-
-    /// [`AccumulationTable::storage_bits`] computed from the geometry
-    /// alone, without allocating the table.
+    /// Storage cost in bits of a table of `capacity` slots over
+    /// `region_blocks`-block regions: per slot a region tag (~36 b),
+    /// trigger PC (16 b hashed), trigger offset, footprint, and LRU stamp
+    /// (8 b); the filter stores the same minus the footprint.
     pub fn storage_bits_for(capacity: usize, region_blocks: u32) -> u64 {
         let filter_capacity = capacity.max(8);
         let offset_bits = 64 - (region_blocks as u64 - 1).leading_zeros() as u64;
@@ -346,8 +338,8 @@ mod tests {
 
     #[test]
     fn storage_bits_scales_with_capacity() {
-        let small = table(32).storage_bits();
-        let large = table(64).storage_bits();
+        let small = AccumulationTable::storage_bits_for(32, 32);
+        let large = AccumulationTable::storage_bits_for(64, 32);
         assert!(large > small);
         assert!(small > 0);
     }

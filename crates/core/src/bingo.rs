@@ -69,8 +69,8 @@ impl BingoConfig {
     }
 
     /// Metadata storage in bits of a prefetcher built from this
-    /// configuration, computed without allocating any tables. Always equal
-    /// to [`Prefetcher::storage_bits`] of the built instance.
+    /// configuration, computed without allocating any tables; the built
+    /// instance's [`Prefetcher::storage_bits`] returns it.
     pub fn storage_bits(&self) -> u64 {
         let region_blocks = self.region.blocks_per_region() as u32;
         UnifiedHistoryTable::storage_bits_for(self.history_entries, region_blocks)
@@ -359,7 +359,7 @@ impl Prefetcher for Bingo {
     }
 
     fn storage_bits(&self) -> u64 {
-        self.history.storage_bits() + self.accumulation.storage_bits()
+        self.cfg.storage_bits()
     }
 
     fn debug_stats(&self) -> String {

@@ -15,7 +15,17 @@
 //! A long lookup matches at most one way. A short lookup may match several
 //! ways — multiple footprints whose triggers shared `PC+Offset` but had
 //! different addresses — and the caller combines them by voting
-//! ([`crate::footprint::Footprint::vote`]).
+//! ([`crate::footprint::Footprint::vote`]), which ignores their order.
+//!
+//! Replacement is LRU within a set, kept as one recency word per set (a
+//! [`bingo_sim::WayOrder`], as in the simulator's caches): the paper's 4
+//! replacement bits per entry are the entry's slot in that word. A short
+//! lookup touches the ways it matches in way order, so of the ways it
+//! ties, the lowest is evicted first, and an entry dropped by fault
+//! injection is sunk to the back of its set, where the next insert fills
+//! it.
+
+use bingo_sim::WayOrder;
 
 use crate::footprint::Footprint;
 
@@ -23,9 +33,11 @@ use crate::footprint::Footprint;
 ///
 /// Stored structure-of-arrays: the tag scans that dominate every lookup
 /// walk dense `u64` slices (set *s* occupies indices `s*ways ..
-/// (s+1)*ways`), and the footprint/recency columns are touched only on a
-/// match. Invalid entries carry zeroed tags and a zero recency stamp;
-/// validity is tracked explicitly so a genuine zero tag cannot alias.
+/// (s+1)*ways`), and the footprint column is touched only on a match.
+/// Invalid entries carry zeroed tags; validity is tracked explicitly so a
+/// genuine zero tag cannot alias. Each set's LRU order is one recency word
+/// of a [`WayOrder`], so a set has at most
+/// [`MAX_WAYS`](bingo_sim::recency::MAX_WAYS) ways.
 #[derive(Debug)]
 pub struct UnifiedHistoryTable {
     valid: Vec<bool>,
@@ -35,18 +47,16 @@ pub struct UnifiedHistoryTable {
     /// the long event's bits, stored separately here for clarity.
     short_tags: Vec<u64>,
     footprints: Vec<Footprint>,
-    last_touch: Vec<u64>,
+    /// Each set's LRU order. Invalid ways trail the valid ones, lowest
+    /// index last, so the back way is the first invalid way by index, else
+    /// the least recently touched.
+    order: WayOrder,
     ways: usize,
     set_mask: u64,
-    stamp: u64,
     region_blocks: u32,
-    /// Reusable `(previous stamp, footprint)` buffer for
-    /// [`UnifiedHistoryTable::lookup_short`], so the hot path never
-    /// allocates.
-    scratch: Vec<(u64, Footprint)>,
 }
 
-/// Statistics helpers returned by [`UnifiedHistoryTable::lookup_short`].
+/// The footprints [`UnifiedHistoryTable::lookup_short`] matched.
 pub type ShortMatches = Vec<Footprint>;
 
 impl UnifiedHistoryTable {
@@ -55,7 +65,9 @@ impl UnifiedHistoryTable {
     /// # Panics
     ///
     /// Panics if `entries` is not a multiple of `ways` yielding a
-    /// power-of-two set count, or if `region_blocks` is out of `1..=64`.
+    /// power-of-two set count, if `ways` exceeds
+    /// [`MAX_WAYS`](bingo_sim::recency::MAX_WAYS), or if `region_blocks`
+    /// is out of `1..=64`.
     pub fn new(entries: usize, ways: usize, region_blocks: u32) -> Self {
         assert!(ways > 0 && entries >= ways, "invalid geometry");
         assert!(
@@ -72,32 +84,31 @@ impl UnifiedHistoryTable {
             long_tags: vec![0; entries],
             short_tags: vec![0; entries],
             footprints: vec![Footprint::empty(region_blocks); entries],
-            last_touch: vec![0; entries],
+            order: WayOrder::new(sets, ways),
             ways,
             set_mask: sets as u64 - 1,
-            stamp: 0,
             region_blocks,
-            scratch: Vec::with_capacity(ways),
         }
-    }
-
-    /// Total entries.
-    pub fn entries(&self) -> usize {
-        self.valid.len()
     }
 
     fn set_of(&self, short_key: u64) -> usize {
         (short_key & self.set_mask) as usize
     }
 
-    fn next_stamp(&mut self) -> u64 {
-        self.stamp += 1;
-        self.stamp
+    /// Way of the valid entry of `set` tagged `long_key`, if any.
+    #[inline]
+    fn find_long(&self, set: usize, long_key: u64) -> Option<usize> {
+        let ways = set * self.ways..(set + 1) * self.ways;
+        let (tags, valid) = (&self.long_tags[ways.clone()], &self.valid[ways]);
+        tags.iter()
+            .zip(valid)
+            .position(|(&t, &v)| t == long_key && v)
     }
 
     /// Inserts (or re-trains) the footprint observed after the given long
     /// event. The set is chosen by the short event's hash; the victim, when
-    /// the set is full, is the LRU entry.
+    /// no entry of the set holds the long event, is the way at the back of
+    /// the set's order: the first invalid way, else the LRU entry.
     pub fn insert(&mut self, long_key: u64, short_key: u64, footprint: Footprint) {
         debug_assert_eq!(footprint.len(), self.region_blocks);
         bingo_sim::audit_assert!(
@@ -108,99 +119,71 @@ impl UnifiedHistoryTable {
             footprint.len(),
             self.region_blocks
         );
-        let stamp = self.next_stamp();
-        let base = self.set_of(short_key) * self.ways;
-        let end = base + self.ways;
-        // Re-train an existing entry for the same long event.
-        let mut slot = None;
-        let mut lru = base;
-        let mut lru_touch = u64::MAX;
-        for i in base..end {
-            if !self.valid[i] {
-                if slot.is_none() {
-                    slot = Some(i);
-                }
-                continue;
-            }
-            if self.long_tags[i] == long_key {
-                self.footprints[i] = footprint;
-                self.short_tags[i] = short_key;
-                self.last_touch[i] = stamp;
-                return;
-            }
-            if self.last_touch[i] < lru_touch {
-                lru_touch = self.last_touch[i];
-                lru = i;
-            }
-        }
-        let slot = slot.unwrap_or(lru);
-        self.valid[slot] = true;
-        self.long_tags[slot] = long_key;
-        self.short_tags[slot] = short_key;
-        self.footprints[slot] = footprint;
-        self.last_touch[slot] = stamp;
+        let set = self.set_of(short_key);
+        // Re-train an existing entry for the same long event, else fill
+        // the back way.
+        let way = self
+            .find_long(set, long_key)
+            .unwrap_or_else(|| self.order.back(set));
+        let i = set * self.ways + way;
+        self.valid[i] = true;
+        self.long_tags[i] = long_key;
+        self.short_tags[i] = short_key;
+        self.footprints[i] = footprint;
+        self.order.touch(set, way);
     }
 
     /// Looks up with the long event (all tag bits compared). At most one
     /// entry can match; recency is updated on a hit.
+    #[inline]
     pub fn lookup_long(&mut self, long_key: u64, short_key: u64) -> Option<Footprint> {
-        let stamp = self.next_stamp();
-        let base = self.set_of(short_key) * self.ways;
-        for i in base..base + self.ways {
-            if self.long_tags[i] == long_key && self.valid[i] {
-                self.last_touch[i] = stamp;
-                return Some(self.footprints[i]);
-            }
-        }
-        None
+        let set = self.set_of(short_key);
+        let way = self.find_long(set, long_key)?;
+        self.order.touch(set, way);
+        Some(self.footprints[set * self.ways + way])
     }
 
     /// Looks up with the short event only (the gray path of Fig. 5): every
     /// way whose short-tag portion matches contributes its footprint.
-    /// Matches are returned most-recent-first, ways touched at the same
-    /// stamp in way order; recency is updated.
+    /// Matches are returned in way order; recency is updated by touching
+    /// them in that order, so of the ways one lookup ties, the lowest is
+    /// evicted first.
     pub fn lookup_short(&mut self, short_key: u64, out: &mut ShortMatches) {
         out.clear();
-        let stamp = self.next_stamp();
-        let base = self.set_of(short_key) * self.ways;
-        self.scratch.clear();
-        for i in base..base + self.ways {
+        let set = self.set_of(short_key);
+        let base = set * self.ways;
+        let mut matched = 0u32;
+        for (way, i) in (base..base + self.ways).enumerate() {
             if self.short_tags[i] == short_key && self.valid[i] {
-                self.scratch.push((self.last_touch[i], self.footprints[i]));
-                self.last_touch[i] = stamp;
+                out.push(self.footprints[i]);
+                matched |= 1 << way;
             }
         }
-        // One short lookup gives every way it matches the same stamp, so
-        // previous stamps can tie; the stable sort returns tied ways in way
-        // order.
-        self.scratch.sort_by_key(|m| std::cmp::Reverse(m.0));
-        out.extend(self.scratch.iter().map(|&(_, f)| f));
+        self.order.touch_ascending(set, matched);
     }
 
     /// Invalidates one valid entry chosen by `pick` (a value used modulo
     /// the number of valid entries), returning whether anything was
     /// dropped. Models metadata loss for fault-injection experiments: the
-    /// prefetcher behaves exactly as if the entry had been evicted.
+    /// prefetcher behaves exactly as if the entry had been evicted, and
+    /// the hole is the next fill of its set.
     pub fn evict_entry(&mut self, pick: u64) -> bool {
         let valid = self.valid_entries();
         if valid == 0 {
             return false;
         }
-        let mut target = (pick % valid as u64) as usize;
-        for i in 0..self.valid.len() {
-            if self.valid[i] {
-                if target == 0 {
-                    self.valid[i] = false;
-                    self.long_tags[i] = 0;
-                    self.short_tags[i] = 0;
-                    self.footprints[i] = Footprint::empty(self.region_blocks);
-                    self.last_touch[i] = 0;
-                    return true;
-                }
-                target -= 1;
-            }
-        }
-        unreachable!("target was chosen modulo the valid-entry count");
+        let target = (pick % valid as u64) as usize;
+        let i = (0..self.valid.len())
+            .filter(|&i| self.valid[i])
+            .nth(target)
+            .expect("target was chosen modulo the valid-entry count");
+        self.valid[i] = false;
+        self.long_tags[i] = 0;
+        self.short_tags[i] = 0;
+        self.footprints[i] = Footprint::empty(self.region_blocks);
+        let (set, base) = (i / self.ways, i - i % self.ways);
+        self.order.sink_invalid(set, |way| self.valid[base + way]);
+        true
     }
 
     /// Number of valid entries (diagnostics).
@@ -208,17 +191,12 @@ impl UnifiedHistoryTable {
         self.valid.iter().filter(|v| **v).count()
     }
 
-    /// Storage in bits. Mirrors the paper's accounting (Section VI-A: a
-    /// 16 K-entry table totals 119 KB): per entry the footprint
-    /// (one bit per region block), the `PC+Address` tag beyond the index
-    /// bits (modeled at 16 PC bits + 6 offset bits + 1 valid), and 4
-    /// replacement bits.
-    pub fn storage_bits(&self) -> u64 {
-        Self::storage_bits_for(self.entries(), self.region_blocks)
-    }
-
-    /// [`UnifiedHistoryTable::storage_bits`] computed from the geometry
-    /// alone, without allocating the table.
+    /// Storage in bits of a table of `entries` entries over
+    /// `region_blocks`-block regions. Mirrors the paper's accounting
+    /// (Section VI-A: a 16 K-entry table totals 119 KB): per entry the
+    /// footprint (one bit per region block), the `PC+Address` tag beyond
+    /// the index bits (modeled at 16 PC bits + 6 offset bits + 1 valid),
+    /// and 4 replacement bits, the entry's slot in its set's recency word.
     pub fn storage_bits_for(entries: usize, region_blocks: u32) -> u64 {
         let tag_bits = 16 + 6 + 1;
         let per_entry = region_blocks as u64 + tag_bits + 4;
@@ -229,6 +207,8 @@ impl UnifiedHistoryTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bingo_rng::rngs::SmallRng;
+    use bingo_rng::{Rng, SeedableRng};
 
     fn fp(bits: u64) -> Footprint {
         Footprint::from_bits(bits, 32)
@@ -258,48 +238,6 @@ mod tests {
         assert_eq!(out.len(), 3);
         let union = out.iter().fold(Footprint::empty(32), |a, b| a.union(*b));
         assert_eq!(union.bits(), 0b0111);
-    }
-
-    #[test]
-    fn short_lookup_returns_most_recent_first() {
-        let mut t = table();
-        t.insert(100, 7, fp(0b0001));
-        t.insert(200, 7, fp(0b0010));
-        // Touch the first entry to make it most recent.
-        let _ = t.lookup_long(100, 7);
-        let mut out = Vec::new();
-        t.lookup_short(7, &mut out);
-        assert_eq!(out[0], fp(0b0001));
-        assert_eq!(out[1], fp(0b0010));
-    }
-
-    #[test]
-    fn short_lookup_returns_ways_it_tied_in_way_order() {
-        let mut t = table();
-        t.insert(100, 7, fp(0b0001));
-        t.insert(200, 7, fp(0b0010));
-        let mut out = Vec::new();
-        t.lookup_short(7, &mut out);
-        assert_eq!(out, [fp(0b0010), fp(0b0001)], "most recent first");
-        // That lookup gave both ways one stamp.
-        t.lookup_short(7, &mut out);
-        assert_eq!(out, [fp(0b0001), fp(0b0010)], "tied ways in way order");
-
-        // A set wide enough for an unstable sort to reorder ties: every
-        // third way is touched again after the tying lookup.
-        let mut t = UnifiedHistoryTable::new(64, 64, 32);
-        for i in 0..64 {
-            t.insert(1000 + i, 7, fp(i + 1));
-        }
-        t.lookup_short(7, &mut out);
-        let retouched: Vec<u64> = (0..64).step_by(3).collect();
-        for &i in &retouched {
-            t.lookup_long(1000 + i, 7);
-        }
-        t.lookup_short(7, &mut out);
-        let tied = (0..64).filter(|i| i % 3 != 0);
-        let expected = retouched.iter().rev().copied().chain(tied);
-        assert_eq!(out, expected.map(|i| fp(i + 1)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -350,8 +288,7 @@ mod tests {
 
     #[test]
     fn storage_matches_paper_119kb_at_16k_entries() {
-        let t = UnifiedHistoryTable::new(16 * 1024, 16, 32);
-        let kb = t.storage_bits() as f64 / 8.0 / 1024.0;
+        let kb = UnifiedHistoryTable::storage_bits_for(16 * 1024, 32) as f64 / 8.0 / 1024.0;
         assert!(
             (kb - 118.0).abs() < 6.0,
             "16K-entry table is {kb:.1} KB; the paper reports 119 KB"
@@ -362,6 +299,12 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn bad_geometry_rejected() {
         let _ = UnifiedHistoryTable::new(48, 16, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "orders 1 to 16 ways")]
+    fn more_than_sixteen_ways_rejected() {
+        let _ = UnifiedHistoryTable::new(64, 32, 32);
     }
 
     #[test]
@@ -462,5 +405,233 @@ mod tests {
         assert_eq!(t.lookup_long(2, 4), None);
         assert_eq!(t.lookup_long(3, 8), Some(fp(0b100)));
         assert_eq!(t.lookup_long(4, 12), Some(fp(0b110)));
+    }
+
+    #[test]
+    fn ways_one_short_lookup_ties_are_evicted_lowest_first() {
+        // One set of four ways: ways 0 and 2 alias short key 7, ways 1
+        // and 3 short key 3.
+        let mut t = UnifiedHistoryTable::new(4, 4, 32);
+        for (long, short) in [(100, 7), (200, 3), (300, 7), (400, 3)] {
+            t.insert(long, short, fp(long));
+        }
+        let mut out = Vec::new();
+        t.lookup_short(7, &mut out);
+        assert_eq!(out, [fp(100), fp(300)], "ways 0 and 2 tie");
+        // Ways 1 and 3 are touched after the tie, so 0 and 2 are the two
+        // least recent, tied.
+        t.lookup_long(200, 3);
+        t.lookup_long(400, 3);
+        t.insert(500, 9, fp(500));
+        assert_eq!(t.long_tags, [500, 200, 300, 400], "way 0 evicted first");
+        t.insert(600, 9, fp(600));
+        assert_eq!(t.long_tags, [500, 200, 600, 400], "then way 2");
+    }
+
+    /// The table as it was before its recency became one word per set,
+    /// kept as the reference of `matches_stamped_reference_on_random_streams`:
+    /// a `u64` stamp per entry drawn from a counter every insert and
+    /// lookup advances, the victim the first invalid way else the least
+    /// recent stamp (a short lookup gives every way it matches one stamp,
+    /// and the scan keeps the lowest of tied ways), and short matches
+    /// sorted most recent first.
+    struct StampedTable {
+        valid: Vec<bool>,
+        long_tags: Vec<u64>,
+        short_tags: Vec<u64>,
+        footprints: Vec<Footprint>,
+        last_touch: Vec<u64>,
+        ways: usize,
+        set_mask: u64,
+        stamp: u64,
+        region_blocks: u32,
+    }
+
+    impl StampedTable {
+        fn new(entries: usize, ways: usize, region_blocks: u32) -> Self {
+            StampedTable {
+                valid: vec![false; entries],
+                long_tags: vec![0; entries],
+                short_tags: vec![0; entries],
+                footprints: vec![Footprint::empty(region_blocks); entries],
+                last_touch: vec![0; entries],
+                ways,
+                set_mask: (entries / ways) as u64 - 1,
+                stamp: 0,
+                region_blocks,
+            }
+        }
+
+        fn set(&self, short_key: u64) -> std::ops::Range<usize> {
+            let base = (short_key & self.set_mask) as usize * self.ways;
+            base..base + self.ways
+        }
+
+        fn next_stamp(&mut self) -> u64 {
+            self.stamp += 1;
+            self.stamp
+        }
+
+        fn insert(&mut self, long_key: u64, short_key: u64, footprint: Footprint) {
+            let stamp = self.next_stamp();
+            let mut slot = None;
+            let mut lru = self.set(short_key).start;
+            let mut lru_touch = u64::MAX;
+            for i in self.set(short_key) {
+                if !self.valid[i] {
+                    slot = slot.or(Some(i));
+                    continue;
+                }
+                if self.long_tags[i] == long_key {
+                    self.footprints[i] = footprint;
+                    self.short_tags[i] = short_key;
+                    self.last_touch[i] = stamp;
+                    return;
+                }
+                if self.last_touch[i] < lru_touch {
+                    lru_touch = self.last_touch[i];
+                    lru = i;
+                }
+            }
+            let slot = slot.unwrap_or(lru);
+            self.valid[slot] = true;
+            self.long_tags[slot] = long_key;
+            self.short_tags[slot] = short_key;
+            self.footprints[slot] = footprint;
+            self.last_touch[slot] = stamp;
+        }
+
+        fn lookup_long(&mut self, long_key: u64, short_key: u64) -> Option<Footprint> {
+            let stamp = self.next_stamp();
+            let i = self
+                .set(short_key)
+                .find(|&i| self.long_tags[i] == long_key && self.valid[i])?;
+            self.last_touch[i] = stamp;
+            Some(self.footprints[i])
+        }
+
+        fn lookup_short(&mut self, short_key: u64, out: &mut ShortMatches) {
+            let stamp = self.next_stamp();
+            let mut matches = Vec::new();
+            for i in self.set(short_key) {
+                if self.short_tags[i] == short_key && self.valid[i] {
+                    matches.push((self.last_touch[i], self.footprints[i]));
+                    self.last_touch[i] = stamp;
+                }
+            }
+            matches.sort_by_key(|m| std::cmp::Reverse(m.0));
+            out.clear();
+            out.extend(matches.iter().map(|&(_, f)| f));
+        }
+
+        fn evict_entry(&mut self, pick: u64) -> bool {
+            let valid = self.valid.iter().filter(|&&v| v).count();
+            if valid == 0 {
+                return false;
+            }
+            let target = (pick % valid as u64) as usize;
+            let i = (0..self.valid.len())
+                .filter(|&i| self.valid[i])
+                .nth(target)
+                .expect("target below the valid count");
+            self.valid[i] = false;
+            self.long_tags[i] = 0;
+            self.short_tags[i] = 0;
+            self.footprints[i] = Footprint::empty(self.region_blocks);
+            self.last_touch[i] = 0;
+            true
+        }
+
+        /// Whether an insert of `long_key` fills a hole: an invalid way of
+        /// its set below a valid one, which only eviction leaves.
+        fn fills_hole(&self, long_key: u64, short_key: u64) -> bool {
+            let set = self.set(short_key);
+            let retrains = set
+                .clone()
+                .any(|i| self.valid[i] && self.long_tags[i] == long_key);
+            let first_invalid = set.clone().find(|&i| !self.valid[i]);
+            !retrains && first_invalid.is_some_and(|h| set.clone().any(|i| i > h && self.valid[i]))
+        }
+    }
+
+    #[test]
+    fn matches_stamped_reference_on_random_streams() {
+        const SETS: usize = 4;
+        let mut rng = SmallRng::seed_from_u64(0x4157_0a7e);
+        for ways in [1usize, 2, 4, 16] {
+            // Short lookups that tie several ways (some but not all of the
+            // set, and all of it), and inserts into holes: the cases the
+            // recency word could get wrong.
+            let (mut partial_ties, mut full_sets, mut into_holes) = (0, 0, 0);
+            // One short event per set, so short lookups match whole sets,
+            // then three per set.
+            for shorts_per_set in [1, 3] {
+                let entries = SETS * ways;
+                let mut fast = UnifiedHistoryTable::new(entries, ways, 32);
+                let mut reference = StampedTable::new(entries, ways, 32);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                // Four long events per entry, each implying its short
+                // event: sets fill, evict and retrain.
+                let longs = 4 * entries as u64;
+                let shorts = (SETS * shorts_per_set) as u64;
+                for step in 0..10_000 {
+                    let long = rng.gen_range(0..longs);
+                    let short = long % shorts;
+                    let ctx = format!("step {step}, {ways} ways, {shorts_per_set} short/set");
+                    match rng.gen_range(0..16u32) {
+                        0..=5 => {
+                            into_holes += usize::from(reference.fills_hole(long, short));
+                            let f = fp(rng.next_u64() & 0xffff_ffff);
+                            fast.insert(long, short, f);
+                            reference.insert(long, short, f);
+                        }
+                        6..=8 => assert_eq!(
+                            fast.lookup_long(long, short),
+                            reference.lookup_long(long, short),
+                            "{ctx}"
+                        ),
+                        9..=13 => {
+                            fast.lookup_short(short, &mut got);
+                            reference.lookup_short(short, &mut want);
+                            partial_ties += usize::from((2..ways).contains(&want.len()));
+                            full_sets += usize::from(ways > 1 && want.len() == ways);
+                            got.sort_by_key(|f| f.bits());
+                            want.sort_by_key(|f| f.bits());
+                            assert_eq!(got, want, "{ctx}");
+                        }
+                        14 => {
+                            let pick = rng.next_u64();
+                            assert_eq!(
+                                fast.evict_entry(pick),
+                                reference.evict_entry(pick),
+                                "{ctx}"
+                            );
+                        }
+                        _ => assert_eq!(
+                            fast.valid_entries(),
+                            reference.valid.iter().filter(|&&v| v).count(),
+                            "{ctx}"
+                        ),
+                    }
+                    // Every entry in the same way of the same set.
+                    assert_eq!(fast.valid, reference.valid, "{ctx}");
+                    assert_eq!(fast.long_tags, reference.long_tags, "{ctx}");
+                    assert_eq!(fast.short_tags, reference.short_tags, "{ctx}");
+                    assert_eq!(fast.footprints, reference.footprints, "{ctx}");
+                }
+            }
+            assert!(
+                ways < 4 || partial_ties > 100,
+                "{ways} ways: only {partial_ties} short lookups tied part of a set"
+            );
+            assert!(
+                ways == 1 || full_sets > 100,
+                "{ways} ways: only {full_sets} short lookups matched a whole set"
+            );
+            assert!(
+                ways == 1 || into_holes > 100,
+                "{ways} ways: only {into_holes} inserts filled a hole"
+            );
+        }
     }
 }

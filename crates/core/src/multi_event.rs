@@ -20,7 +20,6 @@ use bingo_sim::{AccessInfo, BlockAddr, PrefetchSource, Prefetcher, RegionGeometr
 
 use crate::accumulation::{AccumulationTable, Residency};
 use crate::event::EventKind;
-use crate::footprint::Footprint;
 use crate::history::UnifiedHistoryTable;
 
 /// Configuration of a [`MultiEventPrefetcher`].
@@ -60,8 +59,8 @@ impl MultiEventConfig {
     }
 
     /// Metadata storage in bits of a prefetcher built from this
-    /// configuration, computed without allocating any tables. Always equal
-    /// to [`Prefetcher::storage_bits`] of the built instance.
+    /// configuration, computed without allocating any tables; the built
+    /// instance's [`Prefetcher::storage_bits`] returns it.
     pub fn storage_bits(&self) -> u64 {
         let region_blocks = self.region.blocks_per_region() as u32;
         self.events.len() as u64
@@ -180,27 +179,22 @@ impl MultiEventPrefetcher {
     fn predict(&mut self, info: &AccessInfo, out: &mut Vec<BlockAddr>) {
         self.stats.lookups += 1;
         let geometry = self.cfg.region;
-        // Redundancy probe over the first two tables (when present).
-        if self.cfg.events.len() >= 2 {
-            let k0 = self.cfg.events[0].key_of(info, geometry);
-            let k1 = self.cfg.events[1].key_of(info, geometry);
-            let p0 = self.tables[0].lookup_long(k0, k0 >> 16);
-            let p1 = self.tables[1].lookup_long(k1, k1 >> 16);
-            if let (Some(a), Some(b)) = (p0, p1) {
-                self.stats.dual_both_matched += 1;
-                if a == b {
-                    self.stats.dual_identical += 1;
-                }
-            }
+        let (events, tables) = (&self.cfg.events, &mut self.tables);
+        let mut lookup = |i: usize| {
+            let key = events[i].key_of(info, geometry);
+            tables[i].lookup_long(key, key >> 16).map(|fp| (i, fp))
+        };
+        // The cascade always looks the first two tables up (when present):
+        // those two lookups are also the redundancy probe.
+        let first = lookup(0);
+        let second = (events.len() >= 2).then(|| lookup(1)).flatten();
+        if let (Some((_, a)), Some((_, b))) = (first, second) {
+            self.stats.dual_both_matched += 1;
+            self.stats.dual_identical += u64::from(a == b);
         }
-        let mut chosen: Option<(usize, Footprint)> = None;
-        for (i, kind) in self.cfg.events.iter().enumerate() {
-            let key = kind.key_of(info, geometry);
-            if let Some(fp) = self.tables[i].lookup_long(key, key >> 16) {
-                chosen = Some((i, fp));
-                break;
-            }
-        }
+        let chosen = first
+            .or(second)
+            .or_else(|| (2..events.len()).find_map(&mut lookup));
         let Some((i, fp)) = chosen else {
             self.stats.no_match += 1;
             return;
@@ -259,11 +253,7 @@ impl Prefetcher for MultiEventPrefetcher {
     }
 
     fn storage_bits(&self) -> u64 {
-        self.tables
-            .iter()
-            .map(UnifiedHistoryTable::storage_bits)
-            .sum::<u64>()
-            + self.accumulation.storage_bits()
+        self.cfg.storage_bits()
     }
 
     fn metrics(&self) -> Vec<(&'static str, f64)> {

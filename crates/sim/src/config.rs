@@ -7,7 +7,8 @@
 //! latency and 37.5 GB/s of peak bandwidth. Blocks are 64 bytes everywhere.
 
 use crate::addr::BLOCK_BYTES;
-use crate::cache::{MAX_PREFETCH_OWNERS, MAX_WAYS};
+use crate::cache::MAX_PREFETCH_OWNERS;
+use crate::recency::MAX_WAYS;
 
 /// Why [`SystemConfig::validate`] rejected a configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -76,7 +76,7 @@ pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use memory::{IssueResult, MemorySystem};
 pub use openmap::OpenMap;
 pub use prefetch::{AccessInfo, FaultyPrefetcher, NextLinePrefetcher, NoPrefetcher, Prefetcher};
-pub use recency::RecencyList;
+pub use recency::{RecencyList, WayOrder};
 pub use replay::{PrefetchEvent, PrefetchTrace, ReplayParseError, ReplayStep};
 pub use stats::{
     CacheStats, CoreQos, CoreStats, Counters, CoverageReport, IngestReport, QosReport, SimResult,

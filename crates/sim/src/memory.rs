@@ -249,7 +249,7 @@ impl MemorySystem {
         while let Some((ready, fill)) = self.fills.pop_due(now) {
             let block = BlockAddr::new(fill.block);
             if fill.cache == Fill::LLC {
-                if let Some(evicted) = self.llc.complete_fill(block, false) {
+                if let Some(evicted) = self.llc.complete_fill(block) {
                     if evicted.dirty {
                         self.dram.write(evicted.block, now);
                     }
@@ -270,7 +270,7 @@ impl MemorySystem {
                     .position(|&r| r == ready)
                     .expect("every L1 fill's ready cycle is tracked");
                 pending.swap_remove(at);
-                if let Some(evicted) = self.l1s[core].complete_fill(block, false) {
+                if let Some(evicted) = self.l1s[core].complete_fill(block) {
                     if evicted.dirty {
                         // Writeback to LLC: mark dirty if resident, else
                         // spill to DRAM bandwidth.

@@ -1,22 +1,28 @@
-//! A fixed-capacity doubly linked recency list over stable slot indices,
-//! the one O(1) replacement order the prefetchers' tables share.
+//! The two O(1) replacement orders the repo's tables share: a doubly
+//! linked [`RecencyList`] for fully associative tables and a [`WayOrder`]
+//! for set-associative ones (the caches and Bingo's history table).
 //!
 //! A replacement table needs three steps per access: mark an entry most
 //! recently used, find the least recently used entry, and drop an entry
 //! from the middle. Scanning touch stamps for the minimum costs
-//! O(capacity) per miss; this list keeps the entries in recency order
-//! instead, with `prev`/`next` links threaded through one node vector, so
-//! every step is a constant number of splices. Touch stamps strictly
-//! increase, so the `min_by_key(last_touch)` victim of a scan is unique
-//! and equals the tail of this list.
+//! O(capacity) per miss; both types keep their entries in recency order
+//! instead, so every step takes constant time.
 //!
-//! A value keeps its slot for as long as it is in the list, so callers
-//! key side tables (or an [`OpenMap`](crate::OpenMap)) by slot.
+//! [`RecencyList`] threads `prev`/`next` links through one node vector;
+//! its tail is the unique `min_by_key(last_touch)` victim of a scan. A
+//! value keeps its slot for as long as it is in the list, so callers key
+//! side tables (or an [`OpenMap`](crate::OpenMap)) by slot.
 //! [`RecencyList::push_front`] reuses the most recently freed slot if
 //! there is one, and otherwise takes the lowest never-used slot. A table
 //! that frees only its tail, and only when full, therefore fills slots
 //! 0, 1, 2, ... in order and then hands the victim's slot straight to the
 //! next value, as a scan-based table overwrites its victim in place.
+//!
+//! [`WayOrder`] keeps each set's ways as 4-bit entries of one `u64`. With
+//! the invalid ways behind the valid ones, lowest index last, the back way
+//! is the first invalid way by index, else the least recently touched,
+//! ties broken by the lower index: the victim of a per-entry stamp (0 for
+//! an invalid entry) and a `min_by_key` scan.
 
 const NIL: u32 = u32::MAX;
 /// `prev` of a slot on the free chain, so misuse of a freed slot is
@@ -172,6 +178,133 @@ impl<T: Copy> RecencyList<T> {
     }
 }
 
+/// Largest associativity a [`WayOrder`] can order (sixteen 4-bit way
+/// numbers in one `u64`); checked by
+/// [`SystemConfig::validate`](crate::SystemConfig::validate).
+pub const MAX_WAYS: usize = 16;
+
+/// One in every 4-bit entry.
+const ONES: u64 = 0x1111_1111_1111_1111;
+
+/// The recency order of every set of a set-associative table: the set's
+/// way numbers as 4-bit entries of one `u64`, the most recent in the low
+/// entry, entries past the set's ways zero. Its owner keeps invalid ways
+/// at the back: fills take the back way, and a way invalidated anywhere
+/// else is sunk with [`WayOrder::sink_invalid`].
+#[derive(Debug)]
+pub struct WayOrder {
+    /// Each set's order XORed with `fresh`, so zeroed memory holds fresh
+    /// sets.
+    words: Vec<u64>,
+    /// A fresh set's order: way `ways - 1` in front, way 0 at the back.
+    fresh: u64,
+    ways: usize,
+}
+
+impl WayOrder {
+    /// Creates `sets` fresh orders of `ways` ways.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is not in `1..=`[`MAX_WAYS`].
+    pub fn new(sets: usize, ways: usize) -> Self {
+        assert!(
+            (1..=MAX_WAYS).contains(&ways),
+            "{ways} ways: a set's recency word orders 1 to {MAX_WAYS} ways"
+        );
+        WayOrder {
+            words: vec![0; sets],
+            fresh: (0..ways).fold(0, |o, p| o | ((ways - 1 - p) as u64) << (4 * p)),
+            ways,
+        }
+    }
+
+    #[inline]
+    fn get(&self, set: usize) -> u64 {
+        self.words[set] ^ self.fresh
+    }
+
+    #[inline]
+    fn put(&mut self, set: usize, order: u64) {
+        crate::audit_assert!(
+            self.is_permutation(order),
+            "recency invariant: set {set} orders {order:#x}, not a permutation of {} ways",
+            self.ways
+        );
+        self.words[set] = order ^ self.fresh;
+    }
+
+    /// The way `at` entries from the front of `order`.
+    #[inline]
+    fn way_at(order: u64, at: usize) -> usize {
+        ((order >> (4 * at)) & 0xF) as usize
+    }
+
+    /// `order` with `way` moved to the front.
+    #[inline]
+    fn moved_to_front(order: u64, way: usize) -> u64 {
+        // The entry holding `way` is the lowest zero entry of `x`; a
+        // borrow can flag only entries above it.
+        let x = order ^ (way as u64 * ONES);
+        let zero = x.wrapping_sub(ONES) & !x & (ONES << 3);
+        // Entries 0..=p, where p holds `way`; all of them at p = 15.
+        let through = (16u64 << (zero.trailing_zeros() & !3)).wrapping_sub(1);
+        (order & !through) | ((order << 4) & through) | way as u64
+    }
+
+    /// Moves `way` to the front of `set`'s order.
+    #[inline]
+    pub fn touch(&mut self, set: usize, way: usize) {
+        let order = Self::moved_to_front(self.get(set), way);
+        self.put(set, order);
+    }
+
+    /// Touches each way of `set` whose bit is set in `mask`, in ascending
+    /// way order, so the highest of them ends in front and the lowest
+    /// behind the others. When `mask` holds every way, the result is the
+    /// fresh order whatever the set held, and one store writes it.
+    #[inline]
+    pub fn touch_ascending(&mut self, set: usize, mask: u32) {
+        if mask == (1 << self.ways) - 1 {
+            self.words[set] = 0;
+            return;
+        }
+        let mut order = self.get(set);
+        let mut rest = mask;
+        while rest != 0 {
+            order = Self::moved_to_front(order, rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+        self.put(set, order);
+    }
+
+    /// The way at the back of `set`'s order: the next victim.
+    #[inline]
+    pub fn back(&self, set: usize) -> usize {
+        Self::way_at(self.get(set), self.ways - 1)
+    }
+
+    /// Reorders `set` so the ways `valid` accepts keep their recency order
+    /// in front and the others follow, lowest index last, where the next
+    /// fills take them first: a fresh set touched by the valid ways from
+    /// the least recent to the most.
+    pub fn sink_invalid(&mut self, set: usize, valid: impl Fn(usize) -> bool) {
+        let old = self.get(set);
+        let oldest_first = (0..self.ways).rev().map(|p| Self::way_at(old, p));
+        let sunk = oldest_first
+            .filter(|&w| valid(w))
+            .fold(self.fresh, Self::moved_to_front);
+        self.put(set, sunk);
+    }
+
+    /// Whether `order` holds each of the ways once, and nothing past.
+    #[cfg(any(test, feature = "audit"))]
+    fn is_permutation(&self, order: u64) -> bool {
+        let seen = (0..self.ways).fold(0u32, |s, p| s | 1 << Self::way_at(order, p));
+        seen == (1u32 << self.ways) - 1 && (self.ways == 16 || order >> (4 * self.ways) == 0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +435,66 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x9e37_79b9);
         for &capacity in &[1usize, 2, 3, 7, 16, 64] {
             check_stream(capacity, 4096, &mut rng);
+        }
+    }
+
+    impl WayOrder {
+        /// Whether `set`'s stored word is a permutation of the ways.
+        pub(crate) fn set_is_permutation(&self, set: usize) -> bool {
+            self.is_permutation(self.get(set))
+        }
+    }
+
+    /// A set's ways from front to back, read from its word.
+    fn ways_of(order: &WayOrder, set: usize) -> Vec<usize> {
+        (0..order.ways)
+            .map(|p| WayOrder::way_at(order.get(set), p))
+            .collect()
+    }
+
+    #[test]
+    fn way_order_matches_vector_reference_on_random_streams() {
+        let mut rng = SmallRng::seed_from_u64(0x0bde_4a11);
+        for ways in [1usize, 2, 3, 8, 15, 16] {
+            const SETS: usize = 3;
+            let mut order = WayOrder::new(SETS, ways);
+            // Each set's ways from front to back.
+            let mut model: Vec<Vec<usize>> = vec![(0..ways).rev().collect(); SETS];
+            for step in 0..4096 {
+                let set = rng.gen_range(0..SETS);
+                let expected = &mut model[set];
+                match rng.gen_range(0..4u32) {
+                    0 => {
+                        let way = rng.gen_range(0..ways);
+                        order.touch(set, way);
+                        expected.retain(|&w| w != way);
+                        expected.insert(0, way);
+                    }
+                    1 => {
+                        // Every way about one time in four.
+                        let mask = if rng.gen_bool(0.25) {
+                            (1u32 << ways) - 1
+                        } else {
+                            rng.next_u64() as u32 & ((1u32 << ways) - 1)
+                        };
+                        order.touch_ascending(set, mask);
+                        for way in (0..ways).filter(|w| mask >> w & 1 == 1) {
+                            expected.retain(|&w| w != way);
+                            expected.insert(0, way);
+                        }
+                    }
+                    2 => {
+                        let valid = rng.next_u64() as u32;
+                        order.sink_invalid(set, |w| valid >> w & 1 == 1);
+                        let invalid = (0..ways).rev().filter(|w| valid >> w & 1 == 0);
+                        expected.retain(|&w| valid >> w & 1 == 1);
+                        expected.extend(invalid);
+                    }
+                    _ => assert_eq!(order.back(set), *expected.last().unwrap()),
+                }
+                assert_eq!(ways_of(&order, set), model[set], "step {step}, {ways} ways");
+                assert!(order.set_is_permutation(set));
+            }
         }
     }
 }

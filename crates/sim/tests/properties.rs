@@ -50,7 +50,7 @@ fn region_round_trip() {
 }
 
 /// The cache never exceeds its capacity and never panics under an
-/// arbitrary access/fill/invalidate workload.
+/// arbitrary access/fill workload.
 #[test]
 fn cache_capacity_invariant() {
     let mut rng = SmallRng::seed_from_u64(0x51D0_0003);
@@ -61,7 +61,7 @@ fn cache_capacity_invariant() {
         let n = rng.gen_range(1..400usize);
         for _ in 0..n {
             now += 1;
-            let op = rng.gen_range(0..4u8);
+            let op = rng.gen_range(0..3u8);
             let b = BlockAddr::new(rng.gen_range(0..512u64));
             match op {
                 0 => {
@@ -72,11 +72,8 @@ fn cache_capacity_invariant() {
                         cache.allocate_fill(b, now + 100, None);
                     }
                 }
-                2 => {
-                    let _ = cache.complete_fill(b, false);
-                }
                 _ => {
-                    let _ = cache.invalidate(b);
+                    let _ = cache.complete_fill(b);
                 }
             }
             assert!(cache.resident_lines() <= capacity);
@@ -96,7 +93,7 @@ fn resident_blocks_hit() {
         let mut cache = Cache::new(small_cache_config());
         let b = BlockAddr::new(block);
         cache.allocate_fill(b, 0, None);
-        cache.complete_fill(b, false);
+        cache.complete_fill(b);
         match cache.demand_access(b, now, false) {
             Lookup::Hit { ready_at, .. } => assert!(ready_at > now),
             other => panic!("expected hit, got {other:?}"),
@@ -154,7 +151,7 @@ fn prefetch_attribution_conserves() {
                     }
                 }
                 _ => {
-                    if cache.complete_fill(b, false).is_some() || cache.probe(b) {
+                    if cache.complete_fill(b).is_some() || cache.probe(b) {
                         fills += 1;
                     }
                 }
