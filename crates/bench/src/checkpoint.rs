@@ -217,15 +217,6 @@ fn serialize_entry(key: &str, r: &SimResult) -> String {
             push_counters(&mut s, c);
             s.push(']');
         }
-        s.push_str("],\"hot_pcs\":[");
-        for (i, (pc, c)) in t.hot_pcs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("[{pc},"));
-            push_counters(&mut s, c);
-            s.push(']');
-        }
         s.push_str("]}");
     }
     // Also optional: only trace-replay cells carry ingestion accounting.
@@ -321,12 +312,6 @@ fn parse_telemetry(v: &Json) -> Option<TelemetryReport> {
             };
             Some((label.str()?.to_string(), counters(c)?))
         })?,
-        hot_pcs: list(v.field("hot_pcs")?, |pair| {
-            let [pc, c] = pair.arr()? else {
-                return None;
-            };
-            Some((pc.num()?, counters(c)?))
-        })?,
         ..counters(v.field("counts")?)?
     })
 }
@@ -360,9 +345,8 @@ mod tests {
         r#""debug":["plain","quotes \" and \\ and\nnewline \u0001 unicode é"],"#,
         r#""metrics":[[["coverage",4592086352849071506],"#,
         r#"["nan_metric",9221120237041090560]],[]],"#,
-        r#""telemetry":{"counts":[95,40000,0,0],"#,
-        r#""by_source":[["long",[64,32,16,8,4]],["short",[32,16,8,4,2]]],"#,
-        r#""hot_pcs":[[1024,[48,24,12,6,3]],[4660,[16,8,4,2,1]]]},"#,
+        r#""telemetry":{"counts":[95,40000],"#,
+        r#""by_source":[["long",[64,32,16,8,4]],["short",[32,16,8,4,2]]]},"#,
         r#""ingest":[10000,37,612,3],"#,
         r#""qos":{"cores":[[5000,900,700,850,1400,12,2,1,1]],"watchdog":[6,2,1,0]}}"#,
     );
@@ -441,7 +425,6 @@ mod tests {
                     ("long".to_string(), distinct(&mut n)),
                     ("short".to_string(), distinct(&mut n)),
                 ],
-                hot_pcs: vec![(0x400, distinct(&mut n)), (0x1234, distinct(&mut n))],
                 ..distinct(&mut n)
             }),
             ingest: Some(distinct(&mut n)),
@@ -466,9 +449,6 @@ mod tests {
             out.push(("telemetry counts".into(), t.values()));
             for (label, c) in &t.by_source {
                 out.push((format!("by_source {label}"), c.values()));
-            }
-            for (pc, c) in &t.hot_pcs {
-                out.push((format!("hot_pcs {pc:#x}"), c.values()));
             }
         }
         if let Some(g) = &r.ingest {
@@ -613,10 +593,7 @@ mod tests {
         r.telemetry = Some(TelemetryReport {
             fills: 95,
             fill_latency_sum: 40_000,
-            in_flight_at_end: 0,
-            orphans: 0,
             by_source: vec![("long".to_string(), c(64)), ("short".to_string(), c(32))],
-            hot_pcs: vec![(0x400, c(48)), (0x1234, c(16))],
         });
         r.ingest = Some(IngestReport {
             delivered_records: 10_000,

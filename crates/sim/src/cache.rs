@@ -12,9 +12,13 @@
 //! [`Cache::complete_fill`] when the fill's ready cycle arrives. Prefetch
 //! usefulness is attributed per line: a prefetched line demanded before
 //! eviction is *useful*; one demanded while still in flight is *late*; one
-//! evicted untouched is *useless* (an overprediction). Each prefetched line
-//! also remembers the core whose prefetcher issued it, and hands that owner
-//! back at the two use events, so per-core attribution needs no side table.
+//! evicted untouched, or still resident and untouched at end of run, is
+//! *useless* (an overprediction). The cache is the one record of each
+//! prefetch: its pending fill and line remember the [`PrefetchOrigin`] (the
+//! issuing core and the prediction source), handed back at each of those
+//! three events, and the pending fill its issue cycle, reported when the
+//! prefetch lands before any demand asked for it. Per-core throttling and
+//! per-source telemetry thus need no side table.
 //!
 //! All metadata beyond the tag array is indexed by set. The MSHR file is
 //! a slab of entries chained per set, so a lookup walks only its own
@@ -29,6 +33,18 @@ use crate::addr::{BlockAddr, CoreId};
 use crate::config::CacheConfig;
 use crate::recency::WayOrder;
 use crate::stats::CacheStats;
+use crate::telemetry::{PrefetchSource, SOURCE_SLOTS};
+
+/// Where a prefetch came from: the core whose prefetcher issued it and the
+/// prediction event that produced it ([`PrefetchSource::Unattributed`]
+/// unless telemetry is on).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PrefetchOrigin {
+    /// The issuing core.
+    pub core: CoreId,
+    /// The prediction event.
+    pub source: PrefetchSource,
+}
 
 /// Outcome of a demand lookup.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -37,18 +53,18 @@ pub enum Lookup {
     Hit {
         /// Cycle at which the data is available to the requester.
         ready_at: u64,
-        /// The issuing core when this demand is the first touch of a
+        /// The prefetch's origin when this demand is the first touch of a
         /// prefetched line (the event counted as `pf_useful`).
-        prefetch_owner: Option<CoreId>,
+        prefetch: Option<PrefetchOrigin>,
     },
     /// The block's fill is in flight (MSHR merge); data available when the
     /// fill lands.
     PendingHit {
         /// Cycle at which the in-flight fill completes.
         ready_at: u64,
-        /// The issuing core when this demand is the first to merge with an
-        /// in-flight prefetch (the event counted as `pf_late`).
-        prefetch_owner: Option<CoreId>,
+        /// The prefetch's origin when this demand is the first to merge
+        /// with an in-flight prefetch (the event counted as `pf_late`).
+        prefetch: Option<PrefetchOrigin>,
     },
     /// The block is neither resident nor in flight.
     Miss,
@@ -61,9 +77,19 @@ pub struct Evicted {
     pub block: BlockAddr,
     /// Whether the line was dirty and must be written back.
     pub dirty: bool,
-    /// Whether the line was brought in by a prefetch and never demanded
+    /// The origin of a line brought in by a prefetch and never demanded
     /// (the event counted as `pf_useless`).
-    pub unused_prefetch: bool,
+    pub unused_prefetch: Option<PrefetchOrigin>,
+}
+
+/// What [`Cache::complete_fill`] did besides installing the line.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Landing {
+    /// The line the fill displaced, if its set was full.
+    pub evicted: Option<Evicted>,
+    /// The issue cycle of a prefetch that landed before any demand merged
+    /// with it.
+    pub prefetch_issued: Option<u64>,
 }
 
 /// Largest core count the per-line prefetch-owner field can name; checked
@@ -80,14 +106,31 @@ mod flag {
     pub const DEMANDED: u8 = 1 << 3;
     /// Line was filled during the measurement window (post-warmup).
     pub const MEASURED: u8 = 1 << 4;
+    /// The three spare high bits hold a prefetched line's source slot.
+    pub const SOURCE_SHIFT: u32 = 5;
+}
+
+const _: () = assert!(SOURCE_SLOTS == 1 << (8 - flag::SOURCE_SHIFT));
+
+/// The origin a line or pending fill records as an owner byte and a
+/// source slot.
+fn origin(owner: u8, slot: u8) -> PrefetchOrigin {
+    PrefetchOrigin {
+        core: CoreId(owner.into()),
+        source: PrefetchSource::of_slot(slot.into()),
+    }
 }
 
 #[derive(Copy, Clone, Debug)]
 struct PendingFill {
     ready: u64,
+    /// Issue cycle of a prefetch fill (0 for demand fills).
+    issued: u64,
     prefetch: bool,
-    /// Issuing core of a prefetch fill (0 for demand fills).
+    /// Issuing core and source slot of a prefetch fill (0 for demand
+    /// fills).
     owner: u8,
+    source: u8,
     /// A demand merged with this fill while in flight.
     demanded: bool,
     /// A store targeted this block while in flight; the filled line must
@@ -119,7 +162,8 @@ pub struct Cache {
     tags: Vec<u64>,
     flags: Vec<u8>,
     /// Issuing core of each line filled by a prefetch; meaningful only
-    /// while the line's `PREFETCHED` flag is set.
+    /// while the line's `PREFETCHED` flag is set, like the source slot in
+    /// the flags' high bits.
     owners: Vec<u8>,
     /// Each set's LRU order.
     order: WayOrder,
@@ -210,33 +254,30 @@ impl Cache {
             self.order.touch(set, way);
             let i = set * self.cfg.ways + way;
             let f = self.flags[i];
-            let mut prefetch_owner = None;
+            let mut prefetch = None;
             if f & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED {
                 self.stats.pf_useful += 1;
-                prefetch_owner = Some(CoreId(self.owners[i].into()));
+                prefetch = Some(origin(self.owners[i], f >> flag::SOURCE_SHIFT));
             }
             self.flags[i] = f | flag::DEMANDED | if is_write { flag::DIRTY } else { 0 };
             self.stats.demand_hits += 1;
             return Lookup::Hit {
                 ready_at: start + self.cfg.latency,
-                prefetch_owner,
+                prefetch,
             };
         }
         if let Some(slot) = self.find_pending(set, block) {
             let entry = &mut self.slab[slot].fill;
-            let mut prefetch_owner = None;
+            let mut prefetch = None;
             if entry.prefetch && !entry.demanded {
                 self.stats.pf_late += 1;
-                prefetch_owner = Some(CoreId(entry.owner.into()));
+                prefetch = Some(origin(entry.owner, entry.source));
             }
             entry.demanded = true;
             entry.dirty |= is_write;
             self.stats.demand_hits_pending += 1;
             let ready_at = entry.ready.max(start + self.cfg.latency);
-            return Lookup::PendingHit {
-                ready_at,
-                prefetch_owner,
-            };
+            return Lookup::PendingHit { ready_at, prefetch };
         }
         Lookup::Miss
     }
@@ -330,8 +371,8 @@ impl Cache {
     }
 
     /// Whether the block has an in-flight fill that was allocated by a
-    /// prefetch and has not yet been demanded. Telemetry cross-check hook;
-    /// does not disturb state or statistics.
+    /// prefetch and has not yet been demanded. An audit hook; does not
+    /// disturb state or statistics.
     pub fn prefetch_pending(&self, block: BlockAddr) -> bool {
         self.find_pending(self.set_index(block), block)
             .is_some_and(|slot| {
@@ -377,8 +418,8 @@ impl Cache {
     }
 
     /// Records an outstanding fill that will complete at cycle `ready`;
-    /// `prefetcher` is the issuing core of a prefetch fill, `None` for a
-    /// demand fill.
+    /// `prefetch` holds a prefetch fill's origin and issue cycle, `None`
+    /// for a demand fill.
     ///
     /// The caller must have verified MSHR availability and non-residency.
     ///
@@ -387,7 +428,12 @@ impl Cache {
     /// Panics in debug builds if the block is already pending or resident,
     /// and in every build if the issuing core is not below
     /// [`MAX_PREFETCH_OWNERS`].
-    pub fn allocate_fill(&mut self, block: BlockAddr, ready: u64, prefetcher: Option<CoreId>) {
+    pub fn allocate_fill(
+        &mut self,
+        block: BlockAddr,
+        ready: u64,
+        prefetch: Option<(PrefetchOrigin, u64)>,
+    ) {
         debug_assert!(
             !self.probe(block),
             "allocate_fill for resident/pending {block:?}"
@@ -398,17 +444,21 @@ impl Cache {
             self.pending,
             self.cfg.mshrs
         );
-        let prefetch = prefetcher.is_some();
-        let owner = prefetcher.map_or(0, |c| {
-            u8::try_from(c.0).expect("prefetching core id exceeds MAX_PREFETCH_OWNERS")
+        let (owner, source, issued) = prefetch.map_or((0, 0, 0), |(o, issued)| {
+            let owner =
+                u8::try_from(o.core.0).expect("prefetching core id exceeds MAX_PREFETCH_OWNERS");
+            (owner, o.source.slot() as u8, issued)
         });
+        let prefetch = prefetch.is_some();
         let set = self.set_index(block);
         let entry = Mshr {
             block: block.index(),
             fill: PendingFill {
                 ready,
+                issued,
                 prefetch,
                 owner,
+                source,
                 demanded: !prefetch,
                 dirty: false,
             },
@@ -475,13 +525,14 @@ impl Cache {
 
     /// Lands an in-flight fill: installs the line, dirty if a store merged
     /// with it in flight, selecting and returning a victim if the set was
-    /// full.
+    /// full, and reports a prefetch no demand has merged with yet.
     ///
-    /// Returns `None` if the block was not pending or if an invalid way
-    /// absorbed the fill.
-    pub fn complete_fill(&mut self, block: BlockAddr) -> Option<Evicted> {
+    /// Reports nothing if the block was not pending.
+    pub fn complete_fill(&mut self, block: BlockAddr) -> Landing {
         let set = self.set_index(block);
-        let entry = self.remove_pending(set, block)?;
+        let Some(entry) = self.remove_pending(set, block) else {
+            return Landing::default();
+        };
         crate::audit_assert!(
             self.chains_are_consistent(set),
             "MSHR chain invariant: set {set}'s chain or the free list disagrees with {} pending fills after landing {block:?}",
@@ -510,10 +561,9 @@ impl Cache {
             if victim_dirty {
                 self.stats.writebacks += 1;
             }
-            let unused_prefetch = vf & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED;
-            if unused_prefetch {
-                self.stats.pf_useless += 1;
-            }
+            let unused_prefetch = (vf & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED)
+                .then(|| origin(self.owners[victim_idx], vf >> flag::SOURCE_SHIFT));
+            self.stats.pf_useless += u64::from(unused_prefetch.is_some());
             Some(Evicted {
                 block: BlockAddr::new(self.tags[victim_idx]),
                 dirty: victim_dirty,
@@ -527,10 +577,14 @@ impl Cache {
             | flag::MEASURED
             | if entry.dirty { flag::DIRTY } else { 0 }
             | if entry.prefetch { flag::PREFETCHED } else { 0 }
-            | if entry.demanded { flag::DEMANDED } else { 0 };
+            | if entry.demanded { flag::DEMANDED } else { 0 }
+            | entry.source << flag::SOURCE_SHIFT;
         self.owners[victim_idx] = entry.owner;
         self.order.touch(set, way);
-        evicted
+        Landing {
+            evicted,
+            prefetch_issued: (entry.prefetch && !entry.demanded).then_some(entry.issued),
+        }
     }
 
     /// Marks a resident line dirty (used for writebacks arriving from an
@@ -546,16 +600,22 @@ impl Cache {
         }
     }
 
-    /// Number of resident prefetched lines never demanded, restricted to
-    /// lines filled during the measurement window. Folded into
-    /// `pf_useless` at end of simulation so overprediction accounting does
-    /// not depend on the cache filling up within the measurement window.
-    pub fn count_unused_prefetched(&self) -> u64 {
+    /// Settles as useless (`pf_useless`) every resident prefetched line
+    /// that was filled during the measurement window and never demanded,
+    /// handing its origin to `settle`. Each such line leaves the
+    /// measurement window, so a second call settles it no more. The memory
+    /// system calls it at end of simulation, so overprediction accounting
+    /// does not depend on the cache filling up within the measurement
+    /// window.
+    pub fn settle_unused_prefetches(&mut self, mut settle: impl FnMut(PrefetchOrigin)) {
         const UNUSED: u8 = flag::VALID | flag::PREFETCHED | flag::MEASURED;
-        self.flags
-            .iter()
-            .filter(|&&f| f & (UNUSED | flag::DEMANDED) == UNUSED)
-            .count() as u64
+        for (f, &owner) in self.flags.iter_mut().zip(&self.owners) {
+            if *f & (UNUSED | flag::DEMANDED) == UNUSED {
+                *f &= !flag::MEASURED;
+                self.stats.pf_useless += 1;
+                settle(origin(owner, *f >> flag::SOURCE_SHIFT));
+            }
+        }
     }
 
     /// Number of valid resident lines (test/diagnostic helper).
@@ -565,7 +625,7 @@ impl Cache {
 
     /// Clears statistics, keeping cache contents (for warmup windows), and
     /// marks existing lines as pre-measurement so end-of-run accounting
-    /// (e.g. [`Cache::count_unused_prefetched`]) ignores them.
+    /// ([`Cache::settle_unused_prefetches`]) ignores them.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
         for f in &mut self.flags {
@@ -596,6 +656,17 @@ mod tests {
         c.allocate_fill(BlockAddr::new(block), 0, None);
         c.complete_fill(BlockAddr::new(block));
     }
+
+    /// A prefetch fill's origin and issue cycle.
+    fn pf(core: usize, source: PrefetchSource, issued: u64) -> Option<(PrefetchOrigin, u64)> {
+        let origin = PrefetchOrigin {
+            core: CoreId(core),
+            source,
+        };
+        Some((origin, issued))
+    }
+
+    const UNATTRIBUTED: PrefetchSource = PrefetchSource::Unattributed;
 
     #[test]
     fn miss_then_fill_then_hit() {
@@ -638,7 +709,10 @@ mod tests {
         // Touch block 0 so block 4 is LRU.
         c.demand_access(BlockAddr::new(0), 10, false);
         c.allocate_fill(BlockAddr::new(8), 20, None);
-        let ev = c.complete_fill(BlockAddr::new(8)).expect("eviction");
+        let ev = c
+            .complete_fill(BlockAddr::new(8))
+            .evicted
+            .expect("eviction");
         assert_eq!(ev.block, BlockAddr::new(4));
         assert!(c.probe(BlockAddr::new(0)));
         assert!(c.probe(BlockAddr::new(8)));
@@ -654,7 +728,10 @@ mod tests {
         c.allocate_fill(BlockAddr::new(8), 0, None);
         // LRU is block 0 only if untouched since; touch block 4.
         c.demand_access(BlockAddr::new(4), 5, false);
-        let ev = c.complete_fill(BlockAddr::new(8)).expect("eviction");
+        let ev = c
+            .complete_fill(BlockAddr::new(8))
+            .evicted
+            .expect("eviction");
         assert_eq!(ev.block, BlockAddr::new(0));
         assert!(ev.dirty);
         assert_eq!(c.stats.writebacks, 1);
@@ -664,10 +741,21 @@ mod tests {
     fn prefetch_useful_counted_once() {
         let mut c = small_cache();
         let b = BlockAddr::new(12);
-        c.allocate_fill(b, 0, Some(CoreId(0)));
-        c.complete_fill(b);
-        c.demand_access(b, 10, false);
-        c.demand_access(b, 20, false);
+        c.allocate_fill(b, 30, pf(3, PrefetchSource::LongEvent, 5));
+        let landing = c.complete_fill(b);
+        assert_eq!(landing.prefetch_issued, Some(5), "landed undemanded");
+        let origin = PrefetchOrigin {
+            core: CoreId(3),
+            source: PrefetchSource::LongEvent,
+        };
+        match c.demand_access(b, 40, false) {
+            Lookup::Hit { prefetch, .. } => assert_eq!(prefetch, Some(origin)),
+            other => panic!("expected hit, got {other:?}"),
+        }
+        match c.demand_access(b, 50, false) {
+            Lookup::Hit { prefetch, .. } => assert_eq!(prefetch, None, "settled once"),
+            other => panic!("expected hit, got {other:?}"),
+        }
         assert_eq!(c.stats.pf_useful, 1);
         assert_eq!(c.stats.pf_useless, 0);
     }
@@ -676,10 +764,21 @@ mod tests {
     fn late_prefetch_counted_and_not_double_counted_as_useful() {
         let mut c = small_cache();
         let b = BlockAddr::new(12);
-        c.allocate_fill(b, 100, Some(CoreId(0)));
-        c.demand_access(b, 50, false); // merges with in-flight prefetch
+        c.allocate_fill(b, 100, pf(1, PrefetchSource::CascadeLevel(2), 0));
+        // Merges with the in-flight prefetch.
+        match c.demand_access(b, 50, false) {
+            Lookup::PendingHit { prefetch, .. } => assert_eq!(
+                prefetch.map(|o| (o.core, o.source)),
+                Some((CoreId(1), PrefetchSource::CascadeLevel(2)))
+            ),
+            other => panic!("expected pending hit, got {other:?}"),
+        }
         assert_eq!(c.stats.pf_late, 1);
-        c.complete_fill(b);
+        assert_eq!(
+            c.complete_fill(b).prefetch_issued,
+            None,
+            "a demanded prefetch settled at the merge"
+        );
         c.demand_access(b, 200, false);
         // Already demanded while pending; not counted useful again.
         assert_eq!(c.stats.pf_useful, 0);
@@ -689,13 +788,39 @@ mod tests {
     #[test]
     fn unused_prefetch_eviction_is_useless() {
         let mut c = small_cache();
-        c.allocate_fill(BlockAddr::new(0), 0, Some(CoreId(0)));
+        c.allocate_fill(BlockAddr::new(0), 0, pf(2, PrefetchSource::ShortVote, 0));
         c.complete_fill(BlockAddr::new(0));
         fill_now(&mut c, 4);
         c.allocate_fill(BlockAddr::new(8), 0, None);
-        let ev = c.complete_fill(BlockAddr::new(8)).expect("eviction");
+        let landing = c.complete_fill(BlockAddr::new(8));
+        assert_eq!(landing.prefetch_issued, None, "a demand fill");
+        let ev = landing.evicted.expect("eviction");
         assert_eq!(ev.block, BlockAddr::new(0));
-        assert!(ev.unused_prefetch);
+        assert_eq!(
+            ev.unused_prefetch.map(|o| (o.core, o.source)),
+            Some((CoreId(2), PrefetchSource::ShortVote))
+        );
+        assert_eq!(c.stats.pf_useless, 1);
+    }
+
+    #[test]
+    fn settling_unused_prefetches_consumes_them() {
+        let mut c = small_cache();
+        // Filled before the reset: pre-measurement, never settled.
+        c.allocate_fill(BlockAddr::new(0), 0, pf(0, UNATTRIBUTED, 0));
+        c.complete_fill(BlockAddr::new(0));
+        c.reset_stats();
+        c.allocate_fill(BlockAddr::new(1), 0, pf(1, PrefetchSource::LongEvent, 0));
+        c.complete_fill(BlockAddr::new(1));
+        // Demanded: settled as useful, not at the fold.
+        c.allocate_fill(BlockAddr::new(2), 0, pf(1, UNATTRIBUTED, 0));
+        c.complete_fill(BlockAddr::new(2));
+        c.demand_access(BlockAddr::new(2), 10, false);
+        let mut settled = Vec::new();
+        c.settle_unused_prefetches(|o| settled.push((o.core, o.source)));
+        assert_eq!(settled, vec![(CoreId(1), PrefetchSource::LongEvent)]);
+        assert_eq!(c.stats.pf_useless, 1);
+        c.settle_unused_prefetches(|_| panic!("settled twice"));
         assert_eq!(c.stats.pf_useless, 1);
     }
 
@@ -720,9 +845,9 @@ mod tests {
     fn prefetches_in_flight_tracks_allocations_and_fills() {
         let mut c = small_cache();
         assert_eq!(c.prefetches_in_flight(), 0);
-        c.allocate_fill(BlockAddr::new(1), 100, Some(CoreId(0)));
+        c.allocate_fill(BlockAddr::new(1), 100, pf(0, UNATTRIBUTED, 0));
         c.allocate_fill(BlockAddr::new(2), 100, None);
-        c.allocate_fill(BlockAddr::new(3), 100, Some(CoreId(0)));
+        c.allocate_fill(BlockAddr::new(3), 100, pf(0, UNATTRIBUTED, 0));
         assert_eq!(c.prefetches_in_flight(), 2, "demand fills do not count");
         // A demand merging with an in-flight prefetch keeps the slot held.
         c.demand_access(BlockAddr::new(1), 50, false);
@@ -762,13 +887,13 @@ mod tests {
     fn fill_into_invalid_way_reports_no_eviction() {
         let mut c = small_cache();
         c.allocate_fill(BlockAddr::new(0), 0, None);
-        assert!(c.complete_fill(BlockAddr::new(0)).is_none());
+        assert!(c.complete_fill(BlockAddr::new(0)).evicted.is_none());
     }
 
     #[test]
     fn complete_fill_for_unknown_block_is_none() {
         let mut c = small_cache();
-        assert!(c.complete_fill(BlockAddr::new(99)).is_none());
+        assert_eq!(c.complete_fill(BlockAddr::new(99)), Landing::default());
     }
 
     #[test]
@@ -793,6 +918,7 @@ mod tests {
         demanded: bool,
         measured: bool,
         owner: u8,
+        source: u8,
         /// Stamp of the line's last fill or hit; 0 while invalid.
         last_touch: u64,
     }
@@ -847,31 +973,31 @@ mod tests {
             if let Some(i) = self.find(block) {
                 let line = &mut self.lines[i];
                 line.last_touch = self.stamp;
-                let mut prefetch_owner = None;
+                let mut prefetch = None;
                 if line.prefetched && !line.demanded {
                     self.stats.pf_useful += 1;
-                    prefetch_owner = Some(CoreId(line.owner.into()));
+                    prefetch = Some(origin(line.owner, line.source));
                 }
                 line.demanded = true;
                 line.dirty |= is_write;
                 self.stats.demand_hits += 1;
                 return Lookup::Hit {
                     ready_at: start + self.cfg.latency,
-                    prefetch_owner,
+                    prefetch,
                 };
             }
             if let Some(entry) = self.pending.get_mut(&block.index()) {
-                let mut prefetch_owner = None;
+                let mut prefetch = None;
                 if entry.prefetch && !entry.demanded {
                     self.stats.pf_late += 1;
-                    prefetch_owner = Some(CoreId(entry.owner.into()));
+                    prefetch = Some(origin(entry.owner, entry.source));
                 }
                 entry.demanded = true;
                 entry.dirty |= is_write;
                 self.stats.demand_hits_pending += 1;
                 return Lookup::PendingHit {
                     ready_at: entry.ready.max(start + self.cfg.latency),
-                    prefetch_owner,
+                    prefetch,
                 };
             }
             Lookup::Miss
@@ -898,13 +1024,19 @@ mod tests {
             self.pending.values().filter(|e| e.prefetch).count()
         }
 
-        fn allocate_fill(&mut self, block: BlockAddr, ready: u64, prefetcher: Option<CoreId>) {
-            let prefetch = prefetcher.is_some();
+        fn allocate_fill(
+            &mut self,
+            block: BlockAddr,
+            ready: u64,
+            prefetch: Option<(PrefetchOrigin, u64)>,
+        ) {
             let fill = PendingFill {
                 ready,
-                prefetch,
-                owner: prefetcher.map_or(0, |c| c.0 as u8),
-                demanded: !prefetch,
+                issued: prefetch.map_or(0, |(_, issued)| issued),
+                prefetch: prefetch.is_some(),
+                owner: prefetch.map_or(0, |(o, _)| o.core.0 as u8),
+                source: prefetch.map_or(0, |(o, _)| o.source.slot() as u8),
+                demanded: prefetch.is_none(),
                 dirty: false,
             };
             assert!(self.pending.insert(block.index(), fill).is_none());
@@ -917,8 +1049,10 @@ mod tests {
                 .is_some()
         }
 
-        fn complete_fill(&mut self, block: BlockAddr) -> Option<Evicted> {
-            let entry = self.pending.remove(&block.index())?;
+        fn complete_fill(&mut self, block: BlockAddr) -> Landing {
+            let Some(entry) = self.pending.remove(&block.index()) else {
+                return Landing::default();
+            };
             self.stamp += 1;
             let victim = self
                 .set(block)
@@ -928,8 +1062,9 @@ mod tests {
             let evicted = old.valid.then(|| {
                 self.stats.evictions += 1;
                 self.stats.writebacks += u64::from(old.dirty);
-                let unused_prefetch = old.prefetched && !old.demanded;
-                self.stats.pf_useless += u64::from(unused_prefetch);
+                let unused_prefetch =
+                    (old.prefetched && !old.demanded).then(|| origin(old.owner, old.source));
+                self.stats.pf_useless += u64::from(unused_prefetch.is_some());
                 Evicted {
                     block: BlockAddr::new(old.tag),
                     dirty: old.dirty,
@@ -944,9 +1079,13 @@ mod tests {
                 demanded: entry.demanded,
                 measured: true,
                 owner: entry.owner,
+                source: entry.source,
                 last_touch: self.stamp,
             };
-            evicted
+            Landing {
+                evicted,
+                prefetch_issued: (entry.prefetch && !entry.demanded).then_some(entry.issued),
+            }
         }
 
         fn mark_dirty(&mut self, block: BlockAddr) -> bool {
@@ -955,11 +1094,14 @@ mod tests {
                 .is_some()
         }
 
-        fn count_unused_prefetched(&self) -> u64 {
-            self.lines
-                .iter()
-                .filter(|l| l.valid && l.prefetched && !l.demanded && l.measured)
-                .count() as u64
+        fn settle_unused_prefetches(&mut self, mut settle: impl FnMut(PrefetchOrigin)) {
+            for l in &mut self.lines {
+                if l.valid && l.prefetched && !l.demanded && l.measured {
+                    l.measured = false;
+                    self.stats.pf_useless += 1;
+                    settle(origin(l.owner, l.source));
+                }
+            }
         }
 
         fn resident_lines(&self) -> usize {
@@ -999,7 +1141,7 @@ mod tests {
             // Lookups that walk past a chain head, and fills into a set
             // holding both valid and invalid ways: the cases the chains
             // and the recency word could get wrong.
-            let (mut past_head, mut into_holes) = (0, 0);
+            let (mut past_head, mut into_holes, mut settled) = (0, 0, 0);
             let partly_valid = |reference: &StampedCache, b: BlockAddr| {
                 let valid = reference.set(b).filter(|&i| reference.lines[i].valid);
                 reference.pending.contains_key(&b.index()) && (1..ways).contains(&valid.count())
@@ -1025,9 +1167,15 @@ mod tests {
                     5 => assert_eq!(fast.probe(block), reference.probe(block), "{ctx}"),
                     6..=9 => {
                         if !fast.probe(block) && fast.mshr_available_for_demand() {
-                            let owner = rng.gen_bool(0.5).then(|| CoreId(rng.gen_range(0..4usize)));
-                            fast.allocate_fill(block, step + 50, owner);
-                            reference.allocate_fill(block, step + 50, owner);
+                            let prefetch = rng.gen_bool(0.5).then(|| {
+                                let origin = PrefetchOrigin {
+                                    core: CoreId(rng.gen_range(0..4usize)),
+                                    source: PrefetchSource::of_slot(rng.gen_range(0..SOURCE_SLOTS)),
+                                };
+                                (origin, step)
+                            });
+                            fast.allocate_fill(block, step + 50, prefetch);
+                            reference.allocate_fill(block, step + 50, prefetch);
                             pending.push(block);
                         }
                     }
@@ -1065,6 +1213,12 @@ mod tests {
                             assert_eq!(fast.stats, reference.stats, "{ctx}");
                             fast.reset_stats();
                             reference.reset_stats();
+                        } else if rng.gen_bool(0.01) {
+                            let (mut a, mut b) = (Vec::new(), Vec::new());
+                            fast.settle_unused_prefetches(|o| a.push(o));
+                            reference.settle_unused_prefetches(|o| b.push(o));
+                            assert_eq!(a, b, "{ctx}");
+                            settled += a.len();
                         } else if !fast.probe(block) {
                             let k = rng.gen_range(1..4u64);
                             fast.apply_missed_retries(block, step, k);
@@ -1079,11 +1233,6 @@ mod tests {
                     "{ctx}"
                 );
                 assert_eq!(fast.resident_lines(), reference.resident_lines(), "{ctx}");
-                assert_eq!(
-                    fast.count_unused_prefetched(),
-                    reference.count_unused_prefetched(),
-                    "{ctx}"
-                );
                 assert!(
                     (0..4)
                         .all(|set| fast.chains_are_consistent(set)
@@ -1096,6 +1245,7 @@ mod tests {
                 past_head > 100,
                 "{ways} ways: only {past_head} lookups walked past a chain head"
             );
+            assert!(settled > 0, "{ways} ways: no unused prefetch settled");
             // No line turns invalid again, so exactly the first fills of
             // each set land beside invalid ways.
             assert_eq!(

@@ -1,9 +1,10 @@
 //! Seeded mid-run perturbations: the [`ChaosInjector`].
 //!
-//! The PR 2 [`FaultInjector`](crate::fault::FaultInjector) corrupts a
-//! *trace before* it runs; the chaos layer perturbs a *live* simulation, to
-//! harden the per-core QoS throttle against the transients it will face on
-//! a shared chip:
+//! The [`FaultInjector`](crate::fault::FaultInjector) corrupts Bingo's
+//! *metadata* while it runs (footprint bits, history entries, emitted
+//! bursts); the chaos layer perturbs the *machine* around a live
+//! simulation, to harden the per-core QoS throttle against the transients
+//! it will face on a shared chip:
 //!
 //! - **DRAM bandwidth collapse** — the per-transfer channel occupancy is
 //!   multiplied up for a window, as if a co-runner (or thermal event)

@@ -48,16 +48,6 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Row-buffer hit ratio over reads.
-    pub fn row_hit_ratio(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
-
     /// Total transfers (reads + writes).
     pub fn transfers(&self) -> u64 {
         self.reads + self.writes
@@ -323,16 +313,5 @@ mod tests {
         assert_eq!(a.stats.queue_wait_cycles, 14);
         assert_eq!(b.stats.prefetch_reads, 0);
         assert_eq!(b.stats.demand_wait_cycles, 14);
-    }
-
-    #[test]
-    fn row_hit_ratio_diagnostic() {
-        let mut d = Dram::new(cfg());
-        for i in 0..10 {
-            let _ = d.read(BlockAddr::new(i), 0);
-        }
-        assert_eq!(d.stats.row_misses, 1);
-        assert_eq!(d.stats.row_hits, 9);
-        assert!((d.stats.row_hit_ratio() - 0.9).abs() < 1e-12);
     }
 }

@@ -59,11 +59,6 @@ impl FaultPlan {
             self.rate
         );
     }
-
-    /// Whether this plan can ever inject a fault.
-    pub fn is_active(&self) -> bool {
-        self.rate > 0.0
-    }
 }
 
 /// Counts of injected faults, exposed through prefetcher metrics so a
@@ -110,11 +105,6 @@ impl FaultInjector {
             state: z.max(1),
             stats: FaultStats::default(),
         }
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -205,7 +195,6 @@ mod tests {
             assert!(!inj.should_drop_prefetch());
         }
         assert_eq!(inj.stats, FaultStats::default());
-        assert!(!inj.plan().is_active());
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod throttle;
 mod wheel;
 
 pub use addr::{Addr, BlockAddr, CoreId, Pc, RegionGeometry, RegionId, BLOCK_BYTES, BLOCK_SHIFT};
-pub use cache::{Cache, Evicted, Lookup};
+pub use cache::{Cache, Evicted, Landing, Lookup, PrefetchOrigin};
 pub use chaos::{AppliedPerturbation, ChaosInjector, ChaosKind, ChaosPlan, PhaseFlipSource};
 pub use config::{CacheConfig, ConfigError, CoreConfig, DramConfig, SystemConfig};
 pub use core_model::{Instr, InstrSource, OooCore};

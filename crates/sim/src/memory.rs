@@ -14,11 +14,13 @@
 //! Prefetchers observe every successful LLC demand access and may emit
 //! candidate blocks, which are deduplicated against resident/in-flight
 //! blocks, rate-limited by prefetch-eligible MSHRs, and sent to DRAM. The
-//! LLC line records the issuing core, and the optional [`Throttle`] credits
-//! the prefetch's later use to that core.
+//! LLC's pending fill and line record the issuing core and the prediction
+//! source, and hand both back when the prefetch settles: the optional
+//! [`Throttle`] credits a use to that core, and the [`PrefetchLedger`]
+//! tallies every settlement under that source.
 
 use crate::addr::{Addr, BlockAddr, CoreId, Pc};
-use crate::cache::{Cache, Lookup};
+use crate::cache::{Cache, Lookup, PrefetchOrigin};
 use crate::config::SystemConfig;
 use crate::dram::Dram;
 use crate::prefetch::{AccessInfo, Prefetcher};
@@ -103,7 +105,8 @@ impl MemorySystem {
     }
 
     /// Sets the prefetch-lifecycle telemetry level. Call before running;
-    /// switching levels mid-run discards any records collected so far.
+    /// switching levels mid-run discards the counts collected so far, and
+    /// prefetches issued before the switch settle as unattributed.
     pub fn set_telemetry(&mut self, level: TelemetryLevel) {
         self.ledger = PrefetchLedger::new(level);
     }
@@ -249,19 +252,21 @@ impl MemorySystem {
         while let Some((ready, fill)) = self.fills.pop_due(now) {
             let block = BlockAddr::new(fill.block);
             if fill.cache == Fill::LLC {
-                if let Some(evicted) = self.llc.complete_fill(block) {
+                let landing = self.llc.complete_fill(block);
+                if let Some(evicted) = landing.evicted {
                     if evicted.dirty {
                         self.dram.write(evicted.block, now);
                     }
-                    if evicted.unused_prefetch {
-                        self.ledger.evicted_unused(evicted.block.index());
+                    if let Some(origin) = evicted.unused_prefetch {
+                        self.ledger.record(origin.source, |c| c.unused += 1);
                     }
                     for pf in &mut self.prefetchers {
                         pf.on_eviction(evicted.block);
                     }
                 }
-                // Settle the ledger record, if this fill was a prefetch.
-                self.ledger.filled(block.index(), now);
+                if let Some(issued) = landing.prefetch_issued {
+                    self.ledger.filled(now.saturating_sub(issued));
+                }
             } else {
                 let core = fill.cache as usize;
                 let pending = &mut self.l1_fills[core];
@@ -270,7 +275,7 @@ impl MemorySystem {
                     .position(|&r| r == ready)
                     .expect("every L1 fill's ready cycle is tracked");
                 pending.swap_remove(at);
-                if let Some(evicted) = self.l1s[core].complete_fill(block) {
+                if let Some(evicted) = self.l1s[core].complete_fill(block).evicted {
                     if evicted.dirty {
                         // Writeback to LLC: mark dirty if resident, else
                         // spill to DRAM bandwidth.
@@ -367,19 +372,14 @@ impl MemorySystem {
         let t_llc = now + self.cfg.l1d.latency;
         // The LLC lookup below is the single point where a prefetch is
         // judged useful (`pf_useful`, resident hit) or late (`pf_late`,
-        // in-flight merge), and it names the core that issued it; the
-        // throttle and the ledger are credited from that one event, so
-        // their counts agree with `CacheStats` by construction.
+        // in-flight merge), and it names the core that issued it and the
+        // prediction that produced it; the throttle and the ledger are
+        // credited from that one event, so their counts agree with
+        // `CacheStats` by construction.
         let (data_ready, llc_hit, used_prefetch) =
             match self.llc.demand_access(block, t_llc, is_write) {
-                Lookup::Hit {
-                    ready_at,
-                    prefetch_owner,
-                } => (ready_at, true, prefetch_owner),
-                Lookup::PendingHit {
-                    ready_at,
-                    prefetch_owner,
-                } => (ready_at, false, prefetch_owner),
+                Lookup::Hit { ready_at, prefetch } => (ready_at, true, prefetch),
+                Lookup::PendingHit { ready_at, prefetch } => (ready_at, false, prefetch),
                 Lookup::Miss => {
                     if !self.llc.mshr_available_for_demand() {
                         self.llc.stats.demand_mshr_stalls += 1;
@@ -396,15 +396,17 @@ impl MemorySystem {
                     (ready, false, None)
                 }
             };
-        if let Some(owner) = used_prefetch {
+        if let Some(origin) = used_prefetch {
             if let Some(throttle) = self.throttle.as_mut() {
-                throttle.note_pf_used(owner.0);
+                throttle.note_pf_used(origin.core.0);
             }
-            if llc_hit {
-                self.ledger.used_timely(block.index());
-            } else {
-                self.ledger.used_late(block.index());
-            }
+            self.ledger.record(origin.source, |c| {
+                if llc_hit {
+                    c.timely += 1;
+                } else {
+                    c.late += 1;
+                }
+            });
         }
 
         // Commit the L1 miss. A store miss installs its line dirty
@@ -474,31 +476,29 @@ impl MemorySystem {
             PrefetchSource::Unattributed
         };
         for &candidate in &buf {
-            self.issue_prefetch_attributed(core, candidate, cycle, source, pc.raw());
+            self.issue_prefetch_attributed(PrefetchOrigin { core, source }, candidate, cycle);
         }
         self.pf_buf = buf;
     }
 
     /// Issues one prefetch candidate into the LLC at cycle `now`, applying
-    /// duplicate filtering and MSHR limits. Exposed for prefetcher unit
-    /// tests and the harness's direct-drive mode; telemetry records the
-    /// prefetch as unattributed and core 0 is charged for it.
+    /// duplicate filtering and MSHR limits, with no prefetcher behind it:
+    /// for tests and `prefetcher_microbench`. The prefetch is charged to
+    /// core 0 and is unattributed.
     pub fn issue_prefetch(&mut self, block: BlockAddr, now: u64) {
-        self.issue_prefetch_attributed(CoreId(0), block, now, PrefetchSource::Unattributed, 0);
+        let origin = PrefetchOrigin {
+            core: CoreId(0),
+            source: PrefetchSource::Unattributed,
+        };
+        self.issue_prefetch_attributed(origin, block, now);
     }
 
-    fn issue_prefetch_attributed(
-        &mut self,
-        core: CoreId,
-        block: BlockAddr,
-        now: u64,
-        source: PrefetchSource,
-        pc: u64,
-    ) {
+    fn issue_prefetch_attributed(&mut self, origin: PrefetchOrigin, block: BlockAddr, now: u64) {
+        let source = origin.source;
         self.llc.stats.pf_requested += 1;
         if self.llc.probe(block) {
             self.llc.stats.pf_dropped_duplicate += 1;
-            self.ledger.dropped(pc, source);
+            self.ledger.record(source, |c| c.dropped += 1);
             return;
         }
         // The bounded prefetch queue sits in front of the MSHR file: a
@@ -508,7 +508,7 @@ impl MemorySystem {
         if let Some(depth) = self.cfg.prefetch_queue_depth {
             if self.llc.prefetches_in_flight() >= depth {
                 self.llc.stats.pf_dropped_queue += 1;
-                self.ledger.dropped(pc, source);
+                self.ledger.record(source, |c| c.dropped += 1);
                 return;
             }
         }
@@ -517,19 +517,19 @@ impl MemorySystem {
             .mshr_available_for_prefetch(self.cfg.llc_mshrs_reserved_for_demand)
         {
             self.llc.stats.pf_dropped_mshr += 1;
-            self.ledger.dropped(pc, source);
+            self.ledger.record(source, |c| c.dropped += 1);
             return;
         }
         let ready = self
             .dram
             .read_tagged(block, now + self.cfg.llc.latency, true);
         if let Some(throttle) = self.throttle.as_mut() {
-            throttle.note_pf_issued(core.0, self.dram.last_read_wait());
+            throttle.note_pf_issued(origin.core.0, self.dram.last_read_wait());
         }
-        self.llc.allocate_fill(block, ready, Some(core));
+        self.llc.allocate_fill(block, ready, Some((origin, now)));
         self.schedule_fill(Fill::LLC, block, ready);
         self.llc.stats.pf_issued += 1;
-        self.ledger.issued(block.index(), pc, source, now);
+        self.ledger.record(source, |c| c.issued += 1);
         crate::audit_assert!(
             self.llc.prefetch_pending(block),
             "prefetch issue invariant: {block:?} not pending as a prefetch after issue"
@@ -543,21 +543,20 @@ impl MemorySystem {
     }
 
     /// Drains all outstanding fills (used at end of simulation so that
-    /// in-flight prefetch attribution settles) and folds still-resident
-    /// never-demanded prefetched lines into `pf_useless`, so
+    /// in-flight prefetch attribution settles) and settles still-resident
+    /// never-demanded prefetched lines as useless (`pf_useless`), so
     /// overprediction does not depend on the LLC filling up within the
-    /// measurement window.
+    /// measurement window. Returns the last fill's ready cycle (0 when
+    /// none was in flight). A second drain settles nothing.
     pub fn drain(&mut self) -> u64 {
         let mut last = 0;
         while let Some(ready) = self.fills.next_ready() {
             last = ready;
             self.tick(ready);
         }
-        self.llc.stats.pf_useless += self.llc.count_unused_prefetched();
-        // The matching ledger settlement: filled-but-never-demanded records
-        // become unused; finalize consumes them, so a second drain cannot
-        // double-count.
-        self.ledger.finalize();
+        let ledger = &mut self.ledger;
+        self.llc
+            .settle_unused_prefetches(|origin| ledger.record(origin.source, |c| c.unused += 1));
         last
     }
 }

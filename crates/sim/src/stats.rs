@@ -345,8 +345,8 @@ pub struct SimResult {
     /// Per-core structured prefetcher metrics
     /// ([`crate::prefetch::Prefetcher::metrics`]).
     pub prefetcher_metrics: Vec<Vec<(&'static str, f64)>>,
-    /// Prefetch-lifecycle breakdown (timeliness, per-source and per-PC
-    /// attribution); `None` unless the run enabled telemetry.
+    /// Prefetch-lifecycle breakdown (per-source attribution and fill
+    /// latency); `None` unless the run enabled telemetry.
     pub telemetry: Option<TelemetryReport>,
     /// Trace-ingestion accounting summed over every instruction source;
     /// `None` when no source replays a trace (synthetic generators).

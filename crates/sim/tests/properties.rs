@@ -6,7 +6,8 @@
 use bingo_rng::{Rng, SeedableRng, SmallRng};
 
 use bingo_sim::{
-    Addr, BlockAddr, Cache, CacheConfig, CoreId, Dram, DramConfig, Lookup, RegionGeometry,
+    Addr, BlockAddr, Cache, CacheConfig, CoreId, Dram, DramConfig, Lookup, PrefetchOrigin,
+    PrefetchSource, RegionGeometry,
 };
 
 fn small_cache_config() -> CacheConfig {
@@ -147,11 +148,15 @@ fn prefetch_attribution_conserves() {
                 }
                 1 => {
                     if !cache.probe(b) && cache.mshr_available_for_prefetch(2) {
-                        cache.allocate_fill(b, now + 10, Some(CoreId(0)));
+                        let origin = PrefetchOrigin {
+                            core: CoreId(0),
+                            source: PrefetchSource::Unattributed,
+                        };
+                        cache.allocate_fill(b, now + 10, Some((origin, now)));
                     }
                 }
                 _ => {
-                    if cache.complete_fill(b).is_some() || cache.probe(b) {
+                    if cache.complete_fill(b).evicted.is_some() || cache.probe(b) {
                         fills += 1;
                     }
                 }
