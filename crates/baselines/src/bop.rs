@@ -197,7 +197,7 @@ mod tests {
     use bingo_sim::Pc;
 
     fn info(block: u64) -> AccessInfo {
-        AccessInfo::demand(Pc::new(0x400), BlockAddr::new(block), 0)
+        AccessInfo::demand(Pc::new(0x400), BlockAddr::new(block))
     }
 
     fn access(b: &mut Bop, block: u64) -> Vec<u64> {

@@ -132,7 +132,7 @@ mod tests {
     use bingo_sim::Pc;
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block))
     }
 
     fn visit(s: &mut Sms, pc: u64, region: u64, offsets: &[u32]) -> Vec<BlockAddr> {

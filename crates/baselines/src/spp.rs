@@ -266,7 +266,7 @@ mod tests {
     use bingo_sim::Pc;
 
     fn info(block: u64) -> AccessInfo {
-        AccessInfo::demand(Pc::new(0x400), BlockAddr::new(block), 0)
+        AccessInfo::demand(Pc::new(0x400), BlockAddr::new(block))
     }
 
     fn access(s: &mut Spp, block: u64) -> Vec<u64> {

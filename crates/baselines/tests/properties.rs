@@ -12,26 +12,17 @@ use bingo_baselines::{
     Ampm, AmpmConfig, Bop, BopConfig, Sms, Spp, SppConfig, StridePrefetcher, Vldp, VldpConfig,
     DEFAULT_OFFSETS,
 };
-use bingo_sim::{AccessInfo, BlockAddr, CoreId, Pc, Prefetcher};
+use bingo_sim::{AccessInfo, BlockAddr, Pc, Prefetcher};
 
-fn info(pc: u64, block: u64, is_write: bool) -> AccessInfo {
-    let b = BlockAddr::new(block);
-    AccessInfo {
-        core: CoreId(0),
-        pc: Pc::new(pc),
-        addr: b.base_addr(),
-        block: b,
-        is_write,
-        hit: false,
-        cycle: 0,
-    }
+fn info(pc: u64, block: u64) -> AccessInfo {
+    AccessInfo::demand(Pc::new(pc), BlockAddr::new(block))
 }
 
-fn drive(p: &mut dyn Prefetcher, stream: &[(u64, u64, bool)]) {
+fn drive(p: &mut dyn Prefetcher, stream: &[(u64, u64)]) {
     let mut out = Vec::new();
-    for &(pc, block, w) in stream {
+    for &(pc, block) in stream {
         out.clear();
-        p.on_access(&info(0x400 + (pc % 64) * 4, block, w), &mut out);
+        p.on_access(&info(0x400 + (pc % 64) * 4, block), &mut out);
         assert!(
             out.len() <= 64,
             "{} emitted {} candidates for one access",
@@ -50,13 +41,13 @@ fn all_prefetchers_survive_arbitrary_streams() {
     let mut rng = SmallRng::seed_from_u64(0xBA5E_0001);
     for case in 0..64 {
         let len = rng.gen_range(1..500usize);
-        let stream: Vec<(u64, u64, bool)> = (0..len)
+        let stream: Vec<(u64, u64)> = (0..len)
             .map(|_| {
-                (
-                    rng.next_u64(),
-                    rng.gen_range(0..(1u64 << 30)),
-                    rng.gen_bool(0.5),
-                )
+                let access = (rng.next_u64(), rng.gen_range(0..(1u64 << 30)));
+                // Prefetchers no longer see whether an access stores; the
+                // flag is still drawn, so the seeded streams stay the same.
+                let _ = rng.gen_bool(0.5);
+                access
             })
             .collect();
         let mut prefetchers: Vec<Box<dyn Prefetcher>> = vec![
@@ -88,7 +79,7 @@ fn bop_offset_always_from_candidates() {
         for _ in 0..len {
             let block = rng.gen_range(0..(1u64 << 20));
             out.clear();
-            bop.on_access(&info(0x400, block, false), &mut out);
+            bop.on_access(&info(0x400, block), &mut out);
         }
         assert!(
             DEFAULT_OFFSETS.contains(&bop.best_offset()),
@@ -111,7 +102,7 @@ fn sms_never_prefetches_the_trigger() {
             let pc = rng.gen_range(0..8u64);
             let block = rng.gen_range(0..4096u64);
             out.clear();
-            sms.on_access(&info(0x400 + pc * 4, block, false), &mut out);
+            sms.on_access(&info(0x400 + pc * 4, block), &mut out);
             assert!(
                 !out.contains(&BlockAddr::new(block)),
                 "prefetched the demanded block"

@@ -30,7 +30,7 @@ use bingo_trace::{capture_source, crc32::crc32, TraceReader, DEFAULT_CHUNK_RECOR
 use bingo_workloads::Workload;
 
 fn info(pc: u64, block: u64) -> AccessInfo {
-    AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
+    AccessInfo::demand(Pc::new(pc), BlockAddr::new(block))
 }
 
 /// A deterministic mixed block stream over 2^22 blocks: every fourth

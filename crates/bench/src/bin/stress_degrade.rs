@@ -22,9 +22,9 @@
 //!    anything about graceful degradation.
 //!
 //! Each pressure level bounds the prefetch queue at its own preset depth,
-//! and each configuration sets its throttle mode in code; telemetry is
-//! off. `BINGO_CHECKPOINT` records each cell's full `SimResult` as a JSON
-//! line.
+//! and each configuration sets its throttle mode in code.
+//! `BINGO_CHECKPOINT` records each cell's full `SimResult`, prefetch
+//! lifecycle included, as a JSON line.
 
 use bingo_bench::{f2, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Table};
 use bingo_sim::ThrottleMode;

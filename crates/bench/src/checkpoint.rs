@@ -6,7 +6,7 @@
 //! the moment it completes: one self-contained JSON line per cell, appended
 //! and flushed immediately by the worker that ran it, keyed by
 //! [`crate::RunSpec::key`] — every field of the run description (scale,
-//! machine, per-core slots, telemetry, throttle, chaos). A resumed sweep
+//! machine, per-core slots, throttle, chaos). A resumed sweep
 //! pointed at the same file replays the finished cells from disk and only
 //! simulates the missing ones; because a cell's result is a pure function
 //! of its key (see the determinism notes in [`crate::runner`]), the
@@ -14,10 +14,11 @@
 //! test-locked by `resume_from_checkpoint_is_bit_for_bit_identical`.
 //!
 //! The same file is the stats export: each line holds a cell's full
-//! [`SimResult`] (telemetry, ingest and QoS reports included when the run
-//! carries them), so offline analysis parses it with any JSON reader. A
-//! fresh file records every cell the run simulates, each once, in
-//! completion order; a resumed run appends only the cells it simulated.
+//! [`SimResult`] (its prefetch-lifecycle report always, its ingest and QoS
+//! reports when the run carries them), so offline analysis parses it with
+//! any JSON reader. A fresh file records every cell the run simulates,
+//! each once, in completion order; a resumed run appends only the cells it
+//! simulated.
 //!
 //! Robustness properties:
 //!
@@ -27,6 +28,8 @@
 //! * stale lines — keys without the `run:` prefix, written under an older
 //!   key format that no cell can look up — are skipped and counted too,
 //!   so those cells re-simulate;
+//! * a line without a `telemetry` object, written when the lifecycle
+//!   report was optional, is stale the same way;
 //! * every counter array holds exactly one number per counter of its
 //!   struct's walk ([`bingo_sim::Counters`]), in walk order; a line with
 //!   an array of any other length (one written under another layout) is
@@ -201,25 +204,21 @@ fn serialize_entry(key: &str, r: &SimResult) -> String {
         s.push(']');
     }
     s.push(']');
-    // The telemetry field is optional: absent when the run had telemetry
-    // off.
-    if let Some(t) = &r.telemetry {
-        s.push_str(",\"telemetry\":{\"counts\":");
-        push_counters(&mut s, t);
-        s.push_str(",\"by_source\":[");
-        for (i, (label, c)) in t.by_source.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            json::push_string(&mut s, label);
+    s.push_str(",\"telemetry\":{\"counts\":");
+    push_counters(&mut s, &r.telemetry);
+    s.push_str(",\"by_source\":[");
+    for (i, (label, c)) in r.telemetry.by_source.iter().enumerate() {
+        if i > 0 {
             s.push(',');
-            push_counters(&mut s, c);
-            s.push(']');
         }
-        s.push_str("]}");
+        s.push('[');
+        json::push_string(&mut s, label);
+        s.push(',');
+        push_counters(&mut s, c);
+        s.push(']');
     }
-    // Also optional: only trace-replay cells carry ingestion accounting.
+    s.push_str("]}");
+    // Optional: only trace-replay cells carry ingestion accounting.
     if let Some(g) = &r.ingest {
         s.push_str(",\"ingest\":");
         push_counters(&mut s, g);
@@ -270,11 +269,7 @@ fn parse_entry(line: &str) -> Option<(String, SimResult)> {
         total_cycles: root.field("total_cycles")?.num()?,
         prefetcher_debug: list(root.field("debug")?, |v| v.str().map(str::to_string))?,
         prefetcher_metrics: list(root.field("metrics")?, parse_metrics)?,
-        // Optional: absent when the run had telemetry off.
-        telemetry: match root.field("telemetry") {
-            Some(v) => Some(parse_telemetry(v)?),
-            None => None,
-        },
+        telemetry: parse_telemetry(root.field("telemetry")?)?,
         // Optional: only trace-replay cells carry it.
         ingest: match root.field("ingest") {
             Some(v) => Some(counters(v)?),
@@ -398,7 +393,7 @@ mod tests {
                 ],
                 vec![],
             ],
-            telemetry: None,
+            telemetry: TelemetryReport::default(),
             ingest: None,
             qos: None,
         }
@@ -412,21 +407,21 @@ mod tests {
         C::from_values(&values).expect("small values fit every counter")
     }
 
-    /// A result carrying all three optional fields, every walked counter
-    /// set to a value no other counter holds.
+    /// A result carrying a full lifecycle report and both optional
+    /// fields, every walked counter set to a value no other counter holds.
     fn distinct_result() -> SimResult {
         let mut n = 1;
         SimResult {
             cores: vec![distinct(&mut n), distinct(&mut n)],
             l1d: distinct(&mut n),
             llc: distinct(&mut n),
-            telemetry: Some(TelemetryReport {
+            telemetry: TelemetryReport {
                 by_source: vec![
                     ("long".to_string(), distinct(&mut n)),
                     ("short".to_string(), distinct(&mut n)),
                 ],
                 ..distinct(&mut n)
-            }),
+            },
             ingest: Some(distinct(&mut n)),
             qos: Some(QosReport {
                 cores: vec![distinct(&mut n), distinct(&mut n)],
@@ -445,11 +440,9 @@ mod tests {
         }
         out.push(("l1d".into(), r.l1d.values()));
         out.push(("llc".into(), r.llc.values()));
-        if let Some(t) = &r.telemetry {
-            out.push(("telemetry counts".into(), t.values()));
-            for (label, c) in &t.by_source {
-                out.push((format!("by_source {label}"), c.values()));
-            }
+        out.push(("telemetry counts".into(), r.telemetry.values()));
+        for (label, c) in &r.telemetry.by_source {
+            out.push((format!("by_source {label}"), c.values()));
         }
         if let Some(g) = &r.ingest {
             out.push(("ingest".into(), g.values()));
@@ -565,9 +558,23 @@ mod tests {
         assert_bit_equal(&r, &parsed);
     }
 
+    /// The lifecycle report reads back equal whether empty or full, and
+    /// a line without one, written when the report was optional, is
+    /// stale.
     #[test]
     fn round_trip_preserves_telemetry() {
-        round_trip_without("telemetry", |r| r.telemetry = None);
+        for telemetry in [TelemetryReport::default(), distinct_result().telemetry] {
+            let r = SimResult {
+                telemetry,
+                ..distinct_result()
+            };
+            let (_, parsed) = parse_entry(&serialize_entry("run:k", &r)).expect("parses");
+            assert_bit_equal(&r, &parsed);
+        }
+        let line = serialize_entry("run:k", &sample_result(0));
+        let empty = r#","telemetry":{"counts":[0,0],"by_source":[]}"#;
+        assert_eq!(line.matches(empty).count(), 1, "{line}");
+        assert!(parse_entry(&line.replace(empty, "")).is_none());
     }
 
     #[test]
@@ -590,11 +597,11 @@ mod tests {
             dropped: base / 16,
         };
         let mut r = sample_result(3);
-        r.telemetry = Some(TelemetryReport {
+        r.telemetry = TelemetryReport {
             fills: 95,
             fill_latency_sum: 40_000,
             by_source: vec![("long".to_string(), c(64)), ("short".to_string(), c(32))],
-        });
+        };
         r.ingest = Some(IngestReport {
             delivered_records: 10_000,
             quarantined_records: 37,

@@ -211,7 +211,7 @@ fn diff_bingo_scheduled(
             PrefetchEvent::Access { pc, block } => {
                 let level = schedule(i);
                 real.set_throttle_level(level);
-                let info = AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), i as u64);
+                let info = AccessInfo::demand(Pc::new(pc), BlockAddr::new(block));
                 let got = real.step(&info);
                 let want = spec.step(&info);
                 let fail = if got.trigger != want.trigger {

@@ -3,10 +3,10 @@
 //!
 //! A [`Session`] holds what every figure reads, read once: the
 //! [`RunScale`], the command line and one [`ParallelHarness`]. Every cell
-//! is the one configuration its figure states: telemetry and throttling
-//! are off unless the figure sets them in code (`fig_timeliness` counts,
-//! `fig_qos` varies the throttle mode). Each `src/bin/<figure>.rs` is a
-//! wrapper around [`run`]; the `all` binary runs every entry of [`ALL`]
+//! is the one configuration its figure states: throttling is off unless
+//! the figure sets it in code (`fig_qos` varies the throttle mode), and
+//! every cell reports its prefetch lifecycle. Each `src/bin/<figure>.rs`
+//! is a wrapper around [`run`]; the `all` binary runs every entry of [`ALL`]
 //! in order over one session, so a cell two figures share is simulated
 //! once (the harness memoizes every result it resolves). Figures print to
 //! stdout.
@@ -15,8 +15,7 @@ use std::path::PathBuf;
 
 use bingo::{BingoConfig, EventKind, SpatialProfiler};
 use bingo_sim::{
-    ChaosPlan, Instr, RegionGeometry, SimResult, SourceCounters, SystemConfig, TelemetryLevel,
-    TelemetryReport, ThrottleMode,
+    ChaosPlan, Instr, RegionGeometry, SimResult, SourceCounters, SystemConfig, ThrottleMode,
 };
 use bingo_trace::DEFAULT_CHUNK_RECORDS;
 use bingo_workloads::{TraceWorkload, Workload};
@@ -28,8 +27,7 @@ use crate::mix::{
     contention_mixes, polite_vs_storm, CapacityCell, CapacitySearch, MixConfig, Pressure,
 };
 use crate::runner::{
-    geometric_mean, mean, parallel_map, Evaluation, ParallelHarness, PrefetcherKind, RunScale,
-    RunSpec,
+    geometric_mean, mean, parallel_map, ParallelHarness, PrefetcherKind, RunScale, RunSpec,
 };
 use crate::table::{f2, pct, Table};
 
@@ -485,13 +483,6 @@ pub fn fig10_isodegree(s: &mut Session) {
     );
 }
 
-fn telemetry_of(e: &Evaluation) -> &TelemetryReport {
-    e.result
-        .telemetry
-        .as_ref()
-        .expect("harness runs with telemetry enabled")
-}
-
 fn source_timeliness(c: &SourceCounters) -> f64 {
     let used = c.timely + c.late;
     if used == 0 {
@@ -512,17 +503,14 @@ fn source_timeliness(c: &SourceCounters) -> f64 {
 /// reports per-event-kind accuracy — the observable counterpart of the
 /// paper's Fig. 2 accuracy argument.
 ///
-/// Telemetry is `counts` here: this figure is *about* telemetry. Pass
+/// The cells are fig7's, so under `all` they come from the memo. Pass
 /// `--workload <name>` (repeatable; a slug, paper name or variant name) to
 /// restrict the sweep — the CI smoke job runs a single cheap workload this
 /// way.
 pub fn fig_timeliness(s: &mut Session) {
     let workloads = workload_args(&s.args, &Workload::ALL);
     let kinds = PrefetcherKind::headline();
-    let mut specs = RunSpec::grid(s.scale, &workloads, &kinds);
-    for spec in &mut specs {
-        spec.telemetry = TelemetryLevel::Counts;
-    }
+    let specs = RunSpec::grid(s.scale, &workloads, &kinds);
     let evals = s.harness.evaluate(&specs);
 
     let mut t = Table::new(vec![
@@ -552,7 +540,7 @@ pub fn fig_timeliness(s: &mut Session) {
             llc.pf_late.to_string(),
             llc.pf_useless.to_string(),
             (llc.pf_dropped_duplicate + llc.pf_dropped_mshr + llc.pf_dropped_queue).to_string(),
-            f2(telemetry_of(e).avg_fill_latency()),
+            f2(e.result.telemetry.avg_fill_latency()),
         ]);
         timeliness_by_kind[idx % kinds.len()]
             .1
@@ -584,7 +572,7 @@ pub fn fig_timeliness(s: &mut Session) {
         if kinds[idx % kinds.len()] != PrefetcherKind::bingo() {
             continue;
         }
-        for (label, c) in &telemetry_of(e).by_source {
+        for (label, c) in &e.result.telemetry.by_source {
             by_kind.row(vec![
                 workload_of(idx),
                 label.clone(),

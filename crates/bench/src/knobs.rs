@@ -7,9 +7,10 @@
 //! silently falling back to a default and producing numbers from the
 //! wrong configuration. A parameter no experiment varies is a constant in
 //! the binary that uses it, not a knob, and a figure whose variable it is
-//! sets it in code: each figure's cells carry their telemetry level and
-//! throttle mode, so those two former knobs are retired
-//! ([`reject_retired`]), as is the stats export the checkpoint replaced.
+//! sets it in code: each figure's cells carry their throttle mode, and
+//! every run reports its prefetch lifecycle, so the two former knobs for
+//! them are retired ([`reject_retired`]), as is the stats export the
+//! checkpoint replaced.
 
 /// Parses a knob value, aborting loudly on garbage.
 ///
@@ -58,10 +59,12 @@ pub fn from_env<T>(
 /// Panics naming the first retired variable the environment sets, and
 /// what replaced it.
 pub fn reject_retired() {
-    const FIGURE_SETS: &str = "each figure sets its own telemetry level and throttle mode";
     for (name, instead) in [
-        ("BINGO_TELEMETRY", FIGURE_SETS),
-        ("BINGO_THROTTLE", FIGURE_SETS),
+        (
+            "BINGO_TELEMETRY",
+            "telemetry is always on: every run reports its prefetch lifecycle",
+        ),
+        ("BINGO_THROTTLE", "each figure sets its own throttle mode"),
         ("BINGO_STATS", "point BINGO_CHECKPOINT at a fresh file"),
     ] {
         if std::env::var_os(name).is_some() {

@@ -6,9 +6,10 @@
 //! bingo-bench --release --bin all` prints every figure of
 //! [`figures::ALL`] in one process, simulating each cell once. Pass
 //! `--quick` for a reduced instruction budget (CI scale). Every cell is
-//! the one configuration its figure states: telemetry and throttling are
-//! off unless the figure sets them in code (`fig_timeliness` counts,
-//! `fig_qos` and `stress_degrade` vary the throttle mode). `fig_multicore`
+//! the one configuration its figure states: throttling is off unless the
+//! figure sets it in code (`fig_qos` and `stress_degrade` vary the
+//! throttle mode), and every cell reports its prefetch lifecycle
+//! (`fig_timeliness` prints it for fig7's cells). `fig_multicore`
 //! and `fig_qos` also write a JSON report, `<figure>_report.json`, into
 //! `--report DIR` (default `target`). Every binary's one machine-readable
 //! record of its cells is the [`checkpoint`]: with `BINGO_CHECKPOINT`

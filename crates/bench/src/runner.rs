@@ -4,8 +4,7 @@
 //! * [`RunSpec`] describes one simulation completely: the scale, the
 //!   machine (core count, memory [`Pressure`]), one [`Slot`] per
 //!   core (a synthetic or captured instruction [`Stream`], its prefetcher
-//!   and its instruction budget), and the telemetry, throttle and chaos
-//!   options. [`RunSpec::run`] is the only place the harness builds a
+//!   and its instruction budget), and the throttle and chaos options. [`RunSpec::run`] is the only place the harness builds a
 //!   [`System`], and [`RunSpec::key`] is the only checkpoint key.
 //! * [`ParallelHarness::try_run`] is the engine: each spec is resolved
 //!   from the in-process memo, then from the checkpoint, then by a
@@ -45,7 +44,7 @@ use bingo_baselines::{
 use bingo_sim::{
     ChaosInjector, ChaosPlan, CoverageReport, FaultPlan, FaultyPrefetcher, InstrSource,
     NextLinePrefetcher, NoPrefetcher, Prefetcher, SimAbort, SimResult, System, SystemConfig,
-    TelemetryLevel, ThrottleMode,
+    ThrottleMode,
 };
 use bingo_trace::ReplaySource;
 use bingo_workloads::{TraceWorkload, Workload};
@@ -451,8 +450,10 @@ impl Slot {
 /// determines its [`SimResult`], and nothing else. The machine is the
 /// paper's (Table I) with `slots.len()` cores and `pressure` applied to the
 /// shared memory system, which stays at the paper's sizing at every core
-/// count. The constructors build specs with telemetry, throttle and chaos
-/// off; a figure that varies one of them sets it by struct update.
+/// count. Every run reports its prefetch lifecycle
+/// ([`bingo_sim::TelemetryReport`]). The constructors build specs with
+/// throttle and chaos off; a figure that varies one of them sets it by
+/// struct update.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
     /// Warmup and measured instructions per core, and the seed of every
@@ -462,9 +463,6 @@ pub struct RunSpec {
     pub pressure: Pressure,
     /// One slot per core; the machine's core count is `slots.len()`.
     pub slots: Vec<Slot>,
-    /// Prefetch-lifecycle telemetry level. Never changes the machine; it
-    /// adds a [`bingo_sim::TelemetryReport`] to the result.
-    pub telemetry: TelemetryLevel,
     /// Adaptive prefetch-throttle mode ([`ThrottleMode::Off`] attaches no
     /// controller and is bit-for-bit invisible).
     pub throttle: ThrottleMode,
@@ -497,13 +495,12 @@ impl RunSpec {
         Self::on_machine(scale, Pressure::NONE, slots)
     }
 
-    /// A spec with telemetry, throttle and chaos off.
+    /// A spec with throttle and chaos off.
     fn on_machine(scale: RunScale, pressure: Pressure, slots: Vec<Slot>) -> RunSpec {
         RunSpec {
             scale,
             pressure,
             slots,
-            telemetry: TelemetryLevel::Off,
             throttle: ThrottleMode::Off,
             chaos: None,
         }
@@ -534,9 +531,9 @@ impl RunSpec {
     }
 
     /// The same run with every prefetcher removed: the reference of the
-    /// speedup and coverage metrics. Options carry over, so a throttled or
-    /// telemetry-on cell is compared against a baseline keyed (and
-    /// reported) the same way.
+    /// speedup and coverage metrics. Options carry over, so a throttled
+    /// cell is compared against a baseline keyed (and reported) the same
+    /// way.
     pub fn baseline(&self) -> RunSpec {
         let mut baseline = self.clone();
         for slot in &mut baseline.slots {
@@ -572,7 +569,6 @@ impl RunSpec {
             scale,
             pressure,
             slots,
-            telemetry,
             throttle,
             chaos,
         } = self;
@@ -589,7 +585,7 @@ impl RunSpec {
         } = *pressure;
         let mut key = format!(
             "run:{instructions_per_core}/{warmup_per_core}/dram={channels}x{transfer_cycles}\
-             /queue={queue:?}/{telemetry:?}/{throttle:?}/chaos={chaos:?}"
+             /queue={queue:?}/{throttle:?}/chaos={chaos:?}"
         );
         for Slot {
             stream,
@@ -664,7 +660,6 @@ impl RunSpec {
         let targets: Vec<u64> = self.slots.iter().map(|s| s.target(budget)).collect();
         let mut system = System::new_heterogeneous(cfg, sources, prefetchers, &targets)
             .with_warmup(self.scale.warmup_per_core)
-            .with_telemetry(self.telemetry)
             .with_throttle(self.throttle);
         if let Some(plan) = &self.chaos {
             system = system.with_chaos(ChaosInjector::new(plan.clone()));
@@ -676,7 +671,7 @@ impl RunSpec {
     }
 }
 
-/// Runs one classic cell with telemetry and throttling off.
+/// Runs one classic cell with throttling off.
 ///
 /// # Panics
 ///
@@ -1239,7 +1234,9 @@ pub fn mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bingo_sim::{Counters, RegionGeometry, SourceCounters};
+    use bingo_sim::{
+        AccessInfo, BlockAddr, Counters, RegionGeometry, SourceCounters, ThrottleLevel,
+    };
 
     /// Every constructible kind, one representative per variant.
     fn all_kinds() -> Vec<PrefetcherKind> {
@@ -1458,7 +1455,7 @@ mod tests {
         }
     }
 
-    /// Classic cells with telemetry and throttling off.
+    /// Classic cells with throttling off.
     fn plain(scale: RunScale, cells: &[(Workload, PrefetcherKind)]) -> Vec<RunSpec> {
         cells
             .iter()
@@ -1690,10 +1687,46 @@ mod tests {
         let _ = parse_cell_timeout("-1");
     }
 
-    /// Workload-scale determinism lock for the telemetry layer: a
-    /// telemetry-on sweep produces bit-for-bit the machine results of a
-    /// telemetry-off sweep — same IPC, same miss counts, same speedup —
-    /// plus an attached report whose counters agree with the LLC's own.
+    /// Forwards to the wrapped prefetcher everything a run reads but its
+    /// burst source, so every prefetch it issues settles unattributed.
+    struct Unattributed(Box<dyn Prefetcher>);
+
+    impl Prefetcher for Unattributed {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn on_access(&mut self, info: &AccessInfo, out: &mut Vec<BlockAddr>) {
+            self.0.on_access(info, out);
+        }
+
+        fn on_eviction(&mut self, block: BlockAddr) {
+            self.0.on_eviction(block);
+        }
+
+        fn storage_bits(&self) -> u64 {
+            self.0.storage_bits()
+        }
+
+        fn debug_stats(&self) -> String {
+            self.0.debug_stats()
+        }
+
+        fn metrics(&self) -> Vec<(&'static str, f64)> {
+            self.0.metrics()
+        }
+
+        fn set_throttle_level(&mut self, level: ThrottleLevel) {
+            self.0.set_throttle_level(level);
+        }
+    }
+
+    /// Workload-scale lock for the telemetry layer: attribution cannot
+    /// move the machine. A Bingo cell on the paper's 4-core machine,
+    /// rebuilt as [`RunSpec::run`] builds it but with each core's Bingo
+    /// reporting every burst unattributed, gives the plain cell's result
+    /// apart from the labels of its report, whose one `unattributed` row
+    /// is the sum of Bingo's per-event rows.
     #[test]
     fn telemetry_is_invisible_at_workload_scale() {
         let scale = RunScale {
@@ -1701,47 +1734,60 @@ mod tests {
             warmup_per_core: 20_000,
             seed: 16,
         };
-        let sweep = |telemetry| {
-            let spec = RunSpec {
-                telemetry,
-                ..RunSpec::classic(scale, Workload::Streaming, PrefetcherKind::bingo())
-            };
-            ParallelHarness::with_jobs(1).quiet().evaluate(&[spec])
-        };
-        let (off, on) = (sweep(TelemetryLevel::Off), sweep(TelemetryLevel::Counts));
-        assert!(off[0].result.telemetry.is_none());
-        let mut on_result = on[0].result.clone();
-        let t = on_result.telemetry.take().expect("report attached");
-        assert_eq!(off[0].result, on_result, "telemetry changed the machine");
-        let mut on_baseline = on[0].baseline.clone();
-        on_baseline.telemetry = None;
-        assert_eq!(off[0].baseline, on_baseline);
-        assert_eq!(off[0].speedup.to_bits(), on[0].speedup.to_bits());
-        assert_ledger_matches_llc(&on[0].result);
+        let spec = RunSpec::classic(scale, Workload::Em3d, PrefetcherKind::bingo());
+        let plain = spec.run(None).expect("the cell completes");
+        let mut cfg = SystemConfig::paper().with_cores(spec.slots.len());
+        spec.pressure.apply(&mut cfg);
+        let sources = spec.slots.iter().map(|s| s.source(scale.seed)).collect();
+        let prefetchers = spec
+            .slots
+            .iter()
+            .map(|s| Box::new(Unattributed(s.prefetcher.build())) as Box<dyn Prefetcher>)
+            .collect();
+        let targets: Vec<u64> = spec
+            .slots
+            .iter()
+            .map(|s| s.target(scale.instructions_per_core))
+            .collect();
+        let wrapped = System::new_heterogeneous(cfg, sources, prefetchers, &targets)
+            .with_warmup(scale.warmup_per_core)
+            .with_throttle(spec.throttle)
+            .run();
+
+        assert_ledger_matches_llc(&plain);
         // Requested = issued + every drop class: nothing leaks between
         // the request and the issue decision.
-        let llc = &on[0].result.llc;
+        let llc = &plain.llc;
         assert_eq!(
             llc.pf_requested,
             llc.pf_issued + llc.pf_dropped_duplicate + llc.pf_dropped_mshr + llc.pf_dropped_queue
         );
-        // Bingo attributes its bursts to event kinds.
+        // Bingo attributes every burst to one of its two events.
+        let report = &plain.telemetry;
         let attributed: u64 = ["long", "short"]
             .iter()
-            .filter_map(|l| t.source(l))
+            .filter_map(|l| report.source(l))
             .map(|c| c.issued)
             .sum();
-        assert!(llc.pf_issued > 0, "Bingo must prefetch on streaming");
+        assert!(llc.pf_issued > 0, "Bingo must prefetch on em3d");
         assert_eq!(attributed, llc.pf_issued, "every Bingo burst is attributed");
+        assert!(report.source("unattributed").is_none(), "{report:?}");
+
+        let mut sum = SourceCounters::default();
+        for (_, c) in &report.by_source {
+            sum.add(c);
+        }
+        let mut relabelled = plain.clone();
+        relabelled.telemetry.by_source = vec![("unattributed".to_string(), sum)];
+        assert_eq!(wrapped, relabelled, "attribution changed the machine");
     }
 
     /// The ledger's per-source counters sum to the cache's own lifecycle
     /// counters — drops to every reason together, so a prefetch that
     /// never issued is still accounted for exactly once.
     fn assert_ledger_matches_llc(result: &SimResult) {
-        let t = result.telemetry.as_ref().expect("report attached");
         let mut sum = SourceCounters::default();
-        for (_, c) in &t.by_source {
+        for (_, c) in &result.telemetry.by_source {
             sum.add(c);
         }
         let llc = &result.llc;
@@ -1755,19 +1801,16 @@ mod tests {
         );
     }
 
-    /// A fault-injected Bingo cell with telemetry enabled completes
-    /// without panicking and keeps the ledger consistent with the cache —
-    /// corrupted metadata must not desynchronize the observability layer.
+    /// A fault-injected Bingo cell completes without panicking and keeps
+    /// the ledger consistent with the cache — corrupted metadata must not
+    /// desynchronize the observability layer.
     #[test]
     fn faulty_bingo_with_telemetry_stays_consistent() {
         let kind = PrefetcherKind::BingoFaulty {
             fault_seed: 5,
             rate: 0.05,
         };
-        let spec = RunSpec {
-            telemetry: TelemetryLevel::Counts,
-            ..RunSpec::classic(tiny_scale(17), Workload::Em3d, kind)
-        };
+        let spec = RunSpec::classic(tiny_scale(17), Workload::Em3d, kind);
         let evals = ParallelHarness::with_jobs(2).quiet().evaluate(&[spec]);
         assert_ledger_matches_llc(&evals[0].result);
     }
@@ -1808,19 +1851,16 @@ mod tests {
         path
     }
 
-    /// A telemetry-on sweep resumed from its checkpoint replays the full
-    /// result — report included — instead of re-simulating.
+    /// A sweep resumed from its checkpoint replays the full result —
+    /// lifecycle report included — instead of re-simulating.
     #[test]
     fn checkpoint_replays_telemetry_reports() {
         let path = temp_file("telemetry-replay.jsonl");
-        let spec = RunSpec {
-            telemetry: TelemetryLevel::Counts,
-            ..RunSpec::classic(
-                tiny_scale(19),
-                Workload::Streaming,
-                PrefetcherKind::NextLine(1),
-            )
-        };
+        let spec = RunSpec::classic(
+            tiny_scale(19),
+            Workload::Streaming,
+            PrefetcherKind::NextLine(1),
+        );
         let run = || {
             ParallelHarness::with_jobs(1)
                 .quiet()
@@ -1833,7 +1873,10 @@ mod tests {
         assert_eq!(resumed.checkpoint_hits, 2, "baseline and cell replay");
         let (a, b) = (fresh.into_complete(), resumed.into_complete());
         assert_eq!(a[0].result, b[0].result);
-        assert!(b[0].result.telemetry.is_some(), "report survives the file");
+        assert!(
+            !b[0].result.telemetry.by_source.is_empty(),
+            "the report survives the file"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1872,10 +1915,7 @@ mod tests {
         let path = temp_file("stats-export.jsonl");
         let specs: Vec<RunSpec> = [PrefetcherKind::NextLine(1), PrefetcherKind::Stride]
             .into_iter()
-            .map(|k| RunSpec {
-                telemetry: TelemetryLevel::Counts,
-                ..RunSpec::classic(tiny_scale(20), Workload::Streaming, k)
-            })
+            .map(|k| RunSpec::classic(tiny_scale(20), Workload::Streaming, k))
             .collect();
         let mut h = ParallelHarness::with_jobs(2)
             .quiet()

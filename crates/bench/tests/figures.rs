@@ -17,9 +17,10 @@ fn lines_in(path: &Path) -> usize {
 }
 
 /// fig7's grid (10 workloads × 6 headline prefetchers plus 10 baselines)
-/// contains fig8's, fig9's and Table II's cells, so over one session those
-/// add no checkpoint line; fig4 adds exactly its 10 two-event cascade
-/// cells (its baselines are fig7's). Every later figure adds only the
+/// contains fig8's, fig9's and Table II's cells and is `fig_timeliness`'s,
+/// so over one session those add no checkpoint line; fig4 adds exactly its
+/// 10 two-event cascade cells (its baselines are fig7's). Every later
+/// figure adds only the
 /// machines no earlier one simulated: fig2's `PC+Offset` column is fig7's
 /// SMS, fig3's 1-event row is fig2's `PC+Address` column and its 2-event
 /// row fig4's, and fig6's 16K column and the ablations' paper rows are
@@ -47,7 +48,12 @@ fn a_shared_session_simulates_each_cell_once() {
     figures::fig8_performance(&mut session);
     figures::fig9_density(&mut session);
     figures::table2_workloads(&mut session);
-    assert_eq!(lines_in(&path), 70, "fig8, fig9 and Table II reuse fig7's");
+    figures::fig_timeliness(&mut session);
+    assert_eq!(
+        lines_in(&path),
+        70,
+        "fig8, fig9, Table II and fig_timeliness reuse fig7's"
+    );
     figures::fig4_redundancy(&mut session);
     assert_eq!(lines_in(&path), 80, "fig4 adds its two-event cells");
     let added: [(&str, Figure, usize); 6] = [
@@ -108,10 +114,17 @@ fn a_zero_worker_count_fails_as_a_knob() {
 /// aborts the run naming the variable and what replaced it.
 #[test]
 fn a_retired_knob_fails_naming_it() {
-    let figure_sets = "each figure sets its own telemetry level and throttle mode";
     for (name, value, instead) in [
-        ("BINGO_THROTTLE", "feedback", figure_sets),
-        ("BINGO_TELEMETRY", "counts", figure_sets),
+        (
+            "BINGO_THROTTLE",
+            "feedback",
+            "each figure sets its own throttle mode",
+        ),
+        (
+            "BINGO_TELEMETRY",
+            "counts",
+            "telemetry is always on: every run reports its prefetch lifecycle",
+        ),
         (
             "BINGO_STATS",
             "stats.json",
@@ -132,9 +145,10 @@ fn a_retired_knob_fails_naming_it() {
 }
 
 /// A fresh `BINGO_CHECKPOINT` under `all` is the run's stats export: one
-/// line per simulated cell of every figure, no key twice. The run starts
-/// outside the repository, and each figure writes its own report into
-/// the `--report` directory.
+/// line per simulated cell of every figure (472 distinct machines), no key
+/// twice, each with its lifecycle report. The run starts outside the
+/// repository, and each figure writes its own report into the `--report`
+/// directory.
 #[test]
 fn all_exports_every_figure_to_one_stats_file() {
     let dir = std::env::temp_dir().join(format!("bingo-figures-all-{}", std::process::id()));
@@ -155,11 +169,13 @@ fn all_exports_every_figure_to_one_stats_file() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     let cells = stderr.lines().filter(|l| l.starts_with("[cell]")).count();
-    assert!(cells > 500, "{cells} cells");
+    assert_eq!(cells, 472, "one cell per distinct machine");
     assert_eq!(lines_in(&checkpoint), cells, "one checkpoint line per cell");
     let keys = Checkpoint::open(&checkpoint).expect("reopen checkpoint");
     assert_eq!(keys.skipped_lines(), 0, "every line parses");
     assert_eq!(keys.len(), cells, "no key twice");
+    let text = std::fs::read_to_string(&checkpoint).expect("read back");
+    assert!(text.lines().all(|l| l.contains(r#""telemetry":{"#)));
     for (figure, searches) in [("fig_multicore", 9), ("fig_qos", 2)] {
         let report = reports.join(format!("{figure}_report.json"));
         assert_eq!(lines_in(&report), searches, "{}", report.display());

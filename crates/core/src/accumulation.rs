@@ -226,7 +226,7 @@ mod tests {
     use bingo_sim::{BlockAddr, Pc};
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block))
     }
 
     /// A table over the paper's 2 KB (32-block) regions.

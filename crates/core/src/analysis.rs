@@ -223,7 +223,7 @@ impl SpatialProfiler {
     /// Convenience: observes a demand access from raw parts (PC, block
     /// index).
     pub fn observe_parts(&mut self, pc: u64, block: u64) {
-        self.observe(&AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0));
+        self.observe(&AccessInfo::demand(Pc::new(pc), BlockAddr::new(block)));
     }
 }
 

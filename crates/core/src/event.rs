@@ -120,7 +120,7 @@ mod tests {
     }
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block))
     }
 
     #[test]

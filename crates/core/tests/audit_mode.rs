@@ -36,7 +36,7 @@ mod bingo_core_driver {
     use bingo_sim::{AccessInfo, BlockAddr, Pc, Prefetcher};
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block))
     }
 
     pub fn drive() {

@@ -15,7 +15,7 @@ fn fp(bits: u32) -> Footprint {
 }
 
 fn info(pc: u64, block: u64) -> AccessInfo {
-    AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
+    AccessInfo::demand(Pc::new(pc), BlockAddr::new(block))
 }
 
 fn random_patterns(rng: &mut SmallRng) -> Vec<u32> {

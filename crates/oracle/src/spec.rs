@@ -362,7 +362,7 @@ mod tests {
     }
 
     fn info(pc: u64, block: u64) -> AccessInfo {
-        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), 0)
+        AccessInfo::demand(Pc::new(pc), BlockAddr::new(block))
     }
 
     fn visit(s: &mut SpecBingo, pc: u64, region: u64, offsets: &[u32]) -> SpecStep {

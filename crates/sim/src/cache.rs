@@ -37,7 +37,7 @@ use crate::telemetry::{PrefetchSource, SOURCE_SLOTS};
 
 /// Where a prefetch came from: the core whose prefetcher issued it and the
 /// prediction event that produced it ([`PrefetchSource::Unattributed`]
-/// unless telemetry is on).
+/// when the prefetcher does not attribute its bursts).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PrefetchOrigin {
     /// The issuing core.
@@ -602,8 +602,9 @@ impl Cache {
 
     /// Settles as useless (`pf_useless`) every resident prefetched line
     /// that was filled during the measurement window and never demanded,
-    /// handing its origin to `settle`. Each such line leaves the
-    /// measurement window, so a second call settles it no more. The memory
+    /// handing its origin to `settle`. Each such line stops being a
+    /// prefetch and leaves the measurement window, so neither a second
+    /// call nor a later demand or eviction settles it again. The memory
     /// system calls it at end of simulation, so overprediction accounting
     /// does not depend on the cache filling up within the measurement
     /// window.
@@ -611,7 +612,7 @@ impl Cache {
         const UNUSED: u8 = flag::VALID | flag::PREFETCHED | flag::MEASURED;
         for (f, &owner) in self.flags.iter_mut().zip(&self.owners) {
             if *f & (UNUSED | flag::DEMANDED) == UNUSED {
-                *f &= !flag::MEASURED;
+                *f &= !(flag::PREFETCHED | flag::MEASURED);
                 self.stats.pf_useless += 1;
                 settle(origin(owner, *f >> flag::SOURCE_SHIFT));
             }
@@ -1097,7 +1098,7 @@ mod tests {
         fn settle_unused_prefetches(&mut self, mut settle: impl FnMut(PrefetchOrigin)) {
             for l in &mut self.lines {
                 if l.valid && l.prefetched && !l.demanded && l.measured {
-                    l.measured = false;
+                    (l.prefetched, l.measured) = (false, false);
                     self.stats.pf_useless += 1;
                     settle(origin(l.owner, l.source));
                 }

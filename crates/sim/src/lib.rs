@@ -82,9 +82,7 @@ pub use stats::{
     CacheStats, CoreQos, CoreStats, Counters, CoverageReport, IngestReport, QosReport, SimResult,
 };
 pub use system::{SimAbort, System};
-pub use telemetry::{
-    PrefetchLedger, PrefetchSource, SourceCounters, TelemetryLevel, TelemetryReport,
-};
+pub use telemetry::{PrefetchLedger, PrefetchSource, SourceCounters, TelemetryReport};
 pub use throttle::{
     CoreSignals, Throttle, ThrottleLevel, ThrottleMode, ThrottleStats, WatchdogStats, QOS_SLO,
 };

@@ -25,7 +25,7 @@ use crate::config::SystemConfig;
 use crate::dram::Dram;
 use crate::prefetch::{AccessInfo, Prefetcher};
 use crate::stats::{CacheStats, Counters, QosReport};
-use crate::telemetry::{PrefetchLedger, PrefetchSource, TelemetryLevel, TelemetryReport};
+use crate::telemetry::{PrefetchLedger, PrefetchSource, TelemetryReport};
 use crate::throttle::{Throttle, ThrottleLevel, ThrottleMode};
 use crate::wheel::{Fill, FillWheel};
 
@@ -97,18 +97,11 @@ impl MemorySystem {
                 .map(|_| Vec::with_capacity(cfg.l1d.mshrs))
                 .collect(),
             pf_buf: Vec::with_capacity(64),
-            ledger: PrefetchLedger::new(TelemetryLevel::Off),
+            ledger: PrefetchLedger::default(),
             throttle: None,
             stall_level: vec![StallLevel::L1; cfg.cores],
             cfg,
         }
-    }
-
-    /// Sets the prefetch-lifecycle telemetry level. Call before running;
-    /// switching levels mid-run discards the counts collected so far, and
-    /// prefetches issued before the switch settle as unattributed.
-    pub fn set_telemetry(&mut self, level: TelemetryLevel) {
-        self.ledger = PrefetchLedger::new(level);
     }
 
     /// Sets the prefetch-throttling mode. Call before running; switching
@@ -136,8 +129,8 @@ impl MemorySystem {
         self.throttle.as_ref().and_then(Throttle::report)
     }
 
-    /// The aggregate lifecycle report; `None` when telemetry is off.
-    pub fn telemetry_report(&self) -> Option<TelemetryReport> {
+    /// The aggregate prefetch-lifecycle report.
+    pub fn telemetry_report(&self) -> TelemetryReport {
         self.ledger.report()
     }
 
@@ -420,7 +413,7 @@ impl MemorySystem {
         self.l1_fills[core.0].push(data_ready);
 
         // Train + trigger the core's prefetcher on this LLC access.
-        self.run_prefetcher(core, pc, addr, is_write, llc_hit, t_llc);
+        self.run_prefetcher(core, pc, block, t_llc);
 
         self.tick_throttle(core.0);
         IssueResult::Done(data_ready + 1)
@@ -440,25 +433,8 @@ impl MemorySystem {
         }
     }
 
-    fn run_prefetcher(
-        &mut self,
-        core: CoreId,
-        pc: Pc,
-        addr: Addr,
-        is_write: bool,
-        hit: bool,
-        cycle: u64,
-    ) {
-        let block = addr.block();
-        let info = AccessInfo {
-            core,
-            pc,
-            addr,
-            block,
-            is_write,
-            hit,
-            cycle,
-        };
+    fn run_prefetcher(&mut self, core: CoreId, pc: Pc, block: BlockAddr, cycle: u64) {
+        let info = AccessInfo { pc, block };
         let mut buf = std::mem::take(&mut self.pf_buf);
         buf.clear();
         self.prefetchers[core.0].on_access(&info, &mut buf);
@@ -468,15 +444,13 @@ impl MemorySystem {
             self.prefetchers[core.0].name(),
             buf.len()
         );
-        // One attribution query per burst: every candidate of a burst comes
-        // from the same prediction event.
-        let source = if self.ledger.enabled() && !buf.is_empty() {
-            self.prefetchers[core.0].last_burst_source()
-        } else {
-            PrefetchSource::Unattributed
-        };
-        for &candidate in &buf {
-            self.issue_prefetch_attributed(PrefetchOrigin { core, source }, candidate, cycle);
+        // One attribution query per non-empty burst: every candidate of a
+        // burst comes from the same prediction event.
+        if !buf.is_empty() {
+            let source = self.prefetchers[core.0].last_burst_source();
+            for &candidate in &buf {
+                self.issue_prefetch_attributed(PrefetchOrigin { core, source }, candidate, cycle);
+            }
         }
         self.pf_buf = buf;
     }
@@ -750,7 +724,6 @@ mod tests {
         let mut cfg = SystemConfig::tiny();
         cfg.prefetch_queue_depth = Some(4);
         let mut mem = MemorySystem::new(cfg, vec![Box::new(NoPrefetcher)]);
-        mem.set_telemetry(TelemetryLevel::Counts);
         for i in 0..10u64 {
             mem.issue_prefetch(BlockAddr::new(1000 + i), 0);
         }
@@ -762,7 +735,7 @@ mod tests {
         mem.issue_prefetch(BlockAddr::new(2000), 0);
         assert_eq!(mem.llc_stats().pf_issued, 5);
         // The ledger attributes the same drops and issues to their source.
-        let t = mem.telemetry_report().expect("telemetry on");
+        let t = mem.telemetry_report();
         let c = t
             .source("unattributed")
             .expect("direct drive is unattributed");
@@ -865,7 +838,6 @@ mod tests {
             vec![Box::new(NoPrefetcher), Box::new(NextLinePrefetcher::new(1))],
         );
         mem.set_throttle(mode);
-        mem.set_telemetry(TelemetryLevel::Counts);
         let mut now = 0;
         for i in 0..64u64 {
             let _ = mem.load(CoreId(1), PC, Addr::new(i * 2 * 64), now);

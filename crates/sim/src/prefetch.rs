@@ -8,50 +8,29 @@
 //! whenever a block leaves the LLC — the end-of-residency signal
 //! per-page-history prefetchers train on.
 
-use crate::addr::{Addr, BlockAddr, CoreId, Pc};
+use crate::addr::{BlockAddr, Pc};
 use crate::telemetry::PrefetchSource;
 use crate::throttle::ThrottleLevel;
 
-/// Everything a prefetcher may observe about one demand access.
+/// What a prefetcher observes of one demand access at the LLC: the
+/// load's or store's program counter and the block it touches.
 ///
 /// Region and offset are not part of it: a spatial prefetcher derives
 /// them from `block` with the [`RegionGeometry`](crate::RegionGeometry)
 /// of its own configuration, so the two can never disagree.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct AccessInfo {
-    /// Core issuing the access.
-    pub core: CoreId,
     /// Program counter of the load/store.
     pub pc: Pc,
-    /// Full byte address.
-    pub addr: Addr,
     /// Cache-block index of the access.
     pub block: BlockAddr,
-    /// Whether the access is a store.
-    pub is_write: bool,
-    /// Whether the access hit a resident, ready LLC line.
-    pub hit: bool,
-    /// Cycle of the access.
-    pub cycle: u64,
 }
 
 impl AccessInfo {
-    /// Builds the canonical demand-miss view of a load at `pc` touching
-    /// `block`.
-    ///
-    /// This is how trace replay and the differential harness construct
-    /// accesses: a core-0 read miss, which is the trigger condition every
-    /// spatial prefetcher in this workspace trains on.
-    pub fn demand(pc: Pc, block: BlockAddr, cycle: u64) -> Self {
-        AccessInfo {
-            core: CoreId(0),
-            pc,
-            addr: block.base_addr(),
-            block,
-            is_write: false,
-            hit: false,
-            cycle,
-        }
+    /// The access of the instruction at `pc` to `block`: how trace replay
+    /// and the differential harness present each access to a prefetcher.
+    pub fn demand(pc: Pc, block: BlockAddr) -> Self {
+        AccessInfo { pc, block }
     }
 }
 
@@ -239,7 +218,7 @@ mod tests {
     use super::*;
 
     fn info(block: u64) -> AccessInfo {
-        AccessInfo::demand(Pc::new(0x400), BlockAddr::new(block), 0)
+        AccessInfo::demand(Pc::new(0x400), BlockAddr::new(block))
     }
 
     #[test]

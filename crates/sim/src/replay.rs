@@ -190,9 +190,8 @@ impl PrefetchTrace {
     /// first divergence from a reference model); `replay_with` returns
     /// whether the full trace was replayed.
     ///
-    /// Accesses are presented as demand misses (`hit = false`) with a
-    /// monotonically increasing cycle, which is the trigger condition
-    /// every spatial prefetcher in this workspace trains on.
+    /// Each access is presented as [`AccessInfo::demand`] of its PC and
+    /// block.
     pub fn replay_with(
         &self,
         prefetcher: &mut dyn Prefetcher,
@@ -202,7 +201,7 @@ impl PrefetchTrace {
         for (i, &event) in self.events.iter().enumerate() {
             match event {
                 PrefetchEvent::Access { pc, block } => {
-                    let info = AccessInfo::demand(Pc::new(pc), BlockAddr::new(block), i as u64);
+                    let info = AccessInfo::demand(Pc::new(pc), BlockAddr::new(block));
                     out.clear();
                     prefetcher.on_access(&info, &mut out);
                     if !on_step(
@@ -431,11 +430,10 @@ mod tests {
         let mut t = PrefetchTrace::new(1024);
         t.access(0x400, 16 * 3 + 5);
         let mut p = NextLinePrefetcher::new(1);
-        t.replay_with(&mut p, |i, step| {
+        t.replay_with(&mut p, |_, step| {
             if let ReplayStep::Access { info, .. } = step {
-                assert_eq!(info.block, BlockAddr::new(16 * 3 + 5));
-                assert_eq!((info.pc, info.cycle), (Pc::new(0x400), i as u64));
-                assert!(!info.hit && !info.is_write);
+                let expected = AccessInfo::demand(Pc::new(0x400), BlockAddr::new(16 * 3 + 5));
+                assert_eq!(info, expected);
             }
             true
         });

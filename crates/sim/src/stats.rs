@@ -346,8 +346,8 @@ pub struct SimResult {
     /// ([`crate::prefetch::Prefetcher::metrics`]).
     pub prefetcher_metrics: Vec<Vec<(&'static str, f64)>>,
     /// Prefetch-lifecycle breakdown (per-source attribution and fill
-    /// latency); `None` unless the run enabled telemetry.
-    pub telemetry: Option<TelemetryReport>,
+    /// latency).
+    pub telemetry: TelemetryReport,
     /// Trace-ingestion accounting summed over every instruction source;
     /// `None` when no source replays a trace (synthetic generators).
     pub ingest: Option<IngestReport>,

@@ -41,7 +41,6 @@ use crate::core_model::{InstrSource, OooCore, RetrySpec};
 use crate::memory::{MemorySystem, StallLevel};
 use crate::prefetch::Prefetcher;
 use crate::stats::{Counters, SimResult};
-use crate::telemetry::TelemetryLevel;
 use crate::throttle::ThrottleMode;
 
 /// Why a simulation stopped before reaching its instruction targets.
@@ -221,17 +220,6 @@ impl System {
             core.set_warmup(instructions);
         }
         self.mem_stats_reset = instructions == 0;
-        self
-    }
-
-    /// Enables prefetch-lifecycle telemetry at the given level; the
-    /// resulting [`SimResult::telemetry`] carries the breakdown.
-    ///
-    /// Telemetry is purely observational: enabling it never changes the
-    /// simulated machine (miss streams and cycle counts are identical
-    /// either way — see the determinism tests in `tests/telemetry.rs`).
-    pub fn with_telemetry(mut self, level: TelemetryLevel) -> Self {
-        self.mem.set_telemetry(level);
         self
     }
 

@@ -24,13 +24,16 @@
 //! mirroring the paper's per-event quality analysis, plus the
 //! issue-to-fill latency.
 //!
-//! **Zero cost when disabled.** The level is checked once per burst and
-//! once per counted event ([`PrefetchLedger::enabled`], a single branch on
-//! a two-variant check); with [`TelemetryLevel::Off`] every prefetch's
-//! source is [`PrefetchSource::Unattributed`] and nothing is counted. The
-//! simulated machine is untouched either way — telemetry observes fills
-//! and evictions, it never changes them. `telemetry_on_is_invisible` in
-//! `tests/telemetry.rs` locks the on/off miss streams bit-for-bit equal.
+//! **Part of every run.** The ledger is eight rows of counters bumped at
+//! the LLC's own settlement events, so it costs one add per event and
+//! runs unconditionally. It observes fills and evictions and never
+//! changes them: a prefetch's source rides in spare bits of its LLC line
+//! that no decision of the machine reads. `tests/telemetry.rs` (without
+//! and with warmup) and `bingo-bench`'s
+//! `runner::tests::telemetry_is_invisible_at_workload_scale` lock that
+//! down: a prefetcher wrapped to report every burst unattributed simulates
+//! the same machine, and its one `unattributed` row sums the plain run's
+//! rows.
 //!
 //! **Agreement with the cache counters.** The report keeps no totals of
 //! its own: the LLC's `pf_*` counters are the one tally of how many
@@ -43,23 +46,6 @@
 //! too, since both reset at the same point.
 
 use crate::stats::counters;
-
-/// How much prefetch-lifecycle instrumentation to collect.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum TelemetryLevel {
-    /// No instrumentation; the hot path pays one branch per access.
-    #[default]
-    Off,
-    /// Lifecycle counters attributed per prediction source.
-    Counts,
-}
-
-impl TelemetryLevel {
-    /// Whether any instrumentation is active.
-    pub fn enabled(self) -> bool {
-        self != TelemetryLevel::Off
-    }
-}
 
 /// The prediction event that produced a prefetch, reported by the
 /// prefetcher via [`Prefetcher::last_burst_source`] and carried by the
@@ -167,64 +153,37 @@ impl SourceCounters {
 /// The ledger keeps no record of any one prefetch: the LLC holds each
 /// prefetch's origin and hands it back when the prefetch settles (see the
 /// module docs). The ledger only counts what it is told.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PrefetchLedger {
-    level: TelemetryLevel,
     fills: u64,
     fill_latency_sum: u64,
     by_source: [SourceCounters; SOURCE_SLOTS],
 }
 
 impl PrefetchLedger {
-    /// Creates a ledger at the given level. [`TelemetryLevel::Off`] costs
-    /// nothing beyond the struct itself.
-    pub fn new(level: TelemetryLevel) -> Self {
-        PrefetchLedger {
-            level,
-            fills: 0,
-            fill_latency_sum: 0,
-            by_source: [SourceCounters::default(); SOURCE_SLOTS],
-        }
-    }
-
-    /// Whether any instrumentation is active — the hot path's single
-    /// branch.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.level.enabled()
-    }
-
     /// Counts one lifecycle event of a prefetch from `source`: `count`
     /// bumps the event's counter among the source's.
     #[inline]
     pub fn record(&mut self, source: PrefetchSource, count: impl FnOnce(&mut SourceCounters)) {
-        if self.enabled() {
-            count(&mut self.by_source[source.slot()]);
-        }
+        count(&mut self.by_source[source.slot()]);
     }
 
     /// Records a prefetch that landed before any demand asked for it,
     /// `latency` cycles after its issue.
     #[inline]
     pub fn filled(&mut self, latency: u64) {
-        if self.enabled() {
-            self.fills += 1;
-            self.fill_latency_sum += latency;
-        }
+        self.fills += 1;
+        self.fill_latency_sum += latency;
     }
 
     /// End-of-warmup reset: zeroes every counter, mirroring
     /// [`Cache::reset_stats`](crate::Cache::reset_stats).
     pub fn on_stats_reset(&mut self) {
-        *self = PrefetchLedger::new(self.level);
+        *self = PrefetchLedger::default();
     }
 
-    /// Builds the aggregate report; `None` when the ledger is off, so a
-    /// disabled run is distinguishable from a run with zero prefetches.
-    pub fn report(&self) -> Option<TelemetryReport> {
-        if !self.enabled() {
-            return None;
-        }
+    /// Builds the aggregate report.
+    pub fn report(&self) -> TelemetryReport {
         let by_source = (0..SOURCE_SLOTS)
             .filter(|&i| self.by_source[i] != SourceCounters::default())
             .map(|i| {
@@ -234,16 +193,16 @@ impl PrefetchLedger {
                 )
             })
             .collect();
-        Some(TelemetryReport {
+        TelemetryReport {
             fills: self.fills,
             fill_latency_sum: self.fill_latency_sum,
             by_source,
-        })
+        }
     }
 }
 
-/// The prefetch-lifecycle report of one run, attached to
-/// [`SimResult`](crate::SimResult) when telemetry is enabled.
+/// The prefetch-lifecycle report of one run, part of every
+/// [`SimResult`](crate::SimResult).
 ///
 /// All counts cover the measurement window (post-warmup). The report
 /// holds only what the LLC's `pf_*` counters do not: the attribution per
@@ -291,28 +250,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn level_parsing() {
-        assert!(!TelemetryLevel::Off.enabled());
-        assert!(TelemetryLevel::Counts.enabled());
-    }
-
-    #[test]
-    fn off_ledger_records_nothing_and_reports_none() {
-        let mut led = PrefetchLedger::new(TelemetryLevel::Off);
-        led.record(PrefetchSource::LongEvent, |c| c.issued += 1);
-        led.filled(90);
-        assert!(led.report().is_none());
-    }
-
-    #[test]
     fn counts_land_under_their_source() {
-        let mut led = PrefetchLedger::new(TelemetryLevel::Counts);
+        let mut led = PrefetchLedger::default();
         led.record(PrefetchSource::LongEvent, |c| c.issued += 1);
         led.record(PrefetchSource::LongEvent, |c| c.timely += 1);
         led.record(PrefetchSource::ShortVote, |c| c.dropped += 1);
         led.filled(90);
         led.filled(10);
-        let r = led.report().expect("counts level reports");
+        let r = led.report();
         let long = SourceCounters {
             issued: 1,
             timely: 1,
@@ -334,11 +279,11 @@ mod tests {
 
     #[test]
     fn warmup_reset_zeroes_every_count() {
-        let mut led = PrefetchLedger::new(TelemetryLevel::Counts);
+        let mut led = PrefetchLedger::default();
         led.record(PrefetchSource::ShortVote, |c| c.unused += 1);
         led.filled(10);
         led.on_stats_reset();
-        assert_eq!(led.report(), Some(TelemetryReport::default()));
+        assert_eq!(led.report(), TelemetryReport::default());
     }
 
     #[test]
@@ -352,9 +297,9 @@ mod tests {
         for slot in 0..SOURCE_SLOTS {
             assert_eq!(PrefetchSource::of_slot(slot).slot(), slot);
         }
-        let mut led = PrefetchLedger::new(TelemetryLevel::Counts);
+        let mut led = PrefetchLedger::default();
         led.record(PrefetchSource::CascadeLevel(200), |c| c.issued += 1);
-        assert_eq!(led.report().unwrap().source("cascade4+").unwrap().issued, 1);
+        assert_eq!(led.report().source("cascade4+").unwrap().issued, 1);
     }
 
     #[test]

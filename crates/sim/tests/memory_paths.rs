@@ -156,13 +156,22 @@ fn banked_llc_serializes_same_bank_not_cross_bank() {
 fn issue_prefetch_populates_llc_only() {
     let mut mem = tiny_mem();
     mem.issue_prefetch(BlockAddr::new(777), 0);
-    let last = mem.drain();
+    // Tick up to the fill's ready cycle, the first at which the ledger
+    // counts it landed; it was issued at cycle 0, so that cycle is its
+    // latency.
+    let ready = (0..)
+        .find(|&now| {
+            mem.tick(now);
+            mem.telemetry_report().fills == 1
+        })
+        .expect("the prefetch lands");
+    assert_eq!(mem.telemetry_report().fill_latency_sum, ready);
     // The block is an LLC hit but an L1 miss for a later demand.
-    let t = match mem.load(CORE, PC, BlockAddr::new(777).base_addr(), last + 1) {
+    let t = match mem.load(CORE, PC, BlockAddr::new(777).base_addr(), ready + 1) {
         IssueResult::Done(t) => t,
         IssueResult::Stall => panic!(),
     };
-    assert_eq!(t - (last + 1), 4 + 15 + 1, "LLC hit, not an L1 hit");
+    assert_eq!(t - (ready + 1), 4 + 15 + 1, "LLC hit, not an L1 hit");
     assert_eq!(mem.llc_stats().pf_useful, 1);
 }
 

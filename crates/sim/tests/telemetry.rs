@@ -1,21 +1,27 @@
 //! Integration tests of the prefetch-lifecycle telemetry layer.
 //!
-//! Three guarantees are locked here:
+//! Four guarantees are locked here:
 //!
-//! 1. **Telemetry is invisible.** Enabling it must not change the simulated
-//!    machine: miss streams, cycle counts, and every other statistic are
-//!    bit-for-bit identical between a telemetry-off and a telemetry-on run.
+//! 1. **Telemetry is invisible.** The source a prefetch carries is only
+//!    reported: a prefetcher wrapped to report every burst unattributed
+//!    simulates bit-for-bit the same machine, without and with a warmup
+//!    reset.
 //! 2. **The ledger agrees with the cache.** The lifecycle classification
 //!    (timely / late / unused / dropped), summed over prediction sources,
 //!    must equal the LLC's own `pf_*` counters exactly, including across a
 //!    warmup reset, because both are driven by the same events.
 //! 3. **Each prefetch settles under its own source.** The LLC carries a
 //!    prefetch's source from issue to settlement, whatever path it takes.
+//! 4. **Each prefetch settles once.** An evicted or drained prefetch is
+//!    settled for good: a later demand of its block is a plain access.
+//!
+//! The same invisibility check runs with Bingo at workload scale in
+//! `bingo-bench`'s `runner::tests::telemetry_is_invisible_at_workload_scale`.
 
 use bingo_sim::{
     AccessInfo, Addr, BlockAddr, CacheStats, CoreId, Counters, Instr, InstrSource, IssueResult,
     MemorySystem, NextLinePrefetcher, NoPrefetcher, Pc, PrefetchSource, Prefetcher, SimResult,
-    SourceCounters, System, SystemConfig, TelemetryLevel, TelemetryReport,
+    SourceCounters, System, SystemConfig, TelemetryReport, ThrottleLevel,
 };
 
 fn streaming_source(core: usize) -> Box<dyn InstrSource> {
@@ -35,7 +41,7 @@ fn streaming_source(core: usize) -> Box<dyn InstrSource> {
     })
 }
 
-fn run_streaming(level: TelemetryLevel, warmup: u64) -> SimResult {
+fn run_streaming(warmup: u64) -> SimResult {
     let cfg = SystemConfig::tiny();
     System::new(
         cfg,
@@ -44,7 +50,6 @@ fn run_streaming(level: TelemetryLevel, warmup: u64) -> SimResult {
         30_000,
     )
     .with_warmup(warmup)
-    .with_telemetry(level)
     .run()
 }
 
@@ -68,44 +73,126 @@ fn llc_view(llc: &CacheStats) -> SourceCounters {
     }
 }
 
-/// Strips the telemetry report so two runs can be compared on the
-/// simulated machine's behavior alone.
-fn machine_view(mut r: SimResult) -> SimResult {
-    r.telemetry = None;
-    r
+/// Next-line prefetching that attributes each burst by its trigger
+/// block's parity, so a run's prefetches settle under two sources.
+struct Tagging {
+    next_line: NextLinePrefetcher,
+    last: PrefetchSource,
+}
+
+impl Prefetcher for Tagging {
+    fn name(&self) -> &str {
+        "tagging"
+    }
+
+    fn on_access(&mut self, info: &AccessInfo, out: &mut Vec<BlockAddr>) {
+        self.next_line.on_access(info, out);
+        self.last = if info.block.index().is_multiple_of(2) {
+            PrefetchSource::LongEvent
+        } else {
+            PrefetchSource::ShortVote
+        };
+    }
+
+    fn last_burst_source(&self) -> PrefetchSource {
+        self.last
+    }
+}
+
+/// Forwards to the wrapped prefetcher everything a run reads but its
+/// burst source, so every prefetch it issues settles unattributed.
+struct Unattributed(Box<dyn Prefetcher>);
+
+impl Prefetcher for Unattributed {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn on_access(&mut self, info: &AccessInfo, out: &mut Vec<BlockAddr>) {
+        self.0.on_access(info, out);
+    }
+
+    fn on_eviction(&mut self, block: BlockAddr) {
+        self.0.on_eviction(block);
+    }
+
+    fn storage_bits(&self) -> u64 {
+        self.0.storage_bits()
+    }
+
+    fn debug_stats(&self) -> String {
+        self.0.debug_stats()
+    }
+
+    fn metrics(&self) -> Vec<(&'static str, f64)> {
+        self.0.metrics()
+    }
+
+    fn set_throttle_level(&mut self, level: ThrottleLevel) {
+        self.0.set_throttle_level(level);
+    }
+}
+
+/// Attribution cannot move the machine: the tagging prefetcher wrapped to
+/// report every burst unattributed gives the plain run's `SimResult`
+/// apart from the labels of its report, whose one `unattributed` row is
+/// the sum of the plain run's per-source rows.
+fn assert_attribution_is_invisible(warmup: u64) {
+    let run = |prefetcher: Box<dyn Prefetcher>| {
+        System::new(
+            SystemConfig::tiny(),
+            vec![streaming_source(0)],
+            vec![prefetcher],
+            30_000,
+        )
+        .with_warmup(warmup)
+        .run()
+    };
+    let tagging = || {
+        Box::new(Tagging {
+            next_line: NextLinePrefetcher::new(4),
+            last: PrefetchSource::Unattributed,
+        })
+    };
+    let plain = run(tagging());
+    let wrapped = run(Box::new(Unattributed(tagging())));
+    let report = &plain.telemetry;
+    assert!(
+        plain.llc.pf_issued > 0,
+        "warmup={warmup}: streaming must prefetch"
+    );
+    assert!(
+        report.source("unattributed").is_none() && report.by_source.len() == 2,
+        "warmup={warmup}: every burst settles under its parity's source: {report:?}"
+    );
+    let mut relabelled = plain.clone();
+    relabelled.telemetry.by_source = vec![("unattributed".to_string(), totals(report))];
+    assert_eq!(wrapped, relabelled, "warmup={warmup}");
 }
 
 #[test]
 fn telemetry_on_is_invisible() {
-    let off = run_streaming(TelemetryLevel::Off, 0);
-    let counts = run_streaming(TelemetryLevel::Counts, 0);
-    assert!(off.telemetry.is_none());
-    assert!(counts.telemetry.is_some());
-    // Identical IPC, miss counts, and every other counter.
-    assert_eq!(off, machine_view(counts), "counts level changed the run");
+    assert_attribution_is_invisible(0);
 }
 
 #[test]
 fn telemetry_on_is_invisible_across_warmup_reset() {
-    let off = run_streaming(TelemetryLevel::Off, 5_000);
-    let on = run_streaming(TelemetryLevel::Counts, 5_000);
-    assert_eq!(off, machine_view(on));
+    assert_attribution_is_invisible(5_000);
 }
 
 #[test]
 fn ledger_agrees_with_cache_counters() {
     for warmup in [0, 5_000] {
-        let r = run_streaming(TelemetryLevel::Counts, warmup);
-        let t = r.telemetry.as_ref().expect("telemetry enabled");
-        assert_eq!(totals(t), llc_view(&r.llc), "warmup={warmup}");
+        let r = run_streaming(warmup);
+        assert_eq!(totals(&r.telemetry), llc_view(&r.llc), "warmup={warmup}");
         assert!(r.llc.pf_issued > 0, "streaming must prefetch");
     }
 }
 
 #[test]
 fn unattributing_prefetcher_counts_as_unattributed() {
-    let r = run_streaming(TelemetryLevel::Counts, 0);
-    let t = r.telemetry.as_ref().unwrap();
+    let r = run_streaming(0);
+    let t = &r.telemetry;
     // NextLine does not attribute events.
     assert_eq!(t.by_source.len(), 1);
     assert_eq!(t.by_source[0].0, "unattributed");
@@ -115,10 +202,8 @@ fn unattributing_prefetcher_counts_as_unattributed() {
 const CORE: CoreId = CoreId(0);
 const PC: Pc = Pc::new(0x400100);
 
-fn mem_with_telemetry() -> MemorySystem {
-    let mut mem = MemorySystem::new(SystemConfig::tiny(), vec![Box::new(NoPrefetcher)]);
-    mem.set_telemetry(TelemetryLevel::Counts);
-    mem
+fn tiny_mem() -> MemorySystem {
+    MemorySystem::new(SystemConfig::tiny(), vec![Box::new(NoPrefetcher)])
 }
 
 fn demand(mem: &mut MemorySystem, addr: u64, now: u64) -> u64 {
@@ -138,11 +223,11 @@ fn run_to(mem: &mut MemorySystem, from: u64, to: u64) {
 
 #[test]
 fn duplicate_issue_while_in_flight_is_a_dropped_record() {
-    let mut mem = mem_with_telemetry();
+    let mut mem = tiny_mem();
     mem.issue_prefetch(BlockAddr::new(100), 0);
     mem.issue_prefetch(BlockAddr::new(100), 1); // still in flight
     mem.drain();
-    let t = mem.telemetry_report().unwrap();
+    let t = mem.telemetry_report();
     let sum = totals(&t);
     assert_eq!((sum.issued, sum.dropped), (1, 1));
     assert_eq!(mem.llc_stats().pf_dropped_duplicate, 1);
@@ -151,7 +236,7 @@ fn duplicate_issue_while_in_flight_is_a_dropped_record() {
 
 #[test]
 fn prefetch_evicted_then_re_demanded_settles_once() {
-    let mut mem = mem_with_telemetry();
+    let mut mem = tiny_mem();
     // Prefetch a block and let it fill.
     let victim = 7u64; // block index
     mem.issue_prefetch(BlockAddr::new(victim), 0);
@@ -164,14 +249,14 @@ fn prefetch_evicted_then_re_demanded_settles_once() {
         run_to(&mut mem, now, done);
         now = done + 1;
     }
-    let evicted = totals(&mem.telemetry_report().unwrap());
+    let evicted = totals(&mem.telemetry_report());
     assert_eq!(evicted.unused, 1, "conflict pressure evicted the prefetch");
     // Re-demanding the same block is a plain miss: the prefetch is
     // already settled and must not settle again.
     let done = demand(&mut mem, victim * 64, now);
     run_to(&mut mem, now, done);
     mem.drain();
-    let t = mem.telemetry_report().unwrap();
+    let t = mem.telemetry_report();
     let sum = totals(&t);
     assert_eq!(sum.unused, 1, "no double count after re-demand");
     assert_eq!(sum.timely, 0, "a re-demanded evicted prefetch is not a hit");
@@ -180,7 +265,7 @@ fn prefetch_evicted_then_re_demanded_settles_once() {
 
 #[test]
 fn timely_and_late_paths_settle_against_cache_counters() {
-    let mut mem = mem_with_telemetry();
+    let mut mem = tiny_mem();
     // Timely: prefetch, let the fill land, then demand.
     mem.issue_prefetch(BlockAddr::new(40), 0);
     run_to(&mut mem, 0, 400);
@@ -189,7 +274,7 @@ fn timely_and_late_paths_settle_against_cache_counters() {
     mem.issue_prefetch(BlockAddr::new(80), done + 1);
     demand(&mut mem, 80 * 64, done + 2);
     mem.drain();
-    let t = mem.telemetry_report().unwrap();
+    let t = mem.telemetry_report();
     let sum = totals(&t);
     assert_eq!((sum.timely, sum.late), (1, 1));
     assert_eq!(sum, llc_view(mem.llc_stats()));
@@ -199,13 +284,19 @@ fn timely_and_late_paths_settle_against_cache_counters() {
 
 #[test]
 fn second_drain_settles_nothing() {
-    let mut mem = mem_with_telemetry();
+    let mut mem = tiny_mem();
     mem.issue_prefetch(BlockAddr::new(100), 0);
-    mem.drain();
+    let last = mem.drain();
     let (stats, report) = (mem.llc_stats().clone(), mem.telemetry_report());
     assert_eq!(stats.pf_useless, 1, "the resident unused prefetch settles");
     mem.drain();
     assert_eq!(mem.llc_stats(), &stats);
+    assert_eq!(mem.telemetry_report(), report);
+    // The drain settled the prefetch unused for good: a demand of its
+    // block afterwards is a plain LLC hit, not a timely use.
+    let done = demand(&mut mem, 100 * 64, last + 1);
+    run_to(&mut mem, last + 1, done);
+    assert_eq!(mem.llc_stats().pf_useful, 0);
     assert_eq!(mem.telemetry_report(), report);
 }
 
@@ -237,10 +328,10 @@ impl Prefetcher for Scripted {
 /// Ticks from `from` until the next prefetch lands undemanded, returning
 /// the landing cycle and the latency the report added for it.
 fn land(mem: &mut MemorySystem, from: u64) -> (u64, u64) {
-    let before = mem.telemetry_report().unwrap();
+    let before = mem.telemetry_report();
     for now in from..from + 2_000 {
         mem.tick(now);
-        let after = mem.telemetry_report().unwrap();
+        let after = mem.telemetry_report();
         if after.fills > before.fills {
             assert_eq!(after.fills, before.fills + 1, "cycle {now}");
             return (now, after.fill_latency_sum - before.fill_latency_sum);
@@ -270,7 +361,6 @@ fn settlements_land_under_their_burst_source() {
             last: PrefetchSource::Unattributed,
         })],
     );
-    mem.set_telemetry(TelemetryLevel::Counts);
     // A prefetch issues one L1 lookup after its trigger demand.
     let l1 = SystemConfig::tiny().l1d.latency;
     let mut now = 0;
@@ -299,7 +389,7 @@ fn settlements_land_under_their_burst_source() {
     let done = demand(&mut mem, late * 64, now);
     run_to(&mut mem, now, done + 1_000);
     now = done + 1_001;
-    assert_eq!(mem.telemetry_report().unwrap().fills, 2);
+    assert_eq!(mem.telemetry_report().fills, 2);
     // Evicted: lands, then demands to its LLC set (512 sets in the tiny
     // machine) push it out of all 8 ways.
     let issued = trigger(&mut mem, 1004, now);
@@ -330,7 +420,7 @@ fn settlements_land_under_their_burst_source() {
             ("cascade1".to_string(), counts(0, 0, 0, 1)),
         ],
     };
-    let t = mem.telemetry_report().unwrap();
+    let t = mem.telemetry_report();
     assert_eq!(t, expected);
     assert_eq!(totals(&t), llc_view(mem.llc_stats()));
 }

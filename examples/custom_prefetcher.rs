@@ -1,9 +1,9 @@
 //! Extending the framework: implement your own prefetcher against the
 //! `bingo_sim::Prefetcher` trait and race it against Bingo.
 //!
-//! The example builds a "region rounding" prefetcher — on every demand
-//! miss it fetches the rest of the aligned 2 KB region (footprint = all
-//! ones). It is a useful foil: maximal coverage on dense scans, terrible
+//! The example builds a "region rounding" prefetcher — on every access
+//! that reaches the LLC it fetches the rest of the aligned 2 KB region
+//! (footprint = all ones). It is a useful foil: maximal coverage on dense scans, terrible
 //! accuracy on sparse ones, which is exactly the gap footprint *learning*
 //! closes.
 //!
@@ -18,7 +18,8 @@ use bingo_repro::sim::{
 };
 use bingo_repro::workloads::Workload;
 
-/// Prefetches every remaining block of the accessed region on a miss.
+/// Prefetches every remaining block of the accessed region on every LLC
+/// access; the memory system drops the blocks already resident.
 /// Like every spatial prefetcher, it maps the block to its region and
 /// offset with its own geometry.
 #[derive(Debug, Default)]
@@ -32,9 +33,6 @@ impl Prefetcher for RegionRounder {
     }
 
     fn on_access(&mut self, info: &AccessInfo, out: &mut Vec<BlockAddr>) {
-        if info.hit {
-            return;
-        }
         let region = self.geometry.region_of(info.block);
         let trigger = self.geometry.offset_of(info.block);
         for offset in 0..self.geometry.blocks_per_region() as u32 {

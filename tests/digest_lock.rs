@@ -6,17 +6,15 @@
 //! the classic 4-core grid, a 1-core machine, Bingo variants (history
 //! size, vote threshold, region size, training signal), a 2-core mix under
 //! both throttle modes, and a trace-replay slot. The digest leaves the
-//! telemetry report out, so each telemetry-on cell also pins an FNV-1a
-//! hash of its report's `Debug` text: em3d under Bingo, whose ledger
-//! settles thousands of prefetches, and the `percore` mix. A mismatch
-//! prints every cell's current line, so an intended change of results is
-//! recorded by pasting them.
+//! prefetch-lifecycle report out, so every cell also pins an FNV-1a hash
+//! of its report's `Debug` text. A mismatch prints every cell's current
+//! line, so an intended change of results is recorded by pasting them.
 
 use std::path::PathBuf;
 
 use bingo::{BingoConfig, EventKind};
 use bingo_bench::{polite_vs_storm, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec};
-use bingo_sim::{RegionGeometry, TelemetryLevel, ThrottleMode};
+use bingo_sim::{RegionGeometry, ThrottleMode};
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
 
 const SCALE: RunScale = RunScale {
@@ -40,9 +38,8 @@ fn bingo_with(edit: impl FnOnce(&mut BingoConfig)) -> RunSpec {
     classic(Workload::Mix2, PrefetcherKind::Bingo(cfg))
 }
 
-fn mix(telemetry: TelemetryLevel, throttle: ThrottleMode) -> RunSpec {
+fn mix(throttle: ThrottleMode) -> RunSpec {
     RunSpec {
-        telemetry,
         throttle,
         ..RunSpec::mix(SCALE, &polite_vs_storm(), 2, Pressure::CONSTRAINED)
     }
@@ -86,13 +83,6 @@ fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
             "em3d@1/Bingo",
             classic(Workload::Em3d, PrefetcherKind::bingo()).solo(0),
         ),
-        (
-            "em3d/Bingo/counts",
-            RunSpec {
-                telemetry: TelemetryLevel::Counts,
-                ..classic(Workload::Em3d, PrefetcherKind::bingo())
-            },
-        ),
         ("em3d/SMS", classic(Workload::Em3d, PrefetcherKind::sms())),
         (
             "em3d/3-event",
@@ -127,15 +117,11 @@ fn cells(trace: &TraceWorkload) -> Vec<(&'static str, RunSpec)> {
         ),
         (
             "polite-vs-storm@2/constrained/feedback",
-            mix(TelemetryLevel::Off, ThrottleMode::Feedback),
+            mix(ThrottleMode::Feedback),
         ),
         (
             "polite-vs-storm@2/constrained/percore",
-            mix(TelemetryLevel::Off, ThrottleMode::Percore),
-        ),
-        (
-            "polite-vs-storm@2/constrained/percore/counts",
-            mix(TelemetryLevel::Counts, ThrottleMode::Percore),
+            mix(ThrottleMode::Percore),
         ),
         ("trace-em3d/SMS", replay),
     ]
@@ -154,12 +140,12 @@ fn small_cells_reproduce_their_committed_digests() {
         .iter()
         .zip(&results)
         .map(|(name, result)| {
-            let mut line = format!("{name} {:016x}", bingo_benchmark::digest(result));
-            if let Some(report) = &result.telemetry {
-                let text = format!("{report:?}");
-                line.push_str(&format!(" telemetry={:016x}", fnv1a(text.as_bytes())));
-            }
-            line
+            let report = format!("{:?}", result.telemetry);
+            format!(
+                "{name} {:016x} telemetry={:016x}",
+                bingo_benchmark::digest(result),
+                fnv1a(report.as_bytes())
+            )
         })
         .collect();
     let committed = std::fs::read_to_string(CORPUS).expect("read the digest corpus");

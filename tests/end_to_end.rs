@@ -5,7 +5,7 @@ use bingo_repro::baselines::{Bop, BopConfig, Sms, Vldp, VldpConfig};
 use bingo_repro::prefetcher::{Bingo, BingoConfig};
 use bingo_repro::sim::{
     Addr, CoverageReport, Instr, InstrSource, NextLinePrefetcher, NoPrefetcher, Pc, Prefetcher,
-    SimResult, System, SystemConfig, TelemetryLevel, ThrottleMode,
+    SimResult, System, SystemConfig, ThrottleMode,
 };
 use bingo_repro::trace::capture_source;
 use bingo_repro::workloads::{TraceWorkload, Workload};
@@ -193,9 +193,8 @@ fn fast_forward_is_bit_for_bit_on_real_workloads() {
         assert_eq!(fast, slow, "fast-forward diverged on {w}");
     }
 
-    // A heterogeneous mix under constrained memory, throttled, with
-    // telemetry on: cores finish and throttle levels move while other
-    // cores sleep. Next-line prefetchers issue from the first access, so
+    // A heterogeneous mix under constrained memory, throttled: cores
+    // finish and throttle levels move while other cores sleep. Next-line prefetchers issue from the first access, so
     // the ladders move within these short budgets (Bingo would still be
     // training).
     let mut cfg = SystemConfig::paper();
@@ -222,12 +221,14 @@ fn fast_forward_is_bit_for_bit_on_real_workloads() {
             )
             .with_warmup(15_000)
             .with_throttle(mode)
-            .with_telemetry(TelemetryLevel::Counts)
             .with_fast_forward(ff)
         };
         let fast = build(true).run();
         let slow = build(false).run();
-        assert!(fast.telemetry.is_some(), "{mode:?}: telemetry attached");
+        assert!(
+            !fast.telemetry.by_source.is_empty(),
+            "{mode:?}: the lifecycle report covers the prefetches"
+        );
         if let Some(qos) = &fast.qos {
             assert!(
                 qos.cores.iter().any(|c| c.degrades > 0),

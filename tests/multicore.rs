@@ -20,7 +20,7 @@ use bingo_bench::{
     parallel_map, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Slot,
     Stream,
 };
-use bingo_sim::{SimResult, System, SystemConfig, TelemetryLevel, ThrottleMode};
+use bingo_sim::{SimResult, System, SystemConfig, ThrottleMode};
 use bingo_workloads::Workload;
 
 const SCALE: RunScale = RunScale {
@@ -105,7 +105,6 @@ fn one_core_mix_is_bit_for_bit_the_classic_single_core_path() {
 fn four_core_homogeneous_mix_matches_the_classic_path() {
     let bad = mismatches(&every_workload(), pair_label, |&(w, k)| {
         let classic = hand_built(SystemConfig::paper(), w, k)
-            .with_telemetry(TelemetryLevel::Off)
             .with_throttle(ThrottleMode::Off)
             .run();
         let spec = RunSpec::classic(SCALE, w, k);

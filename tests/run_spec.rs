@@ -9,7 +9,7 @@ use bingo_bench::{
     Checkpoint, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale, RunSpec, Slot,
     Stream, CAPTURE_SLACK,
 };
-use bingo_sim::{ChaosPlan, CoverageReport, RegionGeometry, TelemetryLevel, ThrottleMode};
+use bingo_sim::{ChaosPlan, CoverageReport, RegionGeometry, ThrottleMode};
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
 
 fn scratch(name: &str) -> PathBuf {
@@ -53,7 +53,6 @@ fn full_spec(trace: &TraceWorkload) -> RunSpec {
                 budget_percent: 75,
             },
         ],
-        telemetry: TelemetryLevel::Counts,
         throttle: ThrottleMode::Percore,
         chaos: Some(ChaosPlan::standard(5)),
     }
@@ -100,7 +99,6 @@ fn every_field_perturbation_changes_the_key() {
         ),
         ("queue", Box::new(|s| s.pressure.queue = Some(9))),
         ("queue unbounded", Box::new(|s| s.pressure.queue = None)),
-        ("telemetry", Box::new(|s| s.telemetry = TelemetryLevel::Off)),
         (
             "throttle",
             Box::new(|s| s.throttle = ThrottleMode::Feedback),
